@@ -55,23 +55,26 @@ fn reach_alpha(c: &mut Criterion) {
     group.finish();
 }
 
-/// Offline construction costs (excluded from query budgets, §3 Remarks).
+/// Offline construction costs (excluded from query budgets, §3 Remarks),
+/// at the historical 10k size and at the benchmark corpus's 100k.
 fn index_build(c: &mut Criterion) {
-    let g = youtube_like(10_000, 42);
     let mut group = c.benchmark_group("index_build");
     group.sample_size(10);
-    group.bench_function("RBIndex[0.02]", |b| {
-        b.iter(|| black_box(HierarchicalIndex::build(&g, 0.02)))
-    });
-    group.bench_function("compress", |b| {
-        b.iter(|| black_box(rbq_reach::compress_for_reachability(&g)))
-    });
-    group.bench_function("LM_vectors", |b| {
-        b.iter(|| black_box(LandmarkVectors::build(&g, 42)))
-    });
-    group.bench_function("NeighborIndex", |b| {
-        b.iter(|| black_box(rbq_core::NeighborIndex::build(&g)))
-    });
+    for nodes in [10_000usize, 100_000] {
+        let g = youtube_like(nodes, 42);
+        group.bench_with_input(BenchmarkId::new("RBIndex[0.02]", nodes), &g, |b, g| {
+            b.iter(|| black_box(HierarchicalIndex::build(g, 0.02)))
+        });
+        group.bench_with_input(BenchmarkId::new("compress", nodes), &g, |b, g| {
+            b.iter(|| black_box(rbq_reach::compress_for_reachability(g)))
+        });
+        group.bench_with_input(BenchmarkId::new("LM_vectors", nodes), &g, |b, g| {
+            b.iter(|| black_box(LandmarkVectors::build(g, 42)))
+        });
+        group.bench_with_input(BenchmarkId::new("NeighborIndex", nodes), &g, |b, g| {
+            b.iter(|| black_box(rbq_core::NeighborIndex::build(g)))
+        });
+    }
     group.finish();
 }
 

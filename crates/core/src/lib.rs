@@ -26,7 +26,6 @@ pub mod analysis;
 pub mod budget;
 pub mod guard;
 pub mod neighbor_index;
-pub mod parallel;
 pub mod rbsim;
 pub mod rbsim_any;
 pub mod rbsub;
@@ -36,9 +35,6 @@ pub use accuracy::{confusion, pattern_accuracy, reachability_accuracy, Accuracy,
 pub use analysis::{eta_profile, min_alpha_for_eta, EtaPoint, ProfiledAlgorithm};
 pub use budget::{ResourceBudget, VisitAccount};
 pub use neighbor_index::NeighborIndex;
-pub use parallel::{
-    batch_pattern_queries, try_batch_pattern_queries, BatchAlgorithm, ParallelError,
-};
 pub use rbsim::{rbsim, rbsim_with, PatternScratch};
 pub use rbsim_any::{rbsim_any, rbsim_any_with, AnyAnswer, AnyConfig};
 pub use rbsub::{rbsub, rbsub_scratch, rbsub_with};

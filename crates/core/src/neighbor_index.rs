@@ -5,27 +5,28 @@
 //! neighborhood `N(v)`. We refine `S_l` by direction (separate child and
 //! parent label counts) — a strict superset of the paper's structure that
 //! lets the guarded condition `C(v, u)` check parents and children exactly,
-//! as its definition demands, still in `O(1)`-ish hashed lookups.
+//! as its definition demands, by binary search over a handful of sorted
+//! pairs.
 //!
 //! The index is computed by one linear traversal of `G` and its cost is
 //! *offline*: it is excluded from the online `α·c·|G|` visiting budget
 //! (§3 "Remarks").
 
 use rbq_graph::{Graph, Label, NodeId};
-use rustc_hash::FxHashMap;
 
-/// Per-node neighbor-label summary, split by direction.
-#[derive(Debug, Clone, Default)]
-pub struct NodeSummary {
+/// Per-node neighbor-label summary, split by direction — a view borrowed
+/// from the index's flat arrays.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeSummary<'a> {
     /// `(label, count)` over children (out-neighbors), sorted by label.
-    pub out_labels: Vec<(Label, u32)>,
+    pub out_labels: &'a [(Label, u32)],
     /// `(label, count)` over parents (in-neighbors), sorted by label.
-    pub in_labels: Vec<(Label, u32)>,
+    pub in_labels: &'a [(Label, u32)],
     /// Total degree `d(v)`.
     pub degree: u32,
 }
 
-impl NodeSummary {
+impl NodeSummary<'_> {
     fn count_in(list: &[(Label, u32)], l: Label) -> u32 {
         match list.binary_search_by_key(&l, |&(x, _)| x) {
             Ok(i) => list[i].1,
@@ -35,12 +36,12 @@ impl NodeSummary {
 
     /// Occurrences of label `l` among children.
     pub fn out_count(&self, l: Label) -> u32 {
-        Self::count_in(&self.out_labels, l)
+        Self::count_in(self.out_labels, l)
     }
 
     /// Occurrences of label `l` among parents.
     pub fn in_count(&self, l: Label) -> u32 {
-        Self::count_in(&self.in_labels, l)
+        Self::count_in(self.in_labels, l)
     }
 
     /// Pooled count over `N(v)` — the paper's original `S_l` view.
@@ -49,63 +50,85 @@ impl NodeSummary {
     }
 }
 
-/// The offline index: one [`NodeSummary`] per node.
+/// `(label, count)` runs of every node for one direction, in one
+/// allocation: node `v`'s runs are `runs[offsets[v]..offsets[v + 1]]`.
+#[derive(Debug, Clone)]
+struct LabelCounts {
+    offsets: Vec<usize>,
+    runs: Vec<(Label, u32)>,
+}
+
+impl LabelCounts {
+    /// Sort each neighbor list's labels on one reused scratch buffer and
+    /// run-length encode them.
+    fn build<'g>(g: &'g Graph, adj: impl Fn(NodeId) -> &'g [NodeId]) -> Self {
+        let mut offsets = Vec::with_capacity(g.node_count() + 1);
+        let mut runs: Vec<(Label, u32)> = Vec::new();
+        let mut scratch: Vec<Label> = Vec::new();
+        offsets.push(0);
+        for v in g.nodes() {
+            scratch.clear();
+            scratch.extend(adj(v).iter().map(|&w| g.node_label(w)));
+            scratch.sort_unstable();
+            for run in scratch.chunk_by(|a, b| a == b) {
+                runs.push((run[0], run.len() as u32));
+            }
+            offsets.push(runs.len());
+        }
+        LabelCounts { offsets, runs }
+    }
+
+    #[inline]
+    fn row(&self, v: NodeId) -> &[(Label, u32)] {
+        &self.runs[self.offsets[v.index()]..self.offsets[v.index() + 1]]
+    }
+}
+
+/// The offline index: a neighbor-label summary per node.
 ///
-/// Construction is `O(|V| + |E|)`; lookups never touch the graph.
+/// Construction is `O(|V| + |E|)` plus a sort of each neighbor list's
+/// labels; lookups never touch the graph.
 #[derive(Debug, Clone)]
 pub struct NeighborIndex {
-    summaries: Vec<NodeSummary>,
+    out: LabelCounts,
+    inn: LabelCounts,
+    degrees: Vec<u32>,
 }
 
 impl NeighborIndex {
     /// Build the index by a single linear traversal of `g`.
     pub fn build(g: &Graph) -> Self {
-        let mut summaries = Vec::with_capacity(g.node_count());
-        let mut counts: FxHashMap<Label, u32> = FxHashMap::default();
-        for v in g.nodes() {
-            counts.clear();
-            for &w in g.out(v) {
-                *counts.entry(g.node_label(w)).or_insert(0) += 1;
-            }
-            let mut out_labels: Vec<(Label, u32)> = counts.iter().map(|(&l, &c)| (l, c)).collect();
-            out_labels.sort_unstable_by_key(|&(l, _)| l);
-
-            counts.clear();
-            for &w in g.inn(v) {
-                *counts.entry(g.node_label(w)).or_insert(0) += 1;
-            }
-            let mut in_labels: Vec<(Label, u32)> = counts.iter().map(|(&l, &c)| (l, c)).collect();
-            in_labels.sort_unstable_by_key(|&(l, _)| l);
-
-            summaries.push(NodeSummary {
-                out_labels,
-                in_labels,
-                degree: g.deg(v) as u32,
-            });
+        NeighborIndex {
+            out: LabelCounts::build(g, |v| g.out(v)),
+            inn: LabelCounts::build(g, |v| g.inn(v)),
+            degrees: g.nodes().map(|v| g.deg(v) as u32).collect(),
         }
-        NeighborIndex { summaries }
     }
 
     /// The summary for node `v`.
     #[inline]
-    pub fn summary(&self, v: NodeId) -> &NodeSummary {
-        &self.summaries[v.index()]
+    pub fn summary(&self, v: NodeId) -> NodeSummary<'_> {
+        NodeSummary {
+            out_labels: self.out.row(v),
+            in_labels: self.inn.row(v),
+            degree: self.degrees[v.index()],
+        }
     }
 
     /// Degree `d(v)` without touching the graph.
     #[inline]
     pub fn degree(&self, v: NodeId) -> u32 {
-        self.summaries[v.index()].degree
+        self.degrees[v.index()]
     }
 
     /// Number of indexed nodes.
     pub fn len(&self) -> usize {
-        self.summaries.len()
+        self.degrees.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.summaries.is_empty()
+        self.degrees.is_empty()
     }
 }
 

@@ -6,16 +6,16 @@
 //! query-preserving compression the paper applies before building the
 //! hierarchical landmark index (§5 "Preprocessing").
 
-use crate::builder::GraphBuilder;
 use crate::graph::Graph;
 use crate::scc::{tarjan_scc, SccPartition};
-use crate::types::NodeId;
+use crate::types::{Label, NodeId};
 
 /// A condensed graph together with the node mapping.
 #[derive(Debug, Clone)]
 pub struct Condensation {
     /// The condensed DAG. Node `c` of `dag` represents SCC `c` of the
-    /// original graph; its label is the label of the SCC's smallest member
+    /// original graph, so ids are reverse-topological (every edge `a -> b`
+    /// has `a > b`); its label is the label of the SCC's smallest member
     /// (labels are irrelevant for reachability).
     pub dag: Graph,
     /// Mapping `original node -> condensed node`.
@@ -32,38 +32,51 @@ impl Condensation {
 
 /// Condense `g` into its SCC DAG.
 ///
-/// Runs in `O(|V| + |E|)`. The resulting graph is acyclic (asserted in debug
-/// builds by a topological-sort check in tests).
+/// Runs in `O(|V| + |E|)` plus a sort of each condensed row: cross-component
+/// edges are counted, scattered into their source component's row, and each
+/// row is sorted and deduplicated in place — no global edge sort.
 pub fn condense(g: &Graph) -> Condensation {
     let partition = tarjan_scc(g);
     let k = partition.count;
+    let comp = &partition.comp;
 
-    // Pick a representative label per component (smallest member id wins).
-    let mut rep: Vec<Option<NodeId>> = vec![None; k];
+    // Descending visit order leaves each component with the label of its
+    // smallest member.
+    let mut node_labels = vec![Label(0); k];
+    let mut offsets = vec![0usize; k + 1];
+    for v in (0..g.node_count()).rev().map(NodeId::new) {
+        let c = comp[v.index()];
+        node_labels[c as usize] = g.node_label(v);
+        offsets[c as usize + 1] += g.out(v).iter().filter(|w| comp[w.index()] != c).count();
+    }
+    for c in 0..k {
+        offsets[c + 1] += offsets[c];
+    }
+    let mut scattered = vec![NodeId(0); offsets[k]];
+    let mut cursor = offsets.clone();
     for v in g.nodes() {
-        let c = partition.component_of(v) as usize;
-        if rep[c].is_none() {
-            rep[c] = Some(v);
+        let c = comp[v.index()];
+        for w in g.out(v) {
+            let cw = comp[w.index()];
+            if cw != c {
+                scattered[cursor[c as usize]] = NodeId(cw);
+                cursor[c as usize] += 1;
+            }
         }
     }
-
-    let mut b = GraphBuilder::with_capacity(k, g.edge_count().min(k * 4));
-    for r in rep.iter().take(k) {
-        // invariant: component ids come from `scc()` over the same graph,
-        // so every id in `0..k` was assigned to at least one node above.
-        let r = r.expect("every component has a member");
-        b.add_node(g.node_label_str(r));
+    // Parallel edges between the same SCC pair collapse here.
+    let mut targets = Vec::with_capacity(scattered.len());
+    let mut start = 0;
+    for c in 0..k {
+        let end = offsets[c + 1];
+        let row = &mut scattered[start..end];
+        row.sort_unstable();
+        targets.extend(row.chunk_by(|a, b| a == b).map(|run| run[0]));
+        offsets[c + 1] = targets.len();
+        start = end;
     }
-    for (u, v) in g.edges() {
-        let cu = partition.component_of(u);
-        let cv = partition.component_of(v);
-        if cu != cv {
-            b.add_edge(NodeId(cu), NodeId(cv));
-        }
-    }
-    // GraphBuilder dedups parallel edges between the same SCC pair.
     Condensation {
-        dag: b.build(),
+        dag: Graph::from_out_csr(g.labels().clone(), node_labels, offsets, targets),
         partition,
     }
 }
@@ -117,6 +130,38 @@ mod tests {
         let c = condense(&g);
         assert_eq!(c.dag.node_count(), 2);
         assert_eq!(c.dag.edge_count(), 1);
+    }
+
+    #[test]
+    fn rows_are_sorted_and_labels_come_from_the_smallest_member() {
+        // SCCs {0,3} ("X"/"Y") -> {1,2} ("Z"/"W") -> {4}, and {0,3} -> {4};
+        // every cross edge exists twice.
+        let g = graph_from_edges(
+            &["X", "Z", "W", "Y", "S"],
+            &[
+                (0, 3),
+                (3, 0),
+                (1, 2),
+                (2, 1),
+                (3, 1),
+                (0, 2),
+                (2, 4),
+                (0, 4),
+                (3, 4),
+            ],
+        );
+        let c = condense(&g);
+        assert_eq!(c.dag.node_count(), 3);
+        let (a, b, s) = (c.map(NodeId(0)), c.map(NodeId(1)), c.map(NodeId(4)));
+        // Reverse-topological ids: sources last.
+        assert!(a > b && b > s);
+        assert_eq!(c.dag.out(a), &[s, b]);
+        assert_eq!(c.dag.out(b), &[s]);
+        assert_eq!(c.dag.inn(s), &[b, a]);
+        assert_eq!(c.dag.inn(b), &[a]);
+        assert_eq!(c.dag.node_label_str(a), "X");
+        assert_eq!(c.dag.node_label_str(b), "Z");
+        assert_eq!(c.dag.node_label_str(s), "S");
     }
 
     #[test]

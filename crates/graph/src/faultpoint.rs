@@ -35,7 +35,6 @@ pub const REGISTRY: &[&str] = &[
     "dualsim.fixpoint",   // dual-simulation worklist fixpoint
     "reduction.pick",     // reduction Pick scoring loop
     "vf2.step",           // VF2 enumeration step
-    "reach.parallel",     // parallel reach join
     "engine.run_one",     // per-query engine entry
     "router.shard",       // per-shard router worker
     "router.shard.retry", // cold-replica retry after a lost shard

@@ -287,25 +287,43 @@ impl Graph {
         self.overlay.as_ref().map_or(0, |ov| ov.churn)
     }
 
-    /// Rebuild a fresh overlay-free CSR from the effective adjacency.
+    /// Assemble a graph from a finished out-adjacency CSR; the in-adjacency
+    /// is derived from it by one counting sort, so the two sides cannot
+    /// disagree. This is the construction path for code that already holds
+    /// sorted rows (compaction, SCC condensation, the reachability
+    /// compression) and would only pay [`crate::GraphBuilder`]'s global
+    /// edge sort and label interning to throw the work away.
     ///
-    /// Runs in `O(|V| + |E|)`: effective out-rows are already sorted and
-    /// deduplicated, so the out side is a concatenation and the in side a
-    /// counting sort. The result answers every query identically.
-    pub fn compact(&self) -> Graph {
-        let n = self.node_count();
-        let m = self.edge_count();
-        let mut out_offsets = vec![0usize; n + 1];
-        for v in self.nodes() {
-            out_offsets[v.index() + 1] = out_offsets[v.index()] + self.out(v).len();
-        }
-        let mut out_targets = Vec::with_capacity(m);
+    /// Row `v` is `out_targets[out_offsets[v]..out_offsets[v + 1]]` and must
+    /// be strictly ascending (sorted, no duplicates).
+    ///
+    /// # Panics
+    /// Panics if the offsets do not partition `out_targets` over
+    /// `node_labels.len()` rows, or if a target or label id is out of range.
+    pub fn from_out_csr(
+        labels: LabelInterner,
+        node_labels: Vec<Label>,
+        out_offsets: Vec<usize>,
+        out_targets: Vec<NodeId>,
+    ) -> Graph {
+        let n = node_labels.len();
+        let m = out_targets.len();
+        assert_eq!(out_offsets.len(), n + 1, "one offset per row plus the end");
+        assert!(
+            out_offsets[0] == 0
+                && out_offsets[n] == m
+                && out_offsets.windows(2).all(|w| w[0] <= w[1]),
+            "offsets must partition the targets"
+        );
+        debug_assert!(
+            (0..n).all(|v| out_targets[out_offsets[v]..out_offsets[v + 1]]
+                .windows(2)
+                .all(|w| w[0] < w[1])),
+            "rows must be strictly ascending"
+        );
         let mut in_offsets = vec![0usize; n + 1];
-        for v in self.nodes() {
-            for &w in self.out(v) {
-                out_targets.push(w);
-                in_offsets[w.index() + 1] += 1;
-            }
+        for &w in &out_targets {
+            in_offsets[w.index() + 1] += 1;
         }
         for i in 0..n {
             in_offsets[i + 1] += in_offsets[i];
@@ -313,19 +331,40 @@ impl Graph {
         let mut in_targets = vec![NodeId(0); m];
         let mut cursor = in_offsets.clone();
         // Sources visited in ascending order, so each in-row is born sorted.
-        for v in self.nodes() {
-            for &w in self.out(v) {
-                in_targets[cursor[w.index()]] = v;
+        for v in 0..n {
+            for &w in &out_targets[out_offsets[v]..out_offsets[v + 1]] {
+                in_targets[cursor[w.index()]] = NodeId::new(v);
                 cursor[w.index()] += 1;
             }
         }
         Graph::from_parts(
-            self.labels.clone(),
-            self.node_labels.clone(),
+            labels,
+            node_labels,
             out_offsets,
             out_targets,
             in_offsets,
             in_targets,
+        )
+    }
+
+    /// Rebuild a fresh overlay-free CSR from the effective adjacency.
+    ///
+    /// Runs in `O(|V| + |E|)`: effective out-rows are already sorted and
+    /// deduplicated, so the out side is a concatenation and the in side a
+    /// counting sort. The result answers every query identically.
+    pub fn compact(&self) -> Graph {
+        let mut out_offsets = Vec::with_capacity(self.node_count() + 1);
+        let mut out_targets = Vec::with_capacity(self.edge_count());
+        out_offsets.push(0);
+        for v in self.nodes() {
+            out_targets.extend_from_slice(self.out(v));
+            out_offsets.push(out_targets.len());
+        }
+        Graph::from_out_csr(
+            self.labels.clone(),
+            self.node_labels.clone(),
+            out_offsets,
+            out_targets,
         )
     }
 }

@@ -113,7 +113,6 @@ impl Context {
                 "crates/pattern/src/dualsim.rs",    // dual-sim fixpoint
                 "crates/core/src/reduction.rs",     // reduction Pick loop
                 "crates/pattern/src/vf2.rs",        // VF2 step
-                "crates/reach/src/parallel.rs",     // parallel reach join
             ]
             .iter()
             .map(|s| s.to_string())

@@ -13,18 +13,22 @@
 //!    `s → t` holds iff their representatives are distinct and connected,
 //!    or `s, t` share an SCC.
 //!
-//! The merge runs to a fixpoint: merging can make previously distinct
-//! neighborhoods identical, so passes repeat until no change.
+//! One merge pass reaches the fixpoint. Equivalent nodes share their
+//! in-sets, so a list that names one member of a class names them all; two
+//! lists that agree after members are replaced by their class therefore
+//! agreed before, and nodes the pass left apart stay apart.
 
-use rbq_graph::condense::condense;
+use rbq_graph::condense::{condense, Condensation};
 use rbq_graph::traverse::reaches;
-use rbq_graph::{Graph, GraphBuilder, GraphView, NodeId};
-use rustc_hash::FxHashMap;
+use rbq_graph::{Graph, GraphView, NodeId};
+use rustc_hash::FxHasher;
+use std::hash::{Hash, Hasher};
 
 /// A reachability-preserving compressed form of a graph.
 #[derive(Debug, Clone)]
 pub struct CompressedGraph {
-    /// The compressed DAG.
+    /// The compressed DAG. Node ids are reverse-topological — every edge
+    /// `a -> b` has `a > b` — so `0..n` visits children before parents.
     pub dag: Graph,
     /// `scc[v]` — SCC id of original node `v` (ids are reverse-topological).
     scc: Vec<u32>,
@@ -64,6 +68,21 @@ impl CompressedGraph {
         reaches(&self.dag, cs, ct).0
     }
 
+    /// Whether `other` is the same compression structure for structure:
+    /// the same DAG (adjacency both ways, label strings) behind the same
+    /// node maps.
+    pub fn structural_eq(&self, other: &Self) -> bool {
+        let (a, b) = (&self.dag, &other.dag);
+        self.scc == other.scc
+            && self.rep == other.rep
+            && a.node_count() == b.node_count()
+            && a.nodes().all(|v| {
+                a.out(v) == b.out(v)
+                    && a.inn(v) == b.inn(v)
+                    && a.node_label_str(v) == b.node_label_str(v)
+            })
+    }
+
     /// Compression ratio `|dag| / |original|` in nodes+edges units.
     pub fn ratio(&self, original: &Graph) -> f64 {
         self.dag.size() as f64 / original.size().max(1) as f64
@@ -73,42 +92,141 @@ impl CompressedGraph {
 /// SCC condensation only, without the equivalence merge — the ablation
 /// baseline for the merge step (and the cheaper preprocessing variant).
 pub fn condense_only(g: &Graph) -> CompressedGraph {
-    let cond = condense(g);
-    let scc: Vec<u32> = (0..g.node_count())
-        .map(|i| cond.partition.component_of(NodeId::new(i)))
-        .collect();
-    let rep: Vec<u32> = (0..cond.dag.node_count() as u32).collect();
+    let Condensation { dag, partition } = condense(g);
+    let rep = (0..dag.node_count() as u32).collect();
     CompressedGraph {
-        dag: cond.dag,
-        scc,
+        dag,
+        scc: partition.comp,
         rep,
     }
 }
 
 /// Compress `g` for reachability: condense SCCs, then merge
-/// neighborhood-identical DAG nodes to a fixpoint.
+/// neighborhood-identical DAG nodes.
 pub fn compress_for_reachability(g: &Graph) -> CompressedGraph {
-    let cond = condense(g);
-    let scc: Vec<u32> = (0..g.node_count())
-        .map(|i| cond.partition.component_of(NodeId::new(i)))
-        .collect();
+    compress_with(g, signature_hash)
+}
 
-    // Iterative equivalence merge on the condensed DAG.
-    let mut dag = cond.dag;
-    // rep chain: representative of each SCC in the *current* dag.
+/// 64-bit hash of a node's `(out, in)` signature. Only a grouping hint:
+/// [`merge_equivalent`] confirms every candidate pair by slice equality.
+fn signature_hash(out: &[NodeId], inn: &[NodeId]) -> u64 {
+    let mut h = FxHasher::default();
+    (out, inn).hash(&mut h);
+    h.finish()
+}
+
+pub(crate) fn compress_with(
+    g: &Graph,
+    hash: impl Fn(&[NodeId], &[NodeId]) -> u64,
+) -> CompressedGraph {
+    let Condensation { dag, partition } = condense(g);
+    let (dag, rep) = merge_equivalent(dag, hash);
+    CompressedGraph {
+        dag,
+        scc: partition.comp,
+        rep,
+    }
+}
+
+/// Merge the nodes of `dag` that share a signature — the pair (sorted out
+/// list, sorted in list); CSR rows are already sorted. Returns the merged
+/// DAG, renumbered densely in leader-id order (which keeps ids
+/// reverse-topological), and the map from old node to merged node.
+fn merge_equivalent(dag: Graph, hash: impl Fn(&[NodeId], &[NodeId]) -> u64) -> (Graph, Vec<u32>) {
+    let sig = |v: u32| (dag.out(NodeId(v)), dag.inn(NodeId(v)));
+    let n = dag.node_count();
+    let mut keyed: Vec<(u64, u32)> = (0..n as u32)
+        .map(|v| (hash(sig(v).0, sig(v).1), v))
+        .collect();
+    // Equal signatures end up adjacent, smallest id first, whatever the
+    // hash does: it only decides how rarely the slices are compared.
+    keyed.sort_unstable_by(|a, b| {
+        (a.0.cmp(&b.0))
+            .then_with(|| sig(a.1).cmp(&sig(b.1)))
+            .then(a.1.cmp(&b.1))
+    });
+
+    // leader[v] — smallest member of v's class.
+    let mut leader: Vec<u32> = (0..n as u32).collect();
+    let mut merged = false;
+    for w in keyed.windows(2) {
+        let ((ha, a), (hb, b)) = (w[0], w[1]);
+        if ha == hb && sig(a) == sig(b) {
+            leader[b as usize] = leader[a as usize];
+            merged = true;
+        }
+    }
+    if !merged {
+        return (dag, leader);
+    }
+
+    // Number the leaders densely in id order; a member's leader is smaller
+    // than the member, so its class is known by the time it is visited.
+    let mut class = vec![0u32; n];
+    let mut k = 0u32;
+    for v in 0..n {
+        if leader[v] == v as u32 {
+            class[v] = k;
+            k += 1;
+        } else {
+            class[v] = class[leader[v] as usize];
+        }
+    }
+
+    // Members of a class have identical neighbors, so a row that lists any
+    // member lists the leader too: keeping each leader's leader entries
+    // yields the merged row, already sorted and duplicate-free.
+    let mut node_labels = Vec::with_capacity(k as usize);
+    let mut offsets = Vec::with_capacity(k as usize + 1);
+    let mut targets = Vec::with_capacity(dag.edge_count());
+    offsets.push(0);
+    for v in dag.nodes().filter(|v| leader[v.index()] == v.0) {
+        node_labels.push(dag.node_label(v));
+        targets.extend(
+            dag.out(v)
+                .iter()
+                .filter(|w| leader[w.index()] == w.0)
+                .map(|w| NodeId(class[w.index()])),
+        );
+        offsets.push(targets.len());
+    }
+    let merged = Graph::from_out_csr(dag.labels().clone(), node_labels, offsets, targets);
+    (merged, class)
+}
+
+/// The compression as it was first written — `GraphBuilder` condensation,
+/// nodes grouped in a map keyed by cloned `(out, in)` lists, passes repeated
+/// until one merges nothing — kept as the reference the fast path is
+/// proptested against. `merge = false` is [`condense_only`]'s reference.
+#[cfg(test)]
+pub(crate) fn compress_reference(g: &Graph, merge: bool) -> CompressedGraph {
+    use rbq_graph::GraphBuilder;
+    use rustc_hash::FxHashMap;
+
+    let partition = rbq_graph::scc::tarjan_scc(g);
+    let mut b = GraphBuilder::new();
+    for c in 0..partition.count as u32 {
+        let smallest = g.nodes().find(|&v| partition.component_of(v) == c);
+        b.add_node(g.node_label_str(smallest.expect("every component has a member")));
+    }
+    for (u, v) in g.edges() {
+        let (cu, cv) = (partition.component_of(u), partition.component_of(v));
+        if cu != cv {
+            b.add_edge(NodeId(cu), NodeId(cv));
+        }
+    }
+    let mut dag = b.build();
     let mut rep: Vec<u32> = (0..dag.node_count() as u32).collect();
 
     loop {
         let n = dag.node_count();
-        // Signature: (sorted out list, sorted in list). CSR lists are
-        // already sorted. Group by signature.
         let mut groups: FxHashMap<(Vec<NodeId>, Vec<NodeId>), Vec<NodeId>> = FxHashMap::default();
         for v in dag.nodes() {
             let key = (dag.out(v).to_vec(), dag.inn(v).to_vec());
             groups.entry(key).or_default().push(v);
         }
-        if groups.len() == n {
-            break; // no two nodes share a signature
+        if !merge || groups.len() == n {
+            break; // merge not wanted, or no two nodes share a signature
         }
         // Build merged graph: leader = smallest member of each group.
         let mut leader: Vec<u32> = (0..n as u32).collect();
@@ -134,15 +252,18 @@ pub fn compress_for_reachability(g: &Graph) -> CompressedGraph {
                 b.add_edge(NodeId(lu), NodeId(lv));
             }
         }
-        let new_dag = b.build();
         // Compose the representative mapping.
         for r in rep.iter_mut() {
             *r = dense[&leader[*r as usize]];
         }
-        dag = new_dag;
+        dag = b.build();
     }
 
-    CompressedGraph { dag, scc, rep }
+    CompressedGraph {
+        dag,
+        scc: partition.comp,
+        rep,
+    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,8 @@
 //! `RBIndex` (Fig. 6): constructing the hierarchical landmark index.
 
-use super::{Landmark, LmId};
-use crate::compress::{compress_for_reachability, CompressedGraph};
-use rbq_graph::topo::topological_ranks;
+use super::{LabelRows, Landmark, LmId, NO_LM};
+use crate::compress::{compress_for_reachability, condense_only, CompressedGraph};
 use rbq_graph::{Graph, GraphView, NodeId};
-use rustc_hash::{FxHashMap, FxHashSet};
 
 /// How level-1 landmarks are chosen — the paper's greedy heuristic plus
 /// alternatives for the ablation study (DESIGN.md §6).
@@ -74,11 +72,12 @@ pub struct HierarchicalIndex {
     /// The query-preserving compression of the indexed graph.
     pub compressed: CompressedGraph,
     pub(crate) landmarks: Vec<Landmark>,
-    pub(crate) lm_of_node: FxHashMap<NodeId, LmId>,
+    /// Per DAG node: its landmark id, or [`NO_LM`].
+    pub(crate) lm_of_node: Vec<LmId>,
     /// Per DAG node: first-hit landmarks reachable from it (`v.E`, flag 1).
-    pub(crate) fwd_labels: Vec<Vec<LmId>>,
+    pub(crate) fwd_labels: LabelRows,
     /// Per DAG node: first-hit landmarks reaching it (`v.E`, flag 0).
-    pub(crate) bwd_labels: Vec<Vec<LmId>>,
+    pub(crate) bwd_labels: LabelRows,
     /// Topological rank of each DAG node.
     pub(crate) ranks: Vec<u32>,
     /// The resource ratio the index was built for.
@@ -104,15 +103,19 @@ impl HierarchicalIndex {
         let compressed = if params.merge_equivalence {
             compress_for_reachability(g)
         } else {
-            crate::compress::condense_only(g)
+            condense_only(g)
         };
         let dag = &compressed.dag;
         let n = dag.node_count();
-        let ranks = if n > 0 {
-            topological_ranks(dag)
-        } else {
-            Vec::new()
-        };
+        // Every pass below is a DP along the DAG that takes its topological
+        // order from the compression's numbering: ascending ids visit
+        // children before parents. A wrong order would build a wrong index
+        // silently, so check rather than trust.
+        assert!(
+            dag.edges().all(|(u, v)| u > v),
+            "compressed DAG ids must be reverse-topological"
+        );
+        let ranks = topological_ranks(dag);
 
         let g_size = g.size();
         let visit_cap = (params.alpha * g_size as f64).floor() as usize;
@@ -145,15 +148,13 @@ impl HierarchicalIndex {
         } else {
             greedy_select(dag, &ranks, k1, a, params.selection, &desc_est, &anc_est)
         };
-        let k1 = lm_nodes.len();
-        let mut lm_of_node: FxHashMap<NodeId, LmId> = FxHashMap::default();
+        let mut lm_of_node = vec![NO_LM; n];
         for (i, &v) in lm_nodes.iter().enumerate() {
-            lm_of_node.insert(v, i as LmId);
+            lm_of_node[v.index()] = i as LmId;
         }
 
         // ---- Landmark reachability bitsets via one reverse-topo DP. ----
-        let words = k1.div_ceil(64);
-        let lm_reach = landmark_reach_bitsets(dag, &lm_nodes, &lm_of_node, words);
+        let lm_reach = landmark_reach_bitsets(dag, &lm_nodes, &lm_of_node);
 
         // ---- First-hit label sets (`v.E`) in both directions. ----
         let fwd_labels = first_hit_labels(dag, &lm_of_node, params.max_labels_per_node, true);
@@ -172,81 +173,12 @@ impl HierarchicalIndex {
                 rank: ranks[v.index()],
                 range: (0, 0),
                 subtree_size: 1,
-                hop_fwd: fwd_labels[v.index()].clone(),
-                hop_bwd: bwd_labels[v.index()].clone(),
+                hop_fwd: fwd_labels.row(v).to_vec(),
+                hop_bwd: bwd_labels.row(v).to_vec(),
             })
             .collect();
 
-        // ---- Multi-level promotion (Fig. 6 lines 5-9). ----
-        let mut unparented: Vec<LmId> = Vec::new();
-        let mut cur: Vec<LmId> = (0..k1 as LmId).collect();
-        let mut level = 2u32;
-        while cur.len() > 1 && level <= params.max_levels {
-            // |G_{l-1}|: landmark-graph size (nodes + reachability edges).
-            let cur_set: FxHashSet<LmId> = cur.iter().copied().collect();
-            let mut edge_cnt = 0usize;
-            for &i in &cur {
-                edge_cnt += cur
-                    .iter()
-                    .filter(|&&j| j != i && bit(&lm_reach, words, i, j))
-                    .count();
-            }
-            let lm_graph_size = cur.len() + edge_cnt;
-            let k = ((params.alpha * lm_graph_size as f64) / 2.0).floor() as usize;
-            let k = k.min(cur.len() - 1);
-            if k == 0 {
-                break;
-            }
-
-            // Rank and degree within the landmark graph.
-            let (l_ranks, l_degs) = landmark_graph_stats(&cur, &lm_reach, words);
-
-            // Greedy selection on the landmark graph, spreading across it.
-            let a_l = (cur.len() / k).max(1);
-            let selected = greedy_select_landmarks(&cur, &l_ranks, &l_degs, k, a_l, |i, j| {
-                bit(&lm_reach, words, i, j) || bit(&lm_reach, words, j, i)
-            });
-            let selected_set: FxHashSet<LmId> = selected.iter().copied().collect();
-
-            // Assign parents: every unselected current landmark attaches to
-            // a connected selected landmark (first in selection order).
-            for &w in &cur {
-                if selected_set.contains(&w) {
-                    continue;
-                }
-                let mut attached = false;
-                for &v in &selected {
-                    if bit(&lm_reach, words, v, w) {
-                        landmarks[w as usize].parent = Some(v);
-                        landmarks[w as usize].parent_reaches_child = true;
-                        landmarks[v as usize].children.push(w);
-                        attached = true;
-                        break;
-                    }
-                    if bit(&lm_reach, words, w, v) {
-                        landmarks[w as usize].parent = Some(v);
-                        landmarks[w as usize].parent_reaches_child = false;
-                        landmarks[v as usize].children.push(w);
-                        attached = true;
-                        break;
-                    }
-                }
-                if !attached {
-                    unparented.push(w);
-                }
-            }
-            for &v in &selected {
-                landmarks[v as usize].level = level;
-            }
-            let _ = cur_set;
-            cur = selected;
-            level += 1;
-        }
-
-        let mut roots: Vec<LmId> = cur;
-        roots.extend(unparented);
-        roots.sort_unstable();
-        roots.dedup();
+        let roots = promote(&mut landmarks, &lm_reach, params.alpha, params.max_levels);
 
         // ---- Subtree sizes and topological ranges (DFS from roots). ----
         compute_subtrees(&mut landmarks, &roots);
@@ -262,6 +194,30 @@ impl HierarchicalIndex {
             visit_cap,
             roots,
         }
+    }
+
+    /// The landmark standing for DAG node `v`, if it is one.
+    #[inline]
+    pub(crate) fn lm_at(&self, v: NodeId) -> Option<LmId> {
+        let i = self.lm_of_node[v.index()];
+        (i != NO_LM).then_some(i)
+    }
+
+    /// Whether `other` is the same index structure for structure — the
+    /// compressed DAG and its node maps, every landmark record (node,
+    /// level, parent and edge direction, children, cover size, rank, range,
+    /// subtree size, hop lists), the per-node first-hit labels, ranks,
+    /// roots and caps — not merely an index that answers alike.
+    pub fn structural_eq(&self, other: &Self) -> bool {
+        self.compressed.structural_eq(&other.compressed)
+            && self.landmarks == other.landmarks
+            && self.lm_of_node == other.lm_of_node
+            && self.fwd_labels == other.fwd_labels
+            && self.bwd_labels == other.bwd_labels
+            && self.ranks == other.ranks
+            && self.alpha == other.alpha
+            && self.visit_cap == other.visit_cap
+            && self.roots == other.roots
     }
 
     /// Number of landmarks in the index.
@@ -284,18 +240,8 @@ impl HierarchicalIndex {
     /// Total label entries (`Σ|v.E|` plus hop labels) — auxiliary storage
     /// reported alongside the forest size.
     pub fn label_entries(&self) -> usize {
-        let per_node: usize = self
-            .fwd_labels
-            .iter()
-            .chain(self.bwd_labels.iter())
-            .map(Vec::len)
-            .sum();
-        let hops: usize = self
-            .landmarks
-            .iter()
-            .map(|l| l.hop_fwd.len() + l.hop_bwd.len())
-            .sum();
-        per_node + hops
+        let hops = (self.landmarks.iter()).map(|l| l.hop_fwd.len() + l.hop_bwd.len());
+        self.fwd_labels.data.len() + self.bwd_labels.data.len() + hops.sum::<usize>()
     }
 
     /// The query-time visit cap `⌊α|G|⌋`.
@@ -362,7 +308,7 @@ pub struct IndexStats {
 /// key descending; when a node is picked, it and up to `a` of its
 /// (undirected) neighbors leave the candidate pool, spreading landmarks
 /// across the graph (§5.1 "Landmark selection").
-fn greedy_select(
+pub(super) fn greedy_select(
     dag: &Graph,
     ranks: &[u32],
     k: usize,
@@ -419,136 +365,290 @@ fn greedy_select(
     picked
 }
 
-/// Greedy selection over a landmark graph given rank/degree maps.
+/// Multi-level promotion (Fig. 6 lines 5-9): repeatedly select the best
+/// landmarks of the current level's *landmark graph* (nodes = the level's
+/// landmarks, edges = reachability) into the next level and hang the rest
+/// under them. Returns the forest roots, sorted.
+///
+/// Counts over the landmark graph are `popcount(row & level mask)` over
+/// `reach` and its transpose.
+fn promote(
+    landmarks: &mut [Landmark],
+    reach: &BitMatrix,
+    alpha: f64,
+    max_levels: u32,
+) -> Vec<LmId> {
+    let k1 = landmarks.len();
+    let reached_by = reach.transposed();
+    let mut unparented: Vec<LmId> = Vec::new();
+    let mut cur: Vec<LmId> = (0..k1 as LmId).collect();
+    let mut in_cur = vec![0u64; reach.words];
+    // Indexed by landmark id; entries of `cur` members are rewritten each
+    // level before they are read.
+    let mut out_deg = vec![0u32; k1];
+    let mut in_deg = vec![0u32; k1];
+    let mut level = 2u32;
+    while cur.len() > 1 && level <= max_levels {
+        in_cur.fill(0);
+        for &i in &cur {
+            set_bit(&mut in_cur, i);
+        }
+        // |G_{l-1}|: landmark-graph size (nodes + reachability edges).
+        let mut edge_cnt = 0usize;
+        for &i in &cur {
+            out_deg[i as usize] = and_count(reach.row(i), &in_cur);
+            in_deg[i as usize] = and_count(reached_by.row(i), &in_cur);
+            edge_cnt += out_deg[i as usize] as usize;
+        }
+        let lm_graph_size = cur.len() + edge_cnt;
+        let k = ((alpha * lm_graph_size as f64) / 2.0).floor() as usize;
+        let k = k.min(cur.len() - 1);
+        if k == 0 {
+            break;
+        }
+
+        // Greedy selection on the landmark graph, spreading across it, by
+        // degree (adjacency either direction) times rank. The landmark
+        // graph is transitively closed, so its true rank is the longest
+        // chain below a landmark; the out-reach count stands in for it — it
+        // orders chains identically and is monotone for the heuristic.
+        let a_l = (cur.len() / k).max(1);
+        let key = |i: LmId| {
+            let (out, inn) = (out_deg[i as usize] as u64, in_deg[i as usize] as u64);
+            (out + inn) * (out + 1)
+        };
+        let selected = greedy_select_landmarks(&cur, &in_cur, key, k, a_l, reach, &reached_by);
+        let mut pick_pos = vec![NO_LM; k1];
+        let mut picked = vec![0u64; reach.words];
+        for (p, &v) in selected.iter().enumerate() {
+            pick_pos[v as usize] = p as LmId;
+            set_bit(&mut picked, v);
+        }
+
+        // Assign parents: every unselected current landmark attaches to
+        // a connected selected landmark (first in selection order).
+        for &w in &cur {
+            if pick_pos[w as usize] != NO_LM {
+                continue;
+            }
+            let (above, below) = (reached_by.row(w), reach.row(w));
+            let mut parent: Option<LmId> = None;
+            let connected = (above.iter().zip(below).zip(&picked)).map(|((a, b), p)| (a | b) & p);
+            for_each_bit(connected, |v| {
+                if parent.is_none_or(|p| pick_pos[v as usize] < pick_pos[p as usize]) {
+                    parent = Some(v);
+                }
+            });
+            match parent {
+                Some(v) => {
+                    landmarks[w as usize].parent = Some(v);
+                    landmarks[w as usize].parent_reaches_child = test_bit(above, v);
+                    landmarks[v as usize].children.push(w);
+                }
+                None => unparented.push(w),
+            }
+        }
+        for &v in &selected {
+            landmarks[v as usize].level = level;
+        }
+        cur = selected;
+        level += 1;
+    }
+
+    let mut roots: Vec<LmId> = cur;
+    roots.extend(unparented);
+    roots.sort_unstable();
+    roots.dedup();
+    roots
+}
+
+/// Greedy selection over a landmark graph: order `cur` by `key`
+/// descending; a picked landmark takes the first `a` still-available
+/// landmarks adjacent to it (in `cur` order) out of the pool with it.
 fn greedy_select_landmarks(
     cur: &[LmId],
-    l_ranks: &FxHashMap<LmId, u32>,
-    l_degs: &FxHashMap<LmId, u32>,
+    in_cur: &[u64],
+    key: impl Fn(LmId) -> u64,
     k: usize,
     a: usize,
-    adjacent: impl Fn(LmId, LmId) -> bool,
+    reach: &BitMatrix,
+    reached_by: &BitMatrix,
 ) -> Vec<LmId> {
     let mut order: Vec<LmId> = cur.to_vec();
-    order.sort_unstable_by_key(|&i| {
-        std::cmp::Reverse((l_degs[&i] as u64) * (l_ranks[&i] as u64 + 1))
-    });
-    let mut removed: FxHashSet<LmId> = FxHashSet::default();
+    order.sort_unstable_by_key(|&i| std::cmp::Reverse(key(i)));
+    let mut avail = in_cur.to_vec();
+    let mut adj = vec![0u64; in_cur.len()];
     let mut picked = Vec::with_capacity(k);
     for i in order {
         if picked.len() >= k {
             break;
         }
-        if removed.contains(&i) {
+        if !test_bit(&avail, i) {
             continue;
         }
         picked.push(i);
-        removed.insert(i);
-        let mut quota = a;
-        for &j in cur {
-            if quota == 0 {
-                break;
+        clear_bit(&mut avail, i);
+        let rows = reach.row(i).iter().zip(reached_by.row(i));
+        let mut adjacent = 0usize;
+        for ((x, (r, c)), av) in adj.iter_mut().zip(rows).zip(&avail) {
+            *x = (r | c) & av;
+            adjacent += x.count_ones() as usize;
+        }
+        if adjacent <= a {
+            // All of them go: order is immaterial.
+            for (av, x) in avail.iter_mut().zip(&adj) {
+                *av &= !x;
             }
-            if j != i && !removed.contains(&j) && adjacent(i, j) {
-                removed.insert(j);
-                quota -= 1;
+        } else {
+            let mut quota = a;
+            for &j in cur {
+                if quota == 0 {
+                    break;
+                }
+                if test_bit(&adj, j) {
+                    clear_bit(&mut avail, j);
+                    quota -= 1;
+                }
             }
         }
     }
     picked
 }
 
-/// Rank and degree of each current landmark *within the landmark graph*
-/// (nodes = `cur`, edges = reachability).
-fn landmark_graph_stats(
-    cur: &[LmId],
-    lm_reach: &[u64],
+/// Square bit matrix over landmark ids, row-major.
+struct BitMatrix {
+    /// `u64`s per row.
     words: usize,
-) -> (FxHashMap<LmId, u32>, FxHashMap<LmId, u32>) {
-    // Degree = adjacency count either direction; rank = longest out-path.
-    let mut degs: FxHashMap<LmId, u32> = FxHashMap::default();
-    for &i in cur {
-        let d = cur
-            .iter()
-            .filter(|&&j| j != i && (bit(lm_reach, words, i, j) || bit(lm_reach, words, j, i)))
-            .count() as u32;
-        degs.insert(i, d);
-    }
-    // The landmark graph is transitively closed, so the longest path from i
-    // equals the number of landmarks i reaches... not quite (it is the
-    // longest chain). Chain length in a transitive DAG = longest path; we
-    // approximate rank by out-reach count, which orders identically for
-    // chains and is monotone for the greedy heuristic.
-    let mut ranks: FxHashMap<LmId, u32> = FxHashMap::default();
-    for &i in cur {
-        let r = cur
-            .iter()
-            .filter(|&&j| j != i && bit(lm_reach, words, i, j))
-            .count() as u32;
-        ranks.insert(i, r);
-    }
-    (ranks, degs)
+    bits: Vec<u64>,
 }
 
-/// `lm_reach[i]` bit `j` set ⟺ landmark `i` reaches landmark `j` in the
-/// DAG (i ≠ j). Reverse-topological DP over per-node bitsets, chunked by
+impl BitMatrix {
+    fn zeros(k: usize) -> Self {
+        let words = k.div_ceil(64);
+        BitMatrix {
+            words,
+            bits: vec![0; k * words],
+        }
+    }
+
+    #[inline]
+    fn row(&self, i: LmId) -> &[u64] {
+        &self.bits[i as usize * self.words..][..self.words]
+    }
+
+    #[inline]
+    fn row_mut(&mut self, i: LmId) -> &mut [u64] {
+        &mut self.bits[i as usize * self.words..][..self.words]
+    }
+
+    fn transposed(&self) -> BitMatrix {
+        let k = self.bits.len().checked_div(self.words).unwrap_or(0);
+        let mut t = BitMatrix::zeros(k);
+        for i in 0..k as LmId {
+            for_each_bit(self.row(i).iter().copied(), |j| set_bit(t.row_mut(j), i));
+        }
+        t
+    }
+}
+
+#[inline]
+fn test_bit(bits: &[u64], i: LmId) -> bool {
+    bits[(i / 64) as usize] >> (i % 64) & 1 == 1
+}
+
+#[inline]
+fn set_bit(bits: &mut [u64], i: LmId) {
+    bits[(i / 64) as usize] |= 1 << (i % 64);
+}
+
+#[inline]
+fn clear_bit(bits: &mut [u64], i: LmId) {
+    bits[(i / 64) as usize] &= !(1 << (i % 64));
+}
+
+/// `popcount(a & b)`.
+#[inline]
+fn and_count(a: &[u64], b: &[u64]) -> u32 {
+    a.iter().zip(b).map(|(x, y)| (x & y).count_ones()).sum()
+}
+
+/// Call `f` with the index of every set bit, ascending.
+#[inline]
+fn for_each_bit(words: impl Iterator<Item = u64>, mut f: impl FnMut(LmId)) {
+    for (w, mut bits) in words.enumerate() {
+        while bits != 0 {
+            f(w as LmId * 64 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// `lm_reach` row `i` bit `j` set ⟺ landmark `i` reaches landmark `j` in
+/// the DAG (i ≠ j). Reverse-topological DP over per-node bitsets, chunked by
 /// 512 landmarks so big graphs need `O(|V| · 64B)` scratch instead of
 /// `O(|V| · k/8)` bytes.
-fn landmark_reach_bitsets(
-    dag: &Graph,
-    lm_nodes: &[NodeId],
-    lm_of_node: &FxHashMap<NodeId, LmId>,
-    words: usize,
-) -> Vec<u64> {
+///
+/// A landmark's row draws only on nodes at or below some landmark —
+/// usually a small part of the DAG — so the DP runs over those alone, their
+/// rows packed in id order.
+fn landmark_reach_bitsets(dag: &Graph, lm_nodes: &[NodeId], lm_of_node: &[LmId]) -> BitMatrix {
     const CHUNK_BITS: usize = 512;
-    const CHUNK_WORDS: usize = CHUNK_BITS / 64;
     let n = dag.node_count();
     let k = lm_nodes.len();
-    if words == 0 || k == 0 {
-        return Vec::new();
+    let mut below = vec![false; n];
+    for v in (0..n).rev().map(NodeId::new) {
+        below[v.index()] =
+            lm_of_node[v.index()] != NO_LM || dag.inn(v).iter().any(|p| below[p.index()]);
     }
-    // invariant: `dag` is the SCC condensation built upstream in this
-    // module, which is acyclic by construction.
-    let order = rbq_graph::topo::topological_order(dag).expect("compressed graph is a DAG");
-    let mut lm_reach = vec![0u64; k * words];
-    let mut node_reach = Vec::new();
-    let mut row = [0u64; CHUNK_WORDS];
+    let members: Vec<NodeId> = dag.nodes().filter(|v| below[v.index()]).collect();
+    let mut slot = vec![0usize; n];
+    for (s, v) in members.iter().enumerate() {
+        slot[v.index()] = s;
+    }
 
+    let mut lm_reach = BitMatrix::zeros(k);
+    let mut node_reach = Vec::new();
     for chunk_start in (0..k).step_by(CHUNK_BITS) {
         let chunk_end = (chunk_start + CHUNK_BITS).min(k);
         let cw = (chunk_end - chunk_start).div_ceil(64);
         node_reach.clear();
-        node_reach.resize(n * cw, 0u64);
-        for &v in order.iter().rev() {
-            row[..cw].fill(0);
+        node_reach.resize(members.len() * cw, 0u64);
+        for (s, &v) in members.iter().enumerate() {
+            // Children are members with smaller ids: their rows are final.
+            let (done, rest) = node_reach.split_at_mut(s * cw);
+            let row = &mut rest[..cw];
             for &c in dag.out(v) {
-                let base = c.index() * cw;
-                for (w, r) in row[..cw].iter_mut().enumerate() {
-                    *r |= node_reach[base + w];
+                for (r, x) in row.iter_mut().zip(&done[slot[c.index()] * cw..][..cw]) {
+                    *r |= x;
                 }
-                if let Some(&j) = lm_of_node.get(&c) {
-                    let j = j as usize;
-                    if (chunk_start..chunk_end).contains(&j) {
-                        let off = j - chunk_start;
-                        row[off / 64] |= 1u64 << (off % 64);
-                    }
+                // `NO_LM` lies beyond every chunk.
+                let j = lm_of_node[c.index()] as usize;
+                if (chunk_start..chunk_end).contains(&j) {
+                    let off = j - chunk_start;
+                    row[off / 64] |= 1u64 << (off % 64);
                 }
             }
-            node_reach[v.index() * cw..(v.index() + 1) * cw].copy_from_slice(&row[..cw]);
         }
         // Scatter this chunk into the landmark-indexed matrix.
         let word_base = chunk_start / 64;
         for (i, &v) in lm_nodes.iter().enumerate() {
-            for w in 0..cw {
-                lm_reach[i * words + word_base + w] = node_reach[v.index() * cw + w];
-            }
+            lm_reach.row_mut(i as LmId)[word_base..word_base + cw]
+                .copy_from_slice(&node_reach[slot[v.index()] * cw..][..cw]);
         }
     }
     lm_reach
 }
 
-#[inline]
-fn bit(lm_reach: &[u64], words: usize, i: LmId, j: LmId) -> bool {
-    lm_reach[i as usize * words + (j / 64) as usize] >> (j % 64) & 1 == 1
+/// Topological ranks `v.r` (§5.1) of a DAG whose ids are
+/// reverse-topological: sinks have rank 0, otherwise `1 + max(rank of
+/// children)`.
+fn topological_ranks(dag: &Graph) -> Vec<u32> {
+    let mut rank = vec![0u32; dag.node_count()];
+    for v in dag.nodes() {
+        let r = dag.out(v).iter().map(|w| rank[w.index()] + 1).max();
+        rank[v.index()] = r.unwrap_or(0);
+    }
+    rank
 }
 
 /// Saturating descendant/ancestor count estimates (the paper leaves the
@@ -559,24 +659,13 @@ fn coverage_estimates(dag: &Graph) -> (Vec<u64>, Vec<u64>) {
     let n = dag.node_count();
     let mut desc = vec![1u64; n];
     let mut anc = vec![1u64; n];
-    if n == 0 {
-        return (desc, anc);
+    for v in dag.nodes() {
+        let below = dag.out(v).iter().map(|c| desc[c.index()]);
+        desc[v.index()] = below.fold(1, u64::saturating_add);
     }
-    // invariant: `dag` is the SCC condensation, acyclic by construction.
-    let order = rbq_graph::topo::topological_order(dag).expect("DAG");
-    for &v in order.iter().rev() {
-        let mut d = 1u64;
-        for &c in dag.out(v) {
-            d = d.saturating_add(desc[c.index()]);
-        }
-        desc[v.index()] = d;
-    }
-    for &v in &order {
-        let mut x = 1u64;
-        for &p in dag.inn(v) {
-            x = x.saturating_add(anc[p.index()]);
-        }
-        anc[v.index()] = x;
+    for v in (0..n).rev().map(NodeId::new) {
+        let above = dag.inn(v).iter().map(|p| anc[p.index()]);
+        anc[v.index()] = above.fold(1, u64::saturating_add);
     }
     (desc, anc)
 }
@@ -585,67 +674,74 @@ fn coverage_estimates(dag: &Graph) -> (Vec<u64>, Vec<u64>) {
 /// from `v` (forward) or reaching `v` (backward) along paths containing no
 /// intermediate landmark — the paper's `v.E` triples, with the refinement
 /// that landmarks of any level count (strictly more recall, still sound).
-fn first_hit_labels(
-    dag: &Graph,
-    lm_of_node: &FxHashMap<NodeId, LmId>,
-    cap: usize,
-    forward: bool,
-) -> Vec<Vec<LmId>> {
+fn first_hit_labels(dag: &Graph, lm_of_node: &[LmId], cap: usize, forward: bool) -> LabelRows {
     let n = dag.node_count();
-    let mut labels: Vec<Vec<LmId>> = vec![Vec::new(); n];
-    if n == 0 {
-        return labels;
-    }
-    // invariant: `dag` is the SCC condensation, acyclic by construction.
-    let order = rbq_graph::topo::topological_order(dag).expect("DAG");
-    let iter: Box<dyn Iterator<Item = &NodeId>> = if forward {
-        Box::new(order.iter().rev())
-    } else {
-        Box::new(order.iter())
-    };
-    for &v in iter {
-        let mut acc: Vec<LmId> = Vec::new();
-        let neigh = if forward { dag.out(v) } else { dag.inn(v) };
-        for &c in neigh {
-            if let Some(&j) = lm_of_node.get(&c) {
-                acc.push(j);
-            } else {
-                acc.extend_from_slice(&labels[c.index()]);
+    // Rows are appended in visit order — ascending ids forward (children
+    // first), descending backward (parents first) — so row `slot(v)` is
+    // node `v`'s until the backward rows are put in id order at the end.
+    let slot = |v: usize| if forward { v } else { n - 1 - v };
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut data: Vec<LmId> = Vec::new();
+    let mut acc: Vec<LmId> = Vec::new();
+    offsets.push(0);
+    for s in 0..n {
+        let v = NodeId::new(slot(s));
+        acc.clear();
+        for &c in if forward { dag.out(v) } else { dag.inn(v) } {
+            match lm_of_node[c.index()] {
+                NO_LM => {
+                    let cs = slot(c.index());
+                    acc.extend_from_slice(&data[offsets[cs]..offsets[cs + 1]]);
+                }
+                j => acc.push(j),
             }
         }
         acc.sort_unstable();
         acc.dedup();
         acc.truncate(cap);
-        labels[v.index()] = acc;
+        data.extend_from_slice(&acc);
+        offsets.push(data.len());
     }
-    labels
+    if forward {
+        return LabelRows { offsets, data };
+    }
+    let mut by_id = LabelRows {
+        offsets: Vec::with_capacity(n + 1),
+        data: Vec::with_capacity(data.len()),
+    };
+    by_id.offsets.push(0);
+    for v in 0..n {
+        by_id
+            .data
+            .extend_from_slice(&data[offsets[slot(v)]..offsets[slot(v) + 1]]);
+        by_id.offsets.push(by_id.data.len());
+    }
+    by_id
 }
 
 /// Fill `subtree_size` and topological `range` by an iterative post-order
 /// walk from the forest roots.
 fn compute_subtrees(landmarks: &mut [Landmark], roots: &[LmId]) {
     for &root in roots {
-        // Iterative post-order.
         let mut stack: Vec<(LmId, usize)> = vec![(root, 0)];
         while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-            let children = landmarks[v as usize].children.clone();
-            if *i < children.len() {
-                let c = children[*i];
+            if let Some(&c) = landmarks[v as usize].children.get(*i) {
                 *i += 1;
                 stack.push((c, 0));
-            } else {
-                let mut size = 1u32;
-                let mut lo = landmarks[v as usize].rank;
-                let mut hi = landmarks[v as usize].rank;
-                for &c in &children {
-                    size += landmarks[c as usize].subtree_size;
-                    lo = lo.min(landmarks[c as usize].range.0);
-                    hi = hi.max(landmarks[c as usize].range.1);
-                }
-                landmarks[v as usize].subtree_size = size;
-                landmarks[v as usize].range = (lo, hi);
-                stack.pop();
+                continue;
             }
+            let rec = &landmarks[v as usize];
+            let mut size = 1u32;
+            let (mut lo, mut hi) = (rec.rank, rec.rank);
+            for &c in &rec.children {
+                let child = &landmarks[c as usize];
+                size += child.subtree_size;
+                lo = lo.min(child.range.0);
+                hi = hi.max(child.range.1);
+            }
+            landmarks[v as usize].subtree_size = size;
+            landmarks[v as usize].range = (lo, hi);
+            stack.pop();
         }
     }
 }
@@ -654,6 +750,7 @@ fn compute_subtrees(landmarks: &mut [Landmark], roots: &[LmId]) {
 mod tests {
     use super::*;
     use rbq_graph::builder::graph_from_edges;
+    use rustc_hash::FxHashSet;
 
     fn layered_dag(layers: usize, width: usize) -> Graph {
         // Fully connected consecutive layers.
@@ -743,6 +840,45 @@ mod tests {
         }
     }
 
+    /// A flat forest — one root over 600k children, what α = 1 builds on a
+    /// star — walked in linear time. Cloning the child list at every stack
+    /// step, as this walk once did, copies 1.4 TB here (most of a minute).
+    #[test]
+    fn subtree_walk_is_linear_in_fan_out() {
+        const CHILDREN: u32 = 600_000;
+        let leaf = |i: u32| Landmark {
+            node: NodeId(i),
+            level: 1,
+            parent: Some(0),
+            parent_reaches_child: true,
+            children: Vec::new(),
+            cs: 1,
+            rank: i % 7,
+            range: (0, 0),
+            subtree_size: 1,
+            hop_fwd: Vec::new(),
+            hop_bwd: Vec::new(),
+        };
+        let mut landmarks: Vec<Landmark> = (0..=CHILDREN).map(leaf).collect();
+        landmarks[0].parent = None;
+        landmarks[0].rank = 3;
+        landmarks[0].children = (1..=CHILDREN).collect();
+
+        let started = std::time::Instant::now();
+        compute_subtrees(&mut landmarks, &[0]);
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "subtree walk took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(landmarks[0].subtree_size, CHILDREN + 1);
+        assert_eq!(landmarks[0].range, (0, 6));
+        for (i, lm) in landmarks.iter().enumerate().skip(1) {
+            assert_eq!(lm.subtree_size, 1);
+            assert_eq!(lm.range, (i as u32 % 7, i as u32 % 7));
+        }
+    }
+
     #[test]
     fn ranges_cover_subtree_ranks() {
         let g = layered_dag(5, 4);
@@ -763,14 +899,14 @@ mod tests {
         let idx = HierarchicalIndex::build(&g, 0.3);
         // Every forward label of node v must be reachable from v.
         for v in idx.compressed.dag.nodes() {
-            for &j in &idx.fwd_labels[v.index()] {
+            for &j in idx.fwd_labels.row(v) {
                 let lm_node = idx.landmarks[j as usize].node;
                 assert!(
                     rbq_graph::traverse::reaches(&idx.compressed.dag, v, lm_node).0,
                     "label {j} not reachable from {v:?}"
                 );
             }
-            for &j in &idx.bwd_labels[v.index()] {
+            for &j in idx.bwd_labels.row(v) {
                 let lm_node = idx.landmarks[j as usize].node;
                 assert!(rbq_graph::traverse::reaches(&idx.compressed.dag, lm_node, v).0);
             }

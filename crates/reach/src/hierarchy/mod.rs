@@ -33,6 +33,8 @@
 
 pub mod build;
 pub mod query;
+#[cfg(test)]
+mod reference;
 
 pub use build::{HierarchicalIndex, IndexParams, IndexStats, SelectionStrategy};
 pub use query::ReachAnswer;
@@ -42,8 +44,27 @@ use rbq_graph::NodeId;
 /// Dense landmark identifier within an index.
 pub(crate) type LmId = u32;
 
+/// "Not a landmark" in per-node landmark-id arrays.
+pub(crate) const NO_LM: LmId = LmId::MAX;
+
+/// One sorted landmark-id list per DAG node, in one allocation: node `v`'s
+/// list is `data[offsets[v]..offsets[v + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LabelRows {
+    pub offsets: Vec<usize>,
+    pub data: Vec<LmId>,
+}
+
+impl LabelRows {
+    /// The list of DAG node `v`.
+    #[inline]
+    pub fn row(&self, v: NodeId) -> &[LmId] {
+        &self.data[self.offsets[v.index()]..self.offsets[v.index() + 1]]
+    }
+}
+
 /// A landmark: a DAG node promoted into the index forest.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Landmark {
     /// The DAG node this landmark stands for.
     pub node: NodeId,

@@ -105,8 +105,8 @@ impl HierarchicalIndex {
         // boundary (rank == s_rank / t_rank) yet are exactly where the two
         // frontiers must meet when an endpoint is a landmark — exempt them,
         // or adjacent landmark pairs are never certified.
-        let s_lm = self.lm_of_node.get(&cs).copied();
-        let t_lm = self.lm_of_node.get(&ct).copied();
+        let s_lm = self.lm_at(cs);
+        let t_lm = self.lm_at(ct);
         let useful_range = |lm: LmId| {
             let r = self.landmarks[lm as usize].range;
             r.1 > t_rank && r.0 < s_rank
@@ -126,19 +126,19 @@ impl HierarchicalIndex {
 
         // Seed: landmarks certified directly by the endpoint labels (or the
         // endpoint being a landmark itself).
-        let s_seed: Vec<LmId> = match self.lm_of_node.get(&cs) {
-            Some(&i) => vec![i],
-            None => self.fwd_labels[cs.index()].clone(),
+        let s_seed: &[LmId] = match &s_lm {
+            Some(i) => std::slice::from_ref(i),
+            None => self.fwd_labels.row(cs),
         };
-        let t_seed: Vec<LmId> = match self.lm_of_node.get(&ct) {
-            Some(&i) => vec![i],
-            None => self.bwd_labels[ct.index()].clone(),
+        let t_seed: &[LmId] = match &t_lm {
+            Some(i) => std::slice::from_ref(i),
+            None => self.bwd_labels.row(ct),
         };
-        for &i in &s_seed {
+        for &i in s_seed {
             visits += 1;
             s_active.insert(i);
         }
-        for &i in &t_seed {
+        for &i in t_seed {
             visits += 1;
             // A landmark certified by both endpoints answers the query; the
             // rank guard below is irrelevant here (certification is always
@@ -153,10 +153,10 @@ impl HierarchicalIndex {
             t_active.insert(i);
         }
         // Seed the expansion heaps.
-        for &i in &s_seed {
+        for &i in s_seed {
             self.push_neighbors(i, true, &s_active, &mut s_heap, &useful_range, &useful_self);
         }
-        for &i in &t_seed {
+        for &i in t_seed {
             self.push_neighbors(
                 i,
                 false,

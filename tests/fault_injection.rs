@@ -187,35 +187,6 @@ fn every_kernel_point_is_contained() {
 }
 
 #[test]
-fn reach_parallel_worker_loss_is_typed_and_recovered() {
-    let _s = serial();
-    let (g, _) = fixture();
-    let idx = rbq::rbq_reach::HierarchicalIndex::build(&g, 0.2);
-    let queries: Vec<_> = (0..64u32)
-        .map(|i| {
-            (
-                rbq_graph::NodeId(i % 400),
-                rbq_graph::NodeId((i * 13 + 7) % 400),
-            )
-        })
-        .collect();
-    let base = rbq::rbq_reach::batch_query(&idx, &queries, 1);
-    {
-        let _plan = arm(FaultPlan::new().on_index("reach.parallel", 1, FaultAction::Panic));
-        let err = rbq::rbq_reach::try_batch_query(&idx, &queries, 4)
-            .expect_err("worker panic must surface typed");
-        assert_eq!(err.chunk, 1);
-        assert!(err.message.is_some());
-    }
-    {
-        // batch_query falls back to sequential and still answers exactly.
-        let _plan = arm(FaultPlan::new().on_index("reach.parallel", 2, FaultAction::Panic));
-        let got = rbq::rbq_reach::batch_query(&idx, &queries, 4);
-        assert_eq!(got, base, "fallback answers diverged");
-    }
-}
-
-#[test]
 fn router_shard_loss_recovers_on_replica() {
     let _s = serial();
     let (g, qs) = fixture();

@@ -184,6 +184,29 @@ proptest! {
     }
 
     /// SCC condensation produces a DAG that preserves reachability.
+    /// The flat neighbor index against counts taken straight off the
+    /// adjacency lists, every node × every label × both directions.
+    #[test]
+    fn neighbor_index_equals_naive_counts(g in arb_graph()) {
+        let idx = NeighborIndex::build(&g);
+        prop_assert_eq!(idx.len(), g.node_count());
+        for v in g.nodes() {
+            let s = idx.summary(v);
+            prop_assert_eq!(s.degree as usize, g.deg(v));
+            prop_assert_eq!(idx.degree(v) as usize, g.deg(v));
+            for list in [s.out_labels, s.in_labels] {
+                prop_assert!(list.windows(2).all(|w| w[0].0 < w[1].0));
+                prop_assert!(list.iter().all(|&(_, c)| c > 0));
+            }
+            for (l, _) in g.labels().iter() {
+                let count = |adj: &[NodeId]| adj.iter().filter(|&&w| g.node_label(w) == l).count();
+                prop_assert_eq!(s.out_count(l) as usize, count(g.out(v)));
+                prop_assert_eq!(s.in_count(l) as usize, count(g.inn(v)));
+                prop_assert_eq!(s.pooled_count(l) as usize, count(g.out(v)) + count(g.inn(v)));
+            }
+        }
+    }
+
     #[test]
     fn condensation_is_acyclic_and_preserving(g in arb_graph()) {
         let c = rbq_graph::condense::condense(&g);

@@ -30,6 +30,31 @@ fn theorem4_never_false_positive() {
     }
 }
 
+/// The index `youtube_like(20_000, 42)` gets at α = 0.01, count for count,
+/// as recorded before index construction was optimised: a build that is
+/// faster because it builds something else fails here, not in the
+/// benchmark.
+#[test]
+fn pinned_index_counts_on_youtube_20k() {
+    use rbq_reach::IndexStats;
+    let g = youtube_like(20_000, 42);
+    assert_eq!((g.node_count(), g.edge_count()), (20_000, 59_931));
+    assert_eq!(
+        HierarchicalIndex::build(&g, 0.01).stats(),
+        IndexStats {
+            landmarks: 399,
+            levels: 2,
+            landmarks_per_level: vec![394, 5],
+            roots: 5,
+            tree_edges: 394,
+            label_entries: 16_560,
+            dag_nodes: 10_776,
+            dag_edges: 21_965,
+            visit_cap: 799,
+        }
+    );
+}
+
 #[test]
 fn theorem4_visit_and_size_bounds() {
     let g = yahoo_like(8_000, 5);
