@@ -1,9 +1,9 @@
 //! Criterion benches for the matching core: full-graph dual simulation and
 //! the ball-per-center MatchOpt baseline on the 20k-node Youtube-like
 //! mixed-workload substitute. These are the dual-simulation-dominated
-//! queries tracked by the `experiments perf-snapshot` trajectory
-//! (`BENCH_pr3.json`): the worklist rewrite of `dual_simulation` and the
-//! slice-based `GraphView` land here first.
+//! queries: the worklist rewrite of `dual_simulation` and the slice-based
+//! `GraphView` land here first. (End-to-end tracking is `benchmark/`'s
+//! `pattern-miss` workload.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rbq_bench::{ExpConfig, PatternDataset};

@@ -6,16 +6,13 @@
 //! cargo run --release -p rbq-bench --bin experiments -- fig8k --nodes 20000
 //! ```
 //!
-//! Experiment ids: `table2`, `fig8a`–`fig8p`, `engine`, `ablations`,
-//! `perf-snapshot`, `all`.
+//! Experiment ids: `table2`, `fig8a`–`fig8p`, `engine`, `ablations`, `all`
+//! (the [`EXPERIMENTS`] table; performance tracking lives in `benchmark/`).
 //! Options: `--nodes N` (snapshot substitute size, default 30000),
 //! `--queries N` (patterns per point, default 5), `--reach-queries N`
 //! (default 100), `--reps N` (timing repetitions, median reported;
 //! default 3 — raise on noisy machines), `--seed N`,
-//! `--synthetic-scale N` (largest synthetic |V|, default 1000000),
-//! `--out PATH` / `--compare PATH` (perf-snapshot JSON output and
-//! optional baseline to diff against), `--demo-nodes N` (perf-snapshot
-//! only: adds a large multi-shard router demo row on an N-node graph).
+//! `--synthetic-scale N` (largest synthetic |V|, default 1000000).
 //!
 //! Paper α values are converted to our graph sizes by holding the absolute
 //! budget `α·|G|` fixed (see `rbq-bench` crate docs); every row prints
@@ -23,8 +20,7 @@
 
 use rbq_bench::*;
 use rbq_core::{
-    pattern_accuracy, rbsim, rbsim_any_with, rbsim_with, rbsub_scratch, reachability_accuracy,
-    PatternAnswer, PatternScratch, PickPolicy, ReductionConfig, ResourceBudget,
+    pattern_accuracy, rbsim, reachability_accuracy, PickPolicy, ReductionConfig, ResourceBudget,
 };
 use rbq_engine::{Answer, BudgetSpec, Engine, EngineConfig, Query};
 use rbq_graph::GraphView;
@@ -32,7 +28,6 @@ use rbq_pattern::{match_opt, strong_simulation, vf2_opt, ResolvedPattern, Vf2Con
 use rbq_reach::{
     bfs_query, BfsOptIndex, HierarchicalIndex, IndexParams, LandmarkVectors, SelectionStrategy,
 };
-use rbq_router::{Router, SccPartitioner};
 use rbq_workload::{
     reachability_ground_truth, sample_hard_reachability_queries, sample_mixed_workload,
     MixedWorkloadSpec, PatternSpec,
@@ -80,613 +75,128 @@ fn pattern_matches(report: &rbq_engine::BatchReport) -> Vec<Vec<rbq_graph::NodeI
         .collect()
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = ExpConfig::default();
-    let mut synthetic_scale = 1_000_000usize;
-    // Default to a non-committed name: committed BENCH_pr<N>.json records
-    // are written deliberately via --out, never by omission.
-    let mut out_path = String::from("bench-snapshot.json");
-    let mut compare_path: Option<String> = None;
-    let mut demo_nodes = 0usize;
-    let mut exps: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--nodes" => {
-                i += 1;
-                cfg.snapshot_nodes = args[i].parse().expect("--nodes N");
-            }
-            "--queries" => {
-                i += 1;
-                cfg.pattern_queries = args[i].parse().expect("--queries N");
-            }
-            "--reach-queries" => {
-                i += 1;
-                cfg.reach_queries = args[i].parse().expect("--reach-queries N");
-            }
-            "--reps" => {
-                i += 1;
-                cfg.reps = args[i].parse().expect("--reps N");
-            }
-            "--seed" => {
-                i += 1;
-                cfg.seed = args[i].parse().expect("--seed N");
-            }
-            "--synthetic-scale" => {
-                i += 1;
-                synthetic_scale = args[i].parse().expect("--synthetic-scale N");
-            }
-            "--out" => {
-                i += 1;
-                out_path = args[i].clone();
-            }
-            "--compare" => {
-                i += 1;
-                compare_path = Some(args[i].clone());
-            }
-            "--demo-nodes" => {
-                i += 1;
-                demo_nodes = args[i].parse().expect("--demo-nodes N");
-            }
-            other => exps.push(other.to_string()),
-        }
-        i += 1;
-    }
-    if exps.is_empty() {
-        eprintln!("usage: experiments [options] <table2|fig8a..fig8p|ablations|perf-snapshot|all>");
-        std::process::exit(2);
-    }
-    let all = exps.iter().any(|e| e == "all");
-    let want = |id: &str| all || exps.iter().any(|e| e == id);
+/// Parsed command line: the shared experiment configuration plus the one
+/// option only the scaling figures read.
+struct Opts {
+    cfg: ExpConfig,
+    synthetic_scale: usize,
+}
 
-    let yt = |cfg: &ExpConfig| PatternDataset::youtube(cfg);
-    let yh = |cfg: &ExpConfig| PatternDataset::yahoo(cfg);
+impl Opts {
+    fn youtube(&self) -> PatternDataset {
+        PatternDataset::youtube(&self.cfg)
+    }
 
-    if want("table2") {
-        let a = yt(&cfg);
-        let b = yh(&cfg);
-        table2(&cfg, &a, &b);
-    }
-    if want("fig8a") {
-        pattern_time_vs_alpha(&cfg, &yt(&cfg), "fig8a");
-    }
-    if want("fig8b") {
-        pattern_time_vs_alpha(&cfg, &yh(&cfg), "fig8b");
-    }
-    if want("fig8c") {
-        pattern_accuracy_vs_alpha(&cfg, &yt(&cfg), "fig8c");
-    }
-    if want("fig8d") {
-        pattern_accuracy_vs_alpha(&cfg, &yh(&cfg), "fig8d");
-    }
-    if want("fig8e") {
-        pattern_time_vs_qsize(&cfg, &yt(&cfg), "fig8e");
-    }
-    if want("fig8f") {
-        pattern_time_vs_qsize(&cfg, &yh(&cfg), "fig8f");
-    }
-    if want("fig8g") {
-        pattern_accuracy_vs_qsize(&cfg, &yt(&cfg), "fig8g");
-    }
-    if want("fig8h") {
-        pattern_accuracy_vs_qsize(&cfg, &yh(&cfg), "fig8h");
-    }
-    if want("fig8i") || want("fig8j") {
-        pattern_vs_scale(&cfg, synthetic_scale);
-    }
-    if want("fig8k") || want("fig8m") {
-        reach_vs_alpha(&cfg, &yt(&cfg), "fig8k/fig8m");
-    }
-    if want("fig8l") || want("fig8n") {
-        reach_vs_alpha(&cfg, &yh(&cfg), "fig8l/fig8n");
-    }
-    if want("fig8o") || want("fig8p") {
-        reach_vs_scale(&cfg, synthetic_scale);
-    }
-    if want("engine") {
-        engine_serving(&cfg);
-    }
-    if want("ablations") {
-        ablations(&cfg);
-    }
-    // Explicit-only (not part of `all`): it writes a snapshot file.
-    if exps.iter().any(|e| e == "perf-snapshot") {
-        perf_snapshot(&cfg, &out_path, compare_path.as_deref(), demo_nodes);
+    fn yahoo(&self) -> PatternDataset {
+        PatternDataset::yahoo(&self.cfg)
     }
 }
 
-// --------------------------------------------------------- perf-snapshot
+/// The ids that select an experiment, and what it runs.
+type Experiment = (&'static [&'static str], fn(&Opts));
 
-/// The matching-core timing suite behind `BENCH_prN.json` snapshots:
-/// dual-simulation-dominated queries on the Youtube-like substitute, timed
-/// end to end and written as machine-readable JSON so every PR can record
-/// its before/after trajectory. Run with `--compare OLD.json` to embed the
-/// old run as `baseline` and report per-bench speedups.
-///
-/// Schema `rbq-perf-snapshot-v6` (PR 10): adds `snapshot_load_vs_build`
-/// — the wall time of [`load_snapshot`] on the suite graph (the snapshot
-/// is written once to a scratch directory, then loaded per rep). This is
-/// a whole-graph duration, not a per-query figure; the text-format parse
-/// it replaces is timed alongside and printed to stdout as context. The
-/// row is the baseline that ROADMAP item 3's mmap-backed loader must
-/// beat. v5 (PR 8) added `rbsim_deadline_overhead`
-/// — the warm `rbsim` loop with an unreachable deadline armed on the
-/// scratch, isolating the cooperative cancellation tick's cost (the
-/// deadline guard must stay within ~5% of the plain `rbsim` row).
-/// v4 (PR 7) added the live-update rows —
-/// `delta_apply` (per-op cost of [`Engine::apply_deltas`] on an
-/// edge-churn batch: overlay apply + rebuild of both indexes + epoch
-/// swap) and `rbsim_postcompact` (the bounded hot path re-timed on the
-/// compacted post-delta graph, which must stay within noise of the
-/// pre-delta `rbsim` row). v3 (PR 6) added the mixed-workload serving
-/// rows — `engine_mixed` (one engine, the pre-sharding serving path) and
-/// `router_shards{1,2,4,8}` (the same batch through a [`Router`] with the
-/// SCC partitioner), so router overhead is tracked per PR — plus an
-/// optional `demo` record (`--demo-nodes N`) running the sharded path on a
-/// large graph. v2 (PR 5) added the `rbsub` and `engine_batch` rows, and
-/// the bounded rows (`rbsim`, `rbsub`, `rbsim_any`) run through a warm
-/// [`PatternScratch`] — the steady-state serving configuration. The
-/// compare path tolerates baselines missing rows (older schemas):
-/// speedups are reported for the intersection.
-///
-/// Convention (ROADMAP "bench snapshots"): run with `--nodes 20000` and
-/// commit the output as `BENCH_pr<N>.json`.
-fn perf_snapshot(cfg: &ExpConfig, out_path: &str, compare: Option<&str>, demo_nodes: usize) {
-    println!("\n== perf-snapshot: dual-simulation-dominated suite ==");
-    let ds = PatternDataset::youtube(cfg);
-    let qs = ds.patterns_min_nbh(PatternSpec::new(4, 8), 8, cfg.seed, 300);
-    assert!(!qs.is_empty(), "no extractable patterns");
-    println!(
-        "graph |G| = {} ({} nodes), {} queries, {} reps",
-        ds.g.size(),
-        ds.g.node_count(),
-        qs.len(),
-        cfg.reps
+/// Every experiment. Figures that come out of one sweep share a row; `all`
+/// runs each row once.
+const EXPERIMENTS: &[Experiment] = &[
+    (&["table2"], |o| table2(&o.cfg, &o.youtube(), &o.yahoo())),
+    (&["fig8a"], |o| {
+        pattern_time_vs_alpha(&o.cfg, &o.youtube(), "fig8a")
+    }),
+    (&["fig8b"], |o| {
+        pattern_time_vs_alpha(&o.cfg, &o.yahoo(), "fig8b")
+    }),
+    (&["fig8c"], |o| {
+        pattern_accuracy_vs_alpha(&o.cfg, &o.youtube(), "fig8c")
+    }),
+    (&["fig8d"], |o| {
+        pattern_accuracy_vs_alpha(&o.cfg, &o.yahoo(), "fig8d")
+    }),
+    (&["fig8e"], |o| {
+        pattern_time_vs_qsize(&o.cfg, &o.youtube(), "fig8e")
+    }),
+    (&["fig8f"], |o| {
+        pattern_time_vs_qsize(&o.cfg, &o.yahoo(), "fig8f")
+    }),
+    (&["fig8g"], |o| {
+        pattern_accuracy_vs_qsize(&o.cfg, &o.youtube(), "fig8g")
+    }),
+    (&["fig8h"], |o| {
+        pattern_accuracy_vs_qsize(&o.cfg, &o.yahoo(), "fig8h")
+    }),
+    (&["fig8i", "fig8j"], |o| {
+        pattern_vs_scale(&o.cfg, o.synthetic_scale)
+    }),
+    (&["fig8k", "fig8m"], |o| {
+        reach_vs_alpha(&o.cfg, &o.youtube(), "fig8k/fig8m")
+    }),
+    (&["fig8l", "fig8n"], |o| {
+        reach_vs_alpha(&o.cfg, &o.yahoo(), "fig8l/fig8n")
+    }),
+    (&["fig8o", "fig8p"], |o| {
+        reach_vs_scale(&o.cfg, o.synthetic_scale)
+    }),
+    (&["engine"], |o| engine_serving(&o.cfg)),
+    (&["ablations"], |o| ablations(&o.cfg)),
+];
+
+/// Print `problem` and the usage line (ids generated from [`EXPERIMENTS`]),
+/// then exit 2.
+fn usage_exit(problem: &str) -> ! {
+    let ids: Vec<&str> = EXPERIMENTS
+        .iter()
+        .flat_map(|(ids, _)| ids.iter().copied())
+        .collect();
+    eprintln!("error: {problem}");
+    eprintln!(
+        "usage: experiments [--nodes N] [--queries N] [--reach-queries N] [--reps N] [--seed N] \
+         [--synthetic-scale N] <{}|all>...",
+        ids.join("|")
     );
-    let budget = ds.budget_for_paper_alpha(1.6e-5);
-    let nq = qs.len() as u32;
-    let mut scratch = PatternScratch::new();
-    let mut ans = PatternAnswer::default();
-
-    let mut rows: Vec<(&'static str, Duration)> = Vec::new();
-
-    // Full-graph dual simulation: the fixpoint everything else builds on.
-    rows.push((
-        "dualsim_full",
-        time_median(cfg.reps, || {
-            for q in &qs {
-                std::hint::black_box(rbq_pattern::dual_simulation(q, &*ds.g, None));
-            }
-        }) / nq,
-    ));
-    // MatchOpt: one ball-restricted dual simulation per candidate center.
-    rows.push((
-        "match_opt",
-        time_median(cfg.reps, || {
-            for q in &qs {
-                std::hint::black_box(match_opt(q, &ds.g));
-            }
-        }) / nq,
-    ));
-    // Prefiltered strong simulation (the `Q(G)` exact evaluator).
-    rows.push((
-        "strong_simulation",
-        time_median(cfg.reps, || {
-            for q in &qs {
-                std::hint::black_box(strong_simulation(q, &ds.g));
-            }
-        }) / nq,
-    ));
-    // The bounded pipeline: reduction + Q(G_Q), warm scratch (serving).
-    rows.push((
-        "rbsim",
-        time_median(cfg.reps, || {
-            for q in &qs {
-                rbsim_with(&ds.g, &ds.idx, q, &budget, &mut scratch, &mut ans);
-                std::hint::black_box(&ans);
-            }
-        }) / nq,
-    ));
-    // Same pipeline with an unreachable deadline armed: measures the
-    // cooperative cancellation tick (clock read every TICK_INTERVAL
-    // iterations). Must stay within ~5% of the `rbsim` row — the cost of
-    // deadline-aware serving when deadlines never fire.
-    {
-        let far = Instant::now() + Duration::from_secs(3600);
-        scratch.set_cancel(rbq_graph::CancelToken::at(far));
-        rows.push((
-            "rbsim_deadline_overhead",
-            time_median(cfg.reps, || {
-                for q in &qs {
-                    rbsim_with(&ds.g, &ds.idx, q, &budget, &mut scratch, &mut ans);
-                    std::hint::black_box(&ans);
-                }
-            }) / nq,
-        ));
-        scratch.set_cancel(rbq_graph::CancelToken::none());
-    }
-    // Bounded isomorphism: the same reduction under the degree-enriched
-    // guard, then VF2 on G_Q.
-    rows.push((
-        "rbsub",
-        time_median(cfg.reps, || {
-            for q in &qs {
-                rbsub_scratch(
-                    &ds.g,
-                    &ds.idx,
-                    q,
-                    &budget,
-                    vf2_cfg(),
-                    &mut scratch,
-                    &mut ans,
-                );
-                std::hint::black_box(&ans);
-            }
-        }) / nq,
-    ));
-    // Anonymous matching: exercises per-query-node candidate seeding.
-    rows.push((
-        "rbsim_any",
-        time_median(cfg.reps, || {
-            for q in &qs {
-                std::hint::black_box(rbsim_any_with(
-                    &ds.g,
-                    &ds.idx,
-                    q.pattern(),
-                    &budget,
-                    rbq_core::AnyConfig::default(),
-                    &mut scratch,
-                ));
-            }
-        }) / nq,
-    ));
-    // The serving path end to end: the engine's batch scheduler (1 worker,
-    // cache off) over the same simulation queries — scheduler + scratch
-    // pool + canonicalization overhead on top of the bare `rbsim` row.
-    {
-        let engine = Engine::with_indexes(
-            ds.g.clone(),
-            EngineConfig {
-                pattern_budget: BudgetSpec::Units(budget.max_units),
-                vf2: vf2_cfg(),
-                cache_capacity: 0,
-                threads: 1,
-                ..Default::default()
-            },
-            Some(ds.idx.clone()),
-            None,
-        );
-        let batch: Vec<Query> = qs
-            .iter()
-            .map(|q| Query::PatternSim {
-                pattern: q.pattern().clone(),
-            })
-            .collect();
-        rows.push((
-            "engine_batch",
-            time_median(cfg.reps, || {
-                std::hint::black_box(engine.run_batch(&batch));
-            }) / nq,
-        ));
-    }
-    // Sharded serving: one mixed workload through a single engine
-    // (`engine_mixed`) and through routers at increasing shard counts.
-    // Router overhead per query = `router_shardsK` − `engine_mixed`;
-    // answers are byte-identical across rows (pinned by the differential
-    // suite in `rbq_router`). The cache stays off so every repetition
-    // measures the same work.
-    {
-        let workload = sample_mixed_workload(
-            &ds.g,
-            &MixedWorkloadSpec {
-                count: 200,
-                repeat_fraction: 0.3,
-                ..Default::default()
-            },
-            cfg.seed,
-        );
-        let nw = workload.len() as u32;
-        let mixed_cfg = EngineConfig {
-            pattern_budget: BudgetSpec::Units(300),
-            reach_alpha: 0.05,
-            threads: 4,
-            cache_capacity: 0,
-            vf2: vf2_cfg(),
-            ..Default::default()
-        };
-        let reach_idx = Arc::new(HierarchicalIndex::build(&ds.g, 0.05));
-        let engine = Engine::with_indexes(
-            ds.g.clone(),
-            mixed_cfg.clone(),
-            Some(ds.idx.clone()),
-            Some(reach_idx),
-        );
-        rows.push((
-            "engine_mixed",
-            time_median(cfg.reps, || {
-                std::hint::black_box(engine.run_batch(&workload));
-            }) / nw,
-        ));
-        for (shards, name) in [
-            (1usize, "router_shards1"),
-            (2, "router_shards2"),
-            (4, "router_shards4"),
-            (8, "router_shards8"),
-        ] {
-            let router = Router::new(ds.g.clone(), mixed_cfg.clone(), shards, &SccPartitioner)
-                .expect("router");
-            rows.push((
-                name,
-                time_median(cfg.reps, || {
-                    std::hint::black_box(router.run_batch(&workload));
-                }) / nw,
-            ));
-        }
-    }
-
-    // Live updates: a ~0.1%-of-|E| edge-churn batch through
-    // `Engine::apply_deltas` (overlay apply + rebuild of both indexes +
-    // epoch swap), timed per op; then the bounded hot path re-timed on
-    // the compacted post-delta graph. Removals target real edges so the
-    // batch exercises both overlay directions. The batch is edge-only
-    // (no node adds) so every repetition does the same amount of work.
-    {
-        let mut batch = rbq_graph::DeltaBatch::new();
-        let n = ds.g.node_count() as u32;
-        let mut state = cfg.seed | 1;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        let ops = (ds.g.edge_count() / 1000).max(64);
-        for i in 0..ops {
-            let u = rbq_graph::NodeId(next() % n);
-            if i % 2 == 0 {
-                batch.add_edge(u, rbq_graph::NodeId(next() % n));
-            } else if let Some(&v) = ds.g.out(u).first() {
-                batch.remove_edge(u, v);
-            }
-        }
-        let nops = batch.len().max(1) as u32;
-        let reach_idx = Arc::new(HierarchicalIndex::build(&ds.g, 0.05));
-        let engine = Engine::with_indexes(
-            ds.g.clone(),
-            EngineConfig {
-                pattern_budget: BudgetSpec::Units(budget.max_units),
-                reach_alpha: 0.05,
-                vf2: vf2_cfg(),
-                ..Default::default()
-            },
-            Some(ds.idx.clone()),
-            Some(reach_idx),
-        );
-        rows.push((
-            "delta_apply",
-            time_median(cfg.reps, || {
-                engine.apply_deltas(&batch).expect("valid delta batch");
-            }) / nops,
-        ));
-        let g2 = Arc::new(engine.graph().compact());
-        let idx2 = rbq_core::NeighborIndex::build(&g2);
-        let budget2 = ResourceBudget::from_units(&*g2, budget.max_units);
-        let qs2: Vec<ResolvedPattern> = qs
-            .iter()
-            .filter_map(|q| q.pattern().resolve(&g2).ok())
-            .collect();
-        assert!(!qs2.is_empty(), "patterns survive the delta batch");
-        rows.push((
-            "rbsim_postcompact",
-            time_median(cfg.reps, || {
-                for q in &qs2 {
-                    rbsim_with(&g2, &idx2, q, &budget2, &mut scratch, &mut ans);
-                    std::hint::black_box(&ans);
-                }
-            }) / qs2.len() as u32,
-        ));
-    }
-
-    // Durable-state snapshot load vs text-format build: how fast a
-    // recovering process gets the CSR back from `snapshot.bin` compared
-    // to re-parsing the `#rbq-graph` text it replaces.
-    {
-        let dir = std::env::temp_dir().join(format!("rbq_bench_snapshot_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create snapshot scratch dir");
-        let snap_path = dir.join(rbq_graph::snapshot::SNAPSHOT_FILE);
-        rbq_graph::write_snapshot(&ds.g, &snap_path, 0).expect("write bench snapshot");
-        let t_load = time_median(cfg.reps, || {
-            std::hint::black_box(
-                rbq_graph::load_snapshot(&snap_path).expect("bench snapshot loads"),
-            );
-        });
-        rows.push(("snapshot_load_vs_build", t_load));
-        let mut text = Vec::new();
-        rbq_graph::io::write_graph(&ds.g, &mut text).expect("serialize graph text");
-        let t_text = time_median(cfg.reps, || {
-            std::hint::black_box(rbq_graph::io::read_graph(&text[..]).expect("graph text parses"));
-        });
-        println!(
-            "snapshot load {} vs text-format parse {} ({:.1}x)",
-            fmt_dur(t_load),
-            fmt_dur(t_text),
-            t_text.as_secs_f64() / t_load.as_secs_f64().max(1e-12)
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    for (name, d) in &rows {
-        println!("{name:<20} {:>12} /query", fmt_dur(*d));
-    }
-
-    // Optional large-graph demo: the sharded path end to end on an
-    // N-node graph (SCC partitioner, 4 shards), recorded in the snapshot
-    // as a `demo` object — coverage that sharding works at scale, not a
-    // per-PR comparison row.
-    let demo = (demo_nodes > 0).then(|| {
-        println!("\n-- demo: {demo_nodes}-node graph through a 4-shard scc router --");
-        let g = Arc::new(rbq_workload::youtube_like(demo_nodes, cfg.seed));
-        let workload = sample_mixed_workload(
-            &g,
-            &MixedWorkloadSpec {
-                count: 400,
-                repeat_fraction: 0.3,
-                ..Default::default()
-            },
-            cfg.seed,
-        );
-        let demo_cfg = EngineConfig {
-            pattern_budget: BudgetSpec::Units(300),
-            reach_alpha: 1e-3,
-            cache_capacity: 0,
-            vf2: vf2_cfg(),
-            ..Default::default()
-        };
-        let t_build = Instant::now();
-        let router = Router::new(g.clone(), demo_cfg, 4, &SccPartitioner).expect("router");
-        let build = t_build.elapsed();
-        let pstats = router.partition_stats();
-        let t = Instant::now();
-        let report = router.run_batch(&workload);
-        let wall = t.elapsed();
-        let (bmax, bmin) = pstats.balance();
-        println!(
-            "|V| = {}, |E| = {}; build {} (indexes + partition), {:.2}% edges cut, balance {bmin}..{bmax} nodes",
-            g.node_count(),
-            g.edge_count(),
-            fmt_dur(build),
-            pstats.cut_fraction() * 100.0
-        );
-        println!(
-            "{} queries in {} ({:.0} q/s), {} charged visits, {} denied",
-            workload.len(),
-            fmt_dur(wall),
-            workload.len() as f64 / wall.as_secs_f64().max(1e-9),
-            report.stats.charged_visits,
-            report.stats.denied
-        );
-        (
-            g.node_count(),
-            g.edge_count(),
-            workload.len(),
-            build,
-            wall,
-            pstats.cut_fraction(),
-        )
-    });
-
-    let baseline = compare.and_then(|p| match std::fs::read_to_string(p) {
-        Ok(s) => Some(parse_snapshot_benches(&s)),
-        Err(e) => {
-            eprintln!("perf-snapshot: cannot read --compare {p}: {e}");
-            None
-        }
-    });
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"rbq-perf-snapshot-v6\",\n");
-    json.push_str(&format!("  \"nodes\": {},\n", ds.g.node_count()));
-    json.push_str(&format!("  \"graph_size\": {},\n", ds.g.size()));
-    json.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    json.push_str(&format!("  \"queries\": {},\n", qs.len()));
-    json.push_str(&format!("  \"reps\": {},\n", cfg.reps));
-    json.push_str(&format!(
-        "  \"budget_units\": {},\n  \"benches\": {{\n",
-        budget.max_units
-    ));
-    for (i, (name, d)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    \"{name}\": {{ \"per_query_us\": {:.1} }}{comma}\n",
-            d.as_secs_f64() * 1e6
-        ));
-    }
-    json.push_str("  }");
-    if let Some((nodes, edges, queries, build, wall, cut)) = &demo {
-        json.push_str(",\n  \"demo\": {\n");
-        json.push_str(&format!("    \"nodes\": {nodes},\n"));
-        json.push_str(&format!("    \"edges\": {edges},\n"));
-        json.push_str("    \"shards\": 4,\n");
-        json.push_str("    \"partitioner\": \"scc\",\n");
-        json.push_str(&format!("    \"queries\": {queries},\n"));
-        json.push_str(&format!(
-            "    \"build_ms\": {:.1},\n",
-            build.as_secs_f64() * 1e3
-        ));
-        json.push_str(&format!(
-            "    \"wall_ms\": {:.1},\n",
-            wall.as_secs_f64() * 1e3
-        ));
-        json.push_str(&format!(
-            "    \"per_query_us\": {:.1},\n",
-            wall.as_secs_f64() * 1e6 / (*queries).max(1) as f64
-        ));
-        json.push_str(&format!("    \"cut_fraction\": {cut:.4}\n"));
-        json.push_str("  }");
-    }
-    if let Some(base) = &baseline {
-        json.push_str(",\n  \"baseline\": {\n");
-        for (i, (name, us)) in base.iter().enumerate() {
-            let comma = if i + 1 < base.len() { "," } else { "" };
-            json.push_str(&format!(
-                "    \"{name}\": {{ \"per_query_us\": {us:.1} }}{comma}\n"
-            ));
-        }
-        json.push_str("  },\n  \"speedup_vs_baseline\": {\n");
-        let speedups: Vec<(String, f64)> = rows
-            .iter()
-            .filter_map(|(name, d)| {
-                let old = base.iter().find(|(n, _)| n == name)?.1;
-                Some((name.to_string(), old / (d.as_secs_f64() * 1e6).max(1e-9)))
-            })
-            .collect();
-        for (i, (name, s)) in speedups.iter().enumerate() {
-            let comma = if i + 1 < speedups.len() { "," } else { "" };
-            json.push_str(&format!("    \"{name}\": {s:.2}{comma}\n"));
-            println!("{name:<20} speedup {s:.2}x");
-        }
-        json.push_str("  }");
-        // geomean(&[]) is the neutral 1.00x, so a baseline with no
-        // overlapping bench names prints an honest no-change summary.
-        let gm = geomean(&speedups.iter().map(|(_, s)| *s).collect::<Vec<f64>>());
-        println!("{:<20} speedup {gm:.2}x", "geomean");
-    }
-    json.push_str("\n}\n");
-    std::fs::write(out_path, json).expect("write perf snapshot");
-    println!("wrote {out_path}");
+    std::process::exit(2);
 }
 
-/// Extract `name -> per_query_us` pairs from a snapshot written by
-/// [`perf_snapshot`]. The format is strictly line-based (one bench per
-/// line), so no general JSON parser is needed; only the first occurrence of
-/// each name is kept (the `benches` section precedes `baseline`).
-fn parse_snapshot_benches(s: &str) -> Vec<(String, f64)> {
-    let mut out: Vec<(String, f64)> = Vec::new();
-    for line in s.lines() {
-        let Some(rest) = line.trim().strip_prefix('"') else {
-            continue;
-        };
-        let Some((name, tail)) = rest.split_once('"') else {
-            continue;
-        };
-        let Some(val) = tail.split("\"per_query_us\":").nth(1) else {
-            continue;
-        };
-        let num: String = val
-            .chars()
-            .skip_while(|c| c.is_whitespace())
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(us) = num.parse::<f64>() {
-            if !out.iter().any(|(n, _)| n == name) {
-                out.push((name.to_string(), us));
-            }
+fn main() {
+    let mut opts = Opts {
+        cfg: ExpConfig::default(),
+        synthetic_scale: 1_000_000,
+    };
+    let mut wanted: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--nodes" => opts.cfg.snapshot_nodes = number(&arg, args.next()),
+            "--queries" => opts.cfg.pattern_queries = number(&arg, args.next()),
+            "--reach-queries" => opts.cfg.reach_queries = number(&arg, args.next()),
+            "--reps" => opts.cfg.reps = number(&arg, args.next()),
+            "--seed" => opts.cfg.seed = number(&arg, args.next()),
+            "--synthetic-scale" => opts.synthetic_scale = number(&arg, args.next()),
+            _ => wanted.push(arg),
         }
     }
-    out
+    if wanted.is_empty() {
+        usage_exit("no experiment named");
+    }
+    let known = |id: &str| id == "all" || EXPERIMENTS.iter().any(|(ids, _)| ids.contains(&id));
+    if let Some(bad) = wanted.iter().find(|id| !known(id)) {
+        usage_exit(&format!("unknown experiment or option {bad:?}"));
+    }
+    let all = wanted.iter().any(|id| id == "all");
+    for (ids, run) in EXPERIMENTS {
+        if all || ids.iter().any(|id| wanted.iter().any(|w| w == id)) {
+            run(&opts);
+        }
+    }
 }
+
+/// The numeric value of `flag`, or usage + exit 2 when it is missing or
+/// malformed.
+fn number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
+    value
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage_exit(&format!("{flag} needs a number")))
+}
+
+// ---------------------------------------------------------------- engine
 
 /// Mixed-workload batch serving through `rbq_engine`: thread scaling and
 /// the reduction cache's effect on a repeat-heavy 200-query stream.

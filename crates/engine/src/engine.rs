@@ -315,6 +315,39 @@ impl EngineStats {
             QueryClass::Iso => &mut self.iso,
         }
     }
+
+    /// Record one settled query: the single recorder behind
+    /// [`Engine::run`], [`Engine::run_batch`] and the router's front door.
+    /// Counts the query and its class, then by outcome — errors, timeouts
+    /// and contained failures in their counters; delivered answers add
+    /// their visits and (for patterns) a cache hit or miss. A
+    /// [`Answer::Denied`] here was shed before evaluation: counted as a
+    /// query, but it did no visits and never consulted the cache.
+    /// (Settlement-time denials are recorded before settlement converts
+    /// them, so they never reach that arm.)
+    pub fn record(&mut self, result: &QueryResult, class: QueryClass, latency: Duration) {
+        self.queries += 1;
+        let c = self.class_mut(class);
+        c.queries += 1;
+        c.latency += latency;
+        match &result.answer {
+            Answer::Error(_) => self.errors += 1,
+            Answer::TimedOut => self.timed_out += 1,
+            Answer::Failed(_) => self.failed += 1,
+            Answer::Denied { .. } => {}
+            _ => {
+                c.visits += result.visits;
+                self.total_visits += result.visits;
+                if class != QueryClass::Reach {
+                    if result.cached {
+                        self.cache_hits += 1;
+                    } else {
+                        self.cache_misses += 1;
+                    }
+                }
+            }
+        }
+    }
 }
 
 impl std::fmt::Display for EngineStats {
@@ -701,7 +734,7 @@ impl Engine {
         let (result, class, latency) = self.run_one(&ep, q, &mut scratch, deadline, 0);
         self.put_scratch(scratch);
         let mut totals = relock(&self.totals);
-        record(&mut totals, &result, class, latency);
+        totals.record(&result, class, latency);
         totals.charged_visits += if result.answer.is_ok() {
             result.visits
         } else {
@@ -821,7 +854,7 @@ impl Engine {
                     Duration::ZERO,
                 )
             });
-            record(&mut stats, &result, class, latency);
+            stats.record(&result, class, latency);
             final_results.push(result);
         }
         stats.denied += shed.iter().filter(|s| s.is_some()).count();
@@ -1171,34 +1204,6 @@ fn estimate_cost(q: &Query, g: &Graph, budget: &ResourceBudget) -> usize {
                 .max_units
                 .min(pattern.node_count() * (1 + 2 * mean_degree))
                 .max(1)
-        }
-    }
-}
-
-fn record(stats: &mut EngineStats, result: &QueryResult, class: QueryClass, latency: Duration) {
-    stats.queries += 1;
-    let c = stats.class_mut(class);
-    c.queries += 1;
-    c.latency += latency;
-    match &result.answer {
-        Answer::Error(_) => stats.errors += 1,
-        Answer::TimedOut => stats.timed_out += 1,
-        Answer::Failed(_) => stats.failed += 1,
-        // Shed before evaluation: counted as a query, but it did no visits
-        // and never consulted the cache. (Settlement-time denials are
-        // recorded before settlement converts them, so they never reach
-        // this arm.)
-        Answer::Denied { .. } => {}
-        _ => {
-            c.visits += result.visits;
-            stats.total_visits += result.visits;
-            if class != QueryClass::Reach {
-                if result.cached {
-                    stats.cache_hits += 1;
-                } else {
-                    stats.cache_misses += 1;
-                }
-            }
         }
     }
 }

@@ -5,7 +5,19 @@
 //! interner owns the id ↔ string bijection.
 
 use crate::types::Label;
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHasher};
+use std::hash::Hasher;
+
+/// Stable 64-bit hash of a label **string** (`FxHasher` over its bytes).
+///
+/// Unlike a [`Label`] id it does not depend on interning order, so it is
+/// the same across processes, graph builds and delta batches — what a
+/// router needs to send the same query text to the same replica forever.
+pub fn stable_hash(name: &str) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(name.as_bytes());
+    h.finish()
+}
 
 /// Interns label strings to dense [`Label`] ids.
 ///

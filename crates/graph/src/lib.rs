@@ -10,7 +10,9 @@
 //!
 //! * [`Graph`] — an immutable CSR (compressed sparse row) representation with
 //!   both out- and in-adjacency, built via [`GraphBuilder`];
-//! * [`LabelInterner`] — string labels interned to dense `u32` ids;
+//! * [`LabelInterner`] — string labels interned to dense `u32` ids, and
+//!   [`labels::stable_hash`], the interning-independent label hash the
+//!   sharded front door routes by;
 //! * [`GraphView`] — the read-only abstraction all matching algorithms are
 //!   generic over, so they run unchanged on a full graph, an induced
 //!   subgraph, or a dynamically grown `G_Q`;
@@ -25,9 +27,6 @@
 //! * [`delta`] — live updates: [`DeltaBatch`] edge/node batches applied via
 //!   a CSR overlay with threshold-triggered compaction, the substrate for
 //!   serving under churn;
-//! * [`partition`] — node-to-shard assignments (label-hash and
-//!   SCC/community-aware) with boundary bookkeeping, the substrate for
-//!   sharded serving;
 //! * [`topo`] — topological ranks `v.r` on DAGs (auxiliary info of §5.1);
 //! * [`subgraph`] — induced subgraphs and the incrementally grown
 //!   [`subgraph::DynamicSubgraph`] used for `G_Q`;
@@ -40,18 +39,15 @@
 //!   [`DeltaBatch`]es with torn-tail truncation on replay: together the
 //!   durability substrate for crash-recoverable serving.
 
-pub mod adapters;
 pub mod builder;
 pub mod cancel;
 pub mod condense;
 pub mod delta;
-pub mod distance;
 pub mod faultpoint;
 pub mod graph;
 pub mod io;
 pub mod labels;
 pub mod neighborhood;
-pub mod partition;
 pub mod scc;
 pub mod snapshot;
 pub mod stats;
@@ -68,7 +64,6 @@ pub use delta::{DeltaBatch, DeltaError, DeltaOp, DeltaReport};
 pub use graph::Graph;
 pub use labels::LabelInterner;
 pub use neighborhood::BallScratch;
-pub use partition::{PartitionError, PartitionStats, ShardAssignment};
 pub use snapshot::{load_snapshot, write_snapshot, SnapshotError, SnapshotMeta};
 pub use subgraph::{DynamicSubgraph, InducedSubgraph, SubgraphScratch};
 pub use types::{Label, NodeId};

@@ -21,7 +21,6 @@
 //! of resource-bounded algorithms).
 
 pub mod dualsim;
-pub mod incremental;
 pub mod pattern;
 pub mod simcompress;
 pub mod strongsim;
@@ -32,7 +31,6 @@ pub use dualsim::{
     dual_simulation_screened, dual_simulation_screened_with, dual_simulation_with, CandidateScreen,
     DualSim, DualSimRef, DualSimScratch,
 };
-pub use incremental::dual_simulation_incremental;
 pub use pattern::{PNode, Pattern, PatternBuilder, ResolveError, ResolvedPattern};
 pub use simcompress::{bisimulation_compress, SimCompressed};
 pub use strongsim::{

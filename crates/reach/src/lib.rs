@@ -25,11 +25,9 @@
 pub mod bfs;
 pub mod compress;
 pub mod hierarchy;
-pub mod landmark_dist;
 pub mod landmark_vec;
 
 pub use bfs::{bfs_opt_query, bfs_query, bounded_reach, BfsOptIndex};
 pub use compress::{compress_for_reachability, condense_only, CompressedGraph};
 pub use hierarchy::{HierarchicalIndex, IndexParams, IndexStats, ReachAnswer, SelectionStrategy};
-pub use landmark_dist::LandmarkDistances;
 pub use landmark_vec::LandmarkVectors;

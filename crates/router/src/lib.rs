@@ -3,34 +3,31 @@
 //!
 //! The paper closes by noting its resource-bounded techniques "adapt
 //! readily to distributed settings": the offline structures are built once,
-//! and each query touches an `α`-bounded fragment of `G`. This crate is
-//! that adaptation for the serving layer — a [`Router`] fronting `k`
-//! per-shard [`rbq_engine::Engine`]s:
+//! and each query touches an `α`-bounded fragment of `G`. This crate is the
+//! serving-layer half of that remark — a [`Router`] fronting `k`
+//! cache-affine [`rbq_engine::Engine`] replicas over one shared graph:
 //!
-//! * a [`Partitioner`] decides which shard *owns* each node of `G`
-//!   ([`LabelHashPartitioner`] and the SCC/community-aware
-//!   [`SccPartitioner`], both over [`rbq_graph::partition`]);
-//! * every query is routed to the one shard that owns its locus — the
-//!   source node for reachability, the unique personalized match for
-//!   anchored patterns (label-based shard pruning: the owner is computed
-//!   from the query text plus the label → node map, never by evaluating
-//!   the query) — and the remaining `k − 1` shards never see it;
+//! * every replica holds the same `Arc`'d graph and the same two offline
+//!   indexes, so any of them answers any query with byte-identical answers
+//!   and visit counts to a standalone engine; what differs between
+//!   replicas is only which answers their caches hold;
+//! * every query is routed to exactly one replica by a pure function of
+//!   its text and the label table — the [`Partitioner`] policy applied to
+//!   the label of the personalized node (patterns) or of the source node
+//!   (reachability); the shipped policy is [`LabelHashPartitioner`]. The
+//!   router holds no per-node state, so live updates never re-route;
 //! * per-shard answers are merged back **deterministically**: results
 //!   scatter to input order, per-shard [`rbq_engine::EngineStats`] fold
 //!   together, and the batch's aggregate visit budget is settled once at
-//!   the router (in input order, via [`rbq_engine::settle_aggregate`]) so
-//!   [`rbq_engine::Answer::Denied`] falls on exactly the same queries as a
-//!   single engine would deny.
+//!   the front door (in input order, via [`rbq_engine::settle_aggregate`])
+//!   so [`rbq_engine::Answer::Denied`] falls on exactly the same queries as
+//!   a single engine would deny.
 //!
-//! Shards are engine replicas over `Arc`-shared immutable structures (the
-//! graph and both offline indexes), so a shard evaluates a query with
-//! byte-identical answers and visit counts to a standalone engine — which
-//! is what makes the router's `k`-invariance pinned by the differential
-//! suite (`Router(k) ≡ Engine(1)` for every `k` and partitioner) hold at
-//! any budget, not just in the limit.
+//! `Router(k) ≡ Engine(1)` for every `k` and every routing policy is pinned
+//! by the differential suite, at any budget.
 
 pub mod partitioner;
 pub mod router;
 
-pub use partitioner::{LabelHashPartitioner, Partitioner, PartitionerKind, SccPartitioner};
+pub use partitioner::{LabelHashPartitioner, Partitioner};
 pub use router::{Router, RouterError, RouterReport, ShardReport};

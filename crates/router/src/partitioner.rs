@@ -1,99 +1,33 @@
-//! Partitioning policies: how a router splits node ownership across shards.
+//! Routing policies: which engine replica's cache sees a query.
 
-use rbq_graph::partition::{partition_by_label_hash, partition_by_scc};
-use rbq_graph::{Graph, PartitionError, ShardAssignment};
+use rbq_graph::labels::stable_hash;
 
-/// A policy assigning every node of `G` to one of `k` shards.
+/// A routing policy: maps a label string to one of `shards` replicas.
 ///
-/// Implementations must be deterministic — the router builds the
-/// assignment once at construction (and once per applied delta batch) and
-/// routes against it in between, and differential testing replays the same
-/// assignment.
-pub trait Partitioner {
-    /// Short stable name, for reports and CLI round-trips.
-    fn name(&self) -> &'static str;
-
-    /// Assign every node of `g` to one of `shards` shards.
-    ///
-    /// Malformed inputs (zero shards, an assignment that does not cover
-    /// the graph) surface as a typed [`PartitionError`] instead of a
-    /// panic, so front ends can report them with an exit code.
-    fn partition(&self, g: &Graph, shards: usize) -> Result<ShardAssignment, PartitionError>;
+/// The router calls it with the label of a query's locus (the personalized
+/// node of a pattern, the source node of a reachability query) and reduces
+/// the result `mod shards`, so an implementation may return any value. It
+/// must be a pure function of its arguments: every replica answers every
+/// query identically, so the policy decides only cache affinity — and the
+/// differential suites substitute adversarial policies through this seam to
+/// pin exactly that.
+pub trait Partitioner: Sync {
+    /// The replica for `label` among `shards` (reduced `mod shards` by the
+    /// caller; `shards ≥ 1`).
+    fn shard(&self, label: &str, shards: usize) -> usize;
 }
 
-/// Label-hash partitioning: all nodes of a label share the shard
-/// `fxhash(label) mod k` (see
-/// [`rbq_graph::partition::partition_by_label_hash`]).
+/// The shipped policy: [`stable_hash`]`(label) mod k`.
 ///
-/// Pattern routing under this policy needs no graph lookup at all — the
-/// owner shard is a pure function of the personalized node's label string —
-/// though the router's label → node routing works for any policy.
+/// Hashing the *string* (not the interned id) keeps the mapping stable
+/// across processes and graph builds: the same query text lands on the same
+/// replica before and after any delta batch, with nothing to rebuild.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LabelHashPartitioner;
 
 impl Partitioner for LabelHashPartitioner {
-    fn name(&self) -> &'static str {
-        "label"
-    }
-
-    fn partition(&self, g: &Graph, shards: usize) -> Result<ShardAssignment, PartitionError> {
-        partition_by_label_hash(g, shards)
-    }
-}
-
-/// SCC/community-aware partitioning: whole strongly connected components,
-/// in contiguous reverse-topological runs balanced by node count (see
-/// [`rbq_graph::partition::partition_by_scc`]).
-///
-/// Mutually reachable nodes never straddle shards, so reachability traffic
-/// stays landmark-local to its owner shard.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SccPartitioner;
-
-impl Partitioner for SccPartitioner {
-    fn name(&self) -> &'static str {
-        "scc"
-    }
-
-    fn partition(&self, g: &Graph, shards: usize) -> Result<ShardAssignment, PartitionError> {
-        partition_by_scc(g, shards)
-    }
-}
-
-/// The built-in policies, as a value front ends can parse and pass around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionerKind {
-    /// [`LabelHashPartitioner`].
-    LabelHash,
-    /// [`SccPartitioner`].
-    Scc,
-}
-
-impl Partitioner for PartitionerKind {
-    fn name(&self) -> &'static str {
-        match self {
-            PartitionerKind::LabelHash => LabelHashPartitioner.name(),
-            PartitionerKind::Scc => SccPartitioner.name(),
-        }
-    }
-
-    fn partition(&self, g: &Graph, shards: usize) -> Result<ShardAssignment, PartitionError> {
-        match self {
-            PartitionerKind::LabelHash => LabelHashPartitioner.partition(g, shards),
-            PartitionerKind::Scc => SccPartitioner.partition(g, shards),
-        }
-    }
-}
-
-impl std::str::FromStr for PartitionerKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "label" | "label-hash" => Ok(PartitionerKind::LabelHash),
-            "scc" => Ok(PartitionerKind::Scc),
-            other => Err(format!("unknown partitioner {other:?} (want label|scc)")),
-        }
+    fn shard(&self, label: &str, shards: usize) -> usize {
+        (stable_hash(label) % shards as u64) as usize
     }
 }
 
@@ -101,11 +35,26 @@ impl std::str::FromStr for PartitionerKind {
 mod tests {
     use super::*;
 
+    /// "Stable across processes and graph builds" is the documented contract
+    /// (and what keeps the benchmark's `batch-router` routing identical from
+    /// one PR to the next): values recorded from the PR-6 `label_shard`.
     #[test]
-    fn kind_round_trips_names() {
-        for kind in [PartitionerKind::LabelHash, PartitionerKind::Scc] {
-            assert_eq!(kind.name().parse::<PartitionerKind>().unwrap(), kind);
+    fn label_hash_is_pinned() {
+        let golden = [
+            ("", 8, 0),
+            ("ME", 2, 1),
+            ("ME", 3, 2),
+            ("ME", 1000, 121),
+            ("Michael", 3, 0),
+            ("Michael", 1000, 705),
+            ("CC", 8, 7),
+            ("L0", 2, 0),
+            ("L0", 1000, 932),
+            ("a-label-longer-than-eight-bytes", 1000, 777),
+            ("héllo", 1000, 704),
+        ];
+        for (label, k, want) in golden {
+            assert_eq!(LabelHashPartitioner.shard(label, k), want, "{label} k={k}");
         }
-        assert!("bogus".parse::<PartitionerKind>().is_err());
     }
 }

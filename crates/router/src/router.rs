@@ -1,14 +1,12 @@
-//! The router: shard construction, per-query routing, deterministic merge.
+//! The router: replica construction, per-query routing, deterministic merge.
 
-use crate::partitioner::{Partitioner, PartitionerKind};
+use crate::partitioner::Partitioner;
 use rbq_core::NeighborIndex;
 use rbq_engine::{
     settle_aggregate, Answer, BatchReport, Durability, DurabilityConfig, DurabilityError, Engine,
-    EngineConfig, EngineError, EngineStats, Query, QueryClass, QueryResult, RecoveryReport,
+    EngineConfig, EngineError, EngineStats, Query, QueryResult, RecoveryReport,
 };
-use rbq_graph::{
-    DeltaBatch, DeltaError, DeltaReport, Graph, PartitionError, PartitionStats, ShardAssignment,
-};
+use rbq_graph::{DeltaBatch, DeltaError, DeltaReport, Graph};
 use rbq_reach::HierarchicalIndex;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -20,18 +18,6 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Count a query the router settled without any shard evaluating it (shed
-/// at admission, or its shard lost twice) — same bookkeeping a single
-/// engine's recorder does for unevaluated queries.
-fn count_unevaluated(stats: &mut EngineStats, class: QueryClass) {
-    stats.queries += 1;
-    match class {
-        QueryClass::Reach => stats.reach.queries += 1,
-        QueryClass::Sim => stats.sim.queries += 1,
-        QueryClass::Iso => stats.iso.queries += 1,
-    }
-}
-
 /// Errors constructing or operating a [`Router`].
 #[derive(Debug, Clone)]
 pub enum RouterError {
@@ -39,15 +25,8 @@ pub enum RouterError {
     InvalidShards,
     /// The engine configuration was rejected (wrapped losslessly).
     Engine(EngineError),
-    /// The partitioner rejected its input (wrapped losslessly).
-    Partition(PartitionError),
     /// A delta batch was rejected (wrapped losslessly).
     Delta(DeltaError),
-    /// [`Router::apply_deltas`] needs to re-run the partitioning policy,
-    /// but the router was built with a custom [`Partitioner`] it cannot
-    /// reconstruct from its name. Built-in policies (label, scc) always
-    /// support live updates.
-    UnsupportedPartitioner(&'static str),
     /// An offline index rebuild panicked during [`Router::apply_deltas`].
     /// Nothing was installed: the router keeps serving its pre-delta
     /// state. Carries the name of the structure whose rebuild failed.
@@ -67,11 +46,7 @@ impl PartialEq for RouterError {
         match (self, other) {
             (RouterError::InvalidShards, RouterError::InvalidShards) => true,
             (RouterError::Engine(a), RouterError::Engine(b)) => a == b,
-            (RouterError::Partition(a), RouterError::Partition(b)) => a == b,
             (RouterError::Delta(a), RouterError::Delta(b)) => a == b,
-            (RouterError::UnsupportedPartitioner(a), RouterError::UnsupportedPartitioner(b)) => {
-                a == b
-            }
             (RouterError::RebuildFailed(a), RouterError::RebuildFailed(b)) => a == b,
             (RouterError::Durability(a), RouterError::Durability(b)) => {
                 a.to_string() == b.to_string()
@@ -86,12 +61,7 @@ impl std::fmt::Display for RouterError {
         match self {
             RouterError::InvalidShards => write!(f, "shard count must be >= 1"),
             RouterError::Engine(e) => write!(f, "{e}"),
-            RouterError::Partition(e) => write!(f, "{e}"),
             RouterError::Delta(e) => write!(f, "{e}"),
-            RouterError::UnsupportedPartitioner(name) => write!(
-                f,
-                "partitioner {name:?} cannot be re-applied for live updates"
-            ),
             RouterError::RebuildFailed(what) => {
                 write!(f, "{what} rebuild panicked; pre-delta state still serving")
             }
@@ -104,12 +74,9 @@ impl std::error::Error for RouterError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RouterError::Engine(e) => Some(e),
-            RouterError::Partition(e) => Some(e),
             RouterError::Delta(e) => Some(e),
             RouterError::Durability(e) => Some(e.as_ref()),
-            RouterError::InvalidShards
-            | RouterError::UnsupportedPartitioner(_)
-            | RouterError::RebuildFailed(_) => None,
+            RouterError::InvalidShards | RouterError::RebuildFailed(_) => None,
         }
     }
 }
@@ -117,12 +84,6 @@ impl std::error::Error for RouterError {
 impl From<EngineError> for RouterError {
     fn from(e: EngineError) -> Self {
         RouterError::Engine(e)
-    }
-}
-
-impl From<PartitionError> for RouterError {
-    fn from(e: PartitionError) -> Self {
-        RouterError::Partition(e)
     }
 }
 
@@ -163,16 +124,17 @@ pub struct ShardReport {
     pub stats: EngineStats,
 }
 
-/// A sharded serving front: `k` engine replicas over `Arc`-shared
-/// immutable structures, one owner shard per query.
+/// A sharded serving front: `k` cache-affine engine replicas over
+/// `Arc`-shared immutable structures, each query served by one of them.
 ///
-/// Construction pays the offline cost once — the partition and both
-/// offline indexes (§4.1 neighbor index, §5.1 reachability index) are
-/// built eagerly and shared by every shard — so shards are cheap replicas
-/// and routing is the only per-query work the router adds.
+/// Construction pays the offline cost once — both offline indexes (§4.1
+/// neighbor index, §5.1 reachability index) are built eagerly and shared by
+/// every shard — so shards are cheap replicas and routing, a pure function
+/// of the query ([`Router::route`]), is the only per-query work the router
+/// adds. The router holds no per-node routing state.
 pub struct Router {
     g: Arc<Graph>,
-    assignment: ShardAssignment,
+    policy: &'static dyn Partitioner,
     shards: Vec<Engine>,
     /// The shared offline structures and the per-shard configuration —
     /// kept so a shard whose worker is lost mid-batch can be replaced by a
@@ -180,11 +142,6 @@ pub struct Router {
     nbr: Arc<NeighborIndex>,
     reach: Arc<HierarchicalIndex>,
     shard_cfg: EngineConfig,
-    partitioner: &'static str,
-    /// The built-in policy behind `partitioner`, when it is one — what
-    /// [`Router::apply_deltas`] re-runs to re-resolve ownership after a
-    /// batch. `None` for custom policies the router cannot reconstruct.
-    repartition: Option<PartitionerKind>,
     /// The front-door aggregate budget; shard engines run unbudgeted and
     /// the router settles once, in input order.
     aggregate_visit_budget: Option<usize>,
@@ -196,7 +153,9 @@ pub struct Router {
 }
 
 impl Router {
-    /// A router over `g` with `shards` shards assigned by `partitioner`.
+    /// A router over `g` with `shards` replicas, routed by `partitioner`
+    /// (kept for the router's lifetime, hence `'static` — which a
+    /// `&LabelHashPartitioner` literal already is).
     ///
     /// `cfg` is the front-door configuration: every shard engine inherits
     /// it, except that the aggregate visit budget is held back and settled
@@ -207,13 +166,12 @@ impl Router {
         g: Arc<Graph>,
         cfg: EngineConfig,
         shards: usize,
-        partitioner: &dyn Partitioner,
+        partitioner: &'static dyn Partitioner,
     ) -> Result<Router, RouterError> {
         if shards == 0 {
             return Err(RouterError::InvalidShards);
         }
         cfg.validate()?;
-        let assignment = partitioner.partition(&g, shards)?;
 
         // Offline once, shared everywhere: identical Arc'd indexes are what
         // make shard answers byte-identical to a standalone engine's.
@@ -244,13 +202,11 @@ impl Router {
             .collect();
         Ok(Router {
             g,
-            assignment,
+            policy: partitioner,
             shards: engines,
             nbr,
             reach,
             shard_cfg,
-            partitioner: partitioner.name(),
-            repartition: partitioner.name().parse::<PartitionerKind>().ok(),
             aggregate_visit_budget: cfg.aggregate_visit_budget,
             totals: Mutex::new(EngineStats::default()),
             durability: None,
@@ -281,7 +237,7 @@ impl Router {
         dir: &std::path::Path,
         cfg: EngineConfig,
         shards: usize,
-        partitioner: &dyn Partitioner,
+        partitioner: &'static dyn Partitioner,
     ) -> Result<(Router, RecoveryReport), RouterError> {
         let (g, d, report) = Durability::recover(dir).map_err(RouterError::from)?;
         let mut router = Router::new(Arc::new(g), cfg, shards, partitioner)?;
@@ -294,17 +250,15 @@ impl Router {
     /// The delta is applied **once** and both offline indexes are rebuilt
     /// **once** (concurrently, off the serving path); the shared result is
     /// then installed into every shard engine — each bumps its generation
-    /// and evicts its touched cache entries — and ownership is re-resolved
-    /// by re-running the partitioning policy on the post-delta graph, so
-    /// new and moved nodes route to their proper owners. Batches already
-    /// in flight on shard engines drain on their pinned pre-delta epochs.
+    /// and evicts its touched cache entries. Routing needs no update: it is
+    /// a function of the query and the post-delta label table, so a node or
+    /// label the batch adds routes exactly as a fresh router would route
+    /// it. Batches already in flight on shard engines drain on their
+    /// pinned pre-delta epochs.
     ///
-    /// Requires `&mut self`: routing state (graph, assignment) swaps
-    /// atomically with respect to [`Router::run_batch`] borrows.
+    /// Requires `&mut self`: the graph swaps atomically with respect to
+    /// [`Router::run_batch`] borrows.
     pub fn apply_deltas(&mut self, batch: &DeltaBatch) -> Result<DeltaReport, RouterError> {
-        let kind = self
-            .repartition
-            .ok_or(RouterError::UnsupportedPartitioner(self.partitioner))?;
         let (g2, report) = self.g.apply_delta(batch)?;
         let g2 = Arc::new(g2);
         // Durability barrier: the batch must be on disk (and fsynced)
@@ -323,7 +277,6 @@ impl Router {
         // pre-delta epoch keeps serving.
         let nbr = nbr.map_err(|_| RouterError::RebuildFailed("neighbor index"))?;
         let reach = reach.map_err(|_| RouterError::RebuildFailed("reachability index"))?;
-        let assignment = kind.partition(&g2, self.shards.len())?;
         for engine in &self.shards {
             engine.install_graph(
                 g2.clone(),
@@ -333,7 +286,6 @@ impl Router {
             );
         }
         self.g = g2;
-        self.assignment = assignment;
         self.nbr = nbr;
         self.reach = reach;
         if report.compacted {
@@ -353,74 +305,61 @@ impl Router {
         self.shards.len()
     }
 
-    /// Name of the partitioning policy in effect.
-    pub fn partitioner(&self) -> &'static str {
-        self.partitioner
-    }
-
-    /// The node → shard assignment routing runs against.
-    pub fn assignment(&self) -> &ShardAssignment {
-        &self.assignment
-    }
-
-    /// Boundary/balance statistics of the partition over the graph.
-    pub fn partition_stats(&self) -> PartitionStats {
-        self.assignment.boundary_stats(&self.g)
-    }
-
     /// Lifetime statistics merged across every batch served.
     pub fn stats(&self) -> EngineStats {
         relock(&self.totals).clone()
     }
 
-    /// The shard that owns `q` — the only shard that will evaluate it.
+    /// The shard that serves `q` — the only shard that will evaluate it. A
+    /// pure function of the query and the current label table:
     ///
-    /// * Reachability routes to the owner of the **source** node: under the
-    ///   SCC partitioner the whole source component (and its landmarks) is
-    ///   local to that shard, so the index probe stays shard-local.
-    /// * Patterns route to the owner of the unique match of the
-    ///   personalized node, found from its label alone (label-based shard
-    ///   pruning; under the label-hash partitioner this is a pure function
-    ///   of the query text).
-    /// * Queries that cannot be located (out-of-range id, unknown label,
-    ///   zero or ambiguous anchor matches) route to shard 0, which
-    ///   reproduces exactly the error a single engine would return — the
-    ///   router never answers anything itself.
+    /// * A pattern routes by the label **string** of its personalized
+    ///   node, whether or not the graph knows that label or holds a unique
+    ///   match for it — an unlocatable anchor is answered by whichever
+    ///   replica the policy names, with exactly the error a single engine
+    ///   would return.
+    /// * Reachability routes by the label of its **source** node; an
+    ///   out-of-range source routes to shard 0 (same error as a single
+    ///   engine, again).
+    ///
+    /// The policy's value is reduced `mod k`, never used as a raw index.
     pub fn route(&self, q: &Query) -> usize {
-        match q {
-            Query::Reach { source, .. } => self.assignment.shard_of(*source).unwrap_or(0) as usize,
-            Query::PatternSim { pattern } | Query::PatternIso { pattern } => {
-                let name = pattern.label_str(pattern.personalized());
-                let Some(label) = self.g.labels().get(name) else {
-                    return 0;
-                };
-                match self.g.nodes_with_label(label) {
-                    [vp] => self.assignment.shard_of(*vp).unwrap_or(0) as usize,
-                    _ => 0,
-                }
+        let label = match q {
+            Query::Reach { source, .. } if source.index() < self.g.node_count() => {
+                self.g.node_label_str(*source)
             }
-        }
+            Query::Reach { .. } => return 0,
+            Query::PatternSim { pattern } | Query::PatternIso { pattern } => {
+                pattern.label_str(pattern.personalized())
+            }
+        };
+        let k = self.shards.len();
+        self.policy.shard(label, k) % k
     }
 
-    /// Answer one query by routing it to its owner shard (no
-    /// aggregate-budget settlement, mirroring [`Engine::run`]).
+    /// Answer one query on the shard it routes to (no aggregate-budget
+    /// settlement, mirroring [`Engine::run`] — lifetime statistics
+    /// included).
     pub fn run(&self, q: &Query) -> QueryResult {
+        let started = Instant::now();
         let result = self.shards[self.route(q)].run(q);
         let mut totals = relock(&self.totals);
-        totals.queries += 1;
-        totals.total_visits += result.visits;
+        totals.record(&result, q.class(), started.elapsed());
+        if result.answer.is_ok() {
+            totals.charged_visits += result.visits;
+        }
         result
     }
 
     /// Answer a batch of heterogeneous queries across the shards.
     ///
-    /// Each query is routed to its owner shard; non-empty sub-batches run
+    /// Each query is routed to one shard; non-empty sub-batches run
     /// concurrently (one scoped thread per shard, each shard scheduling
     /// its own workers); results scatter back to input order; and the
     /// aggregate visit budget is settled once at the router in input
     /// order. Answers, visit counts, denials and charged visits are all
     /// byte-identical to a single engine running the same batch — for any
-    /// shard count and any partitioner. That parity extends to the
+    /// shard count and any routing policy. That parity extends to the
     /// robustness knobs: the front door computes one deadline instant and
     /// one [shortest-job-first](rbq_engine::AdmissionPolicy) shed set and
     /// every shard serves under them.
@@ -444,13 +383,18 @@ impl Router {
         let mut origin: Vec<Vec<usize>> = vec![Vec::new(); k];
         let mut slots: Vec<Option<QueryResult>> = Vec::new();
         slots.resize_with(queries.len(), || None);
+        let mut stats = EngineStats::default();
+        let mut shed_count = 0;
         for (i, q) in queries.iter().enumerate() {
             if let Some(answer) = &shed[i] {
-                slots[i] = Some(QueryResult {
+                let denied = QueryResult {
                     answer: answer.clone(),
                     visits: 0,
                     cached: false,
-                });
+                };
+                stats.record(&denied, q.class(), Duration::ZERO);
+                shed_count += 1;
+                slots[i] = Some(denied);
                 continue;
             }
             let s = self.route(q);
@@ -485,7 +429,6 @@ impl Router {
 
         // Deterministic merge: scatter to input order, fold stats, settle
         // the aggregate budget once (shards ran unbudgeted).
-        let mut stats = EngineStats::default();
         let mut per_shard = Vec::with_capacity(k);
         for (s, report) in reports.into_iter().enumerate() {
             match report {
@@ -502,29 +445,22 @@ impl Router {
                 None => {
                     // Lost twice (original shard and its replica): settle
                     // the whole sub-batch Failed, in input order.
-                    stats.failed += origin[s].len();
                     for &i in &origin[s] {
-                        count_unevaluated(&mut stats, queries[i].class());
-                        slots[i] = Some(QueryResult {
+                        let failed = QueryResult {
                             answer: Answer::Failed(
                                 "shard worker lost; replica retry also lost".to_string(),
                             ),
                             visits: 0,
                             cached: false,
-                        });
+                        };
+                        stats.record(&failed, queries[i].class(), Duration::ZERO);
+                        slots[i] = Some(failed);
                     }
                     per_shard.push(ShardReport {
                         routed: origin[s].len(),
                         stats: EngineStats::default(),
                     });
                 }
-            }
-        }
-        let mut shed_count = 0;
-        for (i, s) in shed.iter().enumerate() {
-            if s.is_some() {
-                shed_count += 1;
-                count_unevaluated(&mut stats, queries[i].class());
             }
         }
         let mut results: Vec<QueryResult> = slots
@@ -570,10 +506,26 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partitioner::{LabelHashPartitioner, SccPartitioner};
+    use crate::partitioner::LabelHashPartitioner;
     use rbq_engine::{Answer, BudgetSpec};
     use rbq_graph::{GraphBuilder, NodeId};
     use rbq_pattern::PatternBuilder;
+
+    /// The shipped policy plus adversarial ones: `Router(k) ≡ Engine(1)` is a
+    /// claim about every routing function, not just the label hash.
+    struct Policy(fn(&str, usize) -> usize);
+    impl Partitioner for Policy {
+        fn shard(&self, label: &str, shards: usize) -> usize {
+            (self.0)(label, shards)
+        }
+    }
+    const POLICIES: [&dyn Partitioner; 4] = [
+        &LabelHashPartitioner,
+        &Policy(|_, _| 0),
+        &Policy(|label, _| label.len()),
+        // Always ≥ k: only the router's `mod k` keeps it an index.
+        &Policy(|label, k| k + label.len()),
+    ];
 
     fn fig1_graph() -> Arc<Graph> {
         let mut b = GraphBuilder::new();
@@ -628,15 +580,15 @@ mod tests {
     #[test]
     fn reach_routes_to_source_owner() {
         let g = fig1_graph();
-        let router = Router::new(g.clone(), cfg(), 3, &SccPartitioner).unwrap();
-        for v in 0..g.node_count() as u32 {
+        let router = Router::new(g.clone(), cfg(), 3, &LabelHashPartitioner).unwrap();
+        for v in g.nodes() {
             let q = Query::Reach {
-                source: NodeId(v),
+                source: v,
                 target: NodeId(0),
             };
             assert_eq!(
                 router.route(&q),
-                router.assignment().shard_of(NodeId(v)).unwrap() as usize
+                LabelHashPartitioner.shard(g.node_label_str(v), 3)
             );
         }
         // Out-of-range source falls back to shard 0.
@@ -647,20 +599,60 @@ mod tests {
         assert_eq!(router.route(&q), 0);
     }
 
+    /// A pattern routes by its anchor's label string alone — an unknown
+    /// label included (by hash, not to shard 0); whichever replica gets it
+    /// answers with the same error `Engine(1)` would produce.
     #[test]
     fn pattern_routes_to_anchor_owner() {
-        let g = fig1_graph();
-        let router = Router::new(g.clone(), cfg(), 3, &SccPartitioner).unwrap();
-        // "Michael" is unique → owner of node 0.
-        assert_eq!(
-            router.route(&pattern_query("Michael")),
-            router.assignment().shard_of(NodeId(0)).unwrap() as usize
-        );
-        // Unknown label → shard 0, answered as the same error Engine(1)
-        // would produce.
-        assert_eq!(router.route(&pattern_query("NoSuchLabel")), 0);
+        let router = Router::new(fig1_graph(), cfg(), 3, &LabelHashPartitioner).unwrap();
+        for label in ["Michael", "NoSuchLabel"] {
+            assert_eq!(
+                router.route(&pattern_query(label)),
+                LabelHashPartitioner.shard(label, 3)
+            );
+        }
         let r = router.run(&pattern_query("NoSuchLabel"));
         assert!(matches!(r.answer, Answer::Error(_)));
+        // Out-of-range policy values are reduced, never used as an index.
+        let past_k = &Policy(|label, k| k + label.len());
+        let router = Router::new(fig1_graph(), cfg(), 3, past_k).unwrap();
+        assert_eq!(router.route(&pattern_query("Michael")), (3 + 7) % 3);
+    }
+
+    /// `Router::run` records exactly what `Engine::run` records.
+    #[test]
+    fn run_stats_match_single_engine() {
+        let reach = Query::Reach {
+            source: NodeId(0),
+            target: NodeId(3),
+        };
+        // A reach, a pattern miss, the same pattern again (a hit), an error.
+        let stream = [
+            reach,
+            pattern_query("Michael"),
+            pattern_query("Michael"),
+            pattern_query("NoSuchLabel"),
+        ];
+        let engine = Engine::new(fig1_graph(), cfg());
+        for q in &stream {
+            engine.run(q);
+        }
+        let mut want = engine.stats();
+        assert_eq!((want.cache_hits, want.cache_misses, want.errors), (1, 1, 1));
+        for k in [1usize, 2, 4] {
+            let router = Router::new(fig1_graph(), cfg(), k, &LabelHashPartitioner).unwrap();
+            for q in &stream {
+                router.run(q);
+            }
+            // Latency is the one schedule-dependent field.
+            let mut got = router.stats();
+            for s in [&mut want, &mut got] {
+                s.reach.latency = Duration::ZERO;
+                s.sim.latency = Duration::ZERO;
+                s.iso.latency = Duration::ZERO;
+            }
+            assert_eq!(got, want, "k={k}");
+        }
     }
 
     #[test]
@@ -680,7 +672,7 @@ mod tests {
         ];
         let engine = Engine::new(g.clone(), cfg());
         let baseline = engine.run_batch(&queries);
-        for partitioner in [&LabelHashPartitioner as &dyn Partitioner, &SccPartitioner] {
+        for partitioner in POLICIES {
             for k in [1usize, 2, 4] {
                 let router = Router::new(g.clone(), cfg(), k, partitioner).unwrap();
                 let report = router.run_batch(&queries);
@@ -712,7 +704,7 @@ mod tests {
 
     #[test]
     fn lifetime_stats_accumulate() {
-        let router = Router::new(fig1_graph(), cfg(), 2, &SccPartitioner).unwrap();
+        let router = Router::new(fig1_graph(), cfg(), 2, &LabelHashPartitioner).unwrap();
         let qs = [Query::Reach {
             source: NodeId(0),
             target: NodeId(1),
@@ -737,9 +729,10 @@ mod tests {
         batch.add_edge(NodeId(3), NodeId(4 + rank as u32));
         batch.remove_edge(NodeId(1), NodeId(3));
 
-        for partitioner in [&LabelHashPartitioner as &dyn Partitioner, &SccPartitioner] {
+        for partitioner in POLICIES {
             for k in [1usize, 2, 4] {
                 let mut live = Router::new(fig1_graph(), cfg(), k, partitioner).unwrap();
+                let newcomer_before = live.route(&queries[2]);
                 let report = live.apply_deltas(&batch).unwrap();
                 assert_eq!(report.nodes_added, 1);
                 assert_eq!(report.edges_added, 1);
@@ -748,11 +741,14 @@ mod tests {
                 let (g2, _) = fig1_graph().apply_delta(&batch).unwrap();
                 let fresh = Router::new(Arc::new(g2), cfg(), k, partitioner).unwrap();
 
-                // Ownership re-resolved: identical routing for every query,
-                // including the one anchored at the batch-added node.
+                // Nothing to re-resolve: identical routing for every query,
+                // including the one anchored at the label the batch
+                // introduced — where it already routed before the batch.
                 for q in &queries {
                     assert_eq!(live.route(q), fresh.route(q), "routing diverged at k={k}");
                 }
+                assert_eq!(live.route(&queries[2]), newcomer_before);
+                assert_eq!(newcomer_before, partitioner.shard("Newcomer", k) % k);
                 let a = live.run_batch(&queries);
                 let b = fresh.run_batch(&queries);
                 for (i, (x, y)) in a.results.iter().zip(&b.results).enumerate() {
@@ -795,7 +791,7 @@ mod tests {
             ..cfg()
         };
         for k in [1usize, 2, 4] {
-            let router = Router::new(g.clone(), zero.clone(), k, &SccPartitioner).unwrap();
+            let router = Router::new(g.clone(), zero.clone(), k, &LabelHashPartitioner).unwrap();
             let report = router.run_batch(&queries);
             for (i, r) in report.results.iter().enumerate() {
                 assert_eq!(
@@ -808,7 +804,7 @@ mod tests {
             // Still healthy afterwards: the same router serves a clean
             // single query (Router::run takes the engine timeout path,
             // but a fresh instant makes fig. 1 unreachable to expire).
-            let healthy = Router::new(g.clone(), cfg(), k, &SccPartitioner).unwrap();
+            let healthy = Router::new(g.clone(), cfg(), k, &LabelHashPartitioner).unwrap();
             assert!(healthy.run(&queries[0]).answer.is_ok());
         }
     }
@@ -840,7 +836,7 @@ mod tests {
                 .any(|r| matches!(r.answer, Answer::Denied { .. })),
             "fixture must actually shed"
         );
-        for partitioner in [&LabelHashPartitioner as &dyn Partitioner, &SccPartitioner] {
+        for partitioner in POLICIES {
             for k in [1usize, 2, 4] {
                 let router = Router::new(g.clone(), sjf.clone(), k, partitioner).unwrap();
                 let report = router.run_batch(&queries);
@@ -855,14 +851,5 @@ mod tests {
                 assert_eq!(report.stats.sim.queries, baseline.stats.sim.queries);
             }
         }
-    }
-
-    #[test]
-    fn partition_stats_cover_graph() {
-        let router = Router::new(fig1_graph(), cfg(), 2, &SccPartitioner).unwrap();
-        let stats = router.partition_stats();
-        assert_eq!(stats.nodes_per_shard.iter().sum::<usize>(), 4);
-        assert_eq!(router.partitioner(), "scc");
-        assert_eq!(router.shard_count(), 2);
     }
 }

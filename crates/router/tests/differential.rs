@@ -1,14 +1,30 @@
 //! The differential suite pinning the tentpole invariant:
 //! `Router(k) ≡ Engine(1)` — a routed, fanned-out, merged batch is
 //! byte-identical to a single engine running the same batch, for every
-//! query class, shard count, partitioner, and aggregate-budget setting.
+//! query class, shard count, routing policy, and aggregate-budget setting.
 //! (The `cached` flag is schedule-dependent and excluded, as everywhere.)
 
 use proptest::prelude::*;
 use rbq_engine::{Answer, BudgetSpec, Engine, EngineConfig};
-use rbq_router::{LabelHashPartitioner, Partitioner, Router, SccPartitioner};
+use rbq_router::{LabelHashPartitioner, Partitioner, Router};
 use rbq_workload::{sample_mixed_workload, youtube_like, MixedWorkloadSpec};
 use std::sync::Arc;
+
+/// The shipped policy plus adversarial ones: `Router(k) ≡ Engine(1)` is a
+/// claim about every routing function, not just the label hash.
+struct Policy(fn(&str, usize) -> usize);
+impl Partitioner for Policy {
+    fn shard(&self, label: &str, shards: usize) -> usize {
+        (self.0)(label, shards)
+    }
+}
+const POLICIES: [&dyn Partitioner; 4] = [
+    &LabelHashPartitioner,
+    &Policy(|_, _| 0),
+    &Policy(|label, _| label.len()),
+    // Always ≥ k: only the router's `mod k` keeps it an index.
+    &Policy(|label, k| k + label.len()),
+];
 
 fn cfg() -> EngineConfig {
     EngineConfig {
@@ -50,8 +66,8 @@ fn assert_equivalent(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random mixed workloads on random graphs: every shard count and both
-    /// partitioners agree with a single engine, with and without an
+    /// Random mixed workloads on random graphs: every shard count and every
+    /// routing policy agrees with a single engine, with and without an
     /// aggregate budget (including which queries come back `Denied`).
     #[test]
     fn router_equals_single_engine(
@@ -81,9 +97,9 @@ proptest! {
         };
         let budgeted = Engine::new(g.clone(), budgeted_cfg.clone()).run_batch(&queries);
 
-        for partitioner in [&LabelHashPartitioner as &dyn Partitioner, &SccPartitioner] {
+        for (p, partitioner) in POLICIES.into_iter().enumerate() {
             for k in [1usize, 2, 3, 8] {
-                let ctx = format!("k={k} partitioner={}", partitioner.name());
+                let ctx = format!("k={k} policy={p}");
                 let router = Router::new(g.clone(), cfg(), k, partitioner).unwrap();
                 assert_equivalent(&baseline, &router.run_batch(&queries), &ctx)?;
 
@@ -124,17 +140,20 @@ proptest! {
         engine.run_batch(&queries);
         let warm_baseline = engine.run_batch(&queries);
 
-        for k in [2usize, 4] {
-            let router = Router::new(g.clone(), cfg(), k, &SccPartitioner).unwrap();
-            router.run_batch(&queries);
-            let warm = router.run_batch(&queries);
-            assert_equivalent(&warm_baseline, &warm, &format!("warm k={k}"))?;
+        for (p, partitioner) in POLICIES.into_iter().enumerate() {
+            for k in [1usize, 2, 3, 8] {
+                let router = Router::new(g.clone(), cfg(), k, partitioner).unwrap();
+                router.run_batch(&queries);
+                let warm = router.run_batch(&queries);
+                assert_equivalent(&warm_baseline, &warm, &format!("warm k={k} policy={p}"))?;
+            }
         }
     }
 }
 
-/// One non-property check that reach queries exercise multiple shards (the
-/// invariant would be vacuous if routing collapsed everything to shard 0).
+/// One non-property check that the shipped policy exercises multiple shards
+/// (the invariant would be vacuous if routing collapsed everything to shard
+/// 0).
 #[test]
 fn workload_actually_spreads_across_shards() {
     let g = Arc::new(youtube_like(600, 11));
@@ -147,7 +166,7 @@ fn workload_actually_spreads_across_shards() {
         },
         7,
     );
-    let router = Router::new(g, cfg(), 4, &SccPartitioner).unwrap();
+    let router = Router::new(g, cfg(), 4, &LabelHashPartitioner).unwrap();
     let report = router.run_batch(&queries);
     let busy = report.per_shard.iter().filter(|s| s.routed > 0).count();
     assert!(busy >= 2, "only {busy} shard(s) saw traffic");

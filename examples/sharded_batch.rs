@@ -8,7 +8,7 @@
 
 use rbq::rbq_engine::{Engine, EngineConfig};
 use rbq::rbq_graph::GraphView;
-use rbq::rbq_router::{Router, SccPartitioner};
+use rbq::rbq_router::{LabelHashPartitioner, Router};
 use rbq::rbq_workload::{sample_mixed_workload, youtube_like, MixedWorkloadSpec};
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,17 +48,15 @@ fn main() {
     println!("engine(1):  {:>10.2?}  {}", t.elapsed(), baseline.stats);
 
     for shards in [2usize, 4] {
-        let router = Router::new(g.clone(), cfg.clone(), shards, &SccPartitioner)
+        let router = Router::new(g.clone(), cfg.clone(), shards, &LabelHashPartitioner)
             .expect("router construction");
-        let p = router.partition_stats();
-        let (bmax, bmin) = p.balance();
-        println!(
-            "\nrouter({shards}) [scc]: {:.1}% edges cut, balance {bmin}..{bmax} nodes",
-            p.cut_fraction() * 100.0
-        );
         let t = Instant::now();
         let report = router.run_batch(&queries);
-        println!("router({shards}): {:>10.2?}  {}", t.elapsed(), report.stats);
+        println!(
+            "\nrouter({shards}): {:>10.2?}  {}",
+            t.elapsed(),
+            report.stats
+        );
         for (i, shard) in report.per_shard.iter().enumerate() {
             println!(
                 "  shard {i}: {:>4} routed, {:>8} visits",

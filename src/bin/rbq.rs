@@ -8,7 +8,7 @@
 //! rbq pattern g.txt --spec 4,8 --alpha 0.001 --seed 7
 //! rbq workload g.txt --count 200 --seed 7 --out q.txt
 //! rbq batch g.txt q.txt --alpha 0.005 --threads 8
-//! rbq batch g.txt q.txt --shards 4 --partitioner scc --answers a.txt
+//! rbq batch g.txt q.txt --shards 4 --answers a.txt
 //! rbq ingest g.txt d.txt --out g2.txt
 //! rbq snapshot g.txt --out state/
 //! rbq ingest g.txt d.txt --durable state/
@@ -30,7 +30,7 @@ use rbq::rbq_engine::{
 use rbq::rbq_graph::{io as gio, DeltaError, Graph, GraphView, NodeId};
 use rbq::rbq_pattern::{bisimulation_compress, match_opt};
 use rbq::rbq_reach::{compress_for_reachability, HierarchicalIndex};
-use rbq::rbq_router::{PartitionerKind, Router, RouterError};
+use rbq::rbq_router::{LabelHashPartitioner, Router, RouterError};
 use rbq::rbq_workload::{extract_pattern, sample_mixed_workload, MixedWorkloadSpec, PatternSpec};
 use std::fs::File;
 use std::io::{BufReader, Write};
@@ -521,7 +521,7 @@ fn load_queries(path: &str) -> Result<Vec<Query>, CliError> {
 fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     let (mut alpha, mut reach_alpha, mut threads, mut cache, mut aggregate, mut verbose) =
         (None, None, None, None, None, None);
-    let (mut shards, mut partitioner, mut answers) = (None, None, None);
+    let (mut shards, mut answers) = (None, None);
     let (mut timeout_ms, mut admission) = (None, None);
     let pos = parse_flags(
         args,
@@ -533,14 +533,13 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
             ("aggregate", &mut aggregate),
             ("verbose", &mut verbose),
             ("shards", &mut shards),
-            ("partitioner", &mut partitioner),
             ("answers", &mut answers),
             ("timeout-ms", &mut timeout_ms),
             ("admission", &mut admission),
         ],
     )?;
     let [graph_path, query_path] = pos.as_slice() else {
-        return Err("usage: batch GRAPH QUERYFILE [--alpha A] [--reach-alpha A] [--threads T] [--cache N] [--aggregate N] [--timeout-ms MS] [--admission input|sjf] [--shards K] [--partitioner label|scc] [--answers FILE] [--verbose 1]".into());
+        return Err("usage: batch GRAPH QUERYFILE [--alpha A] [--reach-alpha A] [--threads T] [--cache N] [--aggregate N] [--timeout-ms MS] [--admission input|sjf] [--shards K] [--answers FILE] [--verbose 1]".into());
     };
     let alpha = parse_alpha(&alpha.unwrap_or_else(|| "0.01".into()), "--alpha")?;
     let reach_alpha = parse_alpha(
@@ -575,10 +574,6 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         .unwrap_or_else(|| "1".into())
         .parse()
         .map_err(|_| "bad --shards")?;
-    let partitioner: PartitionerKind = partitioner
-        .unwrap_or_else(|| "scc".into())
-        .parse()
-        .map_err(CliError::Msg)?;
 
     let g = Arc::new(load_graph(graph_path)?);
     let queries = load_queries(query_path)?;
@@ -605,16 +600,9 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         let report = engine.run_batch(&queries);
         (report.results, report.stats)
     } else {
-        let router = Router::new(g.clone(), cfg, shards, &partitioner)?;
-        let pstats = router.partition_stats();
+        let router = Router::new(g.clone(), cfg, shards, &LabelHashPartitioner)?;
         let report = router.run_batch(&queries);
-        println!(
-            "router: {shards} shards ({} partitioner), {:.1}% edges cut, balance {}..{} nodes",
-            router.partitioner(),
-            pstats.cut_fraction() * 100.0,
-            pstats.balance().1,
-            pstats.balance().0,
-        );
+        println!("router: {shards} shards, routed by label hash");
         for (s, sh) in report.per_shard.iter().enumerate() {
             println!(
                 "  shard {s}: {} queries routed, {} visits",
@@ -1099,7 +1087,7 @@ mod tests {
             qpath.to_string_lossy().into_owned(),
             apath.to_string_lossy().into_owned(),
         );
-        for (shards, partitioner) in [("2", "label"), ("3", "scc")] {
+        for shards in ["2", "3"] {
             run(&argv(&[
                 "batch",
                 &g,
@@ -1110,8 +1098,6 @@ mod tests {
                 "1.0",
                 "--shards",
                 shards,
-                "--partitioner",
-                partitioner,
                 "--answers",
                 &a,
             ]))
@@ -1121,13 +1107,13 @@ mod tests {
             let parsed = rbq::rbq_engine::wire::parse_answer_file(&text).expect("parse answers");
             assert_eq!(parsed.answers.len(), 4);
         }
-        // Unknown partitioner and zero shards are clean CLI errors.
+        // The retired --partitioner is an unknown option like any other.
         assert!(run(&argv(&[
             "batch",
             &g,
             &q,
             "--partitioner",
-            "bogus",
+            "label",
             "--shards",
             "2"
         ]))

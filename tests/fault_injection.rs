@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use rbq::rbq_engine::faultpoint::{arm, FaultAction, FaultPlan};
 use rbq::rbq_engine::{Answer, BudgetSpec, Engine, EngineConfig, Query, QueryResult};
-use rbq::rbq_router::{Router, SccPartitioner};
+use rbq::rbq_router::{LabelHashPartitioner, Router};
 use rbq::rbq_workload::{power_law, sample_mixed_workload, MixedWorkloadSpec};
 use rbq_graph::Graph;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -193,7 +193,7 @@ fn router_shard_loss_recovers_on_replica() {
     let base = baseline();
     for k in [1usize, 2, 4] {
         for victim in 0..k as u64 {
-            let router = Router::new(g.clone(), cfg(2), k, &SccPartitioner).unwrap();
+            let router = Router::new(g.clone(), cfg(2), k, &LabelHashPartitioner).unwrap();
             let got = {
                 let _plan =
                     arm(FaultPlan::new().on_index("router.shard", victim, FaultAction::Panic));
@@ -214,7 +214,7 @@ fn router_double_loss_settles_sub_batch_failed() {
     let (g, qs) = fixture();
     let base = baseline();
     let k = 2usize;
-    let router = Router::new(g.clone(), cfg(2), k, &SccPartitioner).unwrap();
+    let router = Router::new(g.clone(), cfg(2), k, &LabelHashPartitioner).unwrap();
     let (got, report_stats) = {
         let _plan = arm(FaultPlan::new()
             .on_index("router.shard", 0, FaultAction::Panic)
@@ -379,7 +379,7 @@ proptest! {
         let _s = serial();
         let (g, qs) = fixture();
         let base = baseline();
-        let router = Router::new(g, cfg(2), k, &SccPartitioner).unwrap();
+        let router = Router::new(g, cfg(2), k, &LabelHashPartitioner).unwrap();
         let got = {
             let _plan = arm(FaultPlan::new().on_index("router.shard", victim % k as u64, action));
             answers(&router.run_batch(&qs).results)

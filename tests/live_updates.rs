@@ -13,12 +13,28 @@ use proptest::prelude::*;
 use rbq_engine::{Engine, EngineConfig, Query, QueryResult};
 use rbq_graph::{DeltaBatch, Graph, GraphBuilder, NodeId};
 use rbq_pattern::PatternBuilder;
-use rbq_router::{LabelHashPartitioner, Partitioner, Router, SccPartitioner};
+use rbq_router::{LabelHashPartitioner, Partitioner, Router};
 use std::sync::Arc;
+
+/// The shipped policy plus adversarial ones: `Router(k) ≡ Engine(1)` is a
+/// claim about every routing function, not just the label hash.
+struct Policy(fn(&str, usize) -> usize);
+impl Partitioner for Policy {
+    fn shard(&self, label: &str, shards: usize) -> usize {
+        (self.0)(label, shards)
+    }
+}
+const POLICIES: [&dyn Partitioner; 4] = [
+    &LabelHashPartitioner,
+    &Policy(|_, _| 0),
+    &Policy(|label, _| label.len()),
+    // Always ≥ k: only the router's `mod k` keeps it an index.
+    &Policy(|label, k| k + label.len()),
+];
 
 /// A random digraph with node 0 relabeled to the unique anchor `"ME"`,
 /// the rest over `L0..L3`. Small, because the router differential builds
-/// `2 × |k| × |partitioners|` full index sets per case.
+/// `2 × |k| × |policies|` full index sets per case.
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (2usize..14).prop_flat_map(|n| {
         let labels = proptest::collection::vec(0u8..4, n - 1);
@@ -258,8 +274,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// `Router::apply_deltas` ≡ fresh router: for every shard count and
-    /// both built-in partitioners, the live router after a batch routes
-    /// and answers exactly like a `Router::new` on the rebuilt graph.
+    /// routing policy, the live router after a batch routes and answers
+    /// exactly like a `Router::new` on the rebuilt graph.
     #[test]
     fn router_apply_deltas_matches_fresh_router(
         g in arb_graph(),
@@ -274,9 +290,8 @@ proptest! {
         let (g2, _) = g.apply_delta(&batch).expect("valid batch");
         let rebuilt = Arc::new(rebuild_from_scratch(&g2));
 
-        let partitioners: [&dyn Partitioner; 2] = [&LabelHashPartitioner, &SccPartitioner];
-        for p in partitioners {
-            for k in [1usize, 2, 4] {
+        for (pi, p) in POLICIES.into_iter().enumerate() {
+            for k in [1usize, 2, 3, 8] {
                 let mut live = Router::new(Arc::new(g.clone()), cfg.clone(), k, p)
                     .expect("router builds");
                 live.run_batch(&queries); // warm pre-delta shard caches
@@ -287,10 +302,10 @@ proptest! {
                 for q in &queries {
                     prop_assert_eq!(
                         live.route(q), fresh.route(q),
-                        "ownership diverged ({}, k={})", p.name(), k
+                        "routing diverged (policy {}, k={})", pi, k
                     );
                 }
-                let leg = format!("router {} k={}", p.name(), k);
+                let leg = format!("router policy {pi} k={k}");
                 let (lr, fr) = (live.run_batch(&queries), fresh.run_batch(&queries));
                 assert_results_eq(&lr.results, &fr.results, &leg)?;
                 prop_assert_eq!(stat_key(&lr.stats), stat_key(&fr.stats));

@@ -280,75 +280,6 @@ proptest! {
         prop_assert_eq!(direct, via);
     }
 
-    /// Landmark distance estimates are upper bounds on true distances, and
-    /// `Some` implies reachable.
-    #[test]
-    fn landmark_distance_upper_bound(g in arb_graph(), k in 1usize..6, seed in 0u64..50) {
-        use rbq_reach::LandmarkDistances;
-        use rbq_graph::distance::shortest_path;
-        let ld = LandmarkDistances::build(&g, k, seed);
-        for s in g.nodes().take(8) {
-            for t in g.nodes().take(8) {
-                if let Some(est) = ld.estimate(s, t) {
-                    let exact = shortest_path(&g, s, t);
-                    prop_assert!(exact.is_some(), "estimate implies reachable {}->{}", s, t);
-                    let d = (exact.unwrap().len() - 1) as u32;
-                    prop_assert!(est >= d, "estimate {} below exact {}", est, d);
-                }
-            }
-        }
-    }
-
-    /// Shortest paths are genuine paths of minimal length (cross-checked
-    /// against BFS distances).
-    #[test]
-    fn shortest_path_is_minimal(g in arb_graph()) {
-        use rbq_graph::distance::{distances, shortest_path, INF};
-        use rbq_graph::types::Direction;
-        for s in g.nodes().take(6) {
-            let dist = distances(&g, s, Direction::Out);
-            for t in g.nodes().take(6) {
-                match shortest_path(&g, s, t) {
-                    Some(path) => {
-                        prop_assert_eq!(path.len() as u32 - 1, dist[t.index()]);
-                        prop_assert_eq!(*path.first().unwrap(), s);
-                        prop_assert_eq!(*path.last().unwrap(), t);
-                        for w in path.windows(2) {
-                            prop_assert!(g.edge(w[0], w[1]), "gap in path");
-                        }
-                    }
-                    None => prop_assert_eq!(dist[t.index()], INF),
-                }
-            }
-        }
-    }
-
-    /// The reversed view answers reachability exactly backwards.
-    #[test]
-    fn reversed_view_flips_reachability(g in arb_graph()) {
-        use rbq_graph::adapters::Reversed;
-        let r = Reversed(&g);
-        for s in g.nodes().take(6) {
-            for t in g.nodes().take(6) {
-                let fwd = reaches(&g, s, t).0;
-                // Reachability on the reversed view via its own adjacency.
-                let mut seen = std::collections::HashSet::new();
-                let mut stack = vec![t];
-                seen.insert(t);
-                let mut bwd = false;
-                while let Some(v) = stack.pop() {
-                    if v == s { bwd = true; break; }
-                    for w in r.out_neighbors(v) {
-                        if seen.insert(w) {
-                            stack.push(w);
-                        }
-                    }
-                }
-                prop_assert_eq!(fwd, bwd, "{}->{}", s, t);
-            }
-        }
-    }
-
     /// LM vectors never report a false positive on any graph.
     #[test]
     fn lm_vectors_sound(g in arb_graph(), seed in 0u64..50) {
