@@ -184,18 +184,6 @@ pub fn fmt_dur(d: Duration) -> String {
     }
 }
 
-/// Geometric mean helper for speedup summaries.
-///
-/// An empty input is the *neutral* speedup `1.0` — returning `0.0` (as a
-/// naive implementation would) renders as a bogus "0.00×" line when a
-/// snapshot section has no comparable entries.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 1.0;
-    }
-    (xs.iter().map(|x| x.max(1e-12).ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 /// The size `|G_dQ(v_p)|` of a query's relevant neighborhood (Table 2's
 /// denominator): nodes of the `d_Q`-ball plus its induced edges, counted
 /// directly off the sorted ball (each edge once, from its source) — no
@@ -242,22 +230,6 @@ mod tests {
         for q in qs {
             assert!(q.dq() >= 1);
         }
-    }
-
-    #[test]
-    fn geomean_basic() {
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn geomean_empty_is_neutral() {
-        // Regression: an empty section used to report a "0.00x" speedup.
-        assert_eq!(geomean(&[]), 1.0);
-    }
-
-    #[test]
-    fn geomean_singleton_is_identity() {
-        assert!((geomean(&[3.5]) - 3.5).abs() < 1e-9);
     }
 
     #[test]

@@ -13,15 +13,15 @@
 //! pre-mutation insert can collide with: stale answers are unreachable by
 //! construction, not by convention.
 //!
-//! On top of the generation stamp, [`ReductionCache::evict_touching`]
-//! eagerly removes entries whose pattern mentions any label the delta
-//! touched — those are *known* garbage, so they should not occupy LRU
-//! capacity waiting to age out. Entries over disjoint labels are left to
-//! ordinary LRU aging: they can never be served again (old generation),
-//! and re-keying them to the new generation would be unsound — an edge
-//! between two unrelated-labeled nodes can still change ball membership
-//! and `r`-neighborhood contents for a pattern that mentions neither
-//! endpoint label, so label-disjointness does not imply answer invariance.
+//! The generation is correctness; [`ReductionCache::clear`] is reclamation.
+//! Every entry present when an epoch installs is unreachable for ever, so
+//! the install drops them all rather than leaving them to occupy LRU
+//! capacity. (Re-keying an entry to the new generation would be unsound
+//! whatever labels the delta touched: an edge between two unrelated-labeled
+//! nodes can still change ball membership and `r`-neighborhood contents for
+//! a pattern that mentions neither endpoint label.) A query that pinned the
+//! old epoch and inserts after the clear inserts under its old generation:
+//! never served, reclaimed by the next install or by LRU aging.
 
 use crate::Answer;
 use rustc_hash::FxHashMap;
@@ -52,12 +52,6 @@ pub struct CachedAnswer {
     /// Data units the cold evaluation visited — re-charged on hits so
     /// budget accounting is schedule-independent.
     pub visits: usize,
-    /// Label **strings** the pattern mentions, sorted and deduplicated —
-    /// the eviction signal matched against a delta's touched labels.
-    /// Strings rather than interned ids: a delta can introduce a label the
-    /// pre-mutation graph never interned, and a cached "no such label"
-    /// answer for it must still be evictable.
-    pub labels: Vec<String>,
 }
 
 /// Bounded LRU map. Eviction scans for the least-recently-used entry —
@@ -67,8 +61,6 @@ pub struct CachedAnswer {
 pub struct ReductionCache {
     capacity: usize,
     tick: u64,
-    hits: u64,
-    misses: u64,
     map: FxHashMap<CacheKey, (u64, CachedAnswer)>,
 }
 
@@ -78,8 +70,6 @@ impl ReductionCache {
         ReductionCache {
             capacity,
             tick: 0,
-            hits: 0,
-            misses: 0,
             map: FxHashMap::default(),
         }
     }
@@ -90,17 +80,9 @@ impl ReductionCache {
             return None;
         }
         self.tick += 1;
-        match self.map.get_mut(key) {
-            Some((stamp, entry)) => {
-                *stamp = self.tick;
-                self.hits += 1;
-                Some(entry.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let (stamp, entry) = self.map.get_mut(key)?;
+        *stamp = self.tick;
+        Some(entry.clone())
     }
 
     /// Insert `value`, evicting the least-recently-used entry when full.
@@ -122,17 +104,10 @@ impl ReductionCache {
         self.map.insert(key, (self.tick, value));
     }
 
-    /// Remove every entry whose label set intersects `touched` (both
-    /// sorted, deduplicated). Called on each applied delta batch with the
-    /// delta's touched labels; returns the number of entries evicted.
-    pub fn evict_touching(&mut self, touched: &[String]) -> usize {
-        if touched.is_empty() || self.map.is_empty() {
-            return 0;
-        }
-        let before = self.map.len();
-        self.map
-            .retain(|_, (_, entry)| !sorted_intersects(&entry.labels, touched));
-        before - self.map.len()
+    /// Drop every entry. Called when a new epoch installs: the generation
+    /// bump has already made all of them unreachable.
+    pub fn clear(&mut self) {
+        self.map.clear();
     }
 
     /// Entries currently cached.
@@ -144,24 +119,6 @@ impl ReductionCache {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-
-    /// Lifetime (hits, misses) counters.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
-
-/// Whether two sorted, deduplicated string slices share an element.
-fn sorted_intersects(a: &[String], b: &[String]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -180,10 +137,6 @@ mod tests {
     }
 
     fn ans(n: usize) -> CachedAnswer {
-        ans_labeled(n, &[])
-    }
-
-    fn ans_labeled(n: usize, labels: &[&str]) -> CachedAnswer {
         CachedAnswer {
             answer: Answer::Pattern {
                 matches: Vec::new(),
@@ -192,7 +145,6 @@ mod tests {
                 hit_budget: false,
             },
             visits: n,
-            labels: labels.iter().map(|s| s.to_string()).collect(),
         }
     }
 
@@ -203,7 +155,6 @@ mod tests {
         c.insert(key("a"), ans(3));
         let got = c.get(&key("a")).expect("hit");
         assert_eq!(got.visits, 3);
-        assert_eq!(c.counters(), (1, 1));
     }
 
     #[test]
@@ -247,21 +198,6 @@ mod tests {
         bumped.generation = 1;
         assert!(c.get(&bumped).is_none());
         assert!(c.get(&key("a")).is_some(), "old generation still keyed");
-    }
-
-    #[test]
-    fn evict_touching_removes_intersections_only() {
-        let mut c = ReductionCache::new(8);
-        c.insert(key("a"), ans_labeled(1, &["A", "B"]));
-        c.insert(key("b"), ans_labeled(2, &["C"]));
-        c.insert(key("c"), ans_labeled(3, &["B", "D"]));
-        let evicted = c.evict_touching(&["B".to_string(), "Z".to_string()]);
-        assert_eq!(evicted, 2);
-        assert!(c.get(&key("a")).is_none());
-        assert!(c.get(&key("c")).is_none());
-        assert!(c.get(&key("b")).is_some(), "disjoint entry kept");
-        let none = c.evict_touching(&[]);
-        assert_eq!(none, 0);
     }
 
     #[test]

@@ -31,20 +31,6 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Where (and that) an engine should persist its serving state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DurabilityConfig {
-    /// Directory holding `snapshot.bin` and `wal.log`. Created if absent.
-    pub dir: PathBuf,
-}
-
-impl DurabilityConfig {
-    /// Durability rooted at `dir`.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        DurabilityConfig { dir: dir.into() }
-    }
-}
-
 /// Typed failure of any durability operation.
 #[derive(Debug)]
 pub enum DurabilityError {

@@ -1,22 +1,23 @@
-//! The engine: epoch-snapshotted shared structures, per-query evaluation,
-//! and the work-stealing batch scheduler.
+//! The engine's read side: configuration, statistics, per-query
+//! evaluation against a pinned epoch, and the work-stealing batch
+//! scheduler. The write side — the epoch itself and the one pipeline that
+//! replaces it — is [`crate::ingest`].
 
 use crate::cache::{CacheKey, CachedAnswer, ReductionCache};
 use crate::canonical::canonical_pattern;
-use crate::durability::{
-    ApplyError, Durability, DurabilityConfig, DurabilityError, RecoveryReport,
-};
+use crate::durability::Durability;
 use crate::error::EngineError;
+use crate::ingest::Epoch;
 use crate::{Answer, Query, QueryClass, QueryResult};
 use rbq_core::guard::Semantics;
 use rbq_core::{
     rbsim_with, rbsub_scratch, NeighborIndex, PatternAnswer, PatternScratch, ResourceBudget,
 };
-use rbq_graph::{CancelPanic, CancelToken, DeltaBatch, DeltaReport, Graph, NodeId};
+use rbq_graph::{CancelPanic, CancelToken, Graph, NodeId};
 use rbq_pattern::{Pattern, Vf2Config};
 use rbq_reach::HierarchicalIndex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// How the per-query pattern budget is specified.
@@ -112,112 +113,6 @@ impl EngineConfig {
             }
         }
         Ok(())
-    }
-
-    /// Start building a configuration. Prefer this over struct-literal
-    /// construction: the builder validates every knob at
-    /// [`EngineConfigBuilder::build`] instead of panicking later inside
-    /// [`Engine::new`].
-    pub fn builder() -> EngineConfigBuilder {
-        EngineConfigBuilder {
-            cfg: EngineConfig::default(),
-            explicit_zero_threads: false,
-        }
-    }
-}
-
-/// Builder for [`EngineConfig`] — the supported way for front ends to
-/// assemble a configuration. Setters record intent; [`build`] validates
-/// everything at once (`α ∈ (0, 1]`, positive visit coefficient, explicit
-/// thread counts ≥ 1) and returns a typed [`EngineError`] on violation.
-///
-/// [`build`]: EngineConfigBuilder::build
-#[derive(Debug, Clone)]
-pub struct EngineConfigBuilder {
-    cfg: EngineConfig,
-    explicit_zero_threads: bool,
-}
-
-impl EngineConfigBuilder {
-    /// Per-query pattern budget as a resource ratio `α ∈ (0, 1]`.
-    pub fn pattern_alpha(mut self, alpha: f64) -> Self {
-        self.cfg.pattern_budget = BudgetSpec::Ratio(alpha);
-        self
-    }
-
-    /// Per-query pattern budget as an absolute unit count.
-    pub fn pattern_units(mut self, units: usize) -> Self {
-        self.cfg.pattern_budget = BudgetSpec::Units(units);
-        self
-    }
-
-    /// Visit coefficient `c` (per-query visit cap `α·c·|G|`).
-    pub fn visit_coefficient(mut self, c: f64) -> Self {
-        self.cfg.visit_coefficient = Some(c);
-        self
-    }
-
-    /// Resource ratio for the reachability index, `(0, 1]`.
-    pub fn reach_alpha(mut self, alpha: f64) -> Self {
-        self.cfg.reach_alpha = alpha;
-        self
-    }
-
-    /// Explicit worker thread count, ≥ 1 (an explicit 0 is rejected at
-    /// [`build`]; see [`EngineConfigBuilder::auto_threads`] for the
-    /// default).
-    ///
-    /// [`build`]: EngineConfigBuilder::build
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads;
-        self.explicit_zero_threads = threads == 0;
-        self
-    }
-
-    /// Use the machine's available parallelism (the default).
-    pub fn auto_threads(mut self) -> Self {
-        self.cfg.threads = 0;
-        self.explicit_zero_threads = false;
-        self
-    }
-
-    /// Reduction-cache capacity in entries; 0 disables caching.
-    pub fn cache_capacity(mut self, entries: usize) -> Self {
-        self.cfg.cache_capacity = entries;
-        self
-    }
-
-    /// Aggregate visit budget per batch (None = unlimited).
-    pub fn aggregate_visit_budget(mut self, budget: Option<usize>) -> Self {
-        self.cfg.aggregate_visit_budget = budget;
-        self
-    }
-
-    /// VF2 knobs for isomorphism queries.
-    pub fn vf2(mut self, vf2: Vf2Config) -> Self {
-        self.cfg.vf2 = vf2;
-        self
-    }
-
-    /// Per-batch deadline (None = no deadline).
-    pub fn batch_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.cfg.batch_timeout = timeout;
-        self
-    }
-
-    /// Admission policy against the aggregate visit budget.
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.cfg.admission = policy;
-        self
-    }
-
-    /// Validate and return the configuration.
-    pub fn build(self) -> Result<EngineConfig, EngineError> {
-        if self.explicit_zero_threads {
-            return Err(EngineError::InvalidThreads);
-        }
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -399,48 +294,6 @@ pub struct BatchReport {
 /// One evaluated query before settlement: result, class, wall latency.
 type Evaluated = (QueryResult, QueryClass, Duration);
 
-/// One immutable serving snapshot: the graph, its generation, and the
-/// lazily built indexes over exactly that graph.
-///
-/// Queries pin an `Arc<Epoch>` once at entry and evaluate entirely against
-/// it, so a concurrent [`Engine::apply_deltas`] can swap in a successor
-/// epoch without ever invalidating structures a running query holds: the
-/// old epoch stays alive until its last in-flight query drops the `Arc`.
-/// The generation is the cache-correctness token — it is part of every
-/// [`CacheKey`], so answers computed on one epoch are unreachable from any
-/// later one.
-struct Epoch {
-    g: Arc<Graph>,
-    generation: u64,
-    nbr: OnceLock<Arc<NeighborIndex>>,
-    reach: OnceLock<Arc<HierarchicalIndex>>,
-}
-
-impl Epoch {
-    fn new(g: Arc<Graph>, generation: u64) -> Self {
-        Epoch {
-            g,
-            generation,
-            nbr: OnceLock::new(),
-            reach: OnceLock::new(),
-        }
-    }
-
-    /// This epoch's neighbor index, building it on first use.
-    fn neighbor_index(&self) -> Arc<NeighborIndex> {
-        self.nbr
-            .get_or_init(|| Arc::new(NeighborIndex::build(&self.g)))
-            .clone()
-    }
-
-    /// This epoch's reachability index, building it on first use.
-    fn reach_index(&self, alpha: f64) -> Arc<HierarchicalIndex> {
-        self.reach
-            .get_or_init(|| Arc::new(HierarchicalIndex::build(&self.g, alpha)))
-            .clone()
-    }
-}
-
 /// A mixed-workload query engine over a live-updatable graph.
 ///
 /// The engine serves from an [`Epoch`]: an immutable snapshot holding the
@@ -448,20 +301,21 @@ impl Epoch {
 /// [`HierarchicalIndex`] (§5.1), each built lazily on the first query of
 /// its class and reused by every subsequent query — the "once for all
 /// queries" amortization the paper's offline/online split calls for (§3,
-/// Remarks). [`Engine::apply_deltas`] applies a [`DeltaBatch`], rebuilds
-/// whichever indexes the old epoch had materialized, and swaps the new
-/// epoch in behind a short write lock; queries already running keep their
-/// pinned old epoch and drain untouched.
+/// Remarks). [`Engine::apply_deltas`] applies a [`rbq_graph::DeltaBatch`],
+/// rebuilds whichever indexes the old epoch had materialized, and swaps the
+/// new epoch in behind a short write lock; queries already running keep
+/// their pinned old epoch and drain untouched.
 pub struct Engine {
     cfg: EngineConfig,
-    epoch: RwLock<Arc<Epoch>>,
-    cache: Mutex<ReductionCache>,
+    pub(crate) epoch: RwLock<Arc<Epoch>>,
+    pub(crate) cache: Mutex<ReductionCache>,
     totals: Mutex<EngineStats>,
-    /// Durable-state handle (WAL appender + snapshot directory), present
-    /// when durability is enabled. Held across the append inside
-    /// [`Engine::apply_deltas`] so concurrent appliers serialize on the
-    /// log.
-    durability: Mutex<Option<Durability>>,
+    /// The writer lock, and the durable state (WAL appender + snapshot
+    /// directory, present when durability is enabled) it guards. One
+    /// [`Engine::apply_deltas`] holds it from the epoch pin to the install
+    /// and checkpoint, so appliers run one at a time; queries never take
+    /// it.
+    pub(crate) writer: Mutex<Option<Durability>>,
     /// Warm per-worker evaluation scratches. Each batch worker checks one
     /// out for its whole run (no contention on the hot path) and returns
     /// it afterwards, so steady-state serving reuses warm buffers across
@@ -490,21 +344,26 @@ impl Engine {
             // constructing an engine.
             panic!("invalid engine config: {e}");
         }
-        let cache = Mutex::new(ReductionCache::new(cfg.cache_capacity));
+        Engine::over(Arc::new(Epoch::new(g, 0)), cfg)
+    }
+
+    /// An engine serving `epoch` under an already validated `cfg`, with an
+    /// empty cache and no durable state.
+    pub(crate) fn over(epoch: Arc<Epoch>, cfg: EngineConfig) -> Self {
         Engine {
-            epoch: RwLock::new(Arc::new(Epoch::new(g, 0))),
+            epoch: RwLock::new(epoch),
+            cache: Mutex::new(ReductionCache::new(cfg.cache_capacity)),
             cfg,
-            cache,
             totals: Mutex::new(EngineStats::default()),
             scratches: Mutex::new(Vec::new()),
-            durability: Mutex::new(None),
+            writer: Mutex::new(None),
         }
     }
 
     /// Pin the current epoch. Everything a query touches comes from this
     /// one snapshot, so a mid-query [`Engine::apply_deltas`] cannot mix
     /// old-graph and new-graph state inside a single evaluation.
-    fn pin(&self) -> Arc<Epoch> {
+    pub(crate) fn pin(&self) -> Arc<Epoch> {
         relock_read(&self.epoch).clone()
     }
 
@@ -531,14 +390,12 @@ impl Engine {
         reach: Option<Arc<HierarchicalIndex>>,
     ) -> Self {
         let e = Engine::new(g, cfg);
-        {
-            let ep = relock_read(&e.epoch);
-            if let Some(n) = neighbor {
-                let _ = ep.nbr.set(n);
-            }
-            if let Some(r) = reach {
-                let _ = ep.reach.set(r);
-            }
+        let ep = e.pin();
+        if let Some(n) = neighbor {
+            let _ = ep.nbr.set(n);
+        }
+        if let Some(r) = reach {
+            let _ = ep.reach.set(r);
         }
         e
     }
@@ -585,133 +442,6 @@ impl Engine {
             b = b.with_visit_coefficient(c);
         }
         b
-    }
-
-    /// Apply a delta batch: materialize the post-delta graph (CSR overlay,
-    /// compacting past the churn threshold), rebuild whichever indexes the
-    /// current epoch had built — off the serving path, on scoped worker
-    /// threads — then swap the new epoch in and evict cache entries whose
-    /// labels the delta touched.
-    ///
-    /// Queries running concurrently finish on the epoch they pinned at
-    /// entry; queries arriving after the swap see the new graph and a new
-    /// generation, so no post-mutation lookup can surface a pre-mutation
-    /// cached answer.
-    ///
-    /// When durability is enabled ([`Engine::enable_durability`]), the
-    /// batch is appended to the WAL **and fsynced before the epoch swap**:
-    /// an append failure returns [`ApplyError::Durability`] with nothing
-    /// installed (the old epoch keeps serving), so no query ever observes
-    /// state that would not survive a crash. When the apply compacts (the
-    /// graph crate's churn threshold), the compacted graph is written as a
-    /// new snapshot and the log is rotated. A checkpoint failure also
-    /// surfaces as [`ApplyError::Durability`], but with the batch already
-    /// durable *and* installed — serving is consistent and recovery is
-    /// unaffected (the WAL still holds every batch); the caller may keep
-    /// serving and retry the checkpoint via a later compacting batch.
-    pub fn apply_deltas(&self, batch: &DeltaBatch) -> Result<DeltaReport, ApplyError> {
-        let ep = self.pin();
-        let (g2, report) = ep.g.apply_delta(batch)?;
-        let g2 = Arc::new(g2);
-        // Durability barrier, before any index build or swap: hold the
-        // handle across the append so concurrent appliers serialize on
-        // the log in the same order their epochs install.
-        {
-            let mut slot = relock(&self.durability);
-            if let Some(d) = slot.as_mut() {
-                d.append(batch)?;
-            }
-        }
-        // Rebuild only what the old epoch had paid for; indexes never
-        // queried stay lazy in the new epoch too.
-        let rebuild_nbr = ep.nbr.get().is_some();
-        let rebuild_reach = ep.reach.get().is_some();
-        let (nbr, reach) = std::thread::scope(|s| {
-            let hn = rebuild_nbr.then(|| s.spawn(|| Arc::new(NeighborIndex::build(&g2))));
-            let hr = rebuild_reach
-                .then(|| s.spawn(|| Arc::new(HierarchicalIndex::build(&g2, self.cfg.reach_alpha))));
-            // A panicked rebuild worker degrades to lazy rebuild: the new
-            // epoch's `OnceLock` slot simply stays unset, and the next
-            // query that needs the index builds it inside the per-query
-            // panic containment (a deterministic failure settles as
-            // `Answer::Failed`, never an abort). The delta itself already
-            // applied, so the swap must still happen.
-            (
-                hn.and_then(|h| h.join().ok()),
-                hr.and_then(|h| h.join().ok()),
-            )
-        });
-        self.install_graph(g2.clone(), nbr, reach, &report.touched_labels);
-        if report.compacted {
-            // The apply already paid for a full compaction; fold it into a
-            // snapshot and rotate the log so recovery replays a short WAL.
-            let mut slot = relock(&self.durability);
-            if let Some(d) = slot.as_mut() {
-                d.checkpoint(&g2)?;
-            }
-        }
-        Ok(report)
-    }
-
-    /// Enable durability: initialize `cfg.dir` with a snapshot of the
-    /// *current* graph and a fresh WAL, then persist every subsequent
-    /// [`Engine::apply_deltas`] batch. Replaces any previous contents of
-    /// the directory (to resume an existing directory instead, use
-    /// [`Engine::recover`]).
-    pub fn enable_durability(&self, cfg: &DurabilityConfig) -> Result<(), DurabilityError> {
-        let d = Durability::create(&cfg.dir, &self.pin().g)?;
-        *relock(&self.durability) = Some(d);
-        Ok(())
-    }
-
-    /// Whether durability is currently enabled.
-    pub fn durability_enabled(&self) -> bool {
-        relock(&self.durability).is_some()
-    }
-
-    /// Recover an engine from a durability directory: load the snapshot,
-    /// replay the WAL's valid prefix (skipping records the snapshot
-    /// already covers, truncating a torn tail, quarantining corruption —
-    /// see [`crate::durability`]), and serve the result with durability
-    /// enabled for further ingest.
-    pub fn recover(
-        dir: &std::path::Path,
-        cfg: EngineConfig,
-    ) -> Result<(Engine, RecoveryReport), DurabilityError> {
-        let (g, d, report) = Durability::recover(dir)?;
-        let engine = Engine::new(Arc::new(g), cfg);
-        *relock(&engine.durability) = Some(d);
-        Ok((engine, report))
-    }
-
-    /// Install a pre-built successor graph (and any pre-built indexes) as
-    /// the next epoch, bumping the generation and eagerly evicting cache
-    /// entries whose labels intersect `touched_labels` (sorted strings).
-    ///
-    /// This is the router's entry point: it applies one delta and builds
-    /// each index once, then installs the shared result into every shard
-    /// engine instead of paying k rebuilds via [`Engine::apply_deltas`].
-    pub fn install_graph(
-        &self,
-        g: Arc<Graph>,
-        neighbor: Option<Arc<NeighborIndex>>,
-        reach: Option<Arc<HierarchicalIndex>>,
-        touched_labels: &[String],
-    ) {
-        {
-            let mut slot = relock_write(&self.epoch);
-            let next = Epoch::new(g, slot.generation + 1);
-            if let Some(n) = neighbor {
-                let _ = next.nbr.set(n);
-            }
-            if let Some(r) = reach {
-                let _ = next.reach.set(r);
-            }
-            *slot = Arc::new(next);
-        }
-        // Outside the epoch lock: eviction is reclamation, not correctness
-        // (the generation bump already orphaned every old entry).
-        relock(&self.cache).evict_touching(touched_labels);
     }
 
     /// Lifetime statistics across every batch and single query served.
@@ -1087,20 +817,11 @@ impl Engine {
             hit_budget: ans.hit_budget,
         };
         let visits = ans.visits.total();
-        // The eviction signal for delta ingest: which label strings this
-        // pattern mentions (sorted, deduplicated). Cold path only.
-        let mut labels: Vec<String> = canon
-            .nodes()
-            .map(|u| canon.label_str(u).to_string())
-            .collect();
-        labels.sort_unstable();
-        labels.dedup();
         relock(&self.cache).insert(
             key,
             CachedAnswer {
                 answer: answer.clone(),
                 visits,
-                labels,
             },
         );
         QueryResult {
@@ -1157,21 +878,23 @@ pub fn settle_aggregate(results: &mut [QueryResult], budget: Option<usize>) -> A
 }
 
 /// Lock a mutex, recovering the guard if a past panic poisoned it. Every
-/// structure the engine guards this way (cache, stats, scratch pool) keeps
-/// its own invariants across a panic — the poison flag adds no safety.
-fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// structure the engine guards this way (cache, stats, scratch pool, the
+/// writer's durable state — a WAL writer a panic unwound through refuses
+/// further appends by itself) keeps its own invariants across a panic —
+/// the poison flag adds no safety.
+pub(crate) fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Read-lock an `RwLock`, recovering the guard if a past panic poisoned
 /// it. The engine's only `RwLock` guards the epoch `Arc` swap, which is
 /// consistent under any poison history.
-fn relock_read<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
+pub(crate) fn relock_read<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Write-lock an `RwLock`, recovering from poisoning (see [`relock_read`]).
-fn relock_write<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
+pub(crate) fn relock_write<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -1211,7 +934,7 @@ fn estimate_cost(q: &Query, g: &Graph, budget: &ResourceBudget) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbq_graph::GraphBuilder;
+    use rbq_graph::{DeltaBatch, GraphBuilder};
     use rbq_pattern::pattern::fig1_pattern;
 
     fn fig1_graph() -> Arc<Graph> {
@@ -1377,31 +1100,39 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_at_build() {
-        let cfg = EngineConfig::builder()
-            .pattern_alpha(0.5)
-            .reach_alpha(0.2)
-            .threads(3)
-            .cache_capacity(16)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.pattern_budget, BudgetSpec::Ratio(0.5));
-        assert_eq!(cfg.threads, 3);
-
+    fn validate_rejects_out_of_range_knobs() {
+        let ok = EngineConfig {
+            pattern_budget: BudgetSpec::Ratio(0.5),
+            reach_alpha: 0.2,
+            threads: 3,
+            cache_capacity: 16,
+            ..Default::default()
+        };
+        assert!(ok.validate().is_ok());
         assert!(matches!(
-            EngineConfig::builder().pattern_alpha(2.0).build(),
+            EngineConfig {
+                pattern_budget: BudgetSpec::Ratio(2.0),
+                ..Default::default()
+            }
+            .validate(),
             Err(EngineError::InvalidAlpha {
                 what: "pattern alpha",
                 ..
             })
         ));
+        // 0 threads is "available parallelism", not an error.
+        assert!(EngineConfig {
+            threads: 0,
+            ..Default::default()
+        }
+        .validate()
+        .is_ok());
         assert!(matches!(
-            EngineConfig::builder().threads(0).build(),
-            Err(EngineError::InvalidThreads)
-        ));
-        assert!(EngineConfig::builder().auto_threads().build().is_ok());
-        assert!(matches!(
-            EngineConfig::builder().visit_coefficient(-1.0).build(),
+            EngineConfig {
+                visit_coefficient: Some(-1.0),
+                ..Default::default()
+            }
+            .validate(),
             Err(EngineError::InvalidVisitCoefficient(_))
         ));
     }
@@ -1514,12 +1245,18 @@ mod tests {
         assert_eq!(after.visits, fresh.visits);
     }
 
+    /// A delta over labels the pattern never mentions, to show that the
+    /// cache rules below do not depend on what the delta touched.
+    fn zebra_batch(n: u32) -> DeltaBatch {
+        let mut batch = DeltaBatch::new();
+        let x = batch.add_node("Zebra");
+        let y = batch.add_node("Zebra");
+        batch.add_edge(NodeId(n + x as u32), NodeId(n + y as u32));
+        batch
+    }
+
     #[test]
     fn post_mutation_lookup_never_serves_pre_mutation_answer() {
-        // The adversarial case for the label heuristic: a delta whose
-        // touched labels are DISJOINT from the pattern's, so eager
-        // eviction keeps the stale entry in the map. The generation stamp
-        // must still make it unreachable.
         let g = fig1_graph();
         let engine = Engine::new(
             g,
@@ -1535,47 +1272,55 @@ mod tests {
         assert!(!first.cached);
         assert_eq!(engine.cache_len(), 1);
 
-        let mut batch = DeltaBatch::new();
-        let x = batch.add_node("Zebra");
-        let y = batch.add_node("Zebra");
-        batch.add_edge(NodeId(4 + x as u32), NodeId(4 + y as u32));
-        let report = engine.apply_deltas(&batch).unwrap();
+        let report = engine.apply_deltas(&zebra_batch(4)).unwrap();
         assert_eq!(report.touched_labels, vec!["Zebra".to_string()]);
-        // Disjoint labels: the stale entry survives eviction...
-        assert_eq!(engine.cache_len(), 1);
+        assert_eq!(engine.cache_len(), 0);
 
-        // ...but is unreachable: the lookup misses and recomputes on the
-        // new graph, then both generations coexist keyed apart.
+        // The lookup misses and recomputes on the new graph.
         let second = engine.run(&q);
         assert!(!second.cached, "stale pre-mutation entry must not serve");
-        assert_eq!(engine.cache_len(), 2);
+        assert_eq!(engine.cache_len(), 1);
         assert_eq!(first.answer, second.answer); // answer unaffected here
         let third = engine.run(&q);
         assert!(third.cached, "new-generation entry is hittable");
+
+        // In flight across the swap: a query pinned before the install
+        // inserts after it, past the clear. Its entry carries the old
+        // generation, so the next lookup still misses.
+        let pinned = engine.pin();
+        engine.apply_deltas(&zebra_batch(6)).unwrap();
+        assert_eq!(engine.cache_len(), 0);
+        let mut scratch = engine.take_scratch();
+        let (late, _, _) = engine.run_one(&pinned, &q, &mut scratch, None, 0);
+        assert!(!late.cached);
+        assert_eq!(engine.cache_len(), 1, "the in-flight query inserted");
+        let fourth = engine.run(&q);
+        assert!(!fourth.cached, "old-generation insert must not serve");
+        assert_eq!(engine.cache_len(), 2);
     }
 
     #[test]
-    fn apply_deltas_evicts_touching_entries() {
-        let g = fig1_graph();
-        let engine = Engine::new(
-            g,
-            EngineConfig {
-                threads: 1,
-                ..cfg()
-            },
-        );
+    fn apply_deltas_reclaims_the_whole_cache() {
         let q = Query::PatternSim {
             pattern: fig1_pattern(),
         };
-        engine.run(&q);
-        assert_eq!(engine.cache_len(), 1);
-
-        // Touches "CL" (an endpoint label of the removed edge), which the
-        // fig. 1 pattern mentions: the entry is reclaimed eagerly.
-        let mut batch = DeltaBatch::new();
-        batch.remove_edge(NodeId(2), NodeId(3));
-        engine.apply_deltas(&batch).unwrap();
-        assert_eq!(engine.cache_len(), 0);
+        // Touches "CL", which the fig. 1 pattern mentions — and then a
+        // batch whose labels it does not: either way nothing is kept.
+        let mut touching = DeltaBatch::new();
+        touching.remove_edge(NodeId(2), NodeId(3));
+        for batch in [touching, zebra_batch(4)] {
+            let engine = Engine::new(
+                fig1_graph(),
+                EngineConfig {
+                    threads: 1,
+                    ..cfg()
+                },
+            );
+            engine.run(&q);
+            assert_eq!(engine.cache_len(), 1);
+            engine.apply_deltas(&batch).unwrap();
+            assert_eq!(engine.cache_len(), 0);
+        }
     }
 
     #[test]

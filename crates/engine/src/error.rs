@@ -107,8 +107,6 @@ pub enum EngineError {
     },
     /// The visit coefficient is not positive and finite.
     InvalidVisitCoefficient(f64),
-    /// An explicit thread count of zero (use auto, or give `>= 1`).
-    InvalidThreads,
     /// A query line failed to parse or serialize.
     Parse(QueryParseError),
     /// A pattern failed to resolve against the graph.
@@ -123,9 +121,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::InvalidVisitCoefficient(c) => {
                 write!(f, "visit coefficient must be positive, got {c}")
-            }
-            EngineError::InvalidThreads => {
-                write!(f, "thread count must be >= 1 (omit for auto)")
             }
             EngineError::Parse(e) => write!(f, "{e}"),
             EngineError::Resolve(e) => write!(f, "{e}"),

@@ -21,10 +21,14 @@
 //!   pattern signature ([`canonical`]) and graph generation, so repeated
 //!   or isomorphic queries reuse their `G_Q` answer byte-for-byte and no
 //!   post-mutation lookup can surface a pre-mutation answer;
-//! * **live updates** ([`Engine::apply_deltas`]): a
+//! * **live updates** ([`Engine::apply_deltas`], [`ingest`]): a
 //!   [`rbq_graph::DeltaBatch`] swaps in a new epoch — graph plus rebuilt
 //!   indexes — while in-flight queries drain on the old one, with a
-//!   versioned `#rbq-deltas` wire format ([`wire::parse_delta_file`]);
+//!   versioned `#rbq-deltas` wire format ([`wire::parse_delta_file`]).
+//!   [`ingest`] is the only write path in the workspace: apply → WAL
+//!   append + fsync ([`durability`]) → index rebuild → install →
+//!   checkpoint, under one writer lock, for a single engine or — with
+//!   [`Engine::replica`]s as followers — for every shard of a router;
 //! * a work-stealing batch scheduler ([`Engine::run_batch`]):
 //!   `std::thread::scope` workers claim queries off a shared atomic
 //!   cursor, answers return in input order and are identical for any
@@ -36,15 +40,16 @@ pub mod canonical;
 pub mod durability;
 pub mod engine;
 pub mod error;
+pub mod ingest;
 pub mod query;
 pub mod wire;
 
 pub use cache::{CacheKey, CachedAnswer, ReductionCache};
 pub use canonical::canonical_pattern;
-pub use durability::{ApplyError, Durability, DurabilityConfig, DurabilityError, RecoveryReport};
+pub use durability::{ApplyError, Durability, DurabilityError, RecoveryReport};
 pub use engine::{
     settle_aggregate, AdmissionPolicy, AggregateSettlement, BatchReport, BudgetSpec, ClassStats,
-    Engine, EngineConfig, EngineConfigBuilder, EngineStats,
+    Engine, EngineConfig, EngineStats,
 };
 pub use error::{EngineError, QueryParseError};
 pub use query::{Answer, Query, QueryClass, QueryResult};

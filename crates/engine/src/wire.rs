@@ -49,22 +49,51 @@ pub struct QueryFile {
     pub headerless: bool,
 }
 
-/// Parse the version token of a `#rbq-<kind> v<N>` header line.
-fn parse_header_version(line: &str, kind: &str) -> Result<u32, QueryParseError> {
-    let rest = line
-        .strip_prefix(&format!("#rbq-{kind}"))
-        // invariant: both callers dispatch on `line.starts_with` the same
-        // prefix immediately before calling, so the strip cannot fail.
-        .expect("caller checked prefix")
-        .trim();
-    let v: u32 = rest
-        .strip_prefix('v')
+/// Parse the version token that follows `#rbq-<kind>` on a header line.
+fn parse_header_version(rest: &str) -> Result<u32, QueryParseError> {
+    let rest = rest.trim();
+    rest.strip_prefix('v')
         .and_then(|n| n.parse().ok())
-        .ok_or_else(|| QueryParseError::UnsupportedVersion(rest.to_owned()))?;
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&v) {
-        return Err(QueryParseError::UnsupportedVersion(rest.to_owned()));
+        .filter(|v| (MIN_WIRE_VERSION..=WIRE_VERSION).contains(v))
+        .ok_or_else(|| QueryParseError::UnsupportedVersion(rest.to_owned()))
+}
+
+/// The loop every `#rbq-<kind>` file shares: skip blank lines and `#`
+/// comments, read the header if it comes before the first payload line (a
+/// header anywhere else is a stray comment), hand each payload line to
+/// `item`, and tag any error with its 1-based line number. Returns the
+/// declared version (1 when headerless) and whether payload arrived with
+/// no header before it.
+fn parse_lines(
+    text: &str,
+    kind: &str,
+    mut item: impl FnMut(&str) -> Result<(), QueryParseError>,
+) -> Result<(u32, bool), QueryParseError> {
+    let header = format!("#rbq-{kind}");
+    let mut version = None;
+    let mut items = 0usize;
+    for (i, raw) in text.lines().enumerate() {
+        let line = raw.trim();
+        if line.is_empty() {
+            continue;
+        }
+        let parsed = if !line.starts_with('#') {
+            items += 1;
+            item(line)
+        } else {
+            match line.strip_prefix(&header) {
+                Some(rest) if version.is_none() && items == 0 => {
+                    parse_header_version(rest).map(|v| version = Some(v))
+                }
+                _ => Ok(()),
+            }
+        };
+        parsed.map_err(|e| QueryParseError::AtLine(i + 1, Box::new(e)))?;
     }
-    Ok(v)
+    Ok((
+        version.unwrap_or(MIN_WIRE_VERSION),
+        version.is_none() && items > 0,
+    ))
 }
 
 /// Parse a whole query file (see [`QUERY_FILE_HEADER`]).
@@ -73,37 +102,14 @@ fn parse_header_version(line: &str, kind: &str) -> Result<u32, QueryParseError> 
 /// [`QueryParseError::AtLine`].
 pub fn parse_query_file(text: &str) -> Result<QueryFile, QueryParseError> {
     let mut queries = Vec::new();
-    let mut version = None;
-    let mut headerless = false;
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with('#') {
-            if line.starts_with("#rbq-queries") {
-                if version.is_some() || !queries.is_empty() {
-                    // A header anywhere but the top is a stray comment.
-                    continue;
-                }
-                version = Some(
-                    parse_header_version(line, "queries")
-                        .map_err(|e| QueryParseError::AtLine(i + 1, Box::new(e)))?,
-                );
-            }
-            continue;
-        }
-        if version.is_none() && queries.is_empty() {
-            headerless = true;
-        }
-        queries.push(
-            Query::parse_line(line).map_err(|e| QueryParseError::AtLine(i + 1, Box::new(e)))?,
-        );
-    }
+    let (version, headerless) = parse_lines(text, "queries", |line| {
+        queries.push(Query::parse_line(line)?);
+        Ok(())
+    })?;
     Ok(QueryFile {
         queries,
-        version: version.unwrap_or(MIN_WIRE_VERSION),
-        headerless: headerless && version.is_none(),
+        version,
+        headerless,
     })
 }
 
@@ -256,32 +262,14 @@ pub struct AnswerFile {
 /// Parse a whole answer file (see [`ANSWER_FILE_HEADER`]).
 pub fn parse_answer_file(text: &str) -> Result<AnswerFile, QueryParseError> {
     let mut answers = Vec::new();
-    let mut version = None;
-    let mut headerless = false;
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with('#') {
-            if line.starts_with("#rbq-answers") && version.is_none() && answers.is_empty() {
-                version = Some(
-                    parse_header_version(line, "answers")
-                        .map_err(|e| QueryParseError::AtLine(i + 1, Box::new(e)))?,
-                );
-            }
-            continue;
-        }
-        if version.is_none() && answers.is_empty() {
-            headerless = true;
-        }
-        answers
-            .push(answer_from_line(line).map_err(|e| QueryParseError::AtLine(i + 1, Box::new(e)))?);
-    }
+    let (version, headerless) = parse_lines(text, "answers", |line| {
+        answers.push(answer_from_line(line)?);
+        Ok(())
+    })?;
     Ok(AnswerFile {
         answers,
-        version: version.unwrap_or(MIN_WIRE_VERSION),
-        headerless: headerless && version.is_none(),
+        version,
+        headerless,
     })
 }
 
@@ -377,39 +365,20 @@ pub fn delta_op_from_line(line: &str) -> Result<DeltaOp, QueryParseError> {
 /// [`QueryParseError::AtLine`].
 pub fn parse_delta_file(text: &str) -> Result<DeltaFile, QueryParseError> {
     let mut batch = DeltaBatch::new();
-    let mut version = None;
-    let mut headerless = false;
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with('#') {
-            if line.starts_with("#rbq-deltas") && version.is_none() && batch.is_empty() {
-                version = Some(
-                    parse_header_version(line, "deltas")
-                        .map_err(|e| QueryParseError::AtLine(i + 1, Box::new(e)))?,
-                );
-            }
-            continue;
-        }
-        if version.is_none() && batch.is_empty() {
-            headerless = true;
-        }
-        let op =
-            delta_op_from_line(line).map_err(|e| QueryParseError::AtLine(i + 1, Box::new(e)))?;
-        match op {
+    let (version, headerless) = parse_lines(text, "deltas", |line| {
+        match delta_op_from_line(line)? {
             DeltaOp::AddNode(label) => {
                 batch.add_node(&label);
             }
             DeltaOp::AddEdge(u, v) => batch.add_edge(u, v),
             DeltaOp::RemoveEdge(u, v) => batch.remove_edge(u, v),
         }
-    }
+        Ok(())
+    })?;
     Ok(DeltaFile {
         batch,
-        version: version.unwrap_or(MIN_WIRE_VERSION),
-        headerless: headerless && version.is_none(),
+        version,
+        headerless,
     })
 }
 

@@ -77,14 +77,6 @@ impl GraphBuilder {
         self.node_labels.len()
     }
 
-    /// Number of `add_edge` calls so far — **before** deduplication, so
-    /// this can exceed the built graph's [`Graph::edge_count`] when
-    /// parallel edges were added. Use only for capacity hints and
-    /// progress reporting, never as `|E|`.
-    pub fn added_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Access the interner built so far.
     pub fn labels(&self) -> &LabelInterner {
         &self.labels
@@ -162,26 +154,11 @@ mod tests {
         let g = graph_from_edges(&["A", "B"], &[(0, 1), (0, 1), (0, 1)]);
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.out(NodeId(0)), &[NodeId(1)]);
-    }
-
-    #[test]
-    fn added_edge_count_is_pre_dedup() {
-        // Regression: the builder's count is add_edge calls, NOT |E|.
-        // Parallel edges and repeated self-loops must collapse in the
-        // built graph while the builder keeps the raw tally.
-        let mut b = GraphBuilder::new();
-        let a = b.add_node("A");
-        let c = b.add_node("B");
-        b.add_edge(a, c);
-        b.add_edge(a, c);
-        b.add_edge(c, c);
-        b.add_edge(c, c);
-        assert_eq!(b.added_edge_count(), 4);
-        let g = b.build();
+        // Repeated self-loops collapse too, on both adjacency sides.
+        let g = graph_from_edges(&["A", "B"], &[(0, 1), (0, 1), (1, 1), (1, 1)]);
         assert_eq!(g.edge_count(), 2);
-        assert_eq!(g.out(a), &[c]);
-        assert_eq!(g.out(c), &[c]);
-        assert_eq!(g.inn(c), &[a, c]);
+        assert_eq!(g.out(NodeId(1)), &[NodeId(1)]);
+        assert_eq!(g.inn(NodeId(1)), &[NodeId(0), NodeId(1)]);
     }
 
     #[test]

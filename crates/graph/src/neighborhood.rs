@@ -270,15 +270,6 @@ pub fn ball<'g>(g: &'g Graph, v: NodeId, r: usize) -> (InducedSubgraph<'g>, Visi
     (InducedSubgraph::new(g, dist.into_keys()), stats)
 }
 
-/// Size `|G_r(v)| = |N_r(v)| + |E(G_r(v))|` without retaining the subgraph.
-/// Used by the experiment harness to report the Table-2 ratios
-/// `α|G| / |G_dQ(v_p)|`.
-pub fn ball_size(g: &Graph, v: NodeId, r: usize) -> usize {
-    use crate::view::GraphView;
-    let (b, _) = ball(g, v, r);
-    b.size()
-}
-
 /// The diameter of `g` viewed as an *undirected* graph: the longest shortest
 /// path between any connected pair (unreachable pairs are ignored).
 ///
@@ -347,13 +338,6 @@ mod tests {
         // N_1(0) = {0,1,2}; induced edges: 0->1, 1->2, 0->2.
         assert_eq!(b.num_nodes(), 3);
         assert_eq!(b.num_edges(), 3);
-    }
-
-    #[test]
-    fn ball_size_matches_ball() {
-        let g = chain();
-        let (b, _) = ball(&g, NodeId(1), 2);
-        assert_eq!(ball_size(&g, NodeId(1), 2), b.size());
     }
 
     #[test]

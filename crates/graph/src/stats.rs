@@ -9,7 +9,6 @@
 //! * `d` — diameter of the query as an undirected graph,
 //! * `d_G` — max node degree (the visiting coefficient `c`).
 
-use crate::graph::Graph;
 use crate::types::Label;
 use crate::view::GraphView;
 use rustc_hash::FxHashMap;
@@ -79,54 +78,6 @@ pub fn distinct_labels<V: GraphView + ?Sized>(g: &V) -> usize {
     label_histogram(g).len()
 }
 
-/// The per-node neighbor-label summary `S_l` of §4.1: for node `v`, pairs
-/// `(ℓ, g)` where `g` counts occurrences of label `ℓ` among `N(v)` (parents
-/// and children pooled), plus the degree `d(v)`.
-///
-/// This is the once-for-all offline structure Example 3 computes; it backs
-/// the guarded-condition checks of the dynamic reduction.
-#[derive(Debug, Clone, Default)]
-pub struct NeighborLabelSummary {
-    /// `(label, occurrence count)` pairs, sorted by label id.
-    pub label_counts: Vec<(Label, u32)>,
-    /// Total degree `d(v) = |N(v)|` counting multiplicity.
-    pub degree: u32,
-}
-
-impl NeighborLabelSummary {
-    /// Occurrences of `l` among the node's neighbors.
-    pub fn count(&self, l: Label) -> u32 {
-        match self.label_counts.binary_search_by_key(&l, |&(x, _)| x) {
-            Ok(i) => self.label_counts[i].1,
-            Err(_) => 0,
-        }
-    }
-
-    /// Whether any neighbor carries label `l`.
-    pub fn has(&self, l: Label) -> bool {
-        self.count(l) > 0
-    }
-}
-
-/// Compute [`NeighborLabelSummary`] for every node of `g` in one pass.
-pub fn neighbor_label_summaries(g: &Graph) -> Vec<NeighborLabelSummary> {
-    let mut out = Vec::with_capacity(g.node_count());
-    let mut counts: FxHashMap<Label, u32> = FxHashMap::default();
-    for v in g.nodes() {
-        counts.clear();
-        for &w in g.out(v).iter().chain(g.inn(v)) {
-            *counts.entry(g.node_label(w)).or_insert(0) += 1;
-        }
-        let mut label_counts: Vec<(Label, u32)> = counts.iter().map(|(&l, &c)| (l, c)).collect();
-        label_counts.sort_unstable_by_key(|&(l, _)| l);
-        out.push(NeighborLabelSummary {
-            label_counts,
-            degree: (g.deg(v)) as u32,
-        });
-    }
-    out
-}
-
 /// Theorem 3(b)'s minimum exact-answer ratio
 /// `α_min = 2((l·f)^d − 1) / ((l·f − 1)·|G|)`, computed with saturating
 /// arithmetic in `f64` (the bound explodes quickly; callers compare it to a
@@ -149,6 +100,7 @@ pub fn theorem3_alpha_bound(l: usize, f: usize, d: usize, graph_size: usize) -> 
 mod tests {
     use super::*;
     use crate::builder::graph_from_edges;
+    use crate::graph::Graph;
     use crate::types::NodeId;
 
     fn sample() -> Graph {
@@ -179,29 +131,6 @@ mod tests {
         let b = g.labels().get("B").unwrap();
         assert_eq!(h[&b], 2);
         assert_eq!(distinct_labels(&g), 3);
-    }
-
-    #[test]
-    fn neighbor_summaries_match_example3_shape() {
-        let g = sample();
-        let sums = neighbor_label_summaries(&g);
-        let s0 = &sums[0];
-        assert_eq!(s0.degree, 4);
-        let b = g.labels().get("B").unwrap();
-        let c = g.labels().get("C").unwrap();
-        let a = g.labels().get("A").unwrap();
-        assert_eq!(s0.count(b), 2);
-        // Node 3 appears twice in N(0): as child and as parent.
-        assert_eq!(s0.count(c), 2);
-        assert!(!s0.has(a));
-        assert!(s0.has(c));
-    }
-
-    #[test]
-    fn summary_count_missing_label_is_zero() {
-        let g = sample();
-        let sums = neighbor_label_summaries(&g);
-        assert_eq!(sums[1].count(Label(999)), 0);
     }
 
     #[test]

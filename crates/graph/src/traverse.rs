@@ -128,47 +128,6 @@ pub fn reaches(g: &Graph, s: NodeId, t: NodeId) -> (bool, VisitStats) {
     (false, stats)
 }
 
-/// Does `s` reach `t`, by bidirectional BFS (alternating frontier expansion
-/// from `s` forwards and `t` backwards)? Often far fewer visits than
-/// [`reaches`]; used as an optimized baseline.
-pub fn reaches_bidirectional(g: &Graph, s: NodeId, t: NodeId) -> (bool, VisitStats) {
-    let mut stats = VisitStats::default();
-    if s == t {
-        return (true, stats);
-    }
-    let mut fwd_seen = FxHashSet::default();
-    let mut bwd_seen = FxHashSet::default();
-    let mut fwd_frontier = vec![s];
-    let mut bwd_frontier = vec![t];
-    fwd_seen.insert(s);
-    bwd_seen.insert(t);
-
-    while !fwd_frontier.is_empty() && !bwd_frontier.is_empty() {
-        // Expand the smaller frontier.
-        let forward = fwd_frontier.len() <= bwd_frontier.len();
-        let (frontier, seen, other_seen, dir) = if forward {
-            (&mut fwd_frontier, &mut fwd_seen, &bwd_seen, Direction::Out)
-        } else {
-            (&mut bwd_frontier, &mut bwd_seen, &fwd_seen, Direction::In)
-        };
-        let mut next = Vec::new();
-        for &v in frontier.iter() {
-            stats.nodes += 1;
-            for &w in g.adj(v, dir) {
-                stats.edges += 1;
-                if other_seen.contains(&w) {
-                    return (true, stats);
-                }
-                if seen.insert(w) {
-                    next.push(w);
-                }
-            }
-        }
-        *frontier = next;
-    }
-    (false, stats)
-}
-
 /// Depth-first post-order of the whole graph following out-edges.
 ///
 /// Iterative (explicit stack) so million-node graphs don't overflow the call
@@ -267,31 +226,6 @@ mod tests {
         assert!(stats.total() > 0);
         // Early exit: finding 4 requires scanning edge 3->4 but not expanding 4.
         assert!(stats.nodes <= 4);
-    }
-
-    #[test]
-    fn bidirectional_agrees_with_bfs_on_cycle() {
-        let g = graph_from_edges(&["A"; 6], &[(0, 1), (1, 2), (2, 0), (2, 3), (4, 5)]);
-        for s in 0..6u32 {
-            for t in 0..6u32 {
-                let plain = reaches(&g, NodeId(s), NodeId(t)).0;
-                let bidi = reaches_bidirectional(&g, NodeId(s), NodeId(t)).0;
-                assert_eq!(plain, bidi, "disagree on {s}->{t}");
-            }
-        }
-    }
-
-    #[test]
-    fn bidirectional_visits_fewer_on_long_chain() {
-        let n = 200u32;
-        let labels = vec!["A"; n as usize];
-        let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
-        let g = graph_from_edges(&labels, &edges);
-        let (_, plain) = reaches(&g, NodeId(0), NodeId(n - 1));
-        let (ok, bidi) = reaches_bidirectional(&g, NodeId(0), NodeId(n - 1));
-        assert!(ok);
-        // On a chain both end up linear, but bidi must not be worse than ~2x.
-        assert!(bidi.total() <= plain.total() * 2 + 4);
     }
 
     #[test]

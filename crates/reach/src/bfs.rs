@@ -34,59 +34,6 @@ impl BfsOptIndex {
     }
 }
 
-/// One-shot `BFSOPT`: compress then query. Prefer building [`BfsOptIndex`]
-/// once when answering many queries.
-pub fn bfs_opt_query(g: &Graph, s: NodeId, t: NodeId) -> bool {
-    BfsOptIndex::build(g).query(s, t)
-}
-
-/// Budget-limited bidirectional BFS **without any index** — the strawman
-/// Theorem 2 rules out: it visits at most `budget` data units and answers
-/// `false` when the budget runs out before meeting. Sound (true ⇒ truly
-/// reachable) but its recall collapses on long paths, which is exactly why
-/// the paper builds the hierarchical index instead. Used as an extra
-/// ablation baseline against `RBReach` at equal budgets.
-pub fn bounded_reach(g: &Graph, s: NodeId, t: NodeId, budget: usize) -> (bool, VisitStats) {
-    use rbq_graph::types::Direction;
-    use rustc_hash::FxHashSet;
-    let mut stats = VisitStats::default();
-    if s == t {
-        return (true, stats);
-    }
-    let mut fwd_seen: FxHashSet<NodeId> = FxHashSet::default();
-    let mut bwd_seen: FxHashSet<NodeId> = FxHashSet::default();
-    let mut fwd = vec![s];
-    let mut bwd = vec![t];
-    fwd_seen.insert(s);
-    bwd_seen.insert(t);
-    while !fwd.is_empty() && !bwd.is_empty() {
-        let forward = fwd.len() <= bwd.len();
-        let (frontier, seen, other, dir) = if forward {
-            (&mut fwd, &mut fwd_seen, &bwd_seen, Direction::Out)
-        } else {
-            (&mut bwd, &mut bwd_seen, &fwd_seen, Direction::In)
-        };
-        let mut next = Vec::new();
-        for &v in frontier.iter() {
-            stats.nodes += 1;
-            for &w in g.adj(v, dir) {
-                stats.edges += 1;
-                if other.contains(&w) {
-                    return (true, stats);
-                }
-                if seen.insert(w) {
-                    next.push(w);
-                }
-                if stats.total() >= budget {
-                    return (false, stats);
-                }
-            }
-        }
-        *frontier = next;
-    }
-    (false, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,34 +59,8 @@ mod tests {
             for t in 0..8u32 {
                 let exact = bfs_query(&g, NodeId(s), NodeId(t)).0;
                 assert_eq!(idx.query(NodeId(s), NodeId(t)), exact, "{s}->{t}");
-                assert_eq!(bfs_opt_query(&g, NodeId(s), NodeId(t)), exact);
             }
         }
-    }
-
-    #[test]
-    fn bounded_reach_sound_and_budgeted() {
-        let n = 60u32;
-        let labels = vec!["A"; n as usize];
-        let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
-        let g = graph_from_edges(&labels, &edges);
-        // Big budget: finds the far pair.
-        let (ok, stats) = bounded_reach(&g, NodeId(0), NodeId(n - 1), 10_000);
-        assert!(ok);
-        assert!(stats.total() <= 10_000);
-        // Tiny budget: must give up (false negative), never a false
-        // positive, and must respect the budget.
-        let (ok, stats) = bounded_reach(&g, NodeId(0), NodeId(n - 1), 10);
-        assert!(!ok);
-        assert!(
-            stats.total() <= 11,
-            "visits {} exceed budget",
-            stats.total()
-        );
-        // Unreachable stays false at any budget.
-        assert!(!bounded_reach(&g, NodeId(n - 1), NodeId(0), 10_000).0);
-        // Trivial cases.
-        assert!(bounded_reach(&g, NodeId(5), NodeId(5), 1).0);
     }
 
     #[test]

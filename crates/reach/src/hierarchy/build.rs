@@ -249,16 +249,6 @@ impl HierarchicalIndex {
         self.visit_cap
     }
 
-    /// The DAG nodes serving as landmarks, in landmark-id order.
-    pub fn landmark_nodes(&self) -> Vec<NodeId> {
-        self.landmarks.iter().map(|l| l.node).collect()
-    }
-
-    /// The forest roots (landmark ids), for diagnostics.
-    pub fn root_count(&self) -> usize {
-        self.roots.len()
-    }
-
     /// Structural report of the index, for experiment logs and diagnostics.
     pub fn stats(&self) -> IndexStats {
         let levels = self.levels();

@@ -27,7 +27,7 @@ pub mod compress;
 pub mod hierarchy;
 pub mod landmark_vec;
 
-pub use bfs::{bfs_opt_query, bfs_query, bounded_reach, BfsOptIndex};
+pub use bfs::{bfs_query, BfsOptIndex};
 pub use compress::{compress_for_reachability, condense_only, CompressedGraph};
 pub use hierarchy::{HierarchicalIndex, IndexParams, IndexStats, ReachAnswer, SelectionStrategy};
 pub use landmark_vec::LandmarkVectors;

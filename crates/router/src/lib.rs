@@ -7,10 +7,14 @@
 //! serving-layer half of that remark — a [`Router`] fronting `k`
 //! cache-affine [`rbq_engine::Engine`] replicas over one shared graph:
 //!
-//! * every replica holds the same `Arc`'d graph and the same two offline
-//!   indexes, so any of them answers any query with byte-identical answers
-//!   and visit counts to a standalone engine; what differs between
-//!   replicas is only which answers their caches hold;
+//! * every replica serves the same epoch — one `Arc`'d graph and the same
+//!   two offline indexes — so any of them answers any query with
+//!   byte-identical answers and visit counts to a standalone engine; what
+//!   differs between replicas is only which answers their caches hold;
+//! * the router has no write path of its own: ingest, durability and
+//!   recovery are shard 0's ([`rbq_engine::ingest`]), with the other
+//!   shards following it through every batch, so a sharded deployment
+//!   fails, logs and recovers exactly as one engine does;
 //! * every query is routed to exactly one replica by a pure function of
 //!   its text and the label table — the [`Partitioner`] policy applied to
 //!   the label of the personalized node (patterns) or of the source node

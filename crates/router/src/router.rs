@@ -1,13 +1,12 @@
 //! The router: replica construction, per-query routing, deterministic merge.
 
 use crate::partitioner::Partitioner;
-use rbq_core::NeighborIndex;
 use rbq_engine::{
-    settle_aggregate, Answer, BatchReport, Durability, DurabilityConfig, DurabilityError, Engine,
-    EngineConfig, EngineError, EngineStats, Query, QueryResult, RecoveryReport,
+    settle_aggregate, Answer, ApplyError, BatchReport, DurabilityError, Engine, EngineConfig,
+    EngineError, EngineStats, Query, QueryResult, RecoveryReport,
 };
-use rbq_graph::{DeltaBatch, DeltaError, DeltaReport, Graph};
-use rbq_reach::HierarchicalIndex;
+use rbq_graph::{DeltaBatch, DeltaReport, Graph};
+use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -19,41 +18,18 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Errors constructing or operating a [`Router`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum RouterError {
     /// A shard count of zero.
     InvalidShards,
     /// The engine configuration was rejected (wrapped losslessly).
     Engine(EngineError),
-    /// A delta batch was rejected (wrapped losslessly).
-    Delta(DeltaError),
-    /// An offline index rebuild panicked during [`Router::apply_deltas`].
-    /// Nothing was installed: the router keeps serving its pre-delta
-    /// state. Carries the name of the structure whose rebuild failed.
-    RebuildFailed(&'static str),
-    /// Persisting a delta batch (or recovering durable state) failed
-    /// (wrapped losslessly; `Arc` because the underlying I/O error is not
-    /// `Clone`). On an append failure nothing was installed — the
-    /// pre-delta state keeps serving.
-    Durability(std::sync::Arc<DurabilityError>),
-}
-
-// Hand-written because `DurabilityError` wraps live `io::Error` values:
-// durability variants compare by rendered message, everything else
-// structurally (matching the former derive).
-impl PartialEq for RouterError {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (RouterError::InvalidShards, RouterError::InvalidShards) => true,
-            (RouterError::Engine(a), RouterError::Engine(b)) => a == b,
-            (RouterError::Delta(a), RouterError::Delta(b)) => a == b,
-            (RouterError::RebuildFailed(a), RouterError::RebuildFailed(b)) => a == b,
-            (RouterError::Durability(a), RouterError::Durability(b)) => {
-                a.to_string() == b.to_string()
-            }
-            _ => false,
-        }
-    }
+    /// [`Router::apply_deltas`] failed (wrapped losslessly): the engine's
+    /// one ingest policy decides what was and was not installed, see
+    /// [`ApplyError`].
+    Apply(ApplyError),
+    /// Seeding or recovering the durable state failed (wrapped losslessly).
+    Durability(DurabilityError),
 }
 
 impl std::fmt::Display for RouterError {
@@ -61,10 +37,7 @@ impl std::fmt::Display for RouterError {
         match self {
             RouterError::InvalidShards => write!(f, "shard count must be >= 1"),
             RouterError::Engine(e) => write!(f, "{e}"),
-            RouterError::Delta(e) => write!(f, "{e}"),
-            RouterError::RebuildFailed(what) => {
-                write!(f, "{what} rebuild panicked; pre-delta state still serving")
-            }
+            RouterError::Apply(e) => write!(f, "{e}"),
             RouterError::Durability(e) => write!(f, "{e}"),
         }
     }
@@ -73,10 +46,10 @@ impl std::fmt::Display for RouterError {
 impl std::error::Error for RouterError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            RouterError::InvalidShards => None,
             RouterError::Engine(e) => Some(e),
-            RouterError::Delta(e) => Some(e),
-            RouterError::Durability(e) => Some(e.as_ref()),
-            RouterError::InvalidShards | RouterError::RebuildFailed(_) => None,
+            RouterError::Apply(e) => Some(e),
+            RouterError::Durability(e) => Some(e),
         }
     }
 }
@@ -87,15 +60,15 @@ impl From<EngineError> for RouterError {
     }
 }
 
-impl From<DeltaError> for RouterError {
-    fn from(e: DeltaError) -> Self {
-        RouterError::Delta(e)
+impl From<ApplyError> for RouterError {
+    fn from(e: ApplyError) -> Self {
+        RouterError::Apply(e)
     }
 }
 
 impl From<DurabilityError> for RouterError {
     fn from(e: DurabilityError) -> Self {
-        RouterError::Durability(std::sync::Arc::new(e))
+        RouterError::Durability(e)
     }
 }
 
@@ -128,28 +101,25 @@ pub struct ShardReport {
 /// `Arc`-shared immutable structures, each query served by one of them.
 ///
 /// Construction pays the offline cost once — both offline indexes (§4.1
-/// neighbor index, §5.1 reachability index) are built eagerly and shared by
-/// every shard — so shards are cheap replicas and routing, a pure function
-/// of the query ([`Router::route`]), is the only per-query work the router
-/// adds. The router holds no per-node routing state.
+/// neighbor index, §5.1 reachability index) are built eagerly on shard 0
+/// and every other shard is a [`Engine::replica`] of it, serving the same
+/// epoch — so shards are cheap replicas and routing, a pure function of
+/// the query ([`Router::route`]), is the only per-query work the router
+/// adds. The router holds no per-node routing state, and no write path of
+/// its own: ingest, durability and recovery are shard 0's, with the other
+/// shards riding along as followers.
 pub struct Router {
+    /// The graph every shard serves, kept here so [`Router::route`] reads
+    /// labels without taking a shard's epoch lock.
     g: Arc<Graph>,
     policy: &'static dyn Partitioner,
+    /// `shards[0]` leads: it owns the durable state and is the template
+    /// for cold replicas; `shards[1..]` follow it through every ingest.
     shards: Vec<Engine>,
-    /// The shared offline structures and the per-shard configuration —
-    /// kept so a shard whose worker is lost mid-batch can be replaced by a
-    /// cold replica without re-paying any offline cost.
-    nbr: Arc<NeighborIndex>,
-    reach: Arc<HierarchicalIndex>,
-    shard_cfg: EngineConfig,
     /// The front-door aggregate budget; shard engines run unbudgeted and
     /// the router settles once, in input order.
     aggregate_visit_budget: Option<usize>,
     totals: Mutex<EngineStats>,
-    /// Durable-state handle when durability is enabled: the router owns
-    /// the WAL (one log for the whole deployment) and appends each batch
-    /// before any shard installs it.
-    durability: Option<Durability>,
 }
 
 impl Router {
@@ -168,141 +138,73 @@ impl Router {
         shards: usize,
         partitioner: &'static dyn Partitioner,
     ) -> Result<Router, RouterError> {
-        if shards == 0 {
-            return Err(RouterError::InvalidShards);
-        }
-        cfg.validate()?;
-
-        // Offline once, shared everywhere: identical Arc'd indexes are what
-        // make shard answers byte-identical to a standalone engine's.
-        let nbr = Arc::new(NeighborIndex::build(&g));
-        let reach = Arc::new(HierarchicalIndex::build(&g, cfg.reach_alpha));
-
-        let base_threads = if cfg.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            cfg.threads
-        };
-        let shard_cfg = EngineConfig {
-            aggregate_visit_budget: None,
-            threads: (base_threads / shards).max(1),
-            ..cfg.clone()
-        };
-        let engines = (0..shards)
-            .map(|_| {
-                Engine::with_indexes(
-                    g.clone(),
-                    shard_cfg.clone(),
-                    Some(nbr.clone()),
-                    Some(reach.clone()),
-                )
-            })
-            .collect();
-        Ok(Router {
-            g,
-            policy: partitioner,
-            shards: engines,
-            nbr,
-            reach,
-            shard_cfg,
-            aggregate_visit_budget: cfg.aggregate_visit_budget,
-            totals: Mutex::new(EngineStats::default()),
-            durability: None,
-        })
+        let lead = Engine::new(g, shard_config(&cfg, shards)?);
+        Ok(Router::over(lead, &cfg, shards, partitioner))
     }
 
-    /// Enable durability: initialize `cfg.dir` with a snapshot of the
-    /// *current* graph and a fresh WAL, then persist every subsequent
-    /// [`Router::apply_deltas`] batch — one log for the whole deployment,
-    /// appended and fsynced before any shard installs the new epoch.
-    /// Replaces any previous contents of the directory (to resume an
-    /// existing directory instead, use [`Router::recover`]).
-    pub fn enable_durability(&mut self, cfg: &DurabilityConfig) -> Result<(), RouterError> {
-        self.durability = Some(Durability::create(&cfg.dir, &self.g).map_err(RouterError::from)?);
-        Ok(())
-    }
-
-    /// Whether durability is currently enabled.
-    pub fn durability_enabled(&self) -> bool {
-        self.durability.is_some()
-    }
-
-    /// Recover a sharded deployment from a durability directory: load the
-    /// snapshot, replay the WAL's valid prefix (see
-    /// [`rbq_engine::durability`]), then build the router over the
-    /// recovered graph with durability enabled for further ingest.
+    /// Recover a sharded deployment from a durability directory: shard 0
+    /// recovers it ([`Engine::recover`]) and keeps logging further ingest
+    /// there; the other shards are built over the recovered state.
     pub fn recover(
-        dir: &std::path::Path,
+        dir: &Path,
         cfg: EngineConfig,
         shards: usize,
         partitioner: &'static dyn Partitioner,
     ) -> Result<(Router, RecoveryReport), RouterError> {
-        let (g, d, report) = Durability::recover(dir).map_err(RouterError::from)?;
-        let mut router = Router::new(Arc::new(g), cfg, shards, partitioner)?;
-        router.durability = Some(d);
-        Ok((router, report))
+        let (lead, report) = Engine::recover(dir, shard_config(&cfg, shards)?)?;
+        Ok((Router::over(lead, &cfg, shards, partitioner), report))
     }
 
-    /// Apply a delta batch to the whole sharded deployment.
-    ///
-    /// The delta is applied **once** and both offline indexes are rebuilt
-    /// **once** (concurrently, off the serving path); the shared result is
-    /// then installed into every shard engine — each bumps its generation
-    /// and evicts its touched cache entries. Routing needs no update: it is
-    /// a function of the query and the post-delta label table, so a node or
-    /// label the batch adds routes exactly as a fresh router would route
-    /// it. Batches already in flight on shard engines drain on their
-    /// pinned pre-delta epochs.
+    /// Build the deployment around its lead shard: pay for both offline
+    /// indexes once, then replicate — identical `Arc`'d indexes are what
+    /// make shard answers byte-identical to a standalone engine's.
+    fn over(
+        lead: Engine,
+        cfg: &EngineConfig,
+        shards: usize,
+        policy: &'static dyn Partitioner,
+    ) -> Router {
+        lead.neighbor_index();
+        lead.reach_index();
+        let followers: Vec<Engine> = (1..shards).map(|_| lead.replica()).collect();
+        Router {
+            g: lead.graph(),
+            policy,
+            shards: std::iter::once(lead).chain(followers).collect(),
+            aggregate_visit_budget: cfg.aggregate_visit_budget,
+            totals: Mutex::new(EngineStats::default()),
+        }
+    }
+
+    /// Enable durability on shard 0 ([`Engine::enable_durability`]): one
+    /// log for the whole deployment, appended and fsynced before any shard
+    /// installs the new epoch.
+    pub fn enable_durability(&self, dir: &Path) -> Result<(), RouterError> {
+        Ok(self.shards[0].enable_durability(dir)?)
+    }
+
+    /// Whether durability is currently enabled.
+    pub fn durability_enabled(&self) -> bool {
+        self.shards[0].durability_enabled()
+    }
+
+    /// Apply a delta batch to the whole sharded deployment: the engine's
+    /// ingest pipeline ([`Engine::apply_deltas_shared`]) led by shard 0
+    /// with every other shard as a follower — the delta applied, logged
+    /// and indexed **once**, the one new epoch installed on all shards or
+    /// on none. Routing needs no update: it is a function of the query and
+    /// the post-delta label table, so a node or label the batch adds
+    /// routes exactly as a fresh router would route it. Batches already in
+    /// flight on shard engines drain on their pinned pre-delta epochs.
     ///
     /// Requires `&mut self`: the graph swaps atomically with respect to
     /// [`Router::run_batch`] borrows.
     pub fn apply_deltas(&mut self, batch: &DeltaBatch) -> Result<DeltaReport, RouterError> {
-        let (g2, report) = self.g.apply_delta(batch)?;
-        let g2 = Arc::new(g2);
-        // Durability barrier: the batch must be on disk (and fsynced)
-        // before any shard can install the post-delta epoch. An append
-        // failure installs nothing — the pre-delta state keeps serving.
-        if let Some(d) = self.durability.as_mut() {
-            d.append(batch).map_err(RouterError::from)?;
-        }
-        let reach_alpha = self.shards[0].config().reach_alpha;
-        let (nbr, reach) = std::thread::scope(|s| {
-            let hn = s.spawn(|| Arc::new(NeighborIndex::build(&g2)));
-            let hr = s.spawn(|| Arc::new(HierarchicalIndex::build(&g2, reach_alpha)));
-            (hn.join(), hr.join())
-        });
-        // A panicked rebuild installs nothing: the error is typed and the
-        // pre-delta epoch keeps serving.
-        let nbr = nbr.map_err(|_| RouterError::RebuildFailed("neighbor index"))?;
-        let reach = reach.map_err(|_| RouterError::RebuildFailed("reachability index"))?;
-        for engine in &self.shards {
-            engine.install_graph(
-                g2.clone(),
-                Some(nbr.clone()),
-                Some(reach.clone()),
-                &report.touched_labels,
-            );
-        }
-        self.g = g2;
-        self.nbr = nbr;
-        self.reach = reach;
-        if report.compacted {
-            // The apply already paid for a compaction; checkpoint so
-            // recovery replays a short WAL. The batch itself is durable
-            // and installed even if this fails (see
-            // [`rbq_engine::Engine::apply_deltas`] for the contract).
-            if let Some(d) = self.durability.as_mut() {
-                d.checkpoint(&self.g).map_err(RouterError::from)?;
-            }
-        }
-        Ok(report)
-    }
-
-    /// Number of shards `k`.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        let result = self.shards[0].apply_deltas_shared(batch, &self.shards[1..]);
+        // Unconditionally: a checkpoint failure is an `Err` with the batch
+        // installed.
+        self.g = self.shards[0].graph();
+        Ok(result?)
     }
 
     /// Lifetime statistics merged across every batch served.
@@ -371,8 +273,8 @@ impl Router {
     /// also lost, the sub-batch settles as [`Answer::Failed`] — every
     /// other shard's answers are unaffected.
     pub fn run_batch(&self, queries: &[Query]) -> RouterReport {
-        let deadline = self
-            .shard_cfg
+        let deadline = self.shards[0]
+            .config()
             .batch_timeout
             .map(|t: Duration| Instant::now() + t);
         let k = self.shards.len();
@@ -483,18 +385,14 @@ impl Router {
         }
     }
 
-    /// Second (and last) chance for a lost shard: build a cold replica
-    /// over the same shared structures and re-run the sub-batch under the
-    /// same deadline. Answers are deterministic functions of the batch and
-    /// the epoch, so a replica's answers are byte-identical to what the
-    /// lost shard would have returned — only cache warmth differs.
+    /// Second (and last) chance for a lost shard: take a cold replica of
+    /// shard 0 (same epoch, same shared indexes — no offline cost re-paid)
+    /// and re-run the sub-batch under the same deadline. Answers are
+    /// deterministic functions of the batch and the epoch, so a replica's
+    /// answers are byte-identical to what the lost shard would have
+    /// returned — only cache warmth differs.
     fn retry_shard(&self, batch: &[Query], deadline: Option<Instant>) -> Option<BatchReport> {
-        let replica = Engine::with_indexes(
-            self.g.clone(),
-            self.shard_cfg.clone(),
-            Some(self.nbr.clone()),
-            Some(self.reach.clone()),
-        );
+        let replica = self.shards[0].replica();
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rbq_graph::faultpoint::fire("router.shard.retry");
             replica.run_batch_until(batch, deadline)
@@ -503,12 +401,33 @@ impl Router {
     }
 }
 
+/// The per-shard configuration behind a front-door `cfg` for `shards`
+/// replicas, or why there cannot be one.
+fn shard_config(cfg: &EngineConfig, shards: usize) -> Result<EngineConfig, RouterError> {
+    if shards == 0 {
+        return Err(RouterError::InvalidShards);
+    }
+    cfg.validate()?;
+    let base_threads = if cfg.threads == 0 {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    } else {
+        cfg.threads
+    };
+    Ok(EngineConfig {
+        aggregate_visit_budget: None,
+        threads: (base_threads / shards).max(1),
+        ..cfg.clone()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::partitioner::LabelHashPartitioner;
     use rbq_engine::{Answer, BudgetSpec};
-    use rbq_graph::{GraphBuilder, NodeId};
+    use rbq_graph::{DeltaError, GraphBuilder, NodeId};
     use rbq_pattern::PatternBuilder;
 
     /// The shipped policy plus adversarial ones: `Router(k) ≡ Engine(1)` is a
@@ -561,7 +480,7 @@ mod tests {
         let Err(err) = Router::new(fig1_graph(), cfg(), 0, &LabelHashPartitioner) else {
             panic!("zero shards accepted");
         };
-        assert_eq!(err, RouterError::InvalidShards);
+        assert!(matches!(err, RouterError::InvalidShards));
     }
 
     #[test]
@@ -765,7 +684,7 @@ mod tests {
         let mut batch = DeltaBatch::new();
         batch.add_edge(NodeId(0), NodeId(99));
         match router.apply_deltas(&batch) {
-            Err(RouterError::Delta(DeltaError::EdgeOutOfRange { .. })) => {}
+            Err(RouterError::Apply(ApplyError::Delta(DeltaError::EdgeOutOfRange { .. }))) => {}
             other => panic!("expected typed delta error, got {other:?}"),
         }
         // Nothing changed: the old graph still serves.

@@ -73,9 +73,18 @@ pub fn power_law(nodes: usize, m: usize, num_labels: usize, seed: u64) -> Graph 
     power_law_with(nodes, m, num_labels, 0.15, seed)
 }
 
+/// Probability that a new node copies the label of its first attachment
+/// target instead of drawing a fresh one. Real content/social graphs are
+/// label-assortative (a video's recommendations share its category), which
+/// is what gives pattern queries large candidate neighborhoods — the regime
+/// where the paper's resource bound binds.
+const HOMOPHILY: f64 = 0.7;
+
 /// Preferential-attachment (Barabási–Albert-style) digraph: each new node
 /// attaches `m` edges to endpoints sampled proportionally to degree.
-/// Produces the heavy-tailed degree distribution of social and web graphs.
+/// Produces the heavy-tailed degree distribution of social and web graphs,
+/// with label-assortative neighborhoods (a new node copies its first
+/// attachment target's label with probability 0.7).
 ///
 /// `back_fraction` controls edge orientation: each attachment points from
 /// the new node to the sampled (older) endpoint with probability
@@ -89,27 +98,7 @@ pub fn power_law_with(
     back_fraction: f64,
     seed: u64,
 ) -> Graph {
-    power_law_full(nodes, m, num_labels, back_fraction, 0.7, seed)
-}
-
-/// [`power_law_with`] plus a label-homophily knob.
-///
-/// `homophily ∈ [0, 1]`: with this probability, a new node copies the
-/// label of its first attachment target instead of drawing a fresh one.
-/// Real content/social graphs are label-assortative (a video's
-/// recommendations share its category), which is what gives pattern
-/// queries large candidate neighborhoods — the regime where the paper's
-/// resource bound binds. `0.0` reproduces independent random labels.
-pub fn power_law_full(
-    nodes: usize,
-    m: usize,
-    num_labels: usize,
-    back_fraction: f64,
-    homophily: f64,
-    seed: u64,
-) -> Graph {
     assert!(nodes >= 1);
-    assert!((0.0..=1.0).contains(&homophily));
     let m = m.max(1);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
 
@@ -156,10 +145,7 @@ pub fn power_law_full(
     let dist = Uniform::new(0, num_labels.max(1));
     let mut labels: Vec<usize> = vec![0; nodes];
     for i in 0..nodes {
-        let copy = i > seed_core
-            && homophily > 0.0
-            && rng.gen_bool(homophily)
-            && (first_target[i] as usize) < i;
+        let copy = i > seed_core && rng.gen_bool(HOMOPHILY) && (first_target[i] as usize) < i;
         labels[i] = if copy {
             labels[first_target[i] as usize]
         } else {

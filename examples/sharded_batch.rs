@@ -33,13 +33,14 @@ fn main() {
     );
     println!("workload: {} mixed queries\n", queries.len());
 
-    // Validated config via the builder — α and thread counts are checked
-    // at build() instead of exploding somewhere inside the engine.
-    let cfg = EngineConfig::builder()
-        .reach_alpha(0.05)
-        .aggregate_visit_budget(Some(500_000))
-        .build()
-        .expect("valid config");
+    // Validate up front — a bad α is a typed error here instead of a
+    // panic inside `Engine::new`.
+    let cfg = EngineConfig {
+        reach_alpha: 0.05,
+        aggregate_visit_budget: Some(500_000),
+        ..EngineConfig::default()
+    };
+    cfg.validate().expect("valid config");
 
     // The unsharded baseline.
     let engine = Engine::new(g.clone(), cfg.clone());

@@ -24,7 +24,7 @@
 use rbq::rbq_core::{pattern_accuracy, rbsim, NeighborIndex, ResourceBudget};
 use rbq::rbq_engine::wire::{parse_delta_file, parse_query_file, write_answer_file};
 use rbq::rbq_engine::{
-    AdmissionPolicy, Answer, ApplyError, Durability, DurabilityConfig, DurabilityError, Engine,
+    AdmissionPolicy, Answer, ApplyError, BudgetSpec, Durability, DurabilityError, Engine,
     EngineConfig, EngineError, Query, QueryParseError, WireWriteError, QUERY_FILE_HEADER,
 };
 use rbq::rbq_graph::{io as gio, DeltaError, Graph, GraphView, NodeId};
@@ -577,19 +577,17 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
 
     let g = Arc::new(load_graph(graph_path)?);
     let queries = load_queries(query_path)?;
-    let builder = EngineConfig::builder()
-        .pattern_alpha(alpha)
-        .reach_alpha(reach_alpha)
-        .cache_capacity(cache)
-        .aggregate_visit_budget(aggregate)
-        .batch_timeout(timeout)
-        .admission(admission);
-    let builder = if threads == 0 {
-        builder.auto_threads()
-    } else {
-        builder.threads(threads)
+    let cfg = EngineConfig {
+        pattern_budget: BudgetSpec::Ratio(alpha),
+        reach_alpha,
+        threads,
+        cache_capacity: cache,
+        aggregate_visit_budget: aggregate,
+        batch_timeout: timeout,
+        admission,
+        ..EngineConfig::default()
     };
-    let cfg = builder.build()?;
+    cfg.validate()?;
     let max_units = ResourceBudget::from_ratio(&*g, alpha).max_units;
 
     let start = std::time::Instant::now();
@@ -793,7 +791,7 @@ fn ingest_durable(
     }
 
     let dir_path = std::path::Path::new(dir);
-    let cfg = EngineConfig::builder().build()?;
+    let cfg = EngineConfig::default();
     let engine = if dir_path
         .join(rbq::rbq_graph::snapshot::SNAPSHOT_FILE)
         .exists()
@@ -808,7 +806,7 @@ fn ingest_durable(
     } else {
         let g = Arc::new(load_graph(graph_path)?);
         let engine = Engine::new(g, cfg);
-        engine.enable_durability(&DurabilityConfig::new(dir_path))?;
+        engine.enable_durability(dir_path)?;
         engine
     };
     let report = engine.apply_deltas(batch)?;
@@ -854,8 +852,7 @@ fn cmd_recover(args: &[String]) -> Result<(), CliError> {
     if answers.is_some() && queries.is_none() {
         return Err("recover: --answers requires --queries".into());
     }
-    let cfg = EngineConfig::builder().build()?;
-    let (engine, report) = Engine::recover(std::path::Path::new(dir), cfg)?;
+    let (engine, report) = Engine::recover(std::path::Path::new(dir), EngineConfig::default())?;
     println!(
         "recovered {} nodes, {} edges from {dir} \
          (snapshot seq {}, {} batches replayed, {} skipped, last seq {})",

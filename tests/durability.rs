@@ -92,9 +92,7 @@ fn engine_durable_roundtrip_matches_plain_apply() {
     let batches = sample_batches();
 
     let engine = Engine::new(std::sync::Arc::new(g.clone()), EngineConfig::default());
-    engine
-        .enable_durability(&rbq::rbq_engine::DurabilityConfig::new(&dir))
-        .expect("enable durability");
+    engine.enable_durability(&dir).expect("enable durability");
     assert!(engine.durability_enabled());
     for b in &batches {
         engine.apply_deltas(b).expect("durable apply");

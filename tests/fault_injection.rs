@@ -16,10 +16,10 @@
 
 use proptest::prelude::*;
 use rbq::rbq_engine::faultpoint::{arm, FaultAction, FaultPlan};
-use rbq::rbq_engine::{Answer, BudgetSpec, Engine, EngineConfig, Query, QueryResult};
-use rbq::rbq_router::{LabelHashPartitioner, Router};
+use rbq::rbq_engine::{Answer, ApplyError, BudgetSpec, Engine, EngineConfig, Query, QueryResult};
+use rbq::rbq_router::{LabelHashPartitioner, Partitioner, Router, RouterError};
 use rbq::rbq_workload::{power_law, sample_mixed_workload, MixedWorkloadSpec};
-use rbq_graph::Graph;
+use rbq_graph::{DeltaBatch, DeltaReport, Graph, NodeId};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
@@ -268,66 +268,181 @@ fn deadline_settlement_is_deterministic_under_delay_faults() {
 /// (the recovery-side points are exercised in `tests/crash_recovery.rs`).
 const IO_INGEST_POINTS: &[&str] = &["wal.append", "wal.fsync"];
 
+/// Routes every query to one fixed shard, so a test can ask a chosen
+/// replica what it serves.
+struct AllTo(usize);
+
+impl Partitioner for AllTo {
+    fn shard(&self, _label: &str, _shards: usize) -> usize {
+        self.0
+    }
+}
+
+/// What the durable-IO tests need of whoever owns a write path.
+trait DurableFront {
+    fn enable_durability(&self, dir: &std::path::Path);
+    fn apply_deltas(&mut self, batch: &DeltaBatch) -> Result<DeltaReport, ApplyError>;
+    fn answers(&self, qs: &[Query]) -> Vec<Answer>;
+}
+
+impl DurableFront for Engine {
+    fn enable_durability(&self, dir: &std::path::Path) {
+        Engine::enable_durability(self, dir).expect("enable durability");
+    }
+
+    fn apply_deltas(&mut self, batch: &DeltaBatch) -> Result<DeltaReport, ApplyError> {
+        Engine::apply_deltas(self, batch)
+    }
+
+    fn answers(&self, qs: &[Query]) -> Vec<Answer> {
+        answers(&self.run_batch(qs).results)
+    }
+}
+
+impl DurableFront for Router {
+    fn enable_durability(&self, dir: &std::path::Path) {
+        Router::enable_durability(self, dir).expect("enable durability");
+    }
+
+    fn apply_deltas(&mut self, batch: &DeltaBatch) -> Result<DeltaReport, ApplyError> {
+        Router::apply_deltas(self, batch).map_err(|e| match e {
+            RouterError::Apply(e) => e,
+            other => panic!("apply_deltas failed outside the ingest pipeline: {other}"),
+        })
+    }
+
+    fn answers(&self, qs: &[Query]) -> Vec<Answer> {
+        answers(&self.run_batch(qs).results)
+    }
+}
+
+/// The two owners of a write path: a lone engine, and `Router(2)` — whose
+/// queries all go to one shard, once per shard, so "installed on every
+/// shard" and "on none" are each shard's own word.
+fn durable_fronts(g: &Arc<Graph>) -> Vec<(String, Box<dyn DurableFront>)> {
+    const ASK: [&dyn Partitioner; 2] = [&AllTo(0), &AllTo(1)];
+    let mut fronts: Vec<(String, Box<dyn DurableFront>)> = vec![(
+        "engine".to_string(),
+        Box::new(Engine::new(g.clone(), cfg(1))),
+    )];
+    for (asked, policy) in ASK.into_iter().enumerate() {
+        let router = Router::new(g.clone(), cfg(2), ASK.len(), policy).unwrap();
+        fronts.push((format!("router(2) shard {asked}"), Box::new(router)));
+    }
+    fronts
+}
+
+fn io_scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("rbq_fi_io_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A new node (id 400 on the fixture) with `fan` edges from existing
+/// nodes, and the query that tells whether it is installed: an
+/// out-of-range error before, reachable after.
+fn io_batch(fan: u32) -> (DeltaBatch, Query) {
+    let mut batch = DeltaBatch::new();
+    batch.add_node("IO");
+    for u in 0..fan {
+        batch.add_edge(NodeId(u), NodeId(400));
+    }
+    let installed = Query::Reach {
+        source: NodeId(0),
+        target: NodeId(400),
+    };
+    (batch, installed)
+}
+
 /// IO faults on the durability path are contained exactly like kernel
 /// faults: a panicked append unwinds out of `apply_deltas` BEFORE the
 /// epoch swap, so the pre-crash epoch keeps serving byte-identical
-/// answers, no lock stays poisoned, and the failed writer surfaces as a
-/// typed error on the next durable apply — never an abort.
+/// answers on every shard, no lock stays poisoned, and the failed writer
+/// surfaces as a typed error on the next durable apply — with that batch
+/// installed nowhere either — never an abort.
 #[test]
 fn durable_io_faults_keep_the_old_epoch_serving() {
     let _s = serial();
     let (g, qs) = fixture();
     let base = baseline();
+    let (batch, installed) = io_batch(1);
     for point in IO_INGEST_POINTS {
         for action in [
             FaultAction::Panic,
             FaultAction::Delay(Duration::from_millis(10)),
         ] {
-            let dir = std::env::temp_dir().join(format!(
-                "rbq_fi_io_{}_{}",
-                point.replace('.', "_"),
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let engine = Engine::new(g.clone(), cfg(1));
-            engine
-                .enable_durability(&rbq::rbq_engine::DurabilityConfig::new(&dir))
-                .expect("enable durability");
-            let mut batch = rbq_graph::DeltaBatch::new();
-            batch.add_node("IO");
-            batch.add_edge(rbq_graph::NodeId(0), rbq_graph::NodeId(400));
-            let what = format!("{point} {action:?}");
-            let panicked = {
-                let _plan = arm(FaultPlan::new().on_nth(point, 0, action));
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    engine.apply_deltas(&batch)
-                }))
-                .is_err()
-            };
-            match action {
-                FaultAction::Panic => {
-                    assert!(panicked, "{what}: fault never fired");
-                    // The epoch never swapped: the engine serves the
-                    // pre-fault graph byte-identically…
-                    assert_no_poison(&engine, &qs, &base, &what);
-                    // …and the wounded WAL writer reports typed, it does
-                    // not panic again.
-                    match engine.apply_deltas(&batch) {
-                        Err(e) => {
-                            let _ = e.to_string();
+            for (who, mut front) in durable_fronts(&g) {
+                let dir = io_scratch_dir(&point.replace('.', "_"));
+                front.enable_durability(&dir);
+                let what = format!("{who}: {point} {action:?}");
+                let panicked = {
+                    let _plan = arm(FaultPlan::new().on_nth(point, 0, action));
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        front.apply_deltas(&batch)
+                    }))
+                    .is_err()
+                };
+                let is_installed = |front: &dyn DurableFront| {
+                    front.answers(std::slice::from_ref(&installed))[0].is_ok()
+                };
+                match action {
+                    FaultAction::Panic => {
+                        assert!(panicked, "{what}: fault never fired");
+                        // The epoch never swapped: the pre-fault graph
+                        // serves byte-identically…
+                        assert_eq!(front.answers(&qs), base, "{what}: poison");
+                        assert!(!is_installed(front.as_ref()), "{what}: installed");
+                        // …and the wounded WAL writer reports typed, it
+                        // does not panic again — and installs nothing.
+                        match front.apply_deltas(&batch) {
+                            Err(ApplyError::Durability(e)) => {
+                                let _ = e.to_string();
+                            }
+                            other => panic!("{what}: poisoned WAL writer answered {other:?}"),
                         }
-                        Ok(_) => panic!("{what}: poisoned WAL writer accepted an append"),
+                        assert!(
+                            !is_installed(front.as_ref()),
+                            "{what}: failed append installed"
+                        );
+                    }
+                    _ => {
+                        assert!(!panicked, "{what}: delay fault must not unwind");
+                        // Delay is harmless: the batch landed.
+                        assert!(is_installed(front.as_ref()), "{what}: batch lost");
                     }
                 }
-                _ => {
-                    assert!(!panicked, "{what}: delay fault must not unwind");
-                    // Delay is harmless: the batch landed, and serving
-                    // reflects it (one more node than the fixture).
-                    assert_eq!(engine.graph().node_count(), 401, "{what}: batch lost");
-                }
+                let _ = std::fs::remove_dir_all(&dir);
             }
-            let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
+
+/// The other half of the one failure policy: a checkpoint that fails
+/// (here: the directory is gone by the time the compacting apply wants to
+/// write its snapshot; the open WAL still takes the append) reports
+/// `ApplyError::Durability` with the batch durable and installed — on the
+/// engine, and on every shard of `Router(2)`.
+#[test]
+fn checkpoint_failure_reports_with_the_batch_installed() {
+    let _s = serial();
+    let (g, _qs) = fixture();
+    // 400 edge ops: past the churn threshold of the fixture, so the apply
+    // compacts and checkpoints.
+    let (batch, installed) = io_batch(400);
+    for (who, mut front) in durable_fronts(&g) {
+        let dir = io_scratch_dir("ckpt");
+        front.enable_durability(&dir);
+        std::fs::remove_dir_all(&dir).expect("remove durable dir");
+        match front.apply_deltas(&batch) {
+            Err(ApplyError::Durability(e)) => {
+                let _ = e.to_string();
+            }
+            other => panic!("{who}: checkpoint into a missing directory answered {other:?}"),
+        }
+        assert!(
+            front.answers(std::slice::from_ref(&installed))[0].is_ok(),
+            "{who}: durable batch not installed"
+        );
     }
 }
 

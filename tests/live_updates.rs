@@ -182,11 +182,11 @@ fn stat_key(s: &rbq_engine::EngineStats) -> [usize; 11] {
 }
 
 fn engine_config(aggregate: Option<usize>) -> EngineConfig {
-    EngineConfig::builder()
-        .threads(1)
-        .aggregate_visit_budget(aggregate)
-        .build()
-        .expect("valid config")
+    EngineConfig {
+        threads: 1,
+        aggregate_visit_budget: aggregate,
+        ..EngineConfig::default()
+    }
 }
 
 proptest! {
