@@ -1,12 +1,14 @@
 //! Criterion benches for the mixed-workload engine: batch throughput
-//! across thread counts, and the reduction cache's effect on repeated
-//! traffic.
+//! across thread counts, the reduction cache's effect on repeated
+//! traffic, and the cost of a single cache hit.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rbq_core::NeighborIndex;
 use rbq_engine::{BudgetSpec, Engine, EngineConfig, Query};
 use rbq_reach::HierarchicalIndex;
-use rbq_workload::{sample_mixed_workload, youtube_like, MixedWorkloadSpec};
+use rbq_workload::{
+    extract_pattern, sample_mixed_workload, youtube_like, MixedWorkloadSpec, PatternSpec,
+};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -106,5 +108,29 @@ fn engine_cache(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, engine_threads, engine_cache);
+/// The hit path alone: one pass of `Engine::run` over 512 patterns a warm
+/// engine has all cached — memo probe, answer probe, one copy of the
+/// matches. Divide by 512 for the per-hit cost.
+fn engine_hit_path(c: &mut Criterion) {
+    let (g, idx, reach, _) = setup();
+    let queries: Vec<Query> = (0u64..)
+        .filter_map(|seed| extract_pattern(&g, PatternSpec::new(4, 8), seed))
+        .filter(|p| p.resolve(&g).is_ok())
+        .take(512)
+        .map(|pattern| Query::PatternSim { pattern })
+        .collect();
+    let engine = Engine::with_indexes(g, cfg(1, 1024), Some(idx), Some(reach));
+    engine.run_batch(&queries);
+    let mut group = c.benchmark_group("engine_hit_path");
+    group.bench_function("512_repeats", |b| {
+        b.iter(|| {
+            for q in &queries {
+                black_box(engine.run(q));
+            }
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, engine_threads, engine_cache, engine_hit_path);
 criterion_main!(benches);

@@ -16,6 +16,7 @@
 //! canonical pattern guarantees a cache hit returns byte-identical answers
 //! to the cold path for every query that maps to the same signature.
 
+use rbq_graph::labels::stable_hash;
 use rbq_pattern::{Pattern, PatternBuilder};
 
 /// Cap on candidate orderings explored when breaking refinement ties.
@@ -34,13 +35,19 @@ const REFINE_ROUNDS: usize = 2;
 pub fn canonical_pattern(p: &Pattern) -> (Pattern, String) {
     let order = canonical_order(p);
     let sig = encode(p, &order);
+    (relabel(p, &order), sig)
+}
+
+/// `p` with its nodes permuted into `order` (position `new` ← original
+/// `order[new]`); personalized/output designations follow the permutation.
+fn relabel(p: &Pattern, order: &[usize]) -> Pattern {
     let mut inv = vec![0usize; order.len()];
     for (new, &old) in order.iter().enumerate() {
         inv[old] = new;
     }
     let mut b = PatternBuilder::new();
     let mut ids = Vec::with_capacity(order.len());
-    for &old in &order {
+    for &old in order {
         ids.push(b.add_node(p.label_str(rbq_pattern::PNode::new(old))));
     }
     for &(u, v) in p.edges() {
@@ -48,7 +55,78 @@ pub fn canonical_pattern(p: &Pattern) -> (Pattern, String) {
     }
     b.personalized(ids[inv[p.personalized().index()]]);
     b.output(ids[inv[p.output().index()]]);
-    (b.build(), sig)
+    b.build()
+}
+
+/// What the engine remembers about one raw pattern once it has been
+/// canonicalised: enough to key the answer cache without canonicalising
+/// again, and to rebuild the canonical pattern when an answer has to be
+/// computed. Shared by the memo entry of that raw pattern and by every
+/// [`crate::cache::CacheKey`] built from it. The canonical `Pattern`
+/// itself is not kept — nearly every miss is the first sight of its raw
+/// pattern, so a stored copy would be memory that is almost never read.
+#[derive(Debug)]
+pub(crate) struct Canonical {
+    /// Canonical node order *of the raw pattern this was computed from*
+    /// (position `new` ← original `order[new]`); isomorphic reorderings
+    /// share a signature, not an order.
+    order: Vec<usize>,
+    /// The full structural signature; equal signatures ⇔ equal canonical
+    /// patterns.
+    pub(crate) signature: String,
+    /// [`stable_hash`] of `signature`, so hashing a cache key never walks
+    /// the string.
+    pub(crate) sig_hash: u64,
+}
+
+impl Canonical {
+    /// Canonicalise `p` — the expensive step the memo exists to skip.
+    pub(crate) fn of(p: &Pattern) -> Self {
+        let order = canonical_order(p);
+        let signature = encode(p, &order);
+        Canonical {
+            sig_hash: stable_hash(&signature),
+            order,
+            signature,
+        }
+    }
+
+    /// The canonical relabeling of `p`, which must be the pattern `self`
+    /// was computed from: `Canonical::of(p).pattern(p)` is
+    /// `canonical_pattern(p).0`.
+    pub(crate) fn pattern(&self, p: &Pattern) -> Pattern {
+        relabel(p, &self.order)
+    }
+}
+
+/// Write the memo key of `p` into `out` (cleared first): the pattern *as
+/// given* — node count, length-prefixed labels in input order, edges,
+/// `u_p`, `u_o` — with every integer a LEB128 varint. Varints and length
+/// prefixes are self-delimiting, so the encoding is injective: equal bytes
+/// ⇔ equal `Pattern`s, and the memo can never alias two queries. Isomorphic
+/// reorderings encode differently and meet again at the signature.
+pub(crate) fn encode_raw(p: &Pattern, out: &mut Vec<u8>) {
+    fn varint(out: &mut Vec<u8>, mut x: usize) {
+        while x >= 0x80 {
+            out.push(x as u8 | 0x80);
+            x >>= 7;
+        }
+        out.push(x as u8);
+    }
+    out.clear();
+    varint(out, p.node_count());
+    for u in p.nodes() {
+        let l = p.label_str(u);
+        varint(out, l.len());
+        out.extend_from_slice(l.as_bytes());
+    }
+    varint(out, p.edge_count());
+    for &(u, v) in p.edges() {
+        varint(out, u.index());
+        varint(out, v.index());
+    }
+    varint(out, p.personalized().index());
+    varint(out, p.output().index());
 }
 
 /// Canonical node order: position `new` holds original index `order[new]`.

@@ -4,7 +4,7 @@
 //! replaces it — is [`crate::ingest`].
 
 use crate::cache::{CacheKey, CachedAnswer, ReductionCache};
-use crate::canonical::canonical_pattern;
+use crate::canonical::{encode_raw, Canonical};
 use crate::durability::Durability;
 use crate::error::EngineError;
 use crate::ingest::Epoch;
@@ -323,12 +323,14 @@ pub struct Engine {
     scratches: Mutex<Vec<WorkerScratch>>,
 }
 
-/// One worker's reusable evaluation state: the pattern scratch plus the
-/// recycled answer buffer.
+/// One worker's reusable evaluation state: the pattern scratch, the
+/// recycled answer buffer, and the buffer the memo key of each pattern
+/// query is encoded into.
 #[derive(Default)]
 struct WorkerScratch {
     pattern: PatternScratch,
     answer: PatternAnswer,
+    raw: Vec<u8>,
 }
 
 impl Engine {
@@ -752,6 +754,55 @@ impl Engine {
         }
     }
 
+    /// The engine's whole share of a repeated pattern query: encode the
+    /// pattern as given, find its canonical form in the memo, probe the
+    /// answers — one lock acquisition, no label resolution, and no
+    /// allocation beyond the copy of the matches handed to the caller. A
+    /// miss returns the key the evaluated answer is to be inserted under.
+    // rbq-lint: hot
+    fn probe(
+        &self,
+        ep: &Epoch,
+        pattern: &Pattern,
+        sem: Semantics,
+        budget: &ResourceBudget,
+        raw: &mut Vec<u8>,
+    ) -> Result<QueryResult, CacheKey> {
+        encode_raw(pattern, raw);
+        let mut cache = relock(&self.cache);
+        let canon = match cache.canonical(raw) {
+            Some(canon) => canon,
+            None => {
+                // Canonicalise outside the lock: it is the expensive step.
+                drop(cache);
+                // rbq-lint: allow(hot-path-alloc, "memo miss: the first sight of a raw pattern pays for its canonical form, every repeat reuses it")
+                let canon = Arc::new(Canonical::of(pattern));
+                cache = relock(&self.cache);
+                cache.remember(raw, Arc::clone(&canon));
+                canon
+            }
+        };
+        let key = CacheKey {
+            canon,
+            semantics: match sem {
+                Semantics::Simulation => 0,
+                Semantics::Isomorphism => 1,
+            },
+            max_units: budget.max_units,
+            visit_cap: budget.visit_cap,
+            generation: ep.generation,
+        };
+        match cache.get(&key) {
+            Some(hit) => Ok(QueryResult {
+                // rbq-lint: allow(hot-path-alloc, "the public Answer owns its matches: one Vec copy per hit, none when it is empty")
+                answer: hit.answer.clone(),
+                visits: hit.visits,
+                cached: true,
+            }),
+            None => Err(key),
+        }
+    }
+
     fn run_pattern(
         &self,
         ep: &Epoch,
@@ -760,10 +811,14 @@ impl Engine {
         scratch: &mut WorkerScratch,
         cancel: CancelToken,
     ) -> QueryResult {
+        let budget = self.pattern_budget_on(&ep.g);
+        let key = match self.probe(ep, pattern, sem, &budget, &mut scratch.raw) {
+            Ok(hit) => return hit,
+            Err(key) => key,
+        };
         // Evaluate the canonical relabeling: isomorphic queries then run the
         // byte-identical computation, so cache hits equal cold answers.
-        let (canon, signature) = canonical_pattern(pattern);
-        let resolved = match canon.resolve(&ep.g) {
+        let resolved = match key.canon.pattern(pattern).resolve(&ep.g) {
             Ok(r) => r,
             Err(e) => {
                 return QueryResult {
@@ -773,29 +828,11 @@ impl Engine {
                 }
             }
         };
-        let budget = self.pattern_budget_on(&ep.g);
-        let key = CacheKey {
-            signature,
-            vp: resolved.vp().0,
-            semantics: match sem {
-                Semantics::Simulation => 0,
-                Semantics::Isomorphism => 1,
-            },
-            max_units: budget.max_units,
-            visit_cap: budget.visit_cap,
-            generation: ep.generation,
-        };
-        if let Some(hit) = relock(&self.cache).get(&key) {
-            return QueryResult {
-                answer: hit.answer,
-                visits: hit.visits,
-                cached: true,
-            };
-        }
         let idx = ep.neighbor_index();
         let WorkerScratch {
             pattern: ps,
             answer: ans,
+            ..
         } = scratch;
         // Arm the deadline on every kernel this evaluation can enter; the
         // unarmed default makes each tick a single branch.
@@ -1285,18 +1322,18 @@ mod tests {
         assert!(third.cached, "new-generation entry is hittable");
 
         // In flight across the swap: a query pinned before the install
-        // inserts after it, past the clear. Its entry carries the old
-        // generation, so the next lookup still misses.
+        // finishes after it. Its answer belongs to a generation no lookup
+        // will ask for again, so the cache drops it on arrival.
         let pinned = engine.pin();
         engine.apply_deltas(&zebra_batch(6)).unwrap();
         assert_eq!(engine.cache_len(), 0);
         let mut scratch = engine.take_scratch();
         let (late, _, _) = engine.run_one(&pinned, &q, &mut scratch, None, 0);
         assert!(!late.cached);
-        assert_eq!(engine.cache_len(), 1, "the in-flight query inserted");
+        assert_eq!(engine.cache_len(), 0, "the in-flight insert was dropped");
         let fourth = engine.run(&q);
-        assert!(!fourth.cached, "old-generation insert must not serve");
-        assert_eq!(engine.cache_len(), 2);
+        assert!(!fourth.cached, "old-generation answer must not serve");
+        assert_eq!(engine.cache_len(), 1);
     }
 
     #[test]

@@ -26,9 +26,10 @@ use std::sync::{Arc, OnceLock};
 /// epoch without ever invalidating structures a running query holds: the
 /// old epoch stays alive until its last in-flight query drops the `Arc`.
 /// The generation is the cache-correctness token — it is part of every
-/// [`crate::CacheKey`], so answers computed on one epoch are unreachable
-/// from any later one. Replicas ([`Engine::replica`]) serve the *same*
-/// `Arc<Epoch>`, so an index one of them builds lazily is built for all.
+/// [`crate::cache::CacheKey`], so answers computed on one epoch are
+/// unreachable from any later one. Replicas ([`Engine::replica`]) serve the
+/// *same* `Arc<Epoch>`, so an index one of them builds lazily is built for
+/// all.
 pub(crate) struct Epoch {
     pub(crate) g: Arc<Graph>,
     pub(crate) generation: u64,
@@ -161,11 +162,12 @@ impl Engine {
     }
 
     /// Swap `next` in as the serving epoch and reclaim the cache. The
-    /// clear is reclamation, not correctness (see [`crate::cache`]), so it
-    /// happens outside the epoch lock.
+    /// reclaim is not correctness (see [`crate::cache`]), so it happens
+    /// outside the epoch lock.
     fn install(&self, next: Arc<Epoch>) {
+        let generation = next.generation;
         *relock_write(&self.epoch) = next;
-        relock(&self.cache).clear();
+        relock(&self.cache).advance(generation);
     }
 
     /// A cold replica: same configuration, same serving epoch (graph,

@@ -17,10 +17,13 @@
 //!   optional batch-level aggregate visit budget is settled
 //!   deterministically in input order (excess answers come back
 //!   [`Answer::Denied`]);
-//! * a bounded LRU **reduction cache** ([`cache`]) keyed by canonical
-//!   pattern signature ([`canonical`]) and graph generation, so repeated
-//!   or isomorphic queries reuse their `G_Q` answer byte-for-byte and no
-//!   post-mutation lookup can surface a pre-mutation answer;
+//! * a bounded, O(1) LRU **reduction cache** keyed by canonical pattern
+//!   form ([`canonical`]) and graph generation, so repeated or isomorphic
+//!   queries reuse their `G_Q` answer byte-for-byte and no post-mutation
+//!   lookup can surface a pre-mutation answer. A memo in front of it
+//!   remembers each raw pattern's canonical form, so a repeat costs one
+//!   probe under one lock: no canonicalisation, no label resolution, no
+//!   allocation but the copy of the matches it returns;
 //! * **live updates** ([`Engine::apply_deltas`], [`ingest`]): a
 //!   [`rbq_graph::DeltaBatch`] swaps in a new epoch — graph plus rebuilt
 //!   indexes — while in-flight queries drain on the old one, with a
@@ -35,7 +38,7 @@
 //!   thread count, and [`EngineStats`] reports visits, cache hit rate and
 //!   per-class latency.
 
-pub mod cache;
+mod cache;
 pub mod canonical;
 pub mod durability;
 pub mod engine;
@@ -44,7 +47,6 @@ pub mod ingest;
 pub mod query;
 pub mod wire;
 
-pub use cache::{CacheKey, CachedAnswer, ReductionCache};
 pub use canonical::canonical_pattern;
 pub use durability::{ApplyError, Durability, DurabilityError, RecoveryReport};
 pub use engine::{

@@ -9,38 +9,11 @@
 //! is process-global, and a concurrently running sibling test would
 //! pollute the delta.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod counting_alloc;
 
+use counting_alloc::{allocations, CountingAlloc};
 use rbq::rbq_core::{rbsim_with, NeighborIndex, PatternAnswer, PatternScratch, ResourceBudget};
 use rbq::rbq_workload::{extract_pattern, youtube_like, PatternSpec};
-
-/// System allocator with an allocation counter (deallocations are not
-/// counted: returning warm buffers is free, acquiring new ones is not).
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -69,9 +42,9 @@ fn warm_rbsim_repeat_query_is_allocation_free() {
         rbsim_with(&g, &idx, q, &budget, &mut scratch, &mut ans);
         let cold_matches = ans.matches.clone();
 
-        let before = ALLOCS.load(Ordering::SeqCst);
+        let before = allocations();
         rbsim_with(&g, &idx, q, &budget, &mut scratch, &mut ans);
-        let delta = ALLOCS.load(Ordering::SeqCst) - before;
+        let delta = allocations() - before;
 
         assert_eq!(ans.matches, cold_matches, "warm answer changed");
         assert_eq!(
