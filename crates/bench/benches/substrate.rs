@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rbq_graph::traverse::{bfs, reaches};
 use rbq_graph::types::Direction;
-use rbq_graph::{DynamicSubgraph, GraphView, NodeId};
+use rbq_graph::{BallScratch, DynamicSubgraph, GraphView, NodeId};
 use rbq_workload::youtube_like;
 use std::hint::black_box;
 
@@ -26,9 +26,18 @@ fn substrate(c: &mut Criterion) {
     group.bench_function("condense", |b| {
         b.iter(|| black_box(rbq_graph::condense::condense(&g)))
     });
+    // The warm path every query runs: one scratch, buffers reused per ball.
+    let me = rbq_workload::me_node(&g).unwrap();
+    let mut scratch = BallScratch::new();
+    let mut ball = Vec::new();
     group.bench_function("ball_r2", |b| {
-        let me = rbq_workload::me_node(&g).unwrap();
-        b.iter(|| black_box(rbq_graph::neighborhood::ball(&g, me, 2)))
+        b.iter(|| {
+            scratch.ball_into(&g, me, 2, &mut ball);
+            black_box(ball.len())
+        })
+    });
+    group.bench_function("induced_r2", |b| {
+        b.iter(|| black_box(DynamicSubgraph::induced(&g, ball.iter().copied()).size()))
     });
     group.bench_function("dynamic_subgraph_grow_500", |b| {
         b.iter(|| {

@@ -22,9 +22,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Size units (`|V| + |E|`) of the paper's real snapshots.
-pub const PAPER_YOUTUBE_SIZE: f64 = 1_609_969.0 + 4_509_826.0;
+const PAPER_YOUTUBE_SIZE: f64 = 1_609_969.0 + 4_509_826.0;
 /// See [`PAPER_YOUTUBE_SIZE`].
-pub const PAPER_YAHOO_SIZE: f64 = 3_000_022.0 + 14_979_447.0;
+const PAPER_YAHOO_SIZE: f64 = 3_000_022.0 + 14_979_447.0;
 
 /// Experiment-wide configuration.
 #[derive(Debug, Clone, Copy)]
@@ -243,7 +243,7 @@ mod tests {
         assert!(!qs.is_empty());
         for q in &qs {
             let nodes = rbq_pattern::strongsim::ball_nodes(ds.g.as_ref(), q.vp(), q.dq());
-            let sub = rbq_graph::InducedSubgraph::new(&ds.g, nodes);
+            let sub = rbq_graph::DynamicSubgraph::induced(&ds.g, nodes);
             assert_eq!(dq_neighborhood_size(&ds.g, q), sub.size());
         }
     }

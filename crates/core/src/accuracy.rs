@@ -21,7 +21,7 @@ pub struct Accuracy {
 
 impl Accuracy {
     /// The all-correct instance.
-    pub const PERFECT: Accuracy = Accuracy {
+    const PERFECT: Accuracy = Accuracy {
         precision: 1.0,
         recall: 1.0,
         f1: 1.0,
@@ -106,34 +106,6 @@ pub fn reachability_accuracy(expected: &[bool], got: &[bool]) -> Accuracy {
     Accuracy::from_pr(frac, frac)
 }
 
-/// Confusion counts for reachability batches, for detailed reporting.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Confusion {
-    /// Answered true, truly true.
-    pub tp: usize,
-    /// Answered false, truly false.
-    pub tn: usize,
-    /// Answered true, truly false.
-    pub fp: usize,
-    /// Answered false, truly true.
-    pub fn_: usize,
-}
-
-/// Tally a confusion matrix for boolean answer vectors.
-pub fn confusion(expected: &[bool], got: &[bool]) -> Confusion {
-    assert_eq!(expected.len(), got.len());
-    let mut c = Confusion::default();
-    for (&e, &g) in expected.iter().zip(got) {
-        match (e, g) {
-            (true, true) => c.tp += 1,
-            (false, false) => c.tn += 1,
-            (false, true) => c.fp += 1,
-            (true, false) => c.fn_ += 1,
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,19 +185,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn reach_length_mismatch_panics() {
         let _ = reachability_accuracy(&[true], &[]);
-    }
-
-    #[test]
-    fn confusion_counts() {
-        let c = confusion(&[true, true, false, false], &[true, false, true, false]);
-        assert_eq!(
-            c,
-            Confusion {
-                tp: 1,
-                tn: 1,
-                fp: 1,
-                fn_: 1
-            }
-        );
     }
 }

@@ -45,9 +45,8 @@ impl ResourceBudget {
     /// `units` is clamped to `|G|`: a budget beyond the whole graph buys
     /// nothing, and letting it through would produce `alpha > 1.0`,
     /// violating the upper end of the `α ∈ (0, 1]` invariant that
-    /// [`ResourceBudget::from_ratio`] asserts and that the `α·c < 1`
-    /// visit-cap reasoning ([`ResourceBudget::with_visit_coefficient`])
-    /// depends on. The low end is intentionally looser than `from_ratio`:
+    /// [`ResourceBudget::from_ratio`] asserts. The low end is
+    /// intentionally looser than `from_ratio`:
     /// `units == 0` (the zero-budget degenerate case several tests
     /// exercise) yields `alpha == 0.0` and an empty `G_Q`.
     pub fn from_units<V: GraphView + ?Sized>(g: &V, units: usize) -> Self {
@@ -58,13 +57,6 @@ impl ResourceBudget {
             max_units,
             visit_cap: None,
         }
-    }
-
-    /// Attach a visit cap `α·c·|G|` with coefficient `c`.
-    pub fn with_visit_coefficient(mut self, c: f64) -> Self {
-        assert!(c.is_finite() && c > 0.0, "coefficient must be positive");
-        self.visit_cap = Some((self.max_units as f64 * c).ceil() as usize);
-        self
     }
 
     /// Attach an absolute visit cap.
@@ -144,14 +136,12 @@ mod tests {
 
     #[test]
     fn from_units_clamps_to_graph_size() {
-        // Regression: units > |G| used to yield alpha > 1.0 (and a visit
-        // cap beyond c·|G|), violating the documented α ∈ (0, 1] invariant.
+        // Regression: units > |G| used to yield alpha > 1.0, violating the
+        // documented α ∈ (0, 1] invariant.
         let g = g10();
         let b = ResourceBudget::from_units(&g, 1_000);
         assert_eq!(b.max_units, 10);
         assert_eq!(b.alpha, 1.0);
-        let capped = b.with_visit_coefficient(2.0);
-        assert_eq!(capped.visit_cap, Some(20));
     }
 
     #[test]
@@ -166,13 +156,6 @@ mod tests {
     fn over_one_alpha_rejected() {
         let g = g10();
         let _ = ResourceBudget::from_ratio(&g, 1.5);
-    }
-
-    #[test]
-    fn visit_coefficient_scales_cap() {
-        let g = g10();
-        let b = ResourceBudget::from_ratio(&g, 0.5).with_visit_coefficient(3.0);
-        assert_eq!(b.visit_cap, Some(15));
     }
 
     #[test]

@@ -31,12 +31,12 @@ pub mod rbsim_any;
 pub mod rbsub;
 pub mod reduction;
 
-pub use accuracy::{confusion, pattern_accuracy, reachability_accuracy, Accuracy, Confusion};
+pub use accuracy::{pattern_accuracy, reachability_accuracy, Accuracy};
 pub use analysis::{eta_profile, min_alpha_for_eta, EtaPoint, ProfiledAlgorithm};
 pub use budget::{ResourceBudget, VisitAccount};
 pub use neighbor_index::NeighborIndex;
 pub use rbsim::{rbsim, rbsim_with, PatternScratch};
-pub use rbsim_any::{rbsim_any, rbsim_any_with, AnyAnswer, AnyConfig};
+pub use rbsim_any::{rbsim_any, AnyAnswer, AnyConfig};
 pub use rbsub::{rbsub, rbsub_scratch, rbsub_with};
 pub use reduction::{
     search_reduced_graph, search_reduced_graph_scratch, search_reduced_graph_with, PatternAnswer,

@@ -70,7 +70,7 @@ pub fn rbsim_any(
 /// reductions and evaluations share warm buffers (within the call and, for
 /// serving loops, across calls). Identical answers to the one-shot entry
 /// point.
-pub fn rbsim_any_with(
+fn rbsim_any_with(
     g: &Graph,
     idx: &NeighborIndex,
     pattern: &Pattern,

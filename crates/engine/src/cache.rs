@@ -52,8 +52,6 @@ pub(crate) struct CacheKey {
     pub(crate) semantics: u8,
     /// Per-query size budget `⌊α|G|⌋`.
     pub(crate) max_units: usize,
-    /// Per-query visit cap, if configured.
-    pub(crate) visit_cap: Option<usize>,
     /// Graph generation the answer was computed at. Bumped by every
     /// applied delta batch, making pre-mutation entries unreachable.
     pub(crate) generation: u64,
@@ -66,7 +64,6 @@ impl PartialEq for CacheKey {
         self.generation == other.generation
             && self.semantics == other.semantics
             && self.max_units == other.max_units
-            && self.visit_cap == other.visit_cap
             && (Arc::ptr_eq(&self.canon, &other.canon)
                 || self.canon.signature == other.canon.signature)
     }
@@ -79,7 +76,6 @@ impl Hash for CacheKey {
         self.canon.sig_hash.hash(state);
         self.semantics.hash(state);
         self.max_units.hash(state);
-        self.visit_cap.hash(state);
         self.generation.hash(state);
     }
 }
@@ -354,7 +350,6 @@ mod tests {
             canon: canon(sig),
             semantics: 0,
             max_units: 10,
-            visit_cap: None,
             generation: 0,
         }
     }
@@ -492,8 +487,7 @@ mod tests {
                     canon: if k.is_multiple_of(2) { canons[k].clone() } else { canon(&sigs[k]) },
                     semantics: 0,
                     max_units: 10,
-                    visit_cap: None,
-                    generation: live.saturating_sub(back),
+                            generation: live.saturating_sub(back),
                 };
                 for (step, op) in ops.iter().enumerate() {
                     match *op {

@@ -35,8 +35,6 @@ pub enum BudgetSpec {
 pub struct EngineConfig {
     /// Per-query size budget for pattern queries.
     pub pattern_budget: BudgetSpec,
-    /// Optional visit coefficient `c`: per-query visit cap `α·c·|G|`.
-    pub visit_coefficient: Option<f64>,
     /// Resource ratio for the lazily built reachability index, `(0, 1]`.
     pub reach_alpha: f64,
     /// Worker threads for [`Engine::run_batch`]; 0 = available parallelism.
@@ -77,7 +75,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             pattern_budget: BudgetSpec::Ratio(0.01),
-            visit_coefficient: None,
             reach_alpha: 0.05,
             threads: 0,
             cache_capacity: 1024,
@@ -107,11 +104,6 @@ impl EngineConfig {
                 got: self.reach_alpha,
             });
         }
-        if let Some(c) = self.visit_coefficient {
-            if !(c.is_finite() && c > 0.0) {
-                return Err(EngineError::InvalidVisitCoefficient(c));
-            }
-        }
         Ok(())
     }
 }
@@ -129,7 +121,7 @@ pub struct ClassStats {
 
 impl ClassStats {
     /// Mean per-query latency, zero when no queries ran.
-    pub fn mean_latency(&self) -> Duration {
+    fn mean_latency(&self) -> Duration {
         if self.queries == 0 {
             Duration::ZERO
         } else {
@@ -435,15 +427,11 @@ impl Engine {
     }
 
     fn pattern_budget_on(&self, g: &Graph) -> ResourceBudget {
-        let mut b = match self.cfg.pattern_budget {
+        match self.cfg.pattern_budget {
             BudgetSpec::Ratio(a) => ResourceBudget::from_ratio(g, a),
             // `from_units` clamps to |G| itself (α ∈ (0, 1] invariant).
             BudgetSpec::Units(u) => ResourceBudget::from_units(g, u),
-        };
-        if let Some(c) = self.cfg.visit_coefficient {
-            b = b.with_visit_coefficient(c);
         }
-        b
     }
 
     /// Lifetime statistics across every batch and single query served.
@@ -789,7 +777,6 @@ impl Engine {
                 Semantics::Isomorphism => 1,
             },
             max_units: budget.max_units,
-            visit_cap: budget.visit_cap,
             generation: ep.generation,
         };
         match cache.get(&key) {
@@ -926,7 +913,7 @@ pub(crate) fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// Read-lock an `RwLock`, recovering the guard if a past panic poisoned
 /// it. The engine's only `RwLock` guards the epoch `Arc` swap, which is
 /// consistent under any poison history.
-pub(crate) fn relock_read<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
+fn relock_read<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -1164,14 +1151,6 @@ mod tests {
         }
         .validate()
         .is_ok());
-        assert!(matches!(
-            EngineConfig {
-                visit_coefficient: Some(-1.0),
-                ..Default::default()
-            }
-            .validate(),
-            Err(EngineError::InvalidVisitCoefficient(_))
-        ));
     }
 
     #[test]

@@ -105,8 +105,6 @@ pub enum EngineError {
         /// The rejected value.
         got: f64,
     },
-    /// The visit coefficient is not positive and finite.
-    InvalidVisitCoefficient(f64),
     /// A query line failed to parse or serialize.
     Parse(QueryParseError),
     /// A pattern failed to resolve against the graph.
@@ -118,9 +116,6 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::InvalidAlpha { what, got } => {
                 write!(f, "{what} must lie in (0, 1], got {got}")
-            }
-            EngineError::InvalidVisitCoefficient(c) => {
-                write!(f, "visit coefficient must be positive, got {c}")
             }
             EngineError::Parse(e) => write!(f, "{e}"),
             EngineError::Resolve(e) => write!(f, "{e}"),

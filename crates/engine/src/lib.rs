@@ -56,7 +56,4 @@ pub use engine::{
 pub use error::{EngineError, QueryParseError};
 pub use query::{Answer, Query, QueryClass, QueryResult};
 pub use rbq_graph::faultpoint;
-pub use wire::{
-    WireWriteError, ANSWER_FILE_HEADER, DELTA_FILE_HEADER, MIN_WIRE_VERSION, QUERY_FILE_HEADER,
-    WIRE_VERSION,
-};
+pub use wire::{WireWriteError, QUERY_FILE_HEADER};

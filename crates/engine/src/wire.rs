@@ -27,15 +27,15 @@ use rbq_graph::{DeltaBatch, DeltaOp, NodeId};
 use std::io::Write;
 
 /// The wire version this build writes (it reads both this and v1).
-pub const WIRE_VERSION: u32 = 2;
+const WIRE_VERSION: u32 = 2;
 /// The oldest wire version this build still reads.
-pub const MIN_WIRE_VERSION: u32 = 1;
+const MIN_WIRE_VERSION: u32 = 1;
 /// First line of a versioned query file.
 pub const QUERY_FILE_HEADER: &str = "#rbq-queries v2";
 /// First line of a versioned answer file.
-pub const ANSWER_FILE_HEADER: &str = "#rbq-answers v2";
+const ANSWER_FILE_HEADER: &str = "#rbq-answers v2";
 /// First line of a versioned delta file.
-pub const DELTA_FILE_HEADER: &str = "#rbq-deltas v2";
+const DELTA_FILE_HEADER: &str = "#rbq-deltas v2";
 
 /// A parsed query file.
 #[derive(Debug, Clone)]
@@ -305,7 +305,7 @@ pub struct DeltaFile {
 /// batch's own `an` additions, exactly like the in-memory API. Labels are
 /// single whitespace-free tokens (the format is line- and token-oriented);
 /// a label that cannot round-trip is a typed error.
-pub fn delta_op_to_line(op: &DeltaOp) -> Result<String, QueryParseError> {
+fn delta_op_to_line(op: &DeltaOp) -> Result<String, QueryParseError> {
     Ok(match op {
         DeltaOp::AddNode(label) => {
             if label.is_empty() || label.chars().any(char::is_whitespace) {
@@ -319,7 +319,7 @@ pub fn delta_op_to_line(op: &DeltaOp) -> Result<String, QueryParseError> {
 }
 
 /// Parse one delta line written by [`delta_op_to_line`].
-pub fn delta_op_from_line(line: &str) -> Result<DeltaOp, QueryParseError> {
+fn delta_op_from_line(line: &str) -> Result<DeltaOp, QueryParseError> {
     let line = line.trim();
     let (kind, rest) = line.split_once(' ').unwrap_or((line, ""));
     let mut fields = rest.split_whitespace();

@@ -50,7 +50,7 @@ impl GraphBuilder {
     }
 
     /// Add a node with an already-interned label; returns its id.
-    pub fn add_node_with_label(&mut self, l: Label) -> NodeId {
+    fn add_node_with_label(&mut self, l: Label) -> NodeId {
         debug_assert!(l.index() < self.labels.len(), "label not interned");
         let id = NodeId::new(self.node_labels.len());
         self.node_labels.push(l);

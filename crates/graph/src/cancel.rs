@@ -18,7 +18,7 @@ use std::time::Instant;
 
 /// How many ticks elapse between deadline clock reads. The first tick of a
 /// kernel always checks, so even tiny inputs hit at least one check.
-pub const TICK_INTERVAL: u32 = 1024;
+const TICK_INTERVAL: u32 = 1024;
 
 /// An optional deadline handed down from the batch scheduler. `Copy` and
 /// two words wide; the default token never expires.
@@ -47,12 +47,6 @@ impl CancelToken {
     #[inline]
     pub const fn deadline(&self) -> Option<Instant> {
         self.deadline
-    }
-
-    /// Whether a deadline is armed.
-    #[inline]
-    pub const fn is_armed(&self) -> bool {
-        self.deadline.is_some()
     }
 
     /// Whether the armed deadline has already passed. Never true for an
@@ -131,7 +125,7 @@ mod tests {
         for _ in 0..10 * TICK_INTERVAL {
             t.tick("test.point");
         }
-        assert!(!t.token().is_armed());
+        assert!(t.token().deadline().is_none());
         assert!(!t.token().is_expired());
     }
 
@@ -156,7 +150,7 @@ mod tests {
         for _ in 0..3 * TICK_INTERVAL {
             t.tick("test.point");
         }
-        assert!(t.token().is_armed());
+        assert!(t.token().deadline().is_some());
     }
 
     #[test]
@@ -165,7 +159,7 @@ mod tests {
         let mut t = CancelTicker::new(CancelToken::at(far));
         t.tick("a");
         t.arm(CancelToken::none());
-        assert!(!t.token().is_armed());
+        assert!(t.token().deadline().is_none());
         t.tick("a");
     }
 }

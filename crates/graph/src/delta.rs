@@ -9,8 +9,9 @@
 //!
 //! * The batch's per-node add/remove side-lists are merged against the
 //!   base rows once at apply time, so every read — [`Graph::out`],
-//!   [`Graph::inn`], `Neighbors`, degree and edge tests — keeps returning
-//!   plain sorted slices with no per-probe merging or allocation.
+//!   [`Graph::inn`], [`crate::GraphView`] adjacency, degree and edge
+//!   tests — keeps returning plain sorted slices with no per-probe merging
+//!   or allocation.
 //! * The label partition is rebuilt over all nodes (`O(|V|)`), keeping
 //!   label-based candidate seeding `O(1)` + output.
 //! * Once cumulative churn passes [`COMPACTION_THRESHOLD`] (a fraction of
@@ -32,11 +33,11 @@ use std::fmt;
 /// Effective churn (adds + removes since the last compaction) at which
 /// [`Graph::apply_delta`] compacts, as a fraction of the base edge count:
 /// `churn >= max(64, |E_base| / 4)`.
-pub const COMPACTION_THRESHOLD_DENOM: usize = 4;
+const COMPACTION_THRESHOLD_DENOM: usize = 4;
 
 /// Churn floor below which small graphs never auto-compact mid-batch
 /// (compaction would cost more than it saves).
-pub const COMPACTION_THRESHOLD_MIN: usize = 64;
+const COMPACTION_THRESHOLD_MIN: usize = 64;
 
 /// One recorded update operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -635,8 +636,7 @@ mod tests {
         let mut seen = Vec::new();
         g2.for_each_node_with_label(c, &mut |v| seen.push(v));
         assert_eq!(seen, vec![NodeId(2), NodeId(3)]);
-        let outs: Vec<NodeId> = g2.out_neighbors(NodeId(3)).collect();
-        assert_eq!(outs, vec![NodeId(1)]);
+        assert_eq!(g2.out_neighbors(NodeId(3)), [NodeId(1)]);
         assert_eq!(g2.node_ids().count(), 4);
     }
 

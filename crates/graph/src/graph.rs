@@ -15,7 +15,7 @@
 
 use crate::labels::LabelInterner;
 use crate::types::{Direction, Label, NodeId};
-use crate::view::{GraphView, Neighbors, NodeIds};
+use crate::view::{GraphView, NodeIds};
 use std::sync::Arc;
 
 /// The frozen CSR arrays, shared (via [`Arc`]) between a graph and every
@@ -404,13 +404,13 @@ impl GraphView for Graph {
     }
 
     #[inline]
-    fn out_neighbors(&self, v: NodeId) -> Neighbors<'_> {
-        Neighbors::slice(self.out(v))
+    fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
+        self.out(v)
     }
 
     #[inline]
-    fn in_neighbors(&self, v: NodeId) -> Neighbors<'_> {
-        Neighbors::slice(self.inn(v))
+    fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
+        self.inn(v)
     }
 
     fn node_ids(&self) -> NodeIds<'_> {
@@ -564,10 +564,8 @@ mod tests {
         let (g, [a, _, _, d]) = diamond();
         assert!(g.contains(a));
         assert!(!g.contains(NodeId(99)));
-        let outs: Vec<_> = g.out_neighbors(a).collect();
-        assert_eq!(outs.len(), 2);
-        let ins: Vec<_> = g.in_neighbors(d).collect();
-        assert_eq!(ins.len(), 2);
+        assert_eq!(g.out_neighbors(a).len(), 2);
+        assert_eq!(g.in_neighbors(d).len(), 2);
         assert_eq!(g.node_ids().count(), 4);
     }
 

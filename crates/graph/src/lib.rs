@@ -14,13 +14,13 @@
 //!   [`labels::stable_hash`], the interning-independent label hash the
 //!   sharded front door routes by;
 //! * [`GraphView`] — the read-only abstraction all matching algorithms are
-//!   generic over, so they run unchanged on a full graph, an induced
-//!   subgraph, or a dynamically grown `G_Q`;
-//! * traversals ([`traverse`]) — BFS / DFS / bounded and bidirectional BFS
-//!   with visit accounting;
-//! * neighborhoods ([`neighborhood`]) — `N_r(v)` node sets, `G_r(v)` balls
-//!   (the `r`-neighborhood subgraphs of §2), and the reusable epoch-stamped
-//!   [`BallScratch`] for evaluating many balls without per-ball allocation;
+//!   generic over, so they run unchanged on a full graph or on a subgraph
+//!   of it (an induced `G[V_s]`, a dynamically grown `G_Q`);
+//! * traversals ([`traverse`]) — BFS and the `reaches` baseline, with visit
+//!   accounting;
+//! * neighborhoods ([`neighborhood`]) — `N_r(v)` node sets (the balls of
+//!   §2) through the reusable epoch-stamped [`BallScratch`], which evaluates
+//!   many balls without per-ball allocation, and the pattern diameter `d_Q`;
 //! * [`scc`] — Tarjan strongly connected components, and [`condense`] —
 //!   reachability-preserving DAG condensation (the first half of the
 //!   query-preserving compression of §5);
@@ -28,8 +28,8 @@
 //!   a CSR overlay with threshold-triggered compaction, the substrate for
 //!   serving under churn;
 //! * [`topo`] — topological ranks `v.r` on DAGs (auxiliary info of §5.1);
-//! * [`subgraph`] — induced subgraphs and the incrementally grown
-//!   [`subgraph::DynamicSubgraph`] used for `G_Q`;
+//! * [`subgraph`] — [`subgraph::DynamicSubgraph`], the one subgraph view:
+//!   grown incrementally as `G_Q`, or induced by a node set in one call;
 //! * [`stats`] — degree and label statistics (`d_G`, `l`, `f` of Theorem 3);
 //! * [`io`] — a plain-text edge-list interchange format, plus the atomic
 //!   write-temp-then-rename helper every durable artifact goes through;
@@ -65,7 +65,7 @@ pub use graph::Graph;
 pub use labels::LabelInterner;
 pub use neighborhood::BallScratch;
 pub use snapshot::{load_snapshot, write_snapshot, SnapshotError, SnapshotMeta};
-pub use subgraph::{DynamicSubgraph, InducedSubgraph, SubgraphScratch};
+pub use subgraph::{DynamicSubgraph, SubgraphScratch};
 pub use types::{Label, NodeId};
-pub use view::{GraphView, Neighbors, NodeIds};
+pub use view::{GraphView, NodeIds};
 pub use wal::{replay as wal_replay, WalError, WalReplay, WalWriter};

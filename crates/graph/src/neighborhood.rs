@@ -2,21 +2,17 @@
 //!
 //! A node `v'` is *within `r` hops* of `v` if there is a path of at most `r`
 //! edges from `v` to `v'` **or** from `v'` to `v` — i.e. hops are counted on
-//! the underlying undirected graph. `N_r(v)` is the set of such nodes and
-//! the *`r`-neighborhood* `G_r(v)` is the subgraph induced by `N_r(v)`.
+//! the underlying undirected graph. `N_r(v)` is the set of such nodes
+//! ([`BallScratch::ball_into`]) and the *`r`-neighborhood* `G_r(v)` is the
+//! subgraph induced by `N_r(v)` ([`crate::DynamicSubgraph::induced`] over it).
 //!
 //! Strong-simulation matching is defined on `d_Q`-neighborhood balls, and
 //! the locality argument for pattern queries (they can be answered inside
 //! `G_dQ(v_p)`) rests on these definitions.
 
 use crate::cancel::{CancelTicker, CancelToken};
-use crate::graph::Graph;
-use crate::subgraph::InducedSubgraph;
-use crate::traverse::VisitStats;
 use crate::types::NodeId;
 use crate::view::GraphView;
-use rustc_hash::FxHashMap;
-use std::collections::VecDeque;
 
 /// Reusable scratch state for repeated ball evaluations.
 ///
@@ -179,43 +175,26 @@ impl BallScratch {
                 if d as usize == r {
                     continue;
                 }
-                for nb in [g.out_neighbors(v), g.in_neighbors(v)] {
-                    match nb.as_slice() {
-                        // Slice fast path, branchless visit: always write
-                        // the next queue slot, advance the cursor only on
-                        // first sight. Whether a neighbor was already seen
-                        // is data-dependent and mispredicts constantly —
-                        // the unconditional store is ~4× faster here than
-                        // the natural `if newly { push }`.
-                        Some(s) => {
-                            let base = queue.len();
-                            queue.resize(base + s.len(), (NodeId(0), 0));
-                            let mut k = base;
-                            for &w in s {
-                                let i = w.index();
-                                if i >= stamp.len() {
-                                    stamp.resize(i + 1, 0);
-                                }
-                                let newly = (stamp[i] != epoch) as usize;
-                                stamp[i] = epoch;
-                                queue[k] = (w, d + 1);
-                                k += newly;
-                            }
-                            queue.truncate(k);
+                for s in [g.out_neighbors(v), g.in_neighbors(v)] {
+                    // Branchless visit: always write the next queue slot,
+                    // advance the cursor only on first sight. Whether a
+                    // neighbor was already seen is data-dependent and
+                    // mispredicts constantly — the unconditional store is
+                    // ~4× faster here than the natural `if newly { push }`.
+                    let base = queue.len();
+                    queue.resize(base + s.len(), (NodeId(0), 0));
+                    let mut k = base;
+                    for &w in s {
+                        let i = w.index();
+                        if i >= stamp.len() {
+                            stamp.resize(i + 1, 0);
                         }
-                        None => {
-                            for w in nb {
-                                let i = w.index();
-                                if i >= stamp.len() {
-                                    stamp.resize(i + 1, 0);
-                                }
-                                if stamp[i] != epoch {
-                                    stamp[i] = epoch;
-                                    queue.push((w, d + 1));
-                                }
-                            }
-                        }
+                        let newly = (stamp[i] != epoch) as usize;
+                        stamp[i] = epoch;
+                        queue[k] = (w, d + 1);
+                        k += newly;
                     }
+                    queue.truncate(k);
                 }
             }
         }
@@ -237,104 +216,41 @@ impl BallScratch {
     }
 }
 
-/// The node set `N_r(v)`: all nodes within `r` hops of `v`, following edges
-/// in either direction, including `v` itself.
-///
-/// Returns nodes with their hop distance, in BFS order, plus visit stats.
-pub fn n_r(g: &Graph, v: NodeId, r: usize) -> (FxHashMap<NodeId, usize>, VisitStats) {
-    let mut dist: FxHashMap<NodeId, usize> = FxHashMap::default();
-    let mut queue = VecDeque::new();
-    let mut stats = VisitStats::default();
-    dist.insert(v, 0);
-    queue.push_back((v, 0usize));
-    // rbq-lint: allow(cancel-coverage, "legacy offline helper for benches and test oracles; the serving path uses the ticked BallScratch::bfs")
-    while let Some((u, d)) = queue.pop_front() {
-        stats.nodes += 1;
-        if d == r {
-            continue;
-        }
-        for &w in g.out(u).iter().chain(g.inn(u)) {
-            stats.edges += 1;
-            if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(w) {
-                e.insert(d + 1);
-                queue.push_back((w, d + 1));
-            }
-        }
-    }
-    (dist, stats)
-}
-
-/// The `r`-neighborhood *ball* `G_r(v)`: the subgraph induced by `N_r(v)`.
-pub fn ball<'g>(g: &'g Graph, v: NodeId, r: usize) -> (InducedSubgraph<'g>, VisitStats) {
-    let (dist, stats) = n_r(g, v, r);
-    (InducedSubgraph::new(g, dist.into_keys()), stats)
-}
-
-/// The diameter of `g` viewed as an *undirected* graph: the longest shortest
-/// path between any connected pair (unreachable pairs are ignored).
-///
-/// Exact all-pairs BFS — `O(|V|·(|V|+|E|))`. Patterns are tiny (≤ ~8 nodes,
-/// §6), for which this is instantaneous; avoid calling it on big data graphs.
-pub fn undirected_diameter(g: &Graph) -> usize {
-    let mut best = 0usize;
-    for s in g.nodes() {
-        let (dist, _) = n_r(g, s, usize::MAX);
-        for (_, d) in dist {
-            best = best.max(d);
-        }
-    }
-    best
-}
-
-/// The diameter of `g` respecting edge direction (longest finite directed
-/// shortest path). Used for directed-diameter assertions in tests.
-pub fn directed_diameter(g: &Graph) -> usize {
-    use crate::types::Direction;
-    let mut best = 0usize;
-    for s in g.nodes() {
-        let (order, _) = crate::traverse::bfs_bounded(g, s, Direction::Out, usize::MAX);
-        for (_, d) in order {
-            best = best.max(d);
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::graph_from_edges;
-    use crate::view::GraphView;
+    use crate::graph::Graph;
+    use crate::subgraph::DynamicSubgraph;
+    use rustc_hash::FxHashMap;
+    use std::collections::VecDeque;
 
     fn chain() -> Graph {
         // 0 -> 1 -> 2 -> 3 -> 4
         graph_from_edges(&["A"; 5], &[(0, 1), (1, 2), (2, 3), (3, 4)])
     }
 
+    fn ball_of(g: &Graph, center: u32, r: usize) -> Vec<NodeId> {
+        let mut ball = Vec::new();
+        BallScratch::new().ball_into(g, NodeId(center), r, &mut ball);
+        ball
+    }
+
     #[test]
     fn n_r_counts_both_directions() {
-        let g = chain();
-        let (dist, _) = n_r(&g, NodeId(2), 1);
-        let mut nodes: Vec<_> = dist.keys().copied().collect();
-        nodes.sort_unstable();
-        assert_eq!(nodes, vec![NodeId(1), NodeId(2), NodeId(3)]);
-        assert_eq!(dist[&NodeId(2)], 0);
-        assert_eq!(dist[&NodeId(1)], 1);
+        assert_eq!(ball_of(&chain(), 2, 1), [NodeId(1), NodeId(2), NodeId(3)]);
     }
 
     #[test]
     fn n_r_radius_two() {
-        let g = chain();
-        let (dist, _) = n_r(&g, NodeId(2), 2);
-        assert_eq!(dist.len(), 5);
-        assert_eq!(dist[&NodeId(0)], 2);
-        assert_eq!(dist[&NodeId(4)], 2);
+        assert_eq!(ball_of(&chain(), 2, 2).len(), 5);
+        assert_eq!(ball_of(&chain(), 0, 2), [NodeId(0), NodeId(1), NodeId(2)]);
     }
 
     #[test]
     fn ball_is_induced() {
         let g = graph_from_edges(&["A"; 4], &[(0, 1), (1, 2), (2, 3), (0, 2)]);
-        let (b, _) = ball(&g, NodeId(0), 1);
+        let b = DynamicSubgraph::induced(&g, ball_of(&g, 0, 1));
         // N_1(0) = {0,1,2}; induced edges: 0->1, 1->2, 0->2.
         assert_eq!(b.num_nodes(), 3);
         assert_eq!(b.num_edges(), 3);
@@ -343,41 +259,29 @@ mod tests {
     #[test]
     fn zero_radius_ball_is_single_node() {
         let g = chain();
-        let (b, _) = ball(&g, NodeId(3), 0);
+        let b = DynamicSubgraph::induced(&g, ball_of(&g, 3, 0));
         assert_eq!(b.num_nodes(), 1);
         assert_eq!(b.num_edges(), 0);
     }
 
-    #[test]
-    fn undirected_diameter_of_chain() {
-        let g = chain();
-        assert_eq!(undirected_diameter(&g), 4);
-    }
-
-    #[test]
-    fn directed_diameter_of_chain() {
-        let g = chain();
-        assert_eq!(directed_diameter(&g), 4);
-    }
-
-    #[test]
-    fn undirected_diameter_sees_through_direction() {
-        // 0 -> 1 <- 2 : directed diameter 1, undirected 2.
-        let g = graph_from_edges(&["A"; 3], &[(0, 1), (2, 1)]);
-        assert_eq!(directed_diameter(&g), 1);
-        assert_eq!(undirected_diameter(&g), 2);
-    }
-
-    #[test]
-    fn diameter_of_single_node() {
-        let g = graph_from_edges(&["A"], &[]);
-        assert_eq!(undirected_diameter(&g), 0);
-    }
-
-    /// Hash-set BFS oracle for [`BallScratch`]: the pre-epoch-stamp
+    /// Hash-map BFS oracle for [`BallScratch`]: the pre-epoch-stamp
     /// implementation, kept for differential checks.
     fn ball_naive(g: &Graph, center: NodeId, r: usize) -> Vec<NodeId> {
-        let (dist, _) = n_r(g, center, r);
+        let mut dist: FxHashMap<NodeId, usize> = FxHashMap::default();
+        let mut queue = VecDeque::new();
+        dist.insert(center, 0);
+        queue.push_back((center, 0usize));
+        while let Some((u, d)) = queue.pop_front() {
+            if d == r {
+                continue;
+            }
+            for &w in g.out(u).iter().chain(g.inn(u)) {
+                if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(w) {
+                    e.insert(d + 1);
+                    queue.push_back((w, d + 1));
+                }
+            }
+        }
         let mut out: Vec<NodeId> = dist.into_keys().collect();
         out.sort_unstable();
         out
@@ -399,7 +303,7 @@ mod tests {
     #[test]
     fn scratch_ball_missing_center_is_empty() {
         let g = chain();
-        let view = InducedSubgraph::new(&g, [NodeId(0)]);
+        let view = DynamicSubgraph::induced(&g, [NodeId(0)]);
         let mut scratch = BallScratch::new();
         let mut ball = vec![NodeId(9)];
         scratch.ball_into(&view, NodeId(2), 3, &mut ball);

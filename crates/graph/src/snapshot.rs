@@ -31,7 +31,7 @@ use std::path::Path;
 /// The one-line ASCII magic every snapshot file starts with. Bump the
 /// version when the binary layout changes; the loader rejects files whose
 /// magic it does not declare.
-pub const SNAPSHOT_FILE_MAGIC: &str = "#rbq-snapshot v1";
+const SNAPSHOT_FILE_MAGIC: &str = "#rbq-snapshot v1";
 
 /// Conventional file name of the snapshot inside a durability directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";

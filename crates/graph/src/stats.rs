@@ -54,7 +54,7 @@ pub fn max_label_fanout<V: GraphView + ?Sized>(g: &V) -> usize {
     let mut counts: FxHashMap<Label, usize> = FxHashMap::default();
     for v in g.node_ids() {
         counts.clear();
-        for w in g.out_neighbors(v).chain(g.in_neighbors(v)) {
+        for &w in g.out_neighbors(v).iter().chain(g.in_neighbors(v)) {
             *counts.entry(g.label(w)).or_insert(0) += 1;
         }
         for &c in counts.values() {
@@ -65,7 +65,7 @@ pub fn max_label_fanout<V: GraphView + ?Sized>(g: &V) -> usize {
 }
 
 /// Histogram of node labels over a view: `label -> node count`.
-pub fn label_histogram<V: GraphView + ?Sized>(g: &V) -> FxHashMap<Label, usize> {
+fn label_histogram<V: GraphView + ?Sized>(g: &V) -> FxHashMap<Label, usize> {
     let mut h = FxHashMap::default();
     for v in g.node_ids() {
         *h.entry(g.label(v)).or_insert(0) += 1;
@@ -76,24 +76,6 @@ pub fn label_histogram<V: GraphView + ?Sized>(g: &V) -> FxHashMap<Label, usize> 
 /// Number of distinct node labels in a view.
 pub fn distinct_labels<V: GraphView + ?Sized>(g: &V) -> usize {
     label_histogram(g).len()
-}
-
-/// Theorem 3(b)'s minimum exact-answer ratio
-/// `α_min = 2((l·f)^d − 1) / ((l·f − 1)·|G|)`, computed with saturating
-/// arithmetic in `f64` (the bound explodes quickly; callers compare it to a
-/// candidate `α` and cap at 1.0).
-pub fn theorem3_alpha_bound(l: usize, f: usize, d: usize, graph_size: usize) -> f64 {
-    if graph_size == 0 {
-        return 1.0;
-    }
-    let lf = (l.max(1) * f.max(1)) as f64;
-    if lf <= 1.0 {
-        // Degenerate single-chain case: the bound reduces to 2d/|G|.
-        return ((2 * d) as f64 / graph_size as f64).min(1.0);
-    }
-    let numer = 2.0 * (lf.powi(d as i32) - 1.0);
-    let denom = (lf - 1.0) * graph_size as f64;
-    (numer / denom).min(1.0)
 }
 
 #[cfg(test)]
@@ -134,31 +116,10 @@ mod tests {
     }
 
     #[test]
-    fn theorem3_bound_monotone_in_depth() {
-        let a1 = theorem3_alpha_bound(2, 3, 1, 10_000);
-        let a2 = theorem3_alpha_bound(2, 3, 2, 10_000);
-        let a3 = theorem3_alpha_bound(2, 3, 3, 10_000);
-        assert!(a1 < a2 && a2 < a3);
-    }
-
-    #[test]
-    fn theorem3_bound_capped_at_one() {
-        assert_eq!(theorem3_alpha_bound(10, 10, 10, 10), 1.0);
-        assert_eq!(theorem3_alpha_bound(2, 2, 2, 0), 1.0);
-    }
-
-    #[test]
-    fn theorem3_bound_degenerate_lf_one() {
-        // l = f = 1: path-shaped neighborhoods.
-        let a = theorem3_alpha_bound(1, 1, 3, 100);
-        assert!((a - 0.06).abs() < 1e-9);
-    }
-
-    #[test]
     fn degree_stats_on_induced_view() {
-        use crate::subgraph::InducedSubgraph;
+        use crate::subgraph::DynamicSubgraph;
         let g = sample();
-        let s = InducedSubgraph::new(&g, [NodeId(0), NodeId(1)]);
+        let s = DynamicSubgraph::induced(&g, [NodeId(0), NodeId(1)]);
         let st = degree_stats(&s);
         assert_eq!(st.nodes, 2);
         assert_eq!(st.max_degree, 1);

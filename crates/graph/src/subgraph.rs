@@ -1,117 +1,17 @@
-//! Subgraph views over a base [`Graph`].
+//! The subgraph view over a base [`Graph`].
 //!
-//! Two flavors, both sharing the base graph's node-id space:
-//!
-//! * [`InducedSubgraph`] — the subgraph *induced* by a node set `V_s`
-//!   (paper §2): all edges of `G` with both endpoints in `V_s`.
-//! * [`DynamicSubgraph`] — an incrementally grown subgraph used as the
-//!   reduced graph `G_Q` by the dynamic-reduction procedures (§3): nodes and
-//!   induced edges are added one node at a time while the resource budget is
-//!   charged for each addition. Its state lives in a reusable
-//!   [`SubgraphScratch`], so a serving loop evaluating many queries pays no
-//!   per-query allocation once the buffers are warm.
+//! [`DynamicSubgraph`] shares the base graph's node-id space and grows one
+//! node at a time, always holding exactly the edges of `G` *induced* by its
+//! node set (paper §2). The dynamic-reduction procedures (§3) grow it as the
+//! reduced graph `G_Q`, charging the resource budget for each addition;
+//! [`DynamicSubgraph::induced`] builds `G[V_s]` for a given node set in one
+//! call. Its state lives in a reusable [`SubgraphScratch`], so a serving
+//! loop evaluating many queries pays no per-query allocation once the
+//! buffers are warm.
 
 use crate::graph::Graph;
 use crate::types::{Label, NodeId};
-use crate::view::{GraphView, Neighbors, NodeIds};
-use rustc_hash::{FxHashMap, FxHashSet};
-
-/// The subgraph of a base graph induced by a node set (§2).
-///
-/// Edges are not materialized: adjacency queries filter the base graph's
-/// lists through the membership set, so construction is `O(|V_s|)`.
-#[derive(Debug, Clone)]
-pub struct InducedSubgraph<'g> {
-    base: &'g Graph,
-    members: FxHashSet<NodeId>,
-    nodes: Vec<NodeId>,
-    num_edges: usize,
-}
-
-impl<'g> InducedSubgraph<'g> {
-    /// Build the subgraph of `base` induced by `nodes`.
-    ///
-    /// Duplicate ids are ignored. Edge counting costs one adjacency scan per
-    /// member node.
-    pub fn new(base: &'g Graph, nodes: impl IntoIterator<Item = NodeId>) -> Self {
-        let mut members = FxHashSet::default();
-        let mut sorted: Vec<NodeId> = Vec::new();
-        for v in nodes {
-            debug_assert!(v.index() < base.node_count(), "node outside base graph");
-            if members.insert(v) {
-                sorted.push(v);
-            }
-        }
-        sorted.sort_unstable();
-        let num_edges = sorted
-            .iter()
-            .map(|&u| base.out(u).iter().filter(|v| members.contains(v)).count())
-            .sum();
-        InducedSubgraph {
-            base,
-            members,
-            nodes: sorted,
-            num_edges,
-        }
-    }
-
-    /// The base graph.
-    pub fn base(&self) -> &'g Graph {
-        self.base
-    }
-
-    /// Member nodes in ascending id order.
-    pub fn members(&self) -> &[NodeId] {
-        &self.nodes
-    }
-
-    /// Copy into a standalone [`Graph`] with remapped dense ids.
-    ///
-    /// Returns the new graph and the mapping `new id -> old id`.
-    pub fn materialize(&self) -> (Graph, Vec<NodeId>) {
-        materialize(self.base, &self.nodes, |v| self.members.contains(&v))
-    }
-}
-
-impl GraphView for InducedSubgraph<'_> {
-    #[inline]
-    fn contains(&self, v: NodeId) -> bool {
-        self.members.contains(&v)
-    }
-
-    #[inline]
-    fn label(&self, v: NodeId) -> Label {
-        self.base.node_label(v)
-    }
-
-    #[inline]
-    fn out_neighbors(&self, v: NodeId) -> Neighbors<'_> {
-        Neighbors::filtered(self.base.out(v), &self.members)
-    }
-
-    #[inline]
-    fn in_neighbors(&self, v: NodeId) -> Neighbors<'_> {
-        Neighbors::filtered(self.base.inn(v), &self.members)
-    }
-
-    fn node_ids(&self) -> NodeIds<'_> {
-        NodeIds::Slice(self.nodes.iter())
-    }
-
-    #[inline]
-    fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    #[inline]
-    fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.members.contains(&u) && self.members.contains(&v) && self.base.edge(u, v)
-    }
-}
+use crate::view::{GraphView, NodeIds};
 
 /// Reusable state behind [`DynamicSubgraph`]: dense per-node-id membership
 /// stamps plus a pool of recycled adjacency buffers.
@@ -210,6 +110,16 @@ impl<'g> DynamicSubgraph<'g> {
     /// Create an empty subgraph of `base` over a fresh scratch.
     pub fn new(base: &'g Graph) -> Self {
         SubgraphScratch::new().begin(base)
+    }
+
+    /// The subgraph of `base` induced by `nodes` (§2): all edges of `base`
+    /// with both endpoints in the set. Duplicate ids are ignored.
+    pub fn induced(base: &'g Graph, nodes: impl IntoIterator<Item = NodeId>) -> Self {
+        let mut d = Self::new(base);
+        for v in nodes {
+            d.add_node(v);
+        }
+        d
     }
 
     /// The base graph.
@@ -327,13 +237,6 @@ impl<'g> DynamicSubgraph<'g> {
             None
         }
     }
-
-    /// Copy into a standalone [`Graph`] with remapped dense ids.
-    ///
-    /// Returns the new graph and the mapping `new id -> old id`.
-    pub fn materialize(&self) -> (Graph, Vec<NodeId>) {
-        materialize(self.base, &self.s.sorted_nodes, |v| self.contains(v))
-    }
 }
 
 impl GraphView for DynamicSubgraph<'_> {
@@ -351,18 +254,18 @@ impl GraphView for DynamicSubgraph<'_> {
     }
 
     #[inline]
-    fn out_neighbors(&self, v: NodeId) -> Neighbors<'_> {
+    fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
         match self.slot(v) {
-            Some(i) => Neighbors::slice(&self.s.out_adj[i]),
-            None => Neighbors::empty(),
+            Some(i) => &self.s.out_adj[i],
+            None => &[],
         }
     }
 
     #[inline]
-    fn in_neighbors(&self, v: NodeId) -> Neighbors<'_> {
+    fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
         match self.slot(v) {
-            Some(i) => Neighbors::slice(&self.s.in_adj[i]),
-            None => Neighbors::empty(),
+            Some(i) => &self.s.in_adj[i],
+            None => &[],
         }
     }
 
@@ -381,33 +284,6 @@ impl GraphView for DynamicSubgraph<'_> {
     }
 }
 
-/// Shared materialization: copy the subgraph induced by `sorted_nodes` (with
-/// membership predicate `is_member`) of `base` into a fresh graph.
-fn materialize(
-    base: &Graph,
-    sorted_nodes: &[NodeId],
-    is_member: impl Fn(NodeId) -> bool,
-) -> (Graph, Vec<NodeId>) {
-    let mut remap: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-    remap.reserve(sorted_nodes.len());
-    for (i, &v) in sorted_nodes.iter().enumerate() {
-        remap.insert(v, NodeId::new(i));
-    }
-    let mut b = crate::builder::GraphBuilder::with_capacity(sorted_nodes.len(), 0);
-    for &v in sorted_nodes {
-        b.add_node(base.node_label_str(v));
-    }
-    for &v in sorted_nodes {
-        let nv = remap[&v];
-        for &w in base.out(v) {
-            if is_member(w) {
-                b.add_edge(nv, remap[&w]);
-            }
-        }
-    }
-    (b.build(), sorted_nodes.to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,10 +296,47 @@ mod tests {
         )
     }
 
+    fn ids(raw: &[u32]) -> Vec<NodeId> {
+        raw.iter().map(|&i| NodeId(i)).collect()
+    }
+
+    /// The definition (§2), checked from `base.edges()` alone: `d` is the
+    /// subgraph induced by `picks` iff its node set is `S = set(picks)`, its
+    /// out/in adjacency equals `E_S = {(u, v) ∈ E : u, v ∈ S}` as sorted
+    /// sets, `size() = |S| + |E_S|` and `node_ids()` ascends.
+    fn assert_induced(d: &DynamicSubgraph<'_>, picks: &[NodeId], ctx: &str) {
+        let base = d.base();
+        let mut set = picks.to_vec();
+        set.sort_unstable();
+        set.dedup();
+        let inside = |v: NodeId| set.binary_search(&v).is_ok();
+        let e_s: Vec<(NodeId, NodeId)> = base
+            .edges()
+            .filter(|&(u, v)| inside(u) && inside(v))
+            .collect();
+        assert_eq!(d.node_ids().collect::<Vec<_>>(), set, "{ctx}: node_ids");
+        assert_eq!(d.num_nodes(), set.len(), "{ctx}: |S|");
+        assert_eq!(d.num_edges(), e_s.len(), "{ctx}: |E_S|");
+        assert_eq!(d.size(), set.len() + e_s.len(), "{ctx}: size");
+        for v in base.nodes() {
+            assert_eq!(d.contains(v), inside(v), "{ctx}: contains {v:?}");
+            let mut out = d.out_neighbors(v).to_vec();
+            let mut inn = d.in_neighbors(v).to_vec();
+            out.sort_unstable();
+            inn.sort_unstable();
+            let mut want_out: Vec<NodeId> = e_s.iter().filter(|e| e.0 == v).map(|e| e.1).collect();
+            let mut want_in: Vec<NodeId> = e_s.iter().filter(|e| e.1 == v).map(|e| e.0).collect();
+            want_out.sort_unstable();
+            want_in.sort_unstable();
+            assert_eq!(out, want_out, "{ctx}: out list of {v:?}");
+            assert_eq!(inn, want_in, "{ctx}: in list of {v:?}");
+        }
+    }
+
     #[test]
     fn induced_subgraph_keeps_inner_edges_only() {
         let g = path5();
-        let s = InducedSubgraph::new(&g, [NodeId(1), NodeId(2), NodeId(4)]);
+        let s = DynamicSubgraph::induced(&g, ids(&[1, 2, 4]));
         assert_eq!(s.num_nodes(), 3);
         assert_eq!(s.num_edges(), 1); // only 1 -> 2
         assert!(s.has_edge(NodeId(1), NodeId(2)));
@@ -434,7 +347,7 @@ mod tests {
     #[test]
     fn induced_subgraph_ignores_duplicates() {
         let g = path5();
-        let s = InducedSubgraph::new(&g, [NodeId(0), NodeId(0), NodeId(1)]);
+        let s = DynamicSubgraph::induced(&g, ids(&[0, 0, 1]));
         assert_eq!(s.num_nodes(), 2);
         assert_eq!(s.num_edges(), 1);
     }
@@ -442,11 +355,10 @@ mod tests {
     #[test]
     fn induced_neighbors_filtered() {
         let g = graph_from_edges(&["A", "B", "C"], &[(0, 1), (0, 2)]);
-        let s = InducedSubgraph::new(&g, [NodeId(0), NodeId(2)]);
-        let outs: Vec<_> = s.out_neighbors(NodeId(0)).collect();
-        assert_eq!(outs, vec![NodeId(2)]);
-        let ins: Vec<_> = s.in_neighbors(NodeId(2)).collect();
-        assert_eq!(ins, vec![NodeId(0)]);
+        let s = DynamicSubgraph::induced(&g, ids(&[0, 2]));
+        assert_eq!(s.out_neighbors(NodeId(0)), [NodeId(2)]);
+        assert_eq!(s.in_neighbors(NodeId(2)), [NodeId(0)]);
+        assert!(s.out_neighbors(NodeId(1)).is_empty()); // non-member
     }
 
     #[test]
@@ -459,38 +371,43 @@ mod tests {
         assert_eq!(d.num_nodes(), 2);
         assert_eq!(d.num_edges(), 1);
         assert_eq!(d.size(), 3);
-        let outs: Vec<_> = d.out_neighbors(NodeId(1)).collect();
-        assert_eq!(outs, vec![NodeId(2)]);
-        let ins: Vec<_> = d.in_neighbors(NodeId(2)).collect();
-        assert_eq!(ins, vec![NodeId(1)]);
+        assert_eq!(d.out_neighbors(NodeId(1)), [NodeId(2)]);
+        assert_eq!(d.in_neighbors(NodeId(2)), [NodeId(1)]);
     }
 
     #[test]
     fn dynamic_subgraph_matches_induced_semantics() {
-        // Whatever order nodes are added, the edge set must equal the
-        // induced edge set.
+        // Random S ⊆ V with duplicates, in random insertion order, over a
+        // graph with self-loops and 2-cycles: always the induced subgraph.
         let g = graph_from_edges(
-            &["A", "B", "C", "D"],
-            &[(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (0, 3)],
+            &["A", "B", "C", "D", "A", "B", "C"],
+            &[
+                (0, 1),
+                (1, 0),
+                (1, 2),
+                (2, 3),
+                (3, 1),
+                (0, 3),
+                (3, 3),
+                (4, 4),
+                (4, 5),
+                (5, 6),
+                (6, 4),
+                (2, 5),
+                (6, 0),
+            ],
         );
-        let picks = [NodeId(3), NodeId(0), NodeId(1)];
-        let mut d = DynamicSubgraph::new(&g);
-        for &v in &picks {
-            d.add_node(v);
-        }
-        let ind = InducedSubgraph::new(&g, picks);
-        assert_eq!(d.num_edges(), ind.num_edges());
-        for &u in &picks {
-            let mut a: Vec<_> = d.out_neighbors(u).collect();
-            let mut b: Vec<_> = ind.out_neighbors(u).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "out lists differ at {u:?}");
-            let mut a: Vec<_> = d.in_neighbors(u).collect();
-            let mut b: Vec<_> = ind.in_neighbors(u).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "in lists differ at {u:?}");
+        let mut x = 0x9E37_79B9u32; // xorshift32, fixed seed
+        let mut next = |m: u32| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x % m
+        };
+        for case in 0..200 {
+            let picks: Vec<NodeId> = (0..next(10)).map(|_| NodeId(next(7))).collect();
+            let d = DynamicSubgraph::induced(&g, picks.iter().copied());
+            assert_induced(&d, &picks, &format!("case {case} picks {picks:?}"));
         }
     }
 
@@ -501,10 +418,8 @@ mod tests {
         let added = d.add_node(NodeId(0));
         assert_eq!(added, 2); // node + self loop
         assert_eq!(d.num_edges(), 1);
-        let outs: Vec<_> = d.out_neighbors(NodeId(0)).collect();
-        assert_eq!(outs, vec![NodeId(0)]);
-        let ins: Vec<_> = d.in_neighbors(NodeId(0)).collect();
-        assert_eq!(ins, vec![NodeId(0)]);
+        assert_eq!(d.out_neighbors(NodeId(0)), [NodeId(0)]);
+        assert_eq!(d.in_neighbors(NodeId(0)), [NodeId(0)]);
     }
 
     #[test]
@@ -519,13 +434,9 @@ mod tests {
                                                             // Node 3 would cost 1 + edges 2->? none yet.. 3 edges: 3->1, 0->3.
         assert_eq!(d.try_add_node(NodeId(3), 2), None);
         // The rejection must leave the subgraph byte-identical.
-        assert_eq!(d.num_nodes(), 2);
-        assert_eq!(d.num_edges(), 2);
-        assert!(!d.contains(NodeId(3)));
-        let outs: Vec<_> = d.out_neighbors(NodeId(0)).collect();
-        assert_eq!(outs, vec![NodeId(1)]);
-        let ins: Vec<_> = d.in_neighbors(NodeId(1)).collect();
-        assert_eq!(ins, vec![NodeId(0)]);
+        assert_induced(&d, &ids(&[0, 1]), "after rejection");
+        assert_eq!(d.out_neighbors(NodeId(0)), [NodeId(1)]);
+        assert_eq!(d.in_neighbors(NodeId(1)), [NodeId(0)]);
         // With enough budget the same node is admitted with the same units.
         assert_eq!(d.try_add_node(NodeId(3), 3), Some(3));
         assert_eq!(d.num_edges(), 4);
@@ -540,8 +451,8 @@ mod tests {
         assert_eq!(d.try_add_node(NodeId(0), 3), None);
         assert_eq!(d.num_nodes(), 1);
         assert_eq!(d.num_edges(), 0);
-        assert!(d.in_neighbors(NodeId(1)).next().is_none());
-        assert!(d.out_neighbors(NodeId(1)).next().is_none());
+        assert!(d.in_neighbors(NodeId(1)).is_empty());
+        assert!(d.out_neighbors(NodeId(1)).is_empty());
         assert_eq!(d.try_add_node(NodeId(0), 4), Some(4));
         assert_eq!(d.num_edges(), 3);
     }
@@ -555,23 +466,16 @@ mod tests {
         let mut scratch = SubgraphScratch::new();
         for round in 0..300u32 {
             // Alternate member sets so stale state would be caught.
-            let picks: &[NodeId] = if round % 2 == 0 {
-                &[NodeId(0), NodeId(1), NodeId(3)]
+            let picks = if round % 2 == 0 {
+                ids(&[0, 1, 3])
             } else {
-                &[NodeId(2), NodeId(1)]
+                ids(&[2, 1])
             };
             let mut d = scratch.begin(&g);
-            for &v in picks {
+            for &v in &picks {
                 d.add_node(v);
             }
-            let ind = InducedSubgraph::new(&g, picks.iter().copied());
-            assert_eq!(d.num_nodes(), ind.num_nodes(), "round {round}");
-            assert_eq!(d.num_edges(), ind.num_edges(), "round {round}");
-            let got: Vec<NodeId> = d.node_ids().collect();
-            assert_eq!(got, ind.members(), "round {round}");
-            for v in g.nodes() {
-                assert_eq!(d.contains(v), ind.contains(v), "round {round} {v:?}");
-            }
+            assert_induced(&d, &picks, &format!("round {round}"));
             scratch = d.into_scratch();
         }
     }
@@ -579,39 +483,10 @@ mod tests {
     #[test]
     fn node_ids_are_sorted_regardless_of_insertion_order() {
         let g = path5();
-        let mut d = DynamicSubgraph::new(&g);
-        for v in [4u32, 0, 2, 3, 1] {
-            d.add_node(NodeId(v));
-        }
-        let ids: Vec<NodeId> = d.node_ids().collect();
-        assert_eq!(ids, (0..5).map(NodeId).collect::<Vec<_>>());
+        let d = DynamicSubgraph::induced(&g, ids(&[4, 0, 2, 3, 1]));
+        let got: Vec<NodeId> = d.node_ids().collect();
+        assert_eq!(got, ids(&[0, 1, 2, 3, 4]));
         // members() stays in insertion order.
         assert_eq!(d.members()[0], NodeId(4));
-    }
-
-    #[test]
-    fn materialize_roundtrip() {
-        let g = path5();
-        let s = InducedSubgraph::new(&g, [NodeId(2), NodeId(3), NodeId(4)]);
-        let (m, back) = s.materialize();
-        assert_eq!(m.node_count(), 3);
-        assert_eq!(m.edge_count(), 2);
-        assert_eq!(back, vec![NodeId(2), NodeId(3), NodeId(4)]);
-        assert_eq!(m.node_label_str(NodeId(0)), "C");
-        assert!(m.edge(NodeId(0), NodeId(1)));
-        assert!(m.edge(NodeId(1), NodeId(2)));
-    }
-
-    #[test]
-    fn dynamic_materialize_matches() {
-        let g = path5();
-        let mut d = DynamicSubgraph::new(&g);
-        d.add_node(NodeId(4));
-        d.add_node(NodeId(3));
-        let (m, back) = d.materialize();
-        assert_eq!(m.node_count(), 2);
-        assert_eq!(m.edge_count(), 1);
-        assert_eq!(back, vec![NodeId(3), NodeId(4)]);
-        assert!(m.edge(NodeId(0), NodeId(1)));
     }
 }

@@ -56,11 +56,6 @@ pub fn topological_ranks(g: &Graph) -> Vec<u32> {
     rank
 }
 
-/// Longest path length in the DAG (= max rank).
-pub fn longest_path(g: &Graph) -> u32 {
-    topological_ranks(g).into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,7 +85,6 @@ mod tests {
     fn ranks_of_chain() {
         let g = graph_from_edges(&["A"; 4], &[(0, 1), (1, 2), (2, 3)]);
         assert_eq!(topological_ranks(&g), vec![3, 2, 1, 0]);
-        assert_eq!(longest_path(&g), 3);
     }
 
     #[test]
@@ -116,7 +110,6 @@ mod tests {
     fn isolated_nodes_rank_zero() {
         let g = graph_from_edges(&["A"; 3], &[]);
         assert_eq!(topological_ranks(&g), vec![0, 0, 0]);
-        assert_eq!(longest_path(&g), 0);
     }
 
     #[test]

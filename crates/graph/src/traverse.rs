@@ -39,25 +39,12 @@ impl VisitStats {
 ///
 /// Returns all reached nodes (including `start`) and visit accounting.
 pub fn bfs(g: &Graph, start: NodeId, dir: Direction) -> (Vec<NodeId>, VisitStats) {
-    bfs_multi(g, std::iter::once(start), dir)
-}
-
-/// BFS from multiple sources.
-pub fn bfs_multi(
-    g: &Graph,
-    starts: impl IntoIterator<Item = NodeId>,
-    dir: Direction,
-) -> (Vec<NodeId>, VisitStats) {
     let mut seen = FxHashSet::default();
-    let mut order = Vec::new();
+    let mut order = vec![start];
     let mut queue = VecDeque::new();
     let mut stats = VisitStats::default();
-    for s in starts {
-        if seen.insert(s) {
-            order.push(s);
-            queue.push_back(s);
-        }
-    }
+    seen.insert(start);
+    queue.push_back(start);
     while let Some(v) = queue.pop_front() {
         stats.nodes += 1;
         for &w in g.adj(v, dir) {
@@ -65,37 +52,6 @@ pub fn bfs_multi(
             if seen.insert(w) {
                 order.push(w);
                 queue.push_back(w);
-            }
-        }
-    }
-    (order, stats)
-}
-
-/// BFS limited to `max_hops` following `dir` edges; returns `(node, depth)`
-/// pairs in visit order.
-pub fn bfs_bounded(
-    g: &Graph,
-    start: NodeId,
-    dir: Direction,
-    max_hops: usize,
-) -> (Vec<(NodeId, usize)>, VisitStats) {
-    let mut seen = FxHashSet::default();
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    let mut stats = VisitStats::default();
-    seen.insert(start);
-    order.push((start, 0));
-    queue.push_back((start, 0usize));
-    while let Some((v, d)) = queue.pop_front() {
-        stats.nodes += 1;
-        if d == max_hops {
-            continue;
-        }
-        for &w in g.adj(v, dir) {
-            stats.edges += 1;
-            if seen.insert(w) {
-                order.push((w, d + 1));
-                queue.push_back((w, d + 1));
             }
         }
     }
@@ -128,40 +84,6 @@ pub fn reaches(g: &Graph, s: NodeId, t: NodeId) -> (bool, VisitStats) {
     (false, stats)
 }
 
-/// Depth-first post-order of the whole graph following out-edges.
-///
-/// Iterative (explicit stack) so million-node graphs don't overflow the call
-/// stack. Roots are taken in ascending node-id order.
-pub fn dfs_postorder(g: &Graph) -> Vec<NodeId> {
-    let n = g.node_count();
-    let mut visited = vec![false; n];
-    let mut post = Vec::with_capacity(n);
-    // Stack entries: (node, next child index to explore).
-    let mut stack: Vec<(NodeId, usize)> = Vec::new();
-    for root in g.nodes() {
-        if visited[root.index()] {
-            continue;
-        }
-        visited[root.index()] = true;
-        stack.push((root, 0));
-        while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-            let adj = g.out(v);
-            if *i < adj.len() {
-                let w = adj[*i];
-                *i += 1;
-                if !visited[w.index()] {
-                    visited[w.index()] = true;
-                    stack.push((w, 0));
-                }
-            } else {
-                post.push(v);
-                stack.pop();
-            }
-        }
-    }
-    post
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,29 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_bounded_respects_hops() {
-        let g = chain();
-        let (order, _) = bfs_bounded(&g, NodeId(0), Direction::Out, 2);
-        let nodes: Vec<_> = order.iter().map(|&(v, _)| v).collect();
-        assert_eq!(nodes, vec![NodeId(0), NodeId(1), NodeId(2)]);
-        assert_eq!(order[2].1, 2);
-    }
-
-    #[test]
-    fn bfs_bounded_zero_hops_is_self() {
-        let g = chain();
-        let (order, _) = bfs_bounded(&g, NodeId(3), Direction::Out, 0);
-        assert_eq!(order, vec![(NodeId(3), 0)]);
-    }
-
-    #[test]
-    fn bfs_multi_merges_sources() {
-        let g = graph_from_edges(&["A"; 4], &[(0, 1), (2, 3)]);
-        let (order, _) = bfs_multi(&g, [NodeId(0), NodeId(2)], Direction::Out);
-        assert_eq!(order.len(), 4);
-    }
-
-    #[test]
     fn reaches_positive_and_negative() {
         let g = chain();
         assert!(reaches(&g, NodeId(0), NodeId(4)).0);
@@ -226,23 +125,6 @@ mod tests {
         assert!(stats.total() > 0);
         // Early exit: finding 4 requires scanning edge 3->4 but not expanding 4.
         assert!(stats.nodes <= 4);
-    }
-
-    #[test]
-    fn dfs_postorder_parents_after_children() {
-        let g = chain();
-        let post = dfs_postorder(&g);
-        let pos = |v: u32| post.iter().position(|&x| x == NodeId(v)).unwrap();
-        assert!(pos(4) < pos(3));
-        assert!(pos(3) < pos(2));
-        assert_eq!(post.len(), 5);
-    }
-
-    #[test]
-    fn dfs_postorder_covers_disconnected() {
-        let g = graph_from_edges(&["A"; 4], &[(0, 1), (2, 3)]);
-        let post = dfs_postorder(&g);
-        assert_eq!(post.len(), 4);
     }
 
     #[test]

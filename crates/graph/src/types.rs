@@ -10,9 +10,8 @@ use std::fmt;
 /// A node identifier: a dense index into a [`crate::Graph`]'s node arrays.
 ///
 /// `NodeId`s are only meaningful relative to the graph that issued them.
-/// [`crate::subgraph::DynamicSubgraph`] and [`crate::subgraph::InducedSubgraph`]
-/// share the parent graph's id space, so ids can be passed between a graph
-/// and its subgraphs freely.
+/// A [`crate::subgraph::DynamicSubgraph`] shares the parent graph's id space,
+/// so ids can be passed between a graph and its subgraphs freely.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 

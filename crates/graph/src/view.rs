@@ -5,111 +5,23 @@
 //! (paper Fig. 2). Making the matchers generic over a read-only view lets
 //! one implementation serve both, without copying `G_Q` into a fresh graph.
 //!
-//! Adjacency is exposed through the concrete [`Neighbors`] iterator — a
-//! borrowed slice, optionally filtered through a membership set — instead of
-//! `Box<dyn Iterator>`: the matching fixpoints probe adjacency millions of
-//! times per query, and a heap allocation per probe dominated their profile.
-//! Slice-backed views (the common case) additionally expose the raw slice
-//! via [`Neighbors::as_slice`] so hot loops can iterate without any
-//! per-element branching.
+//! Adjacency is a borrowed `&[NodeId]`: both views — [`crate::Graph`] (CSR
+//! rows, or an overlay's merged rows) and [`crate::DynamicSubgraph`]
+//! (per-member lists) — store the neighbors of a node contiguously, so every
+//! kernel iterates one plain slice with no per-element branch and no
+//! allocation per probe (the matching fixpoints probe adjacency millions of
+//! times per query).
 
 use crate::types::{Direction, Label, NodeId};
-use rustc_hash::FxHashSet;
-
-const EMPTY: &[NodeId] = &[];
-
-/// Borrowed adjacency of one node: a slice, optionally filtered by a
-/// membership set (for induced-subgraph views). Never allocates.
-#[derive(Debug, Clone)]
-pub struct Neighbors<'a> {
-    rest: &'a [NodeId],
-    filter: Option<&'a FxHashSet<NodeId>>,
-}
-
-impl<'a> Neighbors<'a> {
-    /// Adjacency backed directly by a slice.
-    #[inline]
-    pub fn slice(list: &'a [NodeId]) -> Self {
-        Neighbors {
-            rest: list,
-            filter: None,
-        }
-    }
-
-    /// Adjacency backed by a base-graph slice filtered through `members`:
-    /// only targets in the set are yielded.
-    #[inline]
-    pub fn filtered(list: &'a [NodeId], members: &'a FxHashSet<NodeId>) -> Self {
-        Neighbors {
-            rest: list,
-            filter: Some(members),
-        }
-    }
-
-    /// No neighbors.
-    #[inline]
-    pub fn empty() -> Self {
-        Neighbors {
-            rest: EMPTY,
-            filter: None,
-        }
-    }
-
-    /// The remaining neighbors as a plain slice, when unfiltered. Hot loops
-    /// use this to bypass the per-element filter branch; `None` means the
-    /// view is virtual (filtered) and must be iterated.
-    #[inline]
-    pub fn as_slice(&self) -> Option<&'a [NodeId]> {
-        match self.filter {
-            None => Some(self.rest),
-            Some(_) => None,
-        }
-    }
-}
-
-impl Iterator for Neighbors<'_> {
-    type Item = NodeId;
-
-    #[inline]
-    fn next(&mut self) -> Option<NodeId> {
-        match self.filter {
-            None => {
-                let (&first, rest) = self.rest.split_first()?;
-                self.rest = rest;
-                Some(first)
-            }
-            Some(members) => {
-                while let Some((&first, rest)) = self.rest.split_first() {
-                    self.rest = rest;
-                    if members.contains(&first) {
-                        return Some(first);
-                    }
-                }
-                None
-            }
-        }
-    }
-
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self.filter {
-            None => (self.rest.len(), Some(self.rest.len())),
-            Some(_) => (0, Some(self.rest.len())),
-        }
-    }
-}
 
 /// Node ids of a view, in ascending order. Concrete (non-boxed) so
-/// `node_ids()` costs nothing for range- and slice-backed views; only views
-/// that keep nodes in insertion order pay a sort + allocation.
+/// `node_ids()` costs nothing for either view.
 #[derive(Debug, Clone)]
 pub enum NodeIds<'a> {
     /// Dense id range `0..n` (a full [`crate::Graph`]).
     Range(std::ops::Range<u32>),
-    /// Sorted member slice (induced subgraphs).
+    /// Sorted member slice (subgraph views).
     Slice(std::slice::Iter<'a, NodeId>),
-    /// Materialized sorted ids (views without a sorted member list).
-    Owned(std::vec::IntoIter<NodeId>),
 }
 
 impl Iterator for NodeIds<'_> {
@@ -120,7 +32,6 @@ impl Iterator for NodeIds<'_> {
         match self {
             NodeIds::Range(r) => r.next().map(NodeId),
             NodeIds::Slice(it) => it.next().copied(),
-            NodeIds::Owned(it) => it.next(),
         }
     }
 
@@ -129,7 +40,6 @@ impl Iterator for NodeIds<'_> {
         match self {
             NodeIds::Range(r) => r.size_hint(),
             NodeIds::Slice(it) => it.size_hint(),
-            NodeIds::Owned(it) => it.size_hint(),
         }
     }
 }
@@ -149,10 +59,10 @@ pub trait GraphView {
     fn label(&self, v: NodeId) -> Label;
 
     /// Children of `v`: targets of edges `v -> w` present in the view.
-    fn out_neighbors(&self, v: NodeId) -> Neighbors<'_>;
+    fn out_neighbors(&self, v: NodeId) -> &[NodeId];
 
     /// Parents of `v`: sources of edges `w -> v` present in the view.
-    fn in_neighbors(&self, v: NodeId) -> Neighbors<'_>;
+    fn in_neighbors(&self, v: NodeId) -> &[NodeId];
 
     /// All node ids present in the view, in ascending order.
     fn node_ids(&self) -> NodeIds<'_>;
@@ -164,7 +74,7 @@ pub trait GraphView {
     fn num_edges(&self) -> usize;
 
     /// Neighbors in the given direction.
-    fn neighbors(&self, v: NodeId, dir: Direction) -> Neighbors<'_> {
+    fn neighbors(&self, v: NodeId, dir: Direction) -> &[NodeId] {
         match dir {
             Direction::Out => self.out_neighbors(v),
             Direction::In => self.in_neighbors(v),
@@ -179,12 +89,12 @@ pub trait GraphView {
 
     /// Out-degree of `v` within the view.
     fn out_degree(&self, v: NodeId) -> usize {
-        self.out_neighbors(v).count()
+        self.out_neighbors(v).len()
     }
 
     /// In-degree of `v` within the view.
     fn in_degree(&self, v: NodeId) -> usize {
-        self.in_neighbors(v).count()
+        self.in_neighbors(v).len()
     }
 
     /// Total degree (in + out) of `v` within the view — the `d(v)` used by
@@ -195,7 +105,7 @@ pub trait GraphView {
 
     /// Whether the view has an edge `u -> v`.
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.out_neighbors(u).any(|w| w == v)
+        self.out_neighbors(u).contains(&v)
     }
 
     /// Visit every node of the view carrying label `l`, in ascending id
@@ -221,7 +131,8 @@ pub trait GraphView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::GraphBuilder;
+    use crate::builder::{graph_from_edges, GraphBuilder};
+    use crate::subgraph::DynamicSubgraph;
 
     #[test]
     fn default_methods_consistent_with_graph() {
@@ -244,23 +155,27 @@ mod tests {
 
     #[test]
     fn neighbors_slice_roundtrip() {
-        let list = [NodeId(1), NodeId(3), NodeId(5)];
-        let n = Neighbors::slice(&list);
-        assert_eq!(n.as_slice(), Some(&list[..]));
-        assert_eq!(n.size_hint(), (3, Some(3)));
-        let got: Vec<NodeId> = n.collect();
-        assert_eq!(got, list);
-        assert!(Neighbors::empty().next().is_none());
+        let g = graph_from_edges(&["A"; 4], &[(0, 1), (0, 3), (2, 0)]);
+        let v = NodeId(0);
+        assert_eq!(g.out_neighbors(v), [NodeId(1), NodeId(3)]);
+        assert_eq!(g.neighbors(v, Direction::Out), g.out(v));
+        assert_eq!(g.neighbors(v, Direction::In), [NodeId(2)]);
+        assert!(g.out_neighbors(NodeId(1)).is_empty());
     }
 
+    /// The trait's default `out_degree` / `in_degree` / `has_edge` (which
+    /// [`crate::Graph`] overrides) on a subgraph view: non-members of the
+    /// view never count.
     #[test]
     fn neighbors_filtered_skips_nonmembers() {
-        let list = [NodeId(1), NodeId(2), NodeId(3), NodeId(4)];
-        let members: FxHashSet<NodeId> = [NodeId(2), NodeId(4)].into_iter().collect();
-        let n = Neighbors::filtered(&list, &members);
-        assert_eq!(n.as_slice(), None);
-        let got: Vec<NodeId> = n.collect();
-        assert_eq!(got, vec![NodeId(2), NodeId(4)]);
+        let g = graph_from_edges(&["A"; 5], &[(0, 1), (0, 2), (0, 3), (0, 4), (3, 0)]);
+        let s = DynamicSubgraph::induced(&g, [NodeId(0), NodeId(2), NodeId(4)]);
+        assert_eq!(s.out_neighbors(NodeId(0)), [NodeId(2), NodeId(4)]);
+        assert_eq!((s.out_degree(NodeId(0)), s.in_degree(NodeId(0))), (2, 0));
+        assert_eq!(s.degree(NodeId(4)), 1);
+        assert!(s.has_edge(NodeId(0), NodeId(2)));
+        assert!(!s.has_edge(NodeId(0), NodeId(1)));
+        assert!(!s.has_edge(NodeId(3), NodeId(0)));
     }
 
     #[test]
@@ -268,8 +183,6 @@ mod tests {
         let ids = [NodeId(2), NodeId(7)];
         assert_eq!(NodeIds::Range(0..3).count(), 3);
         let got: Vec<NodeId> = NodeIds::Slice(ids.iter()).collect();
-        assert_eq!(got, ids);
-        let got: Vec<NodeId> = NodeIds::Owned(Vec::from(ids).into_iter()).collect();
         assert_eq!(got, ids);
     }
 }

@@ -11,6 +11,7 @@
 //! | `faultpoint-registry` | `fire(…)` names ↔ the declared `REGISTRY` in `faultpoint.rs` |
 //! | `wire-version` | `#rbq-*` header literals agree with the declared wire version |
 //! | `snapshot-version` | `#rbq-snapshot`/`#rbq-wal` magics agree with the declared file-format versions |
+//! | `dead-export` | a `pub` / `pub(crate)` `fn`, `const` or `static` of a library crate is named in some other file |
 //!
 //! Suppression is explicit and audited: `// rbq-lint: allow(rule-id,
 //! "reason")` with a mandatory non-empty reason; blanket, malformed, or
@@ -98,6 +99,9 @@ pub struct Context {
     pub wal_file: String,
     /// Path substrings that make an entire file test scope.
     pub test_path_markers: Vec<String>,
+    /// Path prefixes of the files whose exports `dead-export` checks
+    /// (references are looked for in every file of the run).
+    pub export_prefixes: Vec<String>,
 }
 
 impl Context {
@@ -125,6 +129,7 @@ impl Context {
                 .iter()
                 .map(|s| s.to_string())
                 .collect(),
+            export_prefixes: vec!["crates/".into()],
         }
     }
 }
@@ -263,7 +268,8 @@ fn analyze(ctx: &Context, file: &SourceFile, lexed: Lexed) -> Analysis {
 /// diagnostics. `files` is the whole set to check — the cross-file rules
 /// (`faultpoint-registry`, `wire-version`, `snapshot-version`) read their
 /// declarations from `ctx.registry_file` / `ctx.wire_file` /
-/// `ctx.snapshot_file` / `ctx.wal_file` if present in the set.
+/// `ctx.snapshot_file` / `ctx.wal_file` if present in the set, and
+/// `dead-export` looks for references across all of it.
 pub fn run(ctx: &Context, files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut diags: Vec<Diagnostic> = Vec::new();
     let mut analyses: Vec<Analysis> = Vec::new();
@@ -343,6 +349,34 @@ pub fn run(ctx: &Context, files: &[SourceFile]) -> Vec<Diagnostic> {
             raw.append(&mut wal_decl_findings);
         }
         per_file.push((ai, raw));
+    }
+
+    // dead-export: an export named by no file but its own.
+    let mentions: Vec<BTreeSet<&str>> = analyses.iter().map(rules::collect_mentions).collect();
+    for (ai, a) in analyses.iter().enumerate() {
+        if !ctx.export_prefixes.iter().any(|p| a.path.starts_with(p)) {
+            continue;
+        }
+        let mut exports = Vec::new();
+        rules::collect_exports(a, &mut exports);
+        for e in exports {
+            let named_elsewhere = mentions
+                .iter()
+                .enumerate()
+                .any(|(k, m)| k != ai && m.contains(e.name.as_str()));
+            if !named_elsewhere {
+                per_file[ai].1.push(RawFinding {
+                    line: e.line,
+                    rule: rules::DEAD_EXPORT,
+                    message: format!(
+                        "`{}` is exported but no other file names it (`pub use` aside) — \
+                         make it private, delete it, or mark deliberate public API with a \
+                         reasoned allow",
+                        e.name
+                    ),
+                });
+            }
+        }
     }
 
     // faultpoint-registry: both directions.

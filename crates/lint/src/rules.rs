@@ -6,6 +6,7 @@
 use crate::lexer::Tok;
 use crate::scope::{fn_body_after_line, loop_body_span};
 use crate::{Analysis, RawFinding};
+use std::collections::BTreeSet;
 
 pub const SERVING_UNWRAP: &str = "serving-unwrap";
 pub const LOCK_RELOCK: &str = "lock-relock";
@@ -14,6 +15,7 @@ pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
 pub const FAULTPOINT_REGISTRY: &str = "faultpoint-registry";
 pub const WIRE_VERSION: &str = "wire-version";
 pub const SNAPSHOT_VERSION: &str = "snapshot-version";
+pub const DEAD_EXPORT: &str = "dead-export";
 /// Meta-rule for suppression hygiene: malformed, blanket, or unused
 /// `allow` directives. Not itself suppressible.
 pub const LINT_ALLOW: &str = "lint-allow";
@@ -27,6 +29,7 @@ pub const RULES: &[&str] = &[
     FAULTPOINT_REGISTRY,
     WIRE_VERSION,
     SNAPSHOT_VERSION,
+    DEAD_EXPORT,
 ];
 
 fn ident_is(t: &Tok, name: &str) -> bool {
@@ -264,6 +267,90 @@ pub fn hot_path_alloc(a: &Analysis, out: &mut Vec<RawFinding>) {
             }
         }
     }
+}
+
+/// A `pub` / `pub(…)` `fn | const | static` declared outside test scope.
+/// Types are left out: a return type is legitimately named only where it is
+/// declared.
+#[derive(Debug, Clone)]
+pub struct Export {
+    pub name: String,
+    pub line: u32,
+}
+
+/// Index one past the `pub` at `i` and its optional `(crate)`-style
+/// restriction.
+fn after_visibility(a: &Analysis, i: usize) -> usize {
+    let toks = &a.lexed.tokens;
+    let mut j = i + 1;
+    if matches!(toks.get(j).map(|t| &t.tok), Some(p) if punct_is(p, '(')) {
+        while j < toks.len() && !punct_is(&toks[j].tok, ')') {
+            j += 1;
+        }
+        j += 1;
+    }
+    j
+}
+
+/// `dead-export`, declaration half: the exported functions, consts and
+/// statics of one file.
+pub fn collect_exports(a: &Analysis, out: &mut Vec<Export>) {
+    let toks = &a.lexed.tokens;
+    let ident = |j: usize| match toks.get(j).map(|t| &t.tok) {
+        Some(Tok::Ident(n)) => Some(n.as_str()),
+        _ => None,
+    };
+    for i in 0..toks.len() {
+        if !ident_is(&toks[i].tok, "pub") || a.scope.contains_token(i) {
+            continue;
+        }
+        let mut j = after_visibility(a, i);
+        // Skip `const` / `unsafe` / `async` / `extern "C"` qualifiers of a
+        // `fn`; a `const` followed by anything else names a constant.
+        let name = loop {
+            match ident(j) {
+                Some("fn") => break ident(j + 1),
+                Some("static") if ident(j + 1) == Some("mut") => break ident(j + 2),
+                Some("static") => break ident(j + 1),
+                Some("const")
+                    if !matches!(ident(j + 1), Some("fn" | "unsafe" | "async" | "extern")) =>
+                {
+                    break ident(j + 1)
+                }
+                Some("const" | "unsafe" | "async" | "extern") => j += 1,
+                None if matches!(toks.get(j).map(|t| &t.tok), Some(Tok::Str(_))) => j += 1,
+                _ => break None,
+            }
+        };
+        if let Some(name) = name.filter(|n| *n != "_") {
+            out.push(Export {
+                name: name.to_string(),
+                line: toks[i].line,
+            });
+        }
+    }
+}
+
+/// `dead-export`, reference half: every identifier token of one file, test
+/// scope included (a test is a consumer), `pub use` re-exports aside (a
+/// re-export is not a use).
+pub fn collect_mentions(a: &Analysis) -> BTreeSet<&str> {
+    let toks = &a.lexed.tokens;
+    let mut out = BTreeSet::new();
+    let mut i = 0;
+    while i < toks.len() {
+        let reexport = ident_is(&toks[i].tok, "pub")
+            && matches!(toks.get(after_visibility(a, i)), Some(t) if ident_is(&t.tok, "use"));
+        if reexport {
+            while i < toks.len() && !punct_is(&toks[i].tok, ';') {
+                i += 1;
+            }
+        } else if let Tok::Ident(n) = &toks[i].tok {
+            out.insert(n.as_str());
+        }
+        i += 1;
+    }
+    out
 }
 
 /// A `fire("name")` / `fire_at("name", …)` call site.

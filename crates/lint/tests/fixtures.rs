@@ -18,6 +18,8 @@ const FIXTURES: &[(&str, &str)] = &[
     ("fx_snapshot.rs", "crates/core/src/fx_snapshot.rs"),
     ("fx_wal.rs", "crates/core/src/fx_wal.rs"),
     ("fx_allows.rs", "crates/core/src/fx_allows.rs"),
+    ("fx_dead.rs", "crates/core/src/fx_dead.rs"),
+    ("fx_dead_user.rs", "crates/engine/src/fx_dead_user.rs"),
 ];
 
 fn fixture_ctx() -> Context {
@@ -29,6 +31,8 @@ fn fixture_ctx() -> Context {
         snapshot_file: "crates/core/src/fx_snapshot.rs".into(),
         wal_file: "crates/core/src/fx_wal.rs".into(),
         test_path_markers: vec!["tests/".into()],
+        // Only the dead-export pair: the other fixtures export freely.
+        export_prefixes: vec!["crates/core/src/fx_dead".into()],
     }
 }
 
@@ -159,6 +163,22 @@ fn stripping_allow_reason_turns_red() {
     };
     assert_eq!(unwraps(&mutated), unwraps(&base) + 1);
     assert_eq!(allows(&mutated), allows(&base) + 1);
+}
+
+/// Dropping the one outside mention of an export flags its declaration.
+#[test]
+fn removing_last_reference_turns_red() {
+    let base = run(&fixture_ctx(), &load_fixtures());
+    let mutated = run_with_replacement(
+        "crates/engine/src/fx_dead_user.rs",
+        "crate::fx_dead::used_elsewhere() + ",
+        "",
+    );
+    let dead = |ds: &[rbq_lint::Diagnostic]| ds.iter().filter(|d| d.rule == "dead-export").count();
+    assert_eq!(dead(&mutated), dead(&base) + 1);
+    assert!(mutated
+        .iter()
+        .any(|d| d.rule == "dead-export" && d.message.contains("`used_elsewhere`")));
 }
 
 /// Un-registering a fired fault point flags the call site; registering one

@@ -20,8 +20,7 @@
 //! repeated full re-sweeps. Match sets are sorted candidate vectors with a
 //! dense alive mask, not hash sets: probes are binary searches, results are
 //! borrowed sorted slices, and the inner loops never allocate per probe
-//! (adjacency comes from [`GraphView`]'s slice-backed
-//! [`rbq_graph::Neighbors`]).
+//! (adjacency is [`GraphView`]'s borrowed `&[NodeId]`).
 //!
 //! The naive iterated-pruning fixpoint is retained under `#[cfg(test)]` as
 //! the differential oracle for the property tests below.
@@ -35,9 +34,8 @@
 //! scratch and return a borrowed [`DualSimRef`] — strong simulation holds
 //! one scratch per query and evaluates hundreds of balls through it with
 //! zero steady-state allocation, the way [`rbq_graph::BallScratch`] already
-//! serves the ball BFS. The original [`dual_simulation`] /
-//! [`dual_simulation_screened`] remain as one-shot conveniences over a
-//! fresh scratch.
+//! serves the ball BFS. [`dual_simulation`] remains as the one-shot
+//! convenience over a fresh scratch.
 
 use crate::pattern::{PNode, ResolvedPattern};
 use rbq_graph::{GraphView, NodeId};
@@ -63,15 +61,6 @@ impl DualSim {
     #[inline]
     pub fn matches_sorted(&self, u: PNode) -> &[NodeId] {
         self.matches(u)
-    }
-
-    /// All data nodes participating in the relation (the match-graph
-    /// nodes), sorted and deduplicated.
-    pub fn all_matched(&self) -> Vec<NodeId> {
-        let mut s: Vec<NodeId> = self.sim.iter().flatten().copied().collect();
-        s.sort_unstable();
-        s.dedup();
-        s
     }
 
     /// Whether `(u, v)` is in the relation.
@@ -115,27 +104,11 @@ fn guard_dir<V: GraphView + ?Sized>(g: &V, v: NodeId, req: &[rbq_graph::Label], 
     } else {
         g.in_neighbors(v)
     };
-    // Slice fast path: candidate screening probes every neighbor of every
-    // candidate, so the generic iterator's per-element branch matters.
-    match neighbors.as_slice() {
-        Some(s) => {
-            for &w in s {
-                if let Ok(k) = req.binary_search(&g.label(w)) {
-                    seen |= 1 << k;
-                    if seen == need {
-                        return true;
-                    }
-                }
-            }
-        }
-        None => {
-            for w in neighbors {
-                if let Ok(k) = req.binary_search(&g.label(w)) {
-                    seen |= 1 << k;
-                    if seen == need {
-                        return true;
-                    }
-                }
+    for &w in neighbors {
+        if let Ok(k) = req.binary_search(&g.label(w)) {
+            seen |= 1 << k;
+            if seen == need {
+                return true;
             }
         }
     }
@@ -143,13 +116,10 @@ fn guard_dir<V: GraphView + ?Sized>(g: &V, v: NodeId, req: &[rbq_graph::Label], 
 }
 
 /// Number of `nb` targets present in the bitmap — the counter-initialization
-/// kernel, with the slice fast path.
+/// kernel.
 #[inline]
-fn count_members(nb: rbq_graph::Neighbors<'_>, words: &[u64], base: usize) -> u32 {
-    match nb.as_slice() {
-        Some(s) => s.iter().filter(|&&w| bit(words, base, w)).count() as u32,
-        None => nb.filter(|&w| bit(words, base, w)).count() as u32,
-    }
+fn count_members(nb: &[NodeId], words: &[u64], base: usize) -> u32 {
+    nb.iter().filter(|&&w| bit(words, base, w)).count() as u32
 }
 
 /// Compute the maximum dual simulation of `q` in `g`, optionally restricted
@@ -261,44 +231,20 @@ impl CandidateScreen {
     }
 }
 
-/// Build the [`CandidateScreen`] of `q` on `g`: for every query node, the
-/// sorted list of same-labeled, guard-passing data nodes. Returns `None`
-/// when some query node has no candidate anywhere in the view — then no
-/// universe can admit a total relation.
-pub fn candidate_screen<V: GraphView + ?Sized>(
-    q: &ResolvedPattern,
-    g: &V,
-) -> Option<CandidateScreen> {
-    let mut screen = CandidateScreen::default();
-    let mut scratch = DualSimScratch::new();
-    candidate_screen_within_into(q, g, None, &mut screen, &mut scratch).then_some(screen)
-}
-
-/// [`candidate_screen`] restricted to a **sorted** node `domain` — only
-/// domain members are screened. Candidates are seeded in one pass over the
-/// domain (each node lands in every same-labeled query node's list via a
-/// tiny label → query-node table, so the lists are born sorted), then
-/// guard-screened.
+/// Rebuild `screen` in place (recycling its per-query-node buffers): for
+/// every query node, the sorted list of same-labeled, guard-passing data
+/// nodes of `domain` — `None` screens the whole view, `Some` a **sorted**
+/// node set, seeded in one pass (each node lands in every same-labeled
+/// query node's list via a tiny label → query-node table, so the lists are
+/// born sorted). The `scratch` lends the label-table and requirement
+/// buffers. Returns `false` when some query node has no candidate — then no
+/// universe can admit a total relation, and `screen`'s contents are
+/// unspecified and must not be read.
 ///
 /// Strong simulation builds its screen from `N_{2d_Q}(v_p)` this way:
 /// every ball it evaluates is a subset of that neighborhood, so screening
 /// the whole view would be wasted work on large graphs with localized
 /// queries.
-pub fn candidate_screen_within<V: GraphView + ?Sized>(
-    q: &ResolvedPattern,
-    g: &V,
-    domain: &[NodeId],
-) -> Option<CandidateScreen> {
-    let mut screen = CandidateScreen::default();
-    let mut scratch = DualSimScratch::new();
-    candidate_screen_within_into(q, g, Some(domain), &mut screen, &mut scratch).then_some(screen)
-}
-
-/// Rebuild `screen` in place (recycling its per-query-node buffers) from
-/// `domain` — `None` screens the whole view, `Some` a sorted node set. The
-/// `scratch` lends the label-table and requirement buffers. Returns `false`
-/// when some query node has no candidate (then `screen`'s contents are
-/// unspecified and must not be read).
 pub fn candidate_screen_within_into<V: GraphView + ?Sized>(
     q: &ResolvedPattern,
     g: &V,
@@ -394,29 +340,14 @@ fn screen_into<V: GraphView + ?Sized>(
     true
 }
 
-/// [`dual_simulation`] restricted to `universe`, seeded from a prebuilt
-/// [`CandidateScreen`] instead of re-screening the universe: per query node
-/// the candidates are `screen ∩ universe`, a sorted-merge (galloping from
-/// the smaller side) with no label or guard work. Answers are identical to
+/// [`dual_simulation_with`] restricted to `universe`, seeded from a
+/// prebuilt [`CandidateScreen`] instead of re-screening the universe — the
+/// per-ball hot path of strong simulation. Per query node the candidates
+/// are `screen ∩ universe`, a sorted-merge (galloping from the smaller
+/// side) with no label or guard work. Answers are identical to
 /// `dual_simulation(q, g, Some(universe))` for any `universe` that is a
-/// subset of the screen's domain (the whole view for
-/// [`candidate_screen`], the given node set for
-/// [`candidate_screen_within`]).
-pub fn dual_simulation_screened<V: GraphView + ?Sized>(
-    q: &ResolvedPattern,
-    g: &V,
-    universe: &[NodeId],
-    screen: &CandidateScreen,
-) -> Option<DualSim> {
-    let mut scratch = DualSimScratch::new();
-    let rel = dual_simulation_screened_with(q, g, universe, screen, &mut scratch)?;
-    Some(rel.to_dual_sim())
-}
-
-/// [`dual_simulation_screened`] through a reusable [`DualSimScratch`] —
-/// the per-ball hot path of strong simulation. Identical answers; the
-/// intersection lists, fixpoint state, and result vectors are all recycled
-/// scratch buffers.
+/// subset of the screen's domain; the intersection lists, fixpoint state,
+/// and result vectors are all recycled scratch buffers.
 // rbq-lint: hot
 pub fn dual_simulation_screened_with<'s, V: GraphView + ?Sized>(
     q: &ResolvedPattern,
@@ -722,7 +653,7 @@ fn fixpoint_scratch<V: GraphView + ?Sized>(
         let w = cand[ui][i];
         for &e in &edges_in[ui] {
             let ai = edges[e].0.index();
-            for x in g.in_neighbors(w) {
+            for &x in g.in_neighbors(w) {
                 // Bit test first: most data neighbors are not candidates,
                 // and the bitmap filters them without a binary search.
                 if !bit(member(ai), min_id, x) {
@@ -740,7 +671,7 @@ fn fixpoint_scratch<V: GraphView + ?Sized>(
         }
         for &e in &edges_out[ui] {
             let bi = edges[e].1.index();
-            for x in g.out_neighbors(w) {
+            for &x in g.out_neighbors(w) {
                 if !bit(member(bi), min_id, x) {
                     continue;
                 }
@@ -825,7 +756,7 @@ mod naive {
                 'cand: for &v in &sim[ui] {
                     for &uc in p.out(u) {
                         let target = &sim[uc.index()];
-                        let ok = g.out_neighbors(v).any(|w| target.contains(&w));
+                        let ok = g.out_neighbors(v).iter().any(|w| target.contains(w));
                         if !ok {
                             remove.push(v);
                             continue 'cand;
@@ -833,7 +764,7 @@ mod naive {
                     }
                     for &up_ in p.inn(u) {
                         let source = &sim[up_.index()];
-                        let ok = g.in_neighbors(v).any(|w| source.contains(&w));
+                        let ok = g.in_neighbors(v).iter().any(|w| source.contains(w));
                         if !ok {
                             remove.push(v);
                             continue 'cand;
@@ -989,7 +920,6 @@ mod tests {
         let q = pb.build().resolve(&g).unwrap();
         let d = dual_simulation(&q, &g, None).unwrap();
         assert_eq!(d.matches_sorted(m), &[ids[0]]);
-        assert_eq!(d.all_matched().len(), 1);
     }
 
     #[test]
@@ -1044,16 +974,20 @@ mod tests {
     fn all_matched_collects_union() {
         let (g, _) = fig1_graph();
         let q = fig1_pattern().resolve(&g).unwrap();
-        let d = dual_simulation(&q, &g, None).unwrap();
+        let mut scratch = DualSimScratch::new();
+        let d = dual_simulation_with(&q, &g, None, &mut scratch).unwrap();
+        let mut all = vec![NodeId(99)];
+        d.all_matched_into(&mut all);
         // Michael + hgm + cc1 + cc3 + cln-1 + cln = 6
-        assert_eq!(d.all_matched().len(), 6);
+        assert_eq!(all.len(), 6);
+        assert!(all.windows(2).all(|w| w[0] < w[1]));
     }
 
     // ------------------------------------------------ differential oracle
 
     use proptest::prelude::*;
     use rbq_graph::builder::graph_from_edges;
-    use rbq_graph::InducedSubgraph;
+    use rbq_graph::DynamicSubgraph;
 
     /// A random digraph (≤ 20 nodes, ≤ 4 labels) where node 0 is the unique
     /// "ME", plus a random small pattern anchored at ME.
@@ -1171,12 +1105,13 @@ mod tests {
             let direct = dual_simulation(&q, &g, Some(&uni));
             // Whole-view screen, and a screen restricted to a domain that
             // is a superset of the universe (the strong-simulation shape).
-            let screened = candidate_screen(&q, &g)
-                .and_then(|s| dual_simulation_screened(&q, &g, &uni, &s));
             let all: Vec<NodeId> = g.nodes().collect();
-            let within = candidate_screen_within(&q, &g, &all)
-                .and_then(|s| dual_simulation_screened(&q, &g, &uni, &s));
-            for screened in [screened, within] {
+            let mut screen = CandidateScreen::default();
+            let mut scratch = DualSimScratch::new();
+            for domain in [None, Some(all.as_slice())] {
+                let screened = candidate_screen_within_into(&q, &g, domain, &mut screen, &mut scratch)
+                    .then(|| dual_simulation_screened_with(&q, &g, &uni, &screen, &mut scratch))
+                    .flatten();
                 match (direct.as_ref(), screened) {
                     (None, None) => {}
                     (Some(d), Some(s)) => {
@@ -1194,8 +1129,7 @@ mod tests {
             }
         }
 
-        /// And on virtual (filtered) views, whose adjacency is not
-        /// slice-backed.
+        /// And on subgraph views.
         #[test]
         fn worklist_equals_naive_on_induced_view(
             (g, p) in arb_graph_and_pattern(),
@@ -1207,7 +1141,7 @@ mod tests {
                 .filter(|v| keep.get(v.index()).copied().unwrap_or(false))
                 .chain(std::iter::once(q.vp()))
                 .collect();
-            let view = InducedSubgraph::new(&g, members);
+            let view = DynamicSubgraph::induced(&g, members);
             let fast = dual_simulation(&q, &view, None);
             let slow = naive::dual_simulation_naive(&q, &view, None);
             match (fast, slow) {

@@ -27,9 +27,8 @@ pub mod strongsim;
 pub mod vf2;
 
 pub use dualsim::{
-    candidate_screen, candidate_screen_within, candidate_screen_within_into, dual_simulation,
-    dual_simulation_screened, dual_simulation_screened_with, dual_simulation_with, CandidateScreen,
-    DualSim, DualSimRef, DualSimScratch,
+    candidate_screen_within_into, dual_simulation, dual_simulation_screened_with,
+    dual_simulation_with, CandidateScreen, DualSim, DualSimRef, DualSimScratch,
 };
 pub use pattern::{PNode, Pattern, PatternBuilder, ResolveError, ResolvedPattern};
 pub use simcompress::{bisimulation_compress, SimCompressed};

@@ -48,7 +48,7 @@ impl SimCompressed {
     }
 
     /// Expand quotient-side matches to the original graph (the preimage).
-    pub fn expand(&self, quotient_matches: &[NodeId]) -> Vec<NodeId> {
+    fn expand(&self, quotient_matches: &[NodeId]) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = quotient_matches
             .iter()
             .flat_map(|&b| self.members[b.index()].iter().copied())

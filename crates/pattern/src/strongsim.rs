@@ -289,7 +289,7 @@ mod tests {
     use super::*;
     use crate::dualsim::dual_simulation;
     use crate::pattern::{fig1_pattern, PatternBuilder};
-    use rbq_graph::{GraphBuilder, InducedSubgraph};
+    use rbq_graph::{DynamicSubgraph, GraphBuilder};
 
     fn fig1_graph() -> (Graph, Vec<NodeId>) {
         let mut b = GraphBuilder::new();
@@ -335,7 +335,7 @@ mod tests {
     fn no_match_when_vp_absent_from_view() {
         let (g, ids) = fig1_graph();
         let q = fig1_pattern().resolve(&g).unwrap();
-        let view = InducedSubgraph::new(&g, ids[1..].iter().copied());
+        let view = DynamicSubgraph::induced(&g, ids[1..].iter().copied());
         assert!(strong_simulation_on_view(&q, &view).is_empty());
     }
 
@@ -346,7 +346,7 @@ mod tests {
         // Keep exactly the ideal G_Q of Example 2: Michael, cc1, cc3, hgm,
         // cl_{n-1}, cl_n.
         let keep = [ids[0], ids[3], ids[5], ids[2], ids[7], ids[8]];
-        let view = InducedSubgraph::new(&g, keep);
+        let view = DynamicSubgraph::induced(&g, keep);
         let ans = strong_simulation_on_view(&q, &view);
         assert_eq!(ans, vec![ids[7], ids[8]]);
     }
@@ -385,7 +385,7 @@ mod tests {
     #[test]
     fn ball_nodes_missing_center_is_empty() {
         let (g, ids) = fig1_graph();
-        let view = InducedSubgraph::new(&g, [ids[0]]);
+        let view = DynamicSubgraph::induced(&g, [ids[0]]);
         assert!(ball_nodes(&view, ids[1], 3).is_empty());
     }
 
@@ -481,7 +481,7 @@ mod tests {
             if d == r {
                 continue;
             }
-            for w in g.out_neighbors(v).chain(g.in_neighbors(v)) {
+            for &w in g.out_neighbors(v).iter().chain(g.in_neighbors(v)) {
                 if seen.insert(w) {
                     q.push_back((w, d + 1));
                 }
@@ -521,7 +521,7 @@ mod tests {
             }
         }
 
-        /// ... and on induced (filtered) views, whose adjacency is virtual.
+        /// ... and on induced subgraph views.
         #[test]
         fn ball_matches_naive_on_induced_view(
             g in arb_graph(),
@@ -532,7 +532,7 @@ mod tests {
                 .nodes()
                 .filter(|v| keep.get(v.index()).copied().unwrap_or(false))
                 .collect();
-            let view = InducedSubgraph::new(&g, members);
+            let view = DynamicSubgraph::induced(&g, members);
             for v in g.nodes() {
                 prop_assert_eq!(
                     ball_nodes(&view, v, r),

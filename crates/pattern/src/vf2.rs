@@ -172,16 +172,11 @@ fn backtrack<V: GraphView + ?Sized>(
 
     // Candidate generation: prefer expanding from an already-mapped pattern
     // neighbor (its data image's adjacency), falling back to a label scan.
-    // Slice-backed adjacency copies in one memcpy via `as_slice`.
-    let collect = |nb: rbq_graph::Neighbors<'_>| match nb.as_slice() {
-        Some(s) => s.to_vec(),
-        None => nb.collect(),
-    };
     let mut candidates: Vec<NodeId> = Vec::new();
     let mut anchored = false;
     for &w in p.out(u) {
         if let Some(img) = mapping[w.index()] {
-            candidates = collect(g.in_neighbors(img));
+            candidates = g.in_neighbors(img).to_vec();
             anchored = true;
             break;
         }
@@ -189,7 +184,7 @@ fn backtrack<V: GraphView + ?Sized>(
     if !anchored {
         for &w in p.inn(u) {
             if let Some(img) = mapping[w.index()] {
-                candidates = collect(g.out_neighbors(img));
+                candidates = g.out_neighbors(img).to_vec();
                 anchored = true;
                 break;
             }

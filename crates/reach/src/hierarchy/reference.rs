@@ -11,7 +11,7 @@ use rbq_graph::{Graph, GraphView, NodeId};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 /// [`HierarchicalIndex::build_with`], the slow way.
-pub(crate) fn build_reference(g: &Graph, params: IndexParams) -> HierarchicalIndex {
+fn build_reference(g: &Graph, params: IndexParams) -> HierarchicalIndex {
     let compressed = compress_reference(g, params.merge_equivalence);
     let dag = &compressed.dag;
     let n = dag.node_count();

@@ -43,7 +43,7 @@ impl LandmarkVectors {
     /// Sampling is degree-biased: nodes are sorted by total degree and the
     /// top `4k` form the pool from which `k` are drawn uniformly, keeping
     /// the selection both high-coverage and randomized as in [13].
-    pub fn build_with_count(g: &Graph, k: usize, seed: u64) -> Self {
+    fn build_with_count(g: &Graph, k: usize, seed: u64) -> Self {
         let n = g.node_count();
         let k = k.clamp(1, n.max(1));
         let mut rng = ChaCha8Rng::seed_from_u64(seed);

@@ -11,7 +11,7 @@ use rand_chacha::ChaCha8Rng;
 use rbq_graph::{Graph, GraphBuilder, NodeId};
 
 /// The paper's synthetic label alphabet size.
-pub const DEFAULT_LABELS: usize = 15;
+const DEFAULT_LABELS: usize = 15;
 
 /// Add `n` nodes with random alphabet labels, placing the unique `"ME"`
 /// node at `me_index`. In preferential-attachment graphs early nodes grow
@@ -91,7 +91,7 @@ const HOMOPHILY: f64 = 0.7;
 /// `1 − back_fraction`, and backwards otherwise. Small values yield the
 /// mostly-acyclic reach structure of real web snapshots (whose condensation
 /// retains most nodes); `0.5` degenerates into one giant SCC.
-pub fn power_law_with(
+fn power_law_with(
     nodes: usize,
     m: usize,
     num_labels: usize,

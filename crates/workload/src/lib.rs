@@ -22,8 +22,7 @@ pub mod mixed;
 pub mod queries;
 
 pub use generate::{
-    layered_dag, me_node, power_law, power_law_with, social_groups, uniform_random, yahoo_like,
-    youtube_like,
+    layered_dag, me_node, power_law, social_groups, uniform_random, yahoo_like, youtube_like,
 };
 pub use mixed::{sample_mixed_workload, MixedWorkloadSpec};
 pub use queries::{

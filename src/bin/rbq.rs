@@ -215,29 +215,47 @@ fn cmd_lint(args: &[String]) -> Result<(), CliError> {
 }
 
 /// Extract `--flag value` from an argument list. Returns remaining
-/// positional arguments.
+/// positional arguments. `-x` is accepted for a flag only when it is the
+/// one flag of the subcommand starting with `x`.
 fn parse_flags<'a>(
     args: &'a [String],
     flags: &mut [(&str, &mut Option<String>)],
 ) -> Result<Vec<&'a str>, String> {
     let mut positional = Vec::new();
     let mut i = 0;
-    'outer: while i < args.len() {
-        for (name, slot) in flags.iter_mut() {
-            if args[i] == format!("--{name}") || args[i] == format!("-{}", &name[..1]) {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or_else(|| format!("--{name} needs a value"))?;
-                **slot = Some(v.clone());
-                i += 1;
-                continue 'outer;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        i += 1;
+        let Some(body) = arg.strip_prefix('-') else {
+            positional.push(arg);
+            continue;
+        };
+        let hit = match body.strip_prefix('-') {
+            Some(long) => flags.iter().position(|(name, _)| *name == long),
+            None if body.len() == 1 => {
+                let starts: Vec<usize> = (0..flags.len())
+                    .filter(|&k| flags[k].0.starts_with(body))
+                    .collect();
+                match starts.as_slice() {
+                    [] => None,
+                    [k] => Some(*k),
+                    many => {
+                        let names: Vec<String> =
+                            many.iter().map(|&k| format!("--{}", flags[k].0)).collect();
+                        return Err(format!("ambiguous flag {arg:?}: {}", names.join(", ")));
+                    }
+                }
             }
-        }
-        if args[i].starts_with('-') {
-            return Err(format!("unknown flag {:?}", args[i]));
-        }
-        positional.push(args[i].as_str());
+            None => None,
+        };
+        let (name, slot) = match hit {
+            Some(k) => &mut flags[k],
+            None => return Err(format!("unknown flag {arg:?}")),
+        };
+        let v = args
+            .get(i)
+            .ok_or_else(|| format!("--{name} needs a value"))?;
+        **slot = Some(v.clone());
         i += 1;
     }
     Ok(positional)
@@ -930,6 +948,55 @@ mod tests {
         let args: Vec<String> = ["--alpha"].iter().map(|s| s.to_string()).collect();
         let mut alpha = None;
         assert!(parse_flags(&args, &mut [("alpha", &mut alpha)]).is_err());
+    }
+
+    #[test]
+    fn parse_flags_short_alias_must_be_unique() {
+        // `generate`: each flag has its own first letter.
+        let (mut kind, mut nodes, mut seed, mut out) = (None, None, None, None);
+        let args = argv(&["--kind", "youtube", "-o", "g.txt", "-n", "7"]);
+        let mut flags = [
+            ("kind", &mut kind),
+            ("nodes", &mut nodes),
+            ("seed", &mut seed),
+            ("out", &mut out),
+        ];
+        assert!(parse_flags(&args, &mut flags).unwrap().is_empty());
+        assert_eq!(out.as_deref(), Some("g.txt"));
+        assert_eq!(nodes.as_deref(), Some("7"));
+
+        // `batch`: several flags start with `a`, one with `t` here.
+        let batch = |args: &[&str]| {
+            let (mut alpha, mut aggregate, mut answers, mut threads) = (None, None, None, None);
+            let mut flags = [
+                ("alpha", &mut alpha),
+                ("aggregate", &mut aggregate),
+                ("answers", &mut answers),
+                ("threads", &mut threads),
+            ];
+            let args = argv(args);
+            let pos = parse_flags(&args, &mut flags).map(|p| p.join(" "));
+            (pos, alpha, threads)
+        };
+        let (err, alpha, _) = batch(&["g", "q", "-a", "out.txt"]);
+        let err = err.unwrap_err();
+        assert!(err.contains("ambiguous"), "{err}");
+        for name in ["--alpha", "--aggregate", "--answers"] {
+            assert!(err.contains(name), "{err}");
+        }
+        assert!(!err.contains("--threads"), "{err}");
+        assert_eq!(alpha, None, "an ambiguous alias must set nothing");
+        let (pos, _, threads) = batch(&["g", "-t", "2", "q"]);
+        assert_eq!(
+            (pos.unwrap().as_str(), threads.as_deref()),
+            ("g q", Some("2"))
+        );
+
+        // No flag starts with `z`; a multi-letter `-al` is not an alias.
+        for bad in ["-z", "-al", "-"] {
+            let err = batch(&[bad, "1"]).0.unwrap_err();
+            assert!(err.contains("unknown flag"), "{bad}: {err}");
+        }
     }
 
     #[test]

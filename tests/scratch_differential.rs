@@ -78,11 +78,11 @@ proptest! {
             prop_assert_eq!(wa, fa);
             for v in g.nodes() {
                 prop_assert_eq!(warm.contains(v), fresh.contains(v));
-                let wo: Vec<NodeId> = warm.out_neighbors(v).collect();
-                let fo: Vec<NodeId> = fresh.out_neighbors(v).collect();
+                let wo: Vec<NodeId> = warm.out_neighbors(v).to_vec();
+                let fo: Vec<NodeId> = fresh.out_neighbors(v).to_vec();
                 prop_assert_eq!(wo, fo, "out lists differ at {:?}", v);
-                let wi: Vec<NodeId> = warm.in_neighbors(v).collect();
-                let fi: Vec<NodeId> = fresh.in_neighbors(v).collect();
+                let wi: Vec<NodeId> = warm.in_neighbors(v).to_vec();
+                let fi: Vec<NodeId> = fresh.in_neighbors(v).to_vec();
                 prop_assert_eq!(wi, fi, "in lists differ at {:?}", v);
             }
             scratch = warm.into_scratch();

@@ -8,7 +8,7 @@
 //! correspondence by brute force on a small instance — evidence that our
 //! strong-simulation semantics matches the reduction's behavior.
 
-use rbq_graph::{Graph, GraphBuilder, GraphView, InducedSubgraph, NodeId};
+use rbq_graph::{DynamicSubgraph, Graph, GraphBuilder, GraphView, NodeId};
 use rbq_pattern::{strong_simulation_on_view, PatternBuilder, ResolvedPattern};
 
 /// Set-cover instance: universe X = {0,1,2,3}, family F with minimum cover
@@ -61,7 +61,7 @@ fn answer_with_sets(gadget: &Gadget, chosen: &[usize]) -> Vec<NodeId> {
     let mut nodes = vec![gadget.vp];
     nodes.extend(chosen.iter().map(|&j| gadget.sets[j]));
     nodes.extend(gadget.elems.iter().copied());
-    let sub = InducedSubgraph::new(&gadget.g, nodes);
+    let sub = DynamicSubgraph::induced(&gadget.g, nodes);
     strong_simulation_on_view(&gadget.q, &sub)
 }
 
