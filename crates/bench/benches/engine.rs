@@ -1,10 +1,11 @@
 //! Criterion benches for the mixed-workload engine: batch throughput
-//! across thread counts, the reduction cache's effect on repeated
-//! traffic, and the cost of a single cache hit.
+//! across thread counts and across replica counts, the reduction cache's
+//! effect on repeated traffic, and the cost of a single cache hit.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rbq_core::NeighborIndex;
 use rbq_engine::{BudgetSpec, Engine, EngineConfig, Query};
+use rbq_graph::labels::stable_hash;
 use rbq_reach::HierarchicalIndex;
 use rbq_workload::{
     extract_pattern, sample_mixed_workload, youtube_like, MixedWorkloadSpec, PatternSpec,
@@ -73,6 +74,45 @@ fn engine_threads(c: &mut Criterion) {
     group.finish();
 }
 
+/// The same batch and the same 4 threads over `k` replicas routed by label
+/// hash, as a router runs it: what `k` caches buy (or cost) over one. Cold
+/// builds the replicas inside the timed region, as `engine_threads` does.
+fn engine_shards(c: &mut Criterion) {
+    let (g, idx, reach, queries) = setup();
+    let route = |q: &Query| match q {
+        Query::Reach { source, .. } => stable_hash(g.node_label_str(*source)) as usize,
+        Query::PatternSim { pattern } | Query::PatternIso { pattern } => {
+            stable_hash(pattern.label_str(pattern.personalized())) as usize
+        }
+    };
+    let replicas = |k: usize| {
+        let lead = Engine::with_indexes(
+            g.clone(),
+            cfg(4, 1024),
+            Some(idx.clone()),
+            Some(reach.clone()),
+        );
+        let followers: Vec<Engine> = (1..k).map(|_| lead.replica()).collect();
+        (lead, followers)
+    };
+    let mut group = c.benchmark_group("engine_shards");
+    group.sample_size(10);
+    for k in [1usize, 2, 4] {
+        group.bench_with_input(BenchmarkId::new("cold", k), &k, |b, &k| {
+            b.iter(|| {
+                let (lead, followers) = replicas(k);
+                black_box(lead.run_batch_shared(&queries, &followers, &route))
+            })
+        });
+        let (lead, followers) = replicas(k);
+        lead.run_batch_shared(&queries, &followers, &route);
+        group.bench_with_input(BenchmarkId::new("warm", k), &k, |b, _| {
+            b.iter(|| black_box(lead.run_batch_shared(&queries, &followers, &route)))
+        });
+    }
+    group.finish();
+}
+
 /// Cache effect: cold engine vs warm engine vs cache disabled, single
 /// thread so the delta is the cache alone.
 fn engine_cache(c: &mut Criterion) {
@@ -132,5 +172,11 @@ fn engine_hit_path(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, engine_threads, engine_cache, engine_hit_path);
+criterion_group!(
+    benches,
+    engine_threads,
+    engine_shards,
+    engine_cache,
+    engine_hit_path
+);
 criterion_main!(benches);

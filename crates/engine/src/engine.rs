@@ -37,7 +37,8 @@ pub struct EngineConfig {
     pub pattern_budget: BudgetSpec,
     /// Resource ratio for the lazily built reachability index, `(0, 1]`.
     pub reach_alpha: f64,
-    /// Worker threads for [`Engine::run_batch`]; 0 = available parallelism.
+    /// Worker threads per batch ([`Engine::run_batch_shared`] divides them
+    /// among its replicas); 0 = available parallelism.
     pub threads: usize,
     /// Reduction-cache capacity in entries; 0 disables caching.
     pub cache_capacity: usize,
@@ -204,7 +205,7 @@ impl EngineStats {
     }
 
     /// Record one settled query: the single recorder behind
-    /// [`Engine::run`], [`Engine::run_batch`] and the router's front door.
+    /// [`Engine::run`] and [`Engine::run_batch_shared`].
     /// Counts the query and its class, then by outcome — errors, timeouts
     /// and contained failures in their counters; delivered answers add
     /// their visits and (for patterns) a cache hit or miss. A
@@ -212,7 +213,7 @@ impl EngineStats {
     /// query, but it did no visits and never consulted the cache.
     /// (Settlement-time denials are recorded before settlement converts
     /// them, so they never reach that arm.)
-    pub fn record(&mut self, result: &QueryResult, class: QueryClass, latency: Duration) {
+    fn record(&mut self, result: &QueryResult, class: QueryClass, latency: Duration) {
         self.queries += 1;
         let c = self.class_mut(class);
         c.queries += 1;
@@ -273,13 +274,31 @@ impl std::fmt::Display for EngineStats {
     }
 }
 
-/// Result of [`Engine::run_batch`]: input-order answers plus the batch's
-/// statistics.
+/// Result of [`Engine::run_batch_shared`]: input-order answers, the
+/// batch's statistics, and the per-replica breakdown.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
-    /// One result per input query, in input order.
+    /// One result per input query, in input order — byte-identical for any
+    /// thread count, replica count and routing function.
     pub results: Vec<QueryResult>,
-    /// Statistics for this batch alone.
+    /// Statistics for this batch alone, the aggregate budget settled once
+    /// at the front door.
+    pub stats: EngineStats,
+    /// One entry per replica, idle ones included: the leader first, then
+    /// the followers in order (a single entry for a lone engine).
+    pub per_shard: Vec<ShardReport>,
+}
+
+/// One replica's share of a batch.
+#[derive(Debug, Clone)]
+pub struct ShardReport {
+    /// Admitted queries routed to this replica.
+    pub routed: usize,
+    /// The fold of every query this replica evaluated. Admission and
+    /// settlement happen once at the front door, so `denied` and
+    /// `charged_visits` are always 0 here and appear only in
+    /// [`BatchReport::stats`] (before the read path was shared, a shard
+    /// reported its unbudgeted total as `charged_visits`).
     pub stats: EngineStats,
 }
 
@@ -463,163 +482,172 @@ impl Engine {
         result
     }
 
-    /// Answer a batch of heterogeneous queries.
-    ///
-    /// The whole batch evaluates on one pinned epoch — a concurrent
-    /// [`Engine::apply_deltas`] affects only later batches. Queries are
-    /// claimed from a shared atomic cursor by `cfg.threads` scoped workers
-    /// (work-stealing in the sense that fast workers drain more of the
-    /// batch); answers come back in input order and are identical for any
-    /// thread count. When an aggregate visit budget is configured,
-    /// delivered answers are settled against it in input order and the
-    /// remainder are [`Answer::Denied`].
+    /// Answer a batch of heterogeneous queries:
+    /// [`Engine::run_batch_shared`] with no followers.
     pub fn run_batch(&self, queries: &[Query]) -> BatchReport {
-        let deadline = self.cfg.batch_timeout.map(|t| Instant::now() + t);
-        self.run_batch_until(queries, deadline)
+        self.run_batch_shared(queries, &[], &|_| 0)
     }
 
-    /// [`Engine::run_batch`] against an explicit absolute deadline (None =
-    /// none), overriding [`EngineConfig::batch_timeout`]. The router uses
-    /// this to give every shard of one batch the *same* deadline instant.
-    pub fn run_batch_until(&self, queries: &[Query], deadline: Option<Instant>) -> BatchReport {
+    /// The one batch pipeline — admission → schedule → contain → record →
+    /// settle — for a lone engine or, with [`Engine::replica`]s as
+    /// `followers`, for every shard of a router.
+    ///
+    /// * **Admission.** `self` leads: its configuration gives the one
+    ///   deadline instant, the one shed decision and the aggregate budget,
+    ///   and it pins its epoch once — every replica evaluates against that
+    ///   pin, so a concurrent [`Engine::apply_deltas`] affects only later
+    ///   batches.
+    /// * **Schedule.** Admitted queries are grouped by `route(q) % k`,
+    ///   `k = 1 + followers.len()` (`route` is not consulted at `k = 1`).
+    ///   A replica with a non-empty group gets `max(1, threads / k)`
+    ///   workers, which claim batch positions off that replica's cursor
+    ///   (work-stealing in the sense that fast workers drain more of the
+    ///   group) and evaluate with that replica's cache and a scratch from
+    ///   its pool. All workers of all replicas share one thread scope; a
+    ///   batch that needs a single worker runs it inline.
+    /// * **Contain.** A panicking query is contained per query (it settles
+    ///   [`Answer::Failed`]). A worker lost outside that containment loses
+    ///   what it claimed: those queries are re-evaluated once on the
+    ///   calling thread, through the same replica with a fresh scratch, and
+    ///   settle `Failed` only if that retry is lost too — every other
+    ///   answer is unaffected.
+    /// * **Record, settle.** Every result is recorded once, into the
+    ///   batch's statistics and its replica's [`ShardReport`]; answers
+    ///   come back in input order; delivered answers are settled against
+    ///   the aggregate budget in input order and the remainder are
+    ///   [`Answer::Denied`]; the leader's lifetime totals absorb the batch.
+    ///
+    /// Answers, visit counts, denials and charged visits are identical for
+    /// any thread count, any follower count and any `route`.
+    pub fn run_batch_shared(
+        &self,
+        queries: &[Query],
+        followers: &[Engine],
+        route: &(dyn Fn(&Query) -> usize + Sync),
+    ) -> BatchReport {
+        let deadline = self.cfg.batch_timeout.map(|t| Instant::now() + t);
         let ep = self.pin();
-        let n = queries.len();
-        let threads = self.effective_threads(n);
-        let shed = self.admission_shed(&ep, queries);
-        let mut results: Vec<Option<Evaluated>> = Vec::new();
-        results.resize_with(n, || None);
-        for (i, s) in shed.iter().enumerate() {
-            if let Some(answer) = s {
-                results[i] = Some((
-                    QueryResult {
-                        answer: answer.clone(),
-                        visits: 0,
-                        cached: false,
-                    },
-                    queries[i].class(),
-                    Duration::ZERO,
-                ));
+        let k = 1 + followers.len();
+        let replica = |s: usize| s.checked_sub(1).map_or(self, |f| &followers[f]);
+        // Right after admission the filled slots are exactly the shed ones.
+        let mut slots = self.admission_shed(&ep, queries);
+        let mut stats = EngineStats::default();
+        for (result, class, latency) in slots.iter().flatten() {
+            stats.record(result, *class, *latency);
+        }
+        stats.denied = stats.queries;
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); k];
+        for (i, q) in queries.iter().enumerate() {
+            if slots[i].is_none() {
+                groups[if k == 1 { 0 } else { route(q) % k }].push(i);
             }
         }
 
-        if threads <= 1 {
-            let mut scratch = self.take_scratch();
-            for (i, q) in queries.iter().enumerate() {
-                if results[i].is_none() {
-                    results[i] = Some(self.run_one(&ep, q, &mut scratch, deadline, i as u64));
-                }
+        let cursors: Vec<AtomicUsize> = groups.iter().map(|_| AtomicUsize::new(0)).collect();
+        // The one worker body: drain replica `s`'s group with one warm
+        // scratch (no cross-thread contention on the evaluation hot path).
+        let work = |s: usize| {
+            let (engine, group) = (replica(s), &groups[s]);
+            let mut scratch = engine.take_scratch();
+            let mut out = Vec::new();
+            while let Some(&i) = group.get(cursors[s].fetch_add(1, Ordering::Relaxed)) {
+                let q = &queries[i];
+                out.push((i, engine.run_one(&ep, q, &mut scratch, deadline, i as u64)));
+                // Outside the per-query containment, with results in hand.
+                rbq_graph::faultpoint::fire_at("engine.worker", s as u64);
             }
-            self.put_scratch(scratch);
+            engine.put_scratch(scratch);
+            out
+        };
+        let per_replica = (self.threads() / k).max(1);
+        let workers: Vec<usize> = (0..k)
+            .flat_map(|s| std::iter::repeat_n(s, per_replica.min(groups[s].len())))
+            .collect();
+        // AssertUnwindSafe (here and on the retry): a lost worker's scratch
+        // and claimed results are dropped with it, and the shared locks it
+        // took recover from poisoning.
+        let done: Vec<Vec<(usize, Evaluated)>> = if let [s] = workers[..] {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(s)))
+                .into_iter()
+                .collect()
         } else {
-            let cursor = AtomicUsize::new(0);
-            let mut shards: Vec<Vec<(usize, Evaluated)>> = Vec::with_capacity(threads);
-            let shed = &shed;
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let cursor = &cursor;
-                        let ep = &ep;
-                        scope.spawn(move || {
-                            // One warm scratch per worker for the whole
-                            // batch: no cross-thread contention on the
-                            // evaluation hot path.
-                            let mut scratch = self.take_scratch();
-                            let mut out = Vec::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
-                                }
-                                if shed[i].is_some() {
-                                    continue;
-                                }
-                                out.push((
-                                    i,
-                                    self.run_one(ep, &queries[i], &mut scratch, deadline, i as u64),
-                                ));
-                            }
-                            self.put_scratch(scratch);
-                            out
-                        })
-                    })
+                let handles: Vec<_> = workers
+                    .iter()
+                    .map(|&s| scope.spawn(move || work(s)))
                     .collect();
-                for h in handles {
-                    // A worker that panicked outside the per-query
-                    // containment (a bug, or an injected scheduler fault)
-                    // loses only its claimed queries: their slots settle as
-                    // Failed below instead of aborting the batch.
-                    if let Ok(shard) = h.join() {
-                        shards.push(shard);
+                handles.into_iter().filter_map(|h| h.join().ok()).collect()
+            })
+        };
+        for (i, evaluated) in done.into_iter().flatten() {
+            slots[i] = Some(evaluated);
+        }
+        // Degraded mode: whatever a lost worker claimed is still empty.
+        if slots.iter().any(Option::is_none) {
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rbq_graph::faultpoint::fire("engine.worker.retry");
+                let mut scratch = WorkerScratch::default();
+                for (s, group) in groups.iter().enumerate() {
+                    for &i in group {
+                        if slots[i].is_none() {
+                            let q = &queries[i];
+                            slots[i] =
+                                Some(replica(s).run_one(&ep, q, &mut scratch, deadline, i as u64));
+                        }
                     }
                 }
-            });
-            for shard in shards {
-                for (i, r) in shard {
-                    results[i] = Some(r);
-                }
-            }
+            }));
         }
 
-        let mut stats = EngineStats::default();
-        let mut final_results = Vec::with_capacity(n);
-        for (i, slot) in results.into_iter().enumerate() {
-            let (result, class, latency) = slot.unwrap_or_else(|| {
-                (
-                    QueryResult {
-                        answer: Answer::Failed("batch worker lost before evaluation".to_string()),
-                        visits: 0,
-                        cached: false,
-                    },
-                    queries[i].class(),
-                    Duration::ZERO,
-                )
-            });
-            stats.record(&result, class, latency);
-            final_results.push(result);
-        }
-        stats.denied += shed.iter().filter(|s| s.is_some()).count();
-        let settlement = settle_aggregate(&mut final_results, self.cfg.aggregate_visit_budget);
+        let settled: Vec<Evaluated> = slots
+            .into_iter()
+            .zip(queries)
+            .map(|(slot, q)| {
+                slot.unwrap_or_else(|| {
+                    let lost = Answer::Failed("batch worker lost; retry also lost".to_string());
+                    (QueryResult::unevaluated(lost), q.class(), Duration::ZERO)
+                })
+            })
+            .collect();
+        let per_shard: Vec<ShardReport> = groups
+            .iter()
+            .map(|group| {
+                let mut shard = EngineStats::default();
+                for &i in group {
+                    let (result, class, latency) = &settled[i];
+                    shard.record(result, *class, *latency);
+                }
+                stats.merge(&shard);
+                ShardReport {
+                    routed: group.len(),
+                    stats: shard,
+                }
+            })
+            .collect();
+        let mut results: Vec<QueryResult> = settled.into_iter().map(|(r, _, _)| r).collect();
+        let settlement = settle_aggregate(&mut results, self.cfg.aggregate_visit_budget);
         stats.denied += settlement.denied;
-        stats.charged_visits += settlement.charged_visits;
+        stats.charged_visits = settlement.charged_visits;
         relock(&self.totals).merge(&stats);
         BatchReport {
-            results: final_results,
+            results,
             stats,
+            per_shard,
         }
     }
 
-    /// The admission decision [`Engine::run_batch`] would make for
-    /// `queries` under an explicit aggregate `budget` (None admits
-    /// everything, as does an [`AdmissionPolicy::InputOrder`]
-    /// configuration). Pure and deterministic; public so a router holding
-    /// the budget at the front door sheds byte-identically to a single
-    /// budgeted engine.
-    pub fn admission_shed_for(
-        &self,
-        queries: &[Query],
-        budget: Option<usize>,
-    ) -> Vec<Option<Answer>> {
-        let ep = self.pin();
-        self.admission_shed_with(&ep, queries, budget)
-    }
-
-    /// Admission control: decide, per query, whether it is shed before
-    /// evaluation (`Some(Denied)`) or admitted (`None`). Deterministic —
-    /// a pure function of the batch, the configuration, and the epoch's
-    /// graph, independent of thread count.
-    fn admission_shed(&self, ep: &Epoch, queries: &[Query]) -> Vec<Option<Answer>> {
-        self.admission_shed_with(ep, queries, self.cfg.aggregate_visit_budget)
-    }
-
-    fn admission_shed_with(
-        &self,
-        ep: &Epoch,
-        queries: &[Query],
-        budget: Option<usize>,
-    ) -> Vec<Option<Answer>> {
-        let mut shed: Vec<Option<Answer>> = vec![None; queries.len()];
-        let (AdmissionPolicy::ShortestJobFirst, Some(budget)) = (self.cfg.admission, budget) else {
-            return shed;
+    /// Admission control: the batch's result slots with every query shed
+    /// before evaluation already settled [`Answer::Denied`] and every
+    /// admitted one empty. Deterministic — a pure function of the batch,
+    /// the configuration, and the epoch's graph, independent of thread and
+    /// replica count. Admits everything unless the policy is
+    /// [`AdmissionPolicy::ShortestJobFirst`] under an aggregate budget.
+    fn admission_shed(&self, ep: &Epoch, queries: &[Query]) -> Vec<Option<Evaluated>> {
+        let mut slots: Vec<Option<Evaluated>> = vec![None; queries.len()];
+        let (AdmissionPolicy::ShortestJobFirst, Some(budget)) =
+            (self.cfg.admission, self.cfg.aggregate_visit_budget)
+        else {
+            return slots;
         };
         let estimates: Vec<usize> = queries
             .iter()
@@ -634,24 +662,20 @@ impl Engine {
             if estimates[i] <= remaining {
                 remaining -= estimates[i];
             } else {
-                shed[i] = Some(Answer::Denied {
-                    needed: estimates[i],
-                    remaining,
-                });
+                let needed = estimates[i];
+                let shed = QueryResult::unevaluated(Answer::Denied { needed, remaining });
+                slots[i] = Some((shed, queries[i].class(), Duration::ZERO));
             }
         }
-        shed
+        slots
     }
 
-    fn effective_threads(&self, n: usize) -> usize {
-        let t = if self.cfg.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.cfg.threads
-        };
-        t.max(1).min(n.max(1))
+    /// Configured worker threads (0 = available parallelism).
+    fn threads(&self) -> usize {
+        match self.cfg.threads {
+            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+            t => t,
+        }
     }
 
     /// Evaluate one query under panic containment. `index` is the query's
@@ -677,15 +701,8 @@ impl Engine {
             None => CancelToken::none(),
         };
         if token.is_expired() {
-            return (
-                QueryResult {
-                    answer: Answer::TimedOut,
-                    visits: 0,
-                    cached: false,
-                },
-                q.class(),
-                start.elapsed(),
-            );
+            let timed_out = QueryResult::unevaluated(Answer::TimedOut);
+            return (timed_out, q.class(), start.elapsed());
         }
         // AssertUnwindSafe: on Err every structure the closure touched
         // mutably (the scratch) is discarded below, and the shared locks it
@@ -706,16 +723,11 @@ impl Engine {
             Ok(r) => r,
             Err(payload) => {
                 *scratch = WorkerScratch::default();
-                let answer = if payload.downcast_ref::<CancelPanic>().is_some() {
+                QueryResult::unevaluated(if payload.downcast_ref::<CancelPanic>().is_some() {
                     Answer::TimedOut
                 } else {
                     Answer::Failed(panic_message(payload.as_ref()))
-                };
-                QueryResult {
-                    answer,
-                    visits: 0,
-                    cached: false,
-                }
+                })
             }
         };
         (result, q.class(), start.elapsed())
@@ -724,11 +736,10 @@ impl Engine {
     fn run_reach(&self, ep: &Epoch, s: NodeId, t: NodeId) -> QueryResult {
         let n = ep.g.node_count();
         if s.index() >= n || t.index() >= n {
-            return QueryResult {
-                answer: Answer::Error(format!("node id out of range ({} or {} >= {n})", s.0, t.0)),
-                visits: 0,
-                cached: false,
-            };
+            return QueryResult::unevaluated(Answer::Error(format!(
+                "node id out of range ({} or {} >= {n})",
+                s.0, t.0
+            )));
         }
         let idx = ep.reach_index(self.cfg.reach_alpha);
         let a = idx.query(s, t);
@@ -807,13 +818,7 @@ impl Engine {
         // byte-identical computation, so cache hits equal cold answers.
         let resolved = match key.canon.pattern(pattern).resolve(&ep.g) {
             Ok(r) => r,
-            Err(e) => {
-                return QueryResult {
-                    answer: Answer::Error(e.to_string()),
-                    visits: 0,
-                    cached: false,
-                }
-            }
+            Err(e) => return QueryResult::unevaluated(Answer::Error(e.to_string())),
         };
         let idx = ep.neighbor_index();
         let WorkerScratch {
@@ -1165,11 +1170,7 @@ mod tests {
         };
         let mut rs = vec![
             mk(4),
-            QueryResult {
-                answer: Answer::Error("x".into()),
-                visits: 0,
-                cached: false,
-            },
+            QueryResult::unevaluated(Answer::Error("x".into())),
             mk(5),
             mk(1),
         ];
@@ -1401,7 +1402,7 @@ mod tests {
     fn expired_deadline_times_out_whole_batch_at_any_thread_count() {
         let g = fig1_graph();
         for threads in [1usize, 2, 4] {
-            let engine = Engine::new(
+            let mut engine = Engine::new(
                 g.clone(),
                 EngineConfig {
                     batch_timeout: Some(Duration::ZERO),
@@ -1422,7 +1423,8 @@ mod tests {
             assert_eq!(report.stats.charged_visits, 0);
             // The engine is still healthy: a fresh deadline-free batch on
             // the same instance answers normally.
-            let clean = engine.run_batch_until(&mixed_queries(), None);
+            engine.cfg.batch_timeout = None;
+            let clean = engine.run_batch(&mixed_queries());
             assert!(clean.results[0].answer.is_ok());
             assert!(clean.results[1].answer.is_ok());
         }

@@ -32,11 +32,15 @@
 //!   append + fsync ([`durability`]) → index rebuild → install →
 //!   checkpoint, under one writer lock, for a single engine or — with
 //!   [`Engine::replica`]s as followers — for every shard of a router;
-//! * a work-stealing batch scheduler ([`Engine::run_batch`]):
-//!   `std::thread::scope` workers claim queries off a shared atomic
-//!   cursor, answers return in input order and are identical for any
-//!   thread count, and [`EngineStats`] reports visits, cache hit rate and
-//!   per-class latency.
+//! * the only batch pipeline in the workspace
+//!   ([`Engine::run_batch_shared`]; [`Engine::run_batch`] is it with no
+//!   followers): admission → schedule → contain → record → settle, for a
+//!   single engine or — with replicas as followers, as on the write side —
+//!   for every shard of a router. `std::thread::scope` workers claim
+//!   queries off their replica's atomic cursor, a lost worker's claims
+//!   are retried once on the calling thread, answers return in input
+//!   order and are identical for any thread or replica count, and
+//!   [`EngineStats`] reports visits, cache hit rate and per-class latency.
 
 mod cache;
 pub mod canonical;
@@ -51,7 +55,7 @@ pub use canonical::canonical_pattern;
 pub use durability::{ApplyError, Durability, DurabilityError, RecoveryReport};
 pub use engine::{
     settle_aggregate, AdmissionPolicy, AggregateSettlement, BatchReport, BudgetSpec, ClassStats,
-    Engine, EngineConfig, EngineStats,
+    Engine, EngineConfig, EngineStats, ShardReport,
 };
 pub use error::{EngineError, QueryParseError};
 pub use query::{Answer, Query, QueryClass, QueryResult};

@@ -280,6 +280,18 @@ pub struct QueryResult {
     pub cached: bool,
 }
 
+impl QueryResult {
+    /// A result settled without an evaluation behind it — shed, timed out,
+    /// failed or malformed: no visits, nothing from the cache.
+    pub(crate) fn unevaluated(answer: Answer) -> Self {
+        QueryResult {
+            answer,
+            visits: 0,
+            cached: false,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

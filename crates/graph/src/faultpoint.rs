@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the chaos differential suite.
 //!
-//! Named fault points are compiled into the engine, router, and kernels as
-//! calls to [`fire`] / [`fire_at`]. Without the `fault-injection` feature
+//! Named fault points are compiled into the engine, durability layer, and
+//! kernels as calls to [`fire`] / [`fire_at`]. Without the `fault-injection` feature
 //! these are inline no-ops and the whole module compiles to nothing. With
 //! the feature, a seeded [`FaultPlan`] can be armed process-wide; when a
 //! fired point matches an armed entry the plan's action happens:
@@ -14,7 +14,7 @@
 //!   starvation (the engine settles the query as `Answer::TimedOut`).
 //!
 //! Triggers are deterministic: [`fire_at`] matches an explicit index (e.g.
-//! the query's batch position), and [`fire`] matches the *n*-th hit of the
+//! the query's position in the submitted batch), and [`fire`] matches the *n*-th hit of the
 //! point since arming (hit counters are process-global, so nth-hit plans
 //! are deterministic only under single-threaded evaluation).
 //!
@@ -31,18 +31,18 @@ pub use imp::{arm, ArmedPlan, FaultAction, FaultPlan};
 /// fires — so the registry can neither drift stale nor hide typos in the
 /// stringly point names.
 pub const REGISTRY: &[&str] = &[
-    "ball.bfs",           // BallScratch BFS inner loop
-    "dualsim.fixpoint",   // dual-simulation worklist fixpoint
-    "reduction.pick",     // reduction Pick scoring loop
-    "vf2.step",           // VF2 enumeration step
-    "engine.run_one",     // per-query engine entry
-    "router.shard",       // per-shard router worker
-    "router.shard.retry", // cold-replica retry after a lost shard
-    "wal.append",         // WAL record write, before bytes reach the file
-    "wal.fsync",          // WAL durability barrier, before sync_data
-    "snapshot.write",     // snapshot serialization entry
-    "snapshot.load",      // snapshot deserialization entry
-    "wal.replay",         // WAL replay, once per record walked
+    "ball.bfs",            // BallScratch BFS inner loop
+    "dualsim.fixpoint",    // dual-simulation worklist fixpoint
+    "reduction.pick",      // reduction Pick scoring loop
+    "vf2.step",            // VF2 enumeration step
+    "engine.run_one",      // per-query engine entry (index = batch position)
+    "engine.worker",       // batch worker, between two claims (index = replica)
+    "engine.worker.retry", // calling-thread retry of a lost worker's claims
+    "wal.append",          // WAL record write, before bytes reach the file
+    "wal.fsync",           // WAL durability barrier, before sync_data
+    "snapshot.write",      // snapshot serialization entry
+    "snapshot.load",       // snapshot deserialization entry
+    "wal.replay",          // WAL replay, once per record walked
 ];
 
 /// Fire the named fault point. No-op unless the `fault-injection` feature
@@ -51,9 +51,10 @@ pub const REGISTRY: &[&str] = &[
 #[inline(always)]
 pub fn fire(_point: &'static str) {}
 
-/// Fire the named fault point with an explicit index (e.g. a query's batch
-/// position). No-op unless the `fault-injection` feature is enabled and an
-/// armed plan matches `(point, index)`.
+/// Fire the named fault point with an explicit index (a query's position
+/// in the batch as submitted — the same query at any thread or shard count
+/// — or a worker's replica). No-op unless the `fault-injection` feature is
+/// enabled and an armed plan matches `(point, index)`.
 #[cfg(not(feature = "fault-injection"))]
 #[inline(always)]
 pub fn fire_at(_point: &'static str, _index: u64) {}

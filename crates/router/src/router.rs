@@ -1,21 +1,14 @@
-//! The router: replica construction, per-query routing, deterministic merge.
+//! The router: replica construction and per-query routing. Batches run on
+//! the engine's one pipeline ([`Engine::run_batch_shared`]).
 
 use crate::partitioner::Partitioner;
 use rbq_engine::{
-    settle_aggregate, Answer, ApplyError, BatchReport, DurabilityError, Engine, EngineConfig,
-    EngineError, EngineStats, Query, QueryResult, RecoveryReport,
+    ApplyError, BatchReport, DurabilityError, Engine, EngineConfig, EngineError, EngineStats,
+    Query, RecoveryReport,
 };
 use rbq_graph::{DeltaBatch, DeltaReport, Graph};
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
-
-/// Lock a mutex, recovering from poisoning: the guarded statistics stay
-/// consistent (merges are all-or-nothing from the reader's perspective),
-/// and a shard that panicked must not take the router's bookkeeping down.
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::Arc;
 
 /// Errors constructing or operating a [`Router`].
 #[derive(Debug)]
@@ -72,54 +65,32 @@ impl From<DurabilityError> for RouterError {
     }
 }
 
-/// Result of [`Router::run_batch`]: input-order answers, merged statistics,
-/// and the per-shard breakdown.
-#[derive(Debug, Clone)]
-pub struct RouterReport {
-    /// One result per input query, in input order — byte-identical to what
-    /// a single [`Engine`] would return for the same batch.
-    pub results: Vec<QueryResult>,
-    /// Statistics merged across shards, with the aggregate budget settled
-    /// at the router (so `denied` / `charged_visits` match a single
-    /// engine's settlement exactly).
-    pub stats: EngineStats,
-    /// Per-shard breakdown, one entry per shard (including idle ones).
-    pub per_shard: Vec<ShardReport>,
-}
-
-/// One shard's share of a routed batch.
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// Queries routed to this shard.
-    pub routed: usize,
-    /// The shard engine's statistics for its sub-batch (settlement
-    /// happens at the router, so `denied` is always 0 here).
-    pub stats: EngineStats,
-}
+/// Result of [`Router::run_batch`]: the engine's own report, one
+/// [`crate::ShardReport`] per shard.
+pub type RouterReport = BatchReport;
 
 /// A sharded serving front: `k` cache-affine engine replicas over
 /// `Arc`-shared immutable structures, each query served by one of them.
 ///
-/// Construction pays the offline cost once — both offline indexes (§4.1
-/// neighbor index, §5.1 reachability index) are built eagerly on shard 0
-/// and every other shard is a [`Engine::replica`] of it, serving the same
-/// epoch — so shards are cheap replicas and routing, a pure function of
-/// the query ([`Router::route`]), is the only per-query work the router
-/// adds. The router holds no per-node routing state, and no write path of
-/// its own: ingest, durability and recovery are shard 0's, with the other
-/// shards riding along as followers.
+/// A router is a constructor, a routing function and a handful of one-line
+/// delegations. Construction pays the offline cost once — both offline
+/// indexes (§4.1 neighbor index, §5.1 reachability index) are built eagerly
+/// on shard 0 and every other shard is a [`Engine::replica`] of it, serving
+/// the same epoch. Routing is a pure function of the query
+/// ([`Router::route`]); the router holds no per-node routing state. It has
+/// no read path and no write path of its own: batches, ingest, durability,
+/// recovery and statistics are shard 0's, with the other shards riding
+/// along as followers. What it owns is `k` caches and which of them sees a
+/// query.
 pub struct Router {
     /// The graph every shard serves, kept here so [`Router::route`] reads
     /// labels without taking a shard's epoch lock.
     g: Arc<Graph>,
     policy: &'static dyn Partitioner,
-    /// `shards[0]` leads: it owns the durable state and is the template
-    /// for cold replicas; `shards[1..]` follow it through every ingest.
+    /// `shards[0]` leads: it owns the durable state, the front-door
+    /// configuration and the lifetime statistics; `shards[1..]` follow it
+    /// through every batch and every ingest.
     shards: Vec<Engine>,
-    /// The front-door aggregate budget; shard engines run unbudgeted and
-    /// the router settles once, in input order.
-    aggregate_visit_budget: Option<usize>,
-    totals: Mutex<EngineStats>,
 }
 
 impl Router {
@@ -127,10 +98,10 @@ impl Router {
     /// (kept for the router's lifetime, hence `'static` — which a
     /// `&LabelHashPartitioner` literal already is).
     ///
-    /// `cfg` is the front-door configuration: every shard engine inherits
-    /// it, except that the aggregate visit budget is held back and settled
-    /// at the router, and worker threads are divided across shards (each
-    /// shard gets `max(1, threads / k)` so a fanned-out batch uses about
+    /// `cfg` is the front-door configuration, exactly as a single engine
+    /// would read it: one deadline, one admission decision and one
+    /// aggregate budget per batch, and worker threads divided across the
+    /// shards (`max(1, threads / k)` each, so a fanned-out batch uses about
     /// the configured parallelism in total).
     pub fn new(
         g: Arc<Graph>,
@@ -138,8 +109,8 @@ impl Router {
         shards: usize,
         partitioner: &'static dyn Partitioner,
     ) -> Result<Router, RouterError> {
-        let lead = Engine::new(g, shard_config(&cfg, shards)?);
-        Ok(Router::over(lead, &cfg, shards, partitioner))
+        check(&cfg, shards)?;
+        Ok(Router::over(Engine::new(g, cfg), shards, partitioner))
     }
 
     /// Recover a sharded deployment from a durability directory: shard 0
@@ -151,19 +122,15 @@ impl Router {
         shards: usize,
         partitioner: &'static dyn Partitioner,
     ) -> Result<(Router, RecoveryReport), RouterError> {
-        let (lead, report) = Engine::recover(dir, shard_config(&cfg, shards)?)?;
-        Ok((Router::over(lead, &cfg, shards, partitioner), report))
+        check(&cfg, shards)?;
+        let (lead, report) = Engine::recover(dir, cfg)?;
+        Ok((Router::over(lead, shards, partitioner), report))
     }
 
     /// Build the deployment around its lead shard: pay for both offline
     /// indexes once, then replicate — identical `Arc`'d indexes are what
     /// make shard answers byte-identical to a standalone engine's.
-    fn over(
-        lead: Engine,
-        cfg: &EngineConfig,
-        shards: usize,
-        policy: &'static dyn Partitioner,
-    ) -> Router {
+    fn over(lead: Engine, shards: usize, policy: &'static dyn Partitioner) -> Router {
         lead.neighbor_index();
         lead.reach_index();
         let followers: Vec<Engine> = (1..shards).map(|_| lead.replica()).collect();
@@ -171,8 +138,6 @@ impl Router {
             g: lead.graph(),
             policy,
             shards: std::iter::once(lead).chain(followers).collect(),
-            aggregate_visit_budget: cfg.aggregate_visit_budget,
-            totals: Mutex::new(EngineStats::default()),
         }
     }
 
@@ -207,9 +172,10 @@ impl Router {
         Ok(result?)
     }
 
-    /// Lifetime statistics merged across every batch served.
+    /// Lifetime statistics across every batch served (shard 0 leads every
+    /// batch and absorbs it).
     pub fn stats(&self) -> EngineStats {
-        relock(&self.totals).clone()
+        self.shards[0].stats()
     }
 
     /// The shard that serves `q` — the only shard that will evaluate it. A
@@ -239,196 +205,34 @@ impl Router {
         self.policy.shard(label, k) % k
     }
 
-    /// Answer one query on the shard it routes to (no aggregate-budget
-    /// settlement, mirroring [`Engine::run`] — lifetime statistics
-    /// included).
-    pub fn run(&self, q: &Query) -> QueryResult {
-        let started = Instant::now();
-        let result = self.shards[self.route(q)].run(q);
-        let mut totals = relock(&self.totals);
-        totals.record(&result, q.class(), started.elapsed());
-        if result.answer.is_ok() {
-            totals.charged_visits += result.visits;
-        }
-        result
-    }
-
-    /// Answer a batch of heterogeneous queries across the shards.
-    ///
-    /// Each query is routed to one shard; non-empty sub-batches run
-    /// concurrently (one scoped thread per shard, each shard scheduling
-    /// its own workers); results scatter back to input order; and the
-    /// aggregate visit budget is settled once at the router in input
-    /// order. Answers, visit counts, denials and charged visits are all
-    /// byte-identical to a single engine running the same batch — for any
-    /// shard count and any routing policy. That parity extends to the
-    /// robustness knobs: the front door computes one deadline instant and
-    /// one [shortest-job-first](rbq_engine::AdmissionPolicy) shed set and
-    /// every shard serves under them.
-    ///
-    /// **Degraded mode.** A shard whose worker thread is lost (a panic
-    /// that escaped the engine's per-query containment) does not take the
-    /// batch down: the router rebuilds a cold replica over the shared
-    /// offline structures and retries that sub-batch once. If the retry is
-    /// also lost, the sub-batch settles as [`Answer::Failed`] — every
-    /// other shard's answers are unaffected.
+    /// Answer a batch of heterogeneous queries across the shards: the
+    /// engine's batch pipeline ([`Engine::run_batch_shared`]) led by shard
+    /// 0 with every other shard as a follower and [`Router::route`] as the
+    /// routing function. Answers, visit counts, denials and charged visits
+    /// are byte-identical to a single engine running the same batch — for
+    /// any shard count and any routing policy — and a lost worker is
+    /// retried exactly as a single engine retries it.
     pub fn run_batch(&self, queries: &[Query]) -> RouterReport {
-        let deadline = self.shards[0]
-            .config()
-            .batch_timeout
-            .map(|t: Duration| Instant::now() + t);
-        let k = self.shards.len();
-        // Front-door admission: one deterministic shed decision for the
-        // whole batch (shard engines hold no aggregate budget).
-        let shed = self.shards[0].admission_shed_for(queries, self.aggregate_visit_budget);
-        let mut sub: Vec<Vec<Query>> = vec![Vec::new(); k];
-        let mut origin: Vec<Vec<usize>> = vec![Vec::new(); k];
-        let mut slots: Vec<Option<QueryResult>> = Vec::new();
-        slots.resize_with(queries.len(), || None);
-        let mut stats = EngineStats::default();
-        let mut shed_count = 0;
-        for (i, q) in queries.iter().enumerate() {
-            if let Some(answer) = &shed[i] {
-                let denied = QueryResult {
-                    answer: answer.clone(),
-                    visits: 0,
-                    cached: false,
-                };
-                stats.record(&denied, q.class(), Duration::ZERO);
-                shed_count += 1;
-                slots[i] = Some(denied);
-                continue;
-            }
-            let s = self.route(q);
-            sub[s].push(q.clone());
-            origin[s].push(i);
-        }
-
-        let mut reports: Vec<Option<BatchReport>> = Vec::new();
-        reports.resize_with(k, || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = sub
-                .iter()
-                .enumerate()
-                .filter(|(_, batch)| !batch.is_empty())
-                .map(|(s, batch)| {
-                    (
-                        s,
-                        scope.spawn(move || {
-                            rbq_graph::faultpoint::fire_at("router.shard", s as u64);
-                            self.shards[s].run_batch_until(batch, deadline)
-                        }),
-                    )
-                })
-                .collect();
-            for (s, h) in handles {
-                reports[s] = match h.join() {
-                    Ok(report) => Some(report),
-                    Err(_) => self.retry_shard(&sub[s], deadline),
-                };
-            }
-        });
-
-        // Deterministic merge: scatter to input order, fold stats, settle
-        // the aggregate budget once (shards ran unbudgeted).
-        let mut per_shard = Vec::with_capacity(k);
-        for (s, report) in reports.into_iter().enumerate() {
-            match report {
-                Some(report) => {
-                    stats.merge(&report.stats);
-                    per_shard.push(ShardReport {
-                        routed: origin[s].len(),
-                        stats: report.stats,
-                    });
-                    for (&i, r) in origin[s].iter().zip(report.results) {
-                        slots[i] = Some(r);
-                    }
-                }
-                None => {
-                    // Lost twice (original shard and its replica): settle
-                    // the whole sub-batch Failed, in input order.
-                    for &i in &origin[s] {
-                        let failed = QueryResult {
-                            answer: Answer::Failed(
-                                "shard worker lost; replica retry also lost".to_string(),
-                            ),
-                            visits: 0,
-                            cached: false,
-                        };
-                        stats.record(&failed, queries[i].class(), Duration::ZERO);
-                        slots[i] = Some(failed);
-                    }
-                    per_shard.push(ShardReport {
-                        routed: origin[s].len(),
-                        stats: EngineStats::default(),
-                    });
-                }
-            }
-        }
-        let mut results: Vec<QueryResult> = slots
-            .into_iter()
-            .map(|r| {
-                // invariant: every slot was filled above — shed, scattered
-                // from a shard report, or settled Failed.
-                r.expect("query answered")
-            })
-            .collect();
-        let settlement = settle_aggregate(&mut results, self.aggregate_visit_budget);
-        stats.denied = shed_count + settlement.denied;
-        stats.charged_visits = settlement.charged_visits;
-
-        relock(&self.totals).merge(&stats);
-        RouterReport {
-            results,
-            stats,
-            per_shard,
-        }
-    }
-
-    /// Second (and last) chance for a lost shard: take a cold replica of
-    /// shard 0 (same epoch, same shared indexes — no offline cost re-paid)
-    /// and re-run the sub-batch under the same deadline. Answers are
-    /// deterministic functions of the batch and the epoch, so a replica's
-    /// answers are byte-identical to what the lost shard would have
-    /// returned — only cache warmth differs.
-    fn retry_shard(&self, batch: &[Query], deadline: Option<Instant>) -> Option<BatchReport> {
-        let replica = self.shards[0].replica();
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            rbq_graph::faultpoint::fire("router.shard.retry");
-            replica.run_batch_until(batch, deadline)
-        }))
-        .ok()
+        self.shards[0].run_batch_shared(queries, &self.shards[1..], &|q| self.route(q))
     }
 }
 
-/// The per-shard configuration behind a front-door `cfg` for `shards`
-/// replicas, or why there cannot be one.
-fn shard_config(cfg: &EngineConfig, shards: usize) -> Result<EngineConfig, RouterError> {
+/// Whether a front-door `cfg` can serve `shards` replicas, or why not.
+fn check(cfg: &EngineConfig, shards: usize) -> Result<(), RouterError> {
     if shards == 0 {
         return Err(RouterError::InvalidShards);
     }
-    cfg.validate()?;
-    let base_threads = if cfg.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        cfg.threads
-    };
-    Ok(EngineConfig {
-        aggregate_visit_budget: None,
-        threads: (base_threads / shards).max(1),
-        ..cfg.clone()
-    })
+    Ok(cfg.validate()?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::partitioner::LabelHashPartitioner;
-    use rbq_engine::{Answer, BudgetSpec};
+    use rbq_engine::{Answer, BudgetSpec, QueryResult};
     use rbq_graph::{DeltaError, GraphBuilder, NodeId};
     use rbq_pattern::PatternBuilder;
+    use std::time::Duration;
 
     /// The shipped policy plus adversarial ones: `Router(k) ≡ Engine(1)` is a
     /// claim about every routing function, not just the label hash.
@@ -473,6 +277,11 @@ mod tests {
         let u = b.add_node(label);
         b.personalized(u).output(u);
         Query::PatternSim { pattern: b.build() }
+    }
+
+    /// A batch of one query, for its one result.
+    fn run(router: &Router, q: &Query) -> QueryResult {
+        router.run_batch(std::slice::from_ref(q)).results.remove(0)
     }
 
     #[test]
@@ -530,7 +339,7 @@ mod tests {
                 LabelHashPartitioner.shard(label, 3)
             );
         }
-        let r = router.run(&pattern_query("NoSuchLabel"));
+        let r = run(&router, &pattern_query("NoSuchLabel"));
         assert!(matches!(r.answer, Answer::Error(_)));
         // Out-of-range policy values are reduced, never used as an index.
         let past_k = &Policy(|label, k| k + label.len());
@@ -538,7 +347,8 @@ mod tests {
         assert_eq!(router.route(&pattern_query("Michael")), (3 + 7) % 3);
     }
 
-    /// `Router::run` records exactly what `Engine::run` records.
+    /// A routed batch of one query records exactly what `Engine::run`
+    /// records.
     #[test]
     fn run_stats_match_single_engine() {
         let reach = Query::Reach {
@@ -561,7 +371,7 @@ mod tests {
         for k in [1usize, 2, 4] {
             let router = Router::new(fig1_graph(), cfg(), k, &LabelHashPartitioner).unwrap();
             for q in &stream {
-                router.run(q);
+                run(&router, q);
             }
             // Latency is the one schedule-dependent field.
             let mut got = router.stats();
@@ -706,7 +516,7 @@ mod tests {
             pattern_query("CL"),
         ];
         let zero = EngineConfig {
-            batch_timeout: Some(std::time::Duration::ZERO),
+            batch_timeout: Some(Duration::ZERO),
             ..cfg()
         };
         for k in [1usize, 2, 4] {
@@ -720,11 +530,10 @@ mod tests {
                 );
             }
             assert_eq!(report.stats.timed_out, 3);
-            // Still healthy afterwards: the same router serves a clean
-            // single query (Router::run takes the engine timeout path,
-            // but a fresh instant makes fig. 1 unreachable to expire).
+            // Still healthy afterwards: a router without the deadline
+            // serves a clean single query.
             let healthy = Router::new(g.clone(), cfg(), k, &LabelHashPartitioner).unwrap();
-            assert!(healthy.run(&queries[0]).answer.is_ok());
+            assert!(run(&healthy, &queries[0]).answer.is_ok());
         }
     }
 

@@ -26,11 +26,11 @@ const POLICIES: [&dyn Partitioner; 4] = [
     &Policy(|label, k| k + label.len()),
 ];
 
-fn cfg() -> EngineConfig {
+fn cfg(threads: usize) -> EngineConfig {
     EngineConfig {
         pattern_budget: BudgetSpec::Units(150),
         reach_alpha: 0.1,
-        threads: 2,
+        threads,
         ..Default::default()
     }
 }
@@ -38,9 +38,34 @@ fn cfg() -> EngineConfig {
 fn assert_equivalent(
     baseline: &rbq_engine::BatchReport,
     report: &rbq_router::RouterReport,
+    k: usize,
     ctx: &str,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(baseline.results.len(), report.results.len());
+    // One report entry per shard; every admitted query routed to exactly
+    // one of them, and every visit counted on the shard that made it.
+    prop_assert_eq!(report.per_shard.len(), k, "{}", ctx);
+    let shed = report
+        .results
+        .iter()
+        .filter(|r| matches!(r.answer, Answer::Denied { .. }) && r.visits == 0)
+        .count();
+    prop_assert_eq!(
+        report.per_shard.iter().map(|s| s.routed).sum::<usize>(),
+        report.results.len() - shed,
+        "{}",
+        ctx
+    );
+    prop_assert_eq!(
+        report
+            .per_shard
+            .iter()
+            .map(|s| s.stats.total_visits)
+            .sum::<usize>(),
+        report.stats.total_visits,
+        "{}",
+        ctx
+    );
     for (i, (a, b)) in baseline.results.iter().zip(&report.results).enumerate() {
         prop_assert_eq!(&a.answer, &b.answer, "answer {} diverged: {}", i, ctx);
         prop_assert_eq!(a.visits, b.visits, "visits {} diverged: {}", i, ctx);
@@ -89,31 +114,36 @@ proptest! {
 
         // Unbudgeted baseline, and a half-budget one that must deny a
         // deterministic suffix of the delivered answers.
-        let baseline = Engine::new(g.clone(), cfg()).run_batch(&queries);
+        let baseline = Engine::new(g.clone(), cfg(2)).run_batch(&queries);
         let half = baseline.stats.charged_visits / 2;
         let budgeted_cfg = EngineConfig {
             aggregate_visit_budget: Some(half),
-            ..cfg()
+            ..cfg(2)
         };
         let budgeted = Engine::new(g.clone(), budgeted_cfg.clone()).run_batch(&queries);
 
-        for (p, partitioner) in POLICIES.into_iter().enumerate() {
-            for k in [1usize, 2, 3, 8] {
-                let ctx = format!("k={k} policy={p}");
-                let router = Router::new(g.clone(), cfg(), k, partitioner).unwrap();
-                assert_equivalent(&baseline, &router.run_batch(&queries), &ctx)?;
+        // 8 threads over 2 or 3 shards: several workers per cursor and
+        // several cursors in the one scope; 1 thread: one worker per shard.
+        for threads in [1usize, 2, 8] {
+            let budgeted_cfg = EngineConfig { threads, ..budgeted_cfg.clone() };
+            for (p, partitioner) in POLICIES.into_iter().enumerate() {
+                for k in [1usize, 2, 3, 8] {
+                    let ctx = format!("k={k} policy={p} threads={threads}");
+                    let router = Router::new(g.clone(), cfg(threads), k, partitioner).unwrap();
+                    assert_equivalent(&baseline, &router.run_batch(&queries), k, &ctx)?;
 
-                let router =
-                    Router::new(g.clone(), budgeted_cfg.clone(), k, partitioner).unwrap();
-                let report = router.run_batch(&queries);
-                assert_equivalent(&budgeted, &report, &format!("{ctx} budgeted"))?;
-                // The denial mask itself must match, not just the count.
-                for (i, (a, b)) in budgeted.results.iter().zip(&report.results).enumerate() {
-                    prop_assert_eq!(
-                        matches!(a.answer, Answer::Denied { .. }),
-                        matches!(b.answer, Answer::Denied { .. }),
-                        "denial mask {} diverged: {}", i, ctx
-                    );
+                    let router =
+                        Router::new(g.clone(), budgeted_cfg.clone(), k, partitioner).unwrap();
+                    let report = router.run_batch(&queries);
+                    assert_equivalent(&budgeted, &report, k, &format!("{ctx} budgeted"))?;
+                    // The denial mask itself must match, not just the count.
+                    for (i, (a, b)) in budgeted.results.iter().zip(&report.results).enumerate() {
+                        prop_assert_eq!(
+                            matches!(a.answer, Answer::Denied { .. }),
+                            matches!(b.answer, Answer::Denied { .. }),
+                            "denial mask {} diverged: {}", i, ctx
+                        );
+                    }
                 }
             }
         }
@@ -136,16 +166,16 @@ proptest! {
             },
             wl_seed,
         );
-        let engine = Engine::new(g.clone(), cfg());
+        let engine = Engine::new(g.clone(), cfg(2));
         engine.run_batch(&queries);
         let warm_baseline = engine.run_batch(&queries);
 
         for (p, partitioner) in POLICIES.into_iter().enumerate() {
             for k in [1usize, 2, 3, 8] {
-                let router = Router::new(g.clone(), cfg(), k, partitioner).unwrap();
+                let router = Router::new(g.clone(), cfg(2), k, partitioner).unwrap();
                 router.run_batch(&queries);
                 let warm = router.run_batch(&queries);
-                assert_equivalent(&warm_baseline, &warm, &format!("warm k={k} policy={p}"))?;
+                assert_equivalent(&warm_baseline, &warm, k, &format!("warm k={k} policy={p}"))?;
             }
         }
     }
@@ -166,7 +196,7 @@ fn workload_actually_spreads_across_shards() {
         },
         7,
     );
-    let router = Router::new(g, cfg(), 4, &LabelHashPartitioner).unwrap();
+    let router = Router::new(g, cfg(2), 4, &LabelHashPartitioner).unwrap();
     let report = router.run_batch(&queries);
     let busy = report.per_shard.iter().filter(|s| s.routed > 0).count();
     assert!(busy >= 2, "only {busy} shard(s) saw traffic");

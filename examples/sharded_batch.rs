@@ -42,19 +42,22 @@ fn main() {
     };
     cfg.validate().expect("valid config");
 
-    // The unsharded baseline.
-    let engine = Engine::new(g.clone(), cfg.clone());
-    let t = Instant::now();
-    let baseline = engine.run_batch(&queries);
-    println!("engine(1):  {:>10.2?}  {}", t.elapsed(), baseline.stats);
-
-    for shards in [2usize, 4] {
-        let router = Router::new(g.clone(), cfg.clone(), shards, &LabelHashPartitioner)
-            .expect("router construction");
-        let t = Instant::now();
-        let report = router.run_batch(&queries);
+    // Engine(1) first — the baseline — then routers: one report type.
+    let mut baseline: Option<Vec<_>> = None;
+    for shards in [1usize, 2, 4] {
+        let t;
+        let report = if shards == 1 {
+            let engine = Engine::new(g.clone(), cfg.clone());
+            t = Instant::now();
+            engine.run_batch(&queries)
+        } else {
+            let router = Router::new(g.clone(), cfg.clone(), shards, &LabelHashPartitioner)
+                .expect("router construction");
+            t = Instant::now();
+            router.run_batch(&queries)
+        };
         println!(
-            "\nrouter({shards}): {:>10.2?}  {}",
+            "\nshards {shards}: {:>10.2?}  {}",
             t.elapsed(),
             report.stats
         );
@@ -64,11 +67,14 @@ fn main() {
                 shard.routed, shard.stats.total_visits
             );
         }
-
         // The invariant, checked end to end (cached-ness is
         // schedule-dependent and excluded, as everywhere).
-        assert_eq!(baseline.results.len(), report.results.len());
-        for (a, b) in baseline.results.iter().zip(&report.results) {
+        let Some(baseline) = &baseline else {
+            baseline = Some(report.results);
+            continue;
+        };
+        assert_eq!(baseline.len(), report.results.len());
+        for (a, b) in baseline.iter().zip(&report.results) {
             assert_eq!(a.answer, b.answer);
             assert_eq!(a.visits, b.visits);
         }

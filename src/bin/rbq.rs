@@ -24,8 +24,8 @@
 use rbq::rbq_core::{pattern_accuracy, rbsim, NeighborIndex, ResourceBudget};
 use rbq::rbq_engine::wire::{parse_delta_file, parse_query_file, write_answer_file};
 use rbq::rbq_engine::{
-    AdmissionPolicy, Answer, ApplyError, BudgetSpec, Durability, DurabilityError, Engine,
-    EngineConfig, EngineError, Query, QueryParseError, WireWriteError, QUERY_FILE_HEADER,
+    AdmissionPolicy, Answer, ApplyError, BatchReport, BudgetSpec, Durability, DurabilityError,
+    Engine, EngineConfig, EngineError, Query, QueryParseError, WireWriteError, QUERY_FILE_HEADER,
 };
 use rbq::rbq_graph::{io as gio, DeltaError, Graph, GraphView, NodeId};
 use rbq::rbq_pattern::{bisimulation_compress, match_opt};
@@ -609,25 +609,27 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     let max_units = ResourceBudget::from_ratio(&*g, alpha).max_units;
 
     let start = std::time::Instant::now();
-    // shards == 0 deliberately falls through to Router::new, which rejects
-    // it with the typed RouterError::InvalidShards (exit code 2, no panic).
-    let (results, stats) = if shards == 1 {
-        let engine = Engine::new(g.clone(), cfg);
-        let report = engine.run_batch(&queries);
-        (report.results, report.stats)
+    // One report type either way; `--shards 0` is Router::new's typed
+    // RouterError::InvalidShards (exit code 2, no panic).
+    let BatchReport {
+        results,
+        stats,
+        per_shard,
+    } = if shards == 1 {
+        Engine::new(g.clone(), cfg).run_batch(&queries)
     } else {
-        let router = Router::new(g.clone(), cfg, shards, &LabelHashPartitioner)?;
-        let report = router.run_batch(&queries);
+        Router::new(g.clone(), cfg, shards, &LabelHashPartitioner)?.run_batch(&queries)
+    };
+    let wall = start.elapsed();
+    if per_shard.len() > 1 {
         println!("router: {shards} shards, routed by label hash");
-        for (s, sh) in report.per_shard.iter().enumerate() {
+        for (s, sh) in per_shard.iter().enumerate() {
             println!(
                 "  shard {s}: {} queries routed, {} visits",
                 sh.routed, sh.stats.total_visits
             );
         }
-        (report.results, report.stats)
-    };
-    let wall = start.elapsed();
+    }
 
     if verbose {
         for (i, r) in results.iter().enumerate() {

@@ -7,8 +7,8 @@
 //! * **no poison** — after any fault, the same engine/router serves a
 //!   clean batch byte-identical to a never-faulted instance;
 //! * **blast-radius** — a non-faulted query's answer is byte-identical to
-//!   the fault-free run; only the query (or shard sub-batch) the fault
-//!   actually hit may settle `Failed` / `TimedOut`.
+//!   the fault-free run; only the query (or the lost worker's claims) the
+//!   fault actually hit may settle `Failed` / `TimedOut`.
 //!
 //! Runs only under `cargo test --features fault-injection`; without the
 //! feature the fault points are inline no-ops and this file is empty.
@@ -186,6 +186,86 @@ fn every_kernel_point_is_contained() {
     }
 }
 
+/// A lone engine loses a worker exactly as a router does: one loss is
+/// retried to byte-identity, a lost retry fails only what the worker had
+/// claimed, every outcome is counted once, and nothing is poisoned.
+#[test]
+fn engine_worker_loss_is_retried_then_failed() {
+    let _s = serial();
+    let (g, qs) = fixture();
+    let base = baseline();
+    for threads in [1usize, 4] {
+        let engine = Engine::new(g.clone(), cfg(threads));
+        let got = {
+            let _plan = arm(FaultPlan::new().on_index("engine.worker", 0, FaultAction::Panic));
+            answers(&engine.run_batch(&qs).results)
+        };
+        assert_eq!(got, base, "retry diverged at {threads} threads");
+
+        let report = {
+            let _plan = arm(FaultPlan::new()
+                .on_index("engine.worker", 0, FaultAction::Panic)
+                .on_nth("engine.worker.retry", 0, FaultAction::Panic));
+            engine.run_batch(&qs)
+        };
+        let got = answers(&report.results);
+        assert_blast_radius(&got, &base, "engine double loss");
+        let diverged: Vec<&Answer> = got
+            .iter()
+            .zip(&base)
+            .filter(|(f, b)| f != b)
+            .map(|p| p.0)
+            .collect();
+        assert!(
+            !diverged.is_empty(),
+            "double loss lost nothing at {threads} threads"
+        );
+        assert!(diverged.iter().all(|a| matches!(a, Answer::Failed(_))));
+        let st = &report.stats;
+        assert_eq!(st.failed, diverged.len(), "{threads} threads");
+        let delivered = got.iter().filter(|a| a.is_ok()).count();
+        assert_eq!(
+            delivered + st.denied + st.timed_out + st.failed + st.errors,
+            st.queries,
+            "outcomes not conserved at {threads} threads"
+        );
+        assert_eq!(st.queries, qs.len());
+        assert_no_poison(&engine, &qs, &base, "engine double loss");
+    }
+}
+
+/// `engine.run_one`'s index is the query's position in the batch as
+/// submitted, at any shard count: arming `i` fails exactly `results[i]`.
+#[test]
+fn run_one_fault_index_is_the_batch_position_at_any_shard_count() {
+    let _s = serial();
+    let (g, qs) = fixture();
+    let base = baseline();
+    for k in [1usize, 2, 4] {
+        let router = Router::new(g.clone(), cfg(2), k, &LabelHashPartitioner).unwrap();
+        for victim in [0, 7, qs.len() - 1] {
+            let got = {
+                let _plan = arm(FaultPlan::new().on_index(
+                    "engine.run_one",
+                    victim as u64,
+                    FaultAction::Panic,
+                ));
+                answers(&router.run_batch(&qs).results)
+            };
+            for (i, (f, b)) in got.iter().zip(&base).enumerate() {
+                if i == victim {
+                    assert!(
+                        matches!(f, Answer::Failed(_)),
+                        "k={k}: query {i} not Failed: {f:?}"
+                    );
+                } else {
+                    assert_eq!(f, b, "k={k}: query {i} diverged when {victim} was armed");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn router_shard_loss_recovers_on_replica() {
     let _s = serial();
@@ -196,12 +276,12 @@ fn router_shard_loss_recovers_on_replica() {
             let router = Router::new(g.clone(), cfg(2), k, &LabelHashPartitioner).unwrap();
             let got = {
                 let _plan =
-                    arm(FaultPlan::new().on_index("router.shard", victim, FaultAction::Panic));
+                    arm(FaultPlan::new().on_index("engine.worker", victim, FaultAction::Panic));
                 answers(&router.run_batch(&qs).results)
             };
-            // The replica retry re-answers the lost sub-batch exactly:
-            // full byte-identity, not just blast-radius containment.
-            assert_eq!(got, base, "replica retry diverged (k={k}, shard {victim})");
+            // The retry re-answers the lost worker's claims exactly: full
+            // byte-identity, not just blast-radius containment.
+            assert_eq!(got, base, "retry diverged (k={k}, shard {victim})");
             let clean = answers(&router.run_batch(&qs).results);
             assert_eq!(clean, base, "post-fault router batch diverged (k={k})");
         }
@@ -217,8 +297,8 @@ fn router_double_loss_settles_sub_batch_failed() {
     let router = Router::new(g.clone(), cfg(2), k, &LabelHashPartitioner).unwrap();
     let (got, report_stats) = {
         let _plan = arm(FaultPlan::new()
-            .on_index("router.shard", 0, FaultAction::Panic)
-            .on_nth("router.shard.retry", 0, FaultAction::Panic));
+            .on_index("engine.worker", 0, FaultAction::Panic)
+            .on_nth("engine.worker.retry", 0, FaultAction::Panic));
         let report = router.run_batch(&qs);
         (answers(&report.results), report.stats)
     };
@@ -496,14 +576,14 @@ proptest! {
         let base = baseline();
         let router = Router::new(g, cfg(2), k, &LabelHashPartitioner).unwrap();
         let got = {
-            let _plan = arm(FaultPlan::new().on_index("router.shard", victim % k as u64, action));
+            let _plan = arm(FaultPlan::new().on_index("engine.worker", victim % k as u64, action));
             answers(&router.run_batch(&qs).results)
         };
-        // Panic → replica retry; Starve → the shard thread unwinds with a
-        // CancelPanic before evaluating, which is also a lost worker and
-        // also retried; Delay → answers unchanged. In every case the
-        // batch must come back byte-identical: a single shard loss is
-        // fully recovered.
+        // Panic → retry; Starve → the worker unwinds with a CancelPanic
+        // outside any query, which is also a lost worker and also
+        // retried; Delay → answers unchanged. In every case the batch
+        // must come back byte-identical: a single worker loss is fully
+        // recovered.
         prop_assert_eq!(&got, &base, "k={} victim={}", k, victim);
         let clean = answers(&router.run_batch(&qs).results);
         prop_assert_eq!(&clean, &base, "router poisoned");
