@@ -64,20 +64,6 @@ pub fn max_label_fanout<V: GraphView + ?Sized>(g: &V) -> usize {
     best
 }
 
-/// Histogram of node labels over a view: `label -> node count`.
-fn label_histogram<V: GraphView + ?Sized>(g: &V) -> FxHashMap<Label, usize> {
-    let mut h = FxHashMap::default();
-    for v in g.node_ids() {
-        *h.entry(g.label(v)).or_insert(0) += 1;
-    }
-    h
-}
-
-/// Number of distinct node labels in a view.
-pub fn distinct_labels<V: GraphView + ?Sized>(g: &V) -> usize {
-    label_histogram(g).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,15 +90,6 @@ mod tests {
         let g = sample();
         // Node 0 has two B-children -> f = 2.
         assert_eq!(max_label_fanout(&g), 2);
-    }
-
-    #[test]
-    fn histogram_and_distinct() {
-        let g = sample();
-        let h = label_histogram(&g);
-        let b = g.labels().get("B").unwrap();
-        assert_eq!(h[&b], 2);
-        assert_eq!(distinct_labels(&g), 3);
     }
 
     #[test]

@@ -99,14 +99,6 @@ impl Pattern {
         self.out(u).len() + self.inn(u).len()
     }
 
-    /// Number of distinct labels `l` in the pattern (Theorem 3).
-    pub fn distinct_labels(&self) -> usize {
-        let mut ls: Vec<&str> = self.labels.iter().map(String::as_str).collect();
-        ls.sort_unstable();
-        ls.dedup();
-        ls.len()
-    }
-
     /// Diameter of the pattern treated as an *undirected* graph — the `d`
     /// of Theorem 3, and the ball radius `d_Q` we use for locality (matches
     /// within a ball must be within `d_Q` undirected hops of any ball
@@ -456,17 +448,6 @@ mod tests {
         assert_eq!(q.inn(cl).len(), 2);
         assert_eq!(q.degree(michael), 2);
         assert_eq!(q.degree(cl), 2);
-    }
-
-    #[test]
-    fn distinct_labels_counts() {
-        let q = fig1_pattern();
-        assert_eq!(q.distinct_labels(), 4);
-        let mut b = PatternBuilder::new();
-        let a = b.add_node("X");
-        let c = b.add_node("X");
-        b.add_edge(a, c).personalized(a).output(c);
-        assert_eq!(b.build().distinct_labels(), 1);
     }
 
     #[test]

@@ -2,83 +2,26 @@
 //! patterns: the invariants the paper's theorems rest on must hold for
 //! *every* input, not just the curated examples.
 
+mod support;
+
 use proptest::prelude::*;
 use rbq_core::{rbsim, rbsub, NeighborIndex, ResourceBudget};
-use rbq_graph::builder::graph_from_edges;
 use rbq_graph::traverse::reaches;
-use rbq_graph::{Graph, GraphView, NodeId};
-use rbq_pattern::{match_opt, vf2_opt, PatternBuilder, Vf2Config};
+use rbq_graph::{GraphView, NodeId};
+use rbq_pattern::{match_opt, vf2_opt, Vf2Config};
 use rbq_reach::{compress_for_reachability, HierarchicalIndex};
-
-/// Strategy: a random digraph with `n ≤ 24` nodes over ≤ 4 labels.
-fn arb_graph() -> impl Strategy<Value = Graph> {
-    (2usize..24).prop_flat_map(|n| {
-        let labels = proptest::collection::vec(0u8..4, n);
-        let edges = proptest::collection::vec((0..n as u32, 0..n as u32), 0..n * 3);
-        (labels, edges).prop_map(move |(labels, edges)| {
-            let names: Vec<String> = labels.iter().map(|l| format!("L{l}")).collect();
-            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-            graph_from_edges(&refs, &edges)
-        })
-    })
-}
-
-/// Strategy: a graph with a unique personalized node (relabel node 0 "ME")
-/// plus a small connected pattern anchored there.
-fn arb_graph_and_pattern() -> impl Strategy<Value = (Graph, rbq_pattern::Pattern)> {
-    arb_graph().prop_flat_map(|g| {
-        let n = g.node_count();
-        // Rebuild with node 0 labeled ME.
-        let mut b = rbq_graph::GraphBuilder::new();
-        for v in g.nodes() {
-            if v.index() == 0 {
-                b.add_node("ME");
-            } else {
-                b.add_node(g.node_label_str(v));
-            }
-        }
-        for (u, v) in g.edges() {
-            b.add_edge(u, v);
-        }
-        let g2 = b.build();
-        // Pattern: ME plus up to 3 query nodes chained off it with labels
-        // drawn from the graph's alphabet.
-        let extra = proptest::collection::vec((0u8..4, prop::bool::ANY), 1..4);
-        (Just(g2), extra)
-            .prop_map(move |(g2, extra)| {
-                let mut pb = PatternBuilder::new();
-                let me = pb.add_node("ME");
-                let mut prev = me;
-                for (l, fwd) in extra {
-                    let u = pb.add_node(&format!("L{l}"));
-                    if fwd {
-                        pb.add_edge(prev, u);
-                    } else {
-                        pb.add_edge(u, prev);
-                    }
-                    prev = u;
-                }
-                pb.personalized(me).output(prev);
-                (g2, pb.build())
-            })
-            .prop_filter("graph too small", move |_| n >= 2)
-    })
-}
+use support::{graphs, graphs_with_chains};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Query-preserving compression is exact on every pair (§5 / [12]).
     #[test]
-    fn compression_preserves_reachability(g in arb_graph()) {
+    fn compression_preserves_reachability(g in graphs(2..24)) {
         let c = compress_for_reachability(&g);
         for s in g.nodes() {
             for t in g.nodes() {
-                prop_assert_eq!(
-                    c.query(s, t),
-                    reaches(&g, s, t).0,
-                    "mismatch on {}->{}", s, t
-                );
+                prop_assert_eq!(c.query(s, t), reaches(&g, s, t).0, "mismatch on {}->{}", s, t);
             }
         }
     }
@@ -86,7 +29,7 @@ proptest! {
     /// RBReach soundness (Theorem 4(c)): true only if truly reachable —
     /// for every graph, every pair, several alphas.
     #[test]
-    fn rbreach_never_false_positive(g in arb_graph(), alpha in 0.05f64..0.9) {
+    fn rbreach_never_false_positive(g in graphs(2..24), alpha in 0.05f64..0.9) {
         let idx = HierarchicalIndex::build(&g, alpha);
         for s in g.nodes() {
             for t in g.nodes() {
@@ -100,7 +43,7 @@ proptest! {
 
     /// RBReach visit bound (Theorem 4(a)).
     #[test]
-    fn rbreach_visit_bound(g in arb_graph(), alpha in 0.05f64..0.9) {
+    fn rbreach_visit_bound(g in graphs(2..24), alpha in 0.05f64..0.9) {
         let idx = HierarchicalIndex::build(&g, alpha);
         let cap = ((alpha * g.size() as f64) as usize).max(1);
         for s in g.nodes().take(6) {
@@ -115,7 +58,7 @@ proptest! {
     /// under any budget (precision 1, §4.1 discussion).
     #[test]
     fn rbsim_matches_subset_of_exact(
-        (g, p) in arb_graph_and_pattern(),
+        (g, p) in graphs_with_chains(2..24, 1..4),
         units in 1usize..64,
     ) {
         let Ok(q) = p.resolve(&g) else { return Ok(()); };
@@ -131,7 +74,7 @@ proptest! {
 
     /// RBSim completeness at full budget: Q(G_Q) = Q(G) when α = 1.
     #[test]
-    fn rbsim_exact_at_full_budget((g, p) in arb_graph_and_pattern()) {
+    fn rbsim_exact_at_full_budget((g, p) in graphs_with_chains(2..24, 1..4)) {
         let Ok(q) = p.resolve(&g) else { return Ok(()); };
         let idx = NeighborIndex::build(&g);
         let budget = ResourceBudget::from_ratio(&g, 1.0);
@@ -143,7 +86,7 @@ proptest! {
     /// RBSub soundness under any budget.
     #[test]
     fn rbsub_matches_subset_of_exact(
-        (g, p) in arb_graph_and_pattern(),
+        (g, p) in graphs_with_chains(2..24, 1..4),
         units in 1usize..64,
     ) {
         let Ok(q) = p.resolve(&g) else { return Ok(()); };
@@ -159,7 +102,7 @@ proptest! {
 
     /// Isomorphism answers are simulation answers (semantic containment).
     #[test]
-    fn iso_subset_of_simulation((g, p) in arb_graph_and_pattern()) {
+    fn iso_subset_of_simulation((g, p) in graphs_with_chains(2..24, 1..4)) {
         let Ok(q) = p.resolve(&g) else { return Ok(()); };
         let iso = vf2_opt(&q, &g, Vf2Config::default());
         let sim = match_opt(&q, &g);
@@ -170,7 +113,7 @@ proptest! {
 
     /// The CSR builder and views agree on basic counts for any input.
     #[test]
-    fn graph_view_consistency(g in arb_graph()) {
+    fn graph_view_consistency(g in graphs(2..24)) {
         let mut edge_total = 0usize;
         for v in g.nodes() {
             edge_total += g.out(v).len();
@@ -183,11 +126,10 @@ proptest! {
         prop_assert_eq!(g.size(), g.node_count() + g.edge_count());
     }
 
-    /// SCC condensation produces a DAG that preserves reachability.
     /// The flat neighbor index against counts taken straight off the
     /// adjacency lists, every node × every label × both directions.
     #[test]
-    fn neighbor_index_equals_naive_counts(g in arb_graph()) {
+    fn neighbor_index_equals_naive_counts(g in graphs(2..24)) {
         let idx = NeighborIndex::build(&g);
         prop_assert_eq!(idx.len(), g.node_count());
         for v in g.nodes() {
@@ -207,8 +149,9 @@ proptest! {
         }
     }
 
+    /// SCC condensation produces a DAG that preserves reachability.
     #[test]
-    fn condensation_is_acyclic_and_preserving(g in arb_graph()) {
+    fn condensation_is_acyclic_and_preserving(g in graphs(2..24)) {
         let c = rbq_graph::condense::condense(&g);
         prop_assert!(rbq_graph::topo::is_acyclic(&c.dag));
         for s in g.nodes().take(8) {
@@ -223,7 +166,7 @@ proptest! {
 
     /// Topological ranks strictly decrease along DAG edges.
     #[test]
-    fn ranks_decrease_along_edges(g in arb_graph()) {
+    fn ranks_decrease_along_edges(g in graphs(2..24)) {
         let c = rbq_graph::condense::condense(&g);
         let ranks = rbq_graph::topo::topological_ranks(&c.dag);
         for (u, v) in c.dag.edges() {
@@ -237,7 +180,7 @@ proptest! {
     /// read off `g.edges()`, `size() = |S| + |E_S|`, `node_ids()` ascending.
     #[test]
     fn dynamic_subgraph_always_induced(
-        g in arb_graph(),
+        g in graphs(2..24),
         order in proptest::collection::vec(0usize..24, 0..12),
     ) {
         let picks: Vec<NodeId> = order
@@ -279,7 +222,7 @@ proptest! {
     /// Bisimulation compression preserves dual-simulation answers for any
     /// graph and any anchored chain pattern.
     #[test]
-    fn simcompress_preserves_dual_sim((g, p) in arb_graph_and_pattern()) {
+    fn simcompress_preserves_dual_sim((g, p) in graphs_with_chains(2..24, 1..4)) {
         use rbq_pattern::{bisimulation_compress, dual_simulation};
         let Ok(q) = p.resolve(&g) else { return Ok(()); };
         let direct = dual_simulation(&q, &g, None)
@@ -293,7 +236,7 @@ proptest! {
 
     /// LM vectors never report a false positive on any graph.
     #[test]
-    fn lm_vectors_sound(g in arb_graph(), seed in 0u64..50) {
+    fn lm_vectors_sound(g in graphs(2..24), seed in 0u64..50) {
         use rbq_reach::LandmarkVectors;
         let lm = LandmarkVectors::build(&g, seed);
         for s in g.nodes().take(8) {
@@ -308,7 +251,7 @@ proptest! {
     /// RBSimAny is sound for anonymous chain patterns under any budget.
     #[test]
     fn rbsim_any_sound(
-        (g, p) in arb_graph_and_pattern(),
+        (g, p) in graphs_with_chains(2..24, 1..4),
         units in 1usize..64,
         seeds in 1usize..6,
     ) {

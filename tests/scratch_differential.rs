@@ -6,45 +6,27 @@
 //! `rbq_core::PatternScratch` (the full `Search`/`Pick` + evaluation path,
 //! including the epoch-stamped pair arrays and guard/potential memos).
 
+mod support;
+
 use proptest::prelude::*;
 use rbq::rbq_core::guard::Semantics;
 use rbq::rbq_core::{
     rbsim, rbsim_with, search_reduced_graph_scratch, search_reduced_graph_with, NeighborIndex,
     PatternAnswer, PatternScratch, PickPolicy, ReductionConfig, ReductionScratch, ResourceBudget,
 };
-use rbq::rbq_graph::builder::graph_from_edges;
-use rbq::rbq_graph::{DynamicSubgraph, Graph, GraphView, NodeId, SubgraphScratch};
-use rbq::rbq_pattern::{dual_simulation, dual_simulation_with, DualSimScratch, PatternBuilder};
+use rbq::rbq_graph::{DynamicSubgraph, GraphView, NodeId, SubgraphScratch};
+use rbq::rbq_pattern::{dual_simulation, dual_simulation_with, DualSim, DualSimScratch, Pattern};
+use support::graphs_with_chains;
 
-/// A random digraph (≤ 24 nodes, ≤ 4 labels) where node 0 is the unique
-/// "ME", plus a random chain pattern anchored at ME.
-fn arb_graph_and_pattern() -> impl Strategy<Value = (Graph, rbq::rbq_pattern::Pattern)> {
-    (3usize..24).prop_flat_map(|n| {
-        let labels = proptest::collection::vec(0u8..4, n - 1);
-        let edges = proptest::collection::vec((0..n as u32, 0..n as u32), 0..n * 3);
-        let extra = proptest::collection::vec((0u8..4, prop::bool::ANY), 1..5);
-        (labels, edges, extra).prop_map(|(labels, edges, extra)| {
-            let names: Vec<String> = std::iter::once("ME".to_string())
-                .chain(labels.iter().map(|l| format!("L{l}")))
-                .collect();
-            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-            let g = graph_from_edges(&refs, &edges);
-            let mut pb = PatternBuilder::new();
-            let me = pb.add_node("ME");
-            let mut prev = me;
-            for (l, fwd) in extra {
-                let u = pb.add_node(&format!("L{l}"));
-                if fwd {
-                    pb.add_edge(prev, u);
-                } else {
-                    pb.add_edge(u, prev);
-                }
-                prev = u;
-            }
-            pb.personalized(me).output(prev);
-            (g, pb.build())
-        })
-    })
+/// Both runs found no dual simulation, or the same one.
+fn same_dual_sim(p: &Pattern, warm: Option<DualSim>, fresh: Option<DualSim>) -> TestCaseResult {
+    prop_assert_eq!(warm.is_some(), fresh.is_some(), "existence mismatch");
+    if let (Some(a), Some(b)) = (warm, fresh) {
+        for u in p.nodes() {
+            prop_assert_eq!(a.matches_sorted(u), b.matches_sorted(u));
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -55,7 +37,7 @@ proptest! {
     /// identical to fresh `DynamicSubgraph::new` construction.
     #[test]
     fn subgraph_scratch_reuse_equals_fresh(
-        (g, _) in arb_graph_and_pattern(),
+        (g, _) in graphs_with_chains(3..24, 1..5),
         seqs in proptest::collection::vec(
             proptest::collection::vec((0u32..24, 0usize..8), 0..12),
             1..6,
@@ -73,17 +55,11 @@ proptest! {
             }
             prop_assert_eq!(warm.members(), fresh.members());
             prop_assert_eq!(warm.num_edges(), fresh.num_edges());
-            let wa: Vec<NodeId> = warm.node_ids().collect();
-            let fa: Vec<NodeId> = fresh.node_ids().collect();
-            prop_assert_eq!(wa, fa);
+            prop_assert!(warm.node_ids().eq(fresh.node_ids()));
             for v in g.nodes() {
                 prop_assert_eq!(warm.contains(v), fresh.contains(v));
-                let wo: Vec<NodeId> = warm.out_neighbors(v).to_vec();
-                let fo: Vec<NodeId> = fresh.out_neighbors(v).to_vec();
-                prop_assert_eq!(wo, fo, "out lists differ at {:?}", v);
-                let wi: Vec<NodeId> = warm.in_neighbors(v).to_vec();
-                let fi: Vec<NodeId> = fresh.in_neighbors(v).to_vec();
-                prop_assert_eq!(wi, fi, "in lists differ at {:?}", v);
+                prop_assert_eq!(warm.out_neighbors(v), fresh.out_neighbors(v), "out of {:?}", v);
+                prop_assert_eq!(warm.in_neighbors(v), fresh.in_neighbors(v), "in of {:?}", v);
             }
             scratch = warm.into_scratch();
         }
@@ -94,7 +70,7 @@ proptest! {
     /// convenience wrapper.
     #[test]
     fn dualsim_scratch_reuse_equals_fresh(
-        (g, p) in arb_graph_and_pattern(),
+        (g, p) in graphs_with_chains(3..24, 1..5),
         keeps in proptest::collection::vec(
             proptest::collection::vec(prop::bool::ANY, 24),
             1..6,
@@ -104,16 +80,7 @@ proptest! {
         let mut scratch = DualSimScratch::new();
         // Full-graph first, then the universe sequence, all on one scratch.
         let warm_full = dual_simulation_with(&q, &g, None, &mut scratch).map(|r| r.to_dual_sim());
-        let fresh_full = dual_simulation(&q, &g, None);
-        match (&warm_full, &fresh_full) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                for u in p.nodes() {
-                    prop_assert_eq!(a.matches_sorted(u), b.matches_sorted(u));
-                }
-            }
-            _ => prop_assert!(false, "existence mismatch on full graph"),
-        }
+        same_dual_sim(&p, warm_full, dual_simulation(&q, &g, None))?;
         for keep in &keeps {
             let mut uni: Vec<NodeId> = g
                 .nodes()
@@ -124,21 +91,7 @@ proptest! {
             uni.dedup();
             let warm = dual_simulation_with(&q, &g, Some(&uni), &mut scratch)
                 .map(|r| r.to_dual_sim());
-            let fresh = dual_simulation(&q, &g, Some(&uni));
-            match (warm, fresh) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    for u in p.nodes() {
-                        prop_assert_eq!(a.matches_sorted(u), b.matches_sorted(u));
-                    }
-                }
-                (a, b) => prop_assert!(
-                    false,
-                    "existence mismatch: warm={} fresh={}",
-                    a.is_some(),
-                    b.is_some()
-                ),
-            }
+            same_dual_sim(&p, warm, dual_simulation(&q, &g, Some(&uni)))?;
         }
     }
 
@@ -147,7 +100,7 @@ proptest! {
     /// across random query sequences, budgets, and pick policies.
     #[test]
     fn search_scratch_reuse_equals_fresh(
-        (g, p) in arb_graph_and_pattern(),
+        (g, p) in graphs_with_chains(3..24, 1..5),
         units in proptest::collection::vec(0usize..80, 1..5),
         policy_pick in 0u8..3,
     ) {
@@ -183,7 +136,7 @@ proptest! {
     /// across random query sequences.
     #[test]
     fn rbsim_scratch_reuse_equals_fresh(
-        (g, p) in arb_graph_and_pattern(),
+        (g, p) in graphs_with_chains(3..24, 1..5),
         units in proptest::collection::vec(0usize..80, 1..5),
     ) {
         let Ok(q) = p.resolve(&g) else { return Ok(()); };

@@ -1,0 +1,531 @@
+//! The one test-model generator and the fixtures the integration suites
+//! share (`tests/counting_alloc/` is the precedent): [`Case`] derives a
+//! whole model run from one seed, [`Sut`] is the deployment under test,
+//! [`graphs`] and [`graphs_with_chains`] hand the generator to the
+//! proptest suites, and [`fixture`] and [`tiny_graph`] with their
+//! batches, [`fresh_dir`], [`serial`], [`POLICIES`] and [`AllTo`] serve
+//! the scenario suites. Each test binary uses its own subset.
+#![allow(dead_code)]
+
+use proptest::prelude::Strategy;
+use rbq_engine::AdmissionPolicy::{InputOrder, ShortestJobFirst};
+use rbq_engine::{
+    Answer, ApplyError, BatchReport, BudgetSpec, Engine, EngineConfig, EngineStats, Query,
+    QueryResult, RecoveryReport,
+};
+use rbq_graph::{DeltaBatch, DeltaReport, Graph, GraphBuilder, NodeId};
+use rbq_pattern::{Pattern, PatternBuilder};
+use rbq_router::{LabelHashPartitioner, Partitioner, Router, RouterError};
+use rbq_workload::{power_law, sample_mixed_workload, youtube_like, MixedWorkloadSpec};
+use std::collections::BTreeSet;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+
+/// SplitMix64 from a seed, the generator's only source of randomness: a
+/// case is a pure function of its seed.
+pub struct Rng(pub u64);
+
+impl Rng {
+    pub fn u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n`, `n > 0`.
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.u64() % n as u64) as usize
+    }
+
+    pub fn range(&mut self, r: Range<usize>) -> usize {
+        r.start + self.below(r.end - r.start)
+    }
+
+    pub fn one_in(&mut self, n: usize) -> bool {
+        self.below(n) == 0
+    }
+}
+
+/// A digraph on a node count drawn from `nodes`, under three random edges
+/// per node (self-loops and 2-cycles included), labels from `L0..L3`; an
+/// anchored graph gives node 0 the unique label `ME`.
+pub fn graph(rng: &mut Rng, nodes: Range<usize>, anchored: bool) -> Graph {
+    let n = rng.range(nodes);
+    let mut b = GraphBuilder::new();
+    for v in 0..n {
+        let label = format!("L{}", rng.below(4));
+        b.add_node(if anchored && v == 0 { "ME" } else { &label });
+    }
+    for _ in 0..rng.below(3 * n) {
+        b.add_edge(NodeId(rng.below(n) as u32), NodeId(rng.below(n) as u32));
+    }
+    b.build()
+}
+
+/// `edges`, each flipped at random, over `ME` and `n - 1` nodes labelled
+/// from `L0..L3`; the output is the last node.
+fn anchored_pattern(rng: &mut Rng, n: usize, edges: Vec<(usize, usize)>) -> Pattern {
+    let mut labels = vec!["ME".to_string()];
+    labels.extend((1..n).map(|_| format!("L{}", rng.below(4))));
+    let flip = |(u, v)| [(u, v), (v, u)][rng.below(2)];
+    let edges: Vec<_> = edges.into_iter().map(flip).collect();
+    build_pattern(&labels, &edges, 0, n - 1)
+}
+
+fn build_pattern(labels: &[String], edges: &[(usize, usize)], up: usize, uo: usize) -> Pattern {
+    let mut b = PatternBuilder::new();
+    let ids: Vec<_> = labels.iter().map(|l| b.add_node(l)).collect();
+    for &(u, v) in edges {
+        b.add_edge(ids[u], ids[v]);
+    }
+    b.personalized(ids[up]).output(ids[uo]);
+    b.build()
+}
+
+/// A pattern's labels and edges as plain values, for rebuilding a variant.
+fn parts(p: &Pattern) -> (Vec<String>, Vec<(usize, usize)>) {
+    let labels = p.nodes().map(|u| p.label_str(u).to_string()).collect();
+    let edges = p.edges().iter().map(|&(u, v)| (u.index(), v.index()));
+    (labels, edges.collect())
+}
+
+/// A chain anchored at `ME` with a hop count drawn from `hops`.
+pub fn chain(rng: &mut Rng, hops: Range<usize>) -> Pattern {
+    let n = 1 + rng.range(hops);
+    anchored_pattern(rng, n, (1..n).map(|v| (v - 1, v)).collect())
+}
+
+/// A branching pattern anchored at `ME`: a random-parent tree over 2–5
+/// nodes plus up to two extra edges.
+pub fn tree(rng: &mut Rng) -> Pattern {
+    let n = rng.range(2..6);
+    let mut edges: Vec<_> = (1..n).map(|v| (rng.below(v), v)).collect();
+    for _ in 0..rng.below(3) {
+        let (a, b) = (rng.below(n), rng.below(n));
+        if a != b {
+            edges.push((a, b));
+        }
+    }
+    anchored_pattern(rng, n, edges)
+}
+
+/// A near-twin of `p` (≥ 2 nodes): the same labels and edges with another
+/// output node, or with one edge reversed — what a memo keyed on less than
+/// the whole pattern would alias.
+pub fn twin(rng: &mut Rng, p: &Pattern) -> Pattern {
+    let (labels, mut edges) = parts(p);
+    let mut out = p.output().index();
+    if edges.is_empty() || rng.one_in(2) {
+        out = (out + 1 + rng.below(labels.len() - 1)) % labels.len();
+    } else {
+        let e = rng.below(edges.len());
+        edges[e] = (edges[e].1, edges[e].0);
+    }
+    build_pattern(&labels, &edges, p.personalized().index(), out)
+}
+
+/// [`graph`] (unanchored) as a proptest strategy. It draws a seed, not the
+/// graph's parts, so it could not shrink a failure to a smaller graph; the
+/// vendored proptest never shrinks anyway, and reports the failing case's
+/// rng seed instead, which replays the same graph.
+pub fn graphs(nodes: Range<usize>) -> impl Strategy<Value = Graph> {
+    (0..u64::MAX).prop_map(move |seed| graph(&mut Rng(seed), nodes.clone(), false))
+}
+
+/// An anchored [`graph`] with a [`chain`] over it, as a proptest strategy
+/// that, like [`graphs`], does not shrink.
+pub fn graphs_with_chains(
+    nodes: Range<usize>,
+    hops: Range<usize>,
+) -> impl Strategy<Value = (Graph, Pattern)> {
+    (0..u64::MAX).prop_map(move |seed| {
+        let mut rng = Rng(seed);
+        let g = graph(&mut rng, nodes.clone(), true);
+        (g, chain(&mut rng, hops.clone()))
+    })
+}
+
+/// A cell of threads {1, 2, 8} × k {1, 2, 3, 8} × [`POLICIES`] × budget
+/// {none, aggregate} × admission {`InputOrder`, `ShortestJobFirst`}, with a
+/// cache or none, pattern budget `Ratio(1.0)` or `Units(n)`, reach α ≤ 1.
+#[derive(Debug, Clone)]
+pub struct Deployment {
+    pub cell: usize,
+    /// The configuration; a budgeted deployment's aggregate budget is set
+    /// once a probe has priced a batch.
+    pub cfg: EngineConfig,
+    /// `k`: a lone `Engine` at 1, a `Router` above.
+    pub shards: usize,
+    /// Index into [`POLICIES`].
+    pub policy: usize,
+    pub budgeted: bool,
+}
+
+impl Deployment {
+    pub const CELLS: usize = 3 * 4 * 4 * 2 * 2;
+
+    /// The deployment in `cell < CELLS`, its other knobs drawn from `rng`.
+    pub fn new(cell: usize, rng: &mut Rng) -> Deployment {
+        let (threads, shards) = ([1, 2, 8][cell % 3], [1, 2, 3, 8][cell / 3 % 4]);
+        let (policy, budgeted, sjf) = (cell / 12 % 4, cell / 48 % 2 == 1, cell / 96 % 2);
+        let default = EngineConfig::default();
+        let units = BudgetSpec::Units(rng.range(1..48));
+        let cfg = EngineConfig {
+            pattern_budget: [BudgetSpec::Ratio(1.0), units][rng.below(2)],
+            reach_alpha: [1.0, 0.05 + rng.below(90) as f64 / 100.0][rng.below(2)],
+            threads,
+            cache_capacity: [0, default.cache_capacity, default.cache_capacity][rng.below(3)],
+            admission: [InputOrder, ShortestJobFirst][sjf],
+            ..default
+        };
+        Deployment {
+            cell,
+            cfg,
+            shards,
+            policy,
+            budgeted,
+        }
+    }
+}
+
+/// The deployment under test: a lone engine, or a router.
+pub enum Sut {
+    Engine(Box<Engine>),
+    Router(Router),
+}
+
+/// `$body` with `$s` bound to whichever front `$sut` is.
+macro_rules! either {
+    ($sut:expr, $s:ident => $body:expr) => {
+        match $sut {
+            Sut::Engine($s) => $body,
+            Sut::Router($s) => $body,
+        }
+    };
+}
+
+impl Sut {
+    /// `g` served by `d`: an engine at k = 1, a router above.
+    pub fn new(g: Arc<Graph>, d: &Deployment) -> Sut {
+        match d.shards {
+            1 => Sut::Engine(Box::new(Engine::new(g, d.cfg.clone()))),
+            k => Sut::Router(Router::new(g, d.cfg.clone(), k, POLICIES[d.policy]).unwrap()),
+        }
+    }
+
+    /// [`Sut::new`], recovered from a durability directory instead.
+    pub fn recover(dir: &Path, d: &Deployment) -> (Sut, RecoveryReport) {
+        let cfg = d.cfg.clone();
+        match d.shards {
+            1 => {
+                let (engine, report) = Engine::recover(dir, cfg).expect("engine recovers");
+                (Sut::Engine(Box::new(engine)), report)
+            }
+            k => {
+                let (router, report) =
+                    Router::recover(dir, cfg, k, POLICIES[d.policy]).expect("router recovers");
+                (Sut::Router(router), report)
+            }
+        }
+    }
+
+    pub fn run_batch(&self, queries: &[Query]) -> BatchReport {
+        either!(self, s => s.run_batch(queries))
+    }
+
+    pub fn apply_deltas(&mut self, batch: &DeltaBatch) -> Result<DeltaReport, ApplyError> {
+        match self {
+            Sut::Engine(e) => e.apply_deltas(batch),
+            Sut::Router(r) => r.apply_deltas(batch).map_err(|e| match e {
+                RouterError::Apply(e) => e,
+                other => panic!("apply failed outside the ingest pipeline: {other}"),
+            }),
+        }
+    }
+
+    pub fn enable_durability(&self, dir: &Path) {
+        either!(self, s => s.enable_durability(dir).expect("durability enabled"))
+    }
+
+    pub fn stats(&self) -> EngineStats {
+        either!(self, s => s.stats())
+    }
+
+    pub fn route(&self, q: &Query) -> usize {
+        match self {
+            Sut::Engine(_) => 0,
+            Sut::Router(r) => r.route(q),
+        }
+    }
+}
+
+/// One model run derived from `seed`: a tiny (n < 14), small (n < 40),
+/// power-law (200–400 nodes) or youtube-like (100–200 nodes, 15 labels)
+/// graph, the first deployment (cell `seed mod CELLS`), durability, and
+/// `rng` for every batch and delta.
+pub struct Case {
+    pub rng: Rng,
+    pub graph: Graph,
+    pub deployment: Deployment,
+    pub durable: bool,
+    /// A youtube-like case: batches are the benchmark's mixed workload.
+    mixed: bool,
+    /// Every query drawn so far: later queries repeat and twin them.
+    history: Vec<Query>,
+}
+
+impl Case {
+    pub fn new(seed: u64) -> Case {
+        let mut rng = Rng(seed);
+        let band = rng.below(16);
+        let graph = match band {
+            0 => power_law(rng.range(200..400), 3, 4, rng.u64()),
+            1 => youtube_like(rng.range(100..200), rng.u64()),
+            2..=7 => graph(&mut rng, 2..14, true),
+            _ => graph(&mut rng, 2..40, true),
+        };
+        let deployment = Deployment::new(seed as usize % Deployment::CELLS, &mut rng);
+        let durable = !rng.one_in(3);
+        Case {
+            rng,
+            graph,
+            deployment,
+            durable,
+            mixed: band == 1,
+            history: Vec::new(),
+        }
+    }
+
+    /// `len` queries over `g`: reach (an endpoint may be one past the last
+    /// node), trees and chains under both semantics — some using `L4`, which
+    /// only a delta adds — repeats of earlier queries, this batch's
+    /// included, and near-twins. A youtube-like case draws `3 · len` queries
+    /// of the benchmark's mixed workload instead, 40 % of its patterns
+    /// repeats within the batch.
+    pub fn batch(&mut self, g: &Graph, len: usize) -> Vec<Query> {
+        if self.mixed {
+            let spec = MixedWorkloadSpec {
+                count: 3 * len,
+                repeat_fraction: 0.4,
+                ..Default::default()
+            };
+            let batch = sample_mixed_workload(g, &spec, self.rng.u64());
+            self.history.extend(batch.iter().cloned());
+            return batch;
+        }
+        let query = |_| {
+            let q = self.query(g.node_count());
+            self.history.push(q.clone());
+            q
+        };
+        (0..len).map(query).collect()
+    }
+
+    fn query(&mut self, nodes: usize) -> Query {
+        let rng = &mut self.rng;
+        let earlier =
+            (!self.history.is_empty()).then(|| &self.history[rng.below(self.history.len())]);
+        let pattern = match (earlier, rng.below(6)) {
+            (Some(q), 0) => return q.clone(),
+            (Some(Query::PatternSim { pattern } | Query::PatternIso { pattern }), 1) => {
+                twin(rng, pattern)
+            }
+            (_, 0..=1) => return reach(rng.below(nodes + 1), rng.below(nodes + 1)),
+            (_, 2..=3) => tree(rng),
+            _ => chain(rng, 1..4),
+        };
+        let (mut labels, edges) = parts(&pattern);
+        if rng.one_in(6) {
+            let u = rng.below(labels.len());
+            labels[u] = "L4".to_string();
+        }
+        let (up, uo) = (pattern.personalized().index(), pattern.output().index());
+        let pattern = build_pattern(&labels, &edges, up, uo);
+        match rng.one_in(2) {
+            true => Query::PatternSim { pattern },
+            false => Query::PatternIso { pattern },
+        }
+    }
+
+    /// A batch against `nodes` nodes and `edges`: up to two new nodes (`L0..L4`),
+    /// adds and removes of random pairs and present edges (endpoints below
+    /// the post-add node count), then `churn ≤ nodes²` distinct pairs
+    /// flipped, overriding earlier ops on them: the last op on an edge wins.
+    pub fn delta(&mut self, nodes: usize, edges: &Edges, churn: usize) -> DeltaBatch {
+        let rng = &mut self.rng;
+        let mut b = DeltaBatch::new();
+        for _ in 0..rng.below(3) {
+            b.add_node(&format!("L{}", rng.below(5)));
+        }
+        let total = nodes + b.added_nodes();
+        let pair = |rng: &mut Rng| (rng.below(total) as u32, rng.below(total) as u32);
+        let mut op = |add: bool, (u, v): (u32, u32)| match add {
+            true => b.add_edge(NodeId(u), NodeId(v)),
+            false => b.remove_edge(NodeId(u), NodeId(v)),
+        };
+        for _ in 0..rng.range(1..8) {
+            let present = edges.iter().nth(rng.below(edges.len().max(1))).copied();
+            let present = present.filter(|_| rng.one_in(2));
+            op(rng.one_in(2), present.unwrap_or_else(|| pair(rng)));
+        }
+        let mut flips = BTreeSet::new();
+        while flips.len() < churn {
+            flips.insert(pair(rng));
+        }
+        for e in flips {
+            op(!edges.contains(&e), e);
+        }
+        b
+    }
+}
+
+pub type Edges = BTreeSet<(u32, u32)>;
+
+pub fn reach(s: usize, t: usize) -> Query {
+    let (source, target) = (NodeId(s as u32), NodeId(t as u32));
+    Query::Reach { source, target }
+}
+
+/// Labels in node order and the sorted edge list: graph equality that is
+/// blind to overlay vs compacted representation and interner order.
+pub fn graph_sig(g: &Graph) -> (Vec<String>, Vec<(u32, u32)>) {
+    let labels = g.nodes().map(|v| g.node_label_str(v).to_string()).collect();
+    let mut edges: Vec<_> = g.edges().map(|(u, v)| (u.0, v.0)).collect();
+    edges.sort_unstable();
+    (labels, edges)
+}
+
+struct Policy(fn(&str, usize) -> usize);
+
+impl Partitioner for Policy {
+    fn shard(&self, label: &str, shards: usize) -> usize {
+        (self.0)(label, shards)
+    }
+}
+
+/// The shipped policy plus adversarial ones: `Router(k) ≡ Engine(1)` is a
+/// claim about every routing function, not just the label hash.
+pub const POLICIES: [&dyn Partitioner; 4] = [
+    &LabelHashPartitioner,
+    &Policy(|_, _| 0),
+    &Policy(|label, _| label.len()),
+    // Always ≥ k: only the router's `mod k` keeps it an index.
+    &Policy(|label, k| k + label.len()),
+];
+
+/// Routes every query to one fixed shard, so a test can ask a chosen
+/// replica what it serves.
+pub struct AllTo(pub usize);
+
+impl Partitioner for AllTo {
+    fn shard(&self, _label: &str, _shards: usize) -> usize {
+        self.0
+    }
+}
+
+/// Fault plans are process-global: every test that arms one holds this
+/// lock for its whole body (arm → run → drop guard).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+pub fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A fresh, absent scratch directory, unique per call and per process
+/// (tests and test binaries run in parallel).
+pub fn fresh_dir(tag: &str) -> PathBuf {
+    static N: AtomicU64 = AtomicU64::new(0);
+    let n = N.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("rbq_test_{tag}_{}_{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+pub const FIXTURE_NODES: u32 = 300;
+
+/// The scenario fixture: a power-law graph of [`FIXTURE_NODES`] nodes
+/// (~900 edges) and a 24-query mixed workload over it.
+pub fn fixture() -> (Arc<Graph>, Vec<Query>) {
+    static FIX: OnceLock<(Arc<Graph>, Vec<Query>)> = OnceLock::new();
+    let (g, qs) = FIX.get_or_init(|| {
+        let g = Arc::new(power_law(FIXTURE_NODES as usize, 3, 4, 0xd15c));
+        let spec = MixedWorkloadSpec {
+            count: 24,
+            ..Default::default()
+        };
+        let qs = sample_mixed_workload(&g, &spec, 11);
+        (g, qs)
+    });
+    (g.clone(), qs.clone())
+}
+
+/// The fixture's configuration: bounded answers and no cache, so every
+/// evaluation is full-cost and comparable.
+pub fn fixture_cfg(threads: usize) -> EngineConfig {
+    EngineConfig {
+        pattern_budget: BudgetSpec::Ratio(0.2),
+        reach_alpha: 0.2,
+        threads,
+        cache_capacity: 0,
+        ..Default::default()
+    }
+}
+
+/// The `i`-th new node (id `n + i`) of a graph of `n` nodes, with `fan`
+/// edges in and out; on the fixture a fan of 150 passes the churn threshold,
+/// so the apply compacts.
+pub fn new_node_batch(n: u32, i: u32, fan: u32) -> DeltaBatch {
+    let mut b = DeltaBatch::new();
+    b.add_node("NEW");
+    let v = NodeId(n + i);
+    for j in 0..fan {
+        b.add_edge(NodeId((i * 37 + j) % n), v);
+        b.add_edge(v, NodeId((i * 53 + 7 + j) % n));
+    }
+    b
+}
+
+/// Four small batches over a graph of `n` nodes, each adding one node with
+/// an edge in and out, and each after the first removing the previous
+/// batch's in-edge.
+pub fn sample_batches(n: u32) -> Vec<DeltaBatch> {
+    let batch = |i| {
+        let mut b = new_node_batch(n, i, 1);
+        if i > 0 {
+            b.remove_edge(NodeId((i - 1) * 37 % n), NodeId(n + i - 1));
+        }
+        b
+    };
+    (0..4).map(batch).collect()
+}
+
+/// The durability suites' base: a 6-node, 11-edge graph from the generator
+/// (self-loops and 2-cycles included), whose snapshot (~230 bytes) a
+/// corruption position covers end to end.
+pub fn tiny_graph() -> Arc<Graph> {
+    Arc::new(graph(&mut Rng(7), 6..7, false))
+}
+
+/// `base` with the first `k` of `batches` plainly applied.
+pub fn prefix_graph(base: &Graph, batches: &[DeltaBatch], k: usize) -> Graph {
+    let mut g = base.clone();
+    for b in &batches[..k] {
+        g = g.apply_delta(b).expect("reference apply").0;
+    }
+    g
+}
+
+/// Whether `f` panics with a panic armed at the `nth` firing of `point`.
+#[cfg(feature = "fault-injection")]
+pub fn crashes<T>(point: &'static str, nth: u64, f: impl FnOnce() -> T) -> bool {
+    use rbq_engine::faultpoint::{arm, FaultAction, FaultPlan};
+    let _plan = arm(FaultPlan::new().on_nth(point, nth, FaultAction::Panic));
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+}
+
+pub fn answers(results: &[QueryResult]) -> Vec<Answer> {
+    results.iter().map(|r| r.answer.clone()).collect()
+}
