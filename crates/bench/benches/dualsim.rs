@@ -42,7 +42,7 @@ fn dualsim_20k(c: &mut Criterion) {
     group.bench_function("strong_simulation", |b| {
         b.iter(|| {
             for q in &qs {
-                black_box(strong_simulation(q, &ds.g));
+                black_box(strong_simulation(q, &*ds.g));
             }
         })
     });

@@ -373,14 +373,14 @@ fn pattern_accuracy_vs_alpha(cfg: &ExpConfig, ds: &PatternDataset, tag: &str) {
         ds.g.size()
     );
     let qs = ds.patterns_min_nbh(PatternSpec::new(4, 8), cfg.pattern_queries, cfg.seed, 300);
-    let exact_sim: Vec<_> = qs.iter().map(|q| strong_simulation(q, &ds.g)).collect();
+    let exact_sim: Vec<_> = qs.iter().map(|q| strong_simulation(q, &*ds.g)).collect();
     let exact_iso: Vec<_> = qs
         .iter()
         .map(|q| vf2_opt(q, &ds.g, vf2_cfg()).output_matches)
         .collect();
     println!(
-        "{:>10} {:>10} {:>10} {:>8}",
-        "alpha(e-5)", "RBSim", "RBSub", "budget"
+        "{:>10} {:>31} {:>31} {:>8}",
+        "alpha(e-5)", "RBSim mean/eta_min/p10/exact", "RBSub mean/eta_min/p10/exact", "budget"
     );
     // The bounded evaluations run as one engine batch per α — the serving
     // path (shared indexes, work-stealing workers) rather than bare loops.
@@ -393,30 +393,85 @@ fn pattern_accuracy_vs_alpha(cfg: &ExpConfig, ds: &PatternDataset, tag: &str) {
             pattern: q.pattern().clone(),
         }))
         .collect();
+    // Per α: the (RBSim, RBSub) accuracy distributions.
+    let mut rows: Vec<(f64, [Eta; 2])> = Vec::new();
     for paper_alpha in alpha_sweep_pattern() {
         let budget = ds.budget_for_paper_alpha(paper_alpha);
         let engine = engine_for(ds, &budget);
         let answers = pattern_matches(&engine.run_batch(&batch));
         let (sim_ans, iso_ans) = answers.split_at(qs.len());
-        let acc_sim: Vec<f64> = sim_ans
-            .iter()
-            .enumerate()
-            .map(|(i, m)| pattern_accuracy(&exact_sim[i], m).f1)
-            .collect();
-        let acc_sub: Vec<f64> = iso_ans
-            .iter()
-            .enumerate()
-            .map(|(i, m)| pattern_accuracy(&exact_iso[i], m).f1)
-            .collect();
+        let score = |answers: &[Vec<rbq_graph::NodeId>], exact: &[Vec<rbq_graph::NodeId>]| {
+            Eta::of(
+                answers
+                    .iter()
+                    .zip(exact)
+                    .map(|(m, ex)| pattern_accuracy(ex, m).f1)
+                    .collect(),
+            )
+        };
+        let etas = [score(sim_ans, &exact_sim), score(iso_ans, &exact_iso)];
         println!(
-            "{:>10.1} {:>9.1}% {:>9.1}% {:>8}",
+            "{:>10.1} {} {} {:>8}",
             paper_alpha * 1e5,
-            avg(&acc_sim) * 100.0,
-            avg(&acc_sub) * 100.0,
+            etas[0],
+            etas[1],
             budget.max_units
+        );
+        rows.push((paper_alpha, etas));
+    }
+    for eta in [0.9, 1.0] {
+        let smallest = |algo: usize| {
+            rows.iter()
+                .find(|(_, etas)| etas[algo].min >= eta)
+                .map_or("-".to_owned(), |(a, _)| format!("{:.1}", a * 1e5))
+        };
+        println!(
+            "smallest alpha(e-5) with eta_min >= {eta:.1}: RBSim {}, RBSub {}",
+            smallest(0),
+            smallest(1)
         );
     }
     println!("(paper: 87-100%, exactly 100% for alpha >= 1.5e-5)");
+}
+
+/// One algorithm's accuracy distribution over a query set at one α: the
+/// mean, the minimum (the accuracy ratio η the workload witnesses — the
+/// paper's §7 open question), the 10th percentile and the share of queries
+/// answered exactly.
+struct Eta {
+    mean: f64,
+    min: f64,
+    p10: f64,
+    exact: f64,
+}
+
+impl Eta {
+    fn of(mut accs: Vec<f64>) -> Eta {
+        accs.sort_by(f64::total_cmp);
+        let n = accs.len();
+        Eta {
+            mean: avg(&accs),
+            min: accs.first().copied().unwrap_or(f64::NAN),
+            p10: accs
+                .get(n.saturating_sub(1) / 10)
+                .copied()
+                .unwrap_or(f64::NAN),
+            exact: accs.iter().filter(|&&a| a == 1.0).count() as f64 / n.max(1) as f64,
+        }
+    }
+}
+
+impl std::fmt::Display for Eta {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}%",
+            self.mean * 100.0,
+            self.min * 100.0,
+            self.p10 * 100.0,
+            self.exact * 100.0
+        )
+    }
 }
 
 // --------------------------------------------- fig 8(e)/(f): time vs |Q|
@@ -488,7 +543,7 @@ fn pattern_accuracy_vs_qsize(cfg: &ExpConfig, ds: &PatternDataset, tag: &str) {
         let mut acc_sim = Vec::new();
         let mut acc_sub = Vec::new();
         for q in &qs {
-            let exact = strong_simulation(q, &ds.g);
+            let exact = strong_simulation(q, &*ds.g);
             let a = rbsim(&ds.g, &ds.idx, q, &budget);
             acc_sim.push(pattern_accuracy(&exact, &a.matches).f1);
             let exact_i = vf2_opt(q, &ds.g, vf2_cfg()).output_matches;
@@ -540,7 +595,7 @@ fn pattern_vs_scale(cfg: &ExpConfig, max_nodes: usize) {
         let mut acc_sim = Vec::new();
         let mut acc_sub = Vec::new();
         for q in &qs {
-            let exact = strong_simulation(q, &ds.g);
+            let exact = strong_simulation(q, &*ds.g);
             let a = rbsim(&ds.g, &ds.idx, q, &budget);
             acc_sim.push(pattern_accuracy(&exact, &a.matches).f1);
             let exact_i = vf2_opt(q, &ds.g, vf2_cfg()).output_matches;
@@ -750,7 +805,7 @@ fn ablations(cfg: &ExpConfig) {
     ] {
         let mut accs = Vec::new();
         for q in &qs {
-            let exact = strong_simulation(q, &ds.g);
+            let exact = strong_simulation(q, &*ds.g);
             let red = rbq_core::search_reduced_graph_with(
                 &ds.g,
                 &ds.idx,
@@ -759,7 +814,7 @@ fn ablations(cfg: &ExpConfig) {
                 rbq_core::guard::Semantics::Simulation,
                 conf,
             );
-            let m = rbq_pattern::strong_simulation_on_view(q, &red.gq);
+            let m = strong_simulation(q, &red.gq);
             accs.push(pattern_accuracy(&exact, &m).f1);
         }
         println!("{name:<18} accuracy {:>6.1}%", avg(&accs) * 100.0);
@@ -778,7 +833,7 @@ fn ablations(cfg: &ExpConfig) {
         };
         let mut accs = Vec::new();
         for q in &qs {
-            let exact = strong_simulation(q, &ds.g);
+            let exact = strong_simulation(q, &*ds.g);
             let red = rbq_core::search_reduced_graph_with(
                 &ds.g,
                 &ds.idx,
@@ -787,7 +842,7 @@ fn ablations(cfg: &ExpConfig) {
                 rbq_core::guard::Semantics::Simulation,
                 conf,
             );
-            let m = rbq_pattern::strong_simulation_on_view(q, &red.gq);
+            let m = strong_simulation(q, &red.gq);
             accs.push(pattern_accuracy(&exact, &m).f1);
         }
         println!("{name:<18} accuracy {:>6.1}%", avg(&accs) * 100.0);

@@ -6,6 +6,7 @@
 //! algorithms, `c` materializes as `d_G` — the maximum degree in
 //! `G_dQ(v_p)` (Theorem 3); for reachability, `c = 1` (Theorem 4).
 
+use rbq_graph::traverse::VisitStats;
 use rbq_graph::GraphView;
 
 /// A resource budget: the ratio `α` plus derived absolute limits.
@@ -64,47 +65,10 @@ impl ResourceBudget {
         self.visit_cap = Some(cap);
         self
     }
-}
 
-/// Running account of data visited by a resource-bounded procedure.
-///
-/// Mirrors [`rbq_graph::traverse::VisitStats`] but adds budget-overflow
-/// checks against a [`ResourceBudget`] visit cap.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct VisitAccount {
-    /// Nodes expanded / inspected.
-    pub nodes: usize,
-    /// Adjacency entries scanned.
-    pub edges: usize,
-}
-
-impl VisitAccount {
-    /// Total data units visited.
-    pub fn total(&self) -> usize {
-        self.nodes + self.edges
-    }
-
-    /// Record one node inspection.
-    #[inline]
-    pub fn node(&mut self) {
-        self.nodes += 1;
-    }
-
-    /// Record `n` adjacency-entry scans.
-    #[inline]
-    pub fn edges(&mut self, n: usize) {
-        self.edges += n;
-    }
-
-    /// Whether the account exceeds the budget's visit cap (if any).
-    pub fn over_cap(&self, budget: &ResourceBudget) -> bool {
-        budget.visit_cap.is_some_and(|cap| self.total() > cap)
-    }
-
-    /// Merge another account into this one.
-    pub fn add_from(&mut self, other: &VisitAccount) {
-        self.nodes += other.nodes;
-        self.edges += other.edges;
+    /// Whether `visits` exceed this budget's visit cap (if any).
+    pub fn over_cap(&self, visits: &VisitStats) -> bool {
+        self.visit_cap.is_some_and(|cap| visits.total() > cap)
     }
 }
 
@@ -162,21 +126,21 @@ mod tests {
     fn account_tracks_and_checks_cap() {
         let g = g10();
         let b = ResourceBudget::from_ratio(&g, 0.5).with_visit_cap(3);
-        let mut acc = VisitAccount::default();
+        let mut acc = VisitStats::default();
         acc.node();
         acc.edges(2);
         assert_eq!(acc.total(), 3);
-        assert!(!acc.over_cap(&b));
+        assert!(!b.over_cap(&acc));
         acc.edges(1);
-        assert!(acc.over_cap(&b));
+        assert!(b.over_cap(&acc));
     }
 
     #[test]
     fn no_cap_never_over() {
         let g = g10();
         let b = ResourceBudget::from_ratio(&g, 0.5);
-        let mut acc = VisitAccount::default();
+        let mut acc = VisitStats::default();
         acc.edges(1_000_000);
-        assert!(!acc.over_cap(&b));
+        assert!(!b.over_cap(&acc));
     }
 }

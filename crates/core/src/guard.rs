@@ -19,8 +19,8 @@
 //! `Pick` ranks candidates by the estimated weight `p(v,u) / (c(v,u) + 1)`,
 //! favoring high potential and low cost.
 
-use crate::budget::VisitAccount;
 use crate::neighbor_index::NeighborIndex;
+use rbq_graph::traverse::VisitStats;
 use rbq_graph::{DynamicSubgraph, Graph, GraphView, NodeId};
 use rbq_pattern::{PNode, ResolvedPattern};
 use rustc_hash::FxHashMap;
@@ -63,7 +63,7 @@ impl<'a> GuardCtx<'a> {
     }
 
     /// The guarded condition `C(v, u)`.
-    pub fn guard(&self, v: NodeId, u: PNode, acc: &mut VisitAccount) -> bool {
+    pub fn guard(&self, v: NodeId, u: PNode, acc: &mut VisitStats) -> bool {
         if self.g.node_label(v) != self.q.label(u) {
             return false;
         }
@@ -76,7 +76,7 @@ impl<'a> GuardCtx<'a> {
     /// Simulation guard: every query-neighbor label must occur in the right
     /// direction among `v`'s neighbors. Pure index lookups (the `S_l`
     /// structure) — one node-record inspection.
-    fn guard_sim(&self, v: NodeId, u: PNode, acc: &mut VisitAccount) -> bool {
+    fn guard_sim(&self, v: NodeId, u: PNode, acc: &mut VisitStats) -> bool {
         acc.node();
         let s = self.idx.summary(v);
         let p = self.q.pattern();
@@ -95,7 +95,7 @@ impl<'a> GuardCtx<'a> {
 
     /// Isomorphism guard: per direction and label, the multiset of query
     /// neighbor degrees must be dominated by distinct data-neighbor degrees.
-    fn guard_sub(&self, v: NodeId, u: PNode, acc: &mut VisitAccount) -> bool {
+    fn guard_sub(&self, v: NodeId, u: PNode, acc: &mut VisitStats) -> bool {
         acc.node();
         let p = self.q.pattern();
         // Quick degree screen.
@@ -109,7 +109,7 @@ impl<'a> GuardCtx<'a> {
     /// label with required degrees, then greedily consume the sorted data
     /// neighbor degrees. Correct because the constraint is a single scalar
     /// threshold (exchange argument).
-    fn feasible_dir(&self, v: NodeId, u: PNode, out: bool, acc: &mut VisitAccount) -> bool {
+    fn feasible_dir(&self, v: NodeId, u: PNode, out: bool, acc: &mut VisitStats) -> bool {
         let p = self.q.pattern();
         let qn: &[PNode] = if out { p.out(u) } else { p.inn(u) };
         if qn.is_empty() {
@@ -150,13 +150,7 @@ impl<'a> GuardCtx<'a> {
 
     /// The dynamic cost `c(v, u)`: query neighbors of `u` without a
     /// suitable candidate among `v`'s neighbors already in `G_Q`.
-    pub fn cost(
-        &self,
-        v: NodeId,
-        u: PNode,
-        gq: &DynamicSubgraph<'_>,
-        acc: &mut VisitAccount,
-    ) -> u32 {
+    pub fn cost(&self, v: NodeId, u: PNode, gq: &DynamicSubgraph<'_>, acc: &mut VisitStats) -> u32 {
         let mut out_buf = Vec::new();
         let mut in_buf = Vec::new();
         self.cost_with(v, u, gq, acc, &mut out_buf, &mut in_buf)
@@ -169,7 +163,7 @@ impl<'a> GuardCtx<'a> {
         v: NodeId,
         u: PNode,
         gq: &DynamicSubgraph<'_>,
-        acc: &mut VisitAccount,
+        acc: &mut VisitStats,
         out_buf: &mut Vec<(rbq_graph::Label, u32)>,
         in_buf: &mut Vec<(rbq_graph::Label, u32)>,
     ) -> u32 {
@@ -229,7 +223,7 @@ impl<'a> GuardCtx<'a> {
     /// distinct query-neighbor label per direction, the number of `v`
     /// neighbors carrying it. For isomorphism it additionally applies the
     /// degree threshold (one neighborhood scan).
-    pub fn potential(&self, v: NodeId, u: PNode, acc: &mut VisitAccount) -> u32 {
+    pub fn potential(&self, v: NodeId, u: PNode, acc: &mut VisitStats) -> u32 {
         let p = self.q.pattern();
         let mut out_labels: Vec<rbq_graph::Label> =
             p.out(u).iter().map(|&uq| self.q.label(uq)).collect();
@@ -252,7 +246,7 @@ impl<'a> GuardCtx<'a> {
         u: PNode,
         out_labels: &[rbq_graph::Label],
         in_labels: &[rbq_graph::Label],
-        acc: &mut VisitAccount,
+        acc: &mut VisitStats,
     ) -> u32 {
         let p = self.q.pattern();
         match self.semantics {
@@ -305,7 +299,7 @@ impl<'a> GuardCtx<'a> {
         v: NodeId,
         u: PNode,
         gq: &DynamicSubgraph<'_>,
-        acc: &mut VisitAccount,
+        acc: &mut VisitStats,
     ) -> f64 {
         let p = self.potential(v, u, acc) as f64;
         let c = self.cost(v, u, gq, acc) as f64;
@@ -360,7 +354,7 @@ mod tests {
         let (g, m) = fig1();
         let (idx, q) = ctx_parts(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Simulation);
-        let mut acc = VisitAccount::default();
+        let mut acc = VisitStats::default();
         // cc2 has a CL child but no Michael parent.
         assert!(!ctx.guard(m["cc2"], Q_CC, &mut acc));
         assert!(ctx.guard(m["cc1"], Q_CC, &mut acc));
@@ -372,7 +366,7 @@ mod tests {
         let (g, m) = fig1();
         let (idx, q) = ctx_parts(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Simulation);
-        let mut acc = VisitAccount::default();
+        let mut acc = VisitStats::default();
         // Paper: p(cc1, CC) = 3, p(cc3, CC) = 2.
         assert_eq!(ctx.potential(m["cc1"], Q_CC, &mut acc), 3);
         assert_eq!(ctx.potential(m["cc3"], Q_CC, &mut acc), 2);
@@ -383,7 +377,7 @@ mod tests {
         let (g, m) = fig1();
         let (idx, q) = ctx_parts(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Simulation);
-        let mut acc = VisitAccount::default();
+        let mut acc = VisitStats::default();
         let mut gq = DynamicSubgraph::new(&g);
         gq.add_node(m["michael"]);
         // Paper: both cc1 and cc3 have cost 1 (CL child not in G_Q yet,
@@ -397,7 +391,7 @@ mod tests {
         let (g, m) = fig1();
         let (idx, q) = ctx_parts(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Simulation);
-        let mut acc = VisitAccount::default();
+        let mut acc = VisitStats::default();
         let mut gq = DynamicSubgraph::new(&g);
         gq.add_node(m["michael"]);
         let w1 = ctx.weight(m["cc1"], Q_CC, &gq, &mut acc);
@@ -412,7 +406,7 @@ mod tests {
         let (g, m) = fig1();
         let (idx, q) = ctx_parts(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Simulation);
-        let mut acc = VisitAccount::default();
+        let mut acc = VisitStats::default();
         let mut gq = DynamicSubgraph::new(&g);
         for key in ["michael", "cc3", "cln", "cln_1"] {
             gq.add_node(m[key]);
@@ -430,7 +424,7 @@ mod tests {
         let (g, m) = fig1();
         let (idx, q) = ctx_parts(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Simulation);
-        let mut acc = VisitAccount::default();
+        let mut acc = VisitStats::default();
         assert!(!ctx.guard(m["hg1"], Q_HG, &mut acc));
         assert!(ctx.guard(m["hgm"], Q_HG, &mut acc));
     }
@@ -440,7 +434,7 @@ mod tests {
         let (g, m) = fig1();
         let (idx, q) = ctx_parts(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Simulation);
-        let mut acc = VisitAccount::default();
+        let mut acc = VisitStats::default();
         assert!(!ctx.guard(m["hgm"], Q_CC, &mut acc));
     }
 
@@ -485,7 +479,7 @@ mod tests {
         let q = pb.build().resolve(&g).unwrap();
         let idx = NeighborIndex::build(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Isomorphism);
-        let mut acc = VisitAccount::default();
+        let mut acc = VisitStats::default();
         // qb1/qb2 have pattern degree 2, so children must have data degree >= 2.
         assert!(
             ctx.guard(v1, qa, &mut acc),
@@ -517,7 +511,7 @@ mod tests {
         let q = pb.build().resolve(&g).unwrap();
         let idx = NeighborIndex::build(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Isomorphism);
-        let mut acc = VisitAccount::default();
+        let mut acc = VisitStats::default();
         assert!(!ctx.guard(a, qa, &mut acc));
     }
 
@@ -526,7 +520,7 @@ mod tests {
         let (g, m) = fig1();
         let (idx, q) = ctx_parts(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Simulation);
-        let mut acc = VisitAccount::default();
+        let mut acc = VisitStats::default();
         let gq = DynamicSubgraph::new(&g);
         let _ = ctx.guard(m["cc1"], Q_CC, &mut acc);
         let _ = ctx.cost(m["cc1"], Q_CC, &gq, &mut acc);

@@ -22,7 +22,6 @@
 //!   §3, for pattern answers and reachability query sets.
 
 pub mod accuracy;
-pub mod analysis;
 pub mod budget;
 pub mod guard;
 pub mod neighbor_index;
@@ -32,8 +31,7 @@ pub mod rbsub;
 pub mod reduction;
 
 pub use accuracy::{pattern_accuracy, reachability_accuracy, Accuracy};
-pub use analysis::{eta_profile, min_alpha_for_eta, EtaPoint, ProfiledAlgorithm};
-pub use budget::{ResourceBudget, VisitAccount};
+pub use budget::ResourceBudget;
 pub use neighbor_index::NeighborIndex;
 pub use rbsim::{rbsim, rbsim_with, PatternScratch};
 pub use rbsim_any::{rbsim_any, AnyAnswer, AnyConfig};

@@ -17,11 +17,12 @@
 //! same reason RBSim is, and exact when the budget covers every seed's
 //! guarded region.
 
-use crate::budget::{ResourceBudget, VisitAccount};
+use crate::budget::ResourceBudget;
 use crate::guard::{GuardCtx, Semantics};
 use crate::neighbor_index::NeighborIndex;
 use crate::rbsim::PatternScratch;
 use crate::reduction::{search_reduced_graph_scratch, ReductionConfig};
+use rbq_graph::traverse::VisitStats;
 use rbq_graph::{DynamicSubgraph, Graph, GraphView, NodeId};
 use rbq_pattern::{strong_simulation_on_view_with, PNode, Pattern};
 
@@ -51,7 +52,7 @@ pub struct AnyAnswer {
     /// Total `|G_Q|` units fetched across seeds (≤ the budget).
     pub total_gq_size: usize,
     /// Total data visited.
-    pub visits: VisitAccount,
+    pub visits: VisitStats,
 }
 
 /// Resource-bounded strong simulation for anonymous patterns.
@@ -78,7 +79,7 @@ fn rbsim_any_with(
     config: AnyConfig,
     scratch: &mut PatternScratch,
 ) -> AnyAnswer {
-    let mut visits = VisitAccount::default();
+    let mut visits = VisitStats::default();
 
     // Seed query node: fewest data candidates by label — a constant-time
     // partition-length lookup per query node, not an O(|V|) scan.
@@ -170,7 +171,7 @@ fn rbsim_any_with(
             ReductionConfig::default(),
             &mut scratch.reduction,
         );
-        visits.add_from(&red.visits);
+        visits.add(red.visits);
         total_gq += red.gq.size();
         strong_simulation_on_view_with(&q, &red.gq, &mut scratch.eval, &mut per_seed_matches);
         matches.extend_from_slice(&per_seed_matches);

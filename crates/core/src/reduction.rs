@@ -28,9 +28,10 @@
 //! original entry points wrap a fresh one, so results are identical either
 //! way (see the scratch-differential property tests).
 
-use crate::budget::{ResourceBudget, VisitAccount};
+use crate::budget::ResourceBudget;
 use crate::guard::{GuardCtx, Semantics};
 use crate::neighbor_index::NeighborIndex;
+use rbq_graph::traverse::VisitStats;
 use rbq_graph::{DynamicSubgraph, Graph, GraphView, Label, NodeId, SubgraphScratch};
 use rbq_pattern::{PNode, ResolvedPattern};
 
@@ -45,7 +46,7 @@ pub struct PatternAnswer {
     /// Nodes in `G_Q`.
     pub gq_nodes: usize,
     /// Data visited during reduction.
-    pub visits: VisitAccount,
+    pub visits: VisitStats,
     /// Whether reduction stopped because the size budget was reached.
     pub hit_budget: bool,
     /// Final selection bound `b`.
@@ -59,7 +60,7 @@ pub struct ReductionOutcome<'g> {
     /// The reduced graph `G_Q` (induced subgraph grown node by node).
     pub gq: DynamicSubgraph<'g>,
     /// Data visited.
-    pub visits: VisitAccount,
+    pub visits: VisitStats,
     /// Whether the size budget stopped the search.
     pub hit_budget: bool,
     /// Final selection bound `b`.
@@ -357,7 +358,7 @@ pub fn search_reduced_graph_scratch<'g>(
     let mut cancel = scratch.cancel;
     let ctx = GuardCtx::new(g, idx, q, semantics);
     let mut gq = std::mem::take(&mut scratch.subgraph).begin(g);
-    let mut visits = VisitAccount::default();
+    let mut visits = VisitStats::default();
     let mut b = config.initial_b;
     let mut rounds = 0u32;
     let mut hit_budget = false;
@@ -513,7 +514,7 @@ pub fn search_reduced_graph_scratch<'g>(
                 }
             }
 
-            if visits.over_cap(budget) {
+            if budget.over_cap(&visits) {
                 break 'rounds;
             }
         }
@@ -542,7 +543,7 @@ fn guard_memo(
     pairs: &mut PairScratch,
     v: NodeId,
     u: PNode,
-    visits: &mut VisitAccount,
+    visits: &mut VisitStats,
 ) -> bool {
     if let Some(hit) = pairs.guard_get(u, v) {
         return hit;
@@ -571,7 +572,7 @@ fn pick(
     pairs: &mut PairScratch,
     b: u32,
     policy: PickPolicy,
-    visits: &mut VisitAccount,
+    visits: &mut VisitStats,
     scored: &mut Vec<(f64, u32, NodeId)>,
     picked: &mut Vec<NodeId>,
     uniq_out: &[Vec<Label>],

@@ -1,4 +1,4 @@
-//! Property tests pinning the v1 wire format: arbitrary queries and
+//! Property tests pinning the v2 wire format: arbitrary queries and
 //! answers survive a serialize → parse round trip, both line-by-line and
 //! through whole versioned files.
 

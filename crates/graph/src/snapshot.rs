@@ -7,7 +7,7 @@
 //! written as little-endian `u32`s, then a trailing CRC-32 over everything
 //! after the magic line. Laying the file out exactly like the in-memory
 //! arrays is deliberate: it is the stepping stone to the ROADMAP's mmap
-//! loader (item 3), where these sections will be mapped instead of copied.
+//! loader (item 5), where these sections will be mapped instead of copied.
 //!
 //! The loader is serving code: every failure mode is a typed
 //! [`SnapshotError`] — bad magic, truncation, checksum mismatch, or a

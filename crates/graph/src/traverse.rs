@@ -24,8 +24,21 @@ pub struct VisitStats {
 
 impl VisitStats {
     /// Total data units visited (`nodes + edges`).
+    #[inline]
     pub fn total(&self) -> usize {
         self.nodes + self.edges
+    }
+
+    /// Record one node inspection.
+    #[inline]
+    pub fn node(&mut self) {
+        self.nodes += 1;
+    }
+
+    /// Record `n` adjacency-entry scans.
+    #[inline]
+    pub fn edges(&mut self, n: usize) {
+        self.edges += n;
     }
 
     /// Merge two accounts.

@@ -43,7 +43,7 @@ use rbq_graph::{GraphView, NodeId};
 /// The maximum dual-simulation relation, as per-query-node match sets.
 ///
 /// Match sets are sorted, deduplicated vectors: deterministic order is
-/// inherent, and [`DualSim::matches_sorted`] is a borrowed slice.
+/// inherent, and [`DualSim::matches`] is a borrowed slice.
 #[derive(Debug, Clone)]
 pub struct DualSim {
     sim: Vec<Vec<NodeId>>,
@@ -54,13 +54,6 @@ impl DualSim {
     #[inline]
     pub fn matches(&self, u: PNode) -> &[NodeId] {
         &self.sim[u.index()]
-    }
-
-    /// Matches of `u` in deterministic (ascending) order — the same slice
-    /// as [`DualSim::matches`]; kept as the name the callers grew up with.
-    #[inline]
-    pub fn matches_sorted(&self, u: PNode) -> &[NodeId] {
-        self.matches(u)
     }
 
     /// Whether `(u, v)` is in the relation.
@@ -466,12 +459,6 @@ impl<'s> DualSimRef<'s> {
         &self.sim[u.index()]
     }
 
-    /// Alias of [`DualSimRef::matches`], mirroring [`DualSim`].
-    #[inline]
-    pub fn matches_sorted(&self, u: PNode) -> &'s [NodeId] {
-        self.matches(u)
-    }
-
     /// Whether `(u, v)` is in the relation.
     pub fn contains(&self, u: PNode, v: NodeId) -> bool {
         self.sim[u.index()].binary_search(&v).is_ok()
@@ -839,7 +826,7 @@ mod tests {
         let q = fig1_pattern().resolve(&g).unwrap();
         let d = dual_simulation(&q, &g, None).unwrap();
         let uo = q.uo();
-        let matches = d.matches_sorted(uo);
+        let matches = d.matches(uo);
         // cl_{n-1} and cl_n both have CC and HG parents reachable from
         // Michael; cl1's only parent cc2 is pruned (no Michael parent).
         assert_eq!(matches, &[ids[7], ids[8]]);
@@ -850,7 +837,7 @@ mod tests {
         let (g, ids) = fig1_graph();
         let q = fig1_pattern().resolve(&g).unwrap();
         let d = dual_simulation(&q, &g, None).unwrap();
-        assert_eq!(d.matches_sorted(q.up()), &[ids[0]]);
+        assert_eq!(d.matches(q.up()), &[ids[0]]);
     }
 
     #[test]
@@ -919,7 +906,7 @@ mod tests {
         pb.personalized(m).output(m);
         let q = pb.build().resolve(&g).unwrap();
         let d = dual_simulation(&q, &g, None).unwrap();
-        assert_eq!(d.matches_sorted(m), &[ids[0]]);
+        assert_eq!(d.matches(m), &[ids[0]]);
     }
 
     #[test]
@@ -943,7 +930,7 @@ mod tests {
         pb.personalized(p).output(a);
         let q = pb.build().resolve(&g).unwrap();
         let d = dual_simulation(&q, &g, None).unwrap();
-        assert_eq!(d.matches_sorted(a), &[y]);
+        assert_eq!(d.matches(a), &[y]);
         let _ = (x, z);
     }
 
@@ -1036,7 +1023,7 @@ mod tests {
                 (Some(f), Some(s)) => {
                     for u in p.nodes() {
                         prop_assert_eq!(
-                            f.matches_sorted(u),
+                            f.matches(u),
                             s[u.index()].as_slice(),
                             "mismatch at query node {:?}", u
                         );
@@ -1074,7 +1061,7 @@ mod tests {
                 (None, None) => {}
                 (Some(f), Some(s)) => {
                     for u in p.nodes() {
-                        prop_assert_eq!(f.matches_sorted(u), s[u.index()].as_slice());
+                        prop_assert_eq!(f.matches(u), s[u.index()].as_slice());
                     }
                 }
                 (f, s) => prop_assert!(
@@ -1116,7 +1103,7 @@ mod tests {
                     (None, None) => {}
                     (Some(d), Some(s)) => {
                         for u in p.nodes() {
-                            prop_assert_eq!(d.matches_sorted(u), s.matches_sorted(u));
+                            prop_assert_eq!(d.matches(u), s.matches(u));
                         }
                     }
                     (d, s) => prop_assert!(
@@ -1148,7 +1135,7 @@ mod tests {
                 (None, None) => {}
                 (Some(f), Some(s)) => {
                     for u in p.nodes() {
-                        prop_assert_eq!(f.matches_sorted(u), s[u.index()].as_slice());
+                        prop_assert_eq!(f.matches(u), s[u.index()].as_slice());
                     }
                 }
                 (f, s) => prop_assert!(

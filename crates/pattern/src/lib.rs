@@ -33,7 +33,6 @@ pub use dualsim::{
 pub use pattern::{PNode, Pattern, PatternBuilder, ResolveError, ResolvedPattern};
 pub use simcompress::{bisimulation_compress, SimCompressed};
 pub use strongsim::{
-    match_opt, strong_simulation, strong_simulation_on_view, strong_simulation_on_view_with,
-    StrongSimScratch,
+    match_opt, strong_simulation, strong_simulation_on_view_with, StrongSimScratch,
 };
 pub use vf2::{vf2_all_output_matches, vf2_opt, Vf2Config};

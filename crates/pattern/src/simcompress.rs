@@ -74,7 +74,7 @@ impl SimCompressed {
     /// slice as the `dual_simulation` universe.
     pub fn dual_sim_via_quotient(&self, q: &ResolvedPattern) -> Option<Vec<NodeId>> {
         let rel = dual_simulation(q, &self.quotient, None)?;
-        Some(self.expand(rel.matches_sorted(q.uo())))
+        Some(self.expand(rel.matches(q.uo())))
     }
 }
 
@@ -240,7 +240,7 @@ mod tests {
 
         let q_orig = pattern.resolve(&g).unwrap();
         let direct = dual_simulation(&q_orig, &g, None)
-            .map(|d| d.matches_sorted(q_orig.uo()).to_vec())
+            .map(|d| d.matches(q_orig.uo()).to_vec())
             .unwrap_or_default();
 
         let c = bisimulation_compress(&g);

@@ -9,8 +9,8 @@
 //! Because every valid ball must contain `v_p`, candidate centers are
 //! exactly the nodes of `N_dQ(v_p)` — the paper's `MatchOpt` ("only checks
 //! subgraphs within `d_Q` hops of `v_p`") is therefore the natural baseline
-//! and [`match_opt`] implements it directly. [`strong_simulation`] /
-//! [`strong_simulation_on_view`] add a shared dual-simulation prefilter that
+//! and [`match_opt`] implements it directly. [`strong_simulation`] adds a
+//! shared dual-simulation prefilter that
 //! preserves the answer set (any ball-restricted relation is contained in
 //! the prefilter relation) while skipping doomed balls early; the reduced
 //! graph `G_Q` is evaluated with the same code.
@@ -45,25 +45,17 @@ pub fn match_opt(q: &ResolvedPattern, g: &Graph) -> Vec<NodeId> {
     out
 }
 
-/// Optimized strong simulation on a full graph: identical answers to
-/// [`match_opt`], with a shared prefilter.
-pub fn strong_simulation(q: &ResolvedPattern, g: &Graph) -> Vec<NodeId> {
+/// Optimized strong simulation over any [`GraphView`]: identical answers to
+/// [`match_opt`] on a full graph, with a shared prefilter; on the reduced
+/// graph of dynamic reduction it evaluates `Q(G_Q)`.
+pub fn strong_simulation<V: GraphView + ?Sized>(q: &ResolvedPattern, g: &V) -> Vec<NodeId> {
     let mut scratch = StrongSimScratch::new();
     let mut out = Vec::new();
     strong_sim_impl(q, g, true, &mut scratch, &mut out);
     out
 }
 
-/// Strong simulation over any [`GraphView`] — used to evaluate `Q(G_Q)` on
-/// the reduced graph produced by dynamic reduction.
-pub fn strong_simulation_on_view<V: GraphView + ?Sized>(q: &ResolvedPattern, g: &V) -> Vec<NodeId> {
-    let mut scratch = StrongSimScratch::new();
-    let mut out = Vec::new();
-    strong_sim_impl(q, g, true, &mut scratch, &mut out);
-    out
-}
-
-/// [`strong_simulation_on_view`] through a reusable [`StrongSimScratch`]:
+/// [`strong_simulation`] through a reusable [`StrongSimScratch`]:
 /// identical answers, written into `out` (cleared first), with zero
 /// steady-state allocation. This is the evaluation half of the warm
 /// `rbsim` serving path.
@@ -336,7 +328,7 @@ mod tests {
         let (g, ids) = fig1_graph();
         let q = fig1_pattern().resolve(&g).unwrap();
         let view = DynamicSubgraph::induced(&g, ids[1..].iter().copied());
-        assert!(strong_simulation_on_view(&q, &view).is_empty());
+        assert!(strong_simulation(&q, &view).is_empty());
     }
 
     #[test]
@@ -347,7 +339,7 @@ mod tests {
         // cl_{n-1}, cl_n.
         let keep = [ids[0], ids[3], ids[5], ids[2], ids[7], ids[8]];
         let view = DynamicSubgraph::induced(&g, keep);
-        let ans = strong_simulation_on_view(&q, &view);
+        let ans = strong_simulation(&q, &view);
         assert_eq!(ans, vec![ids[7], ids[8]]);
     }
 

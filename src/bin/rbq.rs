@@ -15,6 +15,12 @@
 //! rbq recover state/ --queries q.txt --answers a.txt
 //! ```
 //!
+//! Every subcommand's arguments are declared once, in [`COMMANDS`]. The
+//! serving commands (`batch`, `ingest`, `snapshot`, `recover`) only fill a
+//! [`Plan`]: one opener ([`open`]) builds the engine from a graph file or a
+//! durable directory, and one executor ([`execute`]) runs the plan's steps
+//! through the engine's write and read pipelines.
+//!
 //! Graphs use the plain-text format of `rbq_graph::io` (`n <id> <label>` /
 //! `e <src> <dst>` lines); query and answer files use the versioned wire
 //! format of `rbq_engine::wire` (`#rbq-queries v2` / `#rbq-answers v2`
@@ -24,30 +30,32 @@
 use rbq::rbq_core::{pattern_accuracy, rbsim, NeighborIndex, ResourceBudget};
 use rbq::rbq_engine::wire::{parse_delta_file, parse_query_file, write_answer_file};
 use rbq::rbq_engine::{
-    AdmissionPolicy, Answer, ApplyError, BatchReport, BudgetSpec, Durability, DurabilityError,
-    Engine, EngineConfig, EngineError, Query, QueryParseError, WireWriteError, QUERY_FILE_HEADER,
+    AdmissionPolicy, Answer, ApplyError, BudgetSpec, DurabilityError, Engine, EngineConfig,
+    EngineError, Query, QueryParseError, WireWriteError, QUERY_FILE_HEADER,
 };
-use rbq::rbq_graph::{io as gio, DeltaError, Graph, GraphView, NodeId};
+use rbq::rbq_graph::snapshot::SNAPSHOT_FILE;
+use rbq::rbq_graph::{io as gio, DeltaBatch, DeltaError, Graph, GraphView, NodeId};
 use rbq::rbq_pattern::{bisimulation_compress, match_opt};
 use rbq::rbq_reach::{compress_for_reachability, HierarchicalIndex};
 use rbq::rbq_router::{LabelHashPartitioner, Router, RouterError};
 use rbq::rbq_workload::{extract_pattern, sample_mixed_workload, MixedWorkloadSpec, PatternSpec};
 use std::fs::File;
 use std::io::{BufReader, Write};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Top-level CLI error: typed wrappers around the library layers plus
-/// plain usage messages. Every variant renders the same text the old
-/// string-based plumbing printed, and the exit code stays 2.
+/// plain usage messages; any of them exits with code 2.
 #[derive(Debug)]
 enum CliError {
     /// Usage/argument errors and ad-hoc messages.
     Msg(String),
     /// Engine configuration or resolution errors, wrapped losslessly.
     Engine(EngineError),
-    /// A query file failed to parse (the wire layer tags the line; the
-    /// CLI adds the path).
+    /// A query or delta file failed to parse (the wire layer tags the
+    /// line; the CLI adds the path).
     Parse {
         /// Path of the offending file.
         path: String,
@@ -68,15 +76,11 @@ enum CliError {
 
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CliError::Msg(m) => write!(f, "{m}"),
-            CliError::Engine(e) => write!(f, "{e}"),
-            CliError::Parse { path, source } => write!(f, "{path}: {source}"),
-            CliError::Router(e) => write!(f, "{e}"),
-            CliError::Delta(e) => write!(f, "{e}"),
-            CliError::Durability(e) => write!(f, "{e}"),
-            CliError::Wire(e) => write!(f, "{e}"),
-            CliError::Io(e) => write!(f, "{e}"),
+        match (self, std::error::Error::source(self)) {
+            (CliError::Msg(m), _) => write!(f, "{m}"),
+            (CliError::Parse { path, source }, _) => write!(f, "{path}: {source}"),
+            (_, Some(e)) => write!(f, "{e}"),
+            (_, None) => Ok(()),
         }
     }
 }
@@ -96,45 +100,22 @@ impl std::error::Error for CliError {
     }
 }
 
-impl From<String> for CliError {
-    fn from(m: String) -> Self {
-        CliError::Msg(m)
-    }
+/// `From` for every error a variant wraps as is.
+macro_rules! wrap {
+    ($($variant:ident($t:ty)),*) => {$(
+        impl From<$t> for CliError {
+            fn from(e: $t) -> Self {
+                CliError::$variant(e)
+            }
+        }
+    )*};
 }
+wrap! { Msg(String), Engine(EngineError), Router(RouterError) }
+wrap! { Durability(DurabilityError), Wire(WireWriteError), Io(std::io::Error) }
 
 impl From<&str> for CliError {
     fn from(m: &str) -> Self {
         CliError::Msg(m.to_owned())
-    }
-}
-
-impl From<EngineError> for CliError {
-    fn from(e: EngineError) -> Self {
-        CliError::Engine(e)
-    }
-}
-
-impl From<RouterError> for CliError {
-    fn from(e: RouterError) -> Self {
-        CliError::Router(e)
-    }
-}
-
-impl From<WireWriteError> for CliError {
-    fn from(e: WireWriteError) -> Self {
-        CliError::Wire(e)
-    }
-}
-
-impl From<DeltaError> for CliError {
-    fn from(e: DeltaError) -> Self {
-        CliError::Delta(e)
-    }
-}
-
-impl From<DurabilityError> for CliError {
-    fn from(e: DurabilityError) -> Self {
-        CliError::Durability(e)
     }
 }
 
@@ -153,9 +134,123 @@ impl From<QueryParseError> for CliError {
     }
 }
 
-impl From<std::io::Error> for CliError {
-    fn from(e: std::io::Error) -> Self {
-        CliError::Io(e)
+/// A subcommand: its name, its usage (positionals, then flags; `[…]` is
+/// optional, `--flag VALUE` takes a value) and what it does.
+type Command = (&'static str, &'static str, Action);
+
+/// What a subcommand does with its parsed arguments.
+enum Action {
+    /// A one-shot command that prints its own result.
+    Run(fn(&Args) -> Result<(), CliError>),
+    /// A serving command: its arguments fill a [`Source`] and a [`Plan`]
+    /// for [`serve`].
+    Serve(fn(&Args) -> Result<(Source, Plan), CliError>),
+}
+
+/// Every subcommand, declared once: drives dispatch, flag parsing and the
+/// usage lines.
+const COMMANDS: &[Command] = &[
+    (
+        "generate",
+        "[--kind youtube|yahoo|uniform|social] [--nodes N] [--seed S] --out FILE",
+        Action::Run(cmd_generate),
+    ),
+    ("stats", "GRAPH", Action::Run(cmd_stats)),
+    ("compress", "GRAPH", Action::Run(cmd_compress)),
+    ("reach", "GRAPH SRC DST [--alpha A]", Action::Run(cmd_reach)),
+    (
+        "pattern",
+        "GRAPH [--spec N,M] [--alpha A] [--seed S]",
+        Action::Run(cmd_pattern),
+    ),
+    (
+        "workload",
+        "GRAPH [--count N] [--seed S] --out FILE [--spec N,M] [--reach-frac F] [--iso-frac F] [--repeat-frac F]",
+        Action::Run(cmd_workload),
+    ),
+    (
+        "batch",
+        "GRAPH QUERYFILE [--alpha A] [--reach-alpha A] [--threads T] [--cache N] [--aggregate N] [--verbose 1] [--shards K] [--answers FILE] [--timeout-ms MS] [--admission input|sjf]",
+        Action::Serve(plan_batch),
+    ),
+    (
+        "ingest",
+        "GRAPH DELTAFILE [--out FILE] [--durable DIR] [--inject POINT[:N]]",
+        Action::Serve(plan_ingest),
+    ),
+    ("snapshot", "GRAPH --out DIR", Action::Serve(plan_snapshot)),
+    (
+        "recover",
+        "DIR [--queries FILE] [--answers FILE]",
+        Action::Serve(plan_recover),
+    ),
+    ("lint", "[ROOT]", Action::Run(cmd_lint)),
+];
+
+/// Look the subcommand up in [`COMMANDS`] and parse its arguments against
+/// its usage: every flag declared, every unbracketed word present, no
+/// extra positional.
+fn parse_command(args: &[String]) -> Result<(&'static Action, Args<'_>), CliError> {
+    let name = args.first().ok_or("missing subcommand")?;
+    let (name, usage, action) = COMMANDS
+        .iter()
+        .find(|c| c.0 == name)
+        .ok_or_else(|| format!("unknown subcommand {name:?}"))?;
+    let words: Vec<&str> = usage.split(' ').collect();
+    let mut flags: Vec<(&str, Option<String>)> = words
+        .iter()
+        .filter_map(|w| w.trim_start_matches('[').strip_prefix("--"))
+        .map(|flag| (flag, None))
+        .collect();
+    let mut slots: Vec<_> = flags.iter_mut().map(|(n, v)| (*n, v)).collect();
+    let pos = parse_flags(&args[1..], &mut slots)?;
+    let positionals = &words[..words.iter().take_while(|w| !w.contains("--")).count()];
+    let required = positionals.iter().filter(|w| !w.starts_with('[')).count();
+    if !(required..=positionals.len()).contains(&pos.len()) {
+        return Err(format!("usage: rbq {name} {usage}").into());
+    }
+    let args = Args { pos, flags };
+    match words
+        .iter()
+        .filter_map(|w| w.strip_prefix("--"))
+        .find(|f| args.get(f).is_none())
+    {
+        Some(flag) => Err(format!("{name}: --{flag} is required").into()),
+        None => Ok((action, args)),
+    }
+}
+
+/// A command line parsed against its usage: the positionals in order,
+/// and each declared flag's value if it was given.
+struct Args<'a> {
+    pos: Vec<&'a str>,
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args<'_> {
+    fn get(&self, name: &str) -> Option<&str> {
+        let flag = self.flags.iter().find(|(n, _)| *n == name);
+        flag.and_then(|(_, v)| v.as_deref())
+    }
+
+    fn owned(&self, name: &str) -> Option<String> {
+        self.get(name).map(str::to_owned)
+    }
+
+    /// `--name` parsed as a `T`, if given.
+    fn opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        let parse = |s: &str| s.parse().map_err(|_| format!("bad --{name}").into());
+        self.get(name).map(parse).transpose()
+    }
+
+    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
+        Ok(self.opt(name)?.unwrap_or(default))
+    }
+
+    /// A resource ratio flag (see [`parse_alpha`]), `default` when absent.
+    fn alpha(&self, name: &str, default: f64) -> Result<f64, CliError> {
+        let parse = |s| parse_alpha(s, &format!("--{name}"));
+        Ok(self.get(name).map(parse).transpose()?.unwrap_or(default))
     }
 }
 
@@ -165,31 +260,24 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!(
-                "usage: rbq <generate|stats|compress|reach|pattern|workload|batch|ingest|snapshot|recover|lint> [args]\n\
-                 see module docs for details"
-            );
+            eprintln!("usage:");
+            for (name, usage, _) in COMMANDS {
+                eprintln!("  rbq {name} {usage}");
+            }
             ExitCode::from(2)
         }
     }
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
-    let cmd = args.first().ok_or("missing subcommand")?;
-    let rest = &args[1..];
-    match cmd.as_str() {
-        "generate" => cmd_generate(rest),
-        "stats" => cmd_stats(rest),
-        "compress" => cmd_compress(rest),
-        "reach" => cmd_reach(rest),
-        "pattern" => cmd_pattern(rest),
-        "workload" => cmd_workload(rest),
-        "batch" => cmd_batch(rest),
-        "ingest" => cmd_ingest(rest),
-        "snapshot" => cmd_snapshot(rest),
-        "recover" => cmd_recover(rest),
-        "lint" => cmd_lint(rest),
-        other => Err(format!("unknown subcommand {other:?}").into()),
+    let (action, args) = parse_command(args)?;
+    match action {
+        Action::Run(f) => f(&args),
+        Action::Serve(f) => {
+            let (source, plan) = f(&args)?;
+            let (mut out, mut warn) = (std::io::stdout().lock(), std::io::stderr().lock());
+            serve(&source, &plan, &mut out, &mut warn)
+        }
     }
 }
 
@@ -198,11 +286,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
 /// Findings print to stderr as `file:line: rule-id: message`; any finding
 /// exits the process with status 1, matching the standalone `rbq-lint`
 /// binary so either entry point can gate CI.
-fn cmd_lint(args: &[String]) -> Result<(), CliError> {
-    if args.len() > 1 {
-        return Err("usage: lint [ROOT]".into());
-    }
-    let start = match args.first() {
+fn cmd_lint(args: &Args) -> Result<(), CliError> {
+    let start = match args.pos.first() {
         Some(p) => std::path::PathBuf::from(p),
         None => std::env::current_dir()?,
     };
@@ -264,15 +349,13 @@ fn parse_flags<'a>(
 fn parse_spec(s: &str) -> Result<PatternSpec, String> {
     let (a, b) = s
         .split_once(',')
-        .ok_or_else(|| format!("bad --spec {s:?}, expected N,M"))?;
-    let nodes: usize = a
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad node count {a:?}"))?;
-    let edges: usize = b
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad edge count {b:?}"))?;
+        .ok_or(format!("bad --spec {s:?}, expected N,M"))?;
+    let count = |x: &str, what| {
+        x.trim()
+            .parse()
+            .map_err(|_| format!("bad {what} count {x:?}"))
+    };
+    let (nodes, edges) = (count(a, "node")?, count(b, "edge")?);
     if nodes == 0 {
         return Err("pattern needs at least one node".into());
     }
@@ -295,28 +378,17 @@ fn load_graph(path: &str) -> Result<Graph, String> {
     gio::read_graph(BufReader::new(f)).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), CliError> {
-    let (mut kind, mut nodes, mut seed, mut out) = (None, None, None, None);
-    let _ = parse_flags(
-        args,
-        &mut [
-            ("kind", &mut kind),
-            ("nodes", &mut nodes),
-            ("seed", &mut seed),
-            ("out", &mut out),
-        ],
-    )?;
-    let kind = kind.unwrap_or_else(|| "youtube".into());
-    let nodes: usize = nodes
-        .unwrap_or_else(|| "10000".into())
-        .parse()
-        .map_err(|_| "bad --nodes")?;
-    let seed: u64 = seed
-        .unwrap_or_else(|| "42".into())
-        .parse()
-        .map_err(|_| "bad --seed")?;
-    let out = out.ok_or("missing --out FILE")?;
-    let g = match kind.as_str() {
+/// Write `path` atomically (temp file, then rename) through `body`.
+fn save<F>(path: &str, body: F) -> Result<(), CliError>
+where
+    F: FnOnce(&mut std::io::BufWriter<File>) -> std::io::Result<()>,
+{
+    gio::atomic_write(Path::new(path), body).map_err(|e| format!("cannot write {path}: {e}").into())
+}
+
+fn cmd_generate(args: &Args) -> Result<(), CliError> {
+    let (nodes, seed) = (args.num("nodes", 10_000)?, args.num("seed", 42)?);
+    let g = match args.get("kind").unwrap_or("youtube") {
         "youtube" => rbq::rbq_workload::youtube_like(nodes, seed),
         "yahoo" => rbq::rbq_workload::yahoo_like(nodes, seed),
         "uniform" => rbq::rbq_workload::uniform_random(nodes, 2 * nodes, 15, seed),
@@ -325,63 +397,43 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
             return Err(format!("unknown kind {other:?} (youtube|yahoo|uniform|social)").into())
         }
     };
-    gio::atomic_write(std::path::Path::new(&out), |w| gio::write_graph(&g, w))
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
-        "wrote {} nodes, {} edges to {out}",
-        g.node_count(),
-        g.edge_count()
-    );
+    let out = args.owned("out").unwrap_or_default();
+    save(&out, |w| gio::write_graph(&g, w))?;
+    let (n, m) = (g.node_count(), g.edge_count());
+    println!("wrote {n} nodes, {m} edges to {out}");
     Ok(())
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), CliError> {
-    let pos = parse_flags(args, &mut [])?;
-    let path = pos.first().ok_or("missing graph file")?;
-    let g = load_graph(path)?;
+fn cmd_stats(args: &Args) -> Result<(), CliError> {
+    let g = load_graph(args.pos[0])?;
     let ds = rbq::rbq_graph::stats::degree_stats(&g);
+    let fanout = rbq::rbq_graph::stats::max_label_fanout(&g);
     println!("nodes      {}", g.node_count());
     println!("edges      {}", g.edge_count());
     println!("size |G|   {}", g.size());
     println!("labels     {}", g.labels().len());
     println!("max degree {}", ds.max_degree);
     println!("avg degree {:.2}", ds.avg_degree);
-    println!(
-        "label fanout f = {}",
-        rbq::rbq_graph::stats::max_label_fanout(&g)
-    );
+    println!("label fanout f = {fanout}");
     Ok(())
 }
 
-fn cmd_compress(args: &[String]) -> Result<(), CliError> {
-    let pos = parse_flags(args, &mut [])?;
-    let path = pos.first().ok_or("missing graph file")?;
-    let g = load_graph(path)?;
+fn cmd_compress(args: &Args) -> Result<(), CliError> {
+    let g = load_graph(args.pos[0])?;
+    let size = g.size();
     let reach = compress_for_reachability(&g);
-    println!(
-        "reachability compression: {} -> {} units ({:.1}%)",
-        g.size(),
-        reach.dag.size(),
-        reach.ratio(&g) * 100.0
-    );
+    let (units, pct) = (reach.dag.size(), reach.ratio(&g) * 100.0);
+    println!("reachability compression: {size} -> {units} units ({pct:.1}%)");
     let sim = bisimulation_compress(&g);
-    println!(
-        "simulation compression:   {} -> {} units ({:.1}%)",
-        g.size(),
-        sim.quotient.size(),
-        sim.ratio(&g) * 100.0
-    );
+    let (units, pct) = (sim.quotient.size(), sim.ratio(&g) * 100.0);
+    println!("simulation compression:   {size} -> {units} units ({pct:.1}%)");
     Ok(())
 }
 
-fn cmd_reach(args: &[String]) -> Result<(), CliError> {
-    let mut alpha = None;
-    let pos = parse_flags(args, &mut [("alpha", &mut alpha)])?;
-    let [path, s, t] = pos.as_slice() else {
-        return Err("usage: reach GRAPH SRC DST [--alpha A]".into());
-    };
-    let alpha = parse_alpha(&alpha.unwrap_or_else(|| "0.01".into()), "--alpha")?;
-    let g = load_graph(path)?;
+fn cmd_reach(args: &Args) -> Result<(), CliError> {
+    let (s, t) = (args.pos[1], args.pos[2]);
+    let alpha = args.alpha("alpha", 0.01)?;
+    let g = load_graph(args.pos[0])?;
     let s: u32 = s.parse().map_err(|_| format!("bad source id {s:?}"))?;
     let t: u32 = t.parse().map_err(|_| format!("bad target id {t:?}"))?;
     if s as usize >= g.node_count() || t as usize >= g.node_count() {
@@ -389,117 +441,65 @@ fn cmd_reach(args: &[String]) -> Result<(), CliError> {
     }
     let idx = HierarchicalIndex::build(&g, alpha);
     let ans = idx.query(NodeId(s), NodeId(t));
-    let exact = rbq::rbq_graph::traverse::reaches(&g, NodeId(s), NodeId(t));
-    println!(
-        "RBReach[alpha={alpha}]: {} (visited {} of cap {})",
-        ans.reachable,
-        ans.visits,
-        idx.visit_cap()
-    );
-    println!(
-        "exact BFS:            {} (visited {} data units)",
-        exact.0,
-        exact.1.total()
-    );
+    let (reachable, visits, cap) = (ans.reachable, ans.visits, idx.visit_cap());
+    println!("RBReach[alpha={alpha}]: {reachable} (visited {visits} of cap {cap})");
+    let (exact, stats) = rbq::rbq_graph::traverse::reaches(&g, NodeId(s), NodeId(t));
+    let visits = stats.total();
+    println!("exact BFS:            {exact} (visited {visits} data units)");
     Ok(())
 }
 
-fn cmd_pattern(args: &[String]) -> Result<(), CliError> {
-    let (mut spec, mut alpha, mut seed) = (None, None, None);
-    let pos = parse_flags(
-        args,
-        &mut [
-            ("spec", &mut spec),
-            ("alpha", &mut alpha),
-            ("seed", &mut seed),
-        ],
-    )?;
-    let path = pos.first().ok_or("missing graph file")?;
-    let spec = parse_spec(&spec.unwrap_or_else(|| "4,8".into()))?;
-    let alpha = parse_alpha(&alpha.unwrap_or_else(|| "0.001".into()), "--alpha")?;
-    let seed: u64 = seed
-        .unwrap_or_else(|| "7".into())
-        .parse()
-        .map_err(|_| "bad --seed")?;
-    let g = load_graph(path)?;
+fn cmd_pattern(args: &Args) -> Result<(), CliError> {
+    let spec = parse_spec(args.get("spec").unwrap_or("4,8"))?;
+    let alpha = args.alpha("alpha", 0.001)?;
+    let seed: u64 = args.num("seed", 7)?;
+    let g = load_graph(args.pos[0])?;
     let q = (0..200u64)
         .find_map(|s| extract_pattern(&g, spec, seed.wrapping_add(s)))
         .ok_or("could not extract a pattern (graph too small or no ME node)")?
         .resolve(&g)
         .map_err(|e| e.to_string())?;
-    println!(
-        "pattern: {} nodes, {} edges, d_Q = {}",
-        q.pattern().node_count(),
-        q.pattern().edge_count(),
-        q.dq()
-    );
-    let idx = NeighborIndex::build(&g);
+    let (n, m, dq) = (q.pattern().node_count(), q.pattern().edge_count(), q.dq());
+    println!("pattern: {n} nodes, {m} edges, d_Q = {dq}");
     let budget = ResourceBudget::from_ratio(&g, alpha);
-    let ans = rbsim(&g, &idx, &q, &budget);
-    println!(
-        "RBSim[alpha={alpha}]: {} matches, |G_Q| = {} of budget {}, visited {}",
+    let ans = rbsim(&g, &NeighborIndex::build(&g), &q, &budget);
+    let (n, gq, cap, visits) = (
         ans.matches.len(),
         ans.gq_size,
         budget.max_units,
-        ans.visits.total()
+        ans.visits.total(),
     );
+    println!("RBSim[alpha={alpha}]: {n} matches, |G_Q| = {gq} of budget {cap}, visited {visits}");
     let exact = match_opt(&q, &g);
-    let acc = pattern_accuracy(&exact, &ans.matches);
+    let acc = pattern_accuracy(&exact, &ans.matches).f1 * 100.0;
     println!(
-        "exact (MatchOpt):     {} matches; accuracy {:.1}%",
-        exact.len(),
-        acc.f1 * 100.0
+        "exact (MatchOpt):     {} matches; accuracy {acc:.1}%",
+        exact.len()
     );
     Ok(())
 }
 
-fn cmd_workload(args: &[String]) -> Result<(), CliError> {
-    let (mut count, mut seed, mut out, mut spec) = (None, None, None, None);
-    let (mut reach_frac, mut iso_frac, mut repeat_frac) = (None, None, None);
-    let pos = parse_flags(
-        args,
-        &mut [
-            ("count", &mut count),
-            ("seed", &mut seed),
-            ("out", &mut out),
-            ("spec", &mut spec),
-            ("reach-frac", &mut reach_frac),
-            ("iso-frac", &mut iso_frac),
-            ("repeat-frac", &mut repeat_frac),
-        ],
-    )?;
-    let path = pos.first().ok_or("missing graph file")?;
-    let out = out.ok_or("missing --out FILE")?;
-    let parse_frac = |s: Option<String>, def: f64, what: &str| -> Result<f64, String> {
-        match s {
-            None => Ok(def),
-            Some(s) => {
-                let f: f64 = s.parse().map_err(|_| format!("bad {what} {s:?}"))?;
-                if !(0.0..=1.0).contains(&f) {
-                    return Err(format!("{what} must lie in [0, 1], got {s}"));
-                }
-                Ok(f)
-            }
+fn cmd_workload(args: &Args) -> Result<(), CliError> {
+    let frac = |name: &str, default: f64| -> Result<f64, CliError> {
+        let f = args.num(name, default)?;
+        if !(0.0..=1.0).contains(&f) {
+            return Err(format!("--{name} must lie in [0, 1], got {f}").into());
         }
+        Ok(f)
     };
     let mut mspec = MixedWorkloadSpec {
-        count: count
-            .unwrap_or_else(|| "200".into())
-            .parse()
-            .map_err(|_| "bad --count")?,
-        reach_fraction: parse_frac(reach_frac, 0.4, "--reach-frac")?,
-        iso_fraction: parse_frac(iso_frac, 0.3, "--iso-frac")?,
-        repeat_fraction: parse_frac(repeat_frac, 0.3, "--repeat-frac")?,
+        count: args.num("count", 200)?,
+        reach_fraction: frac("reach-frac", 0.4)?,
+        iso_fraction: frac("iso-frac", 0.3)?,
+        repeat_fraction: frac("repeat-frac", 0.3)?,
         ..Default::default()
     };
-    if let Some(s) = spec {
-        mspec.spec = parse_spec(&s)?;
+    if let Some(s) = args.get("spec") {
+        mspec.spec = parse_spec(s)?;
     }
-    let seed: u64 = seed
-        .unwrap_or_else(|| "7".into())
-        .parse()
-        .map_err(|_| "bad --seed")?;
-    let g = load_graph(path)?;
+    let seed: u64 = args.num("seed", 7)?;
+    let out = args.owned("out").unwrap_or_default();
+    let g = load_graph(args.pos[0])?;
     let queries = sample_mixed_workload(&g, &mspec, seed);
     // Serialize before opening the file: a to_line failure must not leave
     // a half-written artifact, and the write itself is atomic.
@@ -507,401 +507,339 @@ fn cmd_workload(args: &[String]) -> Result<(), CliError> {
     for q in &queries {
         lines.push(q.to_line()?);
     }
-    gio::atomic_write(std::path::Path::new(&out), |w| {
-        writeln!(w, "{QUERY_FILE_HEADER}")?;
+    save(&out, |w| {
+        let n = lines.len();
         writeln!(
             w,
-            "# rbq mixed workload: {} queries, seed {seed}",
-            lines.len()
+            "{QUERY_FILE_HEADER}\n# rbq mixed workload: {n} queries, seed {seed}"
         )?;
         for line in &lines {
             writeln!(w, "{line}")?;
         }
         Ok(())
-    })
-    .map_err(|e| format!("cannot write {out}: {e}"))?;
+    })?;
     println!("wrote {} queries to {out}", queries.len());
     Ok(())
 }
 
-fn load_queries(path: &str) -> Result<Vec<Query>, CliError> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let file = parse_query_file(&text).map_err(|e| CliError::Parse {
-        path: path.to_owned(),
-        source: e,
-    })?;
-    if file.headerless {
-        eprintln!("warning: {path} has no #rbq-queries header; reading it as v1");
-    }
-    Ok(file.queries)
+/// Where a serving command's state comes from.
+enum Source {
+    /// A graph file, served from memory.
+    Graph(String),
+    /// A durable directory whose contents are replaced by a snapshot of
+    /// `graph` and a fresh WAL.
+    Seed { graph: String, dir: String },
+    /// A durable directory, recovered if it holds state and otherwise
+    /// seeded from `seed` (with no `seed`, recovery is the only option).
+    Resume { dir: String, seed: Option<String> },
 }
 
-fn cmd_batch(args: &[String]) -> Result<(), CliError> {
-    let (mut alpha, mut reach_alpha, mut threads, mut cache, mut aggregate, mut verbose) =
-        (None, None, None, None, None, None);
-    let (mut shards, mut answers) = (None, None);
-    let (mut timeout_ms, mut admission) = (None, None);
-    let pos = parse_flags(
-        args,
-        &mut [
-            ("alpha", &mut alpha),
-            ("reach-alpha", &mut reach_alpha),
-            ("threads", &mut threads),
-            ("cache", &mut cache),
-            ("aggregate", &mut aggregate),
-            ("verbose", &mut verbose),
-            ("shards", &mut shards),
-            ("answers", &mut answers),
-            ("timeout-ms", &mut timeout_ms),
-            ("admission", &mut admission),
-        ],
-    )?;
-    let [graph_path, query_path] = pos.as_slice() else {
-        return Err("usage: batch GRAPH QUERYFILE [--alpha A] [--reach-alpha A] [--threads T] [--cache N] [--aggregate N] [--timeout-ms MS] [--admission input|sjf] [--shards K] [--answers FILE] [--verbose 1]".into());
-    };
-    let alpha = parse_alpha(&alpha.unwrap_or_else(|| "0.01".into()), "--alpha")?;
-    let reach_alpha = parse_alpha(
-        &reach_alpha.unwrap_or_else(|| "0.05".into()),
-        "--reach-alpha",
-    )?;
-    let threads: usize = threads
-        .unwrap_or_else(|| "0".into())
-        .parse()
-        .map_err(|_| "bad --threads")?;
-    let cache: usize = cache
-        .unwrap_or_else(|| "1024".into())
-        .parse()
-        .map_err(|_| "bad --cache")?;
-    let aggregate = match aggregate {
-        None => None,
-        Some(s) => Some(s.parse::<usize>().map_err(|_| "bad --aggregate")?),
-    };
-    let timeout = match timeout_ms {
-        None => None,
-        Some(s) => Some(std::time::Duration::from_millis(
-            s.parse::<u64>().map_err(|_| "bad --timeout-ms")?,
-        )),
-    };
-    let admission = match admission.as_deref() {
+/// What a serving command does with the opened source: optional steps,
+/// run in a fixed order — apply deltas, run queries, write answers, write
+/// the graph.
+#[derive(Default)]
+struct Plan {
+    cfg: EngineConfig,
+    /// Replicas to route the query step across (none or 1: the engine).
+    shards: Option<usize>,
+    /// `POINT[:N]` to arm before any durability IO.
+    inject: Option<String>,
+    deltas: Option<String>,
+    queries: Option<String>,
+    /// Print every answer of the query step.
+    verbose: bool,
+    answers: Option<String>,
+    graph_out: Option<String>,
+}
+
+fn plan_batch(args: &Args) -> Result<(Source, Plan), CliError> {
+    let admission = match args.get("admission") {
         None | Some("input") => AdmissionPolicy::InputOrder,
         Some("sjf") => AdmissionPolicy::ShortestJobFirst,
         Some(other) => return Err(format!("bad --admission {other:?} (want input|sjf)").into()),
     };
-    let verbose = verbose.is_some_and(|v| v != "0");
-    let shards: usize = shards
-        .unwrap_or_else(|| "1".into())
-        .parse()
-        .map_err(|_| "bad --shards")?;
-
-    let g = Arc::new(load_graph(graph_path)?);
-    let queries = load_queries(query_path)?;
     let cfg = EngineConfig {
-        pattern_budget: BudgetSpec::Ratio(alpha),
-        reach_alpha,
-        threads,
-        cache_capacity: cache,
-        aggregate_visit_budget: aggregate,
-        batch_timeout: timeout,
+        pattern_budget: BudgetSpec::Ratio(args.alpha("alpha", 0.01)?),
+        reach_alpha: args.alpha("reach-alpha", 0.05)?,
+        threads: args.num("threads", 0)?,
+        cache_capacity: args.num("cache", 1024)?,
+        aggregate_visit_budget: args.opt("aggregate")?,
+        batch_timeout: args.opt("timeout-ms")?.map(Duration::from_millis),
         admission,
         ..EngineConfig::default()
     };
-    cfg.validate()?;
-    let max_units = ResourceBudget::from_ratio(&*g, alpha).max_units;
-
-    let start = std::time::Instant::now();
-    // One report type either way; `--shards 0` is Router::new's typed
-    // RouterError::InvalidShards (exit code 2, no panic).
-    let BatchReport {
-        results,
-        stats,
-        per_shard,
-    } = if shards == 1 {
-        Engine::new(g.clone(), cfg).run_batch(&queries)
-    } else {
-        Router::new(g.clone(), cfg, shards, &LabelHashPartitioner)?.run_batch(&queries)
+    let plan = Plan {
+        cfg,
+        shards: args.opt("shards")?,
+        queries: Some(args.pos[1].to_owned()),
+        verbose: args.get("verbose").is_some_and(|v| v != "0"),
+        answers: args.owned("answers"),
+        ..Plan::default()
     };
-    let wall = start.elapsed();
-    if per_shard.len() > 1 {
-        println!("router: {shards} shards, routed by label hash");
-        for (s, sh) in per_shard.iter().enumerate() {
-            println!(
-                "  shard {s}: {} queries routed, {} visits",
-                sh.routed, sh.stats.total_visits
-            );
-        }
-    }
-
-    if verbose {
-        for (i, r) in results.iter().enumerate() {
-            println!(
-                "[{i:>4}] {}{}",
-                r.answer,
-                if r.cached { " [cached]" } else { "" }
-            );
-        }
-    }
-    println!(
-        "batch: {} queries in {wall:.2?} ({:.0} q/s)",
-        queries.len(),
-        queries.len() as f64 / wall.as_secs_f64().max(1e-9)
-    );
-    println!("{stats}");
-    let mut budget_violations = 0usize;
-    for r in &results {
-        if let Answer::Pattern { gq_size, .. } = &r.answer {
-            if *gq_size > max_units {
-                budget_violations += 1;
-            }
-        }
-    }
-    if budget_violations == 0 {
-        println!("per-query budgets respected: every |G_Q| <= {max_units} units");
-    } else {
-        return Err(format!(
-            "{budget_violations} answers exceeded the per-query budget of {max_units} units"
-        )
-        .into());
-    }
-    if let Some(path) = answers {
-        let aa: Vec<Answer> = results.iter().map(|r| r.answer.clone()).collect();
-        write_answers_atomic(&path, &aa)?;
-        println!("wrote {} answers to {path}", aa.len());
-    }
-    Ok(())
+    Ok((Source::Graph(args.pos[0].to_owned()), plan))
 }
 
-/// Serialize answers to `path` atomically: render to memory first (so a
-/// wire-format failure writes nothing), then write-temp-then-rename.
-fn write_answers_atomic(path: &str, answers: &[Answer]) -> Result<(), CliError> {
-    let mut buf = Vec::new();
-    write_answer_file(&mut buf, answers)?;
-    gio::atomic_write(std::path::Path::new(path), |w| w.write_all(&buf))
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
-    Ok(())
-}
-
-fn cmd_ingest(args: &[String]) -> Result<(), CliError> {
-    let (mut out, mut compact, mut durable, mut inject) = (None, None, None, None);
-    let pos = parse_flags(
-        args,
-        &mut [
-            ("out", &mut out),
-            ("compact", &mut compact),
-            ("durable", &mut durable),
-            ("inject", &mut inject),
-        ],
-    )?;
-    let [graph_path, delta_path] = pos.as_slice() else {
-        return Err("usage: ingest GRAPH DELTAFILE [--out FILE] [--compact 1] \
-                    [--durable DIR] [--inject POINT[:N]]"
-            .into());
+/// `ingest GRAPH DELTAFILE`: apply the batch to GRAPH in memory or, with
+/// `--durable DIR`, WAL-logged into DIR (fsync before the epoch swap). A
+/// DIR that already holds durable state is recovered first and GRAPH is
+/// ignored, so repeated durable ingests into one directory accumulate.
+fn plan_ingest(args: &Args) -> Result<(Source, Plan), CliError> {
+    let seed = args.pos[0].to_owned();
+    let source = match (args.owned("durable"), args.get("inject")) {
+        (Some(dir), _) => Source::Resume {
+            dir,
+            seed: Some(seed),
+        },
+        (None, None) => Source::Graph(seed),
+        (None, Some(_)) => {
+            return Err("--inject requires --durable (it targets the durability IO path)".into())
+        }
     };
-    if inject.is_some() && durable.is_none() {
-        return Err("--inject requires --durable (it targets the durability IO path)".into());
-    }
-    let text = std::fs::read_to_string(delta_path)
-        .map_err(|e| format!("cannot open {delta_path}: {e}"))?;
-    let file = parse_delta_file(&text).map_err(|e| CliError::Parse {
-        path: (*delta_path).to_owned(),
-        source: e,
-    })?;
-    if file.headerless {
-        eprintln!("warning: {delta_path} has no #rbq-deltas header; reading it as v1");
-    }
-
-    if let Some(dir) = durable {
-        return ingest_durable(
-            graph_path,
-            &file.batch,
-            &dir,
-            inject.as_deref(),
-            out.as_deref(),
-        );
-    }
-
-    let g = load_graph(graph_path)?;
-    let (g2, report) = g.apply_delta(&file.batch)?;
-    let g2 = if compact.is_some_and(|v| v != "0") && g2.is_overlaid() {
-        g2.compact()
-    } else {
-        g2
+    let plan = Plan {
+        inject: args.owned("inject"),
+        deltas: Some(args.pos[1].to_owned()),
+        graph_out: args.owned("out"),
+        ..Plan::default()
     };
-    print_ingest_report(file.batch.len(), &report, &g2);
-    if let Some(out) = out {
-        gio::atomic_write(std::path::Path::new(&out), |w| gio::write_graph(&g2, w))
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("wrote updated graph to {out}");
+    Ok((source, plan))
+}
+
+fn plan_snapshot(args: &Args) -> Result<(Source, Plan), CliError> {
+    let graph = args.pos[0].to_owned();
+    let dir = args.owned("out").unwrap_or_default();
+    Ok((Source::Seed { graph, dir }, Plan::default()))
+}
+
+fn plan_recover(args: &Args) -> Result<(Source, Plan), CliError> {
+    if args.get("answers").is_some() && args.get("queries").is_none() {
+        return Err("recover: --answers requires --queries".into());
     }
-    Ok(())
+    let plan = Plan {
+        queries: args.owned("queries"),
+        answers: args.owned("answers"),
+        ..Plan::default()
+    };
+    let dir = args.pos[0].to_owned();
+    Ok((Source::Resume { dir, seed: None }, plan))
 }
 
-/// Shared tail of `ingest`: the op/graph summary lines.
-fn print_ingest_report(ops: usize, report: &rbq::rbq_graph::DeltaReport, g: &Graph) {
-    println!(
-        "applied {} ops: +{} nodes, +{} edges, -{} edges; touched labels: {}",
-        ops,
-        report.nodes_added,
-        report.edges_added,
-        report.edges_removed,
-        if report.touched_labels.is_empty() {
-            "-".to_owned()
-        } else {
-            report.touched_labels.join(",")
-        }
-    );
-    println!(
-        "graph now {} nodes, {} edges{}",
-        g.node_count(),
-        g.edge_count(),
-        if report.compacted {
-            " (auto-compacted)"
-        } else if g.is_overlaid() {
-            " (overlaid)"
-        } else {
-            ""
-        }
-    );
-}
-
-/// `ingest --durable DIR`: apply the batch through an [`Engine`] whose
-/// durability hooks WAL-log it (fsync before the epoch swap). A fresh DIR
-/// is seeded with a snapshot of GRAPH; a DIR that already holds durable
-/// state is recovered first and GRAPH is ignored, so repeated durable
-/// ingests into the same directory accumulate.
-fn ingest_durable(
-    graph_path: &str,
-    batch: &rbq::rbq_graph::DeltaBatch,
-    dir: &str,
-    inject: Option<&str>,
-    out: Option<&str>,
+/// Run a serving command: read its input files (so a malformed one
+/// touches no durable state), arm `--inject`, open the source, execute
+/// the plan. Results print to `out`, warnings to `warn`.
+fn serve(
+    source: &Source,
+    plan: &Plan,
+    out: &mut dyn Write,
+    warn: &mut dyn Write,
 ) -> Result<(), CliError> {
-    // Arm the injected fault before any durability IO so the first firing
-    // of the chosen point panics — simulating a crash mid-ingest. The
-    // panic unwinds out of main: a non-zero exit with the on-disk state
-    // exactly as the crash left it, which is what `rbq recover` pins.
+    let deltas = read_input(&plan.deltas, "deltas", warn, |t| {
+        parse_delta_file(t).map(|f| (f.batch, f.headerless))
+    })?;
+    let queries = read_input(&plan.queries, "queries", warn, |t| {
+        parse_query_file(t).map(|f| (f.queries, f.headerless))
+    })?;
+    // Armed before any durability IO, so the chosen firing of the point
+    // panics — a crash mid-ingest. The panic unwinds out of main: a
+    // non-zero exit with the on-disk state exactly as the crash left it,
+    // which is what `rbq recover` pins.
     #[cfg(feature = "fault-injection")]
-    let _armed = match inject {
+    let _armed = match &plan.inject {
         Some(spec) => {
             use rbq::rbq_graph::faultpoint::{arm, FaultAction, FaultPlan, REGISTRY};
-            let (name, nth) = match spec.split_once(':') {
-                Some((p, n)) => (
-                    p,
-                    n.parse::<u64>()
-                        .map_err(|_| format!("bad --inject count in {spec:?}"))?,
-                ),
-                // N is the 0-based hit to trigger on, matching
-                // FaultPlan::on_nth; default: the first firing.
-                None => (spec, 0),
-            };
-            let point = REGISTRY
-                .iter()
-                .copied()
-                .find(|&r| r == name)
+            // N is the 0-based hit to trigger on, matching
+            // FaultPlan::on_nth; default: the first firing.
+            let (name, nth) = spec.split_once(':').unwrap_or((spec, "0"));
+            let nth = nth
+                .parse()
+                .map_err(|_| format!("bad --inject count in {spec:?}"))?;
+            let point = REGISTRY.iter().copied().find(|&r| r == name);
+            let point = point
                 .ok_or_else(|| format!("unknown faultpoint {name:?}; see faultpoint::REGISTRY"))?;
-            eprintln!("fault injection armed: panic at {point}, firing #{nth}");
+            writeln!(
+                warn,
+                "fault injection armed: panic at {point}, firing #{nth}"
+            )?;
             Some(arm(FaultPlan::new().on_nth(point, nth, FaultAction::Panic)))
         }
         None => None,
     };
     #[cfg(not(feature = "fault-injection"))]
-    if let Some(spec) = inject {
-        eprintln!(
-            "warning: --inject {spec} ignored (binary built without the fault-injection feature)"
-        );
+    if let Some(spec) = &plan.inject {
+        let why = "binary built without the fault-injection feature";
+        writeln!(warn, "warning: --inject {spec} ignored ({why})")?;
     }
-
-    let dir_path = std::path::Path::new(dir);
-    let cfg = EngineConfig::default();
-    let engine = if dir_path
-        .join(rbq::rbq_graph::snapshot::SNAPSHOT_FILE)
-        .exists()
-    {
-        eprintln!("note: {dir} already holds durable state; {graph_path} is ignored");
-        let (engine, rec) = Engine::recover(dir_path, cfg)?;
-        println!(
-            "recovered {} nodes, {} edges (snapshot seq {}, {} batches replayed)",
-            rec.nodes, rec.edges, rec.snapshot_seq, rec.replayed
-        );
-        engine
-    } else {
-        let g = Arc::new(load_graph(graph_path)?);
-        let engine = Engine::new(g, cfg);
-        engine.enable_durability(dir_path)?;
-        engine
-    };
-    let report = engine.apply_deltas(batch)?;
-    let g2 = engine.graph();
-    print_ingest_report(batch.len(), &report, &g2);
-    println!("durable state in {dir}");
-    if let Some(out) = out {
-        gio::atomic_write(std::path::Path::new(out), |w| gio::write_graph(&g2, w))
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("wrote updated graph to {out}");
-    }
-    Ok(())
+    let engine = open(source, &plan.cfg, out, warn)?;
+    execute(plan, &engine, deltas, queries, out)
 }
 
-fn cmd_snapshot(args: &[String]) -> Result<(), CliError> {
-    let mut out = None;
-    let pos = parse_flags(args, &mut [("out", &mut out)])?;
-    let [graph_path] = pos.as_slice() else {
-        return Err("usage: snapshot GRAPH --out DIR".into());
-    };
-    let Some(out) = out else {
-        return Err("snapshot: --out DIR is required".into());
-    };
-    let g = load_graph(graph_path)?;
-    Durability::create(std::path::Path::new(&out), &g)?;
-    println!(
-        "snapshot: {} nodes, {} edges -> {out} (seq 0, fresh WAL)",
-        g.node_count(),
-        g.edge_count()
-    );
-    Ok(())
+/// Read a wire-format input file, if the plan names one: a parse error is
+/// tagged with the path, and a file without its `#rbq-{kind}` header is
+/// read as v1 with a warning.
+fn read_input<T>(
+    path: &Option<String>,
+    kind: &str,
+    warn: &mut dyn Write,
+    parse: impl FnOnce(&str) -> Result<(T, bool), QueryParseError>,
+) -> Result<Option<T>, CliError> {
+    let Some(path) = path else { return Ok(None) };
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let (body, headerless) = parse(&text).map_err(|source| {
+        let path = path.to_owned();
+        CliError::Parse { path, source }
+    })?;
+    if headerless {
+        writeln!(
+            warn,
+            "warning: {path} has no #rbq-{kind} header; reading it as v1"
+        )?;
+    }
+    Ok(Some(body))
 }
 
-fn cmd_recover(args: &[String]) -> Result<(), CliError> {
-    let (mut queries, mut answers) = (None, None);
-    let pos = parse_flags(
-        args,
-        &mut [("queries", &mut queries), ("answers", &mut answers)],
-    )?;
-    let [dir] = pos.as_slice() else {
-        return Err("usage: recover DIR [--queries FILE] [--answers FILE]".into());
-    };
-    if answers.is_some() && queries.is_none() {
-        return Err("recover: --answers requires --queries".into());
-    }
-    let (engine, report) = Engine::recover(std::path::Path::new(dir), EngineConfig::default())?;
-    println!(
-        "recovered {} nodes, {} edges from {dir} \
-         (snapshot seq {}, {} batches replayed, {} skipped, last seq {})",
-        report.nodes,
-        report.edges,
-        report.snapshot_seq,
-        report.replayed,
-        report.skipped,
-        report.last_seq
-    );
-    if report.torn_tail {
-        eprintln!("warning: WAL ended mid-record; torn tail truncated");
-    }
-    if report.quarantined > 0 {
-        eprintln!(
-            "warning: {} corrupt WAL record(s) quarantined; serving the valid prefix",
-            report.quarantined
-        );
-    }
-    if let Some(qpath) = queries {
-        let qs = load_queries(&qpath)?;
-        let batch = engine.run_batch(&qs);
-        println!("batch: {} queries", qs.len());
-        println!("{}", batch.stats);
-        if let Some(apath) = answers {
-            let aa: Vec<Answer> = batch.results.iter().map(|r| r.answer.clone()).collect();
-            write_answers_atomic(&apath, &aa)?;
-            println!("wrote {} answers to {apath}", aa.len());
+/// The opener: build the engine a source describes. A durable source
+/// reports here, whichever command opened it — what seeding wrote or
+/// what recovery found to `out`, and any damage recovery cut off to
+/// `warn`.
+fn open(
+    source: &Source,
+    cfg: &EngineConfig,
+    out: &mut dyn Write,
+    warn: &mut dyn Write,
+) -> Result<Engine, CliError> {
+    cfg.validate()?;
+    let (graph, dir) = match source {
+        Source::Graph(graph) => (graph, None),
+        Source::Seed { graph, dir } => (graph, Some(Path::new(dir))),
+        Source::Resume {
+            dir,
+            seed: Some(graph),
+        } if !Path::new(dir).join(SNAPSHOT_FILE).exists() => (graph, Some(Path::new(dir))),
+        Source::Resume { dir, seed } => {
+            if let Some(graph) = seed {
+                writeln!(
+                    warn,
+                    "note: {dir} already holds durable state; {graph} is ignored"
+                )?;
+            }
+            let (engine, rec) = Engine::recover(Path::new(dir), cfg.clone())?;
+            writeln!(
+                out,
+                "recovered {} nodes, {} edges from {dir} \
+                 (snapshot seq {}, {} batches replayed, {} skipped, last seq {})",
+                rec.nodes, rec.edges, rec.snapshot_seq, rec.replayed, rec.skipped, rec.last_seq
+            )?;
+            if rec.torn_tail {
+                writeln!(warn, "warning: WAL ended mid-record; torn tail truncated")?;
+            }
+            if rec.quarantined > 0 {
+                let n = rec.quarantined;
+                writeln!(
+                    warn,
+                    "warning: {n} corrupt WAL record(s) quarantined; serving the valid prefix"
+                )?;
+            }
+            return Ok(engine);
         }
+    };
+    let g = Arc::new(load_graph(graph)?);
+    let engine = Engine::new(g.clone(), cfg.clone());
+    if let Some(dir) = dir {
+        engine.enable_durability(dir)?;
+        let (n, m) = (g.node_count(), g.edge_count());
+        writeln!(
+            out,
+            "snapshot: {n} nodes, {m} edges -> {} (seq 0, fresh WAL)",
+            dir.display()
+        )?;
+    }
+    Ok(engine)
+}
+
+/// The executor: run a plan's steps against the opened engine, in order —
+/// apply the delta batch, run the query batch (routed across `--shards`
+/// replicas when more than one), write the answers, write the graph.
+fn execute(
+    plan: &Plan,
+    engine: &Engine,
+    deltas: Option<DeltaBatch>,
+    queries: Option<Vec<Query>>,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
+    if let Some(batch) = &deltas {
+        let r = engine.apply_deltas(batch)?;
+        let touched = Some(r.touched_labels.join(",")).filter(|t| !t.is_empty());
+        let touched = touched.unwrap_or_else(|| "-".to_owned());
+        let (ops, nodes, added, removed) =
+            (batch.len(), r.nodes_added, r.edges_added, r.edges_removed);
+        let change = format!("+{nodes} nodes, +{added} edges, -{removed} edges");
+        writeln!(
+            out,
+            "applied {ops} ops: {change}; touched labels: {touched}"
+        )?;
+        let g = engine.graph();
+        let shape = match (r.compacted, g.is_overlaid()) {
+            (true, _) => " (auto-compacted)",
+            (false, true) => " (overlaid)",
+            (false, false) => "",
+        };
+        let (n, m) = (g.node_count(), g.edge_count());
+        writeln!(out, "graph now {n} nodes, {m} edges{shape}")?;
+    }
+    if let Some(queries) = &queries {
+        let start = Instant::now();
+        // One report type either way; `--shards 0` is Router::new's typed
+        // RouterError::InvalidShards (exit code 2, no panic).
+        let report = match plan.shards {
+            None | Some(1) => engine.run_batch(queries),
+            Some(k) => {
+                let router =
+                    Router::new(engine.graph(), plan.cfg.clone(), k, &LabelHashPartitioner);
+                router?.run_batch(queries)
+            }
+        };
+        let wall = start.elapsed();
+        let k = report.per_shard.len();
+        if k > 1 {
+            writeln!(out, "router: {k} shards, routed by label hash")?;
+            for (s, sh) in report.per_shard.iter().enumerate() {
+                let (routed, visits) = (sh.routed, sh.stats.total_visits);
+                writeln!(out, "  shard {s}: {routed} queries routed, {visits} visits")?;
+            }
+        }
+        if plan.verbose {
+            for (i, r) in report.results.iter().enumerate() {
+                let cached = if r.cached { " [cached]" } else { "" };
+                writeln!(out, "[{i:>4}] {}{cached}", r.answer)?;
+            }
+        }
+        let n = queries.len();
+        let qps = n as f64 / wall.as_secs_f64().max(1e-9);
+        writeln!(out, "batch: {n} queries in {wall:.2?} ({qps:.0} q/s)")?;
+        writeln!(out, "{}", report.stats)?;
+        let max_units = engine.pattern_budget().max_units;
+        let over = (report.results.iter())
+            .filter(|r| matches!(r.answer, Answer::Pattern { gq_size, .. } if gq_size > max_units))
+            .count();
+        if over > 0 {
+            let why = format!("{over} answers exceeded the per-query budget of {max_units} units");
+            return Err(why.into());
+        }
+        let respected = format!("every |G_Q| <= {max_units} units");
+        writeln!(out, "per-query budgets respected: {respected}")?;
+        if let Some(path) = &plan.answers {
+            // Rendered to memory first, so a wire-format failure writes
+            // nothing.
+            let answers: Vec<Answer> = report.results.into_iter().map(|r| r.answer).collect();
+            let mut buf = Vec::new();
+            write_answer_file(&mut buf, &answers)?;
+            save(path, |w| w.write_all(&buf))?;
+            writeln!(out, "wrote {} answers to {path}", answers.len())?;
+        }
+    }
+    if let Some(path) = &plan.graph_out {
+        let g = engine.graph();
+        save(path, |w| gio::write_graph(&g, w))?;
+        writeln!(out, "wrote updated graph to {path}")?;
     }
     Ok(())
 }
@@ -1037,6 +975,21 @@ mod tests {
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Run a serving command line through [`serve`], capturing what it
+    /// prints as `(stdout, stderr)`.
+    fn serve_captured(parts: &[&str]) -> Result<(String, String), CliError> {
+        let args = argv(parts);
+        let (action, parsed) = parse_command(&args)?;
+        let Action::Serve(plan) = action else {
+            panic!("{} is not a serving command", parts[0]);
+        };
+        let (source, plan) = plan(&parsed)?;
+        let (mut out, mut warn) = (Vec::new(), Vec::new());
+        serve(&source, &plan, &mut out, &mut warn)?;
+        let text = |b: Vec<u8>| String::from_utf8(b).expect("utf-8 output");
+        Ok((text(out), text(warn)))
     }
 
     #[test]
@@ -1372,5 +1325,111 @@ mod tests {
         assert_eq!(parsed.queries.len(), 8);
         let _ = std::fs::remove_file(&g);
         let _ = std::fs::remove_file(&qpath);
+    }
+
+    #[test]
+    fn durable_and_in_memory_ingest_write_the_same_graph_and_report() {
+        let g = temp_graph("ingest_same");
+        let tmp = std::env::temp_dir();
+        let pid = std::process::id();
+        let dir = tmp.join(format!("rbq_cli_same_state_{pid}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dpath = tmp.join(format!("rbq_cli_same_delta_{pid}.txt"));
+        let mem_path = tmp.join(format!("rbq_cli_same_mem_{pid}.txt"));
+        let dur_path = tmp.join(format!("rbq_cli_same_dur_{pid}.txt"));
+        std::fs::write(&dpath, "#rbq-deltas v2\nan C\nae 2 3\nre 0 1\n").expect("write deltas");
+        let (dir_s, d, mem_o, dur_o) = (
+            dir.to_string_lossy().into_owned(),
+            dpath.to_string_lossy().into_owned(),
+            mem_path.to_string_lossy().into_owned(),
+            dur_path.to_string_lossy().into_owned(),
+        );
+
+        let (mem, _) = serve_captured(&["ingest", &g, &d, "--out", &mem_o]).expect("ingest");
+        let (dur, _) = serve_captured(&["ingest", &g, &d, "--durable", &dir_s, "--out", &dur_o])
+            .expect("durable ingest");
+        assert_eq!(
+            std::fs::read(&mem_path).expect("in-memory graph"),
+            std::fs::read(&dur_path).expect("durable graph")
+        );
+        let report = |out: &str| -> Vec<String> {
+            out.lines()
+                .filter(|l| l.starts_with("applied ") || l.starts_with("graph now "))
+                .map(str::to_owned)
+                .collect()
+        };
+        assert_eq!(report(&mem), report(&dur));
+        assert_eq!(report(&mem).len(), 2, "{mem}");
+
+        let _ = std::fs::remove_file(&g);
+        for p in [&dpath, &mem_path, &dur_path] {
+            let _ = std::fs::remove_file(p);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ingest_compact_is_an_unknown_flag() {
+        let g = temp_graph("compact_gone");
+        let dpath =
+            std::env::temp_dir().join(format!("rbq_cli_cmpdelta_{}.txt", std::process::id()));
+        std::fs::write(&dpath, "#rbq-deltas v2\nan C\n").expect("write deltas");
+        let d = dpath.to_string_lossy().into_owned();
+        let err = run(&argv(&["ingest", &g, &d, "--compact", "1"])).unwrap_err();
+        assert!(err.to_string().contains("unknown flag"), "{err}");
+        let _ = std::fs::remove_file(&g);
+        let _ = std::fs::remove_file(&dpath);
+    }
+
+    #[test]
+    fn torn_wal_tail_is_reported_whichever_command_opens_it() {
+        let g = temp_graph("torn");
+        let tmp = std::env::temp_dir();
+        let pid = std::process::id();
+        let dirs = [
+            tmp.join(format!("rbq_cli_torn_ingest_{pid}")),
+            tmp.join(format!("rbq_cli_torn_recover_{pid}")),
+        ];
+        let dpath = tmp.join(format!("rbq_cli_torn_delta_{pid}.txt"));
+        let d2path = tmp.join(format!("rbq_cli_torn_delta2_{pid}.txt"));
+        std::fs::write(&dpath, "#rbq-deltas v2\nan C\nae 2 3\n").expect("write deltas");
+        std::fs::write(&d2path, "#rbq-deltas v2\nan D\nae 3 4\n").expect("write deltas");
+        let (d, d2) = (
+            dpath.to_string_lossy().into_owned(),
+            d2path.to_string_lossy().into_owned(),
+        );
+        let [a, b] = dirs.clone().map(|p| p.to_string_lossy().into_owned());
+        for dir in [&a, &b] {
+            let _ = std::fs::remove_dir_all(dir);
+            serve_captured(&["ingest", &g, &d, "--durable", dir]).expect("seed");
+            // A crash mid-append leaves a partial record at the WAL's tail.
+            let wal = Path::new(dir).join(rbq::rbq_graph::wal::WAL_FILE);
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(wal)
+                .expect("open WAL");
+            f.write_all(&[42, 0, 0, 0, 1]).expect("tear WAL");
+        }
+
+        let (ingested, ingest_warn) =
+            serve_captured(&["ingest", &g, &d2, "--durable", &a]).expect("ingest");
+        let (recovered, recover_warn) = serve_captured(&["recover", &b]).expect("recover");
+        let torn = "warning: WAL ended mid-record; torn tail truncated";
+        assert!(ingest_warn.contains(torn), "{ingest_warn}");
+        assert!(recover_warn.contains(torn), "{recover_warn}");
+        let report = |out: &str, dir: &str| {
+            out.lines()
+                .find(|l| l.starts_with("recovered "))
+                .map(|l| l.replace(dir, "DIR"))
+        };
+        assert_eq!(report(&ingested, &a), report(&recovered, &b));
+        assert!(report(&ingested, &a).is_some(), "{ingested}");
+
+        let _ = std::fs::remove_file(&g);
+        let _ = std::fs::remove_file(&dpath);
+        let _ = std::fs::remove_file(&d2path);
+        for dir in &dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }

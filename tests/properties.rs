@@ -226,7 +226,7 @@ proptest! {
         use rbq_pattern::{bisimulation_compress, dual_simulation};
         let Ok(q) = p.resolve(&g) else { return Ok(()); };
         let direct = dual_simulation(&q, &g, None)
-            .map(|d| d.matches_sorted(q.uo()).to_vec())
+            .map(|d| d.matches(q.uo()).to_vec())
             .unwrap_or_default();
         let c = bisimulation_compress(&g);
         let Ok(qc) = p.resolve(&c.quotient) else { return Ok(()); };

@@ -23,7 +23,7 @@ fn same_dual_sim(p: &Pattern, warm: Option<DualSim>, fresh: Option<DualSim>) -> 
     prop_assert_eq!(warm.is_some(), fresh.is_some(), "existence mismatch");
     if let (Some(a), Some(b)) = (warm, fresh) {
         for u in p.nodes() {
-            prop_assert_eq!(a.matches_sorted(u), b.matches_sorted(u));
+            prop_assert_eq!(a.matches(u), b.matches(u));
         }
     }
     Ok(())

@@ -9,7 +9,7 @@
 //! strong-simulation semantics matches the reduction's behavior.
 
 use rbq_graph::{DynamicSubgraph, Graph, GraphBuilder, GraphView, NodeId};
-use rbq_pattern::{strong_simulation_on_view, PatternBuilder, ResolvedPattern};
+use rbq_pattern::{strong_simulation, PatternBuilder, ResolvedPattern};
 
 /// Set-cover instance: universe X = {0,1,2,3}, family F with minimum cover
 /// size 2 ({C0, C2}).
@@ -62,7 +62,7 @@ fn answer_with_sets(gadget: &Gadget, chosen: &[usize]) -> Vec<NodeId> {
     nodes.extend(chosen.iter().map(|&j| gadget.sets[j]));
     nodes.extend(gadget.elems.iter().copied());
     let sub = DynamicSubgraph::induced(&gadget.g, nodes);
-    strong_simulation_on_view(&gadget.q, &sub)
+    strong_simulation(&gadget.q, &sub)
 }
 
 #[test]
