@@ -1,9 +1,10 @@
 //! Criterion benches for the dynamic-reduction core (`Search`/`Pick`,
-//! Fig. 3): every `PickPolicy`, a spread of resource ratios α, and — the
-//! PR-5 axis — scratch reuse vs fresh construction per query. The scratch
-//! rows are the steady-state serving configuration (`rbq_engine` holds one
-//! `ReductionScratch` per worker); the fresh rows pay the former per-query
-//! setup cost and bound what reuse buys.
+//! Fig. 3): both matching semantics (simulation for RBSim, isomorphism for
+//! RBSub, whose guard runs the Hall check), every `PickPolicy`, a spread of
+//! resource ratios α, and scratch reuse vs fresh construction per query.
+//! The scratch rows are the steady-state serving configuration
+//! (`rbq_engine` holds one `ReductionScratch` per worker); the fresh rows
+//! pay the former per-query setup cost and bound what reuse buys.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rbq_bench::{ExpConfig, PatternDataset};
@@ -29,46 +30,44 @@ fn reduction_20k(c: &mut Criterion) {
     assert!(!qs.is_empty(), "no patterns extracted");
     let mut group = c.benchmark_group("reduction_20k");
     group.sample_size(10);
-    for policy in [PickPolicy::Weighted, PickPolicy::Fifo, PickPolicy::Random] {
-        for alpha in [0.01f64, 0.1, 0.5] {
-            let budget = ResourceBudget::from_ratio(&*ds.g, alpha);
-            let config = ReductionConfig {
-                pick_policy: policy,
-                ..Default::default()
-            };
-            let mut scratch = ReductionScratch::new();
-            group.bench_function(format!("search/{policy:?}/a{alpha}/scratch"), |b| {
-                b.iter(|| {
-                    for q in &qs {
-                        let out = search_reduced_graph_scratch(
-                            &ds.g,
-                            &ds.idx,
-                            q,
-                            &budget,
-                            Semantics::Simulation,
-                            config,
-                            &mut scratch,
-                        );
-                        black_box(&out.visits);
-                        scratch.recycle(out.gq);
-                    }
-                })
-            });
-            group.bench_function(format!("search/{policy:?}/a{alpha}/fresh"), |b| {
-                b.iter(|| {
-                    for q in &qs {
-                        let out = search_reduced_graph_with(
-                            &ds.g,
-                            &ds.idx,
-                            q,
-                            &budget,
-                            Semantics::Simulation,
-                            config,
-                        );
-                        black_box(&out.visits);
-                    }
-                })
-            });
+    for semantics in [Semantics::Simulation, Semantics::Isomorphism] {
+        for policy in [PickPolicy::Weighted, PickPolicy::Fifo, PickPolicy::Random] {
+            for alpha in [0.01f64, 0.1, 0.5] {
+                let budget = ResourceBudget::from_ratio(&*ds.g, alpha);
+                let config = ReductionConfig {
+                    pick_policy: policy,
+                    ..Default::default()
+                };
+                let row = format!("search/{semantics:?}/{policy:?}/a{alpha}");
+                let mut scratch = ReductionScratch::new();
+                group.bench_function(format!("{row}/scratch"), |b| {
+                    b.iter(|| {
+                        for q in &qs {
+                            let out = search_reduced_graph_scratch(
+                                &ds.g,
+                                &ds.idx,
+                                q,
+                                &budget,
+                                semantics,
+                                config,
+                                &mut scratch,
+                            );
+                            black_box(&out.visits);
+                            scratch.recycle(out.gq);
+                        }
+                    })
+                });
+                group.bench_function(format!("{row}/fresh"), |b| {
+                    b.iter(|| {
+                        for q in &qs {
+                            let out = search_reduced_graph_with(
+                                &ds.g, &ds.idx, q, &budget, semantics, config,
+                            );
+                            black_box(&out.visits);
+                        }
+                    })
+                });
+            }
         }
     }
     group.finish();

@@ -9,7 +9,10 @@
 //!   [`NeighborIndex`], like the paper's `S_l`). For subgraph isomorphism
 //!   (§4.2) the guard is enriched with degree constraints: every query
 //!   neighbor `u'` needs a *distinct* data neighbor with the same label and
-//!   degree `≥ deg(u')`.
+//!   degree `≥ deg(u')`. That Hall check runs on the two `(label, degree)`
+//!   buffers of a caller-owned [`GuardScratch`], sorted by label and then
+//!   degree descending and compared label group by label group, so a warm
+//!   guard evaluation never allocates.
 //! * **Cost `c(v, u)`** — how many query neighbors of `u` still lack a
 //!   candidate among `v`'s neighbors *already in `G_Q`* (the extra nodes a
 //!   commitment to `v` would pull in).
@@ -21,9 +24,9 @@
 
 use crate::neighbor_index::NeighborIndex;
 use rbq_graph::traverse::VisitStats;
-use rbq_graph::{DynamicSubgraph, Graph, GraphView, NodeId};
+use rbq_graph::{DynamicSubgraph, Graph, GraphView, Label, NodeId};
 use rbq_pattern::{PNode, ResolvedPattern};
-use rustc_hash::FxHashMap;
+use std::cmp::Ordering;
 
 /// Which matching semantics the reduction serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +35,23 @@ pub enum Semantics {
     Simulation,
     /// Subgraph isomorphism (RBSub, §4.2).
     Isomorphism,
+}
+
+/// Caller-owned `(label, degree)` buffers for the isomorphism guard's Hall
+/// check and the cost scan; thread one through repeated evaluations and
+/// neither allocates once warm.
+#[derive(Debug, Clone, Default)]
+pub struct GuardScratch {
+    /// The query side: `(label, pattern degree)` of `u`'s neighbors.
+    query: Vec<(Label, u32)>,
+    /// The data side: `(label, degree)` of `v`'s neighbors.
+    data: Vec<(Label, u32)>,
+}
+
+/// Label ascending, then degree descending: each label's group starts with
+/// its largest degree.
+fn label_then_degree_desc(a: &(Label, u32), b: &(Label, u32)) -> Ordering {
+    a.0.cmp(&b.0).then(b.1.cmp(&a.1))
 }
 
 /// Shared context for guard/cost/potential evaluation.
@@ -62,14 +82,22 @@ impl<'a> GuardCtx<'a> {
         }
     }
 
-    /// The guarded condition `C(v, u)`.
-    pub fn guard(&self, v: NodeId, u: PNode, acc: &mut VisitStats) -> bool {
+    /// The guarded condition `C(v, u)`. A label mismatch is rejected before
+    /// anything is charged to `acc`.
+    // rbq-lint: hot
+    pub fn guard(
+        &self,
+        v: NodeId,
+        u: PNode,
+        acc: &mut VisitStats,
+        scratch: &mut GuardScratch,
+    ) -> bool {
         if self.g.node_label(v) != self.q.label(u) {
             return false;
         }
         match self.semantics {
             Semantics::Simulation => self.guard_sim(v, u, acc),
-            Semantics::Isomorphism => self.guard_sub(v, u, acc),
+            Semantics::Isomorphism => self.guard_sub(v, u, acc, scratch),
         }
     }
 
@@ -95,121 +123,103 @@ impl<'a> GuardCtx<'a> {
 
     /// Isomorphism guard: per direction and label, the multiset of query
     /// neighbor degrees must be dominated by distinct data-neighbor degrees.
-    fn guard_sub(&self, v: NodeId, u: PNode, acc: &mut VisitStats) -> bool {
+    // rbq-lint: hot
+    fn guard_sub(&self, v: NodeId, u: PNode, acc: &mut VisitStats, s: &mut GuardScratch) -> bool {
         acc.node();
         let p = self.q.pattern();
         // Quick degree screen.
         if self.g.deg_out(v) < p.out(u).len() || self.g.deg_in(v) < p.inn(u).len() {
             return false;
         }
-        self.feasible_dir(v, u, true, acc) && self.feasible_dir(v, u, false, acc)
+        self.feasible_dir(v, u, true, acc, s) && self.feasible_dir(v, u, false, acc, s)
     }
 
-    /// Hall-style feasibility for one direction: group query neighbors by
-    /// label with required degrees, then greedily consume the sorted data
-    /// neighbor degrees. Correct because the constraint is a single scalar
+    /// Hall-style feasibility for one direction. `s.query` holds the query
+    /// neighbors' `(label, required degree)`, `s.data` the `(label, degree)`
+    /// of the data neighbors whose label some query neighbor carries, both
+    /// sorted label ascending and degree descending. Each query label group
+    /// must then be dominated position by position by the same label's data
+    /// group: the `i`-th largest requirement needs an `i`-th largest degree
+    /// at least as large. Correct because the constraint is a single scalar
     /// threshold (exchange argument).
-    fn feasible_dir(&self, v: NodeId, u: PNode, out: bool, acc: &mut VisitStats) -> bool {
+    // rbq-lint: hot
+    fn feasible_dir(
+        &self,
+        v: NodeId,
+        u: PNode,
+        out: bool,
+        acc: &mut VisitStats,
+        s: &mut GuardScratch,
+    ) -> bool {
         let p = self.q.pattern();
         let qn: &[PNode] = if out { p.out(u) } else { p.inn(u) };
         if qn.is_empty() {
             return true;
         }
-        // label -> sorted (desc) required degrees
-        let mut req: FxHashMap<rbq_graph::Label, Vec<u32>> = FxHashMap::default();
-        for &uq in qn {
-            req.entry(self.q.label(uq))
-                .or_default()
-                .push(p.degree(uq) as u32);
-        }
+        let need = &mut s.query;
+        need.clear();
+        need.extend(qn.iter().map(|&uq| (self.q.label(uq), p.degree(uq) as u32)));
+        need.sort_unstable_by(label_then_degree_desc);
         let dn: &[NodeId] = if out { self.g.out(v) } else { self.g.inn(v) };
         acc.edges(dn.len());
-        // label -> sorted (desc) available degrees
-        let mut avail: FxHashMap<rbq_graph::Label, Vec<u32>> = FxHashMap::default();
+        let have = &mut s.data;
+        have.clear();
         for &w in dn {
             let lw = self.g.node_label(w);
-            if req.contains_key(&lw) {
-                avail.entry(lw).or_default().push(self.idx.degree(w));
+            if need.iter().any(|&(l, _)| l == lw) {
+                have.push((lw, self.idx.degree(w)));
             }
         }
-        for (l, mut need) in req {
-            let Some(have) = avail.get_mut(&l) else {
-                return false;
-            };
-            if have.len() < need.len() {
+        have.sort_unstable_by(label_then_degree_desc);
+        // Every data label occurs in `need`, so the data groups come in the
+        // same label order as the query groups and each query group's data
+        // group (possibly empty) is a prefix of what is left.
+        let mut rest = &have[..];
+        for group in need.chunk_by(|a, b| a.0 == b.0) {
+            let n = rest.iter().take_while(|h| h.0 == group[0].0).count();
+            let (avail, tail) = rest.split_at(n);
+            if avail.len() < group.len() || group.iter().zip(avail).any(|(r, h)| h.1 < r.1) {
                 return false;
             }
-            need.sort_unstable_by(|a, b| b.cmp(a));
-            have.sort_unstable_by(|a, b| b.cmp(a));
-            if need.iter().zip(have.iter()).any(|(n, h)| h < n) {
-                return false;
-            }
+            rest = tail;
         }
         true
     }
 
     /// The dynamic cost `c(v, u)`: query neighbors of `u` without a
-    /// suitable candidate among `v`'s neighbors already in `G_Q`.
-    pub fn cost(&self, v: NodeId, u: PNode, gq: &DynamicSubgraph<'_>, acc: &mut VisitStats) -> u32 {
-        let mut out_buf = Vec::new();
-        let mut in_buf = Vec::new();
-        self.cost_with(v, u, gq, acc, &mut out_buf, &mut in_buf)
-    }
-
-    /// [`GuardCtx::cost`] with caller-owned `(label, degree)` scratch
-    /// buffers, so the reduction's `Pick` scoring never allocates.
-    pub fn cost_with(
+    /// suitable candidate among `v`'s neighbors already in `G_Q`. Both of
+    /// `v`'s adjacency lists are scanned and charged in full.
+    // rbq-lint: hot
+    pub fn cost(
         &self,
         v: NodeId,
         u: PNode,
         gq: &DynamicSubgraph<'_>,
         acc: &mut VisitStats,
-        out_buf: &mut Vec<(rbq_graph::Label, u32)>,
-        in_buf: &mut Vec<(rbq_graph::Label, u32)>,
+        scratch: &mut GuardScratch,
     ) -> u32 {
         let p = self.q.pattern();
-        let mut missing = 0u32;
-        // Gather (label, degree) of v's neighbors already in G_Q, per
-        // direction, in one scan.
-        out_buf.clear();
-        {
-            let list = self.g.out(v);
-            acc.edges(list.len());
-            out_buf.extend(
-                list.iter()
-                    .filter(|w| gq.contains(**w))
-                    .map(|&w| (self.g.node_label(w), self.idx.degree(w))),
-            );
-        }
-        in_buf.clear();
-        {
-            let list = self.g.inn(v);
-            acc.edges(list.len());
-            in_buf.extend(
-                list.iter()
-                    .filter(|w| gq.contains(**w))
-                    .map(|&w| (self.g.node_label(w), self.idx.degree(w))),
-            );
-        }
         let need_degree = self.semantics == Semantics::Isomorphism;
-        for &uc in p.out(u) {
-            let l = self.q.label(uc);
-            let d = p.degree(uc) as u32;
-            let ok = out_buf
-                .iter()
-                .any(|&(lw, dw)| lw == l && (!need_degree || dw >= d));
-            if !ok {
-                missing += 1;
-            }
-        }
-        for &up_ in p.inn(u) {
-            let l = self.q.label(up_);
-            let d = p.degree(up_) as u32;
-            let ok = in_buf
-                .iter()
-                .any(|&(lw, dw)| lw == l && (!need_degree || dw >= d));
-            if !ok {
-                missing += 1;
+        let mut missing = 0u32;
+        for (list, qn) in [(self.g.out(v), p.out(u)), (self.g.inn(v), p.inn(u))] {
+            // (label, degree) of v's neighbors already in G_Q, this direction.
+            acc.edges(list.len());
+            let in_gq = &mut scratch.data;
+            in_gq.clear();
+            in_gq.extend(
+                list.iter()
+                    .filter(|w| gq.contains(**w))
+                    .map(|&w| (self.g.node_label(w), self.idx.degree(w))),
+            );
+            for &uq in qn {
+                let l = self.q.label(uq);
+                let d = p.degree(uq) as u32;
+                let ok = in_gq
+                    .iter()
+                    .any(|&(lw, dw)| lw == l && (!need_degree || dw >= d));
+                if !ok {
+                    missing += 1;
+                }
             }
         }
         missing
@@ -300,9 +310,10 @@ impl<'a> GuardCtx<'a> {
         u: PNode,
         gq: &DynamicSubgraph<'_>,
         acc: &mut VisitStats,
+        scratch: &mut GuardScratch,
     ) -> f64 {
         let p = self.potential(v, u, acc) as f64;
-        let c = self.cost(v, u, gq, acc) as f64;
+        let c = self.cost(v, u, gq, acc, scratch) as f64;
         p / (c + 1.0)
     }
 }
@@ -312,6 +323,7 @@ mod tests {
     use super::*;
     use rbq_graph::GraphBuilder;
     use rbq_pattern::pattern::fig1_pattern;
+    use rustc_hash::FxHashMap;
 
     /// Fig. 1 fragment used by Example 4.
     fn fig1() -> (Graph, FxHashMap<&'static str, NodeId>) {
@@ -355,10 +367,11 @@ mod tests {
         let (idx, q) = ctx_parts(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Simulation);
         let mut acc = VisitStats::default();
+        let mut gs = GuardScratch::default();
         // cc2 has a CL child but no Michael parent.
-        assert!(!ctx.guard(m["cc2"], Q_CC, &mut acc));
-        assert!(ctx.guard(m["cc1"], Q_CC, &mut acc));
-        assert!(ctx.guard(m["cc3"], Q_CC, &mut acc));
+        assert!(!ctx.guard(m["cc2"], Q_CC, &mut acc, &mut gs));
+        assert!(ctx.guard(m["cc1"], Q_CC, &mut acc, &mut gs));
+        assert!(ctx.guard(m["cc3"], Q_CC, &mut acc, &mut gs));
     }
 
     #[test]
@@ -378,12 +391,13 @@ mod tests {
         let (idx, q) = ctx_parts(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Simulation);
         let mut acc = VisitStats::default();
+        let mut gs = GuardScratch::default();
         let mut gq = DynamicSubgraph::new(&g);
         gq.add_node(m["michael"]);
         // Paper: both cc1 and cc3 have cost 1 (CL child not in G_Q yet,
         // Michael parent already present).
-        assert_eq!(ctx.cost(m["cc1"], Q_CC, &gq, &mut acc), 1);
-        assert_eq!(ctx.cost(m["cc3"], Q_CC, &gq, &mut acc), 1);
+        assert_eq!(ctx.cost(m["cc1"], Q_CC, &gq, &mut acc, &mut gs), 1);
+        assert_eq!(ctx.cost(m["cc3"], Q_CC, &gq, &mut acc, &mut gs), 1);
     }
 
     #[test]
@@ -392,10 +406,11 @@ mod tests {
         let (idx, q) = ctx_parts(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Simulation);
         let mut acc = VisitStats::default();
+        let mut gs = GuardScratch::default();
         let mut gq = DynamicSubgraph::new(&g);
         gq.add_node(m["michael"]);
-        let w1 = ctx.weight(m["cc1"], Q_CC, &gq, &mut acc);
-        let w3 = ctx.weight(m["cc3"], Q_CC, &gq, &mut acc);
+        let w1 = ctx.weight(m["cc1"], Q_CC, &gq, &mut acc, &mut gs);
+        let w3 = ctx.weight(m["cc3"], Q_CC, &gq, &mut acc, &mut gs);
         assert!(w1 > w3, "paper ranks Sp = [cc1, cc3]");
         assert!((w1 - 1.5).abs() < 1e-12);
         assert!((w3 - 1.0).abs() < 1e-12);
@@ -407,12 +422,13 @@ mod tests {
         let (idx, q) = ctx_parts(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Simulation);
         let mut acc = VisitStats::default();
+        let mut gs = GuardScratch::default();
         let mut gq = DynamicSubgraph::new(&g);
         for key in ["michael", "cc3", "cln", "cln_1"] {
             gq.add_node(m[key]);
         }
         // hgm has child cln and parent Michael in G_Q -> cost 0.
-        assert_eq!(ctx.cost(m["hgm"], Q_HG, &gq, &mut acc), 0);
+        assert_eq!(ctx.cost(m["hgm"], Q_HG, &gq, &mut acc, &mut gs), 0);
         // p(hgm, HG): paper says 4 (3 CL children + Michael parent... our
         // fragment gives hgm 2 CL children + 1 Michael parent = 3; the
         // paper's full graph has one more CL child).
@@ -425,8 +441,9 @@ mod tests {
         let (idx, q) = ctx_parts(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Simulation);
         let mut acc = VisitStats::default();
-        assert!(!ctx.guard(m["hg1"], Q_HG, &mut acc));
-        assert!(ctx.guard(m["hgm"], Q_HG, &mut acc));
+        let mut gs = GuardScratch::default();
+        assert!(!ctx.guard(m["hg1"], Q_HG, &mut acc, &mut gs));
+        assert!(ctx.guard(m["hgm"], Q_HG, &mut acc, &mut gs));
     }
 
     #[test]
@@ -435,7 +452,8 @@ mod tests {
         let (idx, q) = ctx_parts(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Simulation);
         let mut acc = VisitStats::default();
-        assert!(!ctx.guard(m["hgm"], Q_CC, &mut acc));
+        let mut gs = GuardScratch::default();
+        assert!(!ctx.guard(m["hgm"], Q_CC, &mut acc, &mut gs));
     }
 
     #[test]
@@ -480,15 +498,28 @@ mod tests {
         let idx = NeighborIndex::build(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Isomorphism);
         let mut acc = VisitStats::default();
+        let mut gs = GuardScratch::default();
         // qb1/qb2 have pattern degree 2, so children must have data degree >= 2.
         assert!(
-            ctx.guard(v1, qa, &mut acc),
+            ctx.guard(v1, qa, &mut acc, &mut gs),
             "v1's B children both have degree 2"
         );
         assert!(
-            !ctx.guard(v2, qa, &mut acc),
+            !ctx.guard(v2, qa, &mut acc, &mut gs),
             "v2's b22 has degree 1 < required 2"
         );
+        // A G_Q neighbor whose degree equals the requirement fits in the
+        // cost too: b11 (degree 2) serves both B children, the R parent is
+        // missing.
+        let mut gq = DynamicSubgraph::new(&g);
+        gq.add_node(b11);
+        assert_eq!(ctx.cost(v1, qa, &gq, &mut acc, &mut gs), 1);
+        gq.add_node(root);
+        assert_eq!(ctx.cost(v1, qa, &gq, &mut acc, &mut gs), 0);
+        // b22 (degree 1) fits neither B child.
+        let mut gq = DynamicSubgraph::new(&g);
+        gq.add_node(b22);
+        assert_eq!(ctx.cost(v2, qa, &gq, &mut acc, &mut gs), 3);
     }
 
     #[test]
@@ -512,7 +543,8 @@ mod tests {
         let idx = NeighborIndex::build(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Isomorphism);
         let mut acc = VisitStats::default();
-        assert!(!ctx.guard(a, qa, &mut acc));
+        let mut gs = GuardScratch::default();
+        assert!(!ctx.guard(a, qa, &mut acc, &mut gs));
     }
 
     #[test]
@@ -521,9 +553,10 @@ mod tests {
         let (idx, q) = ctx_parts(&g);
         let ctx = GuardCtx::new(&g, &idx, &q, Semantics::Simulation);
         let mut acc = VisitStats::default();
+        let mut gs = GuardScratch::default();
         let gq = DynamicSubgraph::new(&g);
-        let _ = ctx.guard(m["cc1"], Q_CC, &mut acc);
-        let _ = ctx.cost(m["cc1"], Q_CC, &gq, &mut acc);
+        let _ = ctx.guard(m["cc1"], Q_CC, &mut acc, &mut gs);
+        let _ = ctx.cost(m["cc1"], Q_CC, &gq, &mut acc, &mut gs);
         let _ = ctx.potential(m["cc1"], Q_CC, &mut acc);
         assert!(acc.total() > 0);
     }

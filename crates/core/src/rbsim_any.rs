@@ -18,7 +18,7 @@
 //! guarded region.
 
 use crate::budget::ResourceBudget;
-use crate::guard::{GuardCtx, Semantics};
+use crate::guard::{GuardCtx, GuardScratch, Semantics};
 use crate::neighbor_index::NeighborIndex;
 use crate::rbsim::PatternScratch;
 use crate::reduction::{search_reduced_graph_scratch, ReductionConfig};
@@ -119,11 +119,12 @@ fn rbsim_any_with(
             {
                 let ctx = GuardCtx::new(g, idx, &q0, Semantics::Simulation);
                 let empty = DynamicSubgraph::new(g);
+                let mut gs = GuardScratch::default();
                 for &v in g.nodes_with_label(seed_label) {
-                    if !ctx.guard(v, seed_u, &mut visits) {
+                    if !ctx.guard(v, seed_u, &mut visits, &mut gs) {
                         continue;
                     }
-                    let w = ctx.weight(v, seed_u, &empty, &mut visits);
+                    let w = ctx.weight(v, seed_u, &empty, &mut visits, &mut gs);
                     scored.push((w, v));
                 }
             }

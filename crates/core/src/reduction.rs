@@ -15,25 +15,44 @@
 //! Termination: `|G_Q|` reaching the budget `α·|G|`, exhausting candidates,
 //! or (when configured) blowing the visit cap.
 //!
+//! ## Candidate lists and top-`b` selection
+//!
+//! The guard's first test is `label(v2) = label(u2)`, and a neighbor that
+//! fails it is never scored, pushed or charged. So `Pick` and the `G_Q`
+//! continuation scan a *candidate list* instead of `v`'s adjacency: `v`'s
+//! neighbors in one direction that carry `u2`'s label, in adjacency order.
+//! A list is built on first use and kept for the rest of the query, in one
+//! flat arena indexed by `(v, label, direction)`, so later rounds re-read
+//! it instead of rescanning a hub's adjacency (FDB's factorisation applied
+//! to one adjacency row). The cost accounting is Fig. 3's, unchanged:
+//! `Pick` still charges `|N(v)|` for its scan, as a length read. `Pick`
+//! then selects its `b` best with `select_nth_unstable_by` and sorts only
+//! those; the rank order (weight, then degree, then id) is total, so the
+//! output equals a full sort's prefix.
+//!
 //! ## Scratch threading
 //!
 //! All of `Search`'s bookkeeping lives in a reusable [`ReductionScratch`]:
 //! the `G_Q` buffers ([`rbq_graph::SubgraphScratch`]), the traversal stack,
 //! epoch-stamped flat `(query node, data node)` stamp arrays replacing the
-//! former `in_stack`/`expanded` hash sets, `Pick`'s scored-candidate
-//! buffer, and per-query memos of the guard `C(v, u)` and potential
-//! `p(v, u)` (both depend only on the pair, never on `G_Q`, so re-seen
-//! candidates skip the summary probes the Weighted policy used to repeat
-//! every round). [`search_reduced_graph_scratch`] threads the scratch; the
-//! original entry points wrap a fresh one, so results are identical either
-//! way (see the scratch-differential property tests).
+//! former `in_stack`/`expanded` hash sets, the candidate lists, `Pick`'s
+//! scored-candidate buffer, the guard's `(label, degree)` buffers, and
+//! per-query memos of the guard `C(v, u)` and potential `p(v, u)` (both
+//! depend only on the pair, never on `G_Q`, so re-seen candidates skip the
+//! summary probes the Weighted policy used to repeat every round).
+//! [`search_reduced_graph_scratch`] threads the scratch; the original entry
+//! points wrap a fresh one, so results are identical either way (see the
+//! scratch-differential property tests, which also hold `Search` to a plain
+//! re-statement of Fig. 3).
 
 use crate::budget::ResourceBudget;
-use crate::guard::{GuardCtx, Semantics};
+use crate::guard::{GuardCtx, GuardScratch, Semantics};
 use crate::neighbor_index::NeighborIndex;
 use rbq_graph::traverse::VisitStats;
 use rbq_graph::{DynamicSubgraph, Graph, GraphView, Label, NodeId, SubgraphScratch};
 use rbq_pattern::{PNode, ResolvedPattern};
+use rustc_hash::FxHashMap;
+use std::cmp::Ordering;
 
 /// Result of a resource-bounded pattern algorithm (RBSim / RBSub).
 #[derive(Debug, Clone, Default)]
@@ -268,6 +287,36 @@ impl PairScratch {
     }
 }
 
+/// Per-query candidate lists: for a data node `v`, a label `l` and a
+/// direction, `v`'s neighbors in that direction labelled `l`, in adjacency
+/// order. Each list is a range of one flat arena, built on first request
+/// and kept until [`CandidateLists::clear`] at the next query (which keeps
+/// both buffers' capacity).
+#[derive(Debug, Clone, Default)]
+struct CandidateLists {
+    ranges: FxHashMap<(NodeId, Label, bool), (usize, usize)>,
+    arena: Vec<NodeId>,
+}
+
+impl CandidateLists {
+    fn clear(&mut self) {
+        self.ranges.clear();
+        self.arena.clear();
+    }
+
+    /// The list for `(v, label, out)`; `out = true` selects children.
+    fn get(&mut self, g: &Graph, v: NodeId, label: Label, out: bool) -> &[NodeId] {
+        let arena = &mut self.arena;
+        let (start, end) = *self.ranges.entry((v, label, out)).or_insert_with(|| {
+            let start = arena.len();
+            let adj = if out { g.out(v) } else { g.inn(v) };
+            arena.extend(adj.iter().filter(|&&w| g.node_label(w) == label));
+            (start, arena.len())
+        });
+        &self.arena[start..end]
+    }
+}
+
 /// Reusable state for the whole `Search`/`Pick` procedure — thread one
 /// through [`search_reduced_graph_scratch`] to make repeated reductions
 /// allocation-free in steady state. Results are identical to the one-shot
@@ -278,14 +327,15 @@ pub struct ReductionScratch {
     subgraph: SubgraphScratch,
     stack: Vec<(PNode, NodeId)>,
     pairs: PairScratch,
+    lists: CandidateLists,
     scored: Vec<(f64, u32, NodeId)>,
     picked: Vec<NodeId>,
     /// Per-query-node deduplicated child / parent label sets (the
     /// potential's summary lookups).
     uniq_out: Vec<Vec<Label>>,
     uniq_in: Vec<Vec<Label>>,
-    cost_out: Vec<(Label, u32)>,
-    cost_in: Vec<(Label, u32)>,
+    /// The guard's Hall-check and the cost scan's buffers.
+    guard: GuardScratch,
     /// Deadline ticker checked once per popped `(u, v)` pair in the
     /// `Search`/`Pick` worklist loop.
     cancel: rbq_graph::CancelTicker,
@@ -377,15 +427,16 @@ pub fn search_reduced_graph_scratch<'g>(
     let ReductionScratch {
         stack,
         pairs,
+        lists,
         scored,
         picked,
         uniq_out,
         uniq_in,
-        cost_out,
-        cost_in,
+        guard,
         ..
     } = scratch;
     pairs.begin_query(p.node_count(), g.node_count());
+    lists.clear();
     // The potential's deduplicated query-neighbor label sets depend only on
     // the query: computed once here, not once per scored candidate.
     if uniq_out.len() < p.node_count() {
@@ -441,75 +492,46 @@ pub fn search_reduced_graph_scratch<'g>(
 
             // Children edges (u, u') then parent edges (u', u). Candidates
             // ranked best-last so the best ends on top of the stack.
-            for &uc in p.out(u) {
-                pick(
-                    &ctx,
-                    uc,
-                    v,
-                    true,
-                    &gq,
-                    pairs,
-                    b,
-                    config.pick_policy,
-                    &mut visits,
-                    scored,
-                    picked,
-                    uniq_out,
-                    uniq_in,
-                    cost_out,
-                    cost_in,
-                );
-                for k in (0..picked.len()).rev() {
-                    let v2 = picked[k];
-                    stack.push((uc, v2));
-                    pairs.in_stack_insert(uc, v2);
-                }
-                // Continue the traversal through neighbors already in G_Q:
-                // they consume no candidate slot and no budget, but their
-                // onward edges must be re-expanded so that beam restarts
-                // (with larger b) can reach deeper unexplored regions.
-                for &v2 in ctx.g.out(v) {
-                    if gq.contains(v2)
-                        && !pairs.expanded_contains(uc, v2)
-                        && !pairs.in_stack_contains(uc, v2)
-                        && guard_memo(&ctx, pairs, v2, uc, &mut visits)
-                    {
-                        stack.push((uc, v2));
-                        pairs.in_stack_insert(uc, v2);
+            let directions = [(true, g.out(v), p.out(u)), (false, g.inn(v), p.inn(u))];
+            for (out, adj, query_nbrs) in directions {
+                for &u2 in query_nbrs {
+                    let cands = lists.get(g, v, q.label(u2), out);
+                    // Fig. 3 charges Pick's scan of N(v), read as a length.
+                    visits.edges(adj.len());
+                    pick(
+                        &ctx,
+                        u2,
+                        cands,
+                        &gq,
+                        pairs,
+                        b,
+                        config.pick_policy,
+                        &mut visits,
+                        scored,
+                        picked,
+                        &uniq_out[u2.index()],
+                        &uniq_in[u2.index()],
+                        guard,
+                    );
+                    for k in (0..picked.len()).rev() {
+                        let v2 = picked[k];
+                        stack.push((u2, v2));
+                        pairs.in_stack_insert(u2, v2);
                     }
-                }
-            }
-            for &up_ in p.inn(u) {
-                pick(
-                    &ctx,
-                    up_,
-                    v,
-                    false,
-                    &gq,
-                    pairs,
-                    b,
-                    config.pick_policy,
-                    &mut visits,
-                    scored,
-                    picked,
-                    uniq_out,
-                    uniq_in,
-                    cost_out,
-                    cost_in,
-                );
-                for k in (0..picked.len()).rev() {
-                    let v2 = picked[k];
-                    stack.push((up_, v2));
-                    pairs.in_stack_insert(up_, v2);
-                }
-                for &v2 in ctx.g.inn(v) {
-                    if gq.contains(v2)
-                        && !pairs.expanded_contains(up_, v2)
-                        && !pairs.in_stack_contains(up_, v2)
-                        && guard_memo(&ctx, pairs, v2, up_, &mut visits)
-                    {
-                        stack.push((up_, v2));
-                        pairs.in_stack_insert(up_, v2);
+                    // Continue the traversal through neighbors already in
+                    // G_Q: they consume no candidate slot and no budget, but
+                    // their onward edges must be re-expanded so that beam
+                    // restarts (with larger b) can reach deeper unexplored
+                    // regions.
+                    for &v2 in cands {
+                        if gq.contains(v2)
+                            && !pairs.expanded_contains(u2, v2)
+                            && !pairs.in_stack_contains(u2, v2)
+                            && guard_memo(&ctx, pairs, v2, u2, &mut visits, guard)
+                        {
+                            stack.push((u2, v2));
+                            pairs.in_stack_insert(u2, v2);
+                        }
                     }
                 }
             }
@@ -544,30 +566,43 @@ fn guard_memo(
     v: NodeId,
     u: PNode,
     visits: &mut VisitStats,
+    scratch: &mut GuardScratch,
 ) -> bool {
     if let Some(hit) = pairs.guard_get(u, v) {
         return hit;
     }
-    let pass = ctx.guard(v, u, visits);
+    let pass = ctx.guard(v, u, visits, scratch);
     pairs.guard_set(u, v, pass);
     pass
 }
 
-/// `Pick`: the top-`b` new candidates for query node `u2` among the
-/// neighbors of `v` in the given direction (`out = true` follows the query
-/// edge `(u, u2)`, i.e. children of `v`), ranked by weight `p/(c+1)`,
-/// written best-first into `picked`.
+/// `Pick`'s rank order, best first: weight descending, then degree
+/// descending (§4.2 favors high-degree candidates for isomorphism; harmless
+/// determinism for simulation), then id ascending. Total, since no weight
+/// is NaN.
+fn by_rank(a: &(f64, u32, NodeId), b: &(f64, u32, NodeId)) -> Ordering {
+    b.0.partial_cmp(&a.0)
+        .unwrap_or(Ordering::Equal)
+        .then(b.1.cmp(&a.1))
+        .then(a.2.cmp(&b.2))
+}
+
+/// `Pick`: the top-`b` new candidates for query node `u2` among `cands` —
+/// the neighbors of the expanded data node that carry `u2`'s label, in
+/// adjacency order — ranked by weight `p/(c+1)` and written best-first into
+/// `picked`. The caller charges the scan of the full adjacency list.
 ///
 /// Nodes already in `G_Q` or already on the stack for the same query node
 /// are skipped; candidates failing the guarded condition are filtered. The
 /// potential `p(v2, u2)` is served from the per-query memo (it never
-/// depends on `G_Q`); the cost is recomputed, as it must be.
+/// depends on `G_Q`); the cost is recomputed, as it must be. Only the `b`
+/// best are sorted, after a selection; `Fifo` keeps the first `b` in
+/// adjacency order.
 #[allow(clippy::too_many_arguments)]
 fn pick(
     ctx: &GuardCtx<'_>,
     u2: PNode,
-    v: NodeId,
-    out: bool,
+    cands: &[NodeId],
     gq: &DynamicSubgraph<'_>,
     pairs: &mut PairScratch,
     b: u32,
@@ -575,20 +610,16 @@ fn pick(
     visits: &mut VisitStats,
     scored: &mut Vec<(f64, u32, NodeId)>,
     picked: &mut Vec<NodeId>,
-    uniq_out: &[Vec<Label>],
-    uniq_in: &[Vec<Label>],
-    cost_out: &mut Vec<(Label, u32)>,
-    cost_in: &mut Vec<(Label, u32)>,
+    uniq_out: &[Label],
+    uniq_in: &[Label],
+    gs: &mut GuardScratch,
 ) {
-    let neighbors = if out { ctx.g.out(v) } else { ctx.g.inn(v) };
-    visits.edges(neighbors.len());
-
     scored.clear();
-    for &v2 in neighbors {
+    for &v2 in cands {
         if gq.contains(v2) || pairs.in_stack_contains(u2, v2) {
             continue;
         }
-        if !guard_memo(ctx, pairs, v2, u2, visits) {
+        if !guard_memo(ctx, pairs, v2, u2, visits, gs) {
             continue;
         }
         let key = match policy {
@@ -596,18 +627,12 @@ fn pick(
                 let pot = match pairs.pot_get(u2, v2) {
                     Some(p) => p,
                     None => {
-                        let p = ctx.potential_with(
-                            v2,
-                            u2,
-                            &uniq_out[u2.index()],
-                            &uniq_in[u2.index()],
-                            visits,
-                        );
+                        let p = ctx.potential_with(v2, u2, uniq_out, uniq_in, visits);
                         pairs.pot_set(u2, v2, p);
                         p
                     }
                 };
-                let c = ctx.cost_with(v2, u2, gq, visits, cost_out, cost_in);
+                let c = ctx.cost(v2, u2, gq, visits, gs);
                 pot as f64 / (c as f64 + 1.0)
             }
             PickPolicy::Fifo => 0.0,
@@ -618,23 +643,17 @@ fn pick(
                 (x % 1_000_003) as f64
             }
         };
-        // Secondary key: degree (descending) — §4.2 favors high-degree
-        // candidates for isomorphism; harmless determinism for simulation.
         scored.push((key, ctx.idx.degree(v2), v2));
     }
-    match policy {
-        PickPolicy::Fifo => {} // keep adjacency order
-        _ => {
-            // Max-heap semantics: sort by weight desc, degree desc, id asc.
-            scored.sort_unstable_by(|a, b_| {
-                b_.0.partial_cmp(&a.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b_.1.cmp(&a.1))
-                    .then(a.2.cmp(&b_.2))
-            });
-        }
+    let ranked = policy != PickPolicy::Fifo;
+    let b = b as usize;
+    if ranked && b > 0 && scored.len() > b {
+        scored.select_nth_unstable_by(b - 1, by_rank);
     }
-    scored.truncate(b as usize);
+    scored.truncate(b);
+    if ranked {
+        scored.sort_unstable_by(by_rank);
+    }
     picked.clear();
     picked.extend(scored.iter().map(|&(_, _, v2)| v2));
 }

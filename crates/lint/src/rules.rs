@@ -185,6 +185,26 @@ const ALLOC_PATHS: &[(&str, &str)] = &[
     ("String", "with_capacity"),
     ("Arc", "new"),
     ("Rc", "new"),
+    // A fresh hash or tree collection allocates on its first insert; hot
+    // code keeps one in its scratch and clears it.
+    ("HashMap", "new"),
+    ("HashMap", "default"),
+    ("HashMap", "with_capacity"),
+    ("HashSet", "new"),
+    ("HashSet", "default"),
+    ("HashSet", "with_capacity"),
+    ("FxHashMap", "new"),
+    ("FxHashMap", "default"),
+    ("FxHashMap", "with_capacity"),
+    ("FxHashSet", "new"),
+    ("FxHashSet", "default"),
+    ("FxHashSet", "with_capacity"),
+    ("BTreeMap", "new"),
+    ("BTreeMap", "default"),
+    ("BTreeMap", "with_capacity"),
+    ("BTreeSet", "new"),
+    ("BTreeSet", "default"),
+    ("BTreeSet", "with_capacity"),
 ];
 const ALLOC_METHODS: &[&str] = &["collect", "to_vec", "to_string", "to_owned", "clone"];
 /// Path-form calls that look allocating but are not: `Arc::clone` /

@@ -10,6 +10,23 @@ pub fn bad_hot(xs: &[u32]) -> u32 {
 }
 
 // rbq-lint: hot
+pub fn bad_hot_collections(xs: &[u32]) -> usize {
+    let mut seen: FxHashSet<u32> = FxHashSet::default();
+    let mut by: HashMap<u32, u32> = HashMap::with_capacity(xs.len());
+    let ordered: BTreeSet<u32> = BTreeSet::new();
+    seen.extend(xs);
+    by.insert(0, 0);
+    seen.len() + by.len() + ordered.len()
+}
+
+// rbq-lint: hot
+pub fn good_hot_collection_in_scratch(xs: &[u32], seen: &mut FxHashSet<u32>) -> usize {
+    seen.clear();
+    seen.extend(xs);
+    seen.len()
+}
+
+// rbq-lint: hot
 pub fn good_hot(xs: &[u32], scratch: &mut Vec<u32>) -> u32 {
     scratch.clear();
     scratch.extend_from_slice(xs);

@@ -1,9 +1,10 @@
 //! PR-5 acceptance: a warm repeat `rbsim` query performs **zero** heap
-//! allocations. A counting `#[global_allocator]` wraps the system
-//! allocator; after two warm-up calls populate every scratch buffer, the
-//! third identical call must not touch the allocator at all — pinning the
-//! "steady-state, allocation-free serving" property the scratch threading
-//! exists for.
+//! allocations, and so does a warm repeat reduction under either semantics
+//! — RBSub's reduction half included. A counting `#[global_allocator]`
+//! wraps the system allocator; after two warm-up calls populate every
+//! scratch buffer, the third identical call must not touch the allocator at
+//! all — pinning the "steady-state, allocation-free serving" property the
+//! scratch threading exists for.
 //!
 //! This file deliberately holds a single `#[test]`: the allocator counter
 //! is process-global, and a concurrently running sibling test would
@@ -12,7 +13,11 @@
 mod counting_alloc;
 
 use counting_alloc::{allocations, CountingAlloc};
-use rbq::rbq_core::{rbsim_with, NeighborIndex, PatternAnswer, PatternScratch, ResourceBudget};
+use rbq::rbq_core::guard::Semantics;
+use rbq::rbq_core::{
+    rbsim_with, search_reduced_graph_scratch, NeighborIndex, PatternAnswer, PatternScratch,
+    ReductionConfig, ReductionScratch, ResourceBudget,
+};
 use rbq::rbq_workload::{extract_pattern, youtube_like, PatternSpec};
 
 #[global_allocator]
@@ -51,5 +56,40 @@ fn warm_rbsim_repeat_query_is_allocation_free() {
             delta, 0,
             "warm rbsim allocated {delta} times on a repeat query"
         );
+    }
+
+    // The reduction alone, under both semantics: the isomorphism guard's
+    // Hall check and the candidate lists run on scratch buffers too.
+    let mut scratch = ReductionScratch::new();
+    for semantics in [Semantics::Simulation, Semantics::Isomorphism] {
+        for q in &queries {
+            let mut reduce = || {
+                let config = ReductionConfig::default();
+                let out = search_reduced_graph_scratch(
+                    &g,
+                    &idx,
+                    q,
+                    &budget,
+                    semantics,
+                    config,
+                    &mut scratch,
+                );
+                let members = out.gq.members().len();
+                scratch.recycle(out.gq);
+                members
+            };
+            reduce();
+            let cold_members = reduce();
+
+            let before = allocations();
+            let members = reduce();
+            let delta = allocations() - before;
+
+            assert_eq!(members, cold_members, "warm {semantics:?} G_Q changed");
+            assert_eq!(
+                delta, 0,
+                "warm {semantics:?} reduction allocated {delta} times on a repeat query"
+            );
+        }
     }
 }

@@ -5,6 +5,8 @@
 //! `rbq_pattern::DualSimScratch` (the fixpoint state), and
 //! `rbq_core::PatternScratch` (the full `Search`/`Pick` + evaluation path,
 //! including the epoch-stamped pair arrays and guard/potential memos).
+//! `Search` through one long-lived scratch is also held to
+//! `support::plain_search`, Fig. 3 written plainly.
 
 mod support;
 
@@ -16,7 +18,14 @@ use rbq::rbq_core::{
 };
 use rbq::rbq_graph::{DynamicSubgraph, GraphView, NodeId, SubgraphScratch};
 use rbq::rbq_pattern::{dual_simulation, dual_simulation_with, DualSim, DualSimScratch, Pattern};
-use support::graphs_with_chains;
+use std::cell::RefCell;
+use support::{graphs_with_chains, plain_search, reduction_cases, Reduced, Rng};
+
+thread_local! {
+    /// The one scratch every case of `search_equals_plain_fig3` reduces
+    /// through, whatever graph the previous case left in it.
+    static SCRATCH: RefCell<ReductionScratch> = RefCell::default();
+}
 
 /// Both runs found no dual simulation, or the same one.
 fn same_dual_sim(p: &Pattern, warm: Option<DualSim>, fresh: Option<DualSim>) -> TestCaseResult {
@@ -128,6 +137,46 @@ proptest! {
             prop_assert_eq!(warm.final_b, fresh.final_b);
             prop_assert_eq!(warm.rounds, fresh.rounds);
             scratch.recycle(warm.gq);
+        }
+    }
+
+    /// `Search` — candidate lists, top-`b` selection, the allocation-free
+    /// Hall check, the memos — returns exactly what Fig. 3 written plainly
+    /// returns: the same `G_Q` in the same insertion order, the same visit
+    /// account, termination and bound, under both semantics, every pick
+    /// policy and budgets of 0, 1, 2..64 units and the whole graph.
+    #[test]
+    fn search_equals_plain_fig3((g, p) in reduction_cases(), seed in 0..u64::MAX) {
+        let resolved = p.resolve(&g);
+        prop_assume!(resolved.is_ok());
+        let q = resolved.unwrap();
+        let idx = NeighborIndex::build(&g);
+        let units = Rng(seed).range(2..65);
+        let budgets = [
+            ResourceBudget::from_units(&g, 0),
+            ResourceBudget::from_units(&g, 1),
+            ResourceBudget::from_units(&g, units),
+            ResourceBudget::from_ratio(&g, 1.0),
+        ];
+        for semantics in [Semantics::Simulation, Semantics::Isomorphism] {
+            for pick_policy in [PickPolicy::Weighted, PickPolicy::Fifo, PickPolicy::Random] {
+                let config = ReductionConfig { pick_policy, ..Default::default() };
+                for budget in &budgets {
+                    let got = SCRATCH.with_borrow_mut(|scratch| {
+                        let out = search_reduced_graph_scratch(
+                            &g, &idx, &q, budget, semantics, config, scratch,
+                        );
+                        let got = Reduced::of(&out);
+                        scratch.recycle(out.gq);
+                        got
+                    });
+                    let want = plain_search(&g, &q, budget, semantics, config);
+                    prop_assert_eq!(
+                        got, want,
+                        "{:?} {:?} {} units", semantics, pick_policy, budget.max_units
+                    );
+                }
+            }
         }
     }
 

@@ -4,20 +4,25 @@
 //! [`graphs`] and [`graphs_with_chains`] hand the generator to the
 //! proptest suites, and [`fixture`] and [`tiny_graph`] with their
 //! batches, [`fresh_dir`], [`serial`], [`POLICIES`] and [`AllTo`] serve
-//! the scenario suites. Each test binary uses its own subset.
+//! the scenario suites. [`plain_search`] is the reduction's oracle: Fig. 3
+//! written plainly, over the graphs of [`reduction_cases`]. Each test
+//! binary uses its own subset.
 #![allow(dead_code)]
 
 use proptest::prelude::Strategy;
+use rbq_core::guard::Semantics;
+use rbq_core::{PickPolicy, ReductionConfig, ReductionOutcome, ResourceBudget};
 use rbq_engine::AdmissionPolicy::{InputOrder, ShortestJobFirst};
 use rbq_engine::{
     Answer, ApplyError, BatchReport, BudgetSpec, Engine, EngineConfig, EngineStats, Query,
     QueryResult, RecoveryReport,
 };
-use rbq_graph::{DeltaBatch, DeltaReport, Graph, GraphBuilder, NodeId};
-use rbq_pattern::{Pattern, PatternBuilder};
+use rbq_graph::traverse::VisitStats;
+use rbq_graph::{DeltaBatch, DeltaReport, Graph, GraphBuilder, GraphView, Label, NodeId};
+use rbq_pattern::{PNode, Pattern, PatternBuilder, ResolvedPattern};
 use rbq_router::{LabelHashPartitioner, Partitioner, Router, RouterError};
 use rbq_workload::{power_law, sample_mixed_workload, youtube_like, MixedWorkloadSpec};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -528,4 +533,350 @@ pub fn crashes<T>(point: &'static str, nth: u64, f: impl FnOnce() -> T) -> bool 
 
 pub fn answers(results: &[QueryResult]) -> Vec<Answer> {
     results.iter().map(|r| r.answer.clone()).collect()
+}
+
+/// A hub-heavy anchored graph: `ME` plus 20–60 nodes labelled from
+/// `L0..L{labels - 1}`, one to three hubs each joined to about half the
+/// nodes in random directions, `ME` joined to every hub, and a sparse random
+/// remainder. Few labels and big hubs make long same-label neighbor lists.
+pub fn hub_graph(rng: &mut Rng, labels: usize) -> Graph {
+    let n = rng.range(20..60);
+    let mut b = GraphBuilder::new();
+    b.add_node("ME");
+    for _ in 1..n {
+        b.add_node(&format!("L{}", rng.below(labels)));
+    }
+    let edge = |b: &mut GraphBuilder, u: usize, v: usize, rng: &mut Rng| {
+        let (u, v) = [(u, v), (v, u)][rng.below(2)];
+        b.add_edge(NodeId(u as u32), NodeId(v as u32));
+    };
+    for _ in 0..rng.range(1..4) {
+        let hub = rng.range(1..n);
+        edge(&mut b, 0, hub, rng);
+        for v in 0..n {
+            if v != hub && rng.one_in(2) {
+                edge(&mut b, hub, v, rng);
+            }
+        }
+    }
+    for _ in 0..n {
+        let (u, v) = (rng.below(n), rng.below(n));
+        edge(&mut b, u, v, rng);
+    }
+    b.build()
+}
+
+/// `p` with every non-anchor label `Li` folded to `L(i mod labels)`.
+pub fn fold_labels(p: &Pattern, labels: usize) -> Pattern {
+    let (names, edges) = parts(p);
+    let fold = |l: String| match l.strip_prefix('L').and_then(|i| i.parse::<usize>().ok()) {
+        Some(i) => format!("L{}", i % labels),
+        None => l,
+    };
+    let names: Vec<String> = names.into_iter().map(fold).collect();
+    build_pattern(&names, &edges, p.personalized().index(), p.output().index())
+}
+
+/// A graph and an anchored pattern for the reduction suites: a [`graph`]
+/// under a [`chain`] or a [`tree`], or a [`hub_graph`] over at most four
+/// labels under a tree or chain folded onto them.
+pub fn reduction_cases() -> impl Strategy<Value = (Graph, Pattern)> {
+    (0..u64::MAX).prop_map(|seed| {
+        let mut rng = Rng(seed);
+        let pattern = |rng: &mut Rng| match rng.one_in(2) {
+            true => tree(rng),
+            false => chain(rng, 1..5),
+        };
+        if rng.one_in(3) {
+            let labels = rng.range(1..5);
+            let g = hub_graph(&mut rng, labels);
+            let p = pattern(&mut rng);
+            (g, fold_labels(&p, labels))
+        } else {
+            let g = graph(&mut rng, 3..40, true);
+            (g, pattern(&mut rng))
+        }
+    })
+}
+
+/// What `Search` returned, as plain values: `G_Q`'s members in insertion
+/// order, `|G_Q|`, the visit account and the termination data.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reduced {
+    pub members: Vec<NodeId>,
+    pub size: usize,
+    pub visited_nodes: usize,
+    pub visited_edges: usize,
+    pub hit_budget: bool,
+    pub final_b: u32,
+    pub rounds: u32,
+}
+
+impl Reduced {
+    pub fn of(out: &ReductionOutcome<'_>) -> Reduced {
+        Reduced {
+            members: out.gq.members().to_vec(),
+            size: out.gq.size(),
+            visited_nodes: out.visits.nodes,
+            visited_edges: out.visits.edges,
+            hit_budget: out.hit_budget,
+            final_b: out.final_b,
+            rounds: out.rounds,
+        }
+    }
+}
+
+/// `Search` and `Pick` of Fig. 3 written plainly, as the oracle for the
+/// serving implementation: hash sets for `in_stack` / `expanded`, rebuilt
+/// every round; full adjacency scans in `Pick` and in the `G_Q`
+/// continuation; per-query hash-map memos of the guard and the potential;
+/// the cost by a full scan of both adjacency lists; the isomorphism guard's
+/// Hall check over per-label hash maps. Every charge to the visit account
+/// falls where the serving code's does.
+pub fn plain_search(
+    g: &Graph,
+    q: &ResolvedPattern,
+    budget: &ResourceBudget,
+    semantics: Semantics,
+    config: ReductionConfig,
+) -> Reduced {
+    let mut s = Plain {
+        g,
+        q,
+        iso: semantics == Semantics::Isomorphism,
+        visits: VisitStats::default(),
+        guards: HashMap::new(),
+        potentials: HashMap::new(),
+    };
+    let mut members: Vec<NodeId> = Vec::new();
+    let mut in_gq: HashSet<NodeId> = HashSet::new();
+    let mut size = 0;
+    let (mut b, mut rounds, mut hit_budget) = (config.initial_b, 0, budget.max_units == 0);
+    let p = q.pattern();
+    'rounds: while !hit_budget {
+        rounds += 1;
+        let mut changed = false;
+        let mut in_stack = HashSet::new();
+        let mut expanded = HashSet::new();
+        let mut stack = vec![(q.up(), q.vp())];
+        in_stack.insert((q.up(), q.vp()));
+        while let Some((u, v)) = stack.pop() {
+            in_stack.remove(&(u, v));
+            if !in_gq.contains(&v) {
+                s.visits.edges(g.out(v).len() + g.inn(v).len());
+                // One unit for v and one per edge to a member; a self-loop
+                // counts once.
+                let to_members = g.out(v).iter().filter(|&&w| w == v || in_gq.contains(&w));
+                let from_members = g.inn(v).iter().filter(|&&w| w != v && in_gq.contains(&w));
+                let units = 1 + to_members.count() + from_members.count();
+                if units > budget.max_units - size {
+                    hit_budget = true;
+                    break 'rounds;
+                }
+                size += units;
+                members.push(v);
+                in_gq.insert(v);
+                s.visits.node();
+                changed = true;
+            }
+            if !expanded.insert((u, v)) {
+                continue;
+            }
+            for (adj, query_nbrs) in [(g.out(v), p.out(u)), (g.inn(v), p.inn(u))] {
+                for &u2 in query_nbrs {
+                    // Pick.
+                    s.visits.edges(adj.len());
+                    let mut scored = Vec::new();
+                    for &v2 in adj {
+                        if in_gq.contains(&v2) || in_stack.contains(&(u2, v2)) || !s.guard(v2, u2) {
+                            continue;
+                        }
+                        let key = match config.pick_policy {
+                            PickPolicy::Weighted => {
+                                let pot = s.potential(v2, u2);
+                                pot as f64 / (s.cost(v2, u2, &in_gq) as f64 + 1.0)
+                            }
+                            PickPolicy::Fifo => 0.0,
+                            PickPolicy::Random => {
+                                let x = (v2.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                                ((x ^ (x >> 31)) % 1_000_003) as f64
+                            }
+                        };
+                        scored.push((key, g.deg(v2), v2));
+                    }
+                    if config.pick_policy != PickPolicy::Fifo {
+                        scored.sort_by(|x, y| {
+                            y.0.partial_cmp(&x.0)
+                                .unwrap()
+                                .then(y.1.cmp(&x.1))
+                                .then(x.2.cmp(&y.2))
+                        });
+                    }
+                    scored.truncate(b as usize);
+                    for &(_, _, v2) in scored.iter().rev() {
+                        stack.push((u2, v2));
+                        in_stack.insert((u2, v2));
+                    }
+                    // Continue through neighbors already in G_Q.
+                    for &v2 in adj {
+                        if in_gq.contains(&v2)
+                            && !expanded.contains(&(u2, v2))
+                            && !in_stack.contains(&(u2, v2))
+                            && s.guard(v2, u2)
+                        {
+                            stack.push((u2, v2));
+                            in_stack.insert((u2, v2));
+                        }
+                    }
+                }
+            }
+            if budget.over_cap(&s.visits) {
+                break 'rounds;
+            }
+        }
+        if !(config.adaptive_b && changed && size < budget.max_units) {
+            break;
+        }
+        b += 1;
+    }
+    Reduced {
+        members,
+        size,
+        visited_nodes: s.visits.nodes,
+        visited_edges: s.visits.edges,
+        hit_budget,
+        final_b: b,
+        rounds,
+    }
+}
+
+/// The guard, potential and cost of §4.1–4.2 over plain data, with the
+/// visit account they charge.
+struct Plain<'a> {
+    g: &'a Graph,
+    q: &'a ResolvedPattern,
+    iso: bool,
+    visits: VisitStats,
+    guards: HashMap<(PNode, NodeId), bool>,
+    potentials: HashMap<(PNode, NodeId), u32>,
+}
+
+impl Plain<'_> {
+    fn labelled(&self, list: &[NodeId], l: Label) -> usize {
+        list.iter().filter(|&&w| self.g.node_label(w) == l).count()
+    }
+
+    /// `C(v, u)`, charged on its first evaluation per query.
+    fn guard(&mut self, v: NodeId, u: PNode) -> bool {
+        if let Some(&pass) = self.guards.get(&(u, v)) {
+            return pass;
+        }
+        let pass = self.guard_once(v, u);
+        self.guards.insert((u, v), pass);
+        pass
+    }
+
+    fn guard_once(&mut self, v: NodeId, u: PNode) -> bool {
+        let (g, q, p) = (self.g, self.q, self.q.pattern());
+        if g.node_label(v) != q.label(u) {
+            return false;
+        }
+        self.visits.node();
+        if !self.iso {
+            let child_ok = p
+                .out(u)
+                .iter()
+                .all(|&c| self.labelled(g.out(v), q.label(c)) > 0);
+            let parent_ok = p
+                .inn(u)
+                .iter()
+                .all(|&c| self.labelled(g.inn(v), q.label(c)) > 0);
+            return child_ok && parent_ok;
+        }
+        if g.out(v).len() < p.out(u).len() || g.inn(v).len() < p.inn(u).len() {
+            return false;
+        }
+        self.hall(p.out(u), g.out(v)) && self.hall(p.inn(u), g.inn(v))
+    }
+
+    /// Distinct data neighbors, one per query neighbor, of the same label
+    /// and at least its degree: per label, the sorted requirements must be
+    /// dominated by the sorted available degrees.
+    fn hall(&mut self, query_nbrs: &[PNode], data_nbrs: &[NodeId]) -> bool {
+        if query_nbrs.is_empty() {
+            return true;
+        }
+        let (g, q) = (self.g, self.q);
+        let mut need: HashMap<Label, Vec<usize>> = HashMap::new();
+        for &uq in query_nbrs {
+            need.entry(q.label(uq))
+                .or_default()
+                .push(q.pattern().degree(uq));
+        }
+        self.visits.edges(data_nbrs.len());
+        let mut have: HashMap<Label, Vec<usize>> = HashMap::new();
+        for &w in data_nbrs {
+            if need.contains_key(&g.node_label(w)) {
+                have.entry(g.node_label(w)).or_default().push(g.deg(w));
+            }
+        }
+        need.into_iter().all(|(l, mut need)| {
+            let mut have = have.remove(&l).unwrap_or_default();
+            need.sort_unstable_by(|a, b| b.cmp(a));
+            have.sort_unstable_by(|a, b| b.cmp(a));
+            have.len() >= need.len() && need.iter().zip(&have).all(|(n, h)| h >= n)
+        })
+    }
+
+    /// `p(v, u)`, charged on its first evaluation per query.
+    fn potential(&mut self, v: NodeId, u: PNode) -> u32 {
+        if let Some(&pot) = self.potentials.get(&(u, v)) {
+            return pot;
+        }
+        let (g, q, p) = (self.g, self.q, self.q.pattern());
+        let mut pot = 0;
+        for (data_nbrs, query_nbrs) in [(g.out(v), p.out(u)), (g.inn(v), p.inn(u))] {
+            if self.iso {
+                self.visits.edges(data_nbrs.len());
+                let fits = |w: NodeId| {
+                    let ok =
+                        |&uq: &PNode| q.label(uq) == g.node_label(w) && g.deg(w) >= p.degree(uq);
+                    query_nbrs.iter().any(ok)
+                };
+                pot += data_nbrs.iter().filter(|&&w| fits(w)).count();
+            } else {
+                let labels: BTreeSet<Label> = query_nbrs.iter().map(|&uq| q.label(uq)).collect();
+                pot += labels
+                    .into_iter()
+                    .map(|l| self.labelled(data_nbrs, l))
+                    .sum::<usize>();
+            }
+        }
+        if !self.iso {
+            self.visits.node();
+        }
+        self.potentials.insert((u, v), pot as u32);
+        pot as u32
+    }
+
+    /// `c(v, u)`: query neighbors of `u` with no fitting neighbor of `v`
+    /// in `G_Q`, by a full scan of both adjacency lists.
+    fn cost(&mut self, v: NodeId, u: PNode, in_gq: &HashSet<NodeId>) -> u32 {
+        let (g, q, p) = (self.g, self.q, self.q.pattern());
+        let mut missing = 0;
+        for (data_nbrs, query_nbrs) in [(g.out(v), p.out(u)), (g.inn(v), p.inn(u))] {
+            self.visits.edges(data_nbrs.len());
+            for &uq in query_nbrs {
+                let fits = |&w: &NodeId| {
+                    in_gq.contains(&w)
+                        && g.node_label(w) == q.label(uq)
+                        && (!self.iso || g.deg(w) >= p.degree(uq))
+                };
+                if !data_nbrs.iter().any(fits) {
+                    missing += 1;
+                }
+            }
+        }
+        missing
+    }
 }
