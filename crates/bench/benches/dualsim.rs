@@ -1,13 +1,17 @@
-//! Criterion benches for the matching core: full-graph dual simulation and
-//! the ball-per-center MatchOpt baseline on the 20k-node Youtube-like
-//! mixed-workload substitute. These are the dual-simulation-dominated
-//! queries: the worklist rewrite of `dual_simulation` and the slice-based
-//! `GraphView` land here first. (End-to-end tracking is `benchmark/`'s
-//! `pattern-miss` workload.)
+//! Criterion benches for the matching core on the 20k-node Youtube-like
+//! mixed-workload substitute: full-graph dual simulation, the per-ball
+//! MatchOpt baseline, strong simulation (one fixpoint on `N_dQ(v_p)`) on
+//! the full graph, and strong simulation on each pattern's `G_Q` at
+//! α = 0.001 through one warm scratch — the shape RBSim serves. (End-to-end
+//! tracking is `benchmark/`'s `pattern-miss` workload.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rbq_bench::{ExpConfig, PatternDataset};
-use rbq_pattern::{dual_simulation, match_opt, strong_simulation};
+use rbq_core::guard::Semantics;
+use rbq_core::{search_reduced_graph, ResourceBudget};
+use rbq_pattern::{
+    dual_simulation, match_opt, strong_simulation, strong_simulation_on_view_with, StrongSimScratch,
+};
 use rbq_workload::PatternSpec;
 use std::hint::black_box;
 
@@ -35,7 +39,7 @@ fn dualsim_20k(c: &mut Criterion) {
     group.bench_function("match_opt", |b| {
         b.iter(|| {
             for q in &qs {
-                black_box(match_opt(q, &ds.g));
+                black_box(match_opt(q, &*ds.g));
             }
         })
     });
@@ -43,6 +47,20 @@ fn dualsim_20k(c: &mut Criterion) {
         b.iter(|| {
             for q in &qs {
                 black_box(strong_simulation(q, &*ds.g));
+            }
+        })
+    });
+    let budget = ResourceBudget::from_ratio(&*ds.g, 0.001);
+    let gqs: Vec<_> = qs
+        .iter()
+        .map(|q| search_reduced_graph(&ds.g, &ds.idx, q, &budget, Semantics::Simulation).gq)
+        .collect();
+    let (mut scratch, mut out) = (StrongSimScratch::new(), Vec::new());
+    group.bench_function("strong_simulation_gq", |b| {
+        b.iter(|| {
+            for (q, gq) in qs.iter().zip(&gqs) {
+                strong_simulation_on_view_with(q, gq, &mut scratch, &mut out);
+                black_box(&out);
             }
         })
     });

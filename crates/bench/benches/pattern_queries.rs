@@ -53,7 +53,7 @@ fn pattern_alpha(c: &mut Criterion) {
     group.bench_function("MatchOpt", |b| {
         b.iter(|| {
             for q in &qs {
-                black_box(match_opt(q, &ds.g));
+                black_box(match_opt(q, &*ds.g));
             }
         })
     });
@@ -89,7 +89,7 @@ fn pattern_qsize(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("MatchOpt", n), &qs, |b, qs| {
             b.iter(|| {
                 for q in qs {
-                    black_box(match_opt(q, &ds.g));
+                    black_box(match_opt(q, &*ds.g));
                 }
             })
         });

@@ -333,7 +333,7 @@ fn pattern_time_vs_alpha(cfg: &ExpConfig, ds: &PatternDataset, tag: &str) {
     // with a single repetition.
     let once = ExpConfig { reps: 1, ..*cfg };
     let t_matchopt = avg_time(&once, &qs, |q| {
-        std::hint::black_box(match_opt(q, &ds.g));
+        std::hint::black_box(match_opt(q, &*ds.g));
     });
     let t_vf2 = avg_time(&once, &qs, |q| {
         std::hint::black_box(vf2_opt(q, &ds.g, vf2_cfg()));
@@ -505,7 +505,7 @@ fn pattern_time_vs_qsize(cfg: &ExpConfig, ds: &PatternDataset, tag: &str) {
             &qs
         };
         let t_matchopt = avg_time(&once, t_qs, |q| {
-            std::hint::black_box(match_opt(q, &ds.g));
+            std::hint::black_box(match_opt(q, &*ds.g));
         });
         let t_rbsub = avg_time(cfg, &qs, |q| {
             std::hint::black_box(rbq_core::rbsub_with(&ds.g, &ds.idx, q, &budget, vf2_cfg()));
@@ -584,7 +584,7 @@ fn pattern_vs_scale(cfg: &ExpConfig, max_nodes: usize) {
         });
         let once = ExpConfig { reps: 1, ..*cfg };
         let t_matchopt = avg_time(&once, &qs, |q| {
-            std::hint::black_box(match_opt(q, &ds.g));
+            std::hint::black_box(match_opt(q, &*ds.g));
         });
         let t_rbsub = avg_time(cfg, &qs, |q| {
             std::hint::black_box(rbq_core::rbsub_with(&ds.g, &ds.idx, q, &budget, vf2_cfg()));

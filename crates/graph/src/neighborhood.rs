@@ -16,9 +16,9 @@ use crate::view::GraphView;
 
 /// Reusable scratch state for repeated ball evaluations.
 ///
-/// Strong simulation runs one undirected BFS per candidate center — hundreds
-/// of balls per query, each a handful of hops deep. A fresh hash set per
-/// ball made that BFS the dominant cost of `MatchOpt`. `BallScratch` keeps
+/// `MatchOpt` runs one undirected BFS per candidate center — hundreds of
+/// balls per query, each a handful of hops deep. A fresh hash set per ball
+/// made that BFS its dominant cost. `BallScratch` keeps
 /// an **epoch-stamped visited buffer** (`stamp[v] == epoch` ⇔ `v` seen in
 /// the current ball) and a flat frontier queue, so starting the next ball is
 /// one counter increment — no clearing, no rehashing, no allocation once the
@@ -117,8 +117,9 @@ impl BallScratch {
     /// `N_{r_outer}(center)` goes to `outer` and the sub-ball
     /// `N_{r_inner}(center)` to `inner`, both sorted ascending. Equivalent
     /// to two [`BallScratch::ball_into`] calls, at the cost of one
-    /// traversal — strong simulation needs exactly this pair (candidate
-    /// centers at `d_Q`, prefilter universe at `2·d_Q`).
+    /// traversal — strong simulation's per-ball loop needs exactly this
+    /// pair (candidate centers at `d_Q`, screening domain at `2·d_Q`), and
+    /// so does the benchmark's trace replay of that traversal.
     ///
     /// # Panics
     /// Panics if `r_inner > r_outer`.

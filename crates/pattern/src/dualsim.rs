@@ -32,7 +32,7 @@
 //! a reusable [`DualSimScratch`]. The `_with` entry points
 //! ([`dual_simulation_with`], [`dual_simulation_screened_with`]) borrow the
 //! scratch and return a borrowed [`DualSimRef`] — strong simulation holds
-//! one scratch per query and evaluates hundreds of balls through it with
+//! one scratch per serving worker and runs every fixpoint through it with
 //! zero steady-state allocation, the way [`rbq_graph::BallScratch`] already
 //! serves the ball BFS. [`dual_simulation`] remains as the one-shot
 //! convenience over a fresh scratch.
@@ -205,10 +205,10 @@ fn guard_screen<V: GraphView + ?Sized>(
 /// the same view.
 ///
 /// Labels and the guard depend only on `(data node, query node)` — not on
-/// the ball — so strong simulation builds this screen once per query and
-/// intersects it with each ball, instead of re-labeling and re-guarding
-/// every ball member for every center (the dominant cost of per-ball
-/// evaluation once the BFS itself is cheap).
+/// the ball — so strong simulation's per-ball loop builds this screen once
+/// per query and intersects it with each ball, instead of re-labeling and
+/// re-guarding every ball member for every center (the dominant cost of
+/// per-ball evaluation once the BFS itself is cheap).
 #[derive(Debug, Clone, Default)]
 pub struct CandidateScreen {
     /// Sorted guarded candidates per query node (`[v_p]` for `u_p`).
@@ -234,10 +234,10 @@ impl CandidateScreen {
 /// universe can admit a total relation, and `screen`'s contents are
 /// unspecified and must not be read.
 ///
-/// Strong simulation builds its screen from `N_{2d_Q}(v_p)` this way:
-/// every ball it evaluates is a subset of that neighborhood, so screening
-/// the whole view would be wasted work on large graphs with localized
-/// queries.
+/// Strong simulation's per-ball loop builds its screen from `N_{2d_Q}(v_p)`
+/// this way: every ball it evaluates is a subset of that neighborhood, so
+/// screening the whole view would be wasted work on large graphs with
+/// localized queries.
 pub fn candidate_screen_within_into<V: GraphView + ?Sized>(
     q: &ResolvedPattern,
     g: &V,
@@ -464,17 +464,6 @@ impl<'s> DualSimRef<'s> {
         self.sim[u.index()].binary_search(&v).is_ok()
     }
 
-    /// All data nodes participating in the relation, sorted and
-    /// deduplicated, written into `out` (cleared first).
-    pub fn all_matched_into(&self, out: &mut Vec<NodeId>) {
-        out.clear();
-        for s in self.sim {
-            out.extend_from_slice(s);
-        }
-        out.sort_unstable();
-        out.dedup();
-    }
-
     /// Copy into an owned [`DualSim`].
     pub fn to_dual_sim(&self) -> DualSim {
         DualSim {
@@ -484,9 +473,8 @@ impl<'s> DualSimRef<'s> {
 }
 
 /// Grow `pool` to at least `n` entries and clear the first `n` — the
-/// shared reset idiom for every recycled `Vec<Vec<_>>` buffer in the
-/// pattern crate.
-pub(crate) fn reuse_pool<T>(pool: &mut Vec<Vec<T>>, n: usize) {
+/// reset idiom for every recycled `Vec<Vec<_>>` buffer of the fixpoint.
+fn reuse_pool<T>(pool: &mut Vec<Vec<T>>, n: usize) {
     if pool.len() < n {
         pool.resize_with(n, Vec::new);
     }
@@ -955,19 +943,6 @@ mod tests {
         pb.personalized(pa).output(pc);
         let q = pb.build().resolve(&g).unwrap();
         assert!(dual_simulation(&q, &g, None).is_none());
-    }
-
-    #[test]
-    fn all_matched_collects_union() {
-        let (g, _) = fig1_graph();
-        let q = fig1_pattern().resolve(&g).unwrap();
-        let mut scratch = DualSimScratch::new();
-        let d = dual_simulation_with(&q, &g, None, &mut scratch).unwrap();
-        let mut all = vec![NodeId(99)];
-        d.all_matched_into(&mut all);
-        // Michael + hgm + cc1 + cc3 + cln-1 + cln = 6
-        assert_eq!(all.len(), 6);
-        assert!(all.windows(2).all(|w| w[0] < w[1]));
     }
 
     // ------------------------------------------------ differential oracle

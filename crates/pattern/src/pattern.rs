@@ -105,8 +105,9 @@ impl Pattern {
     /// member).
     ///
     /// Returns `node_count - 1` as a conservative value for disconnected
-    /// patterns (which cannot match anything under strong simulation in a
-    /// single ball anyway).
+    /// patterns. Those still match under strong simulation: each ball is
+    /// evaluated on its own, so a component without `u_p` may be witnessed
+    /// anywhere in a ball that also holds `v_p`.
     pub fn undirected_diameter(&self) -> usize {
         let n = self.node_count();
         if n == 0 {
@@ -144,8 +145,8 @@ impl Pattern {
     }
 
     /// Whether the pattern is weakly connected. Patterns in the paper's
-    /// evaluation are connected; disconnected ones are legal but never match
-    /// under strong simulation.
+    /// evaluation are connected; disconnected ones are legal and match
+    /// ball by ball (see [`Pattern::undirected_diameter`]).
     pub fn is_connected(&self) -> bool {
         let n = self.node_count();
         if n == 0 {
@@ -190,6 +191,7 @@ impl Pattern {
         }
         Ok(ResolvedPattern {
             dq: self.undirected_diameter(),
+            connected: self.is_connected(),
             pattern: self.clone(),
             labels,
             vp: v_anchor,
@@ -214,6 +216,7 @@ impl Pattern {
         };
         Ok(ResolvedPattern {
             dq: self.undirected_diameter(),
+            connected: self.is_connected(),
             pattern: self.clone(),
             labels,
             vp,
@@ -263,6 +266,9 @@ pub struct ResolvedPattern {
     /// Cached `d_Q` — strong simulation reads it per ball, and recomputing
     /// the diameter BFS there would put allocations back on the warm path.
     dq: usize,
+    /// Cached weak connectivity, for the same reason: it picks strong
+    /// simulation's evaluation rule on every call.
+    connected: bool,
 }
 
 impl ResolvedPattern {
@@ -300,10 +306,17 @@ impl ResolvedPattern {
         self.dq
     }
 
-    /// Re-anchor at `v` in place: only `v_p` changes — labels and `d_Q`
-    /// are anchor-independent, so enumerating candidate anchors (the §7
-    /// anonymous-pattern evaluation) needs one resolve plus one cheap
-    /// `set_anchor` per candidate instead of a full pattern clone each.
+    /// Whether the pattern is weakly connected.
+    #[inline]
+    pub fn is_connected(&self) -> bool {
+        self.connected
+    }
+
+    /// Re-anchor at `v` in place: only `v_p` changes — labels, `d_Q` and
+    /// connectivity are anchor-independent, so enumerating candidate
+    /// anchors (the §7 anonymous-pattern evaluation) needs one resolve plus
+    /// one cheap `set_anchor` per candidate instead of a full pattern clone
+    /// each.
     /// Returns `false` (and leaves the anchor unchanged) when `v` does not
     /// carry the personalized node's label.
     pub fn set_anchor(&mut self, g: &Graph, v: NodeId) -> bool {

@@ -8,15 +8,32 @@
 //!
 //! Because every valid ball must contain `v_p`, candidate centers are
 //! exactly the nodes of `N_dQ(v_p)` — the paper's `MatchOpt` ("only checks
-//! subgraphs within `d_Q` hops of `v_p`") is therefore the natural baseline
-//! and [`match_opt`] implements it directly. [`strong_simulation`] adds a
-//! shared dual-simulation prefilter that
-//! preserves the answer set (any ball-restricted relation is contained in
-//! the prefilter relation) while skipping doomed balls early; the reduced
-//! graph `G_Q` is evaluated with the same code.
+//! subgraphs within `d_Q` hops of `v_p`"), which [`match_opt`] implements
+//! directly, one fixpoint per center.
+//!
+//! ## One fixpoint for a connected pattern
+//!
+//! *Witness chains.* Let `Q` be connected and `R` a dual simulation of `Q`
+//! in a view with `R(u_p) = {v_p}`. For `(u, v) ∈ R`, follow a shortest
+//! undirected pattern path from `u` to `u_p`: each pattern edge on it has an
+//! `R`-witness adjacent to the current data node, and the walk ends at
+//! `v_p`. So `dist(v, v_p) ≤ dist_Q(u, u_p) ≤ d_Q`.
+//!
+//! Every ball relation `R_{v0}` therefore lies inside `N_dQ(v_p)` and is a
+//! dual simulation there, so `R_{v0} ⊆ R_{v_p}`, the maximum dual
+//! simulation on `N_dQ(v_p)`. And `v_p` is itself a center. The union over
+//! centers is `R_{v_p}`: [`strong_simulation`],
+//! [`strong_simulation_on_view_with`] and [`strong_simulation_anonymous`]
+//! answer a connected pattern with one ball BFS and one fixpoint.
+//!
+//! Two callers keep the per-ball loop (one ball and one fixpoint per
+//! center, over a candidate screen of `N_{2d_Q}(v_p)`): [`match_opt`], the
+//! unchanged reference, and disconnected patterns, whose components
+//! without `u_p` have no witness chain back to `v_p`.
 
 use crate::dualsim::{
-    candidate_screen_within_into, dual_simulation_screened_with, CandidateScreen, DualSimScratch,
+    candidate_screen_within_into, dual_simulation_screened_with, dual_simulation_with,
+    CandidateScreen, DualSimScratch,
 };
 use crate::pattern::ResolvedPattern;
 use rbq_graph::{BallScratch, Graph, GraphView, NodeId};
@@ -38,20 +55,20 @@ pub fn ball_nodes<V: GraphView + ?Sized>(g: &V, center: NodeId, r: usize) -> Vec
 /// for every candidate center in `N_dQ(v_p)`, without cross-ball sharing.
 ///
 /// Returns the sorted matches of the output node.
-pub fn match_opt(q: &ResolvedPattern, g: &Graph) -> Vec<NodeId> {
-    let mut scratch = StrongSimScratch::new();
-    let mut out = Vec::new();
-    strong_sim_impl(q, g, false, &mut scratch, &mut out);
-    out
-}
-
-/// Optimized strong simulation over any [`GraphView`]: identical answers to
-/// [`match_opt`] on a full graph, with a shared prefilter; on the reduced
-/// graph of dynamic reduction it evaluates `Q(G_Q)`.
-pub fn strong_simulation<V: GraphView + ?Sized>(q: &ResolvedPattern, g: &V) -> Vec<NodeId> {
+pub fn match_opt<V: GraphView + ?Sized>(q: &ResolvedPattern, g: &V) -> Vec<NodeId> {
     let mut scratch = StrongSimScratch::new();
     let mut out = Vec::new();
     strong_sim_impl(q, g, true, &mut scratch, &mut out);
+    out
+}
+
+/// Strong simulation over any [`GraphView`]: identical answers to
+/// [`match_opt`], from one fixpoint on `N_dQ(v_p)` for a connected pattern;
+/// on the reduced graph of dynamic reduction it evaluates `Q(G_Q)`.
+pub fn strong_simulation<V: GraphView + ?Sized>(q: &ResolvedPattern, g: &V) -> Vec<NodeId> {
+    let mut scratch = StrongSimScratch::new();
+    let mut out = Vec::new();
+    strong_sim_impl(q, g, false, &mut scratch, &mut out);
     out
 }
 
@@ -66,7 +83,7 @@ pub fn strong_simulation_on_view_with<V: GraphView + ?Sized>(
     scratch: &mut StrongSimScratch,
     out: &mut Vec<NodeId>,
 ) {
-    strong_sim_impl(q, g, true, scratch, out);
+    strong_sim_impl(q, g, false, scratch, out);
 }
 
 /// Strong simulation for a pattern **without** a personalized node (the
@@ -82,7 +99,7 @@ pub fn strong_simulation_anonymous(pattern: &crate::pattern::Pattern, g: &Graph)
     let mut out: Vec<NodeId> = Vec::new();
     for &v in g.nodes_with_label(anchor_label) {
         if let Ok(q) = pattern.resolve_with_anchor(g, v) {
-            strong_sim_impl(&q, g, true, &mut scratch, &mut per_anchor);
+            strong_sim_impl(&q, g, false, &mut scratch, &mut per_anchor);
             out.extend_from_slice(&per_anchor);
         }
     }
@@ -93,8 +110,8 @@ pub fn strong_simulation_anonymous(pattern: &crate::pattern::Pattern, g: &Graph)
 
 /// Reusable state for one strong-simulation evaluation loop: the ball
 /// scratch, the center/domain/ball buffers, the per-query candidate
-/// screen, the dual-simulation scratch, and the per-center universes —
-/// everything [`strong_simulation_on_view_with`] touches per query.
+/// screen and the dual-simulation scratch — everything
+/// [`strong_simulation_on_view_with`] touches per query.
 ///
 /// One scratch serves any sequence of queries and views; results are
 /// identical to fresh construction.
@@ -104,9 +121,6 @@ pub struct StrongSimScratch {
     centers: Vec<NodeId>,
     domain: Vec<NodeId>,
     ball: Vec<NodeId>,
-    restricted: Vec<NodeId>,
-    matched: Vec<NodeId>,
-    per_center: Vec<Vec<NodeId>>,
     screen: CandidateScreen,
     dual: DualSimScratch,
 }
@@ -126,10 +140,14 @@ impl StrongSimScratch {
     }
 }
 
+/// Evaluate `Q(g)` into `out`: one fixpoint on `N_dQ(v_p)` for a connected
+/// pattern (see the module doc), the per-ball loop when `per_ball` is set
+/// or the pattern is disconnected.
+// rbq-lint: hot
 fn strong_sim_impl<V: GraphView + ?Sized>(
     q: &ResolvedPattern,
     g: &V,
-    prefilter: bool,
+    per_ball: bool,
     scratch: &mut StrongSimScratch,
     out: &mut Vec<NodeId>,
 ) {
@@ -144,12 +162,17 @@ fn strong_sim_impl<V: GraphView + ?Sized>(
         centers,
         domain,
         ball,
-        restricted,
-        matched,
-        per_center,
         screen,
         dual,
     } = scratch;
+
+    if !per_ball && q.is_connected() {
+        balls.ball_into(g, vp, dq, ball);
+        if let Some(rel) = dual_simulation_with(q, g, Some(ball), dual) {
+            out.extend_from_slice(rel.matches(q.uo()));
+        }
+        return;
+    }
 
     // One traversal yields both the candidate centers (balls must contain
     // v_p, i.e. centers within d_Q undirected hops of v_p) and the
@@ -159,117 +182,15 @@ fn strong_sim_impl<V: GraphView + ?Sized>(
 
     // Per-query candidate screen over N_{2dQ}(v_p): labels and guards
     // depend only on the data node, so they are evaluated once here
-    // instead of once per ball — and only inside the neighborhood the
-    // balls can reach, not the whole view. No screen at all means some
-    // query node has no candidate anywhere near v_p — no ball can match.
+    // instead of once per ball. No screen at all means some query node has
+    // no candidate anywhere near v_p — no ball can match.
     if !candidate_screen_within_into(q, g, Some(domain), screen, dual) {
         return;
     }
-
-    // Optional shared prefilter: the maximum dual simulation on
-    // G_{2dQ}(v_p) contains every ball-restricted relation, so non-members
-    // can never match and balls disjoint from it can be skipped. The
-    // matched set is a sorted vector (the relation's native
-    // representation), copied out of the dual scratch so the per-ball
-    // evaluations below can reuse it.
-    let use_filter = if prefilter {
-        match dual_simulation_screened_with(q, g, domain, screen, dual) {
-            Some(rel) => {
-                rel.all_matched_into(matched);
-                true
-            }
-            None => return,
-        }
-    } else {
-        false
-    };
-
-    match use_filter {
-        // Inverted prefiltered evaluation. Every per-center universe is
-        // `m ∩ ball(v0, d_Q)`, and undirected distance is symmetric:
-        // `v ∈ ball(v0, d_Q) ⇔ v0 ∈ ball(v, d_Q)`. So |m| BFS traversals
-        // (one per matched node, recording which centers its ball covers)
-        // produce *every* center's universe — instead of one ball BFS per
-        // center over neighborhoods that are typically orders of magnitude
-        // larger than m. Universes are identical to the direct
-        // intersection, so the answers are too.
-        true if matched.len() <= centers.len() => {
-            crate::dualsim::reuse_pool(per_center, centers.len());
-            for &v in matched.iter() {
-                balls.ball_into(g, v, dq, ball);
-                let (mut i, mut j) = (0usize, 0usize);
-                while i < ball.len() && j < centers.len() {
-                    match ball[i].cmp(&centers[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            per_center[j].push(v);
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-            }
-            // m is iterated in ascending order, so each universe is sorted.
-            for (j, &v0) in centers.iter().enumerate() {
-                let uni = &mut per_center[j];
-                if uni.binary_search(&vp).is_err() {
-                    continue;
-                }
-                // Keep the center in the universe even if unmatched: it is
-                // harmless (it will simply not join the relation).
-                if let Err(pos) = uni.binary_search(&v0) {
-                    uni.insert(pos, v0);
-                }
-                if let Some(rel) = dual_simulation_screened_with(q, g, uni, screen, dual) {
-                    out.extend_from_slice(rel.matches(q.uo()));
-                }
-            }
-        }
-        // Per-center evaluation: the unfiltered baseline (`MatchOpt`), and
-        // the prefiltered path when m is so large that per-matched-node
-        // traversals would cost more than per-center ones.
-        _ => {
-            for &v0 in centers.iter() {
-                balls.ball_into(g, v0, dq, ball);
-                let universe: &[NodeId] = if use_filter {
-                    // Linear sorted merge of ball ∩ matched filter
-                    // (both sorted), tracking v_p / center membership
-                    // on the way.
-                    let m = &*matched;
-                    restricted.clear();
-                    let mut has_vp = false;
-                    let mut has_center = false;
-                    let (mut i, mut j) = (0usize, 0usize);
-                    while i < ball.len() && j < m.len() {
-                        match ball[i].cmp(&m[j]) {
-                            std::cmp::Ordering::Less => i += 1,
-                            std::cmp::Ordering::Greater => j += 1,
-                            std::cmp::Ordering::Equal => {
-                                let v = ball[i];
-                                restricted.push(v);
-                                has_vp |= v == vp;
-                                has_center |= v == v0;
-                                i += 1;
-                                j += 1;
-                            }
-                        }
-                    }
-                    if !has_vp {
-                        continue;
-                    }
-                    if !has_center {
-                        let pos = restricted.binary_search(&v0).unwrap_err();
-                        restricted.insert(pos, v0);
-                    }
-                    restricted
-                } else {
-                    ball
-                };
-                if let Some(rel) = dual_simulation_screened_with(q, g, universe, screen, dual) {
-                    out.extend_from_slice(rel.matches(q.uo()));
-                }
-            }
+    for &v0 in centers.iter() {
+        balls.ball_into(g, v0, dq, ball);
+        if let Some(rel) = dual_simulation_screened_with(q, g, ball, screen, dual) {
+            out.extend_from_slice(rel.matches(q.uo()));
         }
     }
     out.sort_unstable();
@@ -359,9 +280,9 @@ mod tests {
 
     #[test]
     fn prefilter_center_set_equals_direct_dq_ball() {
-        // The d_Q center set is derived from the 2·d_Q prefilter BFS (one
-        // traversal, depths recorded once); pin that it equals a direct
-        // d_Q-ball for every center and radius.
+        // The per-ball loop derives its d_Q center set from the 2·d_Q
+        // screening BFS (one traversal, depths recorded once); pin that it
+        // equals a direct d_Q-ball for every center and radius.
         let (g, _) = fig1_graph();
         let mut scratch = BallScratch::new();
         let (mut outer, mut inner) = (Vec::new(), Vec::new());
@@ -412,6 +333,32 @@ mod tests {
         pb.personalized(m).output(m);
         let q = pb.build().resolve(&g).unwrap();
         assert_eq!(match_opt(&q, &g), vec![ids[0]]);
+    }
+
+    #[test]
+    fn disconnected_pattern_matches_ball_by_ball() {
+        // Graph P -> X -> A -> B; pattern {P} plus {A -> B}, output B, so
+        // d_Q = 2. B is three hops from P: outside v_p's d_Q-ball, but
+        // inside the ball of center A, which also holds P.
+        let mut gb = GraphBuilder::new();
+        let p = gb.add_node("P");
+        let x = gb.add_node("X");
+        let a = gb.add_node("A");
+        let b = gb.add_node("B");
+        gb.add_edge(p, x);
+        gb.add_edge(x, a);
+        gb.add_edge(a, b);
+        let g = gb.build();
+        let mut pb = PatternBuilder::new();
+        let qp = pb.add_node("P");
+        let qa = pb.add_node("A");
+        let qb = pb.add_node("B");
+        pb.add_edge(qa, qb);
+        pb.personalized(qp).output(qb);
+        let q = pb.build().resolve(&g).unwrap();
+        assert_eq!((q.dq(), q.is_connected()), (2, false));
+        assert_eq!(match_opt(&q, &g), vec![b]);
+        assert_eq!(strong_simulation(&q, &g), vec![b]);
     }
 
     #[test]
@@ -501,6 +448,50 @@ mod tests {
         })
     }
 
+    thread_local! {
+        /// One warm scratch shared by every case of the differential.
+        static WARM: std::cell::RefCell<StrongSimScratch> = Default::default();
+    }
+
+    /// A pattern over `L0..L3` rooted at an `L0` anchor (node 0): a
+    /// random-parent tree of 1–4 more nodes, each edge in a random
+    /// direction, plus up to three extra edges (cycles, 2-cycles, self
+    /// loops). When `cut == 0` the upper half of the nodes is a second
+    /// tree, and extra edges across the cut are dropped. The output is any
+    /// node.
+    fn arb_pattern() -> impl Strategy<Value = crate::pattern::Pattern> {
+        let tree = proptest::collection::vec((0u8..4, 0usize..8, prop::bool::ANY), 1..5);
+        let extra = proptest::collection::vec((0usize..8, 0usize..8), 0..4);
+        (tree, extra, 0u8..4, 0usize..8).prop_map(|(tree, extra, cut, out)| {
+            let n = tree.len() + 1;
+            let split = if cut == 0 { (n / 2).max(1) } else { n };
+            let side = |v: usize| v >= split;
+            let mut pb = PatternBuilder::new();
+            let mut ids = vec![pb.add_node("L0")];
+            for (i, &(l, parent, fwd)) in tree.iter().enumerate() {
+                let v = i + 1;
+                ids.push(pb.add_node(&format!("L{l}")));
+                if v == split {
+                    continue;
+                }
+                let u = match side(v) {
+                    true => split + parent % (v - split),
+                    false => parent % v,
+                };
+                let (a, b) = if fwd { (u, v) } else { (v, u) };
+                pb.add_edge(ids[a], ids[b]);
+            }
+            for (a, b) in extra {
+                let (a, b) = (a % n, b % n);
+                if side(a) == side(b) {
+                    pb.add_edge(ids[a], ids[b]);
+                }
+            }
+            pb.personalized(ids[0]).output(ids[out % n]);
+            pb.build()
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -547,35 +538,35 @@ mod tests {
             }
         }
 
-        /// The prefiltered evaluator (shared 2·d_Q dual simulation, merged
-        /// sorted universes) returns exactly the `MatchOpt` baseline answer
-        /// on random graphs and chain patterns.
+        /// The serving evaluator (one fixpoint on N_dQ(v_p) for a connected
+        /// pattern, the per-ball loop otherwise) returns exactly the
+        /// per-ball `MatchOpt` reference, on the full graph and on a random
+        /// induced view, for patterns with cycles, 2-cycles and (in at
+        /// least a quarter of cases) a second component, anchored at every
+        /// label-compatible node, through one warm scratch.
         #[test]
         fn strong_simulation_equals_match_opt(
             g in arb_graph(),
-            extra in proptest::collection::vec((0u8..4, prop::bool::ANY), 1..4),
+            pattern in arb_pattern(),
+            keep in proptest::collection::vec(prop::bool::ANY, 24),
         ) {
-            let mut pb = PatternBuilder::new();
-            let me = pb.add_node("L0");
-            let mut prev = me;
-            for (l, fwd) in extra {
-                let u = pb.add_node(&format!("L{l}"));
-                if fwd {
-                    pb.add_edge(prev, u);
-                } else {
-                    pb.add_edge(u, prev);
-                }
-                prev = u;
-            }
-            pb.personalized(me).output(prev);
-            let pattern = pb.build();
-            // Anchor at every label-compatible node: each anchor gives one
-            // personalized query.
+            let members: Vec<NodeId> = g
+                .nodes()
+                .filter(|v| keep.get(v.index()).copied().unwrap_or(false))
+                .collect();
+            let view = DynamicSubgraph::induced(&g, members);
+            let mut out = Vec::new();
             for v in g.nodes() {
                 let Ok(q) = pattern.resolve_with_anchor(&g, v) else {
                     continue;
                 };
-                prop_assert_eq!(match_opt(&q, &g), strong_simulation(&q, &g));
+                WARM.with_borrow_mut(|scratch| {
+                    strong_simulation_on_view_with(&q, &g, scratch, &mut out);
+                    prop_assert_eq!(&out, &match_opt(&q, &g));
+                    strong_simulation_on_view_with(&q, &view, scratch, &mut out);
+                    prop_assert_eq!(&out, &match_opt(&q, &view));
+                    Ok(())
+                })?;
             }
         }
     }

@@ -19,10 +19,17 @@
 
 mod support;
 
+use rbq::rbq_core::guard::Semantics;
+use rbq::rbq_core::{
+    search_reduced_graph_scratch, NeighborIndex, ReductionConfig, ReductionScratch, ResourceBudget,
+};
 use rbq::rbq_engine::faultpoint::{arm, FaultAction, FaultPlan};
 use rbq::rbq_engine::{Answer, ApplyError, BatchReport, Engine, EngineConfig, Query};
+use rbq::rbq_pattern::{strong_simulation_on_view_with, PatternBuilder, StrongSimScratch};
 use rbq::rbq_router::{LabelHashPartitioner, Partitioner, Router};
-use rbq_graph::Graph;
+use rbq::rbq_workload::{extract_pattern, youtube_like, PatternSpec};
+use rbq_graph::{Graph, GraphBuilder};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use support::{
@@ -147,6 +154,65 @@ fn every_kernel_point_is_contained() {
             );
             assert_no_poison(&engine, &qs, &base, &what);
         }
+    }
+}
+
+/// Strong simulation of a connected pattern is one ball BFS and one
+/// fixpoint, whatever `G_Q` holds: a plan that panics at the *second* hit of
+/// either point never fires. A disconnected pattern keeps the per-ball loop,
+/// one BFS and one fixpoint per center, and fires both.
+#[test]
+fn strong_simulation_runs_one_ball_bfs_and_one_fixpoint() {
+    let _s = serial();
+    let points = ["dualsim.fixpoint", "ball.bfs"];
+    let g = youtube_like(4_000, 42);
+    let idx = NeighborIndex::build(&g);
+    let budget = ResourceBudget::from_units(&g, 300);
+    let (mut reduction, mut eval, mut out) =
+        (ReductionScratch::new(), StrongSimScratch::new(), vec![]);
+    let mut evaluated = 0;
+    for seed in 0..200u64 {
+        let Some(p) = extract_pattern(&g, PatternSpec::new(4, 8), seed) else {
+            continue;
+        };
+        let Ok(q) = p.resolve(&g) else { continue };
+        assert!(p.is_connected());
+        // The reduction runs no ball BFS; it builds G_Q before any arming.
+        let red = search_reduced_graph_scratch(
+            &g,
+            &idx,
+            &q,
+            &budget,
+            Semantics::Simulation,
+            ReductionConfig::default(),
+            &mut reduction,
+        );
+        for point in points {
+            let _plan = arm(FaultPlan::new().on_nth(point, 1, FaultAction::Panic));
+            strong_simulation_on_view_with(&q, &red.gq, &mut eval, &mut out);
+        }
+        reduction.recycle(red.gq);
+        evaluated += 1;
+    }
+    assert!(evaluated >= 10, "only {evaluated} patterns extracted");
+
+    // P -> X -> A -> B under the pattern {P} + {A -> B}: three centers.
+    let mut gb = GraphBuilder::new();
+    let v: Vec<_> = ["P", "X", "A", "B"].map(|l| gb.add_node(l)).into();
+    for w in v.windows(2) {
+        gb.add_edge(w[0], w[1]);
+    }
+    let g = gb.build();
+    let mut pb = PatternBuilder::new();
+    let (qp, qa, qb) = (pb.add_node("P"), pb.add_node("A"), pb.add_node("B"));
+    pb.add_edge(qa, qb).personalized(qp).output(qb);
+    let q = pb.build().resolve(&g).unwrap();
+    for point in points {
+        let _plan = arm(FaultPlan::new().on_nth(point, 1, FaultAction::Panic));
+        let fired = catch_unwind(AssertUnwindSafe(|| {
+            strong_simulation_on_view_with(&q, &g, &mut StrongSimScratch::new(), &mut out)
+        }));
+        assert!(fired.is_err(), "{point}: the per-ball loop hit it once");
     }
 }
 

@@ -5,12 +5,24 @@
 mod support;
 
 use proptest::prelude::*;
-use rbq_core::{rbsim, rbsub, NeighborIndex, ResourceBudget};
+use rbq_core::guard::Semantics;
+use rbq_core::{
+    rbsim, rbsub, search_reduced_graph_scratch, NeighborIndex, ReductionConfig, ReductionScratch,
+    ResourceBudget,
+};
 use rbq_graph::traverse::reaches;
 use rbq_graph::{GraphView, NodeId};
-use rbq_pattern::{match_opt, vf2_opt, Vf2Config};
+use rbq_pattern::{
+    match_opt, strong_simulation_on_view_with, vf2_opt, StrongSimScratch, Vf2Config,
+};
 use rbq_reach::{compress_for_reachability, HierarchicalIndex};
-use support::{graphs, graphs_with_chains};
+use std::cell::RefCell;
+use support::{fold_labels, graphs, graphs_with_chains, hub_graph, shaped, Rng};
+
+thread_local! {
+    /// One warm evaluation scratch shared by every case of a property.
+    static WARM: RefCell<(ReductionScratch, StrongSimScratch)> = RefCell::default();
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -81,6 +93,41 @@ proptest! {
         let ans = rbsim(&g, &idx, &q, &budget);
         let exact = match_opt(&q, &g);
         prop_assert_eq!(ans.matches, exact);
+    }
+
+    /// Strong simulation on `G_Q`, the view RBSim serves from, equals the
+    /// per-ball `MatchOpt` reference on the same view: hub graphs over few
+    /// labels, small budgets, patterns with cycles and 2-cycles and, in a
+    /// quarter of cases, a second component, all through one warm
+    /// scratch. (The differential in `strongsim.rs` covers full graphs and
+    /// random induced views.)
+    #[test]
+    fn strong_simulation_equals_match_opt_on_gq(seed in 0..u64::MAX, units in 1usize..160) {
+        let mut rng = Rng(seed);
+        let labels = rng.range(1..4);
+        let g = hub_graph(&mut rng, labels);
+        let Ok(q) = fold_labels(&shaped(&mut rng), labels).resolve(&g) else {
+            return Ok(());
+        };
+        let idx = NeighborIndex::build(&g);
+        let budget = ResourceBudget::from_units(&g, units);
+        WARM.with_borrow_mut(|(reduction, eval)| {
+            let red = search_reduced_graph_scratch(
+                &g,
+                &idx,
+                &q,
+                &budget,
+                Semantics::Simulation,
+                ReductionConfig::default(),
+                reduction,
+            );
+            let mut served = Vec::new();
+            strong_simulation_on_view_with(&q, &red.gq, eval, &mut served);
+            let reference = match_opt(&q, &red.gq);
+            reduction.recycle(red.gq);
+            prop_assert_eq!(served, reference);
+            Ok(())
+        })?;
     }
 
     /// RBSub soundness under any budget.

@@ -117,6 +117,24 @@ pub fn tree(rng: &mut Rng) -> Pattern {
     anchored_pattern(rng, n, edges)
 }
 
+/// A [`tree`] (its extra edges close cycles and 2-cycles), and in one case
+/// of four a second tree beside it that no edge joins to the anchor's; the
+/// output is any node of either.
+pub fn shaped(rng: &mut Rng) -> Pattern {
+    let p = tree(rng);
+    if !rng.one_in(4) {
+        return p;
+    }
+    let (mut labels, mut edges) = parts(&p);
+    let (more, more_edges) = parts(&tree(rng));
+    let n = labels.len();
+    labels.push(format!("L{}", rng.below(4)));
+    labels.extend(more.into_iter().skip(1));
+    edges.extend(more_edges.into_iter().map(|(u, v)| (u + n, v + n)));
+    let out = rng.below(labels.len());
+    build_pattern(&labels, &edges, 0, out)
+}
+
 /// A near-twin of `p` (≥ 2 nodes): the same labels and edges with another
 /// output node, or with one edge reversed — what a memo keyed on less than
 /// the whole pattern would alias.
