@@ -16,8 +16,8 @@
 //!   isomorphism (§4.2) semantics;
 //! * [`reduction`] — the `Search`/`Pick` procedures of Fig. 3, generic over
 //!   the matching semantics;
-//! * [`rbsim`] — **RBSim**: resource-bounded strong simulation (Theorem 3);
-//! * [`rbsub`] — **RBSub**: resource-bounded subgraph isomorphism;
+//! * [`rbsim`](mod@rbsim) — **RBSim**: resource-bounded strong simulation (Theorem 3);
+//! * [`rbsub`](mod@rbsub) — **RBSub**: resource-bounded subgraph isomorphism;
 //! * [`accuracy`] — the precision / recall / F-measure accuracy metrics of
 //!   §3, for pattern answers and reachability query sets.
 

@@ -3,7 +3,7 @@
 //! RBSub revises RBSim in two places: the guarded condition and cost
 //! estimation are enriched with degree constraints for isomorphism (see
 //! [`crate::guard`]), and after `G_Q` is found a subgraph-isomorphism
-//! enumerator (VF2, [11]) computes `Q(G_Q)`.
+//! enumerator (VF2, \[11\]) computes `Q(G_Q)`.
 
 use crate::budget::ResourceBudget;
 use crate::guard::Semantics;

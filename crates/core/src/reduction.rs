@@ -34,12 +34,15 @@
 //!
 //! All of `Search`'s bookkeeping lives in a reusable [`ReductionScratch`]:
 //! the `G_Q` buffers ([`rbq_graph::SubgraphScratch`]), the traversal stack,
-//! epoch-stamped flat `(query node, data node)` stamp arrays replacing the
-//! former `in_stack`/`expanded` hash sets, the candidate lists, `Pick`'s
-//! scored-candidate buffer, the guard's `(label, degree)` buffers, and
-//! per-query memos of the guard `C(v, u)` and potential `p(v, u)` (both
+//! the per-round `in_stack`/`expanded` sets, the candidate lists, `Pick`'s
+//! scored-candidate buffer, the guard's `(label, degree)` buffers, and a
+//! per-query memo of the guard `C(v, u)` with the potential `p(v, u)` (both
 //! depend only on the pair, never on `G_Q`, so re-seen candidates skip the
-//! summary probes the Weighted policy used to repeat every round).
+//! summary probes the Weighted policy used to repeat every round). The
+//! sets and the memo are flat [`rbq_graph::Stamps`] tables keyed by
+//! `(query node, data node)`: forgetting one at a round or query boundary
+//! is an epoch bump, and a grown table is `calloc`ed, so a budget-bounded
+//! search faults in only the pages of the pairs it touches.
 //! [`search_reduced_graph_scratch`] threads the scratch; the original entry
 //! points wrap a fresh one, so results are identical either way (see the
 //! scratch-differential property tests, which also hold `Search` to a plain
@@ -49,7 +52,7 @@ use crate::budget::ResourceBudget;
 use crate::guard::{GuardCtx, GuardScratch, Semantics};
 use crate::neighbor_index::NeighborIndex;
 use rbq_graph::traverse::VisitStats;
-use rbq_graph::{DynamicSubgraph, Graph, GraphView, Label, NodeId, SubgraphScratch};
+use rbq_graph::{DynamicSubgraph, Graph, GraphView, Label, NodeId, Stamps, SubgraphScratch};
 use rbq_pattern::{PNode, ResolvedPattern};
 use rustc_hash::FxHashMap;
 use std::cmp::Ordering;
@@ -127,163 +130,43 @@ impl Default for ReductionConfig {
     }
 }
 
-/// Epoch-stamped flat stamp arrays keyed by `(query node, data node)` —
-/// `|V_p|·|V|` u32 slots per array, reused across rounds and queries.
+/// `Search`'s tables keyed by `(query node, data node)`, `|V_p|·|V|` slots
+/// each, reused across rounds and queries.
 ///
-/// `in_stack`/`expanded` use the per-round epoch (`Search` clears both at
-/// every beam restart; here clearing is one counter bump). The guard and
-/// potential memos use the per-query epoch: both values depend only on the
-/// pair, so within one query every re-seen candidate is a stamp probe
-/// instead of an index-summary walk.
+/// `in_stack`/`expanded` are forgotten at every round (`Search` clears both
+/// at every beam restart). The memo is forgotten per query: the guard and
+/// the potential depend only on the pair, so within one query every
+/// re-seen candidate is one table probe instead of an index-summary walk.
 #[derive(Debug, Clone, Default)]
 struct PairScratch {
-    np: usize,
+    /// The pair-index stride `|V|`.
     nv: usize,
-    /// Epoch for `in_stack`/`expanded`; bumped per traversal round.
-    round: u32,
-    /// Epoch for the guard/potential memos; bumped per query. Kept below
-    /// `u32::MAX >> 1` so `(query << 1) | bit` packing cannot overflow.
-    query: u32,
-    in_stack: Vec<u32>,
-    expanded: Vec<u32>,
-    /// `(query << 1) | passed` — one array holds both stamp and verdict.
-    guard: Vec<u32>,
-    pot_stamp: Vec<u32>,
-    pot_val: Vec<u32>,
-}
-
-/// Size `buf` to at least `len` slots that all read as zero to epoch
-/// probes. Growth goes through a fresh `vec![0; len]`: that is `calloc`,
-/// and the OS zeroes pages lazily — a budget-bounded search over a huge
-/// graph only ever faults in the pages it actually stamps, so the array's
-/// *touched* footprint stays proportional to the work done, not to
-/// `|V_p|·|V|`. Discarding the old contents is safe at query boundaries:
-/// every stamp is epoch-gated, and zero never matches a live epoch.
-fn zeroed(buf: &mut Vec<u32>, len: usize) {
-    if buf.len() < len {
-        *buf = vec![0u32; len];
-    }
+    /// The current query's `|V_p|·|V|`.
+    len: usize,
+    in_stack: Stamps,
+    expanded: Stamps,
+    /// `None` if the guard `C(v, u)` fails, else `Some` of the potential
+    /// `p(v, u)` — or of 0 where no potential was asked for: under the
+    /// `Fifo` and `Random` policies, and for a pair first seen by the
+    /// `G_Q` continuation, whose data node is a member that `Pick` skips.
+    memo: Stamps<Option<u32>>,
 }
 
 impl PairScratch {
     fn begin_query(&mut self, np: usize, nv: usize) {
-        let len = np * nv;
-        if nv != self.nv {
-            // The data-graph node count is the pair-index stride: under a
-            // new stride every stored stamp would alias some other pair.
-            // Restart the epochs at zero and make all slots read as
-            // unstamped (force fresh arrays so stale non-zero stamps from
-            // the old stride cannot survive a same-length resize).
-            self.nv = nv;
-            self.round = 0;
-            self.query = 0;
-            for buf in [
-                &mut self.in_stack,
-                &mut self.expanded,
-                &mut self.guard,
-                &mut self.pot_stamp,
-                &mut self.pot_val,
-            ] {
-                buf.clear();
-                zeroed(buf, len);
-            }
-        } else if len > self.in_stack.len() {
-            // A larger pattern on the same graph only needs more slots:
-            // the stride is unchanged, existing stamps stay epoch-stale
-            // (never read as live), and the new tail reads as unstamped.
-            // Smaller patterns reuse the high-water arrays as-is — mixed
-            // pattern sizes in one serving loop never trigger a refill.
-            for buf in [
-                &mut self.in_stack,
-                &mut self.expanded,
-                &mut self.guard,
-                &mut self.pot_stamp,
-                &mut self.pot_val,
-            ] {
-                zeroed(buf, len);
-            }
-        }
-        self.np = np;
-        if self.query >= (u32::MAX >> 1) - 1 {
-            self.guard.fill(0);
-            self.pot_stamp.fill(0);
-            self.query = 0;
-        }
-        self.query += 1;
+        self.nv = nv;
+        self.len = np * nv;
+        self.memo.reset(self.len);
     }
 
     fn begin_round(&mut self) {
-        if self.round == u32::MAX {
-            self.in_stack.fill(0);
-            self.expanded.fill(0);
-            self.round = 0;
-        }
-        self.round += 1;
+        self.in_stack.reset(self.len);
+        self.expanded.reset(self.len);
     }
 
     #[inline]
     fn idx(&self, u: PNode, v: NodeId) -> usize {
         u.index() * self.nv + v.index()
-    }
-
-    #[inline]
-    fn in_stack_contains(&self, u: PNode, v: NodeId) -> bool {
-        self.in_stack[self.idx(u, v)] == self.round
-    }
-
-    #[inline]
-    fn in_stack_insert(&mut self, u: PNode, v: NodeId) {
-        let i = self.idx(u, v);
-        self.in_stack[i] = self.round;
-    }
-
-    #[inline]
-    fn in_stack_remove(&mut self, u: PNode, v: NodeId) {
-        // `round ≥ 1` always, so 0 can never read as present.
-        let i = self.idx(u, v);
-        self.in_stack[i] = 0;
-    }
-
-    #[inline]
-    fn expanded_contains(&self, u: PNode, v: NodeId) -> bool {
-        self.expanded[self.idx(u, v)] == self.round
-    }
-
-    /// Mark `(u, v)` expanded; `true` if it was not already.
-    #[inline]
-    fn expanded_insert(&mut self, u: PNode, v: NodeId) -> bool {
-        let i = self.idx(u, v);
-        if self.expanded[i] == self.round {
-            false
-        } else {
-            self.expanded[i] = self.round;
-            true
-        }
-    }
-
-    #[inline]
-    fn guard_get(&self, u: PNode, v: NodeId) -> Option<bool> {
-        let s = self.guard[self.idx(u, v)];
-        (s >> 1 == self.query).then_some(s & 1 == 1)
-    }
-
-    #[inline]
-    fn guard_set(&mut self, u: PNode, v: NodeId, pass: bool) {
-        let i = self.idx(u, v);
-        self.guard[i] = (self.query << 1) | pass as u32;
-    }
-
-    #[inline]
-    fn pot_get(&self, u: PNode, v: NodeId) -> Option<u32> {
-        let i = self.idx(u, v);
-        (self.pot_stamp[i] == self.query).then(|| self.pot_val[i])
-    }
-
-    #[inline]
-    fn pot_set(&mut self, u: PNode, v: NodeId, val: u32) {
-        let i = self.idx(u, v);
-        self.pot_stamp[i] = self.query;
-        self.pot_val[i] = val;
     }
 }
 
@@ -464,11 +347,11 @@ pub fn search_reduced_graph_scratch<'g>(
         pairs.begin_round();
         stack.clear();
         stack.push((q.up(), q.vp()));
-        pairs.in_stack_insert(q.up(), q.vp());
+        pairs.in_stack.insert(pairs.idx(q.up(), q.vp()), ());
 
         while let Some((u, v)) = stack.pop() {
             cancel.tick("reduction.pick");
-            pairs.in_stack_remove(u, v);
+            pairs.in_stack.remove(pairs.idx(u, v));
 
             // Line 5: add v to G_Q if new, charging its node + induced edges
             // against the budget — one adjacency scan probes and inserts.
@@ -486,7 +369,7 @@ pub fn search_reduced_graph_scratch<'g>(
 
             // Each (u, v) pair expands its query edges once per round
             // (lines 8–10).
-            if !pairs.expanded_insert(u, v) {
+            if !pairs.expanded.insert(pairs.idx(u, v), ()) {
                 continue;
             }
 
@@ -516,7 +399,7 @@ pub fn search_reduced_graph_scratch<'g>(
                     for k in (0..picked.len()).rev() {
                         let v2 = picked[k];
                         stack.push((u2, v2));
-                        pairs.in_stack_insert(u2, v2);
+                        pairs.in_stack.insert(pairs.idx(u2, v2), ());
                     }
                     // Continue the traversal through neighbors already in
                     // G_Q: they consume no candidate slot and no budget, but
@@ -525,12 +408,12 @@ pub fn search_reduced_graph_scratch<'g>(
                     // regions.
                     for &v2 in cands {
                         if gq.contains(v2)
-                            && !pairs.expanded_contains(u2, v2)
-                            && !pairs.in_stack_contains(u2, v2)
-                            && guard_memo(&ctx, pairs, v2, u2, &mut visits, guard)
+                            && !pairs.expanded.contains(pairs.idx(u2, v2))
+                            && !pairs.in_stack.contains(pairs.idx(u2, v2))
+                            && memo(&ctx, pairs, v2, u2, None, &mut visits, guard).is_some()
                         {
                             stack.push((u2, v2));
-                            pairs.in_stack_insert(u2, v2);
+                            pairs.in_stack.insert(pairs.idx(u2, v2), ());
                         }
                     }
                 }
@@ -558,22 +441,29 @@ pub fn search_reduced_graph_scratch<'g>(
     }
 }
 
-/// The guard `C(v, u)` through the per-query memo: evaluated (and charged
-/// to `visits`) at most once per pair.
-fn guard_memo(
+/// The guard `C(v, u)` through the per-query memo: `None` if it fails,
+/// else `Some` of the potential `p(v, u)` when `labels` (`u`'s deduplicated
+/// child and parent labels) asks for it, or of 0. The guard and then the
+/// potential are evaluated, and charged to `visits`, at most once per pair.
+fn memo(
     ctx: &GuardCtx<'_>,
     pairs: &mut PairScratch,
     v: NodeId,
     u: PNode,
+    labels: Option<(&[Label], &[Label])>,
     visits: &mut VisitStats,
     scratch: &mut GuardScratch,
-) -> bool {
-    if let Some(hit) = pairs.guard_get(u, v) {
+) -> Option<u32> {
+    let i = pairs.idx(u, v);
+    if let Some(hit) = pairs.memo.get(i) {
         return hit;
     }
-    let pass = ctx.guard(v, u, visits, scratch);
-    pairs.guard_set(u, v, pass);
-    pass
+    let verdict = ctx.guard(v, u, visits, scratch).then(|| match labels {
+        Some((out, inn)) => ctx.potential_with(v, u, out, inn, visits),
+        None => 0,
+    });
+    pairs.memo.insert(i, verdict);
+    verdict
 }
 
 /// `Pick`'s rank order, best first: weight descending, then degree
@@ -594,10 +484,10 @@ fn by_rank(a: &(f64, u32, NodeId), b: &(f64, u32, NodeId)) -> Ordering {
 ///
 /// Nodes already in `G_Q` or already on the stack for the same query node
 /// are skipped; candidates failing the guarded condition are filtered. The
-/// potential `p(v2, u2)` is served from the per-query memo (it never
-/// depends on `G_Q`); the cost is recomputed, as it must be. Only the `b`
-/// best are sorted, after a selection; `Fifo` keeps the first `b` in
-/// adjacency order.
+/// guard and the potential `p(v2, u2)` are served from the per-query memo
+/// (neither depends on `G_Q`); the cost is recomputed, as it must be. Only
+/// the `b` best are sorted, after a selection; `Fifo` keeps the first `b`
+/// in adjacency order.
 #[allow(clippy::too_many_arguments)]
 fn pick(
     ctx: &GuardCtx<'_>,
@@ -615,23 +505,16 @@ fn pick(
     gs: &mut GuardScratch,
 ) {
     scored.clear();
+    let labels = (policy == PickPolicy::Weighted).then_some((uniq_out, uniq_in));
     for &v2 in cands {
-        if gq.contains(v2) || pairs.in_stack_contains(u2, v2) {
+        if gq.contains(v2) || pairs.in_stack.contains(pairs.idx(u2, v2)) {
             continue;
         }
-        if !guard_memo(ctx, pairs, v2, u2, visits, gs) {
+        let Some(pot) = memo(ctx, pairs, v2, u2, labels, visits, gs) else {
             continue;
-        }
+        };
         let key = match policy {
             PickPolicy::Weighted => {
-                let pot = match pairs.pot_get(u2, v2) {
-                    Some(p) => p,
-                    None => {
-                        let p = ctx.potential_with(v2, u2, uniq_out, uniq_in, visits);
-                        pairs.pot_set(u2, v2, p);
-                        p
-                    }
-                };
                 let c = ctx.cost(v2, u2, gq, visits, gs);
                 pot as f64 / (c as f64 + 1.0)
             }
@@ -853,9 +736,9 @@ mod tests {
 
     #[test]
     fn scratch_reuse_across_mixed_pattern_sizes_is_identical_to_fresh() {
-        // Alternating pattern sizes through one scratch: the pair arrays
-        // only zero-extend at the high-water mark (the index stride is
-        // |V|, which is unchanged), and results must match fresh runs.
+        // Alternating pattern sizes through one scratch: the pair tables
+        // only grow at the high-water mark and a smaller pattern reuses
+        // them, and results must match fresh runs.
         let (g, _, _) = example_graph(8, 16);
         let idx = NeighborIndex::build(&g);
         let q4 = fig1_pattern().resolve(&g).unwrap();

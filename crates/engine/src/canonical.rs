@@ -7,7 +7,7 @@
 //! nodes are ordered by a Weisfeiler–Leman-style refinement of
 //! `(label, out-degree, in-degree, is-u_p, is-u_o)`, and residual symmetry
 //! groups are broken by exhaustively picking the lexicographically smallest
-//! encoding (bounded by [`PERM_CAP`] candidate orderings; above the cap we
+//! encoding (bounded by `PERM_CAP` = 5 040 candidate orderings; above the cap we
 //! fall back to the refined order with input-order tie-breaks, which is
 //! still deterministic — isomorphic twins then merely miss the cache).
 //!

@@ -307,7 +307,7 @@ type Evaluated = (QueryResult, QueryClass, Duration);
 
 /// A mixed-workload query engine over a live-updatable graph.
 ///
-/// The engine serves from an [`Epoch`]: an immutable snapshot holding the
+/// The engine serves from an `Epoch`: an immutable snapshot holding the
 /// graph, the pattern [`NeighborIndex`] (§4.1) and the reachability
 /// [`HierarchicalIndex`] (§5.1), each built lazily on the first query of
 /// its class and reused by every subsequent query — the "once for all

@@ -1,4 +1,4 @@
-//! The write path, once: the serving [`Epoch`], the writer lock with the
+//! The write path, once: the serving `Epoch`, the writer lock with the
 //! durable state it guards, and the single pipeline every graph update
 //! runs — for one engine or for a router's whole set of replicas.
 //!

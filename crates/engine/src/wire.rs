@@ -259,7 +259,7 @@ pub struct AnswerFile {
     pub headerless: bool,
 }
 
-/// Parse a whole answer file (see [`ANSWER_FILE_HEADER`]).
+/// Parse a whole answer file, as [`write_answer_file`] writes it.
 pub fn parse_answer_file(text: &str) -> Result<AnswerFile, QueryParseError> {
     let mut answers = Vec::new();
     let (version, headerless) = parse_lines(text, "answers", |line| {
@@ -359,7 +359,7 @@ fn delta_op_from_line(line: &str) -> Result<DeltaOp, QueryParseError> {
     }
 }
 
-/// Parse a whole delta file (see [`DELTA_FILE_HEADER`]).
+/// Parse a whole delta file, as [`write_delta_file`] writes it.
 ///
 /// Errors carry their 1-based line number via
 /// [`QueryParseError::AtLine`].

@@ -6,7 +6,7 @@
 //! [`CancelTicker::tick`] at cooperative cancellation points. The tick is a
 //! single branch when no deadline is armed (no clock read, no allocation —
 //! the warm serving path stays allocation-free), and amortizes the clock
-//! read over [`TICK_INTERVAL`] iterations when one is.
+//! read over `TICK_INTERVAL` (1024) iterations when one is.
 //!
 //! Expiry is signalled by unwinding with a [`CancelPanic`] payload via
 //! [`std::panic::panic_any`]; the engine catches it per query with
@@ -99,7 +99,7 @@ impl CancelTicker {
     }
 
     /// One cooperative cancellation point. When the token is unarmed this
-    /// is a single branch; when armed, every [`TICK_INTERVAL`]-th call
+    /// is a single branch; when armed, every `TICK_INTERVAL`-th call
     /// (starting with the first) reads the clock and, on expiry, unwinds
     /// with a [`CancelPanic`] tagged `point`.
     #[inline]

@@ -14,8 +14,8 @@
 //!   or allocation.
 //! * The label partition is rebuilt over all nodes (`O(|V|)`), keeping
 //!   label-based candidate seeding `O(1)` + output.
-//! * Once cumulative churn passes [`COMPACTION_THRESHOLD`] (a fraction of
-//!   the base edge count), the apply compacts: a fresh overlay-free CSR is
+//! * Once cumulative churn passes a quarter of the base edge count (and at
+//!   least 64 edges), the apply compacts: a fresh overlay-free CSR is
 //!   rebuilt in `O(|V| + |E|)` and the overlay is dropped.
 //!
 //! Batch semantics are last-op-wins per edge: an add followed by a remove

@@ -9,7 +9,7 @@
 //! The CSR arrays live behind a shared [`Arc`], so applying a
 //! [`crate::delta::DeltaBatch`] produces a *new* `Graph` value that shares
 //! every untouched adjacency row with its parent and carries the changed
-//! rows in a small [`Overlay`] (see [`crate::delta`]). Reads stay plain
+//! rows in a small `Overlay` (see [`crate::delta`]). Reads stay plain
 //! sorted slices either way — the matching hot paths never learn whether a
 //! row came from the base CSR or the overlay.
 

@@ -19,8 +19,11 @@
 //! * traversals ([`traverse`]) — BFS and the `reaches` baseline, with visit
 //!   accounting;
 //! * neighborhoods ([`neighborhood`]) — `N_r(v)` node sets (the balls of
-//!   §2) through the reusable epoch-stamped [`BallScratch`], which evaluates
-//!   many balls without per-ball allocation, and the pattern diameter `d_Q`;
+//!   §2) through the reusable [`BallScratch`], which evaluates many balls
+//!   without per-ball allocation;
+//! * [`stamps`] — [`Stamps`], a dense map over `0..len` that forgets every
+//!   key in O(1) by bumping an epoch: the ball BFS's visited set, `G_Q`'s
+//!   membership and the reduction's pair tables all sit on it;
 //! * [`scc`] — Tarjan strongly connected components, and [`condense`] —
 //!   reachability-preserving DAG condensation (the first half of the
 //!   query-preserving compression of §5);
@@ -34,7 +37,7 @@
 //! * [`io`] — a plain-text edge-list interchange format, plus the atomic
 //!   write-temp-then-rename helper every durable artifact goes through;
 //! * [`snapshot`] — a versioned, checksummed binary snapshot of the
-//!   compacted CSR (the mmap-loader precursor of ROADMAP item 3), and
+//!   compacted CSR (the mmap-loader precursor of ROADMAP item 5), and
 //! * [`wal`] — a length-prefixed, per-record-CRC append-only log of
 //!   [`DeltaBatch`]es with torn-tail truncation on replay: together the
 //!   durability substrate for crash-recoverable serving.
@@ -50,6 +53,7 @@ pub mod labels;
 pub mod neighborhood;
 pub mod scc;
 pub mod snapshot;
+pub mod stamps;
 pub mod stats;
 pub mod subgraph;
 pub mod topo;
@@ -65,6 +69,7 @@ pub use graph::Graph;
 pub use labels::LabelInterner;
 pub use neighborhood::BallScratch;
 pub use snapshot::{load_snapshot, write_snapshot, SnapshotError, SnapshotMeta};
+pub use stamps::Stamps;
 pub use subgraph::{DynamicSubgraph, SubgraphScratch};
 pub use types::{Label, NodeId};
 pub use view::{GraphView, NodeIds};

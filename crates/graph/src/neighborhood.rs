@@ -11,6 +11,7 @@
 //! `G_dQ(v_p)`) rests on these definitions.
 
 use crate::cancel::{CancelTicker, CancelToken};
+use crate::stamps::Stamps;
 use crate::types::NodeId;
 use crate::view::GraphView;
 
@@ -18,10 +19,9 @@ use crate::view::GraphView;
 ///
 /// `MatchOpt` runs one undirected BFS per candidate center — hundreds of
 /// balls per query, each a handful of hops deep. A fresh hash set per ball
-/// made that BFS its dominant cost. `BallScratch` keeps
-/// an **epoch-stamped visited buffer** (`stamp[v] == epoch` ⇔ `v` seen in
-/// the current ball) and a flat frontier queue, so starting the next ball is
-/// one counter increment — no clearing, no rehashing, no allocation once the
+/// made that BFS its dominant cost. `BallScratch` keeps the visited set in
+/// a [`Stamps`] table and a flat frontier queue, so starting the next ball
+/// is one epoch bump — no clearing, no rehashing, no allocation once the
 /// buffers are warm. Balls are emitted as **sorted `Vec<NodeId>`**, the
 /// representation the dual-simulation fixpoint takes as its `universe`.
 ///
@@ -35,12 +35,9 @@ use crate::view::GraphView;
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct BallScratch {
-    /// `stamp[v] == epoch` marks `v` visited in the current ball. Slots are
-    /// zero-initialized and `epoch` is always ≥ 1, so fresh slots read as
-    /// unvisited. One byte per node keeps the buffer cache-resident — the
-    /// BFS probes it once per scanned adjacency entry.
-    stamp: Vec<u8>,
-    epoch: u8,
+    /// The nodes visited in the current ball, keyed by node index. It grows
+    /// on first sight of a larger id: a view cannot name its id bound.
+    visited: Stamps,
     /// BFS frontier of `(node, depth)`, drained by index. After the BFS it
     /// holds exactly the ball's nodes, in visit order.
     queue: Vec<(NodeId, u32)>,
@@ -62,21 +59,6 @@ impl BallScratch {
         self.cancel.arm(token);
     }
 
-    /// Start a new ball: bump the epoch, invalidating every stamp in O(1).
-    fn next_epoch(&mut self) {
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                // Epoch wrap (every 255 balls): hard-reset the stamps so
-                // stale marks from epoch 1 cannot alias the new epoch 1.
-                // Amortized over the wrap interval this is ~|V|/255 writes
-                // per ball — noise next to the BFS itself.
-                self.stamp.fill(0);
-                1
-            }
-        };
-    }
-
     /// The node set `N_r(center)` within the view — nodes within `r` hops
     /// following edges in either direction — written into `out` (cleared
     /// first) in **sorted ascending** order. Empty if the view lacks the
@@ -94,17 +76,17 @@ impl BallScratch {
         if n == 0 {
             return;
         }
-        // Sorted emission: dense balls read off the stamp range — a linear
-        // branchless scan (always write the slot, advance on membership)
-        // replaces an O(n log n) sort; sparse balls over a wide id range
-        // sort the visit order instead.
+        // Sorted emission: dense balls read off the visited range — a
+        // linear branchless scan (always write the slot, advance on
+        // membership) replaces an O(n log n) sort; sparse balls over a wide
+        // id range sort the visit order instead.
         if n >= (hi - lo) / 16 {
             let width = hi - lo + 1;
             out.resize(width, NodeId(0));
             let mut k = 0usize;
-            for (i, &s) in self.stamp[lo..=hi].iter().enumerate() {
-                out[k] = NodeId((lo + i) as u32);
-                k += (s == self.epoch) as usize;
+            for i in lo..=hi {
+                out[k] = NodeId(i as u32);
+                k += self.visited.contains(i) as usize;
             }
             out.truncate(k);
         } else {
@@ -152,21 +134,16 @@ impl BallScratch {
     // rbq-lint: hot
     fn bfs<V: GraphView + ?Sized>(&mut self, g: &V, center: NodeId, r: usize) -> (usize, usize) {
         crate::faultpoint::fire("ball.bfs");
-        self.next_epoch();
         // Hot loop state lives in locals (taken out of `self`): field
         // accesses through `&mut self` defeat the register allocation the
         // inner loop depends on.
-        let epoch = self.epoch;
         let mut cancel = self.cancel;
-        let mut stamp = std::mem::take(&mut self.stamp);
+        let mut visited = std::mem::take(&mut self.visited);
         let mut queue = std::mem::take(&mut self.queue);
+        visited.reset(0);
         queue.clear();
         if g.contains(center) {
-            let ci = center.index();
-            if ci >= stamp.len() {
-                stamp.resize(ci + 1, 0);
-            }
-            stamp[ci] = epoch;
+            visited.insert(center.index(), ());
             queue.push((center, 0));
             let mut head = 0;
             while head < queue.len() {
@@ -186,14 +163,8 @@ impl BallScratch {
                     queue.resize(base + s.len(), (NodeId(0), 0));
                     let mut k = base;
                     for &w in s {
-                        let i = w.index();
-                        if i >= stamp.len() {
-                            stamp.resize(i + 1, 0);
-                        }
-                        let newly = (stamp[i] != epoch) as usize;
-                        stamp[i] = epoch;
                         queue[k] = (w, d + 1);
-                        k += newly;
+                        k += visited.insert(w.index(), ()) as usize;
                     }
                     queue.truncate(k);
                 }
@@ -210,7 +181,7 @@ impl BallScratch {
         if queue.is_empty() {
             lo = 0;
         }
-        self.stamp = stamp;
+        self.visited = visited;
         self.queue = queue;
         self.cancel = cancel;
         (lo, hi)
@@ -265,7 +236,7 @@ mod tests {
         assert_eq!(b.num_edges(), 0);
     }
 
-    /// Hash-map BFS oracle for [`BallScratch`]: the pre-epoch-stamp
+    /// Hash-map BFS oracle for [`BallScratch`]: the pre-scratch
     /// implementation, kept for differential checks.
     fn ball_naive(g: &Graph, center: NodeId, r: usize) -> Vec<NodeId> {
         let mut dist: FxHashMap<NodeId, usize> = FxHashMap::default();

@@ -72,7 +72,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub enum SnapshotError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The file does not start with [`SNAPSHOT_FILE_MAGIC`].
+    /// The file does not start with the snapshot magic line
+    /// (`SNAPSHOT_FILE_MAGIC`).
     BadMagic {
         /// What the first line actually was (lossy, truncated).
         found: String,

@@ -10,21 +10,21 @@
 //! buffers are warm.
 
 use crate::graph::Graph;
+use crate::stamps::Stamps;
 use crate::types::{Label, NodeId};
 use crate::view::{GraphView, NodeIds};
 
-/// Reusable state behind [`DynamicSubgraph`]: dense per-node-id membership
-/// stamps plus a pool of recycled adjacency buffers.
+/// Reusable state behind [`DynamicSubgraph`]: a dense per-node-id
+/// membership table plus a pool of recycled adjacency buffers.
 ///
 /// The dynamic reduction builds one `G_Q` per query; a fresh hash-set /
 /// hash-map subgraph per query made membership probes (the innermost test of
 /// `Search`/`Pick`) hash lookups and its growth a stream of small
 /// allocations. The scratch keeps:
 ///
-/// * `member_stamp[v] == epoch` ⇔ `v` is a member — starting the next
-///   subgraph is one epoch bump, no clearing;
-/// * `member_slot[v]` — the member's dense slot, indexing the adjacency
-///   pool;
+/// * `members` — a [`Stamps`] table from a member to its dense slot, which
+///   indexes the adjacency pool; starting the next subgraph forgets every
+///   member in O(1), no clearing;
 /// * per-slot adjacency `Vec`s, recycled across queries (cleared on slot
 ///   reuse, capacity kept).
 ///
@@ -43,19 +43,14 @@ use crate::view::{GraphView, NodeIds};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SubgraphScratch {
-    /// `member_stamp[v] == epoch` marks `v` a member of the current
-    /// subgraph. Slots are zero-initialized and `epoch ≥ 1` after `begin`,
-    /// so fresh slots read as absent.
-    member_stamp: Vec<u32>,
-    /// Dense slot of a member node; garbage unless `member_stamp` matches.
-    member_slot: Vec<u32>,
-    epoch: u32,
+    /// Member node → its dense slot in `nodes` and the adjacency pool.
+    members: Stamps<u32>,
     /// Members in insertion order.
     nodes: Vec<NodeId>,
     /// Members in ascending id order (maintained incrementally).
     sorted_nodes: Vec<NodeId>,
-    /// Per-slot adjacency, recycled. `out_adj[member_slot[v]]` are the
-    /// children of `v` within the subgraph.
+    /// Per-slot adjacency, recycled. `out_adj[slot(v)]` are the children
+    /// of `v` within the subgraph.
     out_adj: Vec<Vec<NodeId>>,
     in_adj: Vec<Vec<NodeId>>,
 }
@@ -68,17 +63,7 @@ impl SubgraphScratch {
 
     /// Start an empty [`DynamicSubgraph`] of `base`, reusing warm buffers.
     pub fn begin(mut self, base: &Graph) -> DynamicSubgraph<'_> {
-        // Epoch wrap: hard-reset the stamps so marks from a previous epoch 1
-        // cannot alias the new epoch 1. Once per 2^32 - 1 subgraphs.
-        if self.epoch == u32::MAX {
-            self.member_stamp.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        if self.member_stamp.len() < base.node_count() {
-            self.member_stamp.resize(base.node_count(), 0);
-            self.member_slot.resize(base.node_count(), 0);
-        }
+        self.members.reset(base.node_count());
         self.nodes.clear();
         self.sorted_nodes.clear();
         DynamicSubgraph {
@@ -159,8 +144,7 @@ impl<'g> DynamicSubgraph<'g> {
         // Optimistically register v so the scans see it as a member (a
         // self-loop becomes an induced edge the moment v joins).
         let slot = self.s.nodes.len();
-        self.s.member_stamp[v.index()] = self.s.epoch;
-        self.s.member_slot[v.index()] = slot as u32;
+        self.s.members.insert(v.index(), slot as u32);
         self.s.nodes.push(v);
         if slot == self.s.out_adj.len() {
             self.s.out_adj.push(Vec::new());
@@ -171,8 +155,7 @@ impl<'g> DynamicSubgraph<'g> {
 
         let mut units = 1usize;
         for &w in self.base.out(v) {
-            if self.contains(w) {
-                let ws = self.s.member_slot[w.index()] as usize;
+            if let Some(ws) = self.slot(w) {
                 self.s.out_adj[slot].push(w);
                 self.s.in_adj[ws].push(v);
                 units += 1;
@@ -184,8 +167,7 @@ impl<'g> DynamicSubgraph<'g> {
                 // directions were registered there).
                 continue;
             }
-            if self.contains(w) {
-                let ws = self.s.member_slot[w.index()] as usize;
+            if let Some(ws) = self.slot(w) {
                 self.s.in_adj[slot].push(w);
                 self.s.out_adj[ws].push(v);
                 units += 1;
@@ -200,21 +182,18 @@ impl<'g> DynamicSubgraph<'g> {
             // v's own `in_adj`, which needs no undo.
             for i in (0..self.s.in_adj[slot].len()).rev() {
                 let w = self.s.in_adj[slot][i];
-                if w != v {
-                    let ws = self.s.member_slot[w.index()] as usize;
+                if let Some(ws) = self.slot(w).filter(|_| w != v) {
                     self.s.out_adj[ws].pop();
                 }
             }
             for i in (0..self.s.out_adj[slot].len()).rev() {
                 let w = self.s.out_adj[slot][i];
-                if w != v {
-                    let ws = self.s.member_slot[w.index()] as usize;
+                if let Some(ws) = self.slot(w).filter(|_| w != v) {
                     self.s.in_adj[ws].pop();
                 }
             }
             self.s.nodes.pop();
-            // epoch ≥ 1 always, so 0 can never read as a member.
-            self.s.member_stamp[v.index()] = 0;
+            self.s.members.remove(v.index());
             return None;
         }
 
@@ -231,21 +210,14 @@ impl<'g> DynamicSubgraph<'g> {
 
     #[inline]
     fn slot(&self, v: NodeId) -> Option<usize> {
-        if self.contains(v) {
-            Some(self.s.member_slot[v.index()] as usize)
-        } else {
-            None
-        }
+        self.s.members.get(v.index()).map(|ws| ws as usize)
     }
 }
 
 impl GraphView for DynamicSubgraph<'_> {
     #[inline]
     fn contains(&self, v: NodeId) -> bool {
-        self.s
-            .member_stamp
-            .get(v.index())
-            .is_some_and(|&st| st == self.s.epoch)
+        self.s.members.contains(v.index())
     }
 
     #[inline]

@@ -1,4 +1,4 @@
-//! Simulation-preserving compression (related work [12], Fan et al.
+//! Simulation-preserving compression (related work \[12\], Fan et al.
 //! SIGMOD 2012).
 //!
 //! The paper's related-work section notes that query-preserving compression

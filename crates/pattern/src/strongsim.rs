@@ -1,4 +1,4 @@
-//! Strong simulation matching (Ma et al., PVLDB 2011 [20]) with the
+//! Strong simulation matching (Ma et al., PVLDB 2011 \[20\]) with the
 //! personalized-pattern semantics of §2.
 //!
 //! `G` matches `Q` at ball center `v0` if the `d_Q`-neighborhood ball

@@ -1,4 +1,4 @@
-//! Anchored subgraph isomorphism in the style of VF2 (Cordella et al. [11]).
+//! Anchored subgraph isomorphism in the style of VF2 (Cordella et al. \[11\]).
 //!
 //! A match of `Q` in `G` is an injective mapping `h : V_p → V` with
 //! `h(u_p) = v_p`, label-preserving, and edge-preserving: `(u, u') ∈ E_p`

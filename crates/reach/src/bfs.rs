@@ -1,7 +1,7 @@
 //! Reachability baselines: `BFS` and `BFSOPT` (§6 Exp-2).
 //!
 //! * `BFS` — plain breadth-first search on `G` (exact, unbounded visits);
-//! * `BFSOPT` — compress `G` once (query-preserving, [12]) and run BFS on
+//! * `BFSOPT` — compress `G` once (query-preserving, \[12\]) and run BFS on
 //!   the compressed DAG for each query (exact, fewer visits).
 
 use crate::compress::{compress_for_reachability, CompressedGraph};

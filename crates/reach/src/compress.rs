@@ -1,5 +1,5 @@
 //! Query-preserving compression for reachability (§5 "Preprocessing",
-//! after Fan et al. SIGMOD 2012 [12]).
+//! after Fan et al. SIGMOD 2012 \[12\]).
 //!
 //! Two reachability-preserving reductions, applied in sequence:
 //!

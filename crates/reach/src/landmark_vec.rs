@@ -1,4 +1,4 @@
-//! The `LM` landmark-vector baseline (Gubichev et al., CIKM 2010 [13]).
+//! The `LM` landmark-vector baseline (Gubichev et al., CIKM 2010 \[13\]).
 //!
 //! Following the paper's evaluation setup (§6 Exp-2), `4·log₂|V|` landmarks
 //! are sampled (degree-biased, as high-degree nodes cover more pairs). For

@@ -15,12 +15,12 @@
 //! Components:
 //!
 //! * [`compress`] — query-preserving compression (Fan et al. SIGMOD'12
-//!   [12]): SCC condensation followed by a reachability-equivalence merge;
+//!   \[12\]): SCC condensation followed by a reachability-equivalence merge;
 //! * [`hierarchy`] — the hierarchical landmark index `RBIndex` (§5.1) and
 //!   the roll-up / drill-down query procedure `RBReach` (§5.2);
 //! * [`bfs`] — the `BFS` and `BFSOPT` baselines of §6;
 //! * [`landmark_vec`] — the `LM` landmark-vector baseline (Gubichev et al.
-//!   [13]) with `4·log|V|` sampled landmarks.
+//!   \[13\]) with `4·log|V|` sampled landmarks.
 
 pub mod bfs;
 pub mod compress;

@@ -67,8 +67,9 @@ pub fn uniform_random(nodes: usize, edges: usize, num_labels: usize, seed: u64) 
     b.build()
 }
 
-/// Preferential-attachment digraph with default orientation mix (15%
-/// back-edges). See [`power_law_with`].
+/// Preferential-attachment digraph: each new node attaches `m` edges to
+/// endpoints sampled proportionally to degree, with label-assortative
+/// neighborhoods, 15% of the edges pointing backwards (older to newer).
 pub fn power_law(nodes: usize, m: usize, num_labels: usize, seed: u64) -> Graph {
     power_law_with(nodes, m, num_labels, 0.15, seed)
 }

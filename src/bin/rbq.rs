@@ -184,7 +184,6 @@ const COMMANDS: &[Command] = &[
         "DIR [--queries FILE] [--answers FILE]",
         Action::Serve(plan_recover),
     ),
-    ("lint", "[ROOT]", Action::Run(cmd_lint)),
 ];
 
 /// Look the subcommand up in [`COMMANDS`] and parse its arguments against
@@ -279,24 +278,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
             serve(&source, &plan, &mut out, &mut warn)
         }
     }
-}
-
-/// `lint [ROOT]` — run the `rbq-lint` static-analysis pass over the
-/// workspace at (or above) ROOT, defaulting to the current directory.
-/// Findings print to stderr as `file:line: rule-id: message`; any finding
-/// exits the process with status 1, matching the standalone `rbq-lint`
-/// binary so either entry point can gate CI.
-fn cmd_lint(args: &Args) -> Result<(), CliError> {
-    let start = match args.pos.first() {
-        Some(p) => std::path::PathBuf::from(p),
-        None => std::env::current_dir()?,
-    };
-    let root = rbq_lint::find_workspace_root(&start)
-        .ok_or_else(|| format!("lint: no workspace root at or above {}", start.display()))?;
-    if rbq_lint::check_and_report(&root)? > 0 {
-        std::process::exit(1);
-    }
-    Ok(())
 }
 
 /// Extract `--flag value` from an argument list. Returns remaining

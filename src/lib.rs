@@ -8,7 +8,8 @@
 //! Given a query `Q`, a graph `G`, and a resource ratio `α ∈ (0, 1)`, the
 //! library answers `Q` while visiting only an `α`-bounded fraction of `G`:
 //!
-//! * [`rbq_core::rbsim`] / [`rbq_core::rbsub`] — resource-bounded graph
+//! * [`rbq_core::rbsim`](mod@rbq_core::rbsim) /
+//!   [`rbq_core::rbsub`](mod@rbq_core::rbsub) — resource-bounded graph
 //!   pattern matching (strong simulation / subgraph isomorphism);
 //! * [`rbq_reach`] — resource-bounded reachability via a hierarchical
 //!   landmark index;
