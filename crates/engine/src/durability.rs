@@ -1,11 +1,14 @@
 //! Durable serving state: snapshot checkpoints plus a write-ahead log.
 //!
-//! A durability directory holds exactly two artifacts:
+//! A durability directory holds exactly two artifacts, both framed by
+//! [`rbq_graph::codec`]:
 //!
-//! | file           | format                        | role                         |
-//! |----------------|-------------------------------|------------------------------|
-//! | `snapshot.bin` | [`rbq_graph::snapshot`] `v1`  | checkpoint of the CSR graph  |
-//! | `wal.log`      | [`rbq_graph::wal`] `v1`       | delta batches since checkpoint |
+//! | file           | format                                       | role                           |
+//! |----------------|----------------------------------------------|--------------------------------|
+//! | `snapshot.bin` | `#rbq-snapshot v1` ([`rbq_graph::snapshot`]) | checkpoint of the CSR graph    |
+//! | `wal.log`      | `#rbq-wal v1` ([`rbq_graph::wal`])           | delta batches since checkpoint |
+//!
+//! Every failure to read or write them is one [`FormatError`].
 //!
 //! The contract [`crate::Engine::apply_deltas`] upholds when durability is
 //! enabled: a batch is appended to the WAL **and fsynced before the epoch
@@ -21,64 +24,15 @@
 //! load snapshot → replay the WAL's valid prefix → serve. A torn tail or
 //! corrupt record stops the replay at the last trustworthy batch; the
 //! surviving prefix serves and the damaged suffix is quarantined by an
-//! immediate re-checkpoint.
+//! immediate re-checkpoint, which rotates in a fresh WAL.
 
 use rbq_graph::delta::{DeltaBatch, DeltaError};
-use rbq_graph::snapshot::{load_snapshot, write_snapshot, SnapshotError, SNAPSHOT_FILE};
-use rbq_graph::wal::{replay, WalError, WalWriter, WAL_FILE};
-use rbq_graph::Graph;
+use rbq_graph::snapshot::{load_snapshot, write_snapshot, SNAPSHOT_FILE};
+use rbq_graph::wal::{replay, WalWriter, WAL_FILE};
+use rbq_graph::{FormatError, Graph};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Typed failure of any durability operation.
-#[derive(Debug)]
-pub enum DurabilityError {
-    /// Snapshot write or load failed.
-    Snapshot(SnapshotError),
-    /// WAL create, append, fsync, or replay failed.
-    Wal(WalError),
-    /// Directory creation or other filesystem bookkeeping failed.
-    Io(io::Error),
-}
-
-impl fmt::Display for DurabilityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DurabilityError::Snapshot(e) => write!(f, "{e}"),
-            DurabilityError::Wal(e) => write!(f, "{e}"),
-            DurabilityError::Io(e) => write!(f, "durability i/o error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DurabilityError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DurabilityError::Snapshot(e) => Some(e),
-            DurabilityError::Wal(e) => Some(e),
-            DurabilityError::Io(e) => Some(e),
-        }
-    }
-}
-
-impl From<SnapshotError> for DurabilityError {
-    fn from(e: SnapshotError) -> Self {
-        DurabilityError::Snapshot(e)
-    }
-}
-
-impl From<WalError> for DurabilityError {
-    fn from(e: WalError) -> Self {
-        DurabilityError::Wal(e)
-    }
-}
-
-impl From<io::Error> for DurabilityError {
-    fn from(e: io::Error) -> Self {
-        DurabilityError::Io(e)
-    }
-}
 
 /// Failure of a durable [`crate::Engine::apply_deltas`]: either the batch
 /// itself was malformed, or persisting it failed. In both cases nothing
@@ -92,8 +46,8 @@ pub enum ApplyError {
     /// The batch was rejected by the graph layer (e.g. an out-of-range
     /// edge); nothing was written or installed.
     Delta(DeltaError),
-    /// Persisting failed; see [`DurabilityError`].
-    Durability(DurabilityError),
+    /// Persisting failed.
+    Durability(FormatError),
 }
 
 impl fmt::Display for ApplyError {
@@ -120,8 +74,8 @@ impl From<DeltaError> for ApplyError {
     }
 }
 
-impl From<DurabilityError> for ApplyError {
-    fn from(e: DurabilityError) -> Self {
+impl From<FormatError> for ApplyError {
+    fn from(e: FormatError) -> Self {
         ApplyError::Durability(e)
     }
 }
@@ -163,7 +117,7 @@ impl Durability {
     /// Initialize `dir` with a snapshot of `g` (sequence 0) and a fresh,
     /// empty WAL whose first append is sequence 1. Replaces any previous
     /// contents atomically.
-    pub fn create(dir: &Path, g: &Graph) -> Result<Durability, DurabilityError> {
+    pub fn create(dir: &Path, g: &Graph) -> Result<Durability, FormatError> {
         std::fs::create_dir_all(dir)?;
         write_snapshot(g, &dir.join(SNAPSHOT_FILE), 0)?;
         let wal = WalWriter::create(&dir.join(WAL_FILE), 1)?;
@@ -182,8 +136,8 @@ impl Durability {
     /// number. On error the writer is poisoned (see
     /// [`rbq_graph::wal::WalWriter::append`]) and the caller must not
     /// install the batch.
-    pub fn append(&mut self, batch: &DeltaBatch) -> Result<u64, DurabilityError> {
-        Ok(self.wal.append(batch)?)
+    pub fn append(&mut self, batch: &DeltaBatch) -> Result<u64, FormatError> {
+        self.wal.append(batch)
     }
 
     /// Checkpoint: write `g` as the new snapshot covering everything
@@ -193,7 +147,7 @@ impl Durability {
     /// crash point safe: after the snapshot lands but before the rotation,
     /// recovery loads the new snapshot and *skips* the old WAL's
     /// now-covered records by sequence number.
-    pub fn checkpoint(&mut self, g: &Graph) -> Result<(), DurabilityError> {
+    pub fn checkpoint(&mut self, g: &Graph) -> Result<(), FormatError> {
         let covered = self.wal.next_seq().saturating_sub(1);
         write_snapshot(g, &self.dir.join(SNAPSHOT_FILE), covered)?;
         self.wal = WalWriter::create(&self.dir.join(WAL_FILE), covered + 1)?;
@@ -208,15 +162,15 @@ impl Durability {
     /// re-checkpoint): a torn WAL tail, a corrupt WAL record, a missing
     /// WAL file. Damage that fails recovery (typed, never a panic): a
     /// missing or corrupt snapshot, a WAL with the wrong magic.
-    pub fn recover(dir: &Path) -> Result<(Graph, Durability, RecoveryReport), DurabilityError> {
-        let (mut g, meta) = load_snapshot(&dir.join(SNAPSHOT_FILE))?;
+    pub fn recover(dir: &Path) -> Result<(Graph, Durability, RecoveryReport), FormatError> {
+        let (mut g, snapshot_seq) = load_snapshot(&dir.join(SNAPSHOT_FILE))?;
         let wal_path = dir.join(WAL_FILE);
         let wal_replay = match replay(&wal_path) {
             Ok(r) => Some(r),
             // A missing WAL is the crash-between-checkpoint-and-rotation
             // shape (or manual cleanup): the snapshot alone is the state.
-            Err(WalError::Io(e)) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e.into()),
+            Err(FormatError::Io(e)) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e),
         };
         let (batches, torn_tail, mut quarantined) = match &wal_replay {
             Some(r) => (r.batches.as_slice(), r.torn_tail, r.quarantined),
@@ -224,9 +178,9 @@ impl Durability {
         };
         let mut replayed = 0usize;
         let mut skipped = 0usize;
-        let mut last_seq = meta.seq;
+        let mut last_seq = snapshot_seq;
         for (seq, batch) in batches {
-            if *seq <= meta.seq {
+            if *seq <= snapshot_seq {
                 skipped += 1;
                 continue;
             }
@@ -247,23 +201,21 @@ impl Durability {
         }
         let mut d = Durability {
             dir: dir.to_path_buf(),
-            wal: match &wal_replay {
-                Some(r) if !r.torn_tail && r.quarantined == 0 && quarantined == 0 => {
-                    WalWriter::open_after_replay(&wal_path, r, last_seq + 1)?
-                }
-                // Damaged or missing log: a fresh one is installed by the
-                // checkpoint below (or here, for the missing-WAL case).
-                _ => WalWriter::create(&wal_path, last_seq + 1)?,
+            wal: match wal_replay {
+                Some(_) => WalWriter::open(&wal_path, last_seq + 1)?,
+                None => WalWriter::create(&wal_path, last_seq + 1)?,
             },
         };
         if torn_tail || quarantined > 0 {
             // Quarantine the damaged suffix: everything recovered is
-            // folded into a new snapshot so the next crash replays none
-            // of the untrusted bytes.
+            // folded into a new snapshot, then a fresh WAL replaces the
+            // damaged one, so the next crash replays none of the untrusted
+            // bytes. Until the snapshot lands the damaged log stays as it
+            // is: a crash in between recovers the same prefix again.
             d.checkpoint(&g)?;
         }
         let report = RecoveryReport {
-            snapshot_seq: meta.seq,
+            snapshot_seq,
             replayed,
             skipped,
             torn_tail,
@@ -417,10 +369,7 @@ mod tests {
     fn missing_snapshot_is_typed_error() {
         let dir = tmpdir("nosnap");
         std::fs::create_dir_all(&dir).unwrap();
-        assert!(matches!(
-            Durability::recover(&dir),
-            Err(DurabilityError::Snapshot(SnapshotError::Io(_)))
-        ));
+        assert!(matches!(Durability::recover(&dir), Err(FormatError::Io(_))));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,10 +10,10 @@
 //! one installed, the WAL holds the batches in exactly the order their
 //! epochs installed, and `recover ≡ serving state`.
 
-use crate::durability::{ApplyError, Durability, DurabilityError, RecoveryReport};
+use crate::durability::{ApplyError, Durability, RecoveryReport};
 use crate::engine::{relock, relock_write, Engine, EngineConfig};
 use rbq_core::NeighborIndex;
-use rbq_graph::{DeltaBatch, DeltaReport, Graph};
+use rbq_graph::{DeltaBatch, DeltaReport, FormatError, Graph};
 use rbq_reach::HierarchicalIndex;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -184,7 +184,7 @@ impl Engine {
     /// subsequent [`Engine::apply_deltas`] batch. Replaces any previous
     /// contents of the directory (to resume an existing directory instead,
     /// use [`Engine::recover`]).
-    pub fn enable_durability(&self, dir: &Path) -> Result<(), DurabilityError> {
+    pub fn enable_durability(&self, dir: &Path) -> Result<(), FormatError> {
         // Under the writer lock, so no batch can install between the
         // snapshot and the first logged append.
         let mut durable = relock(&self.writer);
@@ -199,13 +199,10 @@ impl Engine {
 
     /// Recover an engine from a durability directory: load the snapshot,
     /// replay the WAL's valid prefix (skipping records the snapshot
-    /// already covers, truncating a torn tail, quarantining corruption —
+    /// already covers, stopping at a torn tail, quarantining corruption —
     /// see [`crate::durability`]), and serve the result with durability
     /// enabled for further ingest.
-    pub fn recover(
-        dir: &Path,
-        cfg: EngineConfig,
-    ) -> Result<(Engine, RecoveryReport), DurabilityError> {
+    pub fn recover(dir: &Path, cfg: EngineConfig) -> Result<(Engine, RecoveryReport), FormatError> {
         let (g, d, report) = Durability::recover(dir)?;
         let engine = Engine::new(Arc::new(g), cfg);
         *relock(&engine.writer) = Some(d);

@@ -52,7 +52,7 @@ pub mod query;
 pub mod wire;
 
 pub use canonical::canonical_pattern;
-pub use durability::{ApplyError, Durability, DurabilityError, RecoveryReport};
+pub use durability::{ApplyError, Durability, RecoveryReport};
 pub use engine::{
     settle_aggregate, AdmissionPolicy, AggregateSettlement, BatchReport, BudgetSpec, ClassStats,
     Engine, EngineConfig, EngineStats, ShardReport,

@@ -19,58 +19,39 @@
 //! **v2** adds the `timedout` and `failed` answer kinds (deadline expiry
 //! and contained evaluation panics). This build reads v1 and v2 — v1 never
 //! emitted either kind, so every v1 file is also a valid v2 file — and
-//! writes v2.
+//! writes v2. The headers and that window are the wire rows of
+//! [`rbq_graph::codec`].
 
 use crate::error::QueryParseError;
 use crate::{Answer, Query};
+use rbq_graph::codec::{Format, ANSWERS, DELTAS, QUERIES};
 use rbq_graph::{DeltaBatch, DeltaOp, NodeId};
 use std::io::Write;
 
-/// The wire version this build writes (it reads both this and v1).
-const WIRE_VERSION: u32 = 2;
-/// The oldest wire version this build still reads.
-const MIN_WIRE_VERSION: u32 = 1;
 /// First line of a versioned query file.
-pub const QUERY_FILE_HEADER: &str = "#rbq-queries v2";
-/// First line of a versioned answer file.
-const ANSWER_FILE_HEADER: &str = "#rbq-answers v2";
-/// First line of a versioned delta file.
-const DELTA_FILE_HEADER: &str = "#rbq-deltas v2";
+pub const QUERY_FILE_HEADER: &str = QUERIES.magic;
 
 /// A parsed query file.
 #[derive(Debug, Clone)]
 pub struct QueryFile {
     /// The queries, in file order.
     pub queries: Vec<Query>,
-    /// Declared wire version (1 when headerless).
-    pub version: u32,
     /// Whether the file lacked the `#rbq-queries` header (legacy format,
     /// treated as v1 — front ends should warn).
     pub headerless: bool,
 }
 
-/// Parse the version token that follows `#rbq-<kind>` on a header line.
-fn parse_header_version(rest: &str) -> Result<u32, QueryParseError> {
-    let rest = rest.trim();
-    rest.strip_prefix('v')
-        .and_then(|n| n.parse().ok())
-        .filter(|v| (MIN_WIRE_VERSION..=WIRE_VERSION).contains(v))
-        .ok_or_else(|| QueryParseError::UnsupportedVersion(rest.to_owned()))
-}
-
 /// The loop every `#rbq-<kind>` file shares: skip blank lines and `#`
-/// comments, read the header if it comes before the first payload line (a
-/// header anywhere else is a stray comment), hand each payload line to
-/// `item`, and tag any error with its 1-based line number. Returns the
-/// declared version (1 when headerless) and whether payload arrived with
-/// no header before it.
+/// comments, check the header if it comes before the first payload line
+/// (a header anywhere else is a stray comment), hand each payload line to
+/// `item`, and tag any error with its 1-based line number. Returns whether
+/// payload arrived with no header before it.
 fn parse_lines(
     text: &str,
-    kind: &str,
+    format: &Format,
     mut item: impl FnMut(&str) -> Result<(), QueryParseError>,
-) -> Result<(u32, bool), QueryParseError> {
-    let header = format!("#rbq-{kind}");
-    let mut version = None;
+) -> Result<bool, QueryParseError> {
+    let mut header = false;
     let mut items = 0usize;
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -81,19 +62,21 @@ fn parse_lines(
             items += 1;
             item(line)
         } else {
-            match line.strip_prefix(&header) {
-                Some(rest) if version.is_none() && items == 0 => {
-                    parse_header_version(rest).map(|v| version = Some(v))
+            match line.strip_prefix(format.prefix()).map(str::trim) {
+                Some(version) if !header && items == 0 => {
+                    header = true;
+                    if format.reads(version) {
+                        Ok(())
+                    } else {
+                        Err(QueryParseError::UnsupportedVersion(version.to_owned()))
+                    }
                 }
                 _ => Ok(()),
             }
         };
         parsed.map_err(|e| QueryParseError::AtLine(i + 1, Box::new(e)))?;
     }
-    Ok((
-        version.unwrap_or(MIN_WIRE_VERSION),
-        version.is_none() && items > 0,
-    ))
+    Ok(!header && items > 0)
 }
 
 /// Parse a whole query file (see [`QUERY_FILE_HEADER`]).
@@ -102,13 +85,12 @@ fn parse_lines(
 /// [`QueryParseError::AtLine`].
 pub fn parse_query_file(text: &str) -> Result<QueryFile, QueryParseError> {
     let mut queries = Vec::new();
-    let (version, headerless) = parse_lines(text, "queries", |line| {
+    let headerless = parse_lines(text, &QUERIES, |line| {
         queries.push(Query::parse_line(line)?);
         Ok(())
     })?;
     Ok(QueryFile {
         queries,
-        version,
         headerless,
     })
 }
@@ -253,8 +235,6 @@ pub fn answer_from_line(line: &str) -> Result<Answer, QueryParseError> {
 pub struct AnswerFile {
     /// The answers, in file order.
     pub answers: Vec<Answer>,
-    /// Declared wire version (1 when headerless).
-    pub version: u32,
     /// Whether the file lacked the `#rbq-answers` header.
     pub headerless: bool,
 }
@@ -262,20 +242,19 @@ pub struct AnswerFile {
 /// Parse a whole answer file, as [`write_answer_file`] writes it.
 pub fn parse_answer_file(text: &str) -> Result<AnswerFile, QueryParseError> {
     let mut answers = Vec::new();
-    let (version, headerless) = parse_lines(text, "answers", |line| {
+    let headerless = parse_lines(text, &ANSWERS, |line| {
         answers.push(answer_from_line(line)?);
         Ok(())
     })?;
     Ok(AnswerFile {
         answers,
-        version,
         headerless,
     })
 }
 
 /// Write a versioned answer file: header plus one line per answer.
 pub fn write_answer_file<W: Write>(w: &mut W, answers: &[Answer]) -> Result<(), WireWriteError> {
-    writeln!(w, "{ANSWER_FILE_HEADER}")?;
+    writeln!(w, "{}", ANSWERS.magic)?;
     for a in answers {
         writeln!(w, "{}", answer_to_line(a))?;
     }
@@ -287,8 +266,6 @@ pub fn write_answer_file<W: Write>(w: &mut W, answers: &[Answer]) -> Result<(), 
 pub struct DeltaFile {
     /// The recorded update batch, in file order.
     pub batch: DeltaBatch,
-    /// Declared wire version (1 when headerless).
-    pub version: u32,
     /// Whether the file lacked the `#rbq-deltas` header.
     pub headerless: bool,
 }
@@ -365,7 +342,7 @@ fn delta_op_from_line(line: &str) -> Result<DeltaOp, QueryParseError> {
 /// [`QueryParseError::AtLine`].
 pub fn parse_delta_file(text: &str) -> Result<DeltaFile, QueryParseError> {
     let mut batch = DeltaBatch::new();
-    let (version, headerless) = parse_lines(text, "deltas", |line| {
+    let headerless = parse_lines(text, &DELTAS, |line| {
         match delta_op_from_line(line)? {
             DeltaOp::AddNode(label) => {
                 batch.add_node(&label);
@@ -375,16 +352,12 @@ pub fn parse_delta_file(text: &str) -> Result<DeltaFile, QueryParseError> {
         }
         Ok(())
     })?;
-    Ok(DeltaFile {
-        batch,
-        version,
-        headerless,
-    })
+    Ok(DeltaFile { batch, headerless })
 }
 
 /// Write a versioned delta file: header plus one line per operation.
 pub fn write_delta_file<W: Write>(w: &mut W, batch: &DeltaBatch) -> Result<(), WireWriteError> {
-    writeln!(w, "{DELTA_FILE_HEADER}")?;
+    writeln!(w, "{}", DELTAS.magic)?;
     for op in batch.ops() {
         writeln!(w, "{}", delta_op_to_line(op)?)?;
     }
@@ -483,10 +456,9 @@ mod tests {
         let mut buf = Vec::new();
         write_answer_file(&mut buf, &aa).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        assert!(text.starts_with(ANSWER_FILE_HEADER));
+        assert!(text.starts_with(ANSWERS.magic));
         let parsed = parse_answer_file(&text).unwrap();
         assert_eq!(parsed.answers, aa);
-        assert_eq!(parsed.version, WIRE_VERSION);
         assert!(!parsed.headerless);
     }
 
@@ -522,7 +494,6 @@ mod tests {
     fn headerless_query_file_accepted_as_v1() {
         let parsed = parse_query_file("# legacy comment\nr 0 1\n").unwrap();
         assert_eq!(parsed.queries.len(), 1);
-        assert_eq!(parsed.version, MIN_WIRE_VERSION);
         assert!(parsed.headerless);
     }
 
@@ -530,10 +501,13 @@ mod tests {
     fn v1_header_still_accepted() {
         let parsed = parse_query_file("#rbq-queries v1\nr 0 1\n").unwrap();
         assert_eq!(parsed.queries.len(), 1);
-        assert_eq!(parsed.version, 1);
         assert!(!parsed.headerless);
         let parsed = parse_answer_file("#rbq-answers v1\nreach 1 0\n").unwrap();
-        assert_eq!(parsed.version, 1);
+        assert_eq!(parsed.answers.len(), 1);
+        assert!(!parsed.headerless);
+        let parsed = parse_delta_file("#rbq-deltas v1\nae 0 1\n").unwrap();
+        assert_eq!(parsed.batch.len(), 1);
+        assert!(!parsed.headerless);
     }
 
     #[test]
@@ -574,10 +548,9 @@ mod tests {
         let mut buf = Vec::new();
         write_delta_file(&mut buf, &batch).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        assert!(text.starts_with(DELTA_FILE_HEADER));
+        assert!(text.starts_with(DELTAS.magic));
         let parsed = parse_delta_file(&text).unwrap();
         assert_eq!(parsed.batch, batch);
-        assert_eq!(parsed.version, WIRE_VERSION);
         assert!(!parsed.headerless);
     }
 

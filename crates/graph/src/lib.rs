@@ -36,14 +36,18 @@
 //! * [`stats`] — degree and label statistics (`d_G`, `l`, `f` of Theorem 3);
 //! * [`io`] — a plain-text edge-list interchange format, plus the atomic
 //!   write-temp-then-rename helper every durable artifact goes through;
+//! * [`codec`] — the table of every `#rbq-*` file format and the framing
+//!   they share (magic line, little-endian fields, CRC trailer, record
+//!   frame, the one [`FormatError`]);
 //! * [`snapshot`] — a versioned, checksummed binary snapshot of the
 //!   compacted CSR (the mmap-loader precursor of ROADMAP item 5), and
 //! * [`wal`] — a length-prefixed, per-record-CRC append-only log of
-//!   [`DeltaBatch`]es with torn-tail truncation on replay: together the
+//!   [`DeltaBatch`]es whose replay stops at a torn tail: together the
 //!   durability substrate for crash-recoverable serving.
 
 pub mod builder;
 pub mod cancel;
+pub mod codec;
 pub mod condense;
 pub mod delta;
 pub mod faultpoint;
@@ -64,13 +68,14 @@ pub mod wal;
 
 pub use builder::GraphBuilder;
 pub use cancel::{CancelPanic, CancelTicker, CancelToken};
+pub use codec::FormatError;
 pub use delta::{DeltaBatch, DeltaError, DeltaOp, DeltaReport};
 pub use graph::Graph;
 pub use labels::LabelInterner;
 pub use neighborhood::BallScratch;
-pub use snapshot::{load_snapshot, write_snapshot, SnapshotError, SnapshotMeta};
+pub use snapshot::{load_snapshot, write_snapshot};
 pub use stamps::Stamps;
 pub use subgraph::{DynamicSubgraph, SubgraphScratch};
 pub use types::{Label, NodeId};
 pub use view::{GraphView, NodeIds};
-pub use wal::{replay as wal_replay, WalError, WalReplay, WalWriter};
+pub use wal::{replay as wal_replay, WalReplay, WalWriter};

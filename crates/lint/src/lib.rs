@@ -9,8 +9,8 @@
 //! | `cancel-coverage` | every kernel hot loop has a `CancelTicker::tick` point |
 //! | `hot-path-alloc` | `// rbq-lint: hot` functions never allocate (static complement to `tests/alloc_free.rs`) |
 //! | `faultpoint-registry` | `fire(…)` names ↔ the declared `REGISTRY` in `faultpoint.rs` |
-//! | `wire-version` | `#rbq-*` header literals agree with the declared wire version |
-//! | `snapshot-version` | `#rbq-snapshot`/`#rbq-wal` magics agree with the declared file-format versions |
+//! | `wire-version` | `#rbq-*` wire header literals agree with the `wire` rows of the format table in `codec.rs` |
+//! | `snapshot-version` | `#rbq-snapshot`/`#rbq-wal` magics agree with their `durable` rows in `codec.rs` |
 //! | `dead-export` | a `pub` / `pub(crate)` `fn`, `const` or `static` of a library crate is named in some other file |
 //!
 //! Suppression is explicit and audited: `// rbq-lint: allow(rule-id,
@@ -86,17 +86,15 @@ pub struct SourceFile {
 
 /// What the engine knows about the workspace layout: which paths are
 /// serving code, which files are registered kernel hot loops, and where
-/// the fault-point registry and wire declaration live.
+/// the fault-point registry and the file-format table live.
 #[derive(Debug, Clone)]
 pub struct Context {
     pub serving_prefixes: Vec<String>,
     pub kernel_files: Vec<String>,
     pub registry_file: String,
-    pub wire_file: String,
-    /// Declares `SNAPSHOT_FILE_MAGIC` (the durable snapshot format).
-    pub snapshot_file: String,
-    /// Declares `WAL_FILE_MAGIC` (the durable delta log format).
-    pub wal_file: String,
+    /// Declares every `#rbq-*` file format as a `wire(…)` or `durable(…)`
+    /// row.
+    pub format_file: String,
     /// Path substrings that make an entire file test scope.
     pub test_path_markers: Vec<String>,
     /// Path prefixes of the files whose exports `dead-export` checks
@@ -122,9 +120,7 @@ impl Context {
             .map(|s| s.to_string())
             .collect(),
             registry_file: "crates/graph/src/faultpoint.rs".into(),
-            wire_file: "crates/engine/src/wire.rs".into(),
-            snapshot_file: "crates/graph/src/snapshot.rs".into(),
-            wal_file: "crates/graph/src/wal.rs".into(),
+            format_file: "crates/graph/src/codec.rs".into(),
             test_path_markers: ["tests/", "benches/", "examples/", "fixtures/"]
                 .iter()
                 .map(|s| s.to_string())
@@ -267,9 +263,8 @@ fn analyze(ctx: &Context, file: &SourceFile, lexed: Lexed) -> Analysis {
 /// Run every rule over `files`, apply suppression, and return the sorted
 /// diagnostics. `files` is the whole set to check — the cross-file rules
 /// (`faultpoint-registry`, `wire-version`, `snapshot-version`) read their
-/// declarations from `ctx.registry_file` / `ctx.wire_file` /
-/// `ctx.snapshot_file` / `ctx.wal_file` if present in the set, and
-/// `dead-export` looks for references across all of it.
+/// declarations from `ctx.registry_file` / `ctx.format_file` if present in
+/// the set, and `dead-export` looks for references across all of it.
 pub fn run(ctx: &Context, files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut diags: Vec<Diagnostic> = Vec::new();
     let mut analyses: Vec<Analysis> = Vec::new();
@@ -290,37 +285,12 @@ pub fn run(ctx: &Context, files: &[SourceFile]) -> Vec<Diagnostic> {
         .iter()
         .find(|a| a.path == ctx.registry_file)
         .and_then(rules::parse_registry);
-    let mut wire_decl = None;
-    let mut wire_decl_findings = Vec::new();
-    if let Some(a) = analyses.iter().find(|a| a.path == ctx.wire_file) {
-        wire_decl = rules::parse_wire_decl(a, &mut wire_decl_findings);
-    }
-    let mut snapshot_decl_findings = Vec::new();
-    let snapshot_decl = analyses
+    let mut format_findings = Vec::new();
+    let formats = analyses
         .iter()
-        .find(|a| a.path == ctx.snapshot_file)
-        .and_then(|a| {
-            rules::parse_magic_decl(
-                a,
-                "SNAPSHOT_FILE_MAGIC",
-                "snapshot",
-                &mut snapshot_decl_findings,
-            )
-        });
-    let mut wal_decl_findings = Vec::new();
-    let wal_decl = analyses
-        .iter()
-        .find(|a| a.path == ctx.wal_file)
-        .and_then(|a| rules::parse_magic_decl(a, "WAL_FILE_MAGIC", "wal", &mut wal_decl_findings));
-    // One combined declaration set drives the occurrence checker, so a
-    // `#rbq-snapshot` literal anywhere in the workspace is checked against
-    // the snapshot module's declared version.
-    let header_decl = {
-        let mut headers: Vec<rules::HeaderDecl> = wire_decl.map(|d| d.headers).unwrap_or_default();
-        headers.extend(snapshot_decl);
-        headers.extend(wal_decl);
-        (!headers.is_empty()).then_some(rules::WireDecl { headers })
-    };
+        .find(|a| a.path == ctx.format_file)
+        .map(|a| rules::parse_format_decl(a, &mut format_findings))
+        .unwrap_or_default();
 
     // Per-file rules.
     let mut fire_sites = Vec::new();
@@ -336,17 +306,9 @@ pub fn run(ctx: &Context, files: &[SourceFile]) -> Vec<Diagnostic> {
         }
         rules::hot_path_alloc(a, &mut raw);
         rules::collect_fire_sites(a, &mut fire_sites);
-        if let Some(decl) = &header_decl {
-            rules::wire_version(a, decl, &mut raw);
-        }
-        if a.path == ctx.wire_file {
-            raw.append(&mut wire_decl_findings);
-        }
-        if a.path == ctx.snapshot_file {
-            raw.append(&mut snapshot_decl_findings);
-        }
-        if a.path == ctx.wal_file {
-            raw.append(&mut wal_decl_findings);
+        rules::wire_version(a, &formats, &mut raw);
+        if a.path == ctx.format_file {
+            raw.append(&mut format_findings);
         }
         per_file.push((ai, raw));
     }
@@ -523,12 +485,7 @@ pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let ctx = Context::workspace();
     let files = collect_workspace_files(root)?;
     let mut diags = run(&ctx, &files);
-    for anchor in [
-        &ctx.registry_file,
-        &ctx.wire_file,
-        &ctx.snapshot_file,
-        &ctx.wal_file,
-    ] {
+    for anchor in [&ctx.registry_file, &ctx.format_file] {
         if !files.iter().any(|f| f.path == *anchor) {
             diags.push(Diagnostic {
                 file: anchor.clone(),

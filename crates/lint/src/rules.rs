@@ -437,11 +437,10 @@ pub fn parse_registry(a: &Analysis) -> Option<Vec<RegistryEntry>> {
     Some(entries)
 }
 
-/// One declared `#rbq-<kind> v<N>` header or file magic: the version the
-/// workspace currently writes, where it is declared, and which rule id
-/// polices stale occurrences of its kind. Wire headers share one version
-/// (`wire-version`); the durable-state magics (`snapshot-version`) each
-/// version independently.
+/// One declared `#rbq-<kind> v<N>` format row: the version the workspace
+/// currently writes, where it is declared, and which rule id polices stale
+/// occurrences of its kind. Wire rows share one version (`wire-version`);
+/// durable rows (`snapshot-version`) each version independently.
 #[derive(Debug, Clone)]
 pub struct HeaderDecl {
     pub kind: String,
@@ -450,140 +449,63 @@ pub struct HeaderDecl {
     pub rule: &'static str,
 }
 
-/// Every declared header/magic the occurrence checker knows about.
-#[derive(Debug, Clone)]
-pub struct WireDecl {
-    pub headers: Vec<HeaderDecl>,
-}
-
-const HEADER_CONSTS: &[(&str, &str)] = &[
-    ("QUERY_FILE_HEADER", "queries"),
-    ("ANSWER_FILE_HEADER", "answers"),
-    ("DELTA_FILE_HEADER", "deltas"),
-];
-
-/// Parse the three header consts from the wire module, reporting malformed
-/// or missing ones as findings against that file.
-pub fn parse_wire_decl(a: &Analysis, out: &mut Vec<RawFinding>) -> Option<WireDecl> {
+/// Parse the format table out of its declaring module: every
+/// `wire("#rbq-<kind> v<N>", …)` and `durable("#rbq-<kind> v<N>", …)` row
+/// outside test scope. A row whose literal is not such a magic, wire rows
+/// that disagree on their version, and a module with no rows at all are
+/// findings against that module.
+pub fn parse_format_decl(a: &Analysis, out: &mut Vec<RawFinding>) -> Vec<HeaderDecl> {
     let toks = &a.lexed.tokens;
-    let mut headers = Vec::new();
-    for (cname, kind) in HEADER_CONSTS {
-        let Some(i) = toks.iter().position(|t| ident_is(&t.tok, cname)) else {
-            out.push(RawFinding {
-                line: 1,
-                rule: WIRE_VERSION,
-                message: format!("wire module does not declare `{cname}`"),
-            });
+    let mut headers: Vec<HeaderDecl> = Vec::new();
+    for (i, row) in toks.windows(3).enumerate() {
+        let rule = match &row[0].tok {
+            Tok::Ident(f) if f == "wire" => WIRE_VERSION,
+            Tok::Ident(f) if f == "durable" => SNAPSHOT_VERSION,
+            _ => continue,
+        };
+        let (Tok::Punct('('), Tok::Str(s)) = (&row[1].tok, &row[2].tok) else {
             continue;
         };
-        // The const's value is the first string literal before the `;`.
-        let mut lit = None;
-        for t in &toks[i..] {
-            match &t.tok {
-                Tok::Str(s) => {
-                    lit = Some((s.clone(), t.line));
-                    break;
-                }
-                Tok::Punct(';') => break,
-                _ => {}
-            }
+        if a.scope.contains_token(i) {
+            continue;
         }
-        let parsed = lit.as_ref().and_then(|(s, _)| parse_header(s));
-        match (lit, parsed) {
-            (Some((_, line)), Some((k, v))) if k == *kind => headers.push(HeaderDecl {
-                kind: k,
-                version: v,
+        let line = row[2].line;
+        match parse_header(s) {
+            Some((kind, version)) => headers.push(HeaderDecl {
+                kind,
+                version,
                 line,
-                rule: WIRE_VERSION,
+                rule,
             }),
-            (Some((s, line)), _) => out.push(RawFinding {
+            None => out.push(RawFinding {
                 line,
-                rule: WIRE_VERSION,
-                message: format!("`{cname}` value {s:?} is not a `#rbq-{kind} v<N>` header"),
-            }),
-            (None, _) => out.push(RawFinding {
-                line: toks[i].line,
-                rule: WIRE_VERSION,
-                message: format!("`{cname}` has no string literal value"),
+                rule,
+                message: format!("format row {s:?} is not a `#rbq-<kind> v<N>` magic"),
             }),
         }
     }
     if headers.is_empty() {
-        return None;
+        out.push(RawFinding {
+            line: 1,
+            rule: WIRE_VERSION,
+            message: "format module declares no `wire(\"#rbq-…\")` / `durable(…)` rows".into(),
+        });
     }
-    let v0 = headers[0].version;
-    for h in &headers {
-        if h.version != v0 {
+    let mut wire = headers.iter().filter(|h| h.rule == WIRE_VERSION);
+    if let Some(first) = wire.next() {
+        for h in wire.filter(|h| h.version != first.version) {
             out.push(RawFinding {
                 line: h.line,
                 rule: WIRE_VERSION,
                 message: format!(
                     "wire header versions disagree: `#rbq-{}` is v{} but \
-                     `#rbq-{}` is v{v0}",
-                    h.kind, h.version, headers[0].kind
+                     `#rbq-{}` is v{}",
+                    h.kind, h.version, first.kind, first.version
                 ),
             });
         }
     }
-    Some(WireDecl { headers })
-}
-
-/// Parse a single `#rbq-<kind> v<N>` magic const (the snapshot / WAL file
-/// formats) out of its declaring module, reporting a missing or malformed
-/// declaration under `snapshot-version`. Unlike the wire headers, each
-/// magic versions independently.
-pub fn parse_magic_decl(
-    a: &Analysis,
-    cname: &str,
-    kind: &str,
-    out: &mut Vec<RawFinding>,
-) -> Option<HeaderDecl> {
-    let toks = &a.lexed.tokens;
-    let Some(i) = toks.iter().position(|t| ident_is(&t.tok, cname)) else {
-        out.push(RawFinding {
-            line: 1,
-            rule: SNAPSHOT_VERSION,
-            message: format!("module does not declare `{cname}`"),
-        });
-        return None;
-    };
-    let mut lit = None;
-    for t in &toks[i..] {
-        match &t.tok {
-            Tok::Str(s) => {
-                lit = Some((s.clone(), t.line));
-                break;
-            }
-            Tok::Punct(';') => break,
-            _ => {}
-        }
-    }
-    match lit {
-        Some((s, line)) => match parse_header(&s) {
-            Some((k, v)) if k == kind => Some(HeaderDecl {
-                kind: k,
-                version: v,
-                line,
-                rule: SNAPSHOT_VERSION,
-            }),
-            _ => {
-                out.push(RawFinding {
-                    line,
-                    rule: SNAPSHOT_VERSION,
-                    message: format!("`{cname}` value {s:?} is not a `#rbq-{kind} v<N>` magic"),
-                });
-                None
-            }
-        },
-        None => {
-            out.push(RawFinding {
-                line: toks[i].line,
-                rule: SNAPSHOT_VERSION,
-                message: format!("`{cname}` has no string literal value"),
-            });
-            None
-        }
-    }
+    headers
 }
 
 /// Parse `#rbq-<kind> v<N>` from the *start* of a header string. The kind
@@ -605,12 +527,11 @@ fn parse_header(s: &str) -> Option<(String, u32)> {
 
 /// `wire-version` / `snapshot-version`: every `#rbq-…` header occurrence
 /// in string literals and comments must agree with the declared current
-/// version of its kind — wire headers against the wire declaration,
-/// snapshot/WAL magics against theirs. Test scope may reference older
-/// versions (legacy-read coverage); a *future* version in a test marks an
-/// intentional rejection test and needs an explicit allow.
-pub fn wire_version(a: &Analysis, decl: &WireDecl, out: &mut Vec<RawFinding>) {
-    if decl.headers.is_empty() {
+/// version of its kind, under the rule of its row's family. Test scope may
+/// reference older versions (legacy-read coverage); a *future* version in
+/// a test marks an intentional rejection test and needs an explicit allow.
+pub fn wire_version(a: &Analysis, headers: &[HeaderDecl], out: &mut Vec<RawFinding>) {
+    if headers.is_empty() {
         return;
     }
     let mut check = |text: &str, line: u32, in_test: bool| {
@@ -622,7 +543,7 @@ pub fn wire_version(a: &Analysis, decl: &WireDecl, out: &mut Vec<RawFinding>) {
             let Some((kind, v)) = parse_header(occurrence) else {
                 continue; // versionless prefix check like `starts_with("#rbq-queries")`
             };
-            let Some(h) = decl.headers.iter().find(|h| h.kind == kind) else {
+            let Some(h) = headers.iter().find(|h| h.kind == kind) else {
                 if !in_test {
                     out.push(RawFinding {
                         line,

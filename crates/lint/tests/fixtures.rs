@@ -16,7 +16,7 @@ const FIXTURES: &[(&str, &str)] = &[
     ("fx_faultpoint.rs", "crates/core/src/fx_faultpoint.rs"),
     ("fx_wire.rs", "crates/engine/src/fx_wire.rs"),
     ("fx_snapshot.rs", "crates/core/src/fx_snapshot.rs"),
-    ("fx_wal.rs", "crates/core/src/fx_wal.rs"),
+    ("fx_codec.rs", "crates/core/src/fx_codec.rs"),
     ("fx_allows.rs", "crates/core/src/fx_allows.rs"),
     ("fx_dead.rs", "crates/core/src/fx_dead.rs"),
     ("fx_dead_user.rs", "crates/engine/src/fx_dead_user.rs"),
@@ -27,9 +27,7 @@ fn fixture_ctx() -> Context {
         serving_prefixes: vec!["crates/core/src/".into(), "crates/engine/src/".into()],
         kernel_files: vec!["crates/core/src/fx_kernel.rs".into()],
         registry_file: "crates/core/src/fx_faultpoint.rs".into(),
-        wire_file: "crates/engine/src/fx_wire.rs".into(),
-        snapshot_file: "crates/core/src/fx_snapshot.rs".into(),
-        wal_file: "crates/core/src/fx_wal.rs".into(),
+        format_file: "crates/core/src/fx_codec.rs".into(),
         test_path_markers: vec!["tests/".into()],
         // Only the dead-export pair: the other fixtures export freely.
         export_prefixes: vec!["crates/core/src/fx_dead".into()],
@@ -193,6 +191,21 @@ fn faultpoint_mutations_turn_red() {
     assert!(dropped
         .iter()
         .any(|d| d.rule == "faultpoint-registry" && d.message.contains("fx.fired")));
+}
+
+/// Bumping a durable row of the format table leaves its old literals
+/// stale; bumping one wire row splits the shared wire version.
+#[test]
+fn bumping_a_format_row_turns_red() {
+    let codec = "crates/core/src/fx_codec.rs";
+    let durable = run_with_replacement(codec, "(\"#rbq-wal v1\"", "(\"#rbq-wal v2\"");
+    assert!(durable.iter().any(|d| d.rule == "snapshot-version"
+        && d.file == codec
+        && d.message.contains("stale header `#rbq-wal v1`")));
+    let wire = run_with_replacement(codec, "(\"#rbq-deltas v2\"", "(\"#rbq-deltas v3\"");
+    assert!(wire
+        .iter()
+        .any(|d| d.rule == "wire-version" && d.message.contains("versions disagree")));
 }
 
 /// The committed workspace itself is lint-clean — the same invariant CI

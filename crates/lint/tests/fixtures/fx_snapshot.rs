@@ -1,8 +1,8 @@
-//! Fixture: the snapshot-magic declaration plus one stale occurrence.
-//! The declared current format below is v2; the helper still mentions the
-//! v1 magic, which `snapshot-version` must flag (comment and literal).
+//! Fixture: snapshot-magic occurrences, one of them stale. The format
+//! table (`fx_codec.rs`) declares v2; the helper still mentions the v1
+//! magic, which `snapshot-version` must flag (comment and literal).
 
-/// Declared current snapshot file format.
+/// Matches the declared current snapshot file format.
 pub const SNAPSHOT_FILE_MAGIC: &str = "#rbq-snapshot v2";
 
 /// Returns the legacy `#rbq-snapshot v1` magic — stale, fires the rule.

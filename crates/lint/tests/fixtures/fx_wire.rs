@@ -1,5 +1,5 @@
-//! Fixture: `wire-version` declaration + uses — checked as
-//! `crates/engine/src/fx_wire.rs` (the fixture context's wire module).
+//! Fixture: `wire-version` uses against the rows of `fx_codec.rs` —
+//! checked as `crates/engine/src/fx_wire.rs`.
 
 pub const QUERY_FILE_HEADER: &str = "#rbq-queries v2";
 pub const ANSWER_FILE_HEADER: &str = "#rbq-answers v2";

@@ -3,10 +3,9 @@
 
 use crate::partitioner::Partitioner;
 use rbq_engine::{
-    ApplyError, BatchReport, DurabilityError, Engine, EngineConfig, EngineError, EngineStats,
-    Query, RecoveryReport,
+    ApplyError, BatchReport, Engine, EngineConfig, EngineError, EngineStats, Query, RecoveryReport,
 };
-use rbq_graph::{DeltaBatch, DeltaReport, Graph};
+use rbq_graph::{DeltaBatch, DeltaReport, FormatError, Graph};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -22,7 +21,7 @@ pub enum RouterError {
     /// [`ApplyError`].
     Apply(ApplyError),
     /// Seeding or recovering the durable state failed (wrapped losslessly).
-    Durability(DurabilityError),
+    Durability(FormatError),
 }
 
 impl std::fmt::Display for RouterError {
@@ -59,8 +58,8 @@ impl From<ApplyError> for RouterError {
     }
 }
 
-impl From<DurabilityError> for RouterError {
-    fn from(e: DurabilityError) -> Self {
+impl From<FormatError> for RouterError {
+    fn from(e: FormatError) -> Self {
         RouterError::Durability(e)
     }
 }

@@ -30,11 +30,11 @@
 use rbq::rbq_core::{pattern_accuracy, rbsim, NeighborIndex, ResourceBudget};
 use rbq::rbq_engine::wire::{parse_delta_file, parse_query_file, write_answer_file};
 use rbq::rbq_engine::{
-    AdmissionPolicy, Answer, ApplyError, BudgetSpec, DurabilityError, Engine, EngineConfig,
-    EngineError, Query, QueryParseError, WireWriteError, QUERY_FILE_HEADER,
+    AdmissionPolicy, Answer, ApplyError, BudgetSpec, Engine, EngineConfig, EngineError, Query,
+    QueryParseError, WireWriteError, QUERY_FILE_HEADER,
 };
 use rbq::rbq_graph::snapshot::SNAPSHOT_FILE;
-use rbq::rbq_graph::{io as gio, DeltaBatch, DeltaError, Graph, GraphView, NodeId};
+use rbq::rbq_graph::{io as gio, DeltaBatch, DeltaError, FormatError, Graph, GraphView, NodeId};
 use rbq::rbq_pattern::{bisimulation_compress, match_opt};
 use rbq::rbq_reach::{compress_for_reachability, HierarchicalIndex};
 use rbq::rbq_router::{LabelHashPartitioner, Router, RouterError};
@@ -67,7 +67,7 @@ enum CliError {
     /// A delta batch was rejected at apply time.
     Delta(DeltaError),
     /// A durability operation (snapshot, WAL, recovery) failed.
-    Durability(DurabilityError),
+    Durability(FormatError),
     /// Writing a wire-format file failed.
     Wire(WireWriteError),
     /// Other I/O.
@@ -111,7 +111,7 @@ macro_rules! wrap {
     )*};
 }
 wrap! { Msg(String), Engine(EngineError), Router(RouterError) }
-wrap! { Durability(DurabilityError), Wire(WireWriteError), Io(std::io::Error) }
+wrap! { Durability(FormatError), Wire(WireWriteError), Io(std::io::Error) }
 
 impl From<&str> for CliError {
     fn from(m: &str) -> Self {

@@ -8,8 +8,8 @@
 mod support;
 
 use proptest::prelude::*;
-use rbq::rbq_engine::{Durability, DurabilityError, Engine, EngineConfig};
-use rbq::rbq_graph::{load_snapshot, snapshot, wal, DeltaBatch, Graph, SnapshotError, WalError};
+use rbq::rbq_engine::{Durability, Engine, EngineConfig};
+use rbq::rbq_graph::{codec, load_snapshot, snapshot, wal, DeltaBatch, FormatError, Graph};
 use std::path::PathBuf;
 use std::sync::Arc;
 use support::{fresh_dir, graph_sig, prefix_graph, sample_batches, tiny_graph};
@@ -58,7 +58,7 @@ fn every_wal_truncation_recovers_a_valid_prefix() {
     let (dir, g, batches) = seeded_state("trunc");
     let wal_path = dir.join(wal::WAL_FILE);
     let full = std::fs::read(&wal_path).expect("read wal");
-    let magic_len = wal::WAL_FILE_MAGIC.len() + 1;
+    let magic_len = codec::WAL.magic.len() + 1;
     // Record boundaries: offsets at which the log holds exactly N complete
     // records. A cut at a boundary is a legitimately shorter log; a cut
     // anywhere else is a torn tail.
@@ -83,8 +83,8 @@ fn every_wal_truncation_recovers_a_valid_prefix() {
         );
         let expected = prefix_graph(&g, &batches, k);
         assert_eq!(graph_sig(&rg), graph_sig(&expected), "cut {cut}");
-        // Recovery rewrites the log to the valid prefix; restore the full
-        // log for the next iteration.
+        // A torn tail makes recovery re-checkpoint and replace the log;
+        // restore the full log for the next iteration.
         std::fs::write(&wal_path, &full).expect("restore wal");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -93,7 +93,7 @@ fn every_wal_truncation_recovers_a_valid_prefix() {
 #[test]
 fn header_scribbles_are_typed_errors() {
     let (dir, _g, _batches) = seeded_state("hdr");
-    // Either file's magic replaced: `BadMagic`, typed, through its variant.
+    // Either file's magic replaced: `BadMagic`, typed, naming its format.
     for file in [snapshot::SNAPSHOT_FILE, wal::WAL_FILE] {
         let path = dir.join(file);
         let good = std::fs::read(&path).expect("read state file");
@@ -101,11 +101,13 @@ fn header_scribbles_are_typed_errors() {
         bad[..4].copy_from_slice(b"#bad");
         std::fs::write(&path, &bad).expect("scribble");
         let got = Durability::recover(&dir);
-        let typed = match &got {
-            Err(DurabilityError::Snapshot(SnapshotError::BadMagic { .. })) => file != wal::WAL_FILE,
-            Err(DurabilityError::Wal(WalError::BadMagic { .. })) => file == wal::WAL_FILE,
-            _ => false,
+        let format = if file == wal::WAL_FILE {
+            codec::WAL
+        } else {
+            codec::SNAPSHOT
         };
+        let typed = matches!(&got, Err(FormatError::BadMagic { expected, .. })
+            if *expected == format.magic);
         assert!(typed, "scribbled {file} magic not typed: {got:?}");
         std::fs::write(&path, &good).expect("restore");
     }
@@ -118,7 +120,7 @@ fn missing_snapshot_is_a_typed_error() {
     std::fs::create_dir_all(&dir).expect("mkdir");
     assert!(matches!(
         Durability::recover(&dir),
-        Err(DurabilityError::Snapshot(_))
+        Err(FormatError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound
     ));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -215,10 +217,10 @@ proptest! {
         bytes[pos] ^= 1u8 << bit;
         std::fs::write(&path, &bytes).expect("write corrupted snapshot");
         match load_snapshot(&path) {
-            Ok((lg, meta)) => {
+            Ok((lg, seq)) => {
                 // Only a flip that the CRC cannot see could load — and
                 // then the content must still match exactly.
-                prop_assert_eq!(meta.seq, 0);
+                prop_assert_eq!(seq, 0);
                 prop_assert_eq!(graph_sig(&lg), graph_sig(&g));
             }
             Err(e) => {
