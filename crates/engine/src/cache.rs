@@ -10,7 +10,7 @@
 //! * the **memo**: raw pattern bytes ([`crate::canonical::encode_raw`]) →
 //!   the shared [`Canonical`] form. It is a function of the query alone,
 //!   so it survives graph updates; only a memo miss pays for
-//!   [`crate::canonical_pattern`].
+//!   canonicalisation ([`Canonical::of`], on the worker's reused buffers).
 //! * the **answers**: [`CacheKey`] → [`CachedAnswer`]. The key is the
 //!   canonical form *plus* everything else that determines the answer —
 //!   the matching semantics, the exact per-query budget, and the **graph
@@ -342,7 +342,7 @@ mod tests {
         let mut b = PatternBuilder::new();
         let x = b.add_node(sig);
         b.personalized(x).output(x);
-        Arc::new(Canonical::of(&b.build()))
+        Arc::new(Canonical::of(&b.build(), &mut Default::default()))
     }
 
     fn key(sig: &str) -> CacheKey {

@@ -4,7 +4,7 @@
 //! replaces it — is [`crate::ingest`].
 
 use crate::cache::{CacheKey, CachedAnswer, ReductionCache};
-use crate::canonical::{encode_raw, Canonical};
+use crate::canonical::{encode_raw, CanonScratch, Canonical};
 use crate::durability::Durability;
 use crate::error::EngineError;
 use crate::ingest::Epoch;
@@ -335,13 +335,14 @@ pub struct Engine {
 }
 
 /// One worker's reusable evaluation state: the pattern scratch, the
-/// recycled answer buffer, and the buffer the memo key of each pattern
-/// query is encoded into.
+/// recycled answer buffer, the buffer the memo key of each pattern query
+/// is encoded into, and the buffers a first sight is canonicalised on.
 #[derive(Default)]
 struct WorkerScratch {
     pattern: PatternScratch,
     answer: PatternAnswer,
     raw: Vec<u8>,
+    canon: CanonScratch,
 }
 
 impl Engine {
@@ -766,6 +767,7 @@ impl Engine {
         sem: Semantics,
         budget: &ResourceBudget,
         raw: &mut Vec<u8>,
+        canon_scratch: &mut CanonScratch,
     ) -> Result<QueryResult, CacheKey> {
         encode_raw(pattern, raw);
         let mut cache = relock(&self.cache);
@@ -775,7 +777,7 @@ impl Engine {
                 // Canonicalise outside the lock: it is the expensive step.
                 drop(cache);
                 // rbq-lint: allow(hot-path-alloc, "memo miss: the first sight of a raw pattern pays for its canonical form, every repeat reuses it")
-                let canon = Arc::new(Canonical::of(pattern));
+                let canon = Arc::new(Canonical::of(pattern, canon_scratch));
                 cache = relock(&self.cache);
                 cache.remember(raw, Arc::clone(&canon));
                 canon
@@ -810,13 +812,20 @@ impl Engine {
         cancel: CancelToken,
     ) -> QueryResult {
         let budget = self.pattern_budget_on(&ep.g);
-        let key = match self.probe(ep, pattern, sem, &budget, &mut scratch.raw) {
+        let key = match self.probe(
+            ep,
+            pattern,
+            sem,
+            &budget,
+            &mut scratch.raw,
+            &mut scratch.canon,
+        ) {
             Ok(hit) => return hit,
             Err(key) => key,
         };
         // Evaluate the canonical relabeling: isomorphic queries then run the
         // byte-identical computation, so cache hits equal cold answers.
-        let resolved = match key.canon.pattern(pattern).resolve(&ep.g) {
+        let resolved = match key.canon.pattern(pattern).into_resolved(&ep.g) {
             Ok(r) => r,
             Err(e) => return QueryResult::unevaluated(Answer::Error(e.to_string())),
         };

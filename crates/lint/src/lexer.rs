@@ -238,11 +238,18 @@ impl Lexer<'_> {
                 }
                 Ok(())
             }
-            Some(_) => {
+            Some(c) => {
                 // Non-identifier char literal like '(' or '\n' handled
-                // above; here: '(' — find the closing quote two ahead.
-                if self.peek(2) == Some(b'\'') {
-                    self.i += 3;
+                // above; here: '(' or a multi-byte 'é' — find the closing
+                // quote one UTF-8 character ahead.
+                let width = match c {
+                    0xF0.. => 4,
+                    0xE0.. => 3,
+                    0xC0.. => 2,
+                    _ => 1,
+                };
+                if self.peek(width + 1) == Some(b'\'') {
+                    self.i += width + 2;
                     self.push(Tok::Char, line);
                     Ok(())
                 } else {
@@ -395,6 +402,14 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    #[test]
+    fn multi_byte_char_literals() {
+        assert_eq!(
+            idents("let a = ['é', '日', '🙂', '('];\nlet b = c;"),
+            vec!["let", "a", "let", "b", "c"]
+        );
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The graph-pattern query type `Q = (V_p, E_p, f_v, u_p, u_o)` (§2).
 
 use rbq_graph::{Graph, Label, NodeId};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// A pattern (query) node index.
@@ -35,10 +34,15 @@ impl fmt::Debug for PNode {
 /// graph to obtain a [`ResolvedPattern`] ready for matching.
 #[derive(Debug, Clone)]
 pub struct Pattern {
-    labels: Vec<String>,
+    labels: Labels,
+    /// Sorted and deduplicated.
     edges: Vec<(PNode, PNode)>,
-    out_adj: Vec<Vec<PNode>>,
-    in_adj: Vec<Vec<PNode>>,
+    /// Every node's children, then every node's parents, back to back:
+    /// list `k` is `adj[start[k]..start[k + 1]]`, children of `u` at
+    /// `k = u`, parents of `u` at `k = n + u`. Both sorted ascending. Two
+    /// allocations whatever the pattern's shape.
+    adj: Vec<PNode>,
+    start: Vec<usize>,
     personalized: PNode,
     output: PNode,
 }
@@ -71,17 +75,24 @@ impl Pattern {
 
     /// Label string of query node `u`.
     pub fn label_str(&self, u: PNode) -> &str {
-        &self.labels[u.index()]
+        self.labels.get(u.index())
     }
 
     /// Children of `u` in the pattern.
+    #[inline]
     pub fn out(&self, u: PNode) -> &[PNode] {
-        &self.out_adj[u.index()]
+        self.list(u.index())
     }
 
     /// Parents of `u` in the pattern.
+    #[inline]
     pub fn inn(&self, u: PNode) -> &[PNode] {
-        &self.in_adj[u.index()]
+        self.list(self.node_count() + u.index())
+    }
+
+    #[inline]
+    fn list(&self, k: usize) -> &[PNode] {
+        &self.adj[self.start[k]..self.start[k + 1]]
     }
 
     /// All pattern edges.
@@ -91,7 +102,7 @@ impl Pattern {
 
     /// Iterate all pattern node ids.
     pub fn nodes(&self) -> impl Iterator<Item = PNode> + '_ {
-        (0..self.labels.len() as u32).map(PNode)
+        (0..self.node_count() as u32).map(PNode)
     }
 
     /// Total degree of `u` within the pattern.
@@ -109,39 +120,7 @@ impl Pattern {
     /// evaluated on its own, so a component without `u_p` may be witnessed
     /// anywhere in a ball that also holds `v_p`.
     pub fn undirected_diameter(&self) -> usize {
-        let n = self.node_count();
-        if n == 0 {
-            return 0;
-        }
-        let mut best = 0usize;
-        let mut connected = true;
-        let mut dist = vec![usize::MAX; n];
-        for s in 0..n {
-            dist.iter_mut().for_each(|d| *d = usize::MAX);
-            dist[s] = 0;
-            let mut q = VecDeque::new();
-            q.push_back(PNode::new(s));
-            let mut reached = 1usize;
-            while let Some(u) = q.pop_front() {
-                let du = dist[u.index()];
-                for &w in self.out(u).iter().chain(self.inn(u)) {
-                    if dist[w.index()] == usize::MAX {
-                        dist[w.index()] = du + 1;
-                        best = best.max(du + 1);
-                        reached += 1;
-                        q.push_back(w);
-                    }
-                }
-            }
-            if reached < n {
-                connected = false;
-            }
-        }
-        if connected {
-            best
-        } else {
-            n.saturating_sub(1)
-        }
+        self.shape().0
     }
 
     /// Whether the pattern is weakly connected. Patterns in the paper's
@@ -149,23 +128,132 @@ impl Pattern {
     /// ball by ball (see [`Pattern::undirected_diameter`]).
     pub fn is_connected(&self) -> bool {
         let n = self.node_count();
-        if n == 0 {
-            return true;
+        n == 0 || self.bfs(0, &mut vec![0; 2 * n]).0 == n
+    }
+
+    /// [`Pattern::undirected_diameter`] and [`Pattern::is_connected`]
+    /// together: one [`Pattern::bfs`] per source over one buffer. The
+    /// first source that leaves a node unreached settles both.
+    fn shape(&self) -> (usize, bool) {
+        let n = self.node_count();
+        let mut buf = vec![0; 2 * n];
+        let mut diameter = 0;
+        for s in 0..n {
+            let (reached, eccentricity) = self.bfs(s, &mut buf);
+            if reached < n {
+                return (n - 1, false);
+            }
+            diameter = diameter.max(eccentricity);
         }
-        let mut seen = vec![false; n];
-        seen[0] = true;
-        let mut q = VecDeque::from([PNode(0)]);
-        let mut cnt = 1usize;
-        while let Some(u) = q.pop_front() {
+        (diameter, true)
+    }
+
+    /// Undirected BFS from node `s`: `(nodes reached, eccentricity of s)`.
+    /// `buf` holds `2 · node_count` words — hop distances, then the queue
+    /// (each node enters it at most once).
+    fn bfs(&self, s: usize, buf: &mut [u32]) -> (usize, usize) {
+        let (dist, queue) = buf.split_at_mut(self.node_count());
+        dist.fill(u32::MAX);
+        dist[s] = 0;
+        queue[0] = s as u32;
+        let (mut head, mut tail, mut eccentricity) = (0, 1, 0);
+        while head < tail {
+            let u = PNode(queue[head]);
+            head += 1;
+            let du = dist[u.index()];
             for &w in self.out(u).iter().chain(self.inn(u)) {
-                if !seen[w.index()] {
-                    seen[w.index()] = true;
-                    cnt += 1;
-                    q.push_back(w);
+                if dist[w.index()] == u32::MAX {
+                    dist[w.index()] = du + 1;
+                    eccentricity = du + 1;
+                    queue[tail] = w.0;
+                    tail += 1;
                 }
             }
         }
-        cnt == n
+        (tail, eccentricity as usize)
+    }
+
+    /// `self` with its nodes permuted into `order` (position `new` holds
+    /// original node `order[new]`); edges and the personalized/output
+    /// designations follow the permutation. Equal to adding the nodes to a
+    /// [`PatternBuilder`] in `order`, built without the builder's copies.
+    ///
+    /// # Panics
+    /// Panics if `order` is not a permutation of `0..node_count`.
+    pub fn permuted(&self, order: &[usize]) -> Pattern {
+        const UNSET: PNode = PNode(u32::MAX);
+        assert_eq!(order.len(), self.node_count(), "not a permutation");
+        let mut inv = vec![UNSET; order.len()];
+        for (new, &old) in order.iter().enumerate() {
+            assert!(inv[old] == UNSET, "not a permutation");
+            inv[old] = PNode::new(new);
+        }
+        let at = |u: PNode| inv[u.index()];
+        let mut labels = Labels::with_capacity(order.len(), self.labels.text.len());
+        for &old in order {
+            labels.push(self.labels.get(old));
+        }
+        let mut edges: Vec<_> = self.edges.iter().map(|&(u, v)| (at(u), at(v))).collect();
+        edges.sort_unstable();
+        Pattern::from_parts(labels, edges, at(self.personalized), at(self.output))
+    }
+
+    /// A pattern over `labels` and the sorted, deduplicated `edges`.
+    fn from_parts(
+        labels: Labels,
+        edges: Vec<(PNode, PNode)>,
+        personalized: PNode,
+        output: PNode,
+    ) -> Pattern {
+        let (n, m) = (labels.len(), edges.len());
+        // Counting sort into the two halves of `adj`: `start[k + 1]`
+        // counts list `k`, prefix sums turn counts into offsets.
+        let mut start = vec![0usize; 2 * n + 1];
+        for &(u, v) in &edges {
+            start[u.index() + 1] += 1;
+            start[n + v.index() + 1] += 1;
+        }
+        for k in 1..start.len() {
+            start[k] += start[k - 1];
+        }
+        let mut adj = vec![PNode(0); 2 * m];
+        // Sorted edges list every child list in order: the first half is
+        // the edges' heads. Parent lists fill through a cursor per node
+        // (`start[n + v]`, advanced past each entry) …
+        for (slot, &(_, v)) in adj.iter_mut().zip(&edges) {
+            *slot = v;
+        }
+        for &(u, v) in &edges {
+            adj[start[n + v.index()]] = u;
+            start[n + v.index()] += 1;
+        }
+        // … which leaves `start[n + v]` at the start of list `n + v + 1`:
+        // shift the parent offsets back by one list.
+        for v in (1..n).rev() {
+            start[n + v] = start[n + v - 1];
+        }
+        start[n] = m;
+        Pattern {
+            labels,
+            edges,
+            adj,
+            start,
+            personalized,
+            output,
+        }
+    }
+
+    /// The interned label of every node, in node order.
+    fn intern(&self, g: &Graph) -> Result<Vec<Label>, ResolveError> {
+        let mut labels = Vec::with_capacity(self.node_count());
+        for u in self.nodes() {
+            let name = self.label_str(u);
+            match g.labels().get(name) {
+                Some(l) => labels.push(l),
+                None => return Err(ResolveError::UnknownLabel(u, name.to_owned())),
+            }
+        }
+        Ok(labels)
     }
 
     /// Resolve against a data graph with an explicit anchor assignment
@@ -179,48 +267,31 @@ impl Pattern {
         g: &Graph,
         v_anchor: NodeId,
     ) -> Result<ResolvedPattern, ResolveError> {
-        let mut labels = Vec::with_capacity(self.labels.len());
-        for (i, name) in self.labels.iter().enumerate() {
-            match g.labels().get(name) {
-                Some(l) => labels.push(l),
-                None => return Err(ResolveError::UnknownLabel(PNode::new(i), name.clone())),
-            }
-        }
+        let labels = self.intern(g)?;
         if g.node_label(v_anchor) != labels[self.personalized.index()] {
             return Err(ResolveError::NoPersonalizedMatch);
         }
-        Ok(ResolvedPattern {
-            dq: self.undirected_diameter(),
-            connected: self.is_connected(),
-            pattern: self.clone(),
-            labels,
-            vp: v_anchor,
-        })
+        Ok(ResolvedPattern::new(self.clone(), labels, v_anchor))
     }
 
     /// Resolve against a data graph: intern labels and locate the unique
-    /// match `v_p` of the personalized node.
+    /// match `v_p` of the personalized node. [`Pattern::into_resolved`] on
+    /// a copy of `self`.
     pub fn resolve(&self, g: &Graph) -> Result<ResolvedPattern, ResolveError> {
-        let mut labels = Vec::with_capacity(self.labels.len());
-        for (i, name) in self.labels.iter().enumerate() {
-            match g.labels().get(name) {
-                Some(l) => labels.push(l),
-                None => return Err(ResolveError::UnknownLabel(PNode::new(i), name.clone())),
-            }
-        }
-        let lp = labels[self.personalized.index()];
-        let vp = match g.nodes_with_label(lp) {
+        self.clone().into_resolved(g)
+    }
+
+    /// [`Pattern::resolve`], moving `self` into the [`ResolvedPattern`]
+    /// instead of copying it — for callers done with the pattern, like the
+    /// engine resolving the canonical relabeling it just built.
+    pub fn into_resolved(self, g: &Graph) -> Result<ResolvedPattern, ResolveError> {
+        let labels = self.intern(g)?;
+        let vp = match g.nodes_with_label(labels[self.personalized.index()]) {
             [] => return Err(ResolveError::NoPersonalizedMatch),
             [v] => *v,
             _ => return Err(ResolveError::AmbiguousPersonalizedMatch),
         };
-        Ok(ResolvedPattern {
-            dq: self.undirected_diameter(),
-            connected: self.is_connected(),
-            pattern: self.clone(),
-            labels,
-            vp,
-        })
+        Ok(ResolvedPattern::new(self, labels, vp))
     }
 }
 
@@ -272,6 +343,17 @@ pub struct ResolvedPattern {
 }
 
 impl ResolvedPattern {
+    fn new(pattern: Pattern, labels: Vec<Label>, vp: NodeId) -> Self {
+        let (dq, connected) = pattern.shape();
+        ResolvedPattern {
+            pattern,
+            labels,
+            vp,
+            dq,
+            connected,
+        }
+    }
+
     /// The underlying pattern.
     pub fn pattern(&self) -> &Pattern {
         &self.pattern
@@ -328,6 +410,38 @@ impl ResolvedPattern {
     }
 }
 
+/// Node labels back to back in one string: node `i`'s label ends at
+/// `end[i]` and starts where node `i - 1`'s ends. Two allocations for any
+/// number of labels, and a copy is two more.
+#[derive(Debug, Default, Clone)]
+struct Labels {
+    text: String,
+    end: Vec<usize>,
+}
+
+impl Labels {
+    fn with_capacity(labels: usize, bytes: usize) -> Self {
+        Labels {
+            text: String::with_capacity(bytes),
+            end: Vec::with_capacity(labels),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.end.len()
+    }
+
+    fn get(&self, i: usize) -> &str {
+        let from = if i == 0 { 0 } else { self.end[i - 1] };
+        &self.text[from..self.end[i]]
+    }
+
+    fn push(&mut self, label: &str) {
+        self.text.push_str(label);
+        self.end.push(self.text.len());
+    }
+}
+
 /// Builder for [`Pattern`].
 ///
 /// ```
@@ -348,7 +462,7 @@ impl ResolvedPattern {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct PatternBuilder {
-    labels: Vec<String>,
+    labels: Labels,
     edges: Vec<(PNode, PNode)>,
     personalized: Option<PNode>,
     output: Option<PNode>,
@@ -363,7 +477,7 @@ impl PatternBuilder {
     /// Add a query node with the given label.
     pub fn add_node(&mut self, label: &str) -> PNode {
         let id = PNode::new(self.labels.len());
-        self.labels.push(label.to_owned());
+        self.labels.push(label);
         id
     }
 
@@ -393,30 +507,16 @@ impl PatternBuilder {
     /// Panics if the pattern has no nodes or the personalized/output nodes
     /// were not set.
     pub fn build(&self) -> Pattern {
-        assert!(!self.labels.is_empty(), "pattern must have nodes");
+        assert!(self.labels.len() > 0, "pattern must have nodes");
         // invariant: documented `# Panics` contract of `build` — pattern
         // construction is an offline/setup step, not a serving-path one.
         let personalized = self.personalized.expect("personalized node not set");
         // invariant: same documented `# Panics` contract as above.
         let output = self.output.expect("output node not set");
-        let n = self.labels.len();
         let mut edges = self.edges.clone();
         edges.sort_unstable();
         edges.dedup();
-        let mut out_adj = vec![Vec::new(); n];
-        let mut in_adj = vec![Vec::new(); n];
-        for &(u, v) in &edges {
-            out_adj[u.index()].push(v);
-            in_adj[v.index()].push(u);
-        }
-        Pattern {
-            labels: self.labels.clone(),
-            edges,
-            out_adj,
-            in_adj,
-            personalized,
-            output,
-        }
+        Pattern::from_parts(self.labels.clone(), edges, personalized, output)
     }
 }
 
@@ -440,6 +540,7 @@ pub fn fig1_pattern() -> Pattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{Just, Strategy};
     use rbq_graph::GraphBuilder;
 
     #[test]
@@ -574,6 +675,72 @@ mod tests {
         let c = b.add_node("B");
         b.add_edge(a, c).add_edge(a, c).personalized(a).output(c);
         assert_eq!(b.build().edge_count(), 1);
+    }
+
+    proptest::proptest! {
+        /// Adjacency, `d_Q`, connectivity and `permuted` against plain
+        /// definitions: lists filtered from the edge set, all-pairs hop
+        /// distances by relaxation, and a rebuild through the builder.
+        #[test]
+        fn shape_and_adjacency_match_plain_definitions(
+            (n, edges, order_seed) in (1usize..9).prop_flat_map(|n| {
+                (Just(n), proptest::collection::vec((0..n, 0..n), 0..20), 0usize..1000)
+            })
+        ) {
+            let mut b = PatternBuilder::new();
+            let ids: Vec<_> = (0..n).map(|i| b.add_node(&format!("L{}", i % 3))).collect();
+            for &(u, v) in &edges {
+                b.add_edge(ids[u], ids[v]);
+            }
+            let q = b.personalized(ids[0]).output(ids[n - 1]).build();
+            let (mut es, far) = (edges.clone(), usize::MAX / 4);
+            es.sort_unstable();
+            es.dedup();
+            for u in 0..n {
+                let kids: Vec<_> = es.iter().filter(|e| e.0 == u).map(|e| PNode::new(e.1)).collect();
+                let parents: Vec<_> = es.iter().filter(|e| e.1 == u).map(|e| PNode::new(e.0)).collect();
+                proptest::prop_assert_eq!(q.out(PNode::new(u)), &kids[..]);
+                proptest::prop_assert_eq!(q.inn(PNode::new(u)), &parents[..]);
+            }
+            let mut dist: Vec<Vec<usize>> = (0..n)
+                .map(|u| (0..n).map(|v| if u == v { 0 } else { far }).collect())
+                .collect();
+            for &(u, v) in &es {
+                if u != v {
+                    dist[u][v] = 1;
+                    dist[v][u] = 1;
+                }
+            }
+            for k in 0..n {
+                for i in 0..n {
+                    for j in 0..n {
+                        dist[i][j] = dist[i][j].min(dist[i][k] + dist[k][j]);
+                    }
+                }
+            }
+            let connected = dist.iter().flatten().all(|&d| d < far);
+            let diameter = if connected {
+                dist.iter().flatten().copied().max().unwrap_or(0)
+            } else {
+                n - 1
+            };
+            proptest::prop_assert_eq!(q.is_connected(), connected);
+            proptest::prop_assert_eq!(q.undirected_diameter(), diameter);
+
+            // A rotation of the node order, rebuilt through the builder.
+            let order: Vec<usize> = (0..n).map(|i| (i + order_seed) % n).collect();
+            let mut inv = vec![0; n];
+            for (new, &old) in order.iter().enumerate() {
+                inv[old] = new;
+            }
+            let mut b = PatternBuilder::new();
+            let ids: Vec<_> = order.iter().map(|&old| b.add_node(q.label_str(PNode::new(old)))).collect();
+            for &(u, v) in q.edges() {
+                b.add_edge(ids[inv[u.index()]], ids[inv[v.index()]]);
+            }
+            b.personalized(ids[inv[0]]).output(ids[inv[n - 1]]);
+            proptest::prop_assert_eq!(format!("{:?}", q.permuted(&order)), format!("{:?}", b.build()));
+        }
     }
 
     #[test]

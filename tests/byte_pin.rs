@@ -4,16 +4,22 @@
 //! A refactor of the framing code must leave all five unchanged; a
 //! deliberate layout change bumps the format's version in
 //! `rbq_graph::codec` and re-pins here.
+//!
+//! The canonical form is pinned the same way: it keys the reduction cache
+//! and its node order decides the order `Pick` visits candidates in, so a
+//! change to canonicalisation that moves one byte moves answers.
 
 mod support;
 
 use rbq::rbq_engine::wire::{write_answer_file, write_delta_file, write_query_file};
-use rbq::rbq_engine::{Answer, Query};
+use rbq::rbq_engine::{canonical_pattern, Answer, Query};
 use rbq::rbq_graph::builder::graph_from_edges;
 use rbq::rbq_graph::snapshot::{crc32, write_snapshot, SNAPSHOT_FILE};
 use rbq::rbq_graph::wal::{WalWriter, WAL_FILE};
 use rbq::rbq_graph::{DeltaBatch, NodeId};
 use rbq::rbq_pattern::pattern::fig1_pattern;
+use rbq::rbq_workload::{extract_pattern, youtube_like, PatternSpec};
+use std::fmt::Write;
 use support::fresh_dir;
 
 /// The fixture: a five-node graph, two delta batches (node adds, edge adds
@@ -110,4 +116,40 @@ fn every_written_format_is_byte_pinned() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn canonical_form_is_byte_pinned() {
+    let g = youtube_like(4_000, 42);
+    let mut bytes = String::new();
+    let mut patterns = 0;
+    for (spec, seeds) in [
+        ((3, 3), 0..40u64),
+        ((4, 6), 0..80),
+        ((6, 10), 0..60),
+        ((8, 14), 0..40),
+    ] {
+        for seed in seeds {
+            let Some(p) = extract_pattern(&g, PatternSpec::new(spec.0, spec.1), seed) else {
+                continue;
+            };
+            let (canon, signature) = canonical_pattern(&p);
+            bytes.push_str(&signature);
+            for &(u, v) in canon.edges() {
+                write!(bytes, ";{}-{}", u.index(), v.index()).unwrap();
+            }
+            let (up, uo) = (canon.personalized().index(), canon.output().index());
+            writeln!(bytes, "|{up}|{uo}").unwrap();
+            patterns += 1;
+        }
+    }
+    assert!(patterns >= 150, "only {patterns} patterns extracted");
+    // Printed by this test at the commit before canonicalisation moved
+    // onto reused buffers.
+    let pin = 0xdc29_b3bb;
+    let crc = crc32(bytes.as_bytes());
+    assert_eq!(
+        crc, pin,
+        "canonical form moved ({patterns} patterns): crc {crc:#010x}, pinned {pin:#010x}"
+    );
 }

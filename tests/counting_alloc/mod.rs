@@ -1,8 +1,8 @@
 //! The counting allocator shared by the allocation-pinning tests
-//! (`alloc_free.rs`, `alloc_hit_path.rs`). Each of those files installs it
-//! as its `#[global_allocator]` and holds a single `#[test]`: the counter
-//! is process-global, and a concurrently running sibling test would
-//! pollute the delta.
+//! (`alloc_free.rs`, `alloc_hit_path.rs`, `alloc_first_sight.rs`). Each of
+//! those files installs it as its `#[global_allocator]` and holds a single
+//! `#[test]`: the counter is process-global, and a concurrently running
+//! sibling test would pollute the delta.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
