@@ -1,11 +1,11 @@
 //! Micro-benchmarks of the graph substrate: the operations every
 //! experiment bottoms out in (BFS, SCC, condensation, neighborhood balls,
-//! dynamic subgraph growth).
+//! dynamic subgraph growth, adjacency rows read through a delta overlay).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rbq_graph::traverse::{bfs, reaches};
 use rbq_graph::types::Direction;
-use rbq_graph::{BallScratch, DynamicSubgraph, GraphView, NodeId};
+use rbq_graph::{BallScratch, DeltaBatch, DynamicSubgraph, Graph, GraphView, NodeId};
 use rbq_workload::youtube_like;
 use std::hint::black_box;
 
@@ -48,7 +48,43 @@ fn substrate(c: &mut Criterion) {
             black_box(d.size())
         })
     });
+    // Every node's out- and in-row read once, on a graph whose stacked
+    // deltas touch about half its nodes per direction (13.6k random edge
+    // adds, under the auto-compaction threshold of |E| / 4) and on its
+    // compaction: the pair prices an overlay row lookup against a CSR one.
+    let mut overlaid = g.clone();
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let n = g.node_count() as u64;
+    for _ in 0..4 {
+        let mut d = DeltaBatch::new();
+        for _ in 0..3_400 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            d.add_edge(NodeId((x % n) as u32), NodeId(((x >> 32) % n) as u32));
+        }
+        overlaid = overlaid.apply_delta(&d).unwrap().0;
+    }
+    assert!(
+        overlaid.is_overlaid(),
+        "the deltas stay under the threshold"
+    );
+    let compacted = overlaid.compact();
+    group.bench_function("overlay_rows_scan", |b| {
+        b.iter(|| black_box(scan_rows(&overlaid)))
+    });
+    group.bench_function("compact_rows_scan", |b| {
+        b.iter(|| black_box(scan_rows(&compacted)))
+    });
     group.finish();
+}
+
+/// Sum of every out- and in-neighbour id over all nodes.
+fn scan_rows(g: &Graph) -> u64 {
+    g.nodes()
+        .flat_map(|v| g.out(v).iter().chain(g.inn(v)))
+        .map(|w| u64::from(w.0))
+        .sum()
 }
 
 criterion_group!(benches, substrate);

@@ -11,7 +11,8 @@
 //!   base rows once at apply time, so every read — [`Graph::out`],
 //!   [`Graph::inn`], [`crate::GraphView`] adjacency, degree and edge
 //!   tests — keeps returning plain sorted slices with no per-probe merging
-//!   or allocation.
+//!   or allocation. A merged row is found by one probe of a dense per-node
+//!   slot array, so a read costs the same as on a compacted graph.
 //! * The label partition is rebuilt over all nodes (`O(|V|)`), keeping
 //!   label-based candidate seeding `O(1)` + output.
 //! * Once cumulative churn passes a quarter of the base edge count (and at
@@ -26,9 +27,10 @@
 //! [`crate::GraphBuilder`] rebuild from the effective edge set.
 
 use crate::graph::{label_partition, Graph, Overlay, SideTable};
-use crate::types::{Label, NodeId};
+use crate::types::{Direction, Label, NodeId};
 use rustc_hash::FxHashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Effective churn (adds + removes since the last compaction) at which
 /// [`Graph::apply_delta`] compacts, as a fraction of the base edge count:
@@ -161,9 +163,10 @@ impl Graph {
     /// The receiver is untouched (it keeps answering on the old state —
     /// the epoch-swap contract upstream layers rely on); the returned
     /// graph shares the base CSR and differs only in the overlay. Cost is
-    /// `O(|V| + |batch| log |batch| + Σ degree(touched))`, plus an
-    /// `O(|V| + |E|)` compaction when cumulative churn passes the
-    /// threshold.
+    /// `O(|V| + |batch| log |batch| + Σ degree(touched))`, where the touched
+    /// rows are this batch's and every row the overlay already carried
+    /// (copied forward), plus an `O(|V| + |E|)` compaction when cumulative
+    /// churn passes the threshold.
     pub fn apply_delta(&self, batch: &DeltaBatch) -> Result<(Graph, DeltaReport), DeltaError> {
         let n0 = self.node_count();
         let n1 = n0 + batch.added_nodes();
@@ -219,13 +222,19 @@ impl Graph {
         adds.sort_unstable();
         removes.sort_unstable();
 
-        // Touched-label signal for downstream cache invalidation.
-        let mut touched_labels: Vec<String> = adds
-            .iter()
-            .chain(removes.iter())
-            .flat_map(|&(u, v)| [u, v])
-            .map(|w| labels.name(node_labels[w.index()]).to_owned())
-            .chain(new_node_labels.iter().map(|&l| labels.name(l).to_owned()))
+        // Touched-label signal for downstream cache invalidation: mark the
+        // label ids first, then name each distinct one once.
+        let mut touched = vec![false; labels.len()];
+        let endpoints = adds.iter().chain(removes.iter()).flat_map(|&(u, v)| [u, v]);
+        for l in endpoints
+            .map(|w| node_labels[w.index()])
+            .chain(new_node_labels)
+        {
+            touched[l.index()] = true;
+        }
+        let mut touched_labels: Vec<String> = (0..labels.len())
+            .filter(|&l| touched[l])
+            .map(|l| labels.name(Label::new(l)).to_owned())
             .collect();
         touched_labels.sort_unstable();
         touched_labels.dedup();
@@ -260,16 +269,16 @@ impl Graph {
 
         let out = merge_side(
             self,
-            n1,
-            Side::Out,
+            base_nodes..n1,
+            Direction::Out,
             &adds,
             &removes,
             self.overlay.as_ref().map(|ov| &ov.out),
         );
         let inn = merge_side(
             self,
-            n1,
-            Side::In,
+            base_nodes..n1,
+            Direction::In,
             &adds,
             &removes,
             self.overlay.as_ref().map(|ov| &ov.inn),
@@ -306,107 +315,91 @@ impl Graph {
     }
 }
 
-#[derive(Clone, Copy)]
-enum Side {
-    Out,
-    In,
-}
-
-/// Build one direction's merged side table: for every touched node, merge
-/// its current effective row (which may already come from a previous
-/// overlay) with this batch's sorted add/remove side-lists.
+/// Build one direction's merged side table: every row this batch changes
+/// is its current effective row (which may already come from a previous
+/// overlay) merged with the batch's sorted adds and removes; every row the
+/// previous overlay carried and this batch leaves alone is copied as is;
+/// every overlay-only node (`overlay_only`, ending at the new node count)
+/// gets a row so it never falls through to the base CSR. Rows are laid out
+/// in node order.
 fn merge_side(
     g: &Graph,
-    n1: usize,
-    side: Side,
+    overlay_only: Range<usize>,
+    side: Direction,
     adds: &[(NodeId, NodeId)],
     removes: &[(NodeId, NodeId)],
     prev: Option<&SideTable>,
 ) -> SideTable {
-    // Per-node side-lists, keyed by the row owner for this direction.
-    let key = |&(u, v): &(NodeId, NodeId)| match side {
-        Side::Out => (u, v),
-        Side::In => (v, u),
-    };
-    let mut add_by: FxHashMap<NodeId, Vec<NodeId>> = FxHashMap::default();
-    for e in adds {
-        let (owner, other) = key(e);
-        add_by.entry(owner).or_default().push(other);
-    }
-    let mut rem_by: FxHashMap<NodeId, Vec<NodeId>> = FxHashMap::default();
-    for e in removes {
-        let (owner, other) = key(e);
-        rem_by.entry(owner).or_default().push(other);
-    }
-
-    // Touched set: rows changed by this batch, plus every row the previous
-    // overlay carried (the new table replaces it wholesale), plus all
-    // overlay-only nodes so their rows never fall through to the base CSR.
-    let mut nodes: Vec<NodeId> = add_by.keys().chain(rem_by.keys()).copied().collect();
-    if let Some(prev) = prev {
-        nodes.extend_from_slice(&prev.nodes);
-    }
-    let base_nodes = g
-        .overlay
-        .as_ref()
-        .map_or(g.node_count(), |ov| ov.base_nodes);
-    nodes.extend((base_nodes..n1).map(NodeId::new));
-    nodes.sort_unstable();
-    nodes.dedup();
-
-    let mut offsets = Vec::with_capacity(nodes.len() + 1);
-    offsets.push(0usize);
-    let mut targets: Vec<NodeId> = Vec::new();
-    let mut scratch: Vec<NodeId> = Vec::new();
-    for &v in &nodes {
-        // Current effective row (empty for nodes this very batch adds).
-        let base: &[NodeId] = if v.index() < g.node_count() {
-            g.adj_for(side, v)
-        } else {
-            &[]
+    // The batch's (owner, other) pairs for this direction, sorted once so
+    // each owner's side-list is one sorted, duplicate-free run.
+    let by_owner = |pairs: &[(NodeId, NodeId)]| {
+        let mut keyed: Vec<_> = match side {
+            Direction::Out => pairs.to_vec(),
+            Direction::In => pairs.iter().map(|&(u, v)| (v, u)).collect(),
         };
-        let mut add = add_by.remove(&v).unwrap_or_default();
-        add.sort_unstable();
-        add.dedup();
-        let mut rem = rem_by.remove(&v).unwrap_or_default();
-        rem.sort_unstable();
-        rem.dedup();
-        // (base ∖ rem) ∪ add — all three inputs sorted, adds disjoint from
-        // base and removes ⊆ base by effectiveness filtering.
-        scratch.clear();
-        let mut ai = add.iter().peekable();
-        let mut ri = rem.iter().peekable();
-        for &w in base {
-            while ai.peek().is_some_and(|&&a| a < w) {
-                // invariant: `ai.peek()` returned `Some` in the loop guard,
-                // so `next()` on the same iterator cannot return `None`.
-                scratch.push(*ai.next().unwrap());
+        keyed.sort_unstable();
+        keyed
+    };
+    let (adds, removes) = (by_owner(adds), by_owner(removes));
+    let (mut adds_left, mut removes_left) = (&adds[..], &removes[..]);
+
+    let carried = prev.map_or(0, |p| p.targets.len());
+    let mut slot = vec![SideTable::UNTOUCHED; overlay_only.end];
+    let mut offsets: Vec<u32> = vec![0];
+    let mut targets: Vec<NodeId> = Vec::with_capacity(carried + adds.len());
+    for (i, s) in slot.iter_mut().enumerate() {
+        let v = NodeId::new(i);
+        let add = owned_by(&mut adds_left, v);
+        let rem = owned_by(&mut removes_left, v);
+        if add.is_empty() && rem.is_empty() {
+            match prev.and_then(|p| p.row(v)) {
+                Some(row) => targets.extend_from_slice(row),
+                None if overlay_only.contains(&i) => {}
+                None => continue,
             }
-            if ri.peek() == Some(&&w) {
-                ri.next();
-                continue;
+        } else {
+            // Current effective row (empty for nodes this very batch adds).
+            let base: &[NodeId] = if i < g.node_count() {
+                g.adj(v, side)
+            } else {
+                &[]
+            };
+            // (base ∖ rem) ∪ add — all three sorted, adds disjoint from
+            // base and removes ⊆ base by effectiveness filtering.
+            let mut add = add.iter().map(|&(_, w)| w).peekable();
+            let mut rem = rem.iter().map(|&(_, w)| w).peekable();
+            for &w in base {
+                while let Some(a) = add.next_if(|&a| a < w) {
+                    targets.push(a);
+                }
+                if rem.next_if_eq(&w).is_none() {
+                    targets.push(w);
+                }
             }
-            scratch.push(w);
+            targets.extend(add);
         }
-        scratch.extend(ai.copied());
-        targets.extend_from_slice(&scratch);
-        offsets.push(targets.len());
+        *s = (offsets.len() - 1) as u32;
+        offsets.push(targets.len() as u32);
     }
+    // Both only grow, so final lengths that fit mean no offset or slot
+    // above was truncated, and no row index reads as UNTOUCHED.
+    assert!(
+        u32::try_from(targets.len().max(offsets.len())).is_ok(),
+        "an overlay side table holds at most u32::MAX rows and row entries"
+    );
     SideTable {
-        nodes,
+        slot,
         offsets,
         targets,
     }
 }
 
-impl Graph {
-    #[inline]
-    fn adj_for(&self, side: Side, v: NodeId) -> &[NodeId] {
-        match side {
-            Side::Out => self.out(v),
-            Side::In => self.inn(v),
-        }
-    }
+/// Split off the leading run of `pairs` owned by `v`; `pairs` is sorted by
+/// owner and holds no owner below `v`.
+fn owned_by<'p>(pairs: &mut &'p [(NodeId, NodeId)], v: NodeId) -> &'p [(NodeId, NodeId)] {
+    let (run, rest) = pairs.split_at(pairs.iter().take_while(|&&(owner, _)| owner == v).count());
+    *pairs = rest;
+    run
 }
 
 #[cfg(test)]

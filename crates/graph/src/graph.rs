@@ -11,7 +11,9 @@
 //! every untouched adjacency row with its parent and carries the changed
 //! rows in a small `Overlay` (see [`crate::delta`]). Reads stay plain
 //! sorted slices either way — the matching hot paths never learn whether a
-//! row came from the base CSR or the overlay.
+//! row came from the base CSR or the overlay — and cost the same: an
+//! overlay row is found by one probe of a dense per-node slot array, so a
+//! graph with live deltas reads like a compacted one.
 
 use crate::labels::LabelInterner;
 use crate::types::{Direction, Label, NodeId};
@@ -34,21 +36,33 @@ pub(crate) struct Csr {
 ///
 /// The per-node add/remove side-lists of a [`crate::delta::DeltaBatch`] are
 /// merged against the base CSR row once at apply time; reads then consult
-/// this table first (binary search over the touched-node list) and fall
-/// back to the shared base row. Rows are sorted and deduplicated, exactly
-/// like base CSR rows.
+/// this table first (one probe of the dense `slot` array) and fall back to
+/// the shared base row. Rows are sorted and deduplicated, exactly like base
+/// CSR rows.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SideTable {
-    pub(crate) nodes: Vec<NodeId>,
-    pub(crate) offsets: Vec<usize>,
+    /// Per node of the overlaid graph: the index of its row, or
+    /// [`SideTable::UNTOUCHED`] when the base CSR row is current.
+    pub(crate) slot: Vec<u32>,
+    /// Row `i` is `targets[offsets[i]..offsets[i + 1]]`.
+    pub(crate) offsets: Vec<u32>,
     pub(crate) targets: Vec<NodeId>,
 }
 
 impl SideTable {
+    /// The `slot` of a node this table carries no row for.
+    pub(crate) const UNTOUCHED: u32 = u32::MAX;
+
+    /// `v`'s merged row, or `None` when `v` is untouched (or past the table).
+    // rbq-lint: hot
     #[inline]
     pub(crate) fn row(&self, v: NodeId) -> Option<&[NodeId]> {
-        let i = self.nodes.binary_search(&v).ok()?;
-        Some(&self.targets[self.offsets[i]..self.offsets[i + 1]])
+        let i = *self.slot.get(v.index())?;
+        if i == Self::UNTOUCHED {
+            return None;
+        }
+        let i = i as usize;
+        Some(&self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize])
     }
 }
 
@@ -168,6 +182,7 @@ impl Graph {
     }
 
     /// Children of `v` as a slice (sorted, deduplicated).
+    // rbq-lint: hot
     #[inline]
     pub fn out(&self, v: NodeId) -> &[NodeId] {
         if let Some(ov) = &self.overlay {
@@ -182,6 +197,7 @@ impl Graph {
     }
 
     /// Parents of `v` as a slice (sorted, deduplicated).
+    // rbq-lint: hot
     #[inline]
     pub fn inn(&self, v: NodeId) -> &[NodeId] {
         if let Some(ov) = &self.overlay {
@@ -215,22 +231,16 @@ impl Graph {
         self.labels.name(self.node_labels[v.index()])
     }
 
-    /// Out-degree of `v` (constant time on an overlay-free graph).
+    /// Out-degree of `v`, in constant time (overlaid or not).
     #[inline]
     pub fn deg_out(&self, v: NodeId) -> usize {
-        if self.overlay.is_some() {
-            return self.out(v).len();
-        }
-        self.csr.out_offsets[v.index() + 1] - self.csr.out_offsets[v.index()]
+        self.out(v).len()
     }
 
-    /// In-degree of `v` (constant time on an overlay-free graph).
+    /// In-degree of `v`, in constant time (overlaid or not).
     #[inline]
     pub fn deg_in(&self, v: NodeId) -> usize {
-        if self.overlay.is_some() {
-            return self.inn(v).len();
-        }
-        self.csr.in_offsets[v.index() + 1] - self.csr.in_offsets[v.index()]
+        self.inn(v).len()
     }
 
     /// Total degree `d(v) = deg_out(v) + deg_in(v)`.

@@ -11,13 +11,13 @@ use rbq_core::{
     ResourceBudget,
 };
 use rbq_graph::traverse::reaches;
-use rbq_graph::{GraphView, NodeId};
+use rbq_graph::{DeltaBatch, DeltaOp, GraphBuilder, GraphView, NodeId};
 use rbq_pattern::{
     match_opt, strong_simulation_on_view_with, vf2_opt, StrongSimScratch, Vf2Config,
 };
 use rbq_reach::{compress_for_reachability, HierarchicalIndex};
 use std::cell::RefCell;
-use support::{fold_labels, graphs, graphs_with_chains, hub_graph, shaped, Rng};
+use support::{fold_labels, graph, graphs, graphs_with_chains, hub_graph, shaped, Edges, Rng};
 
 thread_local! {
     /// One warm evaluation scratch shared by every case of a property.
@@ -196,6 +196,75 @@ proptest! {
         }
     }
 
+    /// An overlaid graph reads exactly like its compaction and like a
+    /// from-scratch rebuild, after each of 1–12 stacked batches: adds and
+    /// removes, an edge removed and re-added (in one batch and across two),
+    /// self-loops, added nodes with edges, and one batch whose churn
+    /// crosses the compaction threshold. Every node, both directions, every
+    /// edge test.
+    #[test]
+    fn overlay_rows_equal_compacted_and_rebuilt(seed in 0..u64::MAX) {
+        let mut rng = Rng(seed);
+        let mut g = graph(&mut rng, 9..40, false);
+        let mut labels: Vec<String> = g.nodes().map(|v| g.node_label_str(v).to_string()).collect();
+        let mut edges: Edges = g.edges().map(|(u, v)| (u.0, v.0)).collect();
+        let batches = rng.range(1..13);
+        let big = rng.below(batches);
+        let (mut compacted, mut overlaid) = (false, false);
+        let mut removed: Vec<(u32, u32)> = Vec::new();
+        for i in 0..batches {
+            // Cumulative churn ≥ max(64, |E_base| / 4) compacts, and
+            // |E_base| ≤ |E| + churn: flipping this many pairs crosses it.
+            let flips = match i == big {
+                true => 64.max((edges.len() + g.overlay_churn()) / 4),
+                false => rng.below(8),
+            };
+            let batch = overlay_batch(&mut rng, labels.len(), &edges, &removed, flips);
+            removed.clear();
+            for op in batch.ops() {
+                match *op {
+                    DeltaOp::AddNode(ref l) => labels.push(l.clone()),
+                    DeltaOp::AddEdge(u, v) => {
+                        edges.insert((u.0, v.0));
+                    }
+                    DeltaOp::RemoveEdge(u, v) => {
+                        edges.remove(&(u.0, v.0));
+                        removed.push((u.0, v.0));
+                    }
+                }
+            }
+            let (next, report) = g.apply_delta(&batch).unwrap();
+            g = next;
+            compacted |= report.compacted;
+            overlaid |= g.is_overlaid();
+            let mut b = GraphBuilder::new();
+            for l in &labels {
+                b.add_node(l);
+            }
+            for &(u, v) in &edges {
+                b.add_edge(NodeId(u), NodeId(v));
+            }
+            let (rebuilt, flat) = (b.build(), g.compact());
+            prop_assert_eq!(g.node_count(), rebuilt.node_count());
+            prop_assert_eq!(g.edge_count(), rebuilt.edge_count());
+            for v in g.nodes() {
+                for want in [&flat, &rebuilt] {
+                    prop_assert_eq!(g.out(v), want.out(v), "out({:?}) after batch {}", v, i);
+                    prop_assert_eq!(g.inn(v), want.inn(v), "inn({:?}) after batch {}", v, i);
+                    prop_assert_eq!(g.deg_out(v), want.deg_out(v));
+                    prop_assert_eq!(g.deg_in(v), want.deg_in(v));
+                }
+                for w in g.nodes() {
+                    let want = edges.contains(&(v.0, w.0));
+                    prop_assert_eq!(g.edge(v, w), want, "edge({:?}, {:?})", v, w);
+                    prop_assert_eq!(flat.edge(v, w), want);
+                }
+            }
+        }
+        prop_assert!(compacted, "the big batch compacts");
+        prop_assert!(overlaid || batches == 1, "some batch leaves an overlay");
+    }
+
     /// SCC condensation produces a DAG that preserves reachability.
     #[test]
     fn condensation_is_acyclic_and_preserving(g in graphs(2..24)) {
@@ -261,6 +330,65 @@ proptest! {
             prop_assert_eq!(inn, want_in, "in list of {:?}", v);
         }
     }
+}
+
+/// One batch against a graph of `nodes` nodes and `edges`: up to two new
+/// nodes each wired to an old node, random adds and removes of pairs and
+/// present edges, a self-loop, a present edge removed and re-added, a re-add
+/// of an edge in `removed`, then `flips` distinct pairs flipped (the last op
+/// on an edge wins, so each flip is an effective change).
+fn overlay_batch(
+    rng: &mut Rng,
+    nodes: usize,
+    edges: &Edges,
+    removed: &[(u32, u32)],
+    flips: usize,
+) -> DeltaBatch {
+    let mut b = DeltaBatch::new();
+    let id = |i: usize| NodeId(i as u32);
+    for _ in 0..rng.below(3) {
+        let v = nodes + b.add_node(&format!("L{}", rng.below(5)));
+        let u = rng.below(nodes);
+        match rng.one_in(2) {
+            true => b.add_edge(id(u), id(v)),
+            false => b.add_edge(id(v), id(u)),
+        }
+    }
+    let total = nodes + b.added_nodes();
+    let present: Vec<(u32, u32)> = edges.iter().copied().collect();
+    for _ in 0..rng.range(1..8) {
+        let (u, v) = match present.is_empty() || rng.one_in(2) {
+            true => (rng.below(total) as u32, rng.below(total) as u32),
+            false => present[rng.below(present.len())],
+        };
+        match rng.one_in(2) {
+            true => b.add_edge(NodeId(u), NodeId(v)),
+            false => b.remove_edge(NodeId(u), NodeId(v)),
+        }
+    }
+    let s = id(rng.below(total));
+    match rng.one_in(2) {
+        true => b.add_edge(s, s),
+        false => b.remove_edge(s, s),
+    }
+    if let Some(&(u, v)) = present.get(rng.below(present.len().max(1))) {
+        b.remove_edge(NodeId(u), NodeId(v));
+        b.add_edge(NodeId(u), NodeId(v));
+    }
+    if let Some(&(u, v)) = removed.get(rng.below(removed.len().max(1))) {
+        b.add_edge(NodeId(u), NodeId(v));
+    }
+    let mut flipped = std::collections::BTreeSet::new();
+    while flipped.len() < flips.min(total * total) {
+        flipped.insert((rng.below(total) as u32, rng.below(total) as u32));
+    }
+    for (u, v) in flipped {
+        match edges.contains(&(u, v)) {
+            true => b.remove_edge(NodeId(u), NodeId(v)),
+            false => b.add_edge(NodeId(u), NodeId(v)),
+        }
+    }
+    b
 }
 
 proptest! {
