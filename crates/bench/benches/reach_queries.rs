@@ -1,10 +1,12 @@
 //! Criterion benches for the reachability experiments (Fig. 8(k)-(p)):
 //! per-query latency of RBReach against BFS / BFSOPT / LM, plus offline
-//! index construction costs.
+//! index construction costs. `RBReach` is the public one-shot `query` (a
+//! fresh scratch per query); `RBReach_warm` runs the same pairs through one
+//! reused `ReachScratch`, as a serving worker does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rbq_bench::ExpConfig;
-use rbq_reach::{bfs_query, BfsOptIndex, HierarchicalIndex, LandmarkVectors};
+use rbq_reach::{bfs_query, BfsOptIndex, HierarchicalIndex, LandmarkVectors, ReachScratch};
 use rbq_workload::{sample_hard_reachability_queries, youtube_like};
 use std::hint::black_box;
 
@@ -24,6 +26,14 @@ fn reach_alpha(c: &mut Criterion) {
             b.iter(|| {
                 for &(s, t) in &queries {
                     black_box(idx.query(s, t).reachable);
+                }
+            })
+        });
+        let mut scratch = ReachScratch::default();
+        group.bench_with_input(BenchmarkId::new("RBReach_warm", alpha), &idx, |b, idx| {
+            b.iter(|| {
+                for &(s, t) in &queries {
+                    black_box(idx.query_with(s, t, &mut scratch).reachable);
                 }
             })
         });

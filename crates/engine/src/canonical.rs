@@ -29,6 +29,7 @@
 //! it into its resolution ([`Pattern::into_resolved`]). The public
 //! [`canonical_pattern`] runs the same code on a fresh scratch.
 
+use crate::wire::push_num;
 use rbq_graph::labels::stable_hash;
 use rbq_pattern::{PNode, Pattern};
 
@@ -274,25 +275,6 @@ fn factorial_capped(k: usize) -> usize {
             (p <= PERM_CAP).then_some(p)
         })
         .unwrap_or(PERM_CAP + 1)
-}
-
-/// Append the decimal digits of `x` to `out`: `format!("{x}")` without
-/// the heap.
-// rbq-lint: hot
-fn push_num(out: &mut String, x: usize) {
-    if x < 10 {
-        out.push(char::from(b'0' + x as u8));
-        return;
-    }
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    let mut x = x;
-    while x > 0 {
-        i -= 1;
-        digits[i] = b'0' + (x % 10) as u8;
-        x /= 10;
-    }
-    out.extend(digits[i..].iter().map(|&d| char::from(d)));
 }
 
 /// Per-node refinement keys into `s.keys` / `s.spans`: seeded with local

@@ -15,7 +15,7 @@ use rbq_core::{
 };
 use rbq_graph::{CancelPanic, CancelToken, Graph, NodeId};
 use rbq_pattern::{Pattern, Vf2Config};
-use rbq_reach::HierarchicalIndex;
+use rbq_reach::{HierarchicalIndex, ReachScratch};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -336,13 +336,15 @@ pub struct Engine {
 
 /// One worker's reusable evaluation state: the pattern scratch, the
 /// recycled answer buffer, the buffer the memo key of each pattern query
-/// is encoded into, and the buffers a first sight is canonicalised on.
+/// is encoded into, the buffers a first sight is canonicalised on, and
+/// RBReach's active sets and heaps.
 #[derive(Default)]
 struct WorkerScratch {
     pattern: PatternScratch,
     answer: PatternAnswer,
     raw: Vec<u8>,
     canon: CanonScratch,
+    reach: ReachScratch,
 }
 
 impl Engine {
@@ -711,7 +713,9 @@ impl Engine {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rbq_graph::faultpoint::fire_at("engine.run_one", index);
             match q {
-                Query::Reach { source, target } => self.run_reach(ep, *source, *target),
+                Query::Reach { source, target } => {
+                    self.run_reach(ep, *source, *target, &mut scratch.reach)
+                }
                 Query::PatternSim { pattern } => {
                     self.run_pattern(ep, pattern, Semantics::Simulation, scratch, token)
                 }
@@ -734,7 +738,13 @@ impl Engine {
         (result, q.class(), start.elapsed())
     }
 
-    fn run_reach(&self, ep: &Epoch, s: NodeId, t: NodeId) -> QueryResult {
+    fn run_reach(
+        &self,
+        ep: &Epoch,
+        s: NodeId,
+        t: NodeId,
+        scratch: &mut ReachScratch,
+    ) -> QueryResult {
         let n = ep.g.node_count();
         if s.index() >= n || t.index() >= n {
             return QueryResult::unevaluated(Answer::Error(format!(
@@ -743,7 +753,7 @@ impl Engine {
             )));
         }
         let idx = ep.reach_index(self.cfg.reach_alpha);
-        let a = idx.query(s, t);
+        let a = idx.query_with(s, t, scratch);
         QueryResult {
             answer: Answer::Reach {
                 reachable: a.reachable,

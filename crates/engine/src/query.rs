@@ -2,7 +2,7 @@
 
 use crate::error::QueryParseError;
 use rbq_graph::NodeId;
-use rbq_pattern::{Pattern, PatternBuilder};
+use rbq_pattern::{PNode, Pattern, PatternBuilder};
 use std::fmt;
 
 /// One query of the mixed workload: reachability or an anchored pattern
@@ -146,28 +146,35 @@ fn pattern_line(kind: char, p: &Pattern) -> Result<String, QueryParseError> {
     ))
 }
 
+/// The pattern of one `s` / `i` line, its buffers built once at their
+/// final size: a pattern line allocates exactly the buffers the
+/// [`Pattern`] keeps.
 fn parse_pattern(
     up: usize,
     uo: usize,
     labels: &str,
     edges: &str,
 ) -> Result<Pattern, QueryParseError> {
-    let mut b = PatternBuilder::new();
-    let mut ids = Vec::new();
+    let commas = |s: &str| s.bytes().filter(|&b| b == b',').count();
+    let nodes = commas(labels) + 1;
+    let edges = if edges == "-" { "" } else { edges };
+    let edge_count = if edges.is_empty() {
+        0
+    } else {
+        commas(edges) + 1
+    };
+    // The label bytes are the list less its `nodes - 1` commas.
+    let mut b = PatternBuilder::with_capacity(nodes, labels.len() + 1 - nodes, edge_count);
     for l in labels.split(',') {
         if l.is_empty() {
             return Err(QueryParseError::EmptyLabel);
         }
-        ids.push(b.add_node(l));
+        b.add_node(l);
     }
-    if up >= ids.len() || uo >= ids.len() {
-        return Err(QueryParseError::AnchorOutOfRange {
-            up,
-            uo,
-            len: ids.len(),
-        });
+    if up >= nodes || uo >= nodes {
+        return Err(QueryParseError::AnchorOutOfRange { up, uo, len: nodes });
     }
-    if !(edges.is_empty() || edges == "-") {
+    if !edges.is_empty() {
         for e in edges.split(',') {
             let (u, v) = e
                 .split_once('-')
@@ -178,13 +185,13 @@ fn parse_pattern(
             let v: usize = v
                 .parse()
                 .map_err(|_| QueryParseError::BadEdge(e.to_owned()))?;
-            if u >= ids.len() || v >= ids.len() {
+            if u >= nodes || v >= nodes {
                 return Err(QueryParseError::EdgeOutOfRange(e.to_owned()));
             }
-            b.add_edge(ids[u], ids[v]);
+            b.add_edge(PNode::new(u), PNode::new(v));
         }
     }
-    b.personalized(ids[up]).output(ids[uo]);
+    b.personalized(PNode::new(up)).output(PNode::new(uo));
     Ok(b.build())
 }
 

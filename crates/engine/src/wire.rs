@@ -117,35 +117,144 @@ pub fn write_query_file<W: Write>(w: &mut W, queries: &[Query]) -> Result<(), Wi
 ///
 /// (`timedout` and `failed` are v2 additions.) Infallible (unlike
 /// queries, answers contain no free-form labels); newlines in error and
-/// failure messages are flattened to spaces.
+/// failure messages are flattened to spaces. One allocation, sized from
+/// the answer, whatever the number of matches.
 pub fn answer_to_line(a: &Answer) -> String {
+    let mut line = String::new();
+    write_answer(&mut line, a);
+    line
+}
+
+/// Append the line of `a` (see [`answer_to_line`]) to `out`, reserving
+/// its exact length first: digits go through [`push_num`], so no match id
+/// is formatted on the heap.
+// rbq-lint: hot
+fn write_answer(out: &mut String, a: &Answer) {
+    let len = answer_len(a);
+    out.reserve(len);
+    let start = out.len();
     match a {
         Answer::Reach {
             reachable,
             certified,
-        } => format!("reach {} {}", *reachable as u8, *certified as u8),
+        } => {
+            out.push_str("reach ");
+            out.push(flag(*reachable));
+            out.push(' ');
+            out.push(flag(*certified));
+        }
         Answer::Pattern {
             matches,
             gq_size,
             gq_nodes,
             hit_budget,
         } => {
-            let ms = if matches.is_empty() {
-                "-".to_owned()
-            } else {
-                matches
-                    .iter()
-                    .map(|v| v.0.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            format!("pattern {gq_size} {gq_nodes} {} {ms}", *hit_budget as u8)
+            out.push_str("pattern ");
+            push_num(out, *gq_size);
+            out.push(' ');
+            push_num(out, *gq_nodes);
+            out.push(' ');
+            out.push(flag(*hit_budget));
+            out.push(' ');
+            match matches.split_first() {
+                None => out.push('-'),
+                Some((first, rest)) => {
+                    push_num(out, first.index());
+                    for v in rest {
+                        out.push(',');
+                        push_num(out, v.index());
+                    }
+                }
+            }
         }
-        Answer::Denied { needed, remaining } => format!("denied {needed} {remaining}"),
-        Answer::Error(msg) => format!("error {}", msg.replace(['\n', '\r'], " ")),
-        Answer::TimedOut => "timedout".to_owned(),
-        Answer::Failed(msg) => format!("failed {}", msg.replace(['\n', '\r'], " ")),
+        Answer::Denied { needed, remaining } => {
+            out.push_str("denied ");
+            push_num(out, *needed);
+            out.push(' ');
+            push_num(out, *remaining);
+        }
+        Answer::Error(msg) => {
+            out.push_str("error ");
+            push_flat(out, msg);
+        }
+        Answer::TimedOut => out.push_str("timedout"),
+        Answer::Failed(msg) => {
+            out.push_str("failed ");
+            push_flat(out, msg);
+        }
     }
+    debug_assert_eq!(
+        out.len() - start,
+        len,
+        "answer_len disagrees with write_answer"
+    );
+}
+
+/// The byte length of the line [`write_answer`] writes for `a`.
+fn answer_len(a: &Answer) -> usize {
+    match a {
+        Answer::Reach { .. } => "reach 0 0".len(),
+        Answer::Pattern {
+            matches,
+            gq_size,
+            gq_nodes,
+            ..
+        } => {
+            let ids = match matches.len() {
+                0 => 1,
+                n => n - 1 + matches.iter().map(|v| num_len(v.index())).sum::<usize>(),
+            };
+            "pattern ".len() + num_len(*gq_size) + 1 + num_len(*gq_nodes) + " 0 ".len() + ids
+        }
+        Answer::Denied { needed, remaining } => {
+            "denied ".len() + num_len(*needed) + 1 + num_len(*remaining)
+        }
+        Answer::Error(msg) => "error ".len() + msg.len(),
+        Answer::TimedOut => "timedout".len(),
+        Answer::Failed(msg) => "failed ".len() + msg.len(),
+    }
+}
+
+fn flag(b: bool) -> char {
+    if b {
+        '1'
+    } else {
+        '0'
+    }
+}
+
+/// Append `msg` with every `\n` and `\r` flattened to a space (the format
+/// is line-oriented); the byte length is unchanged.
+fn push_flat(out: &mut String, msg: &str) {
+    out.extend(
+        msg.chars()
+            .map(|c| if matches!(c, '\n' | '\r') { ' ' } else { c }),
+    );
+}
+
+/// Append the decimal digits of `x` to `out`: `format!("{x}")` without
+/// the heap. The one integer writer of the answer lines and the canonical
+/// encoding.
+// rbq-lint: hot
+pub(crate) fn push_num(out: &mut String, x: usize) {
+    if x < 10 {
+        out.push(char::from(b'0' + x as u8));
+        return;
+    }
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    let mut x = x;
+    while x > 0 {
+        i -= 1;
+        digits[i] = b'0' + (x % 10) as u8;
+        x /= 10;
+    }
+    out.extend(digits[i..].iter().map(|&d| char::from(d)));
+}
+
+/// The number of decimal digits [`push_num`] writes for `x`.
+fn num_len(x: usize) -> usize {
+    x.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// Parse one answer line written by [`answer_to_line`].
@@ -255,8 +364,12 @@ pub fn parse_answer_file(text: &str) -> Result<AnswerFile, QueryParseError> {
 /// Write a versioned answer file: header plus one line per answer.
 pub fn write_answer_file<W: Write>(w: &mut W, answers: &[Answer]) -> Result<(), WireWriteError> {
     writeln!(w, "{}", ANSWERS.magic)?;
+    let mut line = String::new();
     for a in answers {
-        writeln!(w, "{}", answer_to_line(a))?;
+        line.clear();
+        write_answer(&mut line, a);
+        line.push('\n');
+        w.write_all(line.as_bytes())?;
     }
     Ok(())
 }

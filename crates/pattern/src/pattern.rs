@@ -456,7 +456,8 @@ impl Labels {
 /// b.add_edge(michael, hg);
 /// b.add_edge(cc, cl);
 /// b.add_edge(hg, cl);
-/// let q = b.personalized(michael).output(cl).build();
+/// b.personalized(michael).output(cl);
+/// let q = b.build();
 /// assert_eq!(q.node_count(), 4);
 /// assert_eq!(q.undirected_diameter(), 2);
 /// ```
@@ -472,6 +473,17 @@ impl PatternBuilder {
     /// Create an empty builder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty builder sized for `nodes` nodes whose labels total
+    /// `label_bytes` bytes and `edges` edges: building a pattern of that
+    /// size allocates only the buffers the [`Pattern`] keeps.
+    pub fn with_capacity(nodes: usize, label_bytes: usize, edges: usize) -> Self {
+        PatternBuilder {
+            labels: Labels::with_capacity(nodes, label_bytes),
+            edges: Vec::with_capacity(edges),
+            ..Self::default()
+        }
     }
 
     /// Add a query node with the given label.
@@ -501,22 +513,23 @@ impl PatternBuilder {
         self
     }
 
-    /// Finish the pattern.
+    /// Finish the pattern, moving the builder's label and edge buffers
+    /// into it. A caller that builds twice from one builder clones it.
     ///
     /// # Panics
     /// Panics if the pattern has no nodes or the personalized/output nodes
     /// were not set.
-    pub fn build(&self) -> Pattern {
+    pub fn build(self) -> Pattern {
         assert!(self.labels.len() > 0, "pattern must have nodes");
         // invariant: documented `# Panics` contract of `build` — pattern
         // construction is an offline/setup step, not a serving-path one.
         let personalized = self.personalized.expect("personalized node not set");
         // invariant: same documented `# Panics` contract as above.
         let output = self.output.expect("output node not set");
-        let mut edges = self.edges.clone();
+        let mut edges = self.edges;
         edges.sort_unstable();
         edges.dedup();
-        Pattern::from_parts(self.labels.clone(), edges, personalized, output)
+        Pattern::from_parts(self.labels, edges, personalized, output)
     }
 }
 
@@ -692,7 +705,8 @@ mod tests {
             for &(u, v) in &edges {
                 b.add_edge(ids[u], ids[v]);
             }
-            let q = b.personalized(ids[0]).output(ids[n - 1]).build();
+            b.personalized(ids[0]).output(ids[n - 1]);
+            let q = b.build();
             let (mut es, far) = (edges.clone(), usize::MAX / 4);
             es.sort_unstable();
             es.dedup();

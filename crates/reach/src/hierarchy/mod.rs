@@ -37,7 +37,7 @@ pub mod query;
 mod reference;
 
 pub use build::{HierarchicalIndex, IndexParams, IndexStats, SelectionStrategy};
-pub use query::ReachAnswer;
+pub use query::{ReachAnswer, ReachScratch};
 
 use rbq_graph::NodeId;
 

@@ -29,5 +29,7 @@ pub mod landmark_vec;
 
 pub use bfs::{bfs_query, BfsOptIndex};
 pub use compress::{compress_for_reachability, condense_only, CompressedGraph};
-pub use hierarchy::{HierarchicalIndex, IndexParams, IndexStats, ReachAnswer, SelectionStrategy};
+pub use hierarchy::{
+    HierarchicalIndex, IndexParams, IndexStats, ReachAnswer, ReachScratch, SelectionStrategy,
+};
 pub use landmark_vec::LandmarkVectors;

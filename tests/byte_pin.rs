@@ -11,7 +11,9 @@
 
 mod support;
 
-use rbq::rbq_engine::wire::{write_answer_file, write_delta_file, write_query_file};
+use rbq::rbq_engine::wire::{
+    answer_to_line, write_answer_file, write_delta_file, write_query_file,
+};
 use rbq::rbq_engine::{canonical_pattern, Answer, Query};
 use rbq::rbq_graph::builder::graph_from_edges;
 use rbq::rbq_graph::snapshot::{crc32, write_snapshot, SNAPSHOT_FILE};
@@ -152,4 +154,69 @@ fn canonical_form_is_byte_pinned() {
         crc, pin,
         "canonical form moved ({patterns} patterns): crc {crc:#010x}, pinned {pin:#010x}"
     );
+}
+
+/// Every answer line the wire writes: each variant, a pattern answer with
+/// 0, 1 and many matches (ids up to `u32::MAX`), and error and failure
+/// text with `\n` and `\r` in it. The CRC-32 of the lines (each ended by a
+/// newline) and of the answer file holding the same list are pinned, so
+/// rewriting the printer cannot move a byte.
+#[test]
+fn answer_lines_are_byte_pinned() {
+    let mut answers = vec![
+        Answer::Reach {
+            reachable: false,
+            certified: false,
+        },
+        Answer::Reach {
+            reachable: true,
+            certified: true,
+        },
+        Answer::Reach {
+            reachable: false,
+            certified: true,
+        },
+        Answer::Denied {
+            needed: 0,
+            remaining: 0,
+        },
+        Answer::Denied {
+            needed: usize::MAX,
+            remaining: 1_000_000,
+        },
+        Answer::Error(String::new()),
+        Answer::Error("unknown label \"Zz\"\nat node 3\r\n".into()),
+        Answer::TimedOut,
+        Answer::Failed("kernel panicked:\r\nindex out of bounds\n".into()),
+    ];
+    for (n, gq_size, gq_nodes) in [(0u32, 0, 0), (1, 9, 3), (64, 123_456, 7_890)] {
+        answers.push(Answer::Pattern {
+            matches: (0..n)
+                .map(|i| NodeId(if i % 2 == 0 { u32::MAX - i } else { i * 37 }))
+                .collect(),
+            gq_size,
+            gq_nodes,
+            hit_budget: n == 1,
+        });
+    }
+    let mut lines = String::new();
+    for a in &answers {
+        lines.push_str(&answer_to_line(a));
+        lines.push('\n');
+    }
+    let mut file = Vec::new();
+    write_answer_file(&mut file, &answers).unwrap();
+    let actual = [
+        ("answer lines", crc32(lines.as_bytes())),
+        ("answer file", crc32(&file)),
+    ];
+    // Printed by this test at the commit before answer lines were written
+    // into one buffer.
+    let pinned = [0x4d5e_ad8b, 0x6aca_86a3];
+    for ((name, crc), pin) in actual.into_iter().zip(pinned) {
+        assert_eq!(
+            crc, pin,
+            "{name} bytes moved: crc {crc:#010x}, pinned {pin:#010x}"
+        );
+    }
 }

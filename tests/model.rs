@@ -469,7 +469,7 @@ impl<'c> Run<'c> {
                     if let Answer::Reach { reachable, .. } = r.answer {
                         let truth = reaches(g, source, target).0;
                         let cap = reference.reach_index().visit_cap();
-                        assert!(r.visits <= cap + 2, "{q:?}: {} visits, cap {cap}", r.visits);
+                        assert!(r.visits <= cap, "{q:?}: {} visits, cap {cap}", r.visits);
                         assert!(!reachable || truth, "false positive on {q:?}");
                         assert!(!reachable || *answer == CERTAIN, "uncertified {q:?}");
                         assert!(reachable == truth || !exact_reach, "α = 1, {q:?}");

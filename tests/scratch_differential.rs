@@ -4,7 +4,8 @@
 //! test: `rbq_graph::SubgraphScratch` (the `G_Q` buffers),
 //! `rbq_pattern::DualSimScratch` (the fixpoint state), and
 //! `rbq_core::PatternScratch` (the full `Search`/`Pick` + evaluation path,
-//! including the epoch-stamped pair arrays and guard/potential memos).
+//! including the epoch-stamped pair arrays and guard/potential memos), and
+//! `rbq_reach::ReachScratch` (RBReach's active sets and heaps).
 //! `Search` through one long-lived scratch is also held to
 //! `support::plain_search`, Fig. 3 written plainly.
 
@@ -16,15 +17,37 @@ use rbq::rbq_core::{
     rbsim, rbsim_with, search_reduced_graph_scratch, search_reduced_graph_with, NeighborIndex,
     PatternAnswer, PatternScratch, PickPolicy, ReductionConfig, ReductionScratch, ResourceBudget,
 };
-use rbq::rbq_graph::{DynamicSubgraph, GraphView, NodeId, SubgraphScratch};
+use rbq::rbq_graph::{DynamicSubgraph, Graph, GraphBuilder, GraphView, NodeId, SubgraphScratch};
 use rbq::rbq_pattern::{dual_simulation, dual_simulation_with, DualSim, DualSimScratch, Pattern};
+use rbq::rbq_reach::{HierarchicalIndex, ReachScratch};
 use std::cell::RefCell;
+use std::ops::Range;
 use support::{graphs_with_chains, plain_search, reduction_cases, Reduced, Rng};
 
 thread_local! {
     /// The one scratch every case of `search_equals_plain_fig3` reduces
     /// through, whatever graph the previous case left in it.
     static SCRATCH: RefCell<ReductionScratch> = RefCell::default();
+}
+
+/// A digraph on a node count drawn from `nodes` with up to three random
+/// edges per node; an acyclic one orients every edge from the lower id to
+/// the higher, so its compression keeps every node.
+fn reach_graph(rng: &mut Rng, nodes: Range<usize>, acyclic: bool) -> Graph {
+    let n = rng.range(nodes);
+    let mut b = GraphBuilder::new();
+    for _ in 0..n {
+        b.add_node("A");
+    }
+    for _ in 0..rng.below(3 * n) {
+        let (u, v) = (rng.below(n) as u32, rng.below(n) as u32);
+        if !acyclic {
+            b.add_edge(NodeId(u), NodeId(v));
+        } else if u != v {
+            b.add_edge(NodeId(u.min(v)), NodeId(u.max(v)));
+        }
+    }
+    b.build()
 }
 
 /// Both runs found no dual simulation, or the same one.
@@ -203,6 +226,41 @@ proptest! {
             prop_assert_eq!(warm.hit_budget, fresh.hit_budget);
             prop_assert_eq!(warm.final_b, fresh.final_b);
             prop_assert_eq!(warm.rounds, fresh.rounds);
+        }
+    }
+
+    /// RBReach through one `ReachScratch` reused across every query of two
+    /// indexes, the one with fewer landmarks first so the stamp tables
+    /// grow mid-run, answers exactly like a fresh scratch per query:
+    /// stale active sets or heap entries from an earlier query would
+    /// change a verdict or a visit count.
+    #[test]
+    fn reach_scratch_reuse_equals_fresh(
+        seed in 0..u64::MAX,
+        acyclic in prop::bool::ANY,
+        a in 0usize..3,
+    ) {
+        let alpha = [0.05, 0.25, 1.0][a];
+        let mut rng = Rng(seed);
+        let graphs = [
+            reach_graph(&mut rng, 4..16, acyclic),
+            reach_graph(&mut rng, 16..40, acyclic),
+        ];
+        let mut idx = graphs.each_ref().map(|g| HierarchicalIndex::build(g, alpha));
+        let mut graphs = graphs.each_ref();
+        if idx[0].num_landmarks() > idx[1].num_landmarks() {
+            idx.swap(0, 1);
+            graphs.swap(0, 1);
+        }
+        let mut scratch = ReachScratch::default();
+        for i in 0..graphs[1].node_count().pow(2) {
+            for (g, idx) in graphs.iter().zip(&idx) {
+                let n = g.node_count();
+                let (s, t) = (NodeId((i / n % n) as u32), NodeId((i % n) as u32));
+                let warm = idx.query_with(s, t, &mut scratch);
+                let fresh = idx.query(s, t);
+                prop_assert_eq!(warm, fresh, "{:?} -> {:?}", s, t);
+            }
         }
     }
 }
