@@ -2,10 +2,13 @@
 //! per-query latency of RBReach against BFS / BFSOPT / LM, plus offline
 //! index construction costs. `RBReach` is the public one-shot `query` (a
 //! fresh scratch per query); `RBReach_warm` runs the same pairs through one
-//! reused `ReachScratch`, as a serving worker does.
+//! reused `ReachScratch`, as a serving worker does. `RBReach_hub` runs warm
+//! pairs seeded at the index's hub — the landmark with the longest
+//! expansion list — on the benchmark corpus's 100k scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rbq_bench::ExpConfig;
+use rbq_graph::NodeId;
 use rbq_reach::{bfs_query, BfsOptIndex, HierarchicalIndex, LandmarkVectors, ReachScratch};
 use rbq_workload::{sample_hard_reachability_queries, youtube_like};
 use std::hint::black_box;
@@ -65,6 +68,35 @@ fn reach_alpha(c: &mut Criterion) {
     group.finish();
 }
 
+/// Queries seeded at the hub: a search that expands the landmark with the
+/// most targets, of which it pops a few.
+fn reach_hub(c: &mut Criterion) {
+    let g = youtube_like(100_000, 42);
+    let idx = HierarchicalIndex::build(&g, 0.01);
+    let hub = idx.hub().expect("the index has landmarks");
+    let hub_node = g.nodes().find(|&v| idx.compressed.map(v) == hub);
+    let hub_node: NodeId = hub_node.expect("some node maps to the hub");
+    // The hub as source and as target of hard pairs' endpoints; only the
+    // pairs that pass the rank test reach the seeding.
+    let pairs: Vec<(NodeId, NodeId)> = sample_hard_reachability_queries(&g, 200, 0.5, 42)
+        .into_iter()
+        .flat_map(|(s, t)| [(hub_node, t), (s, hub_node)])
+        .filter(|&(s, t)| idx.query(s, t).visits > 0)
+        .collect();
+    assert!(!pairs.is_empty(), "no pair is seeded at the hub");
+    let mut group = c.benchmark_group("reach_hub");
+    group.sample_size(20);
+    let mut scratch = ReachScratch::default();
+    group.bench_function(BenchmarkId::new("RBReach_hub", pairs.len()), |b| {
+        b.iter(|| {
+            for &(s, t) in &pairs {
+                black_box(idx.query_with(s, t, &mut scratch).reachable);
+            }
+        })
+    });
+    group.finish();
+}
+
 /// Offline construction costs (excluded from query budgets, §3 Remarks),
 /// at the historical 10k size and at the benchmark corpus's 100k.
 fn index_build(c: &mut Criterion) {
@@ -88,5 +120,5 @@ fn index_build(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, reach_alpha, index_build);
+criterion_group!(benches, reach_alpha, reach_hub, index_build);
 criterion_main!(benches);

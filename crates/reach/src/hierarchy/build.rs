@@ -1,6 +1,7 @@
 //! `RBIndex` (Fig. 6): constructing the hierarchical landmark index.
 
-use super::{LabelRows, Landmark, LmId, NO_LM};
+use super::query::heap_key;
+use super::{Forest, Guard, Landmark, LmId, LmRows, BWD, FWD, NO_LM};
 use crate::compress::{compress_for_reachability, condense_only, CompressedGraph};
 use rbq_graph::{Graph, GraphView, NodeId};
 
@@ -71,13 +72,14 @@ impl IndexParams {
 pub struct HierarchicalIndex {
     /// The query-preserving compression of the indexed graph.
     pub compressed: CompressedGraph,
-    pub(crate) landmarks: Vec<Landmark>,
+    /// The landmark forest, frozen into the tables the query reads.
+    pub(crate) forest: Forest,
     /// Per DAG node: its landmark id, or [`NO_LM`].
     pub(crate) lm_of_node: Vec<LmId>,
     /// Per DAG node: first-hit landmarks reachable from it (`v.E`, flag 1).
-    pub(crate) fwd_labels: LabelRows,
+    pub(crate) fwd_labels: LmRows,
     /// Per DAG node: first-hit landmarks reaching it (`v.E`, flag 0).
-    pub(crate) bwd_labels: LabelRows,
+    pub(crate) bwd_labels: LmRows,
     /// Topological rank of each DAG node.
     pub(crate) ranks: Vec<u32>,
     /// The resource ratio the index was built for.
@@ -173,8 +175,6 @@ impl HierarchicalIndex {
                 rank: ranks[v.index()],
                 range: (0, 0),
                 subtree_size: 1,
-                hop_fwd: fwd_labels.row(v).to_vec(),
-                hop_bwd: bwd_labels.row(v).to_vec(),
             })
             .collect();
 
@@ -182,10 +182,11 @@ impl HierarchicalIndex {
 
         // ---- Subtree sizes and topological ranges (DFS from roots). ----
         compute_subtrees(&mut landmarks, &roots);
+        let forest = freeze(&landmarks, [&fwd_labels, &bwd_labels]);
 
         HierarchicalIndex {
             compressed,
-            landmarks,
+            forest,
             lm_of_node,
             fwd_labels,
             bwd_labels,
@@ -203,14 +204,27 @@ impl HierarchicalIndex {
         (i != NO_LM).then_some(i)
     }
 
+    /// The DAG node of the landmark with the longest expansion list on
+    /// either side: the seed whose search has the most candidates to
+    /// order. `None` when the index has no landmarks.
+    pub fn hub(&self) -> Option<NodeId> {
+        let fan_out = |i: usize| {
+            let [fwd, bwd] = &self.forest.expand;
+            fwd.row(i).len().max(bwd.row(i).len())
+        };
+        let widest = (0..self.forest.len()).max_by_key(|&i| (fan_out(i), std::cmp::Reverse(i)));
+        widest.map(|i| self.forest.node[i])
+    }
+
     /// Whether `other` is the same index structure for structure — the
-    /// compressed DAG and its node maps, every landmark record (node,
+    /// compressed DAG and its node maps, every landmark table (node,
     /// level, parent and edge direction, children, cover size, rank, range,
-    /// subtree size, hop lists), the per-node first-hit labels, ranks,
-    /// roots and caps — not merely an index that answers alike.
+    /// subtree size, static weight, expansion lists), the per-node
+    /// first-hit labels, ranks, roots and caps — not merely an index that
+    /// answers alike.
     pub fn structural_eq(&self, other: &Self) -> bool {
         self.compressed.structural_eq(&other.compressed)
-            && self.landmarks == other.landmarks
+            && self.forest == other.forest
             && self.lm_of_node == other.lm_of_node
             && self.fwd_labels == other.fwd_labels
             && self.bwd_labels == other.bwd_labels
@@ -222,26 +236,34 @@ impl HierarchicalIndex {
 
     /// Number of landmarks in the index.
     pub fn num_landmarks(&self) -> usize {
-        self.landmarks.len()
+        self.forest.len()
     }
 
     /// Number of forest levels.
     pub fn levels(&self) -> u32 {
-        self.landmarks.iter().map(|l| l.level).max().unwrap_or(0)
+        self.forest.level.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Parent edges in the forest.
+    fn tree_edges(&self) -> usize {
+        self.forest.parent.iter().filter(|&&p| p != NO_LM).count()
     }
 
     /// Index size in nodes+edges units: landmarks plus tree edges. The
     /// paper's Theorem 4 bound (`≤ α|G|`).
     pub fn index_size(&self) -> usize {
-        let edges = self.landmarks.iter().filter(|l| l.parent.is_some()).count();
-        self.landmarks.len() + edges
+        self.forest.len() + self.tree_edges()
     }
 
-    /// Total label entries (`Σ|v.E|` plus hop labels) — auxiliary storage
-    /// reported alongside the forest size.
+    /// Total label entries (`Σ|v.E|` plus hop labels: each landmark's own
+    /// node's rows, counted again) — auxiliary storage reported alongside
+    /// the forest size.
     pub fn label_entries(&self) -> usize {
-        let hops = (self.landmarks.iter()).map(|l| l.hop_fwd.len() + l.hop_bwd.len());
-        self.fwd_labels.data.len() + self.bwd_labels.data.len() + hops.sum::<usize>()
+        let rows = |v: &NodeId| {
+            self.fwd_labels.row(v.index()).len() + self.bwd_labels.row(v.index()).len()
+        };
+        let hops: usize = self.forest.node.iter().map(rows).sum();
+        self.fwd_labels.entries() + self.bwd_labels.entries() + hops
     }
 
     /// The query-time visit cap `⌊α|G|⌋`.
@@ -253,15 +275,15 @@ impl HierarchicalIndex {
     pub fn stats(&self) -> IndexStats {
         let levels = self.levels();
         let mut per_level = vec![0usize; levels as usize];
-        for lm in &self.landmarks {
-            per_level[(lm.level - 1) as usize] += 1;
+        for &level in &self.forest.level {
+            per_level[(level - 1) as usize] += 1;
         }
         IndexStats {
-            landmarks: self.landmarks.len(),
+            landmarks: self.forest.len(),
             levels,
             landmarks_per_level: per_level,
             roots: self.roots.len(),
-            tree_edges: self.landmarks.iter().filter(|l| l.parent.is_some()).count(),
+            tree_edges: self.tree_edges(),
             label_entries: self.label_entries(),
             dag_nodes: self.compressed.dag.node_count(),
             dag_edges: self.compressed.dag.edge_count(),
@@ -664,47 +686,34 @@ fn coverage_estimates(dag: &Graph) -> (Vec<u64>, Vec<u64>) {
 /// from `v` (forward) or reaching `v` (backward) along paths containing no
 /// intermediate landmark — the paper's `v.E` triples, with the refinement
 /// that landmarks of any level count (strictly more recall, still sound).
-fn first_hit_labels(dag: &Graph, lm_of_node: &[LmId], cap: usize, forward: bool) -> LabelRows {
+fn first_hit_labels(dag: &Graph, lm_of_node: &[LmId], cap: usize, forward: bool) -> LmRows {
     let n = dag.node_count();
     // Rows are appended in visit order — ascending ids forward (children
     // first), descending backward (parents first) — so row `slot(v)` is
     // node `v`'s until the backward rows are put in id order at the end.
     let slot = |v: usize| if forward { v } else { n - 1 - v };
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut data: Vec<LmId> = Vec::new();
+    let mut rows = LmRows::default();
     let mut acc: Vec<LmId> = Vec::new();
-    offsets.push(0);
     for s in 0..n {
         let v = NodeId::new(slot(s));
         acc.clear();
         for &c in if forward { dag.out(v) } else { dag.inn(v) } {
             match lm_of_node[c.index()] {
-                NO_LM => {
-                    let cs = slot(c.index());
-                    acc.extend_from_slice(&data[offsets[cs]..offsets[cs + 1]]);
-                }
+                NO_LM => acc.extend_from_slice(rows.row(slot(c.index()))),
                 j => acc.push(j),
             }
         }
         acc.sort_unstable();
         acc.dedup();
         acc.truncate(cap);
-        data.extend_from_slice(&acc);
-        offsets.push(data.len());
+        rows.push(&acc);
     }
     if forward {
-        return LabelRows { offsets, data };
+        return rows;
     }
-    let mut by_id = LabelRows {
-        offsets: Vec::with_capacity(n + 1),
-        data: Vec::with_capacity(data.len()),
-    };
-    by_id.offsets.push(0);
+    let mut by_id = LmRows::default();
     for v in 0..n {
-        by_id
-            .data
-            .extend_from_slice(&data[offsets[slot(v)]..offsets[slot(v) + 1]]);
-        by_id.offsets.push(by_id.data.len());
+        by_id.push(rows.row(slot(v)));
     }
     by_id
 }
@@ -734,6 +743,61 @@ fn compute_subtrees(landmarks: &mut [Landmark], roots: &[LmId]) {
             stack.pop();
         }
     }
+}
+
+/// Freeze the finished forest into the tables the query reads: the
+/// records' scalars as per-landmark arrays, children as rows, the static
+/// weight's heap key, and per side each landmark's expansion targets,
+/// deduplicated and sorted in pop order. `labels` are the first-hit rows
+/// by DAG node, [`FWD`] then [`BWD`]; a landmark's hops are its own node's
+/// row.
+pub(super) fn freeze(landmarks: &[Landmark], labels: [&LmRows; 2]) -> Forest {
+    let mut children = LmRows::default();
+    for lm in landmarks {
+        children.push(&lm.children);
+    }
+    let mut forest = Forest {
+        node: landmarks.iter().map(|l| l.node).collect(),
+        level: landmarks.iter().map(|l| l.level).collect(),
+        parent: landmarks
+            .iter()
+            .map(|l| l.parent.unwrap_or(NO_LM))
+            .collect(),
+        parent_reaches_child: landmarks.iter().map(|l| l.parent_reaches_child).collect(),
+        guard: (landmarks.iter())
+            .map(|l| Guard {
+                rank: l.rank,
+                range: l.range,
+            })
+            .collect(),
+        terms: landmarks.iter().map(|l| (l.cs, l.subtree_size)).collect(),
+        children,
+        key: Vec::new(),
+        expand: Default::default(),
+    };
+    forest.key = (0..landmarks.len() as LmId)
+        .map(|i| heap_key(forest.pick_weight(i, |_| false)))
+        .collect();
+    let mut acc: Vec<LmId> = Vec::new();
+    for (side, fwd) in [(FWD, true), (BWD, false)] {
+        let mut rows = LmRows::default();
+        for lm in landmarks {
+            acc.clear();
+            // A tree edge composes with the s-side when it points away from
+            // `lm` (`lm → ℓ'`), with the t-side when it points at it.
+            if let Some(p) = lm.parent.filter(|_| lm.parent_reaches_child != fwd) {
+                acc.push(p);
+            }
+            let down = |c: &&LmId| landmarks[**c as usize].parent_reaches_child == fwd;
+            acc.extend(lm.children.iter().filter(down));
+            acc.extend_from_slice(labels[side].row(lm.node.index()));
+            acc.sort_unstable_by_key(|&x| std::cmp::Reverse((forest.key[x as usize], x)));
+            acc.dedup();
+            rows.push(&acc);
+        }
+        forest.expand[side] = rows;
+    }
+    forest
 }
 
 #[cfg(test)]
@@ -778,16 +842,17 @@ mod tests {
         let idx = HierarchicalIndex::build(&g, 0.3);
         // Every non-root has a parent; parents list them as children.
         let root_set: FxHashSet<LmId> = idx.roots.iter().copied().collect();
-        for (i, lm) in idx.landmarks.iter().enumerate() {
-            match lm.parent {
-                Some(p) => {
-                    assert!(idx.landmarks[p as usize].children.contains(&(i as LmId)));
+        let f = &idx.forest;
+        for i in 0..f.len() {
+            match f.parent[i] {
+                NO_LM => assert!(root_set.contains(&(i as LmId)), "orphan {i}"),
+                p => {
+                    assert!(f.children.row(p as usize).contains(&(i as LmId)));
                     assert!(
-                        idx.landmarks[p as usize].level > lm.level,
+                        f.level[p as usize] > f.level[i],
                         "parent level must exceed child level"
                     );
                 }
-                None => assert!(root_set.contains(&(i as LmId)), "orphan {i}"),
             }
         }
     }
@@ -796,12 +861,13 @@ mod tests {
     fn tree_edge_directions_reflect_reachability() {
         let g = layered_dag(5, 6);
         let idx = HierarchicalIndex::build(&g, 0.3);
-        for lm in &idx.landmarks {
-            if let Some(p) = lm.parent {
-                let pn = idx.landmarks[p as usize].node;
-                let reachable = rbq_graph::traverse::reaches(&idx.compressed.dag, pn, lm.node).0;
-                let reverse = rbq_graph::traverse::reaches(&idx.compressed.dag, lm.node, pn).0;
-                if lm.parent_reaches_child {
+        let f = &idx.forest;
+        for i in 0..f.len() {
+            if f.parent[i] != NO_LM {
+                let (pn, node) = (f.node[f.parent[i] as usize], f.node[i]);
+                let reachable = rbq_graph::traverse::reaches(&idx.compressed.dag, pn, node).0;
+                let reverse = rbq_graph::traverse::reaches(&idx.compressed.dag, node, pn).0;
+                if f.parent_reaches_child[i] {
                     assert!(reachable, "flag says parent reaches child");
                 } else {
                     assert!(reverse, "flag says child reaches parent");
@@ -814,19 +880,13 @@ mod tests {
     fn subtree_sizes_consistent() {
         let g = layered_dag(4, 8);
         let idx = HierarchicalIndex::build(&g, 0.4);
-        let total_in_roots: u32 = idx
-            .roots
-            .iter()
-            .map(|&r| idx.landmarks[r as usize].subtree_size)
-            .sum();
+        let f = &idx.forest;
+        let size = |i: LmId| f.terms[i as usize].1;
+        let total_in_roots: u32 = idx.roots.iter().map(|&r| size(r)).sum();
         assert_eq!(total_in_roots as usize, idx.num_landmarks());
-        for lm in &idx.landmarks {
-            let child_sum: u32 = lm
-                .children
-                .iter()
-                .map(|&c| idx.landmarks[c as usize].subtree_size)
-                .sum();
-            assert_eq!(lm.subtree_size, child_sum + 1);
+        for i in 0..f.len() as LmId {
+            let child_sum: u32 = f.children.row(i as usize).iter().map(|&c| size(c)).sum();
+            assert_eq!(size(i), child_sum + 1);
         }
     }
 
@@ -846,8 +906,6 @@ mod tests {
             rank: i % 7,
             range: (0, 0),
             subtree_size: 1,
-            hop_fwd: Vec::new(),
-            hop_bwd: Vec::new(),
         };
         let mut landmarks: Vec<Landmark> = (0..=CHILDREN).map(leaf).collect();
         landmarks[0].parent = None;
@@ -873,12 +931,13 @@ mod tests {
     fn ranges_cover_subtree_ranks() {
         let g = layered_dag(5, 4);
         let idx = HierarchicalIndex::build(&g, 0.4);
-        for lm in &idx.landmarks {
-            assert!(lm.range.0 <= lm.rank && lm.rank <= lm.range.1);
-            for &c in &lm.children {
-                let cr = &idx.landmarks[c as usize];
-                assert!(lm.range.0 <= cr.range.0);
-                assert!(lm.range.1 >= cr.range.1);
+        let f = &idx.forest;
+        for (i, g) in f.guard.iter().enumerate() {
+            assert!(g.range.0 <= g.rank && g.rank <= g.range.1);
+            for &c in f.children.row(i) {
+                let cr = f.guard[c as usize].range;
+                assert!(g.range.0 <= cr.0);
+                assert!(g.range.1 >= cr.1);
             }
         }
     }
@@ -889,15 +948,15 @@ mod tests {
         let idx = HierarchicalIndex::build(&g, 0.3);
         // Every forward label of node v must be reachable from v.
         for v in idx.compressed.dag.nodes() {
-            for &j in idx.fwd_labels.row(v) {
-                let lm_node = idx.landmarks[j as usize].node;
+            for &j in idx.fwd_labels.row(v.index()) {
+                let lm_node = idx.forest.node[j as usize];
                 assert!(
                     rbq_graph::traverse::reaches(&idx.compressed.dag, v, lm_node).0,
                     "label {j} not reachable from {v:?}"
                 );
             }
-            for &j in idx.bwd_labels.row(v) {
-                let lm_node = idx.landmarks[j as usize].node;
+            for &j in idx.bwd_labels.row(v.index()) {
+                let lm_node = idx.forest.node[j as usize];
                 assert!(rbq_graph::traverse::reaches(&idx.compressed.dag, lm_node, v).0);
             }
         }
@@ -907,11 +966,25 @@ mod tests {
     fn hop_labels_are_sound() {
         let g = layered_dag(5, 4);
         let idx = HierarchicalIndex::build(&g, 0.4);
-        for (i, lm) in idx.landmarks.iter().enumerate() {
-            for &j in &lm.hop_fwd {
-                assert_ne!(i as LmId, j);
-                let to = idx.landmarks[j as usize].node;
-                assert!(rbq_graph::traverse::reaches(&idx.compressed.dag, lm.node, to).0);
+        let f = &idx.forest;
+        let reaches = |a: LmId, b: LmId| {
+            let (a, b) = (f.node[a as usize], f.node[b as usize]);
+            rbq_graph::traverse::reaches(&idx.compressed.dag, a, b).0
+        };
+        for i in 0..f.len() as LmId {
+            for &j in idx.fwd_labels.row(f.node[i as usize].index()) {
+                assert_ne!(i, j);
+                assert!(reaches(i, j));
+            }
+            // Every expansion target is certified by the side's direction,
+            // and each list is deduplicated in pop order.
+            for (side, fwd) in [(FWD, true), (BWD, false)] {
+                let row = f.expand[side].row(i as usize);
+                for &j in row {
+                    assert!(if fwd { reaches(i, j) } else { reaches(j, i) });
+                }
+                let order = |&x: &LmId| (f.key[x as usize], x);
+                assert!(row.windows(2).all(|w| order(&w[0]) > order(&w[1])));
             }
         }
     }
@@ -984,9 +1057,7 @@ mod tests {
         let a = HierarchicalIndex::build(&g, 0.3);
         let b = HierarchicalIndex::build(&g, 0.3);
         assert_eq!(a.num_landmarks(), b.num_landmarks());
-        for (x, y) in a.landmarks.iter().zip(&b.landmarks) {
-            assert_eq!(x.node, y.node);
-            assert_eq!(x.parent, y.parent);
-        }
+        assert_eq!(a.forest.node, b.forest.node);
+        assert_eq!(a.forest.parent, b.forest.parent);
     }
 }

@@ -20,6 +20,15 @@
 //! Every graph node also carries label sets `v.E`: the *first-hit*
 //! landmarks reachable from / reaching `v` along landmark-free paths.
 //!
+//! The build grows the forest as `Landmark` records, then freezes it
+//! (`build::freeze`) into the one representation a query reads, a
+//! `Forest`: flat per-landmark tables (node, level, parent and edge
+//! direction, the Lemma 5(2) guard, the weight's two terms), children as
+//! rows, and per side one **pre-sorted expansion list** per landmark — its
+//! composing parent, its composing children and its first-hit hops,
+//! ordered by *static* weight (the weight with no child active), then id,
+//! both descending.
+//!
 //! ## Querying
 //!
 //! `RBReach` runs a bidirectional, weight-ordered search over the index
@@ -30,6 +39,13 @@
 //! the remaining cover size and `c` the remaining subtree size. The search
 //! visits at most `α|G|` data and never reports a false positive
 //! (Theorem 4).
+//!
+//! Expanding a landmark pushes one **run cursor** over its sorted list
+//! rather than every target, plus, on their own, the few targets whose
+//! weight differs from the static one because a child of theirs is active.
+//! A query seeded at a root with thousands of children therefore pays for
+//! the candidates it pops. Pops — and so every verdict and visit count —
+//! are those of pushing every target; [`query`] gives the argument.
 
 pub mod build;
 pub mod query;
@@ -47,23 +63,51 @@ pub(crate) type LmId = u32;
 /// "Not a landmark" in per-node landmark-id arrays.
 pub(crate) const NO_LM: LmId = LmId::MAX;
 
-/// One sorted landmark-id list per DAG node, in one allocation: node `v`'s
-/// list is `data[offsets[v]..offsets[v + 1]]`.
+/// One landmark-id list per key (a DAG node or a landmark), in one
+/// allocation: key `i`'s list is `data[offsets[i]..offsets[i + 1]]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct LabelRows {
-    pub offsets: Vec<usize>,
-    pub data: Vec<LmId>,
+pub(crate) struct LmRows {
+    offsets: Vec<u32>,
+    data: Vec<LmId>,
 }
 
-impl LabelRows {
-    /// The list of DAG node `v`.
-    #[inline]
-    pub fn row(&self, v: NodeId) -> &[LmId] {
-        &self.data[self.offsets[v.index()]..self.offsets[v.index() + 1]]
+impl Default for LmRows {
+    fn default() -> Self {
+        LmRows {
+            offsets: vec![0],
+            data: Vec::new(),
+        }
     }
 }
 
-/// A landmark: a DAG node promoted into the index forest.
+impl LmRows {
+    /// The list of key `i`.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[LmId] {
+        &self.data[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Append the next key's list.
+    ///
+    /// # Panics
+    /// Panics if the table would outgrow its `u32` offsets.
+    pub fn push(&mut self, row: &[LmId]) {
+        self.data.extend_from_slice(row);
+        assert!(
+            self.data.len() <= u32::MAX as usize,
+            "landmark-id rows overflow their u32 offsets"
+        );
+        self.offsets.push(self.data.len() as u32);
+    }
+
+    /// Entries over all lists.
+    pub fn entries(&self) -> usize {
+        self.data.len()
+    }
+}
+
+/// A landmark as the build grows it: a DAG node promoted into the index
+/// forest. [`build::freeze`] turns the finished records into a [`Forest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Landmark {
     /// The DAG node this landmark stands for.
@@ -86,9 +130,52 @@ pub(crate) struct Landmark {
     pub range: (u32, u32),
     /// Number of landmarks in the subtree rooted here (cost `c(v)`).
     pub subtree_size: u32,
-    /// First-hit landmark hops: landmarks reachable from this landmark via
-    /// landmark-free paths (forward), and reaching it (backward).
-    pub hop_fwd: Vec<LmId>,
-    /// See [`Landmark::hop_fwd`].
-    pub hop_bwd: Vec<LmId>,
+}
+
+/// The Lemma 5(2) guard of one landmark: its own topological rank and the
+/// range `[r1, r2]` over its subtree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Guard {
+    pub rank: u32,
+    pub range: (u32, u32),
+}
+
+/// The s-side (`fwd`) row of [`Forest::expand`].
+pub(crate) const FWD: usize = 0;
+/// The t-side row of [`Forest::expand`].
+pub(crate) const BWD: usize = 1;
+
+/// The finished forest as the query reads it: flat per-landmark tables,
+/// indexed by [`LmId`], and one pre-sorted expansion list per landmark and
+/// side. There is no other copy of the forest in a built index.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Forest {
+    /// The DAG node each landmark stands for.
+    pub node: Vec<NodeId>,
+    /// Forest level (leaves = 1).
+    pub level: Vec<u32>,
+    /// Parent landmark, or [`NO_LM`] at a root.
+    pub parent: Vec<LmId>,
+    /// See [`Landmark::parent_reaches_child`].
+    pub parent_reaches_child: Vec<bool>,
+    /// Rank and subtree range: the usefulness guard.
+    pub guard: Vec<Guard>,
+    /// `(v.cs, c(v))`: the two terms of the weight `p(v)/(c(v)+1)`.
+    pub terms: Vec<(u64, u32)>,
+    /// Child landmarks, in the order promotion hung them.
+    pub children: LmRows,
+    /// Heap key of the *static* weight — the weight with no child active.
+    pub key: Vec<u64>,
+    /// Per side ([`FWD`], [`BWD`]): every landmark's expansion targets —
+    /// the parent where the tree edge composes with the side, the children
+    /// whose edge does, and the first-hit hops — deduplicated and sorted by
+    /// `(key, id)` descending, the order the search pops them in.
+    pub expand: [LmRows; 2],
+}
+
+impl Forest {
+    /// Number of landmarks.
+    pub fn len(&self) -> usize {
+        self.node.len()
+    }
 }

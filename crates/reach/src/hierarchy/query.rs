@@ -13,16 +13,51 @@
 //! `true` is returned; the search never visits more than `⌊α|G|⌋` data and
 //! never returns a false positive (Theorem 4).
 //!
-//! Per-query state lives in a [`ReachScratch`]: the two active sets are
-//! [`Stamps`] tables over landmark ids and the two candidate heaps are
-//! cleared, not rebuilt, so a serving worker that keeps one scratch answers
-//! each query without the allocator. [`HierarchicalIndex::query_with`] is
-//! the one body; [`HierarchicalIndex::query`] runs it on a fresh scratch.
+//! ## Run cursors
+//!
+//! Expanding a landmark `ℓ` makes all of its targets candidates, but a
+//! search pops only a few of them: a forest root may have thousands of
+//! children, and a query seeded there pops one to a dozen. So a push costs
+//! `O(log heap)`, not `ℓ`'s fan-out. The build sorts every landmark's
+//! targets once, per side, by their *static* weight — the weight with no
+//! child active — and `Forest::expand` keeps them in that pop order.
+//! Expanding `ℓ` pushes
+//!
+//! * each target that already has an active child, on its own, at the
+//!   weight recomputed now (only these targets weigh differently from
+//!   their static weight), and
+//! * one **run cursor** at the first remaining target that is useful under
+//!   the guard, not active and not pushed on its own.
+//!
+//! Popping a cursor yields its target and pushes the cursor back at the
+//! run's next such target. The targets with an active child are found
+//! without scanning the list: an activated landmark marks its parent, and
+//! the search tests the side's (short) list of marked landmarks against
+//! `ℓ` when that list is the shorter one. A list of at most `SHORT` (8)
+//! targets is pushed target by target, static or recomputed weight as the
+//! mark says: there a run would save nothing and cost its bookkeeping.
+//!
+//! **Why every verdict and visit count is the push-everything search's.**
+//! Pops depend only on the multiset of `(weight, id)` entries pushed, with
+//! active entries deleted lazily. A run yields exactly the entries the
+//! push-everything loop pushed for its unmarked targets, at the same
+//! weights, in heap order, and the marked ones are pushed as that loop
+//! pushed them. A target that is active by the time its run reaches it was
+//! either skipped at push time or discarded at pop time by that loop; and a
+//! heap holding only such stale entries causes no visit. Heap keys are the
+//! weights' IEEE bits (weights are ≥ 0, `-0.0` folded into `0.0`), so the
+//! integer order is the float order, tie-break by id included.
+//!
+//! Per-query state lives in a [`ReachScratch`]: each side's landmark states
+//! (absent, marked, active) are one epoch-stamped `u32` per landmark, and
+//! the heaps and run buffers are cleared, not rebuilt, so a serving worker
+//! that keeps one scratch answers each query without the allocator.
+//! [`HierarchicalIndex::query_with`] is the one body;
+//! [`HierarchicalIndex::query`] runs it on a fresh scratch.
 
 use super::build::HierarchicalIndex;
-use super::LmId;
-use rbq_graph::{NodeId, Stamps};
-use std::cmp::Ordering;
+use super::{Forest, LmId, LmRows, BWD, FWD, NO_LM};
+use rbq_graph::NodeId;
 use std::collections::BinaryHeap;
 
 /// Answer of a resource-bounded reachability query.
@@ -38,43 +73,164 @@ pub struct ReachAnswer {
     pub certified: bool,
 }
 
-/// Max-heap entry ordered by weight.
-struct Cand {
-    weight: f64,
-    lm: LmId,
+/// The heap key of weight `w`. Weights are ≥ 0, where the IEEE bit order
+/// is the numeric order; `-0.0` (the `max(0.0)` of a spent potential may
+/// keep the sign) is folded into `0.0`, which a float compare ties it with.
+#[inline]
+pub(super) fn heap_key(w: f64) -> u64 {
+    if w == 0.0 {
+        0
+    } else {
+        w.to_bits()
+    }
 }
 
-impl PartialEq for Cand {
-    fn eq(&self, other: &Self) -> bool {
-        self.weight == other.weight && self.lm == other.lm
+/// Expansion lists up to this long are pushed target by target: a run
+/// saves nothing on them and costs its bookkeeping.
+const SHORT: usize = 8;
+
+/// [`Cand::run`] of an entry pushed on its own.
+const ALONE: u32 = u32::MAX;
+
+/// Max-heap entry: landmark `lm` at heap key `key`, ties broken by id.
+/// `run` is the index of the run whose cursor this is, or [`ALONE`]; two
+/// entries equal in `(key, lm)` name the same candidate, so the order
+/// between them is immaterial.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Cand {
+    key: u64,
+    lm: LmId,
+    run: u32,
+}
+
+/// A run cursor: landmark `owner`'s expansion list from position `at` on,
+/// less the targets `skip.0..skip.1` of [`Side::skip`], which were pushed
+/// on their own when the run opened.
+struct Run {
+    owner: LmId,
+    at: u32,
+    skip: (u32, u32),
+}
+
+/// One side's landmark states in the current query: absent, *marked* (not
+/// active, but a child is) or active, in one `u32` per landmark. As in
+/// [`rbq_graph::Stamps`], forgetting all is an epoch bump: a query owns
+/// the two stamps `epoch` (marked) and `epoch + 1` (active), and every
+/// older value reads absent. The mark rides in the active set's own word.
+///
+/// The landmarks marked this query follow the table in the same
+/// allocation, in marking order: a landmark is marked at most once per
+/// query, so the list never outgrows the table, and a fresh scratch makes
+/// one allocation per side and zero-fills only the table.
+#[derive(Default)]
+struct States {
+    /// `stamp[..len]` is the table; `stamp[len..]` the marked landmarks.
+    stamp: Vec<u32>,
+    len: usize,
+    epoch: u32,
+}
+
+impl States {
+    /// Forget every state and make landmarks `0..len` addressable.
+    fn reset(&mut self, len: usize) {
+        if len > self.len {
+            self.stamp = Vec::with_capacity(2 * len);
+            self.stamp.resize(len, 0);
+            self.len = len;
+        }
+        self.stamp.truncate(self.len);
+        // Zeroed stamps read absent under every epoch ≥ 2; wrap before
+        // `epoch + 1` would overflow.
+        if self.epoch > u32::MAX - 3 {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 2;
+    }
+
+    /// The landmarks marked this query, in marking order; some have been
+    /// activated since.
+    #[inline]
+    fn marked_list(&self) -> &[LmId] {
+        &self.stamp[self.len..]
+    }
+
+    #[inline]
+    fn active(&self, i: LmId) -> bool {
+        self.stamp[i as usize] == self.epoch + 1
+    }
+
+    #[inline]
+    fn marked(&self, i: LmId) -> bool {
+        self.stamp[i as usize] == self.epoch
+    }
+
+    #[inline]
+    fn activate(&mut self, i: LmId) {
+        self.stamp[i as usize] = self.epoch + 1;
+    }
+
+    /// Mark `i` unless it is marked or active already.
+    #[inline]
+    fn mark(&mut self, i: LmId) {
+        if self.stamp[i as usize] < self.epoch {
+            self.stamp[i as usize] = self.epoch;
+            self.stamp.push(i);
+        }
     }
 }
-impl Eq for Cand {}
-impl PartialOrd for Cand {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// One side of the search: its states, its candidate heap, its runs and,
+/// grouped by the run they were taken out of, the targets pushed on their
+/// own.
+#[derive(Default)]
+struct Side {
+    states: States,
+    heap: BinaryHeap<Cand>,
+    runs: Vec<Run>,
+    skip: Vec<LmId>,
 }
-impl Ord for Cand {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.weight
-            .partial_cmp(&other.weight)
-            .unwrap_or(Ordering::Equal)
-            .then(self.lm.cmp(&other.lm))
+
+impl Side {
+    fn reset(&mut self, landmarks: usize) {
+        self.states.reset(landmarks);
+        self.heap.clear();
+        self.runs.clear();
+        self.skip.clear();
     }
 }
 
 /// Per-query state of [`HierarchicalIndex::query_with`], reused across
-/// queries: `s.Active` and `t.Active` as [`Stamps`] over landmark ids, so
-/// forgetting them is an epoch bump, and the two candidate heaps, which
-/// keep their capacity when cleared. One scratch may serve any number of
-/// indexes; a larger one grows the tables on first use.
+/// queries: per side, the landmark states (`s.Active` / `t.Active` plus
+/// the marks) as an epoch-stamped table, so forgetting them is an epoch
+/// bump, and the candidate heap and run buffers, which keep their capacity
+/// when cleared. One scratch may serve any number of indexes; a larger one
+/// grows the tables on first use.
 #[derive(Default)]
 pub struct ReachScratch {
-    s_active: Stamps,
-    t_active: Stamps,
-    s_heap: BinaryHeap<Cand>,
-    t_heap: BinaryHeap<Cand>,
+    s: Side,
+    t: Side,
+}
+
+impl Forest {
+    /// The paper's weight `w(v) = p(v)/(c(v)+1)`: remaining cover size over
+    /// remaining subtree size, where "remaining" subtracts the children
+    /// `active` names (§5.2 "Drill down or roll up"). With no child active
+    /// it is the static weight the expansion lists are sorted by — the same
+    /// expression, so the same bits.
+    pub(super) fn pick_weight(&self, lm: LmId, active: impl Fn(LmId) -> bool) -> f64 {
+        let (cs, size) = self.terms[lm as usize];
+        let mut cost = size as f64;
+        let mut potential = cs as f64;
+        for &ch in self.children.row(lm as usize) {
+            if active(ch) {
+                let (ch_cs, ch_size) = self.terms[ch as usize];
+                cost -= ch_size as f64;
+                potential -= ch_cs as f64;
+            }
+        }
+        potential.max(0.0) / (cost.max(0.0) + 1.0)
+    }
 }
 
 impl HierarchicalIndex {
@@ -105,7 +261,7 @@ impl HierarchicalIndex {
                 certified: true,
             };
         }
-        if self.landmarks.is_empty() {
+        if self.forest.node.is_empty() {
             return ReachAnswer {
                 reachable: false,
                 visits,
@@ -132,76 +288,68 @@ impl HierarchicalIndex {
         // or adjacent landmark pairs are never certified.
         let s_lm = self.lm_at(cs);
         let t_lm = self.lm_at(ct);
-        let useful_range = |lm: LmId| {
-            let r = self.landmarks[lm as usize].range;
-            r.1 > t_rank && r.0 < s_rank
-        };
-        let useful_self = |lm: LmId| {
-            if Some(lm) == s_lm || Some(lm) == t_lm {
-                return true;
-            }
-            let r = self.landmarks[lm as usize].rank;
-            r > t_rank && r < s_rank
+        let useful = |lm: LmId| {
+            let g = self.forest.guard[lm as usize];
+            Some(lm) == s_lm
+                || Some(lm) == t_lm
+                || (g.rank > t_rank && g.rank < s_rank)
+                || (g.range.1 > t_rank && g.range.0 < s_rank)
         };
 
         let ReachScratch {
-            s_active,
-            t_active,
-            s_heap,
-            t_heap,
+            s: s_side,
+            t: t_side,
         } = scratch;
-        s_active.reset(self.landmarks.len());
-        t_active.reset(self.landmarks.len());
-        s_heap.clear();
-        t_heap.clear();
+        s_side.reset(self.forest.len());
+        t_side.reset(self.forest.len());
 
         // Seed: landmarks certified directly by the endpoint labels (or the
         // endpoint being a landmark itself).
         let s_seed: &[LmId] = match &s_lm {
             Some(i) => std::slice::from_ref(i),
-            None => self.fwd_labels.row(cs),
+            None => self.fwd_labels.row(cs.index()),
         };
         let t_seed: &[LmId] = match &t_lm {
             Some(i) => std::slice::from_ref(i),
-            None => self.bwd_labels.row(ct),
+            None => self.bwd_labels.row(ct.index()),
         };
         for &i in s_seed {
             visits += 1;
-            s_active.insert(i as usize, ());
+            s_side.states.activate(i);
         }
         for &i in t_seed {
             visits += 1;
             // A landmark certified by both endpoints answers the query; the
             // rank guard below is irrelevant here (certification is always
             // correct regardless of usefulness pruning).
-            if s_active.contains(i as usize) {
+            if s_side.states.active(i) {
                 return ReachAnswer {
                     reachable: true,
                     visits,
                     certified: true,
                 };
             }
-            t_active.insert(i as usize, ());
+            t_side.states.activate(i);
+        }
+        // The seeds' parents have an active child now; marking them here,
+        // not above, spares the queries answered by a shared seed.
+        for &i in s_seed {
+            self.mark_parent(i, &mut s_side.states);
+        }
+        for &i in t_seed {
+            self.mark_parent(i, &mut t_side.states);
         }
         // Seed the expansion heaps.
         for &i in s_seed {
-            self.push_neighbors(i, true, s_active, s_heap, &useful_range, &useful_self);
+            self.push_neighbors(i, FWD, s_side, &useful);
         }
         for &i in t_seed {
-            self.push_neighbors(i, false, t_active, t_heap, &useful_range, &useful_self);
+            self.push_neighbors(i, BWD, t_side, &useful);
         }
 
         // Alternate expansion (Fig. 7 lines 6-12), bounded by the visit cap.
-        while visits < cap && (!s_heap.is_empty() || !t_heap.is_empty()) {
-            if self.expand_side(
-                s_heap,
-                s_active,
-                t_active,
-                true,
-                &mut visits,
-                &useful_range,
-                &useful_self,
-            ) {
+        while visits < cap && (!s_side.heap.is_empty() || !t_side.heap.is_empty()) {
+            if self.expand_side(FWD, s_side, t_side, &mut visits, &useful) {
                 return ReachAnswer {
                     reachable: true,
                     visits,
@@ -211,15 +359,7 @@ impl HierarchicalIndex {
             if visits >= cap {
                 break;
             }
-            if self.expand_side(
-                t_heap,
-                t_active,
-                s_active,
-                false,
-                &mut visits,
-                &useful_range,
-                &useful_self,
-            ) {
+            if self.expand_side(BWD, t_side, s_side, &mut visits, &useful) {
                 return ReachAnswer {
                     reachable: true,
                     visits,
@@ -238,98 +378,175 @@ impl HierarchicalIndex {
     /// Pop the best candidate for one side, certify it, and push its
     /// expansion frontier. Returns `true` when the certified landmark is
     /// already in the other side's active set (query answered).
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// This and [`Self::push_neighbors`] stay out of line: inlined into
+    /// `query_with`, they made the warm `RBReach` bench queries at
+    /// α = 0.05 about 1.5× slower.
+    #[inline(never)]
     fn expand_side(
         &self,
-        heap: &mut BinaryHeap<Cand>,
-        active: &mut Stamps,
-        other: &Stamps,
-        fwd: bool,
+        side_id: usize,
+        side: &mut Side,
+        other: &Side,
         visits: &mut usize,
-        useful_range: &impl Fn(LmId) -> bool,
-        useful_self: &impl Fn(LmId) -> bool,
+        useful: &impl Fn(LmId) -> bool,
     ) -> bool {
-        loop {
-            let Some(c) = heap.pop() else { return false };
-            if active.contains(c.lm as usize) {
+        while let Some(c) = side.heap.pop() {
+            if c.run != ALONE {
+                side.runs[c.run as usize].at += 1;
+                self.resume(c.run as usize, side_id, side, useful);
+            }
+            if side.states.active(c.lm) {
                 continue; // lazy deletion
             }
             *visits += 1;
-            active.insert(c.lm as usize, ());
-            if other.contains(c.lm as usize) {
+            side.states.activate(c.lm);
+            self.mark_parent(c.lm, &mut side.states);
+            if other.states.active(c.lm) {
                 return true;
             }
-            self.push_neighbors(c.lm, fwd, active, heap, useful_range, useful_self);
+            self.push_neighbors(c.lm, side_id, side, useful);
             return false;
+        }
+        false
+    }
+
+    /// Mark the parent of the active landmark `lm`: it has an active
+    /// child now.
+    #[inline]
+    fn mark_parent(&self, lm: LmId, states: &mut States) {
+        let p = self.forest.parent[lm as usize];
+        if p != NO_LM {
+            states.mark(p);
         }
     }
 
-    /// Push expansion candidates from landmark `lm` for one side.
+    /// Push the expansion candidates of landmark `lm` for one side: its
+    /// marked targets on their own, at their weight now, and the rest as
+    /// one run (see the [module docs](self)).
     ///
-    /// s-side (`fwd = true`): targets `ℓ'` with `lm → ℓ'` certified — a
-    /// child with `parent_reaches_child` (drill down), a parent reached by
-    /// this child (roll up), or a forward hop label. t-side mirrors.
+    /// s-side ([`FWD`]): targets `ℓ'` with `lm → ℓ'` certified — a child
+    /// with `parent_reaches_child` (drill down), a parent reached by this
+    /// child (roll up), or a forward hop label. t-side mirrors.
+    #[inline(never)]
     fn push_neighbors(
         &self,
         lm: LmId,
-        fwd: bool,
-        active: &Stamps,
-        heap: &mut BinaryHeap<Cand>,
-        useful_range: &impl Fn(LmId) -> bool,
-        useful_self: &impl Fn(LmId) -> bool,
+        side_id: usize,
+        side: &mut Side,
+        useful: &impl Fn(LmId) -> bool,
     ) {
-        let rec = &self.landmarks[lm as usize];
-        let consider = |target: LmId, heap: &mut BinaryHeap<Cand>| {
-            if active.contains(target as usize) {
-                return;
+        let Side {
+            states,
+            heap,
+            runs,
+            skip,
+        } = side;
+        let targets = self.forest.expand[side_id].row(lm as usize);
+        let weigh = |x: LmId| heap_key(self.forest.pick_weight(x, |c| states.active(c)));
+        if targets.len() <= SHORT {
+            for &x in targets {
+                if useful(x) && !states.active(x) {
+                    let key = if states.marked(x) {
+                        weigh(x)
+                    } else {
+                        self.forest.key[x as usize]
+                    };
+                    heap.push(Cand {
+                        key,
+                        lm: x,
+                        run: ALONE,
+                    });
+                }
             }
-            // Subtree guard: the weight is -inf (skip) when neither the
-            // landmark itself nor its subtree can be useful.
-            if !useful_self(target) && !useful_range(target) {
-                return;
-            }
+            return;
+        }
+        let lo = skip.len() as u32;
+        self.marked_targets(lm, side_id, states, useful, |x| {
             heap.push(Cand {
-                weight: self.pick_weight(target, active),
-                lm: target,
+                key: weigh(x),
+                lm: x,
+                run: ALONE,
             });
-        };
-        // Tree edges.
-        if let Some(p) = rec.parent {
-            // Edge direction: parent_reaches_child == true means parent→lm.
-            // s-side composes when lm→parent, i.e. flag false; t-side when
-            // parent→lm, i.e. flag true.
-            if rec.parent_reaches_child != fwd {
-                consider(p, heap);
+            skip.push(x);
+        });
+        let hi = skip.len() as u32;
+        runs.push(Run {
+            owner: lm,
+            at: 0,
+            skip: (lo, hi),
+        });
+        self.resume(runs.len() - 1, side_id, side, useful);
+    }
+
+    /// Call `f` on each useful target of `lm` that has an active child
+    /// (is marked), found from the shorter side: the side's marked list,
+    /// tested with [`Self::is_target`], or `lm`'s expansion list.
+    fn marked_targets(
+        &self,
+        lm: LmId,
+        side_id: usize,
+        states: &States,
+        useful: &impl Fn(LmId) -> bool,
+        mut f: impl FnMut(LmId),
+    ) {
+        let targets = self.forest.expand[side_id].row(lm as usize);
+        let marked = states.marked_list();
+        if marked.len() < targets.len() {
+            for &m in marked {
+                if !states.active(m) && useful(m) && self.is_target(lm, m, side_id) {
+                    f(m);
+                }
             }
-        }
-        for &ch in &rec.children {
-            let flag = self.landmarks[ch as usize].parent_reaches_child;
-            // Child edge direction: flag true means lm (parent) → child.
-            if flag == fwd {
-                consider(ch, heap);
+        } else {
+            for &x in targets {
+                if states.marked(x) && useful(x) {
+                    f(x);
+                }
             }
-        }
-        // First-hit hops (certified by construction).
-        let hops = if fwd { &rec.hop_fwd } else { &rec.hop_bwd };
-        for &h in hops {
-            consider(h, heap);
         }
     }
 
-    /// The paper's weight `w(v) = p(v)/(c(v)+1)`: remaining cover size over
-    /// remaining subtree size, where "remaining" subtracts already-visited
-    /// children (§5.2 "Drill down or roll up").
-    fn pick_weight(&self, lm: LmId, active: &Stamps) -> f64 {
-        let rec = &self.landmarks[lm as usize];
-        let mut cost = rec.subtree_size as f64;
-        let mut potential = rec.cs as f64;
-        for &ch in &rec.children {
-            if active.contains(ch as usize) {
-                cost -= self.landmarks[ch as usize].subtree_size as f64;
-                potential -= self.landmarks[ch as usize].cs as f64;
+    /// Push run `r`'s cursor at its first target from `at` on that is
+    /// useful, not active and not pushed on its own — if any is left.
+    fn resume(&self, r: usize, side_id: usize, side: &mut Side, useful: &impl Fn(LmId) -> bool) {
+        let run = &mut side.runs[r];
+        let targets = self.forest.expand[side_id].row(run.owner as usize);
+        let skipped = &side.skip[run.skip.0 as usize..run.skip.1 as usize];
+        while let Some(&x) = targets.get(run.at as usize) {
+            if useful(x) && !side.states.active(x) && !skipped.contains(&x) {
+                let key = self.forest.key[x as usize];
+                side.heap.push(Cand {
+                    key,
+                    lm: x,
+                    run: r as u32,
+                });
+                return;
             }
+            run.at += 1;
         }
-        potential.max(0.0) / (cost.max(0.0) + 1.0)
+    }
+
+    /// Whether `x` is among `lm`'s expansion targets on one side: its
+    /// parent or a child along a composing tree edge, or a first-hit hop
+    /// (a sorted row of `lm`'s own DAG node).
+    fn is_target(&self, lm: LmId, x: LmId, side_id: usize) -> bool {
+        let f = &self.forest;
+        let fwd = side_id == FWD;
+        (f.parent[lm as usize] == x && f.parent_reaches_child[lm as usize] != fwd)
+            || (f.parent[x as usize] == lm && f.parent_reaches_child[x as usize] == fwd)
+            || (self.labels(side_id).row(f.node[lm as usize].index()))
+                .binary_search(&x)
+                .is_ok()
+    }
+
+    /// The first-hit rows by DAG node of one side.
+    fn labels(&self, side_id: usize) -> &LmRows {
+        if side_id == BWD {
+            &self.bwd_labels
+        } else {
+            &self.fwd_labels
+        }
     }
 }
 
@@ -445,6 +662,121 @@ mod tests {
         let idx = HierarchicalIndex::build(&g, 0.6);
         assert!(!idx.query(NodeId(0), NodeId(5)).reachable);
         assert!(!idx.query(NodeId(3), NodeId(2)).reachable);
+    }
+
+    /// `is_target`, which finds a run's marked targets without reading the
+    /// run, agrees with the expansion lists on every (landmark, candidate,
+    /// side) triple.
+    #[test]
+    fn is_target_matches_expansion_lists() {
+        let g = layered_dag(8, 6);
+        let mut by_kind = [0usize; 3];
+        for alpha in [0.1, 0.3, 0.6, 1.0] {
+            let idx = HierarchicalIndex::build(&g, alpha);
+            let f = &idx.forest;
+            for side in [FWD, BWD] {
+                for lm in 0..f.len() as LmId {
+                    let row = f.expand[side].row(lm as usize);
+                    for x in 0..f.len() as LmId {
+                        assert_eq!(idx.is_target(lm, x, side), row.contains(&x));
+                    }
+                    for &x in row {
+                        let kind = if f.parent[lm as usize] == x {
+                            0
+                        } else if f.parent[x as usize] == lm {
+                            1
+                        } else {
+                            2
+                        };
+                        by_kind[kind] += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            by_kind.iter().all(|&k| k > 0),
+            "parent / child / hop targets {by_kind:?}"
+        );
+    }
+
+    /// Both ways of finding a landmark's marked targets — through the
+    /// marked list and through the expansion list — find the same set, over
+    /// random active sets with their parents marked.
+    #[test]
+    fn marked_targets_agree_from_either_side() {
+        let g = layered_dag(8, 6);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut coin = |one_in: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x.is_multiple_of(one_in)
+        };
+        let mut from_marked_list = 0;
+        for alpha in [0.3, 0.6, 1.0] {
+            let idx = HierarchicalIndex::build(&g, alpha);
+            let f = &idx.forest;
+            let mut st = States::default();
+            for _ in 0..40 {
+                st.reset(f.len());
+                for lm in 0..f.len() as LmId {
+                    if coin(8) {
+                        st.activate(lm);
+                    }
+                }
+                for lm in 0..f.len() as LmId {
+                    if st.active(lm) {
+                        idx.mark_parent(lm, &mut st);
+                    }
+                }
+                let useful = |lm: LmId| !lm.is_multiple_of(5);
+                for side in [FWD, BWD] {
+                    for lm in 0..f.len() as LmId {
+                        let targets = f.expand[side].row(lm as usize);
+                        let mut want: Vec<LmId> = (targets.iter().copied())
+                            .filter(|&t| st.marked(t) && useful(t))
+                            .collect();
+                        let mut got = Vec::new();
+                        idx.marked_targets(lm, side, &st, &useful, |t| got.push(t));
+                        got.sort_unstable();
+                        want.sort_unstable();
+                        assert_eq!(got, want, "landmark {lm}, side {side}, alpha {alpha}");
+                        if st.marked_list().len() < targets.len() && !want.is_empty() {
+                            from_marked_list += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            from_marked_list > 0,
+            "the marked-list side never found a target"
+        );
+    }
+
+    /// Marks and active states read absent after a reset, also across the
+    /// epoch wrap; an active landmark cannot be marked; the marked list
+    /// holds each landmark marked this query, once.
+    #[test]
+    fn states_forget_across_the_epoch_wrap() {
+        let mut st = States::default();
+        for epoch in [0, u32::MAX - 5, u32::MAX - 3] {
+            st.epoch = epoch;
+            st.reset(4);
+            assert!(st.epoch.checked_add(1).is_some());
+            assert!((0..4).all(|i| !st.active(i) && !st.marked(i)));
+            st.mark(1);
+            st.mark(1);
+            assert!(st.marked(1));
+            st.activate(2);
+            st.mark(2);
+            assert!(st.active(2) && !st.marked(2));
+            st.activate(1);
+            assert!(st.active(1) && !st.marked(1));
+            assert_eq!(st.marked_list(), &[1]);
+        }
+        st.reset(4);
+        assert!((0..4).all(|i| !st.active(i) && !st.marked(i)));
     }
 
     #[test]

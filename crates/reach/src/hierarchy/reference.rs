@@ -1,14 +1,24 @@
 //! The index construction as it stood before the build was made cheap —
 //! Kahn orders, `FxHashMap`-keyed landmark lookups, per-pair `bit()` scans,
 //! one `Vec` per label row — kept verbatim as the reference the fast build
-//! is proptested against, structure for structure.
+//! is proptested against, structure for structure; it freezes its forest
+//! through the same [`freeze`].
+//!
+//! Beside it, [`ReferenceQuery`] is `RBReach` as it stood before run
+//! cursors: per-landmark records holding child and hop `Vec`s, and an
+//! expansion that pushes every eligible target at a freshly computed
+//! weight. The run-cursor search is proptested against it, verdict,
+//! certificate and visit count for every pair.
 
-use super::build::{greedy_select, HierarchicalIndex, IndexParams};
-use super::{LabelRows, Landmark, LmId, NO_LM};
+use super::build::{freeze, greedy_select, HierarchicalIndex, IndexParams};
+use super::query::ReachAnswer;
+use super::{Landmark, LmId, LmRows, NO_LM};
 use crate::compress::compress_reference;
 use rbq_graph::topo::topological_ranks;
-use rbq_graph::{Graph, GraphView, NodeId};
+use rbq_graph::{Graph, GraphView, NodeId, Stamps};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// [`HierarchicalIndex::build_with`], the slow way.
 fn build_reference(g: &Graph, params: IndexParams) -> HierarchicalIndex {
@@ -79,8 +89,6 @@ fn build_reference(g: &Graph, params: IndexParams) -> HierarchicalIndex {
             rank: ranks[v.index()],
             range: (0, 0),
             subtree_size: 1,
-            hop_fwd: fwd_labels[v.index()].clone(),
-            hop_bwd: bwd_labels[v.index()].clone(),
         })
         .collect();
 
@@ -159,25 +167,23 @@ fn build_reference(g: &Graph, params: IndexParams) -> HierarchicalIndex {
     compute_subtrees(&mut landmarks, &roots);
 
     let flat = |rows: Vec<Vec<LmId>>| {
-        let mut offsets = vec![0usize];
+        let mut flat = LmRows::default();
         for row in &rows {
-            offsets.push(offsets[offsets.len() - 1] + row.len());
+            flat.push(row);
         }
-        LabelRows {
-            offsets,
-            data: rows.concat(),
-        }
+        flat
     };
     let mut dense = vec![NO_LM; n];
     for (v, i) in lm_of_node {
         dense[v.index()] = i;
     }
+    let (fwd_labels, bwd_labels) = (flat(fwd_labels), flat(bwd_labels));
     HierarchicalIndex {
         compressed,
-        landmarks,
+        forest: freeze(&landmarks, [&fwd_labels, &bwd_labels]),
         lm_of_node: dense,
-        fwd_labels: flat(fwd_labels),
-        bwd_labels: flat(bwd_labels),
+        fwd_labels,
+        bwd_labels,
         ranks,
         alpha: params.alpha,
         visit_cap,
@@ -416,11 +422,343 @@ fn compute_subtrees(landmarks: &mut [Landmark], roots: &[LmId]) {
     }
 }
 
+/// A landmark record as the query read it before the forest was frozen.
+struct OldLandmark {
+    parent: Option<LmId>,
+    parent_reaches_child: bool,
+    children: Vec<LmId>,
+    cs: u64,
+    rank: u32,
+    range: (u32, u32),
+    subtree_size: u32,
+    hop_fwd: Vec<LmId>,
+    hop_bwd: Vec<LmId>,
+}
+
+/// `RBReach` before run cursors, over records thawed from a built index's
+/// tables; everything else it reads through to the index.
+struct ReferenceQuery<'a> {
+    idx: &'a HierarchicalIndex,
+    landmarks: Vec<OldLandmark>,
+}
+
+impl std::ops::Deref for ReferenceQuery<'_> {
+    type Target = HierarchicalIndex;
+    fn deref(&self) -> &HierarchicalIndex {
+        self.idx
+    }
+}
+
+impl<'a> ReferenceQuery<'a> {
+    fn new(idx: &'a HierarchicalIndex) -> Self {
+        let f = &idx.forest;
+        let landmarks = (0..f.len())
+            .map(|i| OldLandmark {
+                parent: (f.parent[i] != NO_LM).then_some(f.parent[i]),
+                parent_reaches_child: f.parent_reaches_child[i],
+                children: f.children.row(i).to_vec(),
+                cs: f.terms[i].0,
+                rank: f.guard[i].rank,
+                range: f.guard[i].range,
+                subtree_size: f.terms[i].1,
+                hop_fwd: idx.fwd_labels.row(f.node[i].index()).to_vec(),
+                hop_bwd: idx.bwd_labels.row(f.node[i].index()).to_vec(),
+            })
+            .collect();
+        ReferenceQuery { idx, landmarks }
+    }
+}
+
+/// Max-heap entry ordered by weight.
+struct Cand {
+    weight: f64,
+    lm: LmId,
+}
+
+impl PartialEq for Cand {
+    fn eq(&self, other: &Self) -> bool {
+        self.weight == other.weight && self.lm == other.lm
+    }
+}
+impl Eq for Cand {}
+impl PartialOrd for Cand {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Cand {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.weight
+            .partial_cmp(&other.weight)
+            .unwrap_or(Ordering::Equal)
+            .then(self.lm.cmp(&other.lm))
+    }
+}
+
+/// The per-query state of the reference search.
+#[derive(Default)]
+struct OldScratch {
+    s_active: Stamps,
+    t_active: Stamps,
+    s_heap: BinaryHeap<Cand>,
+    t_heap: BinaryHeap<Cand>,
+}
+
+impl ReferenceQuery<'_> {
+    /// `s → t?` as the push-everything search answers it.
+    fn query(&self, s: NodeId, t: NodeId) -> ReachAnswer {
+        let scratch = &mut OldScratch::default();
+        let mut visits = 0usize;
+        if s == t || self.compressed.same_scc(s, t) {
+            return ReachAnswer {
+                reachable: true,
+                visits,
+                certified: true,
+            };
+        }
+        let cs = self.compressed.map(s);
+        let ct = self.compressed.map(t);
+        if cs == ct {
+            // Equivalence-merged distinct SCCs never reach each other.
+            return ReachAnswer {
+                reachable: false,
+                visits,
+                certified: true,
+            };
+        }
+        if self.landmarks.is_empty() {
+            return ReachAnswer {
+                reachable: false,
+                visits,
+                certified: false,
+            };
+        }
+        let cap = self.visit_cap.max(1);
+        let s_rank = self.ranks[cs.index()];
+        let t_rank = self.ranks[ct.index()];
+        // Necessary condition on a DAG: ranks strictly decrease along edges.
+        if s_rank <= t_rank {
+            return ReachAnswer {
+                reachable: false,
+                visits,
+                certified: false,
+            };
+        }
+
+        // Guard of Lemma 5(2): a useful landmark ℓ (s → ℓ → t) must have
+        // t_rank < rank(ℓ) < s_rank; prune subtrees whose range cannot
+        // straddle. The endpoint landmarks themselves sit *on* the window
+        // boundary (rank == s_rank / t_rank) yet are exactly where the two
+        // frontiers must meet when an endpoint is a landmark — exempt them,
+        // or adjacent landmark pairs are never certified.
+        let s_lm = self.lm_at(cs);
+        let t_lm = self.lm_at(ct);
+        let useful_range = |lm: LmId| {
+            let r = self.landmarks[lm as usize].range;
+            r.1 > t_rank && r.0 < s_rank
+        };
+        let useful_self = |lm: LmId| {
+            if Some(lm) == s_lm || Some(lm) == t_lm {
+                return true;
+            }
+            let r = self.landmarks[lm as usize].rank;
+            r > t_rank && r < s_rank
+        };
+
+        let OldScratch {
+            s_active,
+            t_active,
+            s_heap,
+            t_heap,
+        } = scratch;
+        s_active.reset(self.landmarks.len());
+        t_active.reset(self.landmarks.len());
+        s_heap.clear();
+        t_heap.clear();
+
+        // Seed: landmarks certified directly by the endpoint labels (or the
+        // endpoint being a landmark itself).
+        let s_seed: &[LmId] = match &s_lm {
+            Some(i) => std::slice::from_ref(i),
+            None => self.fwd_labels.row(cs.index()),
+        };
+        let t_seed: &[LmId] = match &t_lm {
+            Some(i) => std::slice::from_ref(i),
+            None => self.bwd_labels.row(ct.index()),
+        };
+        for &i in s_seed {
+            visits += 1;
+            s_active.insert(i as usize, ());
+        }
+        for &i in t_seed {
+            visits += 1;
+            // A landmark certified by both endpoints answers the query; the
+            // rank guard below is irrelevant here (certification is always
+            // correct regardless of usefulness pruning).
+            if s_active.contains(i as usize) {
+                return ReachAnswer {
+                    reachable: true,
+                    visits,
+                    certified: true,
+                };
+            }
+            t_active.insert(i as usize, ());
+        }
+        // Seed the expansion heaps.
+        for &i in s_seed {
+            self.push_neighbors(i, true, s_active, s_heap, &useful_range, &useful_self);
+        }
+        for &i in t_seed {
+            self.push_neighbors(i, false, t_active, t_heap, &useful_range, &useful_self);
+        }
+
+        // Alternate expansion (Fig. 7 lines 6-12), bounded by the visit cap.
+        while visits < cap && (!s_heap.is_empty() || !t_heap.is_empty()) {
+            if self.expand_side(
+                s_heap,
+                s_active,
+                t_active,
+                true,
+                &mut visits,
+                &useful_range,
+                &useful_self,
+            ) {
+                return ReachAnswer {
+                    reachable: true,
+                    visits,
+                    certified: true,
+                };
+            }
+            if visits >= cap {
+                break;
+            }
+            if self.expand_side(
+                t_heap,
+                t_active,
+                s_active,
+                false,
+                &mut visits,
+                &useful_range,
+                &useful_self,
+            ) {
+                return ReachAnswer {
+                    reachable: true,
+                    visits,
+                    certified: true,
+                };
+            }
+        }
+
+        ReachAnswer {
+            reachable: false,
+            visits,
+            certified: false,
+        }
+    }
+
+    /// Pop the best candidate for one side, certify it, and push its
+    /// expansion frontier. Returns `true` when the certified landmark is
+    /// already in the other side's active set (query answered).
+    #[allow(clippy::too_many_arguments)]
+    fn expand_side(
+        &self,
+        heap: &mut BinaryHeap<Cand>,
+        active: &mut Stamps,
+        other: &Stamps,
+        fwd: bool,
+        visits: &mut usize,
+        useful_range: &impl Fn(LmId) -> bool,
+        useful_self: &impl Fn(LmId) -> bool,
+    ) -> bool {
+        loop {
+            let Some(c) = heap.pop() else { return false };
+            if active.contains(c.lm as usize) {
+                continue; // lazy deletion
+            }
+            *visits += 1;
+            active.insert(c.lm as usize, ());
+            if other.contains(c.lm as usize) {
+                return true;
+            }
+            self.push_neighbors(c.lm, fwd, active, heap, useful_range, useful_self);
+            return false;
+        }
+    }
+
+    /// Push expansion candidates from landmark `lm` for one side.
+    ///
+    /// s-side (`fwd = true`): targets `ℓ'` with `lm → ℓ'` certified — a
+    /// child with `parent_reaches_child` (drill down), a parent reached by
+    /// this child (roll up), or a forward hop label. t-side mirrors.
+    fn push_neighbors(
+        &self,
+        lm: LmId,
+        fwd: bool,
+        active: &Stamps,
+        heap: &mut BinaryHeap<Cand>,
+        useful_range: &impl Fn(LmId) -> bool,
+        useful_self: &impl Fn(LmId) -> bool,
+    ) {
+        let rec = &self.landmarks[lm as usize];
+        let consider = |target: LmId, heap: &mut BinaryHeap<Cand>| {
+            if active.contains(target as usize) {
+                return;
+            }
+            // Subtree guard: the weight is -inf (skip) when neither the
+            // landmark itself nor its subtree can be useful.
+            if !useful_self(target) && !useful_range(target) {
+                return;
+            }
+            heap.push(Cand {
+                weight: self.pick_weight(target, active),
+                lm: target,
+            });
+        };
+        // Tree edges.
+        if let Some(p) = rec.parent {
+            // Edge direction: parent_reaches_child == true means parent→lm.
+            // s-side composes when lm→parent, i.e. flag false; t-side when
+            // parent→lm, i.e. flag true.
+            if rec.parent_reaches_child != fwd {
+                consider(p, heap);
+            }
+        }
+        for &ch in &rec.children {
+            let flag = self.landmarks[ch as usize].parent_reaches_child;
+            // Child edge direction: flag true means lm (parent) → child.
+            if flag == fwd {
+                consider(ch, heap);
+            }
+        }
+        // First-hit hops (certified by construction).
+        let hops = if fwd { &rec.hop_fwd } else { &rec.hop_bwd };
+        for &h in hops {
+            consider(h, heap);
+        }
+    }
+
+    /// The paper's weight `w(v) = p(v)/(c(v)+1)`: remaining cover size over
+    /// remaining subtree size, where "remaining" subtracts already-visited
+    /// children (§5.2 "Drill down or roll up").
+    fn pick_weight(&self, lm: LmId, active: &Stamps) -> f64 {
+        let rec = &self.landmarks[lm as usize];
+        let mut cost = rec.subtree_size as f64;
+        let mut potential = rec.cs as f64;
+        for &ch in &rec.children {
+            if active.contains(ch as usize) {
+                cost -= self.landmarks[ch as usize].subtree_size as f64;
+                potential -= self.landmarks[ch as usize].cs as f64;
+            }
+        }
+        potential.max(0.0) / (cost.max(0.0) + 1.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compress::{compress_for_reachability, compress_with, condense_only};
-    use crate::hierarchy::SelectionStrategy;
+    use crate::hierarchy::{ReachScratch, SelectionStrategy};
     use proptest::prelude::*;
     use rbq_graph::builder::graph_from_edges;
 
@@ -480,6 +818,56 @@ mod tests {
         graph_from_edges(&vec!["A"; n as usize], &edges)
     }
 
+    /// A bow tie around node 0: sources `1..=n/2` reach it, it reaches
+    /// sinks `n/2+1..n`, and seeded cross edges (sources to later sources
+    /// and to sinks, sinks to later sinks) keep the nodes' neighbourhoods
+    /// apart so compression keeps them. Node 0 becomes a landmark of
+    /// maximal degree that every other landmark is connected to, so
+    /// promotion hangs most landmarks under it — the shape of the
+    /// benchmark graph's level-2 root.
+    fn bow_tie(n: u32, seed: u64) -> Graph {
+        let mut x = seed;
+        let mut next = |m: u32| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) % m as u64) as u32
+        };
+        let half = n / 2;
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for v in 1..n {
+            edges.push(if v <= half { (v, 0) } else { (0, v) });
+            for _ in 0..next(3) {
+                let w = v + 1 + next(n - v);
+                if w < n && (v <= half || w > half) {
+                    edges.push((v, w));
+                }
+            }
+        }
+        graph_from_edges(&vec!["A"; n as usize], &edges)
+    }
+
+    /// `query_with` through one reused scratch, and `query` on a fresh one,
+    /// answer every pair as the push-everything reference does: the same
+    /// verdict, certificate and visit count.
+    fn assert_same_answers(g: &Graph, alpha: f64) {
+        let idx = HierarchicalIndex::build(g, alpha);
+        let reference = ReferenceQuery::new(&idx);
+        let mut scratch = ReachScratch::default();
+        for s in g.nodes() {
+            for t in g.nodes() {
+                let want = reference.query(s, t);
+                let got = idx.query_with(s, t, &mut scratch);
+                assert_eq!(got, want, "{s:?} -> {t:?} at alpha={alpha}");
+                if (s.0 + t.0) % 7 == 0 {
+                    assert_eq!(idx.query(s, t), want, "fresh scratch, {s:?} -> {t:?}");
+                }
+            }
+        }
+    }
+
+    const QUERY_ALPHAS: [f64; 3] = [0.05, 0.25, 1.0];
+
     const ALPHAS: [f64; 5] = [0.05, 0.1, 0.25, 0.5, 1.0];
     const STRATEGIES: [SelectionStrategy; 4] = [
         SelectionStrategy::DegreeRank,
@@ -526,6 +914,39 @@ mod tests {
         #[test]
         fn index_equals_reference(g in arb_graph()) {
             assert_same_index(&g);
+        }
+
+        #[test]
+        fn query_equals_reference(g in arb_graph()) {
+            for alpha in QUERY_ALPHAS {
+                assert_same_answers(&g, alpha);
+            }
+        }
+    }
+
+    /// The hub family: most landmarks hang under one root, so queries
+    /// seeded there open a long run and pop a few of it, and queries seeded
+    /// below it push the hub on its own at a recomputed weight.
+    #[test]
+    fn query_equals_reference_on_hub_graphs() {
+        for (n, seed) in [(120, 1), (160, 2), (200, 3)] {
+            let g = bow_tie(n, seed);
+            let idx = HierarchicalIndex::build(&g, 0.25);
+            let f = &idx.forest;
+            let widest = (0..f.len()).map(|i| f.children.row(i).len()).max();
+            assert!(
+                2 * widest.unwrap_or(0) > f.len(),
+                "no landmark holds most of the {} landmarks as children",
+                f.len()
+            );
+            for alpha in QUERY_ALPHAS {
+                assert_same_answers(&g, alpha);
+            }
+        }
+        for (n, seed) in [(300, 1), (400, 2)] {
+            for alpha in QUERY_ALPHAS {
+                assert_same_answers(&hub_graph(n, seed), alpha);
+            }
         }
     }
 

@@ -2,7 +2,9 @@
 //! allocator's. After warm-ups:
 //!
 //! * `Engine::run` on a reach query allocates nothing: RBReach's active
-//!   sets and heaps live in the worker scratch;
+//!   sets, heaps and run buffers live in the worker scratch — also for
+//!   pairs seeded at the index's hub, the landmark with the longest
+//!   expansion list;
 //! * `HierarchicalIndex::query_with` on a warm `ReachScratch` allocates
 //!   nothing;
 //! * `answer_to_line` on a pattern answer allocates exactly once — one
@@ -40,7 +42,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (usize, T) {
 #[test]
 fn wire_and_reach_paths_allocate_only_what_they_return() {
     let g = Arc::new(youtube_like(4_000, 42));
-    let pairs = sample_hard_reachability_queries(&g, 200, 0.5, 7);
+    let mut pairs = sample_hard_reachability_queries(&g, 200, 0.5, 7);
     let engine = Engine::new(
         Arc::clone(&g),
         EngineConfig {
@@ -48,13 +50,31 @@ fn wire_and_reach_paths_allocate_only_what_they_return() {
             ..Default::default()
         },
     );
+    // Pairs seeded at the hub, from either side: a search there opens the
+    // longest run the index holds.
+    let idx = engine.reach_index();
+    let hub = idx.hub().expect("the index has landmarks");
+    let hub_node = (0..g.node_count() as u32)
+        .map(NodeId)
+        .find(|&v| idx.compressed.map(v) == hub)
+        .expect("some node maps to the hub");
+    let hub_pairs: Vec<_> = (pairs.iter().take(100))
+        .flat_map(|&(s, t)| [(hub_node, t), (s, hub_node)])
+        .collect();
+    // Past the rank test, a hub pair seeds both sides: two visits or more.
+    let hub_searched = hub_pairs
+        .iter()
+        .filter(|&&(s, t)| idx.query(s, t).visits > 1)
+        .count();
+    assert!(hub_searched > 0, "no hub pair reached the seeding");
+    pairs.extend(hub_pairs);
     let queries: Vec<_> = pairs
         .iter()
         .map(|&(source, target)| Query::Reach { source, target })
         .collect();
 
-    // Reach through the engine: two warm-up passes build the index and
-    // grow the worker scratch to the largest frontier of these pairs.
+    // Reach through the engine: two warm-up passes grow the worker scratch
+    // to the largest frontier and run of these pairs.
     for _ in 0..2 {
         for q in &queries {
             engine.run(q);
@@ -73,7 +93,6 @@ fn wire_and_reach_paths_allocate_only_what_they_return() {
     assert!(searched > 0, "no pair reached the landmark search");
 
     // Reach on the index directly, through one warm scratch.
-    let idx = engine.reach_index();
     let mut scratch = ReachScratch::default();
     for &(s, t) in &pairs {
         idx.query_with(s, t, &mut scratch);

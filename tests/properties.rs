@@ -130,6 +130,51 @@ proptest! {
         })?;
     }
 
+    /// `G_Q` grows by prefixes along a budget ladder, for both semantics:
+    /// `Search` never reorders on budget — it stops at the first insertion
+    /// that does not fit — so the nodes it fetches under a budget are the
+    /// first ones it fetches under any larger budget. No visit cap applies.
+    #[test]
+    fn gq_at_a_budget_is_a_prefix_of_gq_at_a_larger_one(seed in 0..u64::MAX) {
+        let mut rng = Rng(seed);
+        let labels = rng.range(1..4);
+        let g = hub_graph(&mut rng, labels);
+        let Ok(q) = fold_labels(&shaped(&mut rng), labels).resolve(&g) else {
+            return Ok(());
+        };
+        let idx = NeighborIndex::build(&g);
+        let ladder = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, g.size()];
+        WARM.with_borrow_mut(|(reduction, _)| {
+            for semantics in [Semantics::Simulation, Semantics::Isomorphism] {
+                let mut smaller: Vec<NodeId> = Vec::new();
+                for units in ladder {
+                    let budget = ResourceBudget::from_units(&g, units);
+                    prop_assert_eq!(budget.visit_cap, None);
+                    let red = search_reduced_graph_scratch(
+                        &g,
+                        &idx,
+                        &q,
+                        &budget,
+                        semantics,
+                        ReductionConfig::default(),
+                        reduction,
+                    );
+                    let members = red.gq.members().to_vec();
+                    reduction.recycle(red.gq);
+                    prop_assert!(
+                        members.starts_with(&smaller),
+                        "{:?} at {} units is no prefix of {:?}",
+                        smaller,
+                        units,
+                        members
+                    );
+                    smaller = members;
+                }
+            }
+            Ok(())
+        })?;
+    }
+
     /// RBSub soundness under any budget.
     #[test]
     fn rbsub_matches_subset_of_exact(
