@@ -32,10 +32,8 @@
 //! Popping a cursor yields its target and pushes the cursor back at the
 //! run's next such target. The targets with an active child are found
 //! without scanning the list: an activated landmark marks its parent, and
-//! the search tests the side's (short) list of marked landmarks against
-//! `ℓ` when that list is the shorter one. A list of at most `SHORT` (8)
-//! targets is pushed target by target, static or recomputed weight as the
-//! mark says: there a run would save nothing and cost its bookkeeping.
+//! the search tests the side's list of marked landmarks — at most one per
+//! visit — against `ℓ`.
 //!
 //! **Why every verdict and visit count is the push-everything search's.**
 //! Pops depend only on the multiset of `(weight, id)` entries pushed, with
@@ -84,10 +82,6 @@ pub(super) fn heap_key(w: f64) -> u64 {
         w.to_bits()
     }
 }
-
-/// Expansion lists up to this long are pushed target by target: a run
-/// saves nothing on them and costs its bookkeeping.
-const SHORT: usize = 8;
 
 /// [`Cand::run`] of an entry pushed on its own.
 const ALONE: u32 = u32::MAX;
@@ -160,7 +154,7 @@ impl States {
         self.stamp[i as usize] == self.epoch + 1
     }
 
-    #[inline]
+    #[cfg(test)]
     fn marked(&self, i: LmId) -> bool {
         self.stamp[i as usize] == self.epoch
     }
@@ -442,25 +436,7 @@ impl HierarchicalIndex {
             runs,
             skip,
         } = side;
-        let targets = self.forest.expand[side_id].row(lm as usize);
         let weigh = |x: LmId| heap_key(self.forest.pick_weight(x, |c| states.active(c)));
-        if targets.len() <= SHORT {
-            for &x in targets {
-                if useful(x) && !states.active(x) {
-                    let key = if states.marked(x) {
-                        weigh(x)
-                    } else {
-                        self.forest.key[x as usize]
-                    };
-                    heap.push(Cand {
-                        key,
-                        lm: x,
-                        run: ALONE,
-                    });
-                }
-            }
-            return;
-        }
         let lo = skip.len() as u32;
         self.marked_targets(lm, side_id, states, useful, |x| {
             heap.push(Cand {
@@ -480,8 +456,8 @@ impl HierarchicalIndex {
     }
 
     /// Call `f` on each useful target of `lm` that has an active child
-    /// (is marked), found from the shorter side: the side's marked list,
-    /// tested with [`Self::is_target`], or `lm`'s expansion list.
+    /// (is marked): the side's marked list, tested with
+    /// [`Self::is_target`], so the expansion list is not read.
     fn marked_targets(
         &self,
         lm: LmId,
@@ -490,19 +466,9 @@ impl HierarchicalIndex {
         useful: &impl Fn(LmId) -> bool,
         mut f: impl FnMut(LmId),
     ) {
-        let targets = self.forest.expand[side_id].row(lm as usize);
-        let marked = states.marked_list();
-        if marked.len() < targets.len() {
-            for &m in marked {
-                if !states.active(m) && useful(m) && self.is_target(lm, m, side_id) {
-                    f(m);
-                }
-            }
-        } else {
-            for &x in targets {
-                if states.marked(x) && useful(x) {
-                    f(x);
-                }
+        for &m in states.marked_list() {
+            if !states.active(m) && useful(m) && self.is_target(lm, m, side_id) {
+                f(m);
             }
         }
     }
@@ -699,11 +665,11 @@ mod tests {
         );
     }
 
-    /// Both ways of finding a landmark's marked targets — through the
-    /// marked list and through the expansion list — find the same set, over
+    /// `marked_targets`, which reads the marked list and not the expansion
+    /// list, finds exactly the useful marked targets of every landmark, over
     /// random active sets with their parents marked.
     #[test]
-    fn marked_targets_agree_from_either_side() {
+    fn marked_targets_are_the_marked_useful_targets() {
         let g = layered_dag(8, 6);
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         let mut coin = |one_in: u64| {
@@ -712,7 +678,7 @@ mod tests {
             x ^= x << 17;
             x.is_multiple_of(one_in)
         };
-        let mut from_marked_list = 0;
+        let mut found = 0;
         for alpha in [0.3, 0.6, 1.0] {
             let idx = HierarchicalIndex::build(&g, alpha);
             let f = &idx.forest;
@@ -732,8 +698,8 @@ mod tests {
                 let useful = |lm: LmId| !lm.is_multiple_of(5);
                 for side in [FWD, BWD] {
                     for lm in 0..f.len() as LmId {
-                        let targets = f.expand[side].row(lm as usize);
-                        let mut want: Vec<LmId> = (targets.iter().copied())
+                        let mut want: Vec<LmId> = (f.expand[side].row(lm as usize).iter())
+                            .copied()
                             .filter(|&t| st.marked(t) && useful(t))
                             .collect();
                         let mut got = Vec::new();
@@ -741,17 +707,12 @@ mod tests {
                         got.sort_unstable();
                         want.sort_unstable();
                         assert_eq!(got, want, "landmark {lm}, side {side}, alpha {alpha}");
-                        if st.marked_list().len() < targets.len() && !want.is_empty() {
-                            from_marked_list += 1;
-                        }
+                        found += want.len();
                     }
                 }
             }
         }
-        assert!(
-            from_marked_list > 0,
-            "the marked-list side never found a target"
-        );
+        assert!(found > 0, "no landmark had a marked target");
     }
 
     /// Marks and active states read absent after a reset, also across the
