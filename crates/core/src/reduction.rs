@@ -52,7 +52,7 @@ use crate::budget::ResourceBudget;
 use crate::guard::{GuardCtx, GuardScratch, Semantics};
 use crate::neighbor_index::NeighborIndex;
 use rbq_graph::traverse::VisitStats;
-use rbq_graph::{DynamicSubgraph, Graph, GraphView, Label, NodeId, Stamps, SubgraphScratch};
+use rbq_graph::{DynamicSubgraph, Graph, GraphView, Label, NodeId, Point, Stamps, SubgraphScratch};
 use rbq_pattern::{PNode, ResolvedPattern};
 use rustc_hash::FxHashMap;
 use std::cmp::Ordering;
@@ -232,7 +232,7 @@ impl ReductionScratch {
 
     /// Arm (or clear) the deadline checked by every subsequent reduction
     /// through this scratch. On expiry the search unwinds with a
-    /// [`rbq_graph::CancelPanic`] tagged `"reduction.pick"`.
+    /// [`rbq_graph::CancelPanic`] naming [`Point::ReductionPick`].
     pub fn set_cancel(&mut self, token: rbq_graph::CancelToken) {
         self.cancel.arm(token);
     }
@@ -285,7 +285,7 @@ pub fn search_reduced_graph_scratch<'g>(
     config: ReductionConfig,
     scratch: &mut ReductionScratch,
 ) -> ReductionOutcome<'g> {
-    rbq_graph::faultpoint::fire("reduction.pick");
+    rbq_graph::faultpoint::fire(Point::ReductionPick);
     // Copied out (tickers are `Copy`) so the field can ride the `..` of the
     // destructure below.
     let mut cancel = scratch.cancel;
@@ -350,7 +350,7 @@ pub fn search_reduced_graph_scratch<'g>(
         pairs.in_stack.insert(pairs.idx(q.up(), q.vp()), ());
 
         while let Some((u, v)) = stack.pop() {
-            cancel.tick("reduction.pick");
+            cancel.tick(Point::ReductionPick);
             pairs.in_stack.remove(pairs.idx(u, v));
 
             // Line 5: add v to G_Q if new, charging its node + induced edges

@@ -13,7 +13,7 @@ use rbq_core::guard::Semantics;
 use rbq_core::{
     rbsim_with, rbsub_scratch, NeighborIndex, PatternAnswer, PatternScratch, ResourceBudget,
 };
-use rbq_graph::{CancelPanic, CancelToken, Graph, NodeId};
+use rbq_graph::{CancelPanic, CancelToken, Graph, NodeId, Point};
 use rbq_pattern::{Pattern, Vf2Config};
 use rbq_reach::{HierarchicalIndex, ReachScratch};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -557,7 +557,7 @@ impl Engine {
                 let q = &queries[i];
                 out.push((i, engine.run_one(&ep, q, &mut scratch, deadline, i as u64)));
                 // Outside the per-query containment, with results in hand.
-                rbq_graph::faultpoint::fire_at("engine.worker", s as u64);
+                rbq_graph::faultpoint::fire_at(Point::EngineWorker, s as u64);
             }
             engine.put_scratch(scratch);
             out
@@ -588,7 +588,7 @@ impl Engine {
         // Degraded mode: whatever a lost worker claimed is still empty.
         if slots.iter().any(Option::is_none) {
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                rbq_graph::faultpoint::fire("engine.worker.retry");
+                rbq_graph::faultpoint::fire(Point::EngineWorkerRetry);
                 let mut scratch = WorkerScratch::default();
                 for (s, group) in groups.iter().enumerate() {
                     for &i in group {
@@ -711,7 +711,7 @@ impl Engine {
         // mutably (the scratch) is discarded below, and the shared locks it
         // takes recover from poisoning — no broken invariant survives.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            rbq_graph::faultpoint::fire_at("engine.run_one", index);
+            rbq_graph::faultpoint::fire_at(Point::EngineRunOne, index);
             match q {
                 Query::Reach { source, target } => {
                     self.run_reach(ep, *source, *target, &mut scratch.reach)

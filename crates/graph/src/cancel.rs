@@ -14,6 +14,7 @@
 //! observe a half-cancelled state: scratch buffers crossed by an unwind are
 //! discarded by the engine, never returned to the pool.
 
+use crate::faultpoint::Point;
 use std::time::Instant;
 
 /// How many ticks elapse between deadline clock reads. The first tick of a
@@ -65,8 +66,9 @@ impl CancelToken {
 /// deadline expiry (`TimedOut`) from a genuine kernel panic (`Failed`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CancelPanic {
-    /// The cancellation point that fired, e.g. `"dualsim.fixpoint"`.
-    pub point: &'static str,
+    /// The point that unwound: the kernel's tick, or the fault point an
+    /// injected starvation was armed at.
+    pub point: Point,
 }
 
 /// A per-kernel tick counter over a [`CancelToken`]. `Copy`, so kernels
@@ -103,7 +105,7 @@ impl CancelTicker {
     /// (starting with the first) reads the clock and, on expiry, unwinds
     /// with a [`CancelPanic`] tagged `point`.
     #[inline]
-    pub fn tick(&mut self, point: &'static str) {
+    pub fn tick(&mut self, point: Point) {
         let Some(deadline) = self.token.deadline else {
             return;
         };
@@ -123,7 +125,7 @@ mod tests {
     fn unarmed_token_never_fires() {
         let mut t = CancelTicker::new(CancelToken::none());
         for _ in 0..10 * TICK_INTERVAL {
-            t.tick("test.point");
+            t.tick(Point::DualsimFixpoint);
         }
         assert!(t.token().deadline().is_none());
         assert!(!t.token().is_expired());
@@ -134,13 +136,13 @@ mod tests {
         let past = Instant::now() - Duration::from_secs(1);
         let mut t = CancelTicker::new(CancelToken::at(past));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            t.tick("test.point");
+            t.tick(Point::DualsimFixpoint);
         }))
         .expect_err("expired deadline must unwind");
         let cp = caught
             .downcast_ref::<CancelPanic>()
             .expect("payload is CancelPanic");
-        assert_eq!(cp.point, "test.point");
+        assert_eq!(cp.point, Point::DualsimFixpoint);
     }
 
     #[test]
@@ -148,7 +150,7 @@ mod tests {
         let far = Instant::now() + Duration::from_secs(3600);
         let mut t = CancelTicker::new(CancelToken::at(far));
         for _ in 0..3 * TICK_INTERVAL {
-            t.tick("test.point");
+            t.tick(Point::DualsimFixpoint);
         }
         assert!(t.token().deadline().is_some());
     }
@@ -157,9 +159,9 @@ mod tests {
     fn arm_resets_counter() {
         let far = Instant::now() + Duration::from_secs(3600);
         let mut t = CancelTicker::new(CancelToken::at(far));
-        t.tick("a");
+        t.tick(Point::DualsimFixpoint);
         t.arm(CancelToken::none());
         assert!(t.token().deadline().is_none());
-        t.tick("a");
+        t.tick(Point::DualsimFixpoint);
     }
 }

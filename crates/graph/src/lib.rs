@@ -70,6 +70,7 @@ pub use builder::GraphBuilder;
 pub use cancel::{CancelPanic, CancelTicker, CancelToken};
 pub use codec::FormatError;
 pub use delta::{DeltaBatch, DeltaError, DeltaOp, DeltaReport};
+pub use faultpoint::Point;
 pub use graph::Graph;
 pub use labels::LabelInterner;
 pub use neighborhood::BallScratch;

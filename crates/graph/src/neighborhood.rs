@@ -11,6 +11,7 @@
 //! `G_dQ(v_p)`) rests on these definitions.
 
 use crate::cancel::{CancelTicker, CancelToken};
+use crate::faultpoint::Point;
 use crate::stamps::Stamps;
 use crate::types::NodeId;
 use crate::view::GraphView;
@@ -54,7 +55,7 @@ impl BallScratch {
 
     /// Arm (or clear, with [`CancelToken::none`]) the deadline checked by
     /// every subsequent ball BFS through this scratch. On expiry the BFS
-    /// unwinds with a [`crate::cancel::CancelPanic`] tagged `"ball.bfs"`.
+    /// unwinds with a [`crate::cancel::CancelPanic`] naming [`Point::BallBfs`].
     pub fn set_cancel(&mut self, token: CancelToken) {
         self.cancel.arm(token);
     }
@@ -133,7 +134,7 @@ impl BallScratch {
     /// node indexes (`(0, 0)` when the center is absent).
     // rbq-lint: hot
     fn bfs<V: GraphView + ?Sized>(&mut self, g: &V, center: NodeId, r: usize) -> (usize, usize) {
-        crate::faultpoint::fire("ball.bfs");
+        crate::faultpoint::fire(Point::BallBfs);
         // Hot loop state lives in locals (taken out of `self`): field
         // accesses through `&mut self` defeat the register allocation the
         // inner loop depends on.
@@ -147,7 +148,7 @@ impl BallScratch {
             queue.push((center, 0));
             let mut head = 0;
             while head < queue.len() {
-                cancel.tick("ball.bfs");
+                cancel.tick(Point::BallBfs);
                 let (v, d) = queue[head];
                 head += 1;
                 if d as usize == r {

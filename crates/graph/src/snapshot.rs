@@ -28,7 +28,7 @@
 //! records with a later sequence number.
 
 use crate::codec::{self, unseal, FormatError, Reader, Writer};
-use crate::faultpoint;
+use crate::faultpoint::{self, Point};
 use crate::graph::Graph;
 use crate::io::atomic_write;
 use crate::labels::LabelInterner;
@@ -48,7 +48,7 @@ pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// at any point leaves either the old snapshot or the complete new one.
 /// Fires the `snapshot.write` fault point before touching the filesystem.
 pub fn write_snapshot(g: &Graph, path: &Path, seq: u64) -> Result<(), FormatError> {
-    faultpoint::fire("snapshot.write");
+    faultpoint::fire(Point::SnapshotWrite);
     // Snapshots always store the overlay-free CSR: the file layout *is* the
     // compacted in-memory layout.
     let compacted;
@@ -141,7 +141,7 @@ fn ids<T>(
 /// on-disk corruption can never panic the loader or produce a graph that
 /// violates CSR invariants. Fires the `snapshot.load` fault point.
 pub fn load_snapshot(path: &Path) -> Result<(Graph, u64), FormatError> {
-    faultpoint::fire("snapshot.load");
+    faultpoint::fire(Point::SnapshotLoad);
     let raw = std::fs::read(path)?;
     let mut r = Reader::new(unseal(codec::SNAPSHOT.split(&raw)?)?);
     let seq = r.u64("header")?;

@@ -27,7 +27,7 @@
 
 use crate::codec::{self, next_frame, FormatError, Reader, Writer};
 use crate::delta::{DeltaBatch, DeltaOp};
-use crate::faultpoint;
+use crate::faultpoint::{self, Point};
 use crate::io::atomic_write;
 use crate::types::NodeId;
 use std::io::Write;
@@ -146,9 +146,9 @@ impl WalWriter {
         let seq = self.next_seq;
         let record = encode_batch(seq, batch)?;
         self.poisoned = true;
-        faultpoint::fire("wal.append");
+        faultpoint::fire(Point::WalAppend);
         self.file.write_all(&record)?;
-        faultpoint::fire("wal.fsync");
+        faultpoint::fire(Point::WalFsync);
         self.file.sync_data()?;
         self.poisoned = false;
         self.next_seq = seq + 1;
@@ -192,7 +192,7 @@ pub fn replay(path: &Path) -> Result<WalReplay, FormatError> {
         quarantined: 0,
     };
     while !rest.is_empty() {
-        faultpoint::fire("wal.replay");
+        faultpoint::fire(Point::WalReplay);
         let (payload, after) = match next_frame(rest) {
             Ok(frame) => frame,
             Err(FormatError::Truncated { .. }) => {

@@ -8,7 +8,6 @@
 //! | `lock-relock` | lock poisoning goes through the `relock` helpers |
 //! | `cancel-coverage` | every kernel hot loop has a `CancelTicker::tick` point |
 //! | `hot-path-alloc` | `// rbq-lint: hot` functions never allocate (static complement to `tests/alloc_free.rs`) |
-//! | `faultpoint-registry` | `fire(…)` names ↔ the declared `REGISTRY` in `faultpoint.rs` |
 //! | `wire-version` | `#rbq-*` wire header literals agree with the `wire` rows of the format table in `codec.rs` |
 //! | `snapshot-version` | `#rbq-snapshot`/`#rbq-wal` magics agree with their `durable` rows in `codec.rs` |
 //! | `dead-export` | a `pub` / `pub(crate)` `fn`, `const` or `static` of a library crate is named in some other file |
@@ -86,12 +85,11 @@ pub struct SourceFile {
 
 /// What the engine knows about the workspace layout: which paths are
 /// serving code, which files are registered kernel hot loops, and where
-/// the fault-point registry and the file-format table live.
+/// the file-format table lives.
 #[derive(Debug, Clone)]
 pub struct Context {
     pub serving_prefixes: Vec<String>,
     pub kernel_files: Vec<String>,
-    pub registry_file: String,
     /// Declares every `#rbq-*` file format as a `wire(…)` or `durable(…)`
     /// row.
     pub format_file: String,
@@ -119,7 +117,6 @@ impl Context {
             .iter()
             .map(|s| s.to_string())
             .collect(),
-            registry_file: "crates/graph/src/faultpoint.rs".into(),
             format_file: "crates/graph/src/codec.rs".into(),
             test_path_markers: ["tests/", "benches/", "examples/", "fixtures/"]
                 .iter()
@@ -262,9 +259,9 @@ fn analyze(ctx: &Context, file: &SourceFile, lexed: Lexed) -> Analysis {
 
 /// Run every rule over `files`, apply suppression, and return the sorted
 /// diagnostics. `files` is the whole set to check — the cross-file rules
-/// (`faultpoint-registry`, `wire-version`, `snapshot-version`) read their
-/// declarations from `ctx.registry_file` / `ctx.format_file` if present in
-/// the set, and `dead-export` looks for references across all of it.
+/// (`wire-version`, `snapshot-version`) read their declarations from
+/// `ctx.format_file` if present in the set, and `dead-export` looks for
+/// references across all of it.
 pub fn run(ctx: &Context, files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut diags: Vec<Diagnostic> = Vec::new();
     let mut analyses: Vec<Analysis> = Vec::new();
@@ -281,10 +278,6 @@ pub fn run(ctx: &Context, files: &[SourceFile]) -> Vec<Diagnostic> {
     }
 
     // Cross-file declarations.
-    let registry = analyses
-        .iter()
-        .find(|a| a.path == ctx.registry_file)
-        .and_then(rules::parse_registry);
     let mut format_findings = Vec::new();
     let formats = analyses
         .iter()
@@ -293,7 +286,6 @@ pub fn run(ctx: &Context, files: &[SourceFile]) -> Vec<Diagnostic> {
         .unwrap_or_default();
 
     // Per-file rules.
-    let mut fire_sites = Vec::new();
     let mut per_file: Vec<(usize, Vec<RawFinding>)> = Vec::new();
     for (ai, a) in analyses.iter().enumerate() {
         let mut raw = Vec::new();
@@ -305,7 +297,6 @@ pub fn run(ctx: &Context, files: &[SourceFile]) -> Vec<Diagnostic> {
             rules::cancel_coverage(a, &mut raw);
         }
         rules::hot_path_alloc(a, &mut raw);
-        rules::collect_fire_sites(a, &mut fire_sites);
         rules::wire_version(a, &formats, &mut raw);
         if a.path == ctx.format_file {
             raw.append(&mut format_findings);
@@ -339,63 +330,6 @@ pub fn run(ctx: &Context, files: &[SourceFile]) -> Vec<Diagnostic> {
                 });
             }
         }
-    }
-
-    // faultpoint-registry: both directions.
-    if let Some(entries) = &registry {
-        let reg_idx = analyses
-            .iter()
-            .position(|a| a.path == ctx.registry_file)
-            .unwrap_or(0);
-        let mut reg_findings = Vec::new();
-        let mut seen = BTreeSet::new();
-        for e in entries {
-            if !seen.insert(e.name.as_str()) {
-                reg_findings.push(RawFinding {
-                    line: e.line,
-                    rule: rules::FAULTPOINT_REGISTRY,
-                    message: format!("duplicate registry entry {:?}", e.name),
-                });
-            }
-            if !fire_sites.iter().any(|s| s.name == e.name) {
-                reg_findings.push(RawFinding {
-                    line: e.line,
-                    rule: rules::FAULTPOINT_REGISTRY,
-                    message: format!(
-                        "registered fault point {:?} is never fired outside tests",
-                        e.name
-                    ),
-                });
-            }
-        }
-        for (ai, a) in analyses.iter().enumerate() {
-            let mut raw: Vec<RawFinding> = fire_sites
-                .iter()
-                .filter(|s| s.file == a.path)
-                .filter(|s| !entries.iter().any(|e| e.name == s.name))
-                .map(|s| RawFinding {
-                    line: s.line,
-                    rule: rules::FAULTPOINT_REGISTRY,
-                    message: format!(
-                        "fault point {:?} is not declared in the REGISTRY ({})",
-                        s.name, ctx.registry_file
-                    ),
-                })
-                .collect();
-            if ai == reg_idx {
-                raw.append(&mut reg_findings);
-            }
-            if let Some((_, v)) = per_file.iter_mut().find(|(i, _)| *i == ai) {
-                v.append(&mut raw);
-            }
-        }
-    } else if analyses.iter().any(|a| a.path == ctx.registry_file) {
-        diags.push(Diagnostic {
-            file: ctx.registry_file.clone(),
-            line: 1,
-            rule: rules::FAULTPOINT_REGISTRY.into(),
-            message: "fault-point module declares no REGISTRY const".into(),
-        });
     }
 
     // Suppression: reasoned allows consume findings; everything else lands
@@ -479,21 +413,19 @@ pub fn collect_workspace_files(root: &Path) -> std::io::Result<Vec<SourceFile>> 
 }
 
 /// Check the workspace at `root` with the standard [`Context::workspace`]
-/// layout. The declaration files must exist — a refactor that moves or
-/// deletes them must move the lint's anchors too, loudly.
+/// layout. The format table and the kernel files must exist — a refactor
+/// that moves or deletes them must move the lint's anchors too, loudly.
 pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let ctx = Context::workspace();
     let files = collect_workspace_files(root)?;
     let mut diags = run(&ctx, &files);
-    for anchor in [&ctx.registry_file, &ctx.format_file] {
-        if !files.iter().any(|f| f.path == *anchor) {
-            diags.push(Diagnostic {
-                file: anchor.clone(),
-                line: 1,
-                rule: "anchor".into(),
-                message: "declaration file missing — update the lint's Context if it moved".into(),
-            });
-        }
+    if !files.iter().any(|f| f.path == ctx.format_file) {
+        diags.push(Diagnostic {
+            file: ctx.format_file.clone(),
+            line: 1,
+            rule: "anchor".into(),
+            message: "declaration file missing — update the lint's Context if it moved".into(),
+        });
     }
     for k in &ctx.kernel_files {
         if !files.iter().any(|f| f.path == *k) {

@@ -12,7 +12,6 @@ pub const SERVING_UNWRAP: &str = "serving-unwrap";
 pub const LOCK_RELOCK: &str = "lock-relock";
 pub const CANCEL_COVERAGE: &str = "cancel-coverage";
 pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
-pub const FAULTPOINT_REGISTRY: &str = "faultpoint-registry";
 pub const WIRE_VERSION: &str = "wire-version";
 pub const SNAPSHOT_VERSION: &str = "snapshot-version";
 pub const DEAD_EXPORT: &str = "dead-export";
@@ -26,7 +25,6 @@ pub const RULES: &[&str] = &[
     LOCK_RELOCK,
     CANCEL_COVERAGE,
     HOT_PATH_ALLOC,
-    FAULTPOINT_REGISTRY,
     WIRE_VERSION,
     SNAPSHOT_VERSION,
     DEAD_EXPORT,
@@ -371,70 +369,6 @@ pub fn collect_mentions(a: &Analysis) -> BTreeSet<&str> {
         i += 1;
     }
     out
-}
-
-/// A `fire("name")` / `fire_at("name", …)` call site.
-#[derive(Debug, Clone)]
-pub struct FireSite {
-    pub name: String,
-    pub file: String,
-    pub line: u32,
-}
-
-/// Collect the non-test fault-point call sites of one file.
-pub fn collect_fire_sites(a: &Analysis, out: &mut Vec<FireSite>) {
-    let toks = &a.lexed.tokens;
-    for i in 0..toks.len() {
-        if a.scope.contains_token(i) {
-            continue;
-        }
-        let Tok::Ident(f) = &toks[i].tok else {
-            continue;
-        };
-        if f != "fire" && f != "fire_at" {
-            continue;
-        }
-        // Skip the definitions (`fn fire(...)`).
-        if i >= 1 && ident_is(&toks[i - 1].tok, "fn") {
-            continue;
-        }
-        if !matches!(toks.get(i + 1).map(|t| &t.tok), Some(p) if punct_is(p, '(')) {
-            continue;
-        }
-        if let Some(Tok::Str(name)) = toks.get(i + 2).map(|t| &t.tok) {
-            out.push(FireSite {
-                name: name.clone(),
-                file: a.path.clone(),
-                line: toks[i].line,
-            });
-        }
-    }
-}
-
-/// A registry entry parsed out of the declared `REGISTRY` const.
-#[derive(Debug, Clone)]
-pub struct RegistryEntry {
-    pub name: String,
-    pub line: u32,
-}
-
-/// Parse the `REGISTRY: &[&str]` const from the fault-point module: every
-/// string literal between `REGISTRY` and the closing `;`.
-pub fn parse_registry(a: &Analysis) -> Option<Vec<RegistryEntry>> {
-    let toks = &a.lexed.tokens;
-    let start = toks.iter().position(|t| ident_is(&t.tok, "REGISTRY"))?;
-    let mut entries = Vec::new();
-    for t in &toks[start..] {
-        match &t.tok {
-            Tok::Str(s) => entries.push(RegistryEntry {
-                name: s.clone(),
-                line: t.line,
-            }),
-            Tok::Punct(';') => break,
-            _ => {}
-        }
-    }
-    Some(entries)
 }
 
 /// One declared `#rbq-<kind> v<N>` format row: the version the workspace

@@ -13,7 +13,6 @@ const FIXTURES: &[(&str, &str)] = &[
     ("fx_lock.rs", "crates/engine/src/fx_lock.rs"),
     ("fx_kernel.rs", "crates/core/src/fx_kernel.rs"),
     ("fx_hot.rs", "crates/core/src/fx_hot.rs"),
-    ("fx_faultpoint.rs", "crates/core/src/fx_faultpoint.rs"),
     ("fx_wire.rs", "crates/engine/src/fx_wire.rs"),
     ("fx_snapshot.rs", "crates/core/src/fx_snapshot.rs"),
     ("fx_codec.rs", "crates/core/src/fx_codec.rs"),
@@ -26,7 +25,6 @@ fn fixture_ctx() -> Context {
     Context {
         serving_prefixes: vec!["crates/core/src/".into(), "crates/engine/src/".into()],
         kernel_files: vec!["crates/core/src/fx_kernel.rs".into()],
-        registry_file: "crates/core/src/fx_faultpoint.rs".into(),
         format_file: "crates/core/src/fx_codec.rs".into(),
         test_path_markers: vec!["tests/".into()],
         // Only the dead-export pair: the other fixtures export freely.
@@ -110,7 +108,7 @@ fn removing_tick_turns_red() {
     let base = run(&fixture_ctx(), &load_fixtures());
     let mutated = run_with_replacement(
         "crates/core/src/fx_kernel.rs",
-        "cancel.tick(\"fx.kernel\");",
+        "cancel.tick(Point::FxKernel);",
         "",
     );
     let count = |ds: &[rbq_lint::Diagnostic]| {
@@ -177,20 +175,6 @@ fn removing_last_reference_turns_red() {
     assert!(mutated
         .iter()
         .any(|d| d.rule == "dead-export" && d.message.contains("`used_elsewhere`")));
-}
-
-/// Un-registering a fired fault point flags the call site; registering one
-/// that is never fired flags the registry line.
-#[test]
-fn faultpoint_mutations_turn_red() {
-    let dropped = run_with_replacement(
-        "crates/core/src/fx_faultpoint.rs",
-        "\"fx.fired\",   // fired below — consistent",
-        "",
-    );
-    assert!(dropped
-        .iter()
-        .any(|d| d.rule == "faultpoint-registry" && d.message.contains("fx.fired")));
 }
 
 /// Bumping a durable row of the format table leaves its old literals

@@ -2,11 +2,11 @@
 //! (`crates/core/src/fx_kernel.rs` in the fixture context).
 
 pub fn good_ticked(xs: &[u32], cancel: &mut crate::CancelTicker) -> u32 {
-    crate::fx_faultpoint::fire("fx.kernel");
+    crate::faultpoint::fire(Point::FxKernel);
     let mut sum = 0;
     let mut i = 0;
     while i < xs.len() {
-        cancel.tick("fx.kernel");
+        cancel.tick(Point::FxKernel);
         sum += xs[i];
         i += 1;
     }

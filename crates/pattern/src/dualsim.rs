@@ -38,7 +38,7 @@
 //! convenience over a fresh scratch.
 
 use crate::pattern::{PNode, ResolvedPattern};
-use rbq_graph::{GraphView, NodeId};
+use rbq_graph::{GraphView, NodeId, Point};
 
 /// The maximum dual-simulation relation, as per-query-node match sets.
 ///
@@ -438,7 +438,7 @@ impl DualSimScratch {
 
     /// Arm (or clear) the deadline checked by every subsequent fixpoint run
     /// through this scratch. On expiry the fixpoint unwinds with a
-    /// [`rbq_graph::CancelPanic`] tagged `"dualsim.fixpoint"`.
+    /// [`rbq_graph::CancelPanic`] naming [`Point::DualsimFixpoint`].
     pub fn set_cancel(&mut self, token: rbq_graph::CancelToken) {
         self.cancel.arm(token);
     }
@@ -493,7 +493,7 @@ fn fixpoint_scratch<V: GraphView + ?Sized>(
     g: &V,
     scratch: &mut DualSimScratch,
 ) -> bool {
-    rbq_graph::faultpoint::fire("dualsim.fixpoint");
+    rbq_graph::faultpoint::fire(Point::DualsimFixpoint);
     // Copied out (tickers are `Copy`) so the field can ride the `..` of the
     // destructure below; the counter restarting per call only means one
     // extra clock read per fixpoint, which the loop amortizes.
@@ -624,7 +624,7 @@ fn fixpoint_scratch<V: GraphView + ?Sized>(
     // decrements the child-counter of each data parent of `w` (for edges
     // into `u`) and the parent-counter of each data child (for edges out).
     while let Some((ui, i)) = worklist.pop() {
-        cancel.tick("dualsim.fixpoint");
+        cancel.tick(Point::DualsimFixpoint);
         let w = cand[ui][i];
         for &e in &edges_in[ui] {
             let ai = edges[e].0.index();

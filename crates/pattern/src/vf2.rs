@@ -13,7 +13,7 @@
 
 use crate::pattern::{PNode, ResolvedPattern};
 use crate::strongsim::ball_nodes;
-use rbq_graph::{CancelTicker, CancelToken, Graph, GraphView, NodeId};
+use rbq_graph::{CancelTicker, CancelToken, Graph, GraphView, NodeId, Point};
 use rustc_hash::FxHashSet;
 
 /// Knobs for the VF2 enumerator.
@@ -23,8 +23,8 @@ pub struct Vf2Config {
     /// run to exhaustion. A hit is reported in [`Vf2Outcome::truncated`].
     pub max_steps: Option<u64>,
     /// Cooperative deadline, checked alongside the step counter; on expiry
-    /// the search unwinds with a [`rbq_graph::CancelPanic`] tagged
-    /// `"vf2.step"`.
+    /// the search unwinds with a [`rbq_graph::CancelPanic`] naming
+    /// [`Point::Vf2Step`].
     pub cancel: CancelToken,
 }
 
@@ -200,8 +200,8 @@ fn backtrack<V: GraphView + ?Sized>(
     let du_in = p.inn(u).len();
 
     for v in candidates {
-        cancel.tick("vf2.step");
-        rbq_graph::faultpoint::fire("vf2.step");
+        cancel.tick(Point::Vf2Step);
+        rbq_graph::faultpoint::fire(Point::Vf2Step);
         if let Some(m) = max_steps {
             *steps += 1;
             if *steps > m {

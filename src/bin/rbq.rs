@@ -626,16 +626,18 @@ fn serve(
     #[cfg(feature = "fault-injection")]
     let _armed = match &plan.inject {
         Some(spec) => {
-            use rbq::rbq_graph::faultpoint::{arm, FaultAction, FaultPlan, REGISTRY};
+            use rbq::rbq_graph::faultpoint::{arm, FaultAction, FaultPlan};
+            use rbq::rbq_graph::Point;
             // N is the 0-based hit to trigger on, matching
             // FaultPlan::on_nth; default: the first firing.
             let (name, nth) = spec.split_once(':').unwrap_or((spec, "0"));
             let nth = nth
                 .parse()
                 .map_err(|_| format!("bad --inject count in {spec:?}"))?;
-            let point = REGISTRY.iter().copied().find(|&r| r == name);
-            let point = point
-                .ok_or_else(|| format!("unknown faultpoint {name:?}; see faultpoint::REGISTRY"))?;
+            let point = Point::from_name(name).ok_or_else(|| {
+                let known = Point::NAMES.join(", ");
+                format!("unknown faultpoint {name:?}; known points: {known}")
+            })?;
             writeln!(
                 warn,
                 "fault injection armed: panic at {point}, firing #{nth}"
@@ -1276,6 +1278,35 @@ mod tests {
         let d = dpath.to_string_lossy().into_owned();
         let err = run(&argv(&["ingest", &g, &d, "--inject", "wal.fsync"])).unwrap_err();
         assert!(err.to_string().contains("--durable"), "{err}");
+        let _ = std::fs::remove_file(&g);
+        let _ = std::fs::remove_file(&dpath);
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn inject_unknown_point_lists_the_known_ones() {
+        let g = temp_graph("inject_bogus");
+        let dpath =
+            std::env::temp_dir().join(format!("rbq_cli_bogusdelta_{}.txt", std::process::id()));
+        std::fs::write(&dpath, "#rbq-deltas v2\nan C\n").expect("write deltas");
+        let dir = std::env::temp_dir().join(format!("rbq_cli_bogus_{}", std::process::id()));
+        let (d, s) = (dpath.to_string_lossy(), dir.to_string_lossy());
+        let err = run(&argv(&[
+            "ingest",
+            &g,
+            &d,
+            "--durable",
+            &s,
+            "--inject",
+            "bogus",
+        ]))
+        .unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains("\"bogus\"") && msg.contains("wal.fsync"),
+            "{msg}"
+        );
+        assert!(!dir.exists(), "a rejected --inject touched durable state");
         let _ = std::fs::remove_file(&g);
         let _ = std::fs::remove_file(&dpath);
     }

@@ -17,7 +17,7 @@ mod support;
 use rbq::rbq_engine::faultpoint::{arm, FaultAction, FaultPlan};
 use rbq::rbq_engine::{Answer, Durability, Engine, Query};
 use rbq::rbq_router::{Partitioner, Router};
-use rbq_graph::{DeltaBatch, Graph};
+use rbq_graph::{DeltaBatch, Graph, Point};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use support::{
@@ -34,7 +34,7 @@ fn reference_answers(base: &Graph, batches: &[DeltaBatch], k: usize, qs: &[Query
 
 /// Crash during durable ingest at `point` on its `nth` firing, then pin
 /// `recover()` ≡ fresh-engine-from-surviving-prefix.
-fn ingest_crash_scenario(point: &'static str, nth: u64, crash_batch: usize) {
+fn ingest_crash_scenario(point: Point, nth: u64, crash_batch: usize) {
     let (g, qs) = fixture();
     let batches = sample_batches(FIXTURE_NODES);
     let dir = fresh_dir("ingest");
@@ -75,7 +75,7 @@ fn ingest_crash_scenario(point: &'static str, nth: u64, crash_batch: usize) {
 fn crash_during_wal_append_recovers_prefix() {
     let _s = serial();
     for k in 0..sample_batches(FIXTURE_NODES).len() {
-        ingest_crash_scenario("wal.append", k as u64, k);
+        ingest_crash_scenario(Point::WalAppend, k as u64, k);
     }
 }
 
@@ -83,7 +83,7 @@ fn crash_during_wal_append_recovers_prefix() {
 fn crash_during_wal_fsync_recovers_prefix() {
     let _s = serial();
     for k in 0..sample_batches(FIXTURE_NODES).len() {
-        ingest_crash_scenario("wal.fsync", k as u64, k);
+        ingest_crash_scenario(Point::WalFsync, k as u64, k);
     }
 }
 
@@ -95,7 +95,7 @@ fn crash_during_initial_snapshot_write_is_typed_on_recovery() {
     let (g, _qs) = fixture();
     let dir = fresh_dir("seed");
     let engine = Engine::new(g, fixture_cfg(1));
-    let crashed = crashes("snapshot.write", 0, || engine.enable_durability(&dir));
+    let crashed = crashes(Point::SnapshotWrite, 0, || engine.enable_durability(&dir));
     assert!(crashed, "seeding snapshot.write fault never fired");
     assert!(
         !engine.durability_enabled(),
@@ -123,7 +123,7 @@ fn crash_during_checkpoint_snapshot_write_loses_nothing() {
     }
     // The graph content the checkpoint would have written is irrelevant to
     // the contract — the crash happens before any bytes land.
-    let crashed = crashes("snapshot.write", 0, || d.checkpoint(&g));
+    let crashed = crashes(Point::SnapshotWrite, 0, || d.checkpoint(&g));
     assert!(crashed, "checkpoint snapshot.write fault never fired");
     drop(d);
     let (recovered, report) =
@@ -144,9 +144,9 @@ fn crash_during_recovery_is_retryable() {
     let (g, qs) = fixture();
     let batches = sample_batches(FIXTURE_NODES);
     for (point, nth) in [
-        ("snapshot.load", 0u64),
-        ("wal.replay", 0),
-        ("wal.replay", 2),
+        (Point::SnapshotLoad, 0u64),
+        (Point::WalReplay, 0),
+        (Point::WalReplay, 2),
     ] {
         let dir = fresh_dir("rerecover");
         let mut d = Durability::create(&dir, &g).expect("create durable state");
@@ -187,7 +187,7 @@ fn router_crash_during_wal_fsync_installs_on_no_shard() {
         let mut router =
             Router::new(g.clone(), fixture_cfg(1), PROBES.len(), policy).expect("router");
         router.enable_durability(&dir).expect("enable durability");
-        let crashed = crashes("wal.fsync", 0, || router.apply_deltas(&batches[0]));
+        let crashed = crashes(Point::WalFsync, 0, || router.apply_deltas(&batches[0]));
         assert!(crashed, "injected wal.fsync fault never fired");
         let report = router.run_batch(&probe);
         assert_eq!(report.per_shard[shard].routed, 1);

@@ -11,7 +11,8 @@
 //!   fault actually hit may settle `Failed` / `TimedOut`.
 //!
 //! These are the scenarios that pin an exact fault point, victim or
-//! deadline; seeded single-fault plans against every deployment shape,
+//! deadline, plus one scripted run that must reach every `Point`; seeded
+//! single-fault plans against every deployment shape,
 //! between ingests and restarts, run in `tests/model.rs`. Runs only under
 //! `cargo test --features fault-injection`; without the feature the fault
 //! points are inline no-ops and this file is empty.
@@ -24,11 +25,11 @@ use rbq::rbq_core::{
     search_reduced_graph_scratch, NeighborIndex, ReductionConfig, ReductionScratch, ResourceBudget,
 };
 use rbq::rbq_engine::faultpoint::{arm, FaultAction, FaultPlan};
-use rbq::rbq_engine::{Answer, ApplyError, BatchReport, Engine, EngineConfig, Query};
+use rbq::rbq_engine::{Answer, ApplyError, BatchReport, Engine, EngineConfig, Query, QueryClass};
 use rbq::rbq_pattern::{strong_simulation_on_view_with, PatternBuilder, StrongSimScratch};
 use rbq::rbq_router::{LabelHashPartitioner, Partitioner, Router};
 use rbq::rbq_workload::{extract_pattern, youtube_like, PatternSpec};
-use rbq_graph::{Graph, GraphBuilder};
+use rbq_graph::{Graph, GraphBuilder, Point};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -39,7 +40,12 @@ use support::{
 
 /// All fault points compiled into the serving path, with the query class
 /// whose evaluation reaches them.
-const KERNEL_POINTS: &[&str] = &["ball.bfs", "dualsim.fixpoint", "reduction.pick", "vf2.step"];
+const KERNEL_POINTS: &[Point] = &[
+    Point::BallBfs,
+    Point::DualsimFixpoint,
+    Point::ReductionPick,
+    Point::Vf2Step,
+];
 
 /// The fault-free baseline for the fixture batch (computed once, single
 /// threaded — answers are thread-count-invariant anyway).
@@ -85,7 +91,7 @@ fn injected_panic_settles_failed_and_spares_the_rest() {
     let base = baseline();
     let engine = Engine::new(g, fixture_cfg(1));
     let victim = qs.len() as u64 / 2;
-    let plan = FaultPlan::new().on_index("engine.run_one", victim, FaultAction::Panic);
+    let plan = FaultPlan::new().on_index(Point::EngineRunOne, victim, FaultAction::Panic);
     let got = under(plan, || engine.run_batch(&qs));
     assert!(
         matches!(got[victim as usize], Answer::Failed(_)),
@@ -108,8 +114,8 @@ fn injected_delay_leaves_answers_byte_identical() {
     for threads in [1usize, 4] {
         let engine = Engine::new(g.clone(), fixture_cfg(threads));
         let delay = |ms| FaultAction::Delay(Duration::from_millis(ms));
-        let plan = FaultPlan::new().on_nth("dualsim.fixpoint", 0, delay(30));
-        let got = under(plan.on_nth("ball.bfs", 2, delay(10)), || {
+        let plan = FaultPlan::new().on_nth(Point::DualsimFixpoint, 0, delay(30));
+        let got = under(plan.on_nth(Point::BallBfs, 2, delay(10)), || {
             engine.run_batch(&qs)
         });
         assert_eq!(got, base, "delay changed answers at {threads} threads");
@@ -122,7 +128,7 @@ fn injected_starvation_settles_timed_out() {
     let (g, qs) = fixture();
     let base = baseline();
     let engine = Engine::new(g, fixture_cfg(1));
-    let plan = FaultPlan::new().on_nth("reduction.pick", 0, FaultAction::Starve);
+    let plan = FaultPlan::new().on_nth(Point::ReductionPick, 0, FaultAction::Starve);
     let got = under(plan, || engine.run_batch(&qs));
     assert!(
         got.contains(&Answer::TimedOut),
@@ -137,7 +143,7 @@ fn every_kernel_point_is_contained() {
     let _s = serial();
     let (g, qs) = fixture();
     let base = baseline();
-    for point in KERNEL_POINTS {
+    for &point in KERNEL_POINTS {
         for action in [FaultAction::Panic, FaultAction::Starve] {
             let engine = Engine::new(g.clone(), fixture_cfg(1));
             let got = under(FaultPlan::new().on_nth(point, 1, action), || {
@@ -164,7 +170,7 @@ fn every_kernel_point_is_contained() {
 #[test]
 fn strong_simulation_runs_one_ball_bfs_and_one_fixpoint() {
     let _s = serial();
-    let points = ["dualsim.fixpoint", "ball.bfs"];
+    let points = [Point::DualsimFixpoint, Point::BallBfs];
     let g = youtube_like(4_000, 42);
     let idx = NeighborIndex::build(&g);
     let budget = ResourceBudget::from_units(&g, 300);
@@ -232,14 +238,14 @@ fn worker_loss_is_retried_then_failed() {
         .into_iter()
         .chain([("router(2)", Sut::Router(router))])
     {
-        let plan = FaultPlan::new().on_index("engine.worker", 0, FaultAction::Panic);
+        let plan = FaultPlan::new().on_index(Point::EngineWorker, 0, FaultAction::Panic);
         let got = under(plan, || front.run_batch(&qs));
         assert_eq!(got, base, "{who}: retry diverged");
 
         let report = {
             let _plan = arm(FaultPlan::new()
-                .on_index("engine.worker", 0, FaultAction::Panic)
-                .on_nth("engine.worker.retry", 0, FaultAction::Panic));
+                .on_index(Point::EngineWorker, 0, FaultAction::Panic)
+                .on_nth(Point::EngineWorkerRetry, 0, FaultAction::Panic));
             front.run_batch(&qs)
         };
         let got = answers(&report.results);
@@ -262,6 +268,53 @@ fn worker_loss_is_retried_then_failed() {
     }
 }
 
+/// One scripted run reaches every [`Point`], each armed once in one plan:
+/// a durable engine writes its first snapshot and logs one delta batch,
+/// answers a batch of RBSim and RBSub queries on two threads while worker 0
+/// is lost (so the calling thread retries its claims), and is recovered
+/// from its directory. A point that this path never fires turns it red.
+#[test]
+fn every_point_is_reached_in_one_scripted_run() {
+    let _s = serial();
+    let (g, qs) = fixture();
+    let patterns: Vec<Query> = qs
+        .into_iter()
+        .filter(|q| q.class() != QueryClass::Reach)
+        .collect();
+    for class in [QueryClass::Sim, QueryClass::Iso] {
+        assert!(
+            patterns.iter().any(|q| q.class() == class),
+            "no {class:?} query"
+        );
+    }
+    let none = FaultAction::Delay(Duration::ZERO);
+    let plan = Point::ALL
+        .into_iter()
+        .fold(FaultPlan::new(), |plan, p| match p {
+            Point::EngineWorker => plan.on_index(p, 0, FaultAction::Panic),
+            Point::EngineRunOne => plan.on_index(p, 0, none),
+            _ => plan.on_nth(p, 0, none),
+        });
+    let dir = fresh_dir("every_point");
+    let armed = arm(plan);
+    let engine = Engine::new(g, fixture_cfg(2));
+    engine.enable_durability(&dir).expect("enable durability");
+    let batch = new_node_batch(FIXTURE_NODES, 0, 1);
+    engine.apply_deltas(&batch).expect("durable apply");
+    let report = engine.run_batch(&patterns);
+    assert_eq!(report.results.len(), patterns.len());
+    drop(engine);
+    Engine::recover(&dir, fixture_cfg(1)).expect("recover");
+    let unfired = armed.unfired();
+    drop(armed);
+    let _ = std::fs::remove_dir_all(&dir);
+    let missed: Vec<Point> = Point::ALL
+        .into_iter()
+        .filter(|p| unfired.contains(p))
+        .collect();
+    assert!(missed.is_empty(), "points never reached: {missed:?}");
+}
+
 /// `engine.run_one`'s index is the query's position in the batch as
 /// submitted, at any shard count: arming `i` fails exactly `results[i]`.
 #[test]
@@ -273,7 +326,7 @@ fn run_one_fault_index_is_the_batch_position_at_any_shard_count() {
         let router = Router::new(g.clone(), fixture_cfg(2), k, &LabelHashPartitioner).unwrap();
         for victim in [0, 7, qs.len() - 1] {
             let plan =
-                FaultPlan::new().on_index("engine.run_one", victim as u64, FaultAction::Panic);
+                FaultPlan::new().on_index(Point::EngineRunOne, victim as u64, FaultAction::Panic);
             let got = under(plan, || router.run_batch(&qs));
             for (i, (f, b)) in got.iter().zip(&base).enumerate() {
                 if i == victim {
@@ -297,7 +350,7 @@ fn router_shard_loss_recovers_on_replica() {
     for k in [1usize, 2, 4] {
         for victim in 0..k as u64 {
             let router = Router::new(g.clone(), fixture_cfg(2), k, &LabelHashPartitioner).unwrap();
-            let plan = FaultPlan::new().on_index("engine.worker", victim, FaultAction::Panic);
+            let plan = FaultPlan::new().on_index(Point::EngineWorker, victim, FaultAction::Panic);
             let got = under(plan, || router.run_batch(&qs));
             // The retry re-answers the lost worker's claims exactly: full
             // byte-identity, not just blast-radius containment.
@@ -323,7 +376,7 @@ fn deadline_settlement_is_deterministic_under_delay_faults() {
             },
         );
         let delay = FaultAction::Delay(Duration::from_millis(20));
-        let plan = FaultPlan::new().on_nth("dualsim.fixpoint", 0, delay);
+        let plan = FaultPlan::new().on_nth(Point::DualsimFixpoint, 0, delay);
         let got = under(plan, || engine.run_batch(&qs));
         assert!(
             got.iter().all(|a| *a == Answer::TimedOut),
@@ -334,7 +387,7 @@ fn deadline_settlement_is_deterministic_under_delay_faults() {
 
 /// The durable-state IO fault points that fire during a durable ingest
 /// (the recovery-side points are exercised in `tests/crash_recovery.rs`).
-const IO_INGEST_POINTS: &[&str] = &["wal.append", "wal.fsync"];
+const IO_INGEST_POINTS: &[Point] = &[Point::WalAppend, Point::WalFsync];
 
 /// The two owners of a write path: a lone engine, and `Router(2)` — whose
 /// queries all go to one shard, once per shard, so "installed on every
@@ -374,13 +427,13 @@ fn durable_io_faults_keep_the_old_epoch_serving() {
     let (g, qs) = fixture();
     let base = baseline();
     let (batch, installed) = (new_node_batch(FIXTURE_NODES, 0, 1), installed_probe());
-    for point in IO_INGEST_POINTS {
+    for &point in IO_INGEST_POINTS {
         for action in [
             FaultAction::Panic,
             FaultAction::Delay(Duration::from_millis(10)),
         ] {
             for (who, mut front) in durable_fronts(&g) {
-                let dir = fresh_dir(&point.replace('.', "_"));
+                let dir = fresh_dir(&point.name().replace('.', "_"));
                 front.enable_durability(&dir);
                 let what = format!("{who}: {point} {action:?}");
                 let panicked = {

@@ -17,6 +17,8 @@ use rbq_engine::{
     QueryResult, RecoveryReport,
 };
 use rbq_graph::traverse::reaches;
+#[cfg(feature = "fault-injection")]
+use rbq_graph::Point;
 use rbq_graph::{DeltaBatch, DeltaOp, DeltaReport, Graph, GraphBuilder, NodeId};
 use rbq_pattern::{match_opt, vf2_opt, Vf2Config};
 use std::collections::{BTreeMap, BTreeSet};
@@ -520,7 +522,7 @@ impl Run<'_> {
     /// A `wal.append` / `wal.fsync` panic during a durable apply, then a
     /// restart that keeps the batch exactly when its record reached the log.
     fn crash(&mut self, mut sut: Sut) -> Sut {
-        let point = ["wal.append", "wal.fsync"][self.case.rng.below(2)];
+        let point = [Point::WalAppend, Point::WalFsync][self.case.rng.below(2)];
         let n = self.model.labels.len();
         let batch = self.case.delta(n, &self.model.edges, 0);
         let crashed = support::crashes(point, 0, || sut.apply_deltas(&batch));
@@ -537,7 +539,7 @@ impl Run<'_> {
         let delay = FaultAction::Delay(Duration::from_millis(1));
         let action = [FaultAction::Panic, FaultAction::Starve, delay][rng.below(3)];
         self.batch(sut, |qs| {
-            let _plan = arm(FaultPlan::new().on_index("engine.worker", victim, action));
+            let _plan = arm(FaultPlan::new().on_index(Point::EngineWorker, victim, action));
             (sut.run_batch(qs), vec![])
         });
     }
@@ -553,7 +555,7 @@ impl Run<'_> {
         if rng.one_in(2) {
             let report = self.batch(sut, |qs| {
                 let i = pick % qs.len();
-                let _plan = arm(FaultPlan::new().on_index("engine.run_one", i as u64, action));
+                let _plan = arm(FaultPlan::new().on_index(Point::EngineRunOne, i as u64, action));
                 (sut.run_batch(qs), vec![i])
             });
             let hit = &report.results[pick % report.results.len()];
@@ -561,7 +563,12 @@ impl Run<'_> {
             let settled = failed || (hit.answer == Answer::TimedOut && !panic) || is_shed(hit);
             assert!(settled, "run_one fault settled {:?}", hit.answer);
         } else {
-            let point = ["ball.bfs", "dualsim.fixpoint", "reduction.pick", "vf2.step"][pick % 4];
+            let point = [
+                Point::BallBfs,
+                Point::DualsimFixpoint,
+                Point::ReductionPick,
+                Point::Vf2Step,
+            ][pick % 4];
             let action = [action, delay][usize::from(rng.one_in(3))];
             self.batch(sut, |qs| {
                 let _plan = arm(FaultPlan::new().on_nth(point, nth, action));

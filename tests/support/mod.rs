@@ -543,7 +543,7 @@ pub fn prefix_graph(base: &Graph, batches: &[DeltaBatch], k: usize) -> Graph {
 
 /// Whether `f` panics with a panic armed at the `nth` firing of `point`.
 #[cfg(feature = "fault-injection")]
-pub fn crashes<T>(point: &'static str, nth: u64, f: impl FnOnce() -> T) -> bool {
+pub fn crashes<T>(point: rbq_graph::Point, nth: u64, f: impl FnOnce() -> T) -> bool {
     use rbq_engine::faultpoint::{arm, FaultAction, FaultPlan};
     let _plan = arm(FaultPlan::new().on_nth(point, nth, FaultAction::Panic));
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
