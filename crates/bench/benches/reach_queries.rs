@@ -8,10 +8,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rbq_bench::ExpConfig;
+use rbq_engine::{Engine, EngineConfig};
 use rbq_graph::NodeId;
 use rbq_reach::{bfs_query, BfsOptIndex, HierarchicalIndex, LandmarkVectors, ReachScratch};
 use rbq_workload::{sample_hard_reachability_queries, youtube_like};
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// Fig. 8(k): query latency at three α points vs baselines.
 fn reach_alpha(c: &mut Criterion) {
@@ -98,14 +100,31 @@ fn reach_hub(c: &mut Criterion) {
 }
 
 /// Offline construction costs (excluded from query budgets, §3 Remarks),
-/// at the historical 10k size and at the benchmark corpus's 100k.
+/// at the historical 10k size and at the benchmark corpus's 100k, and at
+/// the benchmark's α = 0.01. `side_by_side[0.01]` is an engine's cold
+/// start: both indexes built at once by [`Engine::build_indexes`].
 fn index_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("index_build");
     group.sample_size(10);
     for nodes in [10_000usize, 100_000] {
-        let g = youtube_like(nodes, 42);
-        group.bench_with_input(BenchmarkId::new("RBIndex[0.02]", nodes), &g, |b, g| {
-            b.iter(|| black_box(HierarchicalIndex::build(g, 0.02)))
+        let g = Arc::new(youtube_like(nodes, 42));
+        for alpha in [0.02, 0.01] {
+            let id = BenchmarkId::new(format!("RBIndex[{alpha}]"), nodes);
+            group.bench_with_input(id, &g, |b, g| {
+                b.iter(|| black_box(HierarchicalIndex::build(g, alpha)))
+            });
+        }
+        let cfg = EngineConfig {
+            reach_alpha: 0.01,
+            ..Default::default()
+        };
+        let id = BenchmarkId::new("side_by_side[0.01]", nodes);
+        group.bench_with_input(id, &g, |b, g| {
+            b.iter(|| {
+                let engine = Engine::new(g.clone(), cfg.clone());
+                engine.build_indexes();
+                black_box(engine)
+            })
         });
         group.bench_with_input(BenchmarkId::new("compress", nodes), &g, |b, g| {
             b.iter(|| black_box(rbq_reach::compress_for_reachability(g)))

@@ -442,6 +442,14 @@ impl Engine {
         self.pin().reach_index(self.cfg.reach_alpha)
     }
 
+    /// Build the current epoch's neighbor and reachability indexes side by
+    /// side, one scoped thread each; an index already built is kept. Cold
+    /// start pays for the slower of the two builds, not their sum. A build
+    /// that panics leaves its index to be built on first use.
+    pub fn build_indexes(&self) {
+        self.pin().build_indexes(true, Some(self.cfg.reach_alpha));
+    }
+
     /// The per-query pattern budget derived from the configuration and the
     /// current graph snapshot.
     pub fn pattern_budget(&self) -> ResourceBudget {

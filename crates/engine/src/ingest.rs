@@ -61,35 +61,39 @@ impl Epoch {
             .clone()
     }
 
-    /// The epoch that follows this one: `g` at the next generation, with
-    /// whichever indexes this epoch had paid for rebuilt concurrently on
-    /// scoped threads; indexes never queried stay lazy in the successor
-    /// too.
+    /// Build the wanted indexes this epoch lacks — the neighbor index if
+    /// `nbr`, the reachability index at `reach_alpha` if given — side by
+    /// side, one scoped thread each, so the pair costs the slower build,
+    /// not the sum.
     ///
-    /// A panicked rebuild degrades to lazy rebuild: the successor's slot
-    /// stays unset, and the next query that needs the index builds it
-    /// inside the per-query panic containment (a deterministic failure
-    /// settles as `Answer::Failed`, never an abort). The batch is already
-    /// durable by now, so the caller installs the successor regardless.
-    fn successor(&self, g: Graph, reach_alpha: f64) -> Epoch {
-        let next = Epoch::new(Arc::new(g), self.generation + 1);
+    /// A panicked build leaves its slot unset: the next query that needs
+    /// the index builds it inside the per-query panic containment, where a
+    /// deterministic failure settles as `Answer::Failed`, never an abort.
+    pub(crate) fn build_indexes(&self, nbr: bool, reach_alpha: Option<f64>) {
         std::thread::scope(|s| {
-            let g = &next.g;
-            let hn = self
-                .nbr
-                .get()
-                .map(|_| s.spawn(|| Arc::new(NeighborIndex::build(g))));
-            let hr = self
-                .reach
-                .get()
-                .map(|_| s.spawn(|| Arc::new(HierarchicalIndex::build(g, reach_alpha))));
+            let g = &self.g;
+            let hn = (nbr && self.nbr.get().is_none())
+                .then(|| s.spawn(|| Arc::new(NeighborIndex::build(g))));
+            let hr = (reach_alpha.filter(|_| self.reach.get().is_none()))
+                .map(|alpha| s.spawn(move || Arc::new(HierarchicalIndex::build(g, alpha))));
             if let Some(Ok(n)) = hn.map(|h| h.join()) {
-                let _ = next.nbr.set(n);
+                let _ = self.nbr.set(n);
             }
             if let Some(Ok(r)) = hr.map(|h| h.join()) {
-                let _ = next.reach.set(r);
+                let _ = self.reach.set(r);
             }
         });
+    }
+
+    /// The epoch that follows this one: `g` at the next generation, with
+    /// whichever indexes this epoch had paid for rebuilt side by side
+    /// ([`Epoch::build_indexes`]); indexes never queried stay lazy in the
+    /// successor too. The batch is already durable by now, so the caller
+    /// installs the successor even if a rebuild panicked.
+    fn successor(&self, g: Graph, reach_alpha: f64) -> Epoch {
+        let next = Epoch::new(Arc::new(g), self.generation + 1);
+        let reach_alpha = self.reach.get().map(|_| reach_alpha);
+        next.build_indexes(self.nbr.get().is_some(), reach_alpha);
         next
     }
 }

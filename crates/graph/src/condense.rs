@@ -7,8 +7,8 @@
 //! hierarchical landmark index (§5 "Preprocessing").
 
 use crate::graph::Graph;
-use crate::scc::{tarjan_scc, SccPartition};
-use crate::types::{Label, NodeId};
+use crate::scc::{scc_with, SccPartition};
+use crate::types::NodeId;
 
 /// A condensed graph together with the node mapping.
 #[derive(Debug, Clone)]
@@ -32,49 +32,28 @@ impl Condensation {
 
 /// Condense `g` into its SCC DAG.
 ///
-/// Runs in `O(|V| + |E|)` plus a sort of each condensed row: cross-component
-/// edges are counted, scattered into their source component's row, and each
-/// row is sorted and deduplicated in place — no global edge sort.
+/// Runs in `O(|V| + |E|)` plus a sort of each condensed row, in one SCC
+/// walk: components complete in id order, each with the ids its edges
+/// leave to, so each row is sorted, deduplicated and appended as its
+/// component completes.
 pub fn condense(g: &Graph) -> Condensation {
-    let partition = tarjan_scc(g);
-    let k = partition.count;
-    let comp = &partition.comp;
-
-    // Descending visit order leaves each component with the label of its
-    // smallest member.
-    let mut node_labels = vec![Label(0); k];
-    let mut offsets = vec![0usize; k + 1];
-    for v in (0..g.node_count()).rev().map(NodeId::new) {
-        let c = comp[v.index()];
-        node_labels[c as usize] = g.node_label(v);
-        offsets[c as usize + 1] += g.out(v).iter().filter(|w| comp[w.index()] != c).count();
-    }
-    for c in 0..k {
-        offsets[c + 1] += offsets[c];
-    }
-    let mut scattered = vec![NodeId(0); offsets[k]];
-    let mut cursor = offsets.clone();
-    for v in g.nodes() {
-        let c = comp[v.index()];
-        for w in g.out(v) {
-            let cw = comp[w.index()];
-            if cw != c {
-                scattered[cursor[c as usize]] = NodeId(cw);
-                cursor[c as usize] += 1;
-            }
-        }
-    }
-    // Parallel edges between the same SCC pair collapse here.
-    let mut targets = Vec::with_capacity(scattered.len());
-    let mut start = 0;
-    for c in 0..k {
-        let end = offsets[c + 1];
-        let row = &mut scattered[start..end];
+    let mut node_labels = Vec::with_capacity(g.node_count());
+    let mut offsets = Vec::with_capacity(g.node_count() + 1);
+    offsets.push(0);
+    let mut targets = Vec::with_capacity(g.edge_count());
+    let mut row: Vec<u32> = Vec::new();
+    let partition = scc_with(g, |members, out| {
+        // Parallel edges between the same SCC pair collapse here.
+        row.clear();
+        row.extend_from_slice(out);
         row.sort_unstable();
-        targets.extend(row.chunk_by(|a, b| a == b).map(|run| run[0]));
-        offsets[c + 1] = targets.len();
-        start = end;
-    }
+        row.dedup();
+        targets.extend(row.iter().map(|&c| NodeId(c)));
+        offsets.push(targets.len());
+        // invariant: a component holds at least its root.
+        let smallest = members.iter().min().expect("a component has a member");
+        node_labels.push(g.node_label(NodeId(*smallest)));
+    });
     Condensation {
         dag: Graph::from_out_csr(g.labels().clone(), node_labels, offsets, targets),
         partition,

@@ -132,28 +132,42 @@ pub(crate) fn compress_with(
 /// list, sorted in list); CSR rows are already sorted. Returns the merged
 /// DAG, renumbered densely in leader-id order (which keeps ids
 /// reverse-topological), and the map from old node to merged node.
+///
+/// Nodes are sorted as plain `(hash, id)` words, so equal signatures share
+/// a run; inside a run each member is compared with the run's leaders so
+/// far and joins the first it equals. Runs hold one class unless hashes
+/// collide, so a member costs one slice comparison.
 fn merge_equivalent(dag: Graph, hash: impl Fn(&[NodeId], &[NodeId]) -> u64) -> (Graph, Vec<u32>) {
     let sig = |v: u32| (dag.out(NodeId(v)), dag.inn(NodeId(v)));
     let n = dag.node_count();
-    let mut keyed: Vec<(u64, u32)> = (0..n as u32)
-        .map(|v| (hash(sig(v).0, sig(v).1), v))
+    // The hash's high half above the id: one `u64` sort puts equal
+    // signatures in one run, in id order.
+    let mut keyed: Vec<u64> = (0..n as u32)
+        .map(|v| {
+            let (out, inn) = sig(v);
+            hash(out, inn) & !0 << 32 | u64::from(v)
+        })
         .collect();
-    // Equal signatures end up adjacent, smallest id first, whatever the
-    // hash does: it only decides how rarely the slices are compared.
-    keyed.sort_unstable_by(|a, b| {
-        (a.0.cmp(&b.0))
-            .then_with(|| sig(a.1).cmp(&sig(b.1)))
-            .then(a.1.cmp(&b.1))
-    });
+    keyed.sort_unstable();
 
-    // leader[v] — smallest member of v's class.
+    // leader[v] — smallest member of v's class: a run lists its members in
+    // id order, so the first member of a class leads it.
     let mut leader: Vec<u32> = (0..n as u32).collect();
+    let mut leads: Vec<u32> = Vec::new();
     let mut merged = false;
-    for w in keyed.windows(2) {
-        let ((ha, a), (hb, b)) = (w[0], w[1]);
-        if ha == hb && sig(a) == sig(b) {
-            leader[b as usize] = leader[a as usize];
-            merged = true;
+    for run in keyed
+        .chunk_by(|a, b| a >> 32 == b >> 32)
+        .filter(|run| run.len() > 1)
+    {
+        leads.clear();
+        for v in run.iter().map(|&k| k as u32) {
+            match leads.iter().find(|&&l| sig(l) == sig(v)) {
+                Some(&l) => {
+                    leader[v as usize] = l;
+                    merged = true;
+                }
+                None => leads.push(v),
+            }
         }
     }
     if !merged {

@@ -112,12 +112,8 @@ impl HierarchicalIndex {
         // Every pass below is a DP along the DAG that takes its topological
         // order from the compression's numbering: ascending ids visit
         // children before parents. A wrong order would build a wrong index
-        // silently, so check rather than trust.
-        assert!(
-            dag.edges().all(|(u, v)| u > v),
-            "compressed DAG ids must be reverse-topological"
-        );
-        let ranks = topological_ranks(dag);
+        // silently, so the first pass checks it rather than trust it.
+        let (ranks, desc_est, anc_est) = ranks_and_coverage(dag);
 
         let g_size = g.size();
         let visit_cap = (params.alpha * g_size as f64).floor() as usize;
@@ -137,10 +133,6 @@ impl HierarchicalIndex {
         // (`k1 · a ≈ |V_dag|`) — same intent, no degenerate single-landmark
         // indexes on heavily compressed graphs.
         let a = n.checked_div(k1).unwrap_or(1).max(1);
-
-        // ---- Cover-size estimates (§5.1 `v.cs`), also usable as a
-        // selection key. ----
-        let (desc_est, anc_est) = coverage_estimates(dag);
 
         // ---- Level-1 landmark selection. ----
         // The greedy's neighbor-removal spread would skip nodes when every
@@ -320,7 +312,10 @@ pub struct IndexStats {
 /// key descending; when a node is picked, it and up to `a` of its
 /// (undirected) neighbors leave the candidate pool, spreading landmarks
 /// across the graph (§5.1 "Landmark selection").
-pub(super) fn greedy_select(
+///
+/// Keys are computed once per node, not per comparison; the sort sees the
+/// same keys in the same order, so ties fall as they always have.
+fn greedy_select(
     dag: &Graph,
     ranks: &[u32],
     k: usize,
@@ -329,29 +324,27 @@ pub(super) fn greedy_select(
     desc_est: &[u64],
     anc_est: &[u64],
 ) -> Vec<NodeId> {
-    let mut order: Vec<NodeId> = dag.nodes().collect();
-    match strategy {
-        SelectionStrategy::DegreeRank => order.sort_unstable_by_key(|&v| {
-            std::cmp::Reverse((dag.deg(v) as u64) * (ranks[v.index()] as u64 + 1))
-        }),
-        SelectionStrategy::Coverage => order.sort_unstable_by_key(|&v| {
-            std::cmp::Reverse(desc_est[v.index()].saturating_mul(anc_est[v.index()]))
-        }),
-        SelectionStrategy::DegreeOnly => {
-            order.sort_unstable_by_key(|&v| std::cmp::Reverse(dag.deg(v)))
-        }
-        SelectionStrategy::Random(seed) => {
-            // Deterministic pseudo-shuffle without an RNG dependency here:
-            // sort by a splitmix-style hash of (seed, node id).
-            order.sort_unstable_by_key(|&v| {
+    let key = |v: NodeId| -> u64 {
+        let i = v.index();
+        match strategy {
+            SelectionStrategy::DegreeRank => dag.deg(v) as u64 * (ranks[i] as u64 + 1),
+            SelectionStrategy::Coverage => desc_est[i].saturating_mul(anc_est[i]),
+            SelectionStrategy::DegreeOnly => dag.deg(v) as u64,
+            SelectionStrategy::Random(seed) => {
+                // Deterministic pseudo-shuffle without an RNG dependency
+                // here: a splitmix-style hash of (seed, node id), ascending
+                // (complemented under the descending sort).
                 let mut x = seed ^ (v.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 x ^= x >> 30;
                 x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
                 x ^= x >> 27;
-                x
-            })
+                !x
+            }
         }
-    }
+    };
+    let keys: Vec<u64> = dag.nodes().map(key).collect();
+    let mut order: Vec<NodeId> = dag.nodes().collect();
+    order.sort_unstable_by_key(|&v| std::cmp::Reverse(keys[v.index()]));
     let mut removed = vec![false; dag.node_count()];
     let mut picked = Vec::with_capacity(k);
     for v in order {
@@ -652,34 +645,32 @@ fn landmark_reach_bitsets(dag: &Graph, lm_nodes: &[NodeId], lm_of_node: &[LmId])
 }
 
 /// Topological ranks `v.r` (§5.1) of a DAG whose ids are
-/// reverse-topological: sinks have rank 0, otherwise `1 + max(rank of
-/// children)`.
-fn topological_ranks(dag: &Graph) -> Vec<u32> {
-    let mut rank = vec![0u32; dag.node_count()];
-    for v in dag.nodes() {
-        let r = dag.out(v).iter().map(|w| rank[w.index()] + 1).max();
-        rank[v.index()] = r.unwrap_or(0);
-    }
-    rank
-}
-
-/// Saturating descendant/ancestor count estimates (the paper leaves the
-/// cover-size computation unspecified; exact counting costs a BFS per
-/// landmark, so we use the standard DAG DP overestimate, which only steers
-/// the search heuristic).
-fn coverage_estimates(dag: &Graph) -> (Vec<u64>, Vec<u64>) {
+/// reverse-topological — sinks have rank 0, otherwise `1 + max(rank of
+/// children)` — and the saturating descendant/ancestor count estimates
+/// behind the cover sizes `v.cs`. The paper leaves the cover-size
+/// computation unspecified; exact counting costs a BFS per landmark, so we
+/// use the standard DAG DP overestimate, which only steers the search
+/// heuristic. Ranks and descendants share one pass over the children,
+/// which also checks that every edge points to a smaller id.
+fn ranks_and_coverage(dag: &Graph) -> (Vec<u32>, Vec<u64>, Vec<u64>) {
     let n = dag.node_count();
+    let mut rank = vec![0u32; n];
     let mut desc = vec![1u64; n];
     let mut anc = vec![1u64; n];
     for v in dag.nodes() {
-        let below = dag.out(v).iter().map(|c| desc[c.index()]);
-        desc[v.index()] = below.fold(1, u64::saturating_add);
+        let (mut r, mut d) = (0u32, 1u64);
+        for c in dag.out(v) {
+            assert!(*c < v, "compressed DAG ids must be reverse-topological");
+            r = r.max(rank[c.index()] + 1);
+            d = d.saturating_add(desc[c.index()]);
+        }
+        (rank[v.index()], desc[v.index()]) = (r, d);
     }
     for v in (0..n).rev().map(NodeId::new) {
         let above = dag.inn(v).iter().map(|p| anc[p.index()]);
         anc[v.index()] = above.fold(1, u64::saturating_add);
     }
-    (desc, anc)
+    (rank, desc, anc)
 }
 
 /// First-hit landmark labels: for each node `v`, the landmarks reachable

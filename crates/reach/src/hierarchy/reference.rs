@@ -10,7 +10,7 @@
 //! weight. The run-cursor search is proptested against it, verdict,
 //! certificate and visit count for every pair.
 
-use super::build::{freeze, greedy_select, HierarchicalIndex, IndexParams};
+use super::build::{freeze, HierarchicalIndex, IndexParams, SelectionStrategy};
 use super::query::ReachAnswer;
 use super::{Landmark, LmId, LmRows, NO_LM};
 use crate::compress::compress_reference;
@@ -752,6 +752,61 @@ impl ReferenceQuery<'_> {
         }
         potential.max(0.0) / (cost.max(0.0) + 1.0)
     }
+}
+
+/// The greedy landmark selection as it stood before its keys were
+/// precomputed: every comparison recomputes both keys.
+fn greedy_select(
+    dag: &Graph,
+    ranks: &[u32],
+    k: usize,
+    a: usize,
+    strategy: SelectionStrategy,
+    desc_est: &[u64],
+    anc_est: &[u64],
+) -> Vec<NodeId> {
+    let mut order: Vec<NodeId> = dag.nodes().collect();
+    match strategy {
+        SelectionStrategy::DegreeRank => order.sort_unstable_by_key(|&v| {
+            std::cmp::Reverse((dag.deg(v) as u64) * (ranks[v.index()] as u64 + 1))
+        }),
+        SelectionStrategy::Coverage => order.sort_unstable_by_key(|&v| {
+            std::cmp::Reverse(desc_est[v.index()].saturating_mul(anc_est[v.index()]))
+        }),
+        SelectionStrategy::DegreeOnly => {
+            order.sort_unstable_by_key(|&v| std::cmp::Reverse(dag.deg(v)))
+        }
+        SelectionStrategy::Random(seed) => order.sort_unstable_by_key(|&v| {
+            let mut x = seed ^ (v.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            x ^= x >> 30;
+            x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x ^= x >> 27;
+            x
+        }),
+    }
+    let mut removed = vec![false; dag.node_count()];
+    let mut picked = Vec::with_capacity(k);
+    for v in order {
+        if picked.len() >= k {
+            break;
+        }
+        if removed[v.index()] {
+            continue;
+        }
+        picked.push(v);
+        removed[v.index()] = true;
+        let mut quota = a;
+        for &w in dag.out(v).iter().chain(dag.inn(v)) {
+            if quota == 0 {
+                break;
+            }
+            if !removed[w.index()] {
+                removed[w.index()] = true;
+                quota -= 1;
+            }
+        }
+    }
+    picked
 }
 
 #[cfg(test)]

@@ -127,11 +127,11 @@ impl Router {
     }
 
     /// Build the deployment around its lead shard: pay for both offline
-    /// indexes once, then replicate — identical `Arc`'d indexes are what
-    /// make shard answers byte-identical to a standalone engine's.
+    /// indexes once, side by side ([`Engine::build_indexes`]), then
+    /// replicate — identical `Arc`'d indexes are what make shard answers
+    /// byte-identical to a standalone engine's.
     fn over(lead: Engine, shards: usize, policy: &'static dyn Partitioner) -> Router {
-        lead.neighbor_index();
-        lead.reach_index();
+        lead.build_indexes();
         let followers: Vec<Engine> = (1..shards).map(|_| lead.replica()).collect();
         Router {
             g: lead.graph(),
