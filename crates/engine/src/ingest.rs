@@ -15,6 +15,7 @@ use crate::engine::{relock, relock_write, Engine, EngineConfig};
 use rbq_core::NeighborIndex;
 use rbq_graph::{DeltaBatch, DeltaReport, FormatError, Graph};
 use rbq_reach::HierarchicalIndex;
+use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -63,24 +64,28 @@ impl Epoch {
 
     /// Build the wanted indexes this epoch lacks — the neighbor index if
     /// `nbr`, the reachability index at `reach_alpha` if given — side by
-    /// side, one scoped thread each, so the pair costs the slower build,
-    /// not the sum.
+    /// side, so the pair costs the slower build, not the sum: the neighbor
+    /// index on a scoped thread, the reachability index on the calling
+    /// thread. The reachability build frees the most scratch, and freeing
+    /// it into the caller's own allocator arena leaves it for the caller's
+    /// later allocations, as a build without threads does.
     ///
     /// A panicked build leaves its slot unset: the next query that needs
     /// the index builds it inside the per-query panic containment, where a
     /// deterministic failure settles as `Answer::Failed`, never an abort.
     pub(crate) fn build_indexes(&self, nbr: bool, reach_alpha: Option<f64>) {
+        let g = &self.g;
         std::thread::scope(|s| {
-            let g = &self.g;
             let hn = (nbr && self.nbr.get().is_none())
                 .then(|| s.spawn(|| Arc::new(NeighborIndex::build(g))));
-            let hr = (reach_alpha.filter(|_| self.reach.get().is_none()))
-                .map(|alpha| s.spawn(move || Arc::new(HierarchicalIndex::build(g, alpha))));
+            if let Some(alpha) = reach_alpha.filter(|_| self.reach.get().is_none()) {
+                let build = || Arc::new(HierarchicalIndex::build(g, alpha));
+                if let Ok(r) = std::panic::catch_unwind(AssertUnwindSafe(build)) {
+                    let _ = self.reach.set(r);
+                }
+            }
             if let Some(Ok(n)) = hn.map(|h| h.join()) {
                 let _ = self.nbr.set(n);
-            }
-            if let Some(Ok(r)) = hr.map(|h| h.join()) {
-                let _ = self.reach.set(r);
             }
         });
     }
