@@ -443,9 +443,10 @@ impl Engine {
     }
 
     /// Build the current epoch's neighbor and reachability indexes side by
-    /// side, one scoped thread each; an index already built is kept. Cold
-    /// start pays for the slower of the two builds, not their sum. A build
-    /// that panics leaves its index to be built on first use.
+    /// side — the neighbor index on a scoped thread, the reachability index
+    /// on this one; an index already built is kept. Cold start pays for the
+    /// slower of the two builds, not their sum. A build that panics leaves
+    /// its index to be built on first use.
     pub fn build_indexes(&self) {
         self.pin().build_indexes(true, Some(self.cfg.reach_alpha));
     }

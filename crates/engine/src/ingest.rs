@@ -106,8 +106,9 @@ impl Epoch {
 impl Engine {
     /// Apply a delta batch: materialize the post-delta graph (CSR overlay,
     /// compacting past the churn threshold), rebuild whichever indexes the
-    /// current epoch had built — off the serving path, on scoped worker
-    /// threads — then swap the new epoch in and drop the reduction cache.
+    /// current epoch had built — off the serving path, side by side, as
+    /// [`Engine::build_indexes`] does — then swap the new epoch in and drop
+    /// the reduction cache.
     ///
     /// Queries running concurrently finish on the epoch they pinned at
     /// entry; queries arriving after the swap see the new graph and a new

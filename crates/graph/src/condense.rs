@@ -37,10 +37,9 @@ impl Condensation {
 /// leave to, so each row is sorted, deduplicated and appended as its
 /// component completes.
 pub fn condense(g: &Graph) -> Condensation {
-    let mut node_labels = Vec::with_capacity(g.node_count());
-    let mut offsets = Vec::with_capacity(g.node_count() + 1);
-    offsets.push(0);
-    let mut targets = Vec::with_capacity(g.edge_count());
+    let mut node_labels = Vec::new();
+    let mut offsets = vec![0usize];
+    let mut targets = Vec::new();
     let mut row: Vec<u32> = Vec::new();
     let partition = scc_with(g, |members, out| {
         // Parallel edges between the same SCC pair collapse here.

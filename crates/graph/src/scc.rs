@@ -63,7 +63,7 @@ pub fn tarjan_scc(g: &Graph) -> SccPartition {
 /// pushed on one stack as the walk meets them, and a component's are the
 /// ones pushed since its root was discovered: components nested below it
 /// completed, and took theirs, first.
-pub fn scc_with(g: &Graph, mut on_component: impl FnMut(&[u32], &[u32])) -> SccPartition {
+pub(crate) fn scc_with(g: &Graph, mut on_component: impl FnMut(&[u32], &[u32])) -> SccPartition {
     let n = g.node_count() as u32;
     let mut rindex = vec![0u32; n as usize];
     let mut index = 1u32;

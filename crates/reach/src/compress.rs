@@ -133,19 +133,19 @@ pub(crate) fn compress_with(
 /// DAG, renumbered densely in leader-id order (which keeps ids
 /// reverse-topological), and the map from old node to merged node.
 ///
-/// Nodes are sorted as plain `(hash, id)` words, so equal signatures share
-/// a run; inside a run each member is compared with the run's leaders so
+/// Each node is keyed by one word, its signature hash's high half above
+/// its id, so one integer sort puts equal signatures in one run, in id
+/// order; inside a run each member is compared with the run's leaders so
 /// far and joins the first it equals. Runs hold one class unless hashes
 /// collide, so a member costs one slice comparison.
 fn merge_equivalent(dag: Graph, hash: impl Fn(&[NodeId], &[NodeId]) -> u64) -> (Graph, Vec<u32>) {
+    const HIGH_HALF: u64 = !0 << 32;
     let sig = |v: u32| (dag.out(NodeId(v)), dag.inn(NodeId(v)));
     let n = dag.node_count();
-    // The hash's high half above the id: one `u64` sort puts equal
-    // signatures in one run, in id order.
     let mut keyed: Vec<u64> = (0..n as u32)
         .map(|v| {
             let (out, inn) = sig(v);
-            hash(out, inn) & !0 << 32 | u64::from(v)
+            hash(out, inn) & HIGH_HALF | u64::from(v)
         })
         .collect();
     keyed.sort_unstable();
@@ -156,7 +156,7 @@ fn merge_equivalent(dag: Graph, hash: impl Fn(&[NodeId], &[NodeId]) -> u64) -> (
     let mut leads: Vec<u32> = Vec::new();
     let mut merged = false;
     for run in keyed
-        .chunk_by(|a, b| a >> 32 == b >> 32)
+        .chunk_by(|a, b| a & HIGH_HALF == b & HIGH_HALF)
         .filter(|run| run.len() > 1)
     {
         leads.clear();

@@ -314,7 +314,8 @@ pub struct IndexStats {
 /// across the graph (§5.1 "Landmark selection").
 ///
 /// Keys are computed once per node, not per comparison; the sort sees the
-/// same keys in the same order, so ties fall as they always have.
+/// same keys in the same order as one that recomputes them, so ties fall
+/// identically.
 fn greedy_select(
     dag: &Graph,
     ranks: &[u32],
