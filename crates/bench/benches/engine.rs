@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rbq_core::NeighborIndex;
 use rbq_engine::{BudgetSpec, Engine, EngineConfig, Query};
-use rbq_graph::labels::stable_hash;
 use rbq_reach::HierarchicalIndex;
+use rbq_router::{LabelHashPartitioner, Partitioner};
 use rbq_workload::{
     extract_pattern, sample_mixed_workload, youtube_like, MixedWorkloadSpec, PatternSpec,
 };
@@ -74,15 +74,22 @@ fn engine_threads(c: &mut Criterion) {
     group.finish();
 }
 
-/// The same batch and the same 4 threads over `k` replicas routed by label
-/// hash, as a router runs it: what `k` caches buy (or cost) over one. Cold
-/// builds the replicas inside the timed region, as `engine_threads` does.
+/// The same batch and the same 4 threads over `k` replicas routed by the
+/// router's own [`LabelHashPartitioner`], as a router runs it: what `k`
+/// caches buy (or cost) over one. Cold builds the replicas inside the timed
+/// region, as `engine_threads` does.
 fn engine_shards(c: &mut Criterion) {
     let (g, idx, reach, queries) = setup();
-    let route = |q: &Query| match q {
-        Query::Reach { source, .. } => stable_hash(g.node_label_str(*source)) as usize,
-        Query::PatternSim { pattern } | Query::PatternIso { pattern } => {
-            stable_hash(pattern.label_str(pattern.personalized())) as usize
+    let shard_of = |k: usize| {
+        let g = g.clone();
+        move |q: &Query| {
+            let label = match q {
+                Query::Reach { source, .. } => g.node_label_str(*source),
+                Query::PatternSim { pattern } | Query::PatternIso { pattern } => {
+                    pattern.label_str(pattern.personalized())
+                }
+            };
+            LabelHashPartitioner.shard(label, k)
         }
     };
     let replicas = |k: usize| {
@@ -98,6 +105,7 @@ fn engine_shards(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_shards");
     group.sample_size(10);
     for k in [1usize, 2, 4] {
+        let route = shard_of(k);
         group.bench_with_input(BenchmarkId::new("cold", k), &k, |b, &k| {
             b.iter(|| {
                 let (lead, followers) = replicas(k);

@@ -39,10 +39,12 @@
 //! per-query memo of the guard `C(v, u)` with the potential `p(v, u)` (both
 //! depend only on the pair, never on `G_Q`, so re-seen candidates skip the
 //! summary probes the Weighted policy used to repeat every round). The
-//! sets and the memo are flat [`rbq_graph::Stamps`] tables keyed by
-//! `(query node, data node)`: forgetting one at a round or query boundary
-//! is an epoch bump, and a grown table is `calloc`ed, so a budget-bounded
-//! search faults in only the pages of the pairs it touches.
+//! two sets and the memo share one open-addressed table keyed by
+//! `(query node, data node)`, one slot per pair the query touches:
+//! forgetting the table at a query boundary, or the sets at a round
+//! boundary, is a stamp bump, and the table grows only past its high-water
+//! mark. So a worker's pair memory follows the data a query touches — the
+//! quantity Theorem 3 bounds — not the `|V_p|·|V|` pairs it could have.
 //! [`search_reduced_graph_scratch`] threads the scratch; the original entry
 //! points wrap a fresh one, so results are identical either way (see the
 //! scratch-differential property tests, which also hold `Search` to a plain
@@ -52,7 +54,7 @@ use crate::budget::ResourceBudget;
 use crate::guard::{GuardCtx, GuardScratch, Semantics};
 use crate::neighbor_index::NeighborIndex;
 use rbq_graph::traverse::VisitStats;
-use rbq_graph::{DynamicSubgraph, Graph, GraphView, Label, NodeId, Point, Stamps, SubgraphScratch};
+use rbq_graph::{DynamicSubgraph, Graph, GraphView, Label, NodeId, Point, SubgraphScratch};
 use rbq_pattern::{PNode, ResolvedPattern};
 use rustc_hash::FxHashMap;
 use std::cmp::Ordering;
@@ -130,43 +132,171 @@ impl Default for ReductionConfig {
     }
 }
 
-/// `Search`'s tables keyed by `(query node, data node)`, `|V_p|·|V|` slots
-/// each, reused across rounds and queries.
+/// `Search`'s per-pair facts, keyed by `(query node, data node)`: one
+/// open-addressed table with linear probing, reused across rounds and
+/// queries.
 ///
-/// `in_stack`/`expanded` are forgotten at every round (`Search` clears both
-/// at every beam restart). The memo is forgotten per query: the guard and
-/// the potential depend only on the pair, so within one query every
-/// re-seen candidate is one table probe instead of an index-summary walk.
+/// A slot belongs to the current query iff its `query` stamp is current;
+/// any other slot reads empty, so [`PairScratch::begin_query`] forgets the
+/// whole table with one stamp bump. Within a query a slot is never freed,
+/// so probe runs stay contiguous. `in_stack`/`expanded` are round stamps:
+/// [`PairScratch::begin_round`] forgets both flags of every pair (`Search`
+/// clears them at every beam restart) while the pair keeps its memo, since
+/// the guard and the potential depend only on the pair and within one
+/// query every re-seen candidate is one probe instead of an index-summary
+/// walk. Both stamps start at 0, so a freshly claimed or grown slot reads
+/// absent, and on the wrap at `u32::MAX` the stamps they guard are zeroed
+/// before counting restarts at 1.
+///
+/// The table is at most half full: it doubles, and re-homes the current
+/// query's pairs, when a claim would pass that. It never shrinks, so it
+/// sizes itself to the largest query a worker has served — the pairs that
+/// query touched, not the `|V_p|·|V|` it could have.
 #[derive(Debug, Clone, Default)]
 struct PairScratch {
-    /// The pair-index stride `|V|`.
-    nv: usize,
-    /// The current query's `|V_p|·|V|`.
-    len: usize,
-    in_stack: Stamps,
-    expanded: Stamps,
-    /// `None` if the guard `C(v, u)` fails, else `Some` of the potential
-    /// `p(v, u)` — or of 0 where no potential was asked for: under the
-    /// `Fifo` and `Random` policies, and for a pair first seen by the
-    /// `G_Q` continuation, whose data node is a member that `Pick` skips.
-    memo: Stamps<Option<u32>>,
+    slots: Vec<PairSlot>,
+    /// Slots claimed by the current query.
+    live: usize,
+    query: u32,
+    round: u32,
 }
 
+/// One pair's slot in [`PairScratch`].
+#[derive(Debug, Clone, Copy, Default)]
+struct PairSlot {
+    /// The query stamp that claimed the slot.
+    query: u32,
+    u: u32,
+    v: u32,
+    /// The round stamp while the pair is on the stack.
+    in_stack: u32,
+    /// The round stamp once the pair has expanded its query edges.
+    expanded: u32,
+    /// `None` until first asked; then `None` inside if the guard `C(v, u)`
+    /// fails, else `Some` of the potential `p(v, u)` — or of 0 where no
+    /// potential was asked for: under the `Fifo` and `Random` policies, and
+    /// for a pair first seen by the `G_Q` continuation, whose data node is
+    /// a member that `Pick` skips.
+    memo: Option<Option<u32>>,
+}
+
+/// Slots of a worker's first pair table.
+const INITIAL_PAIR_SLOTS: usize = 256;
+
 impl PairScratch {
-    fn begin_query(&mut self, np: usize, nv: usize) {
-        self.nv = nv;
-        self.len = np * nv;
-        self.memo.reset(self.len);
+    fn begin_query(&mut self) {
+        if self.query == u32::MAX {
+            self.slots.iter_mut().for_each(|s| s.query = 0);
+            self.query = 0;
+        }
+        self.query += 1;
+        self.live = 0;
     }
 
     fn begin_round(&mut self) {
-        self.in_stack.reset(self.len);
-        self.expanded.reset(self.len);
+        if self.round == u32::MAX {
+            self.slots
+                .iter_mut()
+                .for_each(|s| (s.in_stack, s.expanded) = (0, 0));
+            self.round = 0;
+        }
+        self.round += 1;
+    }
+
+    /// The slot of `(u, v)`, claimed for the current query if absent. A
+    /// claim may grow the table, which moves every slot: an index is good
+    /// until the next claim.
+    // rbq-lint: hot
+    #[inline]
+    fn slot(&mut self, u: PNode, v: NodeId) -> usize {
+        let i = match self.probe(u.0, v.0) {
+            Ok(i) => return i,
+            Err(i) if 2 * (self.live + 1) <= self.slots.len() => i,
+            Err(_) => {
+                self.grow();
+                self.probe(u.0, v.0)
+                    .expect_err("growth re-homes only pairs already present")
+            }
+        };
+        self.live += 1;
+        self.slots[i] = PairSlot {
+            query: self.query,
+            u: u.0,
+            v: v.0,
+            ..PairSlot::default()
+        };
+        i
+    }
+
+    /// `Ok` of the slot holding `(u, v)`, else `Err` of the free slot that
+    /// ends its probe run (`Err(0)` on an empty table).
+    #[inline]
+    fn probe(&self, u: u32, v: u32) -> Result<usize, usize> {
+        let n = self.slots.len();
+        if n == 0 {
+            return Err(0);
+        }
+        // Fibonacci hashing, read from the product's high bits: the low bits
+        // of a multiply depend only on the key's low bits.
+        let key = (u64::from(u) << 32) | u64::from(v);
+        let home = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - n.trailing_zeros())) as usize;
+        // At most half full, so the run ends well inside `n` steps.
+        for step in 0..n {
+            let i = (home + step) & (n - 1);
+            let s = &self.slots[i];
+            if s.query != self.query {
+                return Err(i);
+            }
+            if s.u == u && s.v == v {
+                return Ok(i);
+            }
+        }
+        unreachable!("the pair table is at most half full")
+    }
+
+    /// Double the table (or allocate the first one) and re-home the current
+    /// query's pairs.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let n = (2 * self.slots.len()).max(INITIAL_PAIR_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![PairSlot::default(); n]);
+        for s in old.into_iter().filter(|s| s.query == self.query) {
+            let i = self
+                .probe(s.u, s.v)
+                .expect_err("a query claims each pair once");
+            self.slots[i] = s;
+        }
     }
 
     #[inline]
-    fn idx(&self, u: PNode, v: NodeId) -> usize {
-        u.index() * self.nv + v.index()
+    fn in_stack(&self, i: usize) -> bool {
+        self.slots[i].in_stack == self.round
+    }
+
+    #[inline]
+    fn set_in_stack(&mut self, i: usize, on: bool) {
+        self.slots[i].in_stack = if on { self.round } else { 0 };
+    }
+
+    #[inline]
+    fn expanded(&self, i: usize) -> bool {
+        self.slots[i].expanded == self.round
+    }
+
+    /// Mark slot `i` expanded; `true` iff it was not yet, this round.
+    #[inline]
+    fn expand(&mut self, i: usize) -> bool {
+        let newly = !self.expanded(i);
+        self.slots[i].expanded = self.round;
+        newly
+    }
+
+    /// Mark `(u, v)` as on the stack.
+    #[inline]
+    fn push(&mut self, u: PNode, v: NodeId) {
+        let i = self.slot(u, v);
+        self.set_in_stack(i, true);
     }
 }
 
@@ -318,7 +448,7 @@ pub fn search_reduced_graph_scratch<'g>(
         guard,
         ..
     } = scratch;
-    pairs.begin_query(p.node_count(), g.node_count());
+    pairs.begin_query();
     lists.clear();
     // The potential's deduplicated query-neighbor label sets depend only on
     // the query: computed once here, not once per scored candidate.
@@ -347,11 +477,12 @@ pub fn search_reduced_graph_scratch<'g>(
         pairs.begin_round();
         stack.clear();
         stack.push((q.up(), q.vp()));
-        pairs.in_stack.insert(pairs.idx(q.up(), q.vp()), ());
+        pairs.push(q.up(), q.vp());
 
         while let Some((u, v)) = stack.pop() {
             cancel.tick(Point::ReductionPick);
-            pairs.in_stack.remove(pairs.idx(u, v));
+            let i = pairs.slot(u, v);
+            pairs.set_in_stack(i, false);
 
             // Line 5: add v to G_Q if new, charging its node + induced edges
             // against the budget — one adjacency scan probes and inserts.
@@ -368,8 +499,8 @@ pub fn search_reduced_graph_scratch<'g>(
             }
 
             // Each (u, v) pair expands its query edges once per round
-            // (lines 8–10).
-            if !pairs.expanded.insert(pairs.idx(u, v), ()) {
+            // (lines 8–10). No claim since `slot` above, so `i` holds.
+            if !pairs.expand(i) {
                 continue;
             }
 
@@ -399,7 +530,7 @@ pub fn search_reduced_graph_scratch<'g>(
                     for k in (0..picked.len()).rev() {
                         let v2 = picked[k];
                         stack.push((u2, v2));
-                        pairs.in_stack.insert(pairs.idx(u2, v2), ());
+                        pairs.push(u2, v2);
                     }
                     // Continue the traversal through neighbors already in
                     // G_Q: they consume no candidate slot and no budget, but
@@ -407,13 +538,16 @@ pub fn search_reduced_graph_scratch<'g>(
                     // restarts (with larger b) can reach deeper unexplored
                     // regions.
                     for &v2 in cands {
-                        if gq.contains(v2)
-                            && !pairs.expanded.contains(pairs.idx(u2, v2))
-                            && !pairs.in_stack.contains(pairs.idx(u2, v2))
-                            && memo(&ctx, pairs, v2, u2, None, &mut visits, guard).is_some()
+                        if !gq.contains(v2) {
+                            continue;
+                        }
+                        let j = pairs.slot(u2, v2);
+                        if !pairs.expanded(j)
+                            && !pairs.in_stack(j)
+                            && memo(&ctx, pairs, j, v2, u2, None, &mut visits, guard).is_some()
                         {
                             stack.push((u2, v2));
-                            pairs.in_stack.insert(pairs.idx(u2, v2), ());
+                            pairs.set_in_stack(j, true);
                         }
                     }
                 }
@@ -445,24 +579,26 @@ pub fn search_reduced_graph_scratch<'g>(
 /// else `Some` of the potential `p(v, u)` when `labels` (`u`'s deduplicated
 /// child and parent labels) asks for it, or of 0. The guard and then the
 /// potential are evaluated, and charged to `visits`, at most once per pair.
+/// `i` is the pair's slot.
+#[allow(clippy::too_many_arguments)]
 fn memo(
     ctx: &GuardCtx<'_>,
     pairs: &mut PairScratch,
+    i: usize,
     v: NodeId,
     u: PNode,
     labels: Option<(&[Label], &[Label])>,
     visits: &mut VisitStats,
     scratch: &mut GuardScratch,
 ) -> Option<u32> {
-    let i = pairs.idx(u, v);
-    if let Some(hit) = pairs.memo.get(i) {
+    if let Some(hit) = pairs.slots[i].memo {
         return hit;
     }
     let verdict = ctx.guard(v, u, visits, scratch).then(|| match labels {
         Some((out, inn)) => ctx.potential_with(v, u, out, inn, visits),
         None => 0,
     });
-    pairs.memo.insert(i, verdict);
+    pairs.slots[i].memo = Some(verdict);
     verdict
 }
 
@@ -507,10 +643,14 @@ fn pick(
     scored.clear();
     let labels = (policy == PickPolicy::Weighted).then_some((uniq_out, uniq_in));
     for &v2 in cands {
-        if gq.contains(v2) || pairs.in_stack.contains(pairs.idx(u2, v2)) {
+        if gq.contains(v2) {
             continue;
         }
-        let Some(pot) = memo(ctx, pairs, v2, u2, labels, visits, gs) else {
+        let i = pairs.slot(u2, v2);
+        if pairs.in_stack(i) {
+            continue;
+        }
+        let Some(pot) = memo(ctx, pairs, i, v2, u2, labels, visits, gs) else {
             continue;
         };
         let key = match policy {
@@ -802,5 +942,123 @@ mod tests {
                 scratch.recycle(warm.gq);
             }
         }
+    }
+
+    #[test]
+    fn pair_table_growth_mid_query_matches_a_table_that_never_grows() {
+        // Enough HG and CL candidates that one query claims several times
+        // the first table's slots, so a fresh scratch grows mid-query.
+        let (g, _, _) = example_graph(300, 400);
+        let idx = NeighborIndex::build(&g);
+        let q = fig1_pattern().resolve(&g).unwrap();
+        let budget = ResourceBudget::from_units(&g, g.size());
+        let config = ReductionConfig::default();
+        let run = |scratch: &mut ReductionScratch| {
+            let out = search_reduced_graph_scratch(
+                &g,
+                &idx,
+                &q,
+                &budget,
+                Semantics::Simulation,
+                config,
+                scratch,
+            );
+            let facts = (
+                out.gq.members().to_vec(),
+                out.visits,
+                out.final_b,
+                out.rounds,
+                out.hit_budget,
+            );
+            scratch.recycle(out.gq);
+            facts
+        };
+        let mut fresh = ReductionScratch::new();
+        let grown = run(&mut fresh);
+        assert!(
+            fresh.pairs.live > INITIAL_PAIR_SLOTS,
+            "the query claimed only {} pairs",
+            fresh.pairs.live
+        );
+        let mut big = ReductionScratch::new();
+        big.pairs.begin_query();
+        for _ in 0..8 {
+            big.pairs.grow();
+        }
+        let capacity = big.pairs.slots.len();
+        assert!(2 * fresh.pairs.live <= capacity);
+        assert_eq!(run(&mut big), grown);
+        assert_eq!(big.pairs.slots.len(), capacity, "a pre-grown table grew");
+        // The grown table, warm: no growth, same answer.
+        let high_water = fresh.pairs.slots.len();
+        assert_eq!(run(&mut fresh), grown);
+        assert_eq!(fresh.pairs.slots.len(), high_water);
+    }
+
+    #[test]
+    fn pair_table_growth_keeps_every_fact() {
+        let mut t = PairScratch::default();
+        t.begin_query();
+        t.begin_round();
+        let n = 5 * INITIAL_PAIR_SLOTS as u32;
+        for k in 0..n {
+            let i = t.slot(PNode(k % 4), NodeId(k));
+            t.set_in_stack(i, k % 2 == 0);
+            if k % 3 == 0 {
+                t.expand(i);
+            }
+            t.slots[i].memo = Some((k % 5 != 0).then_some(k));
+        }
+        assert!(t.slots.len() > INITIAL_PAIR_SLOTS);
+        assert_eq!(t.live, n as usize);
+        for k in 0..n {
+            let i = t.probe(k % 4, k).expect("a claimed pair was lost");
+            assert_eq!(t.in_stack(i), k % 2 == 0);
+            assert_eq!(t.expanded(i), k % 3 == 0);
+            assert_eq!(t.slots[i].memo, Some((k % 5 != 0).then_some(k)));
+        }
+        // A new round forgets the flags, not the memo; a new query forgets all.
+        t.begin_round();
+        let i = t.slot(PNode(0), NodeId(0));
+        assert!(!t.in_stack(i) && !t.expanded(i));
+        assert_eq!(t.slots[i].memo, Some(None));
+        t.begin_query();
+        assert!(t.probe(0, 0).is_err());
+        let i = t.slot(PNode(0), NodeId(0));
+        assert_eq!(t.slots[i].memo, None);
+    }
+
+    #[test]
+    fn pair_stamp_wrap_never_aliases_stale_slots() {
+        let mut t = PairScratch::default();
+        // A slot stamped 1, the value both stamps restart at after a wrap.
+        t.begin_query();
+        t.begin_round();
+        let old = t.slot(PNode(1), NodeId(2));
+        t.set_in_stack(old, true);
+        t.expand(old);
+        assert_eq!((t.query, t.round), (1, 1));
+        // As if 2^32 - 3 queries and rounds had passed.
+        t.query = u32::MAX - 1;
+        t.round = u32::MAX - 1;
+        t.begin_query();
+        t.begin_round();
+        assert_eq!((t.query, t.round), (u32::MAX, u32::MAX));
+        let last = t.slot(PNode(3), NodeId(4));
+        t.set_in_stack(last, true);
+        t.expand(last);
+        // The round wraps inside the query: pairs stay, flags go.
+        t.begin_round();
+        assert_eq!(t.round, 1);
+        let last = t.probe(3, 4).expect("a round boundary dropped a pair");
+        assert!(!t.in_stack(last) && !t.expanded(last));
+        // The query wraps: every slot reads empty, the one stamped 1 too.
+        t.begin_query();
+        assert_eq!(t.query, 1);
+        assert!(t.slots.iter().all(|s| s.query != t.query));
+        assert!(t.probe(1, 2).is_err() && t.probe(3, 4).is_err());
+        let again = t.slot(PNode(1), NodeId(2));
+        assert!(!t.in_stack(again) && !t.expanded(again));
+        assert_eq!(t.slots[again].memo, None);
     }
 }

@@ -13,6 +13,13 @@ use std::hash::Hasher;
 /// Unlike a [`Label`] id it does not depend on interning order, so it is
 /// the same across processes, graph builds and delta batches — what a
 /// router needs to send the same query text to the same replica forever.
+///
+/// Its **low bits are weak**: for a string of at most eight bytes the hash
+/// is one multiply by an odd constant, so bit `i` of the result depends
+/// only on bits `0..=i` of the input — the first byte's. Take a range from
+/// the high bits, `((hash as u128 * k as u128) >> 64) as usize`, never
+/// `hash % k`, which sends every label sharing a first letter to one of
+/// 2, 4 or 8 buckets.
 pub fn stable_hash(name: &str) -> u64 {
     let mut h = FxHasher::default();
     h.write(name.as_bytes());

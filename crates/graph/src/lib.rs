@@ -22,8 +22,8 @@
 //!   §2) through the reusable [`BallScratch`], which evaluates many balls
 //!   without per-ball allocation;
 //! * [`stamps`] — [`Stamps`], a dense map over `0..len` that forgets every
-//!   key in O(1) by bumping an epoch: the ball BFS's visited set, `G_Q`'s
-//!   membership and the reduction's pair tables all sit on it;
+//!   key in O(1) by bumping an epoch: the ball BFS's visited set and
+//!   `G_Q`'s membership sit on it;
 //! * [`scc`] — Tarjan strongly connected components, and [`condense`] —
 //!   reachability-preserving DAG condensation (the first half of the
 //!   query-preserving compression of §5);

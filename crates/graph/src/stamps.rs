@@ -1,7 +1,6 @@
 //! [`Stamps`]: a dense map over keys `0..len` that forgets every key in
-//! O(1) — the one epoch-stamp primitive under the ball BFS's visited set,
-//! `G_Q`'s membership table and the reduction's `(query node, data node)`
-//! pair tables.
+//! O(1) — the one epoch-stamp primitive under the ball BFS's visited set
+//! and `G_Q`'s membership table.
 //!
 //! Key `i` is present iff `stamp[i] == epoch`; its value sits at `value[i]`.
 //! [`Stamps::reset`] bumps the epoch, so every stamp written before it
