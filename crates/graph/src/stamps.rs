@@ -41,8 +41,7 @@ impl<V> Default for Stamps<V> {
 impl<V: Copy + Default> Stamps<V> {
     /// Forget every key and make `0..len` addressable. A table that grows
     /// gets fresh `vec![0; len]` arrays — `calloc`, so the OS faults in
-    /// only the pages later probes touch, and a budget-bounded search over
-    /// a `|V_p|·|V|` table pays for the pairs it visits, not for the table.
+    /// only the pages later probes touch.
     pub fn reset(&mut self, len: usize) {
         if len > self.stamp.len() {
             self.stamp = vec![0; len];
